@@ -1,9 +1,11 @@
 """Setup shim for environments without the ``wheel`` package.
 
-The canonical metadata lives in ``pyproject.toml``; this file only
-enables ``pip install -e . --no-build-isolation --no-use-pep517`` in
-offline environments where PEP-517 editable installs cannot build a
-wheel.
+The repository carries no packaging metadata (no ``pyproject.toml``
+or ``setup.cfg``): the code runs straight from the checkout with
+``PYTHONPATH=src``, which is how the Makefile, CI and the docs invoke
+it.  This bare ``setup()`` call only lets setuptools-driven tooling
+(``pip install -e . --no-build-isolation --no-use-pep517``) resolve
+the project in offline environments where a PEP-517 build cannot run.
 """
 
 from setuptools import setup

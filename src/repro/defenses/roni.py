@@ -23,22 +23,32 @@ spam costs at most 4.4 — so any threshold in between identifies 100%
 of attack emails with zero false positives.  The default threshold
 sits at the midpoint, 5.6, and is configurable for the ablation bench.
 
-Implementation notes: the ``trials`` baseline filters are trained once
-and share one interning :class:`TokenTable` (pass the pool's table to
-share encodings across defenses); each validation set is pre-encoded
-into token-ID arrays at construction.  A query is measured by learning
-it into a trial filter, re-scoring the validation set through the
-columnar bulk kernel (:meth:`Classifier.score_many_ids`), and
-unlearning it again — both operations are exact inverses in this
-classifier, so no copying is needed.  :meth:`RoniDefense.measure_many`
-amortizes the gate over a candidate batch: candidates are encoded once
-and swept trial-by-trial, which is how :meth:`filter_messages` avoids
-paying a per-message re-encode for every trial.  Attack payloads that
-are already ID-native enter through :meth:`RoniDefense.measure_ids` /
-:meth:`RoniDefense.measure_batch` (fed by
-:meth:`repro.attacks.base.AttackBatch.encode`), so the gate consumes
-the attack layer's encoded arrays directly instead of re-interning
-string frozensets.
+Implementation notes:
+
+* **Trials.** The ``trials`` baseline filters are trained once and
+  share one interning :class:`TokenTable` (pass the pool's table to
+  share encodings across defenses).  Each trial holds its validation
+  set as a :class:`~repro.spambayes.ndkernel.ScoringWorkspace`: the
+  rows' CSR encoding, unique token IDs, inverse index and
+  workspace-local text ranks are built once and never go stale (the
+  rows are fixed and the table is append-only).
+* **One scoring call per trial.** :meth:`RoniDefense.measure_many`
+  encodes a whole candidate batch up front, then makes one
+  :meth:`Classifier.score_under_candidates` call per trial, which
+  returns the validation scores under each candidate.  The base
+  classifier implements it as learn / score / unlearn per candidate —
+  the executable reference, and what the pure kernel runs.  The NumPy
+  kernel scores every candidate of the batch in one vectorized pass
+  that never touches a count, bit-identical to that reference.
+* **Encoded entry points.** Attack payloads that are already ID-native
+  enter through :meth:`RoniDefense.measure_ids` /
+  :meth:`RoniDefense.measure_batch` (fed by
+  :meth:`repro.attacks.base.AttackBatch.encode`), so the gate consumes
+  the attack layer's encoded arrays directly instead of re-interning
+  string frozensets.
+* **Exactness.** Per-trial count deltas are summed trial-major, in
+  trial order, for every candidate — so a batch gives the same
+  floats as measuring each candidate alone.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ from repro.corpus.dataset import Dataset, LabeledMessage
 from repro.defenses.base_types import DefenseVerdict
 from repro.errors import DefenseError
 from repro.spambayes.classifier import Classifier
-from repro.spambayes.ndkernel import create_classifier
+from repro.spambayes.ndkernel import ScoringWorkspace, create_classifier
 from repro.spambayes.filter import Label
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.token_table import TokenTable
@@ -123,9 +133,9 @@ _COUNT_KEYS = ("ham_as_ham", "ham_as_spam", "ham_as_unsure", "spam_as_spam")
 
 
 class _Trial:
-    """One (T, V) resample: baseline filter + encoded validation set."""
+    """One (T, V) resample: baseline filter + validation workspace."""
 
-    __slots__ = ("classifier", "validation_ids", "validation_labels", "baseline_counts")
+    __slots__ = ("classifier", "workspace", "validation_labels", "baseline_counts")
 
     def __init__(
         self,
@@ -134,45 +144,34 @@ class _Trial:
         validation_labels: list[bool],
     ) -> None:
         self.classifier = classifier
-        self.validation_ids = validation_ids
+        self.workspace = ScoringWorkspace(validation_ids)
         self.validation_labels = validation_labels
-        self.baseline_counts = _validation_counts(classifier, validation_ids, validation_labels)
+        self.baseline_counts = self.counts(classifier.score_workspace(self.workspace))
 
-
-def _validation_counts(
-    classifier: Classifier,
-    validation_ids: Sequence[array],
-    validation_labels: Sequence[bool],
-) -> dict[str, int]:
-    """Count validation outcomes under ``classifier``'s current state.
-
-    One :meth:`Classifier.score_many_ids` pass over the pre-encoded
-    validation set — the whole set shares the kernel's per-token
-    significance memo instead of re-deriving it per message.
-    """
-    options = classifier.options
-    ham_cutoff = options.ham_cutoff
-    spam_cutoff = options.spam_cutoff
-    counts = dict.fromkeys(_COUNT_KEYS, 0)
-    scores = classifier.score_many_ids(validation_ids)
-    for is_spam, score in zip(validation_labels, scores):
-        if score <= ham_cutoff:
-            label = Label.HAM
-        elif score <= spam_cutoff:
-            label = Label.UNSURE
-        else:
-            label = Label.SPAM
-        if is_spam:
-            if label is Label.SPAM:
-                counts["spam_as_spam"] += 1
-        else:
-            if label is Label.HAM:
-                counts["ham_as_ham"] += 1
-            elif label is Label.SPAM:
-                counts["ham_as_spam"] += 1
+    def counts(self, scores: Sequence[float]) -> dict[str, int]:
+        """Tally validation outcomes from the validation set's scores."""
+        options = self.classifier.options
+        ham_cutoff = options.ham_cutoff
+        spam_cutoff = options.spam_cutoff
+        counts = dict.fromkeys(_COUNT_KEYS, 0)
+        for is_spam, score in zip(self.validation_labels, scores):
+            if score <= ham_cutoff:
+                label = Label.HAM
+            elif score <= spam_cutoff:
+                label = Label.UNSURE
             else:
-                counts["ham_as_unsure"] += 1
-    return counts
+                label = Label.SPAM
+            if is_spam:
+                if label is Label.SPAM:
+                    counts["spam_as_spam"] += 1
+            else:
+                if label is Label.HAM:
+                    counts["ham_as_ham"] += 1
+                elif label is Label.SPAM:
+                    counts["ham_as_spam"] += 1
+                else:
+                    counts["ham_as_unsure"] += 1
+        return counts
 
 
 class RoniDefense:
@@ -231,21 +230,17 @@ class RoniDefense:
     def _measure_encoded(self, encoded: Sequence[tuple[array, bool]]) -> list[RoniMeasurement]:
         """Averaged incremental impact for a batch of encoded candidates.
 
-        Trial-major order: each trial filter learns, re-counts and
-        unlearns every candidate in turn, so the batch reuses the
-        trial's warm state instead of rebuilding it per candidate.
-        Results are exactly per-candidate :meth:`measure_tokens`.
+        One :meth:`Classifier.score_under_candidates` call per trial
+        scores the trial's validation set under every candidate; the
+        per-trial deltas then accumulate trial-major, exactly as
+        per-candidate :meth:`measure_tokens` would sum them.
         """
         totals = [dict.fromkeys(_COUNT_KEYS, 0.0) for _ in encoded]
         for trial in self._trials:
-            classifier = trial.classifier
             baseline = trial.baseline_counts
-            for candidate_totals, (ids, is_spam) in zip(totals, encoded):
-                classifier.learn_ids(ids, is_spam)
-                after = _validation_counts(
-                    classifier, trial.validation_ids, trial.validation_labels
-                )
-                classifier.unlearn_ids(ids, is_spam)
+            per_candidate = trial.classifier.score_under_candidates(trial.workspace, encoded)
+            for candidate_totals, scores in zip(totals, per_candidate):
+                after = trial.counts(scores)
                 for key in _COUNT_KEYS:
                     candidate_totals[key] += after[key] - baseline[key]
         n = len(self._trials)
@@ -263,9 +258,9 @@ class RoniDefense:
     def measure_tokens(self, tokens: Iterable[str], is_spam: bool = True) -> RoniMeasurement:
         """Average incremental impact of one candidate message.
 
-        Learns the candidate into each trial filter, recounts the
-        validation set, and unlearns it — leaving the trial baselines
-        untouched for the next query.
+        Re-scores each trial's validation set as if the candidate had
+        been learned into that trial's filter — leaving the trial
+        baselines untouched for the next query.
         """
         return self.measure_ids(self._table.encode_unique(tokens), is_spam)
 
@@ -300,9 +295,11 @@ class RoniDefense:
     def measure_many(self, candidates: Sequence[LabeledMessage]) -> list[RoniMeasurement]:
         """:meth:`measure` for a whole candidate batch in one sweep.
 
-        Candidates are encoded once up front; the per-trial inner loop
-        is then pure ID-column work.  Returns one measurement per
-        candidate, in order, identical to per-message :meth:`measure`.
+        Candidates are encoded once up front, in order (so the shared
+        table grows exactly as per-message :meth:`measure` calls would
+        grow it); each trial then scores the whole batch in one call.
+        Returns one measurement per candidate, in order, identical to
+        per-message :meth:`measure`.
         """
         encoded = [
             (message.token_ids(self._table, self.tokenizer), message.is_spam)
@@ -329,12 +326,8 @@ class RoniDefense:
     ) -> tuple[list[LabeledMessage], list[LabeledMessage]]:
         """Split ``candidates`` into (accepted, rejected) lists.
 
-        Routed through :meth:`measure_many`: each candidate still
-        re-scores the validation set once per trial (the protocol
-        demands it), but the batch encodes every candidate exactly
-        once and sweeps trial-major, so the per-message string
-        re-encode and memo cold starts of the one-at-a-time path are
-        gone.
+        Routed through :meth:`measure_many`: every candidate is encoded
+        once and each trial scores the whole batch in one call.
         """
         candidates = list(candidates)
         accepted: list[LabeledMessage] = []

@@ -167,7 +167,7 @@ def evaluation_workspace(
     Built once per repeatedly-evaluated set (the stream runner's
     held-out test set) and passed back via ``evaluate_dataset(...,
     workspace=...)``; the workspace caches the batch-shape scoring
-    state (CSR encoding, rank gather, scratch buffers) across calls.
+    state (CSR encoding, text ranks, scratch buffers) across calls.
     The construction is kernel-agnostic — the pure kernel just scores
     the rows — and classifier-independent beyond the interning table,
     so one workspace may serve several classifiers sharing a table.

@@ -839,6 +839,31 @@ class Classifier:
         """
         return self.score_many_ids(workspace.rows)
 
+    def score_under_candidates(
+        self, workspace, candidates: Sequence[tuple[Sequence[int], bool]]
+    ) -> list[list[float]]:
+        """Score a workspace's rows once per hypothetical training message.
+
+        ``candidates`` holds ``(ids, is_spam)`` pairs of encoded
+        messages from this classifier's :attr:`table`.  Entry ``k`` of
+        the result is ``score_workspace(workspace)`` as it would read
+        with candidate ``k`` — and only candidate ``k`` — learned on
+        top of the current state.  The state afterwards is exactly the
+        state before.  This is the RONI gate's one scoring primitive.
+
+        This implementation is the executable reference: learn, score,
+        unlearn, candidate by candidate (learning and unlearning are
+        exact inverses on integer counts).  The NumPy kernel overrides
+        it with a vectorized pass that never mutates a count and must
+        return the same floats bit for bit.
+        """
+        results: list[list[float]] = []
+        for ids, is_spam in candidates:
+            self.learn_ids(ids, is_spam)
+            results.append(self.score_workspace(workspace))
+            self.unlearn_ids(ids, is_spam)
+        return results
+
     def score_many_ids(self, id_arrays: Iterable[Sequence[int]]) -> list[float]:
         """The columnar bulk-scoring kernel over pre-encoded messages.
 

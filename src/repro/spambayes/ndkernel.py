@@ -32,9 +32,15 @@ executes:
   ``np.frompyfunc`` — NumPy's SIMD ``np.log``/``np.exp`` may differ
   from libm in the last ulp, and only O(messages) calls are needed, so
   the exact scalar routines cost nothing;
-* the ``(-strength, token text)`` tie-break is reproduced with
-  :meth:`TokenTable.text_order_ranks` (ranks computed by Python's own
-  ``sorted``) under a single ``np.lexsort``.
+* the ``(-strength, token text)`` tie-break is reproduced with text
+  ranks computed by Python's own ``sorted`` — table-wide
+  (:meth:`TokenTable.text_order_ranks`) or local to a
+  :class:`ScoringWorkspace` — under one ``np.lexsort`` or a fused
+  ``(row << 32) | ordinal`` key.
+
+:meth:`NDClassifier.score_under_candidates` is the RONI gate's batched
+form: the validation scores under every candidate of a batch, in one
+vectorized pass per chunk of candidates, without mutating a count.
 
 The pure-Python :class:`Classifier` stays untouched as the
 differential oracle; kernel selection is explicit via
@@ -57,7 +63,7 @@ except ImportError:  # pragma: no cover - numpy is in the baked image
 from repro.errors import ConfigurationError, TrainingError
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
-from repro.spambayes.token_table import TOKEN_ID_TYPECODE, TokenTable
+from repro.spambayes.token_table import TOKEN_ID_TYPECODE, TokenTable, build_text_ranks
 from repro.spambayes.wordinfo import WordInfo
 
 __all__ = [
@@ -76,6 +82,9 @@ KERNEL_ENV = "REPRO_KERNEL"
 _LN2 = math.log(2.0)
 _RENORM_THRESHOLD = 1e-200  # matches _fisher_message_score
 _EXP_UNDERFLOW_LIMIT = 708.0  # matches chi2._EXP_UNDERFLOW_LIMIT
+# (candidate, workspace entry) pairs NDClassifier.score_under_candidates
+# expands at once; each pair costs a few dozen bytes of intermediates.
+_CANDIDATE_ENTRY_BUDGET = 1 << 14
 
 if np is not None:
     _ID_DTYPE = np.dtype(np.int64)
@@ -230,17 +239,24 @@ class ScoringWorkspace:
     """Reusable scoring-side state for one fixed evaluation batch.
 
     A streaming run scores the *same* held-out rows every tick against
-    an evolving classifier.  Without a workspace each pass re-runs the
-    batch-shape work — concatenating the rows into CSR form, gathering
-    per-entry text ranks, allocating the reduceat/chi2 scratch
-    columns — even though none of it depends on the classifier's
-    counts.  A workspace caches exactly that batch-shape state:
+    an evolving classifier, and a RONI trial re-scores its validation
+    rows under every candidate.  Without a workspace each pass re-runs
+    the batch-shape work — concatenating the rows into CSR form,
+    gathering per-entry text ranks, allocating the reduceat/chi2
+    scratch columns — even though none of it depends on the
+    classifier's counts.  A workspace caches exactly that batch-shape
+    state:
 
     * the CSR encoding of the rows, built once (rows are immutable
       encoded ID arrays, so it never goes stale);
-    * the per-entry text-rank gather, keyed by table length (the table
-      is append-only, so length is a complete cache key — new vocab
-      shifts existing ranks, which is the only invalidation);
+    * the rows' sorted unique token IDs and the inverse index mapping
+      each CSR entry to its unique slot;
+    * workspace-local text ranks: the rank of each unique token's text
+      among the workspace's own tokens.  Only tokens of one row are
+      ever compared, so local ranks order them exactly as global ranks
+      would — and since the table is append-only and the rows are
+      fixed, they never go stale (new vocabulary elsewhere cannot
+      reorder the workspace's tokens);
     * named scratch buffers, reallocated only when the requested shape
       changes.
 
@@ -248,18 +264,19 @@ class ScoringWorkspace:
     any classifier's counts — so one workspace is safely shared by
     several classifiers over the same table (the stream runner points
     the main classifier and its clean twin at a single workspace).
-    Construction is NumPy-free; only :meth:`csr`/:meth:`ranks_cat`
-    (called from the ND kernel) touch arrays, so the pure kernel's
-    fallback path can still carry a workspace around.
+    Construction is NumPy-free; only the accessor methods (called from
+    the ND kernel) touch arrays, so the pure kernel's fallback path can
+    still carry a workspace around.
     """
 
-    __slots__ = ("rows", "_csr", "_ranks_cat", "_ranks_len", "_buffers")
+    __slots__ = ("rows", "_csr", "_unique", "_ranks", "_ranks_cat", "_buffers")
 
     def __init__(self, rows: Iterable[Sequence[int]]) -> None:
         self.rows = list(rows)
         self._csr: tuple | None = None
+        self._unique: tuple | None = None
+        self._ranks = None
         self._ranks_cat = None
-        self._ranks_len = -1
         self._buffers: dict = {}
 
     def csr(self) -> tuple:
@@ -269,20 +286,38 @@ class ScoringWorkspace:
             self._csr = (matrix.indices, matrix.indptr)
         return self._csr
 
-    def ranks_cat(self, table: TokenTable) -> "np.ndarray":
-        """Per-entry text ranks for the CSR entries, cached per vocab.
-
-        ``ranks_cat[p] == text_order_ranks()[ids_cat[p]]`` — the gather
-        the lexsort tie-break needs, hoisted out of the per-call path
-        and invalidated only when the table grows (new tokens shift
-        the ranks of everything sorting after them).
-        """
-        table_len = len(table)
-        if self._ranks_len != table_len:
+    def unique(self) -> tuple:
+        """``(unique_ids, inverse)``: sorted distinct IDs, and each CSR
+        entry's slot in them (``unique_ids[inverse] == ids_cat``)."""
+        if self._unique is None:
             ids_cat, _ = self.csr()
-            ranks = np.frombuffer(table.text_order_ranks(), dtype=_ID_DTYPE)
-            self._ranks_cat = ranks[ids_cat]
-            self._ranks_len = table_len
+            unique_ids, inverse = np.unique(ids_cat, return_inverse=True)
+            self._unique = (unique_ids, inverse.astype(_ID_DTYPE, copy=False))
+        return self._unique
+
+    def text_ranks(self, table: TokenTable) -> "np.ndarray":
+        """Text rank of each unique token among the workspace's tokens.
+
+        Python's ``sorted`` orders the decoded texts, so the ranks
+        reproduce exactly the string comparisons the pure combiner
+        makes between any two tokens of one row.
+        """
+        if self._ranks is None:
+            unique_ids, _ = self.unique()
+            ranks = build_text_ranks(table.decode(unique_ids.tolist()))
+            self._ranks = np.frombuffer(ranks, dtype=_ID_DTYPE)
+        return self._ranks
+
+    def ranks_cat(self, table: TokenTable) -> "np.ndarray":
+        """Per-entry text ranks for the CSR entries, cached.
+
+        The tie-break key the lexsort needs, gathered once: workspace-
+        local ranks order each row's tokens exactly as the table-wide
+        ranks would, and unlike those they never change.
+        """
+        if self._ranks_cat is None:
+            _, inverse = self.unique()
+            self._ranks_cat = self.text_ranks(table)[inverse]
         return self._ranks_cat
 
     def buffer(self, name: str, size: int, dtype) -> "np.ndarray":
@@ -569,10 +604,10 @@ class NDClassifier(Classifier):
 
     def _nd_probs_for(self, need: "np.ndarray") -> "np.ndarray":
         """f(w) of Equation 2 for a batch of token IDs, bit-exact."""
-        return self._nd_probs_of(self._spam[need], self._ham[need])
+        return self._nd_probs_of(self._spam[need], self._ham[need], self._nspam, self._nham)
 
     def _nd_probs_of(
-        self, spamcount: "np.ndarray", hamcount: "np.ndarray"
+        self, spamcount: "np.ndarray", hamcount: "np.ndarray", nspam: int, nham: int
     ) -> "np.ndarray":
         """f(w) over parallel count arrays (gathered or sliced), bit-exact.
 
@@ -582,15 +617,16 @@ class NDClassifier(Classifier):
         correctly-rounded IEEE operation.  The formula is elementwise,
         so feeding it contiguous column *slices* (the every-entry-
         missing refresh after a count change) computes the same floats
-        as gathering the IDs one by one.
+        as gathering the IDs one by one.  The global message counts
+        are parameters, so a caller can evaluate the probabilities a
+        state it has not trained into would have (the RONI kernel's
+        "candidate learned" columns) without touching ``_nspam``/``_nham``.
         """
         opts = self.options
         unknown = opts.unknown_word_prob
         s = opts.unknown_word_strength
         size = spamcount.shape[0]
         n = spamcount + hamcount
-        nspam = self._nspam
-        nham = self._nham
         if nspam == 0 and nham == 0:
             ps = np.full(size, unknown, dtype=np.float64)
         else:
@@ -717,6 +753,99 @@ class NDClassifier(Classifier):
         ids_cat, indptr = workspace.csr()
         return self._score_segments(ids_cat, indptr, workspace=workspace)
 
+    def score_under_candidates(
+        self, workspace: ScoringWorkspace, candidates: Sequence[tuple[Sequence[int], bool]]
+    ) -> list[list[float]]:
+        """:meth:`Classifier.score_under_candidates` without mutation.
+
+        Learning one candidate changes a validation token's probability
+        in only one of four ways: ham- or spam-labelled candidate, token
+        in the candidate or not.  So the four probability columns over
+        the workspace's unique tokens — base and +1 counts, under
+        ``nspam + 1`` and under ``nham + 1`` — hold every probability
+        any candidate can produce, computed by the same elementwise
+        formula the memo refresh uses.  Each (candidate, entry) pair
+        picks its column through a candidate-membership mask; one
+        ``(-strength, text)`` ordinal over the 4 × |unique| variants
+        orders every row with a single int64 key; the shared combiner
+        tail does the rest.  Candidates go through in chunks of at most
+        :data:`_CANDIDATE_ENTRY_BUDGET` (candidate, entry) pairs, so
+        memory stays bounded whatever the batch size.
+        """
+        candidates = candidates if isinstance(candidates, (list, tuple)) else list(candidates)
+        ids_cat, indptr = workspace.csr()
+        n_rows = indptr.shape[0] - 1
+        nnz = ids_cat.shape[0]
+        if nnz == 0:
+            return [[0.5] * n_rows for _ in candidates]
+        self._ensure_columns()
+        unique_ids, inverse = workspace.unique()
+        n_unique = unique_ids.shape[0]
+        spam_u = self._spam[unique_ids]
+        ham_u = self._ham[unique_ids]
+        nspam, nham = self._nspam, self._nham
+        # Variant v of unique token u sits at v * n_unique + u: 0/1 =
+        # ham-labelled candidate without/with u, 2/3 = spam-labelled.
+        probs = np.concatenate((
+            self._nd_probs_of(spam_u, ham_u, nspam, nham + 1),
+            self._nd_probs_of(spam_u, ham_u + 1, nspam, nham + 1),
+            self._nd_probs_of(spam_u, ham_u, nspam + 1, nham),
+            self._nd_probs_of(spam_u + 1, ham_u, nspam + 1, nham),
+        ))
+        strength = np.abs(probs - 0.5)
+        significant = strength >= self.options.minimum_prob_strength
+        # Variants of one token never meet in one row, so ranking all
+        # 4 × |unique| of them once gives every row's order.
+        order = np.lexsort((np.tile(workspace.text_ranks(self._table), 4), -strength))
+        ordinal = np.empty(4 * n_unique, dtype=_ID_DTYPE)
+        ordinal[order] = np.arange(4 * n_unique, dtype=_ID_DTYPE)
+        significant_entry = significant.reshape(4, n_unique)[:, inverse]
+        entry_row = np.repeat(np.arange(n_rows, dtype=_ID_DTYPE), np.diff(indptr))
+        chunk = max(1, _CANDIDATE_ENTRY_BUDGET // nnz)
+        results: list[list[float]] = []
+        for start in range(0, len(candidates), chunk):
+            batch = candidates[start : start + chunk]
+            n_batch = len(batch)
+            member = np.zeros((n_batch, n_unique), dtype=bool)
+            for k, (ids, _) in enumerate(batch):
+                # One candidate at a time: a dictionary-attack candidate
+                # is thousands of IDs, and its temporaries stay its own.
+                view = _as_id_index(ids)
+                slot = np.minimum(np.searchsorted(unique_ids, view), n_unique - 1)
+                member[k, slot[unique_ids[slot] == view]] = True
+            # Pair (k, p) — candidate k, workspace entry p — flattened
+            # candidate-major, so each (candidate, row) run is contiguous
+            # and in row order.  Significance is settled on bools; only
+            # significant pairs get an int64 variant index into probs.
+            # Spent intermediates are dropped at once: peak memory is
+            # what the entry budget bounds.
+            member = member[:, inverse]
+            label = np.array([2 if is_spam else 0 for _, is_spam in batch], dtype=_ID_DTYPE)
+            cand, entry = np.nonzero(
+                np.where(member, significant_entry[label + 1], significant_entry[label])
+            )
+            variant = member[cand, entry] * n_unique
+            del member
+            variant += (label * n_unique)[cand]
+            variant += inverse[entry]
+            row_of = cand
+            row_of *= n_rows
+            row_of += entry_row[entry]
+            del entry
+            key = row_of << 32
+            key |= ordinal[variant]
+            sort = np.argsort(key)
+            del key
+            row_of = row_of[sort]
+            prob_sorted = probs[variant[sort]]
+            del variant, sort
+            scores = self._combine_sorted(row_of, prob_sorted, n_batch * n_rows)
+            del row_of, prob_sorted
+            results.extend(
+                scores[k * n_rows : (k + 1) * n_rows] for k in range(n_batch)
+            )
+        return results
+
     def _score_segments(
         self,
         ids_cat: "np.ndarray",
@@ -754,7 +883,7 @@ class NDClassifier(Classifier):
             # of gathering through an arange-equivalent index — same
             # elementwise floats, no fancy-index copies.
             prob_col[:table_len] = self._nd_probs_of(
-                self._spam[:table_len], self._ham[:table_len]
+                self._spam[:table_len], self._ham[:table_len], self._nspam, self._nham
             )
             known[:table_len] = True
         elif missing.size:
@@ -799,18 +928,38 @@ class NDClassifier(Classifier):
         if order_col is not None:
             order = np.argsort((row_of << 32) | order_col[sig_ids])
         elif workspace is not None:
-            # ranks[sig_ids] == ranks_cat[sig_idx]: the workspace holds
-            # the whole-batch rank gather (cached per table length), so
-            # the tie-break key is a subset view instead of a fresh
-            # O(nnz) gather through the rank array.
+            # The workspace holds the whole-batch gather of its local
+            # text ranks, which order each row's tokens exactly as the
+            # table-wide ranks would — so the tie-break key is a subset
+            # view, and no vocabulary-wide rank rebuild is needed.
             order = np.lexsort(
                 (workspace.ranks_cat(self._table)[sig_idx], -strength[sig_idx], row_of)
             )
         else:
             ranks = np.frombuffer(self._table.text_order_ranks(), dtype=_ID_DTYPE)
             order = np.lexsort((ranks[sig_ids], -strength[sig_idx], row_of))
-        row_sorted = row_of[order]
-        prob_sorted = sig_prob[order]
+        return self._combine_sorted(row_of[order], sig_prob[order], n_msgs, workspace)
+
+    def _combine_sorted(
+        self,
+        row_sorted: "np.ndarray",
+        prob_sorted: "np.ndarray",
+        n_msgs: int,
+        workspace: ScoringWorkspace | None = None,
+    ) -> list[float]:
+        """The shared combiner tail: sorted significant probs → scores.
+
+        ``row_sorted``/``prob_sorted`` hold every significant entry of
+        ``n_msgs`` messages, grouped by row (ascending) and, within a
+        row, in the pure kernel's ``(-strength, text)`` order.  Per-row
+        truncation to ``max_discriminators``, the interleaved
+        mantissa/exponent product and the chi-square survival run
+        here — the one copy of the combiner every vectorized scoring
+        path feeds (:meth:`_score_segments` and
+        :meth:`score_under_candidates`).  ``workspace`` only supplies
+        scratch columns.
+        """
+        opts = self.options
         counts = np.bincount(row_sorted, minlength=n_msgs)
         if workspace is not None:
             row_starts = workspace.buffer("row_starts", n_msgs + 1, np.int64)

@@ -7,7 +7,7 @@ defense has two hooks:
 
 * :meth:`TickDefense.gate` — decide, message by message, what enters
   this tick's retrain.  This is where the RONI gate lives: recalibrate
-  on previously *accepted* mail, then judge every arrival.
+  on previously *accepted* mail, then judge every arrival in one batch.
 * :meth:`TickDefense.cutoffs` — after the retrain, optionally refit
   the decision thresholds on the (possibly poisoned) training mail
   accumulated so far.  This is where the Section 5.2 dynamic
@@ -111,7 +111,8 @@ class RoniTickDefense(TickDefense):
     behaviour); from then on each tick subsamples
     ``roni_calibration_size`` accepted messages with the tick's rng,
     builds a fresh :class:`RoniDefense` over them, and judges every
-    arrival — legitimate mail first, then the attack batch.
+    arrival in one :meth:`RoniDefense.measure_many` batch — legitimate
+    mail first, then the attack batch.
     """
 
     def gate(
@@ -143,14 +144,20 @@ class RoniTickDefense(TickDefense):
             options=self.spec.options,
             table=self.table,
         )
+        # One batch, legitimate mail first: the same encode order as
+        # judging message by message, so the table layout is unchanged.
+        rejected = [
+            defense._verdict(measurement).rejected
+            for measurement in defense.measure_many(list(arrivals) + list(attack_arrivals))
+        ]
         decision = GateDecision()
-        for message in arrivals:
-            if defense.judge(message).rejected:
+        for message, is_rejected in zip(arrivals, rejected):
+            if is_rejected:
                 decision.legitimate_rejected += 1
             else:
                 decision.accepted_legitimate.append(message)
-        for message in attack_arrivals:
-            if defense.judge(message).rejected:
+        for message, is_rejected in zip(attack_arrivals, rejected[len(arrivals) :]):
+            if is_rejected:
                 decision.attack_rejected += 1
             else:
                 decision.trained_attack.append(message)

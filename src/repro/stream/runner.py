@@ -344,7 +344,7 @@ class StreamRunner:
             # cached ID arrays (the table is append-only, so the arrays
             # never go stale as training interns new vocabulary).  The
             # scoring workspace additionally carries the batch-shape
-            # state (CSR encoding, rank gather, scratch buffers) across
+            # state (CSR encoding, text ranks, scratch buffers) across
             # ticks; it depends only on (rows, table), so the main
             # classifier and the clean twin share one.
             test.encode(classifier.table)

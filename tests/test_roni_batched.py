@@ -1,0 +1,269 @@
+"""Differential lockdown of the batched RONI gate.
+
+:meth:`Classifier.score_under_candidates` is the gate's only scoring
+primitive.  Its base implementation is the learn / score / unlearn
+loop; the NumPy kernel overrides it with one vectorized pass per
+candidate chunk that never touches a count.  These tests hold both
+kernels to the plain per-candidate loop with exact ``==`` on floats,
+over seeded batches that reach every branch of the vectorized path:
+both labels, empty and duplicated candidates, candidates disjoint from
+the validation rows or interned after the workspace was built, and a
+dictionary-attack candidate that pushes rows past
+``max_discriminators``.  The validation rows are built so the
+baseline already needs the combiner's frexp renormalization.
+
+The stream gate is then held to the per-message ``judge`` loop it
+replaced: same decision, same token-table layout.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import random
+from array import array
+from contextlib import contextmanager
+
+import pytest
+
+from repro.attacks.dictionary import OptimalDictionaryAttack
+from repro.corpus.dataset import Dataset
+from repro.corpus.trec import TrecStyleCorpus
+from repro.corpus.vocabulary import TINY_PROFILE
+from repro.defenses.roni import RoniConfig, RoniDefense
+from repro.experiments.attack_data import attack_messages_as_dataset
+from repro.rng import SeedSpawner
+from repro.spambayes import ndkernel
+from repro.spambayes.ndkernel import ScoringWorkspace, create_classifier
+from repro.spambayes.token_table import TokenTable
+from repro.stream.defenses import GateDecision, RoniTickDefense
+from repro.stream.spec import StreamSpec
+
+KERNELS = ["nd", "python"] if ndkernel.available() else ["python"]
+
+HAM_WORDS = [f"ham{i:03d}" for i in range(240)]
+SPAM_WORDS = [f"spam{i:03d}" for i in range(240)]
+SHARED_WORDS = [f"both{i:02d}" for i in range(60)]
+# Seen only in validation mail: the prior (insignificant) until a
+# candidate trains them, which is what swells rows past the cap.
+RARE_WORDS = [f"rare{i:03d}" for i in range(200)]
+TRAIN_ONLY_WORDS = [f"train{i:02d}" for i in range(40)]
+
+
+@contextmanager
+def forced_kernel(name: str):
+    previous = os.environ.get(ndkernel.KERNEL_ENV)
+    os.environ[ndkernel.KERNEL_ENV] = name
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(ndkernel.KERNEL_ENV, None)
+        else:
+            os.environ[ndkernel.KERNEL_ENV] = previous
+
+
+def _tokens(rng: random.Random, main: list[str], n_main: int, n_rare: int = 0) -> set[str]:
+    tokens = set(rng.sample(main, n_main)) | set(rng.sample(SHARED_WORDS, 8))
+    if n_rare:
+        tokens |= set(rng.sample(RARE_WORDS, n_rare))
+    return tokens
+
+
+def _trial(kernel: str, seed: int):
+    """A trained trial filter, its validation workspace and a batch.
+
+    Mirrors a RONI trial: one classifier trained on a small set, a
+    fixed validation set scored through a workspace, and candidates
+    encoded against the same shared table.
+    """
+    rng = random.Random(seed)
+    with forced_kernel(kernel):
+        table = TokenTable()
+        classifier = create_classifier(table=table)
+    for _ in range(12):
+        ham = _tokens(rng, HAM_WORDS, 170) | set(rng.sample(TRAIN_ONLY_WORDS, 5))
+        classifier.learn_ids(table.encode_unique(ham), False)
+        classifier.learn_ids(table.encode_unique(_tokens(rng, SPAM_WORDS, 170)), True)
+    rows = []
+    for _ in range(8):
+        # 180 strongly hammy tokens: the spam-side product underflows
+        # 1e-200 well before the 150th factor (frexp renormalization).
+        rows.append(table.encode_unique(_tokens(rng, HAM_WORDS, 180)))
+        rows.append(table.encode_unique(_tokens(rng, HAM_WORDS, 90, n_rare=90)))
+        rows.append(table.encode_unique(_tokens(rng, SPAM_WORDS, 90, n_rare=90)))
+    rows.append(table.encode_unique(set(rng.sample(HAM_WORDS, 4))))
+    rows.append(array("l"))
+    workspace = ScoringWorkspace(rows)
+
+    ordinary = []
+    for index in range(6):
+        main = HAM_WORDS if index % 2 else SPAM_WORDS
+        ordinary.append((table.encode_unique(_tokens(rng, main, 60, n_rare=10)), index % 3 == 0))
+    disjoint = table.encode_unique(TRAIN_ONLY_WORDS[:20])
+    # Interned after the workspace exists: brand-new IDs beyond every
+    # validation token, mixed with known ones.
+    late = table.encode_unique({f"late{i}" for i in range(15)} | set(HAM_WORDS[:10]))
+    dictionary = table.encode_unique(
+        set(HAM_WORDS + SPAM_WORDS + SHARED_WORDS + RARE_WORDS) | {"late-dict"}
+    )
+    candidates = ordinary + [
+        (array("l"), True),
+        (array("l"), False),
+        ordinary[0],
+        (array("l", ordinary[1][0]), ordinary[1][1]),
+        (disjoint, True),
+        (disjoint, False),
+        (late, True),
+        (late, False),
+        (dictionary, True),
+        (dictionary, False),
+    ]
+    rng.shuffle(candidates)
+    return classifier, workspace, candidates
+
+
+def _reference(classifier, workspace, candidates) -> list[list[float]]:
+    """The per-candidate learn / score / unlearn loop, spelled out."""
+    scores = []
+    for ids, is_spam in candidates:
+        classifier.learn_ids(ids, is_spam)
+        scores.append(classifier.score_many_ids(workspace.rows))
+        classifier.unlearn_ids(ids, is_spam)
+    return scores
+
+
+def _state(classifier) -> tuple:
+    counts = []
+    for token in classifier.table:
+        info = classifier.word_info(token)
+        counts.append(None if info is None else (info.spamcount, info.hamcount))
+    return classifier.nspam, classifier.nham, classifier.vocabulary_size, counts
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_scores_equal_reference_loop(kernel, seed):
+    classifier, workspace, candidates = _trial(kernel, seed)
+    before = _state(classifier)
+    baseline = classifier.score_many_ids(workspace.rows)
+
+    batched = classifier.score_under_candidates(workspace, candidates)
+
+    assert _state(classifier) == before
+    assert classifier.score_many_ids(workspace.rows) == baseline
+    assert batched == _reference(classifier, workspace, candidates)
+    assert _state(classifier) == before
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_batch_reaches_every_branch(kernel):
+    """The fixture exercises what the differential test claims."""
+    classifier, workspace, candidates = _trial(kernel, 0)
+    options = classifier.options
+    nnz = sum(len(row) for row in workspace.rows)
+    assert len(candidates) > ndkernel._CANDIDATE_ENTRY_BUDGET // nnz
+    assert any(len(ids) == 0 for ids, _ in candidates)
+
+    def significant_probs(row):
+        probs = [classifier.spam_prob(token) for token in classifier.table.decode(row)]
+        return [p for p in probs if abs(p - 0.5) >= options.minimum_prob_strength]
+
+    kept = [
+        [ts.spam_prob for ts in classifier.significant_tokens(classifier.table.decode(row))]
+        for row in workspace.rows
+    ]
+    assert any(math.prod(probs) < 1e-200 for probs in kept)
+
+    dictionary = max(candidates, key=lambda candidate: len(candidate[0]))
+    before = max(len(significant_probs(row)) for row in workspace.rows[1::3])
+    classifier.learn_ids(*dictionary)
+    after = max(len(significant_probs(row)) for row in workspace.rows[1::3])
+    classifier.unlearn_ids(*dictionary)
+    assert before <= options.max_discriminators < after
+
+
+@pytest.mark.skipif("nd" not in KERNELS, reason="needs numpy")
+def test_kernels_agree():
+    nd = _trial("nd", 3)
+    pure = _trial("python", 3)
+    assert nd[0].score_under_candidates(nd[1], nd[2]) == pure[0].score_under_candidates(
+        pure[1], pure[2]
+    )
+
+
+def test_empty_workspace_and_batch():
+    classifier, _, candidates = _trial(KERNELS[0], 5)
+    assert classifier.score_under_candidates(ScoringWorkspace([]), candidates[:3]) == [[], [], []]
+    empty_rows = ScoringWorkspace([array("l"), array("l")])
+    assert classifier.score_under_candidates(empty_rows, candidates[:2]) == [[0.5, 0.5]] * 2
+    assert classifier.score_under_candidates(empty_rows, []) == []
+
+
+# ----------------------------------------------------------------------
+# The stream gate against the per-message judge loop it replaced
+# ----------------------------------------------------------------------
+
+
+def _legacy_gate(spec, table, tick, arrivals, attack_arrivals, history, rng) -> GateDecision:
+    """``RoniTickDefense.gate`` as it was: one ``judge`` per message."""
+    calibration_pool = Dataset(list(history), name=f"accepted-through-tick{tick - 1}")
+    sample_size = min(spec.roni_calibration_size, len(calibration_pool))
+    pool = calibration_pool.subset(rng.sample(range(len(calibration_pool)), sample_size))
+    defense = RoniDefense(pool, rng, config=spec.roni, options=spec.options, table=table)
+    decision = GateDecision()
+    for message in arrivals:
+        if defense.judge(message).rejected:
+            decision.legitimate_rejected += 1
+        else:
+            decision.accepted_legitimate.append(message)
+    for message in attack_arrivals:
+        if defense.judge(message).rejected:
+            decision.attack_rejected += 1
+        else:
+            decision.trained_attack.append(message)
+    return decision
+
+
+def _gate_world():
+    """A fresh, identical world: history, arrivals, attack mail, table."""
+    corpus = TrecStyleCorpus.generate(n_ham=70, n_spam=70, profile=TINY_PROFILE, seed=8)
+    messages = list(corpus.dataset.messages)
+    random.Random(9).shuffle(messages)
+    history, arrivals = messages[:100], messages[100:130]
+    attack = OptimalDictionaryAttack.from_vocabulary(corpus.vocabulary)
+    attack_arrivals = attack_messages_as_dataset(attack.generate(3, random.Random(10)))
+    table = TokenTable()
+    for message in history:
+        message.token_ids(table)
+    return history, arrivals, attack_arrivals, table
+
+
+def _decision_fields(decision: GateDecision) -> tuple:
+    return (
+        [m.msgid for m in decision.accepted_legitimate],
+        [m.msgid for m in decision.trained_attack],
+        decision.legitimate_rejected,
+        decision.attack_rejected,
+    )
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_stream_gate_matches_per_message_judge(kernel):
+    spec = StreamSpec(
+        defense="roni",
+        roni=RoniConfig(train_size=20, validation_size=30, trials=3),
+        roni_calibration_size=80,
+    )
+    with forced_kernel(kernel):
+        history, arrivals, attack_arrivals, table = _gate_world()
+        legacy = _legacy_gate(
+            spec, table, 4, arrivals, attack_arrivals, history, SeedSpawner(3).rng("tick")
+        )
+        history_b, arrivals_b, attack_b, table_b = _gate_world()
+        batched = RoniTickDefense(spec, table_b).gate(
+            4, arrivals_b, attack_b, history_b, SeedSpawner(3).rng("tick")
+        )
+    assert _decision_fields(batched) == _decision_fields(legacy)
+    assert legacy.attack_rejected > 0
+    assert list(table_b) == list(table)

@@ -1,24 +1,21 @@
-"""Bounded-RSS proof: the disk backend streams a corpus the in-memory
-backend cannot hold.
+"""Bounded-RSS proof: the disk backend streams a corpus in a fraction
+of the resident memory the in-memory backend needs.
 
 The whole point of ``REPRO_STORE=disk`` is that corpus and vocabulary
-state spills to SQLite and file-backed mmap instead of private heap —
-so a process capped with ``resource.setrlimit`` must be able to play a
-stream an uncapped in-memory run needs hundreds of megabytes for.
-Both legs run the *same* scenario under the *same* ``RLIMIT_DATA``
-cap (``RLIMIT_DATA`` covers brk + private anonymous mappings — the
-Python heap — but not the disk backend's file-backed pages, which is
-precisely the mechanism under test):
+state spills to SQLite and file-backed mmap instead of private heap.
+Both legs play the *same* stream, each uncapped in its own
+interpreter, and each reports its peak resident set (``VmHWM`` from
+``/proc/<pid>/status``, read by the leg itself just before it exits).
+The disk leg's peak must sit well below the memory leg's.
 
-* ``REPRO_STORE=disk`` must complete and report its throughput;
-* ``REPRO_STORE=memory`` must die of ``MemoryError`` — proving the
-  cap is real and the corpus genuinely does not fit.
+Resident memory is what the property is about, so that is what is
+measured: an ``RLIMIT_DATA`` cap would bound virtual size instead,
+where malloc arenas and thread stacks decide the outcome.
 
 The streamed corpus is 10x the ``large`` benchmark scale (1,600
 messages/replica there; >=16,000 arrivals+evaluations here).  The disk
-leg's ingest throughput is appended to
-``benchmarks/results/BENCH_storage.json`` so the record trajectory
-includes the capped regime, not just the benchmark's uncapped one.
+leg's ingest throughput and both peaks are appended to
+``benchmarks/results/BENCH_storage.json``.
 """
 
 from __future__ import annotations
@@ -38,16 +35,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = str(REPO_ROOT / "src")
 RESULTS = REPO_ROOT / "benchmarks" / "results" / "BENCH_storage.json"
 
-# 128 MiB of heap: ~1.5x the disk leg's needs, ~half the memory leg's
-# (the uncapped memory run peaks past 250 MiB on this corpus).
-CAP_BYTES = 128 * 1024 * 1024
+# The disk leg must peak below this fraction of the memory leg's peak.
+# Measured on a 2-core x86-64 Linux VM: 83 MiB (disk) vs 261 MiB
+# (memory), a ratio of 0.32.
+MAX_PEAK_RATIO = 0.6
 
 # 5 ticks x (1520 ham + 1520 spam) arrivals + 800 held-out messages
 # evaluated per tick: 19,200 messages processed, 16,000-message corpus
 # — 10x the stream benchmark's `large` scale (1,600 per replica).
 _STREAM_SCRIPT = """
-import resource, time
-resource.setrlimit(resource.RLIMIT_DATA, (%(cap)d, %(cap)d))
+import os, time
 from repro.stream.runner import StreamRunner
 from repro.stream.spec import StreamSpec
 
@@ -58,18 +55,23 @@ spec = StreamSpec(
 start = time.perf_counter()
 result = StreamRunner(spec).run()
 elapsed = time.perf_counter() - start
-print(f"OK messages={result.messages_processed()} elapsed={elapsed:.3f}")
-""" % {"cap": CAP_BYTES}
+with open(f"/proc/{os.getpid()}/status", encoding="ascii") as status:
+    hwm_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(f"OK messages={result.messages_processed()} elapsed={elapsed:.3f} hwm_kib={hwm_kib}")
+"""
+
+_REPORT = re.compile(r"OK messages=(\d+) elapsed=([\d.]+) hwm_kib=(\d+)")
 
 
-def _run_capped(store: str, store_dir: Path) -> subprocess.CompletedProcess:
+def _run_leg(store: str, store_dir: Path) -> tuple[int, float, int]:
+    """Play the stream on one backend; return (messages, seconds, peak KiB)."""
     env = os.environ.copy()
     env[STORE_ENV] = store
     env[STORE_DIR_ENV] = str(store_dir)
     env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    return subprocess.run(
+    leg = subprocess.run(
         [sys.executable, "-c", _STREAM_SCRIPT],
         capture_output=True,
         text=True,
@@ -77,9 +79,13 @@ def _run_capped(store: str, store_dir: Path) -> subprocess.CompletedProcess:
         check=False,
         timeout=600,
     )
+    assert leg.returncode == 0, leg.stderr
+    match = _REPORT.search(leg.stdout)
+    assert match, leg.stdout
+    return int(match.group(1)), float(match.group(2)), int(match.group(3))
 
 
-def _append_throughput(messages: int, elapsed: float) -> None:
+def _append_record(messages: int, elapsed: float, disk_kib: int, memory_kib: int) -> None:
     RESULTS.parent.mkdir(parents=True, exist_ok=True)
     history: list = []
     if RESULTS.exists():
@@ -92,34 +98,31 @@ def _append_throughput(messages: int, elapsed: float) -> None:
         {
             "benchmark": "storage-rss",
             "store": "disk",
-            "rlimit_data_bytes": CAP_BYTES,
             "messages": messages,
             "elapsed_seconds": elapsed,
             "ingest_msgs_per_sec": messages / elapsed if elapsed else 0.0,
+            "disk_peak_rss_mib": disk_kib / 1024,
+            "memory_peak_rss_mib": memory_kib / 1024,
         }
     )
     RESULTS.write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
 
 
 @pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
 class TestBoundedRss:
-    def test_disk_backend_streams_under_cap_memory_backend_cannot(self, tmp_path):
-        disk = _run_capped("disk", tmp_path)
-        assert disk.returncode == 0, disk.stderr
-        match = re.search(r"OK messages=(\d+) elapsed=([\d.]+)", disk.stdout)
-        assert match, disk.stdout
-        messages, elapsed = int(match.group(1)), float(match.group(2))
+    def test_disk_backend_peaks_well_below_memory_backend(self, tmp_path):
+        messages, elapsed, disk_kib = _run_leg("disk", tmp_path)
         assert messages >= 16_000, "corpus must be >=10x the large stream scale"
-        # The capped interpreter cleaned up its store directory.
+        # The leg's interpreter cleaned up its store directory.
         assert not list(tmp_path.glob("repro_store_*"))
 
-        memory = _run_capped("memory", tmp_path)
-        assert memory.returncode != 0, (
-            "the in-memory backend satisfied a cap it must not fit under — "
-            "either the cap is too generous or the corpus too small\n"
-            + memory.stdout
+        memory_messages, _, memory_kib = _run_leg("memory", tmp_path)
+        assert memory_messages == messages
+        assert disk_kib < MAX_PEAK_RATIO * memory_kib, (
+            f"disk peak {disk_kib / 1024:.0f} MiB is not well below "
+            f"memory peak {memory_kib / 1024:.0f} MiB"
         )
-        assert "MemoryError" in memory.stderr, memory.stderr
 
-        _append_throughput(messages, elapsed)
+        _append_record(messages, elapsed, disk_kib, memory_kib)
         assert RESULTS.exists()

@@ -13,6 +13,8 @@ meets its floor.  The policy, enforced by the CI coverage leg:
   transport: at least 90%;
 * ``src/repro/serve/`` — the always-on filter service (framing,
   micro-batcher, daemon, client): at least 90%;
+* ``src/repro/defenses/roni.py`` — the RONI gate, the hot path of
+  defended streams: at least 90%;
 * optionally (``--total-floor``), the whole ``repro`` package must
   meet a (lower) overall floor.
 
@@ -50,6 +52,7 @@ DEFAULT_REGIONS: tuple[tuple[str, float], ...] = (
     ("repro/engine/sharedmem.py", 90.0),
     ("repro/storage/", 90.0),
     ("repro/serve/", 90.0),
+    ("repro/defenses/roni.py", 90.0),
 )
 
 
