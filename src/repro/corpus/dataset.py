@@ -14,7 +14,10 @@ objects with the operations the paper's protocol needs:
   token set is interned once into a sorted token-ID ``array``
   (:meth:`LabeledMessage.token_ids`); the classifier's ``*_ids``
   methods and the sweep engine's workers consume these directly, so no
-  string is hashed in any training or scoring loop.
+  string is hashed in any training or scoring loop;
+* *grouped training* — :func:`train_grouped` / :func:`unlearn_grouped`
+  collapse messages sharing one token set (an attack batch) into one
+  ID-array update per set, for every layer that trains a dataset.
 
 Datasets are cheap views: folds and samples share the underlying
 ``LabeledMessage`` objects (and therefore the token and ID caches).
@@ -25,14 +28,24 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import CorpusError
 from repro.spambayes.message import Email
 from repro.spambayes.token_table import TokenTable
 from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
 
-__all__ = ["LabeledMessage", "StoredMessage", "Dataset", "store_message"]
+if TYPE_CHECKING:
+    from repro.spambayes.classifier import Classifier
+
+__all__ = [
+    "LabeledMessage",
+    "StoredMessage",
+    "Dataset",
+    "store_message",
+    "train_grouped",
+    "unlearn_grouped",
+]
 
 
 @dataclass(slots=True)
@@ -163,6 +176,62 @@ def store_message(
     ids = store.table.encode_unique(frozenset(tokenizer.tokenize(email)))
     row = store.append(email.msgid, is_spam, ids)
     return StoredMessage(store, row, is_spam, email_loader=email_loader)
+
+
+def _grouped_token_ids(
+    messages: Iterable[LabeledMessage],
+    table: TokenTable,
+    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
+) -> list[tuple[array, bool, int]]:
+    """Collapse ``messages`` into (token_ids, is_spam, count) groups.
+
+    Grouping happens on the cached token *frozensets* — attack batches
+    materialize thousands of messages sharing one set object, and its
+    cached hash makes the probe O(1) — while each distinct set is
+    encoded exactly once, through the message-level
+    :meth:`LabeledMessage.token_ids` cache.
+    """
+    groups: dict[tuple[bool, frozenset[str]], list] = {}
+    for message in messages:
+        key = (message.is_spam, message.tokens(tokenizer))
+        entry = groups.get(key)
+        if entry is None:
+            groups[key] = [message, 1]
+        else:
+            entry[1] += 1
+    return [
+        (message.token_ids(table, tokenizer), is_spam, count)
+        for (is_spam, _), (message, count) in groups.items()
+    ]
+
+
+def train_grouped(
+    classifier: "Classifier",
+    messages: Iterable[LabeledMessage],
+    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
+) -> None:
+    """Train ``messages``, collapsing identical token sets into one pass.
+
+    Messages are encoded against the classifier's interning table, so
+    training is a sweep over ID arrays, not string sets.
+    """
+    for ids, is_spam, count in _grouped_token_ids(messages, classifier.table, tokenizer):
+        classifier.learn_ids_repeated(ids, is_spam, count)
+
+
+def unlearn_grouped(
+    classifier: "Classifier",
+    messages: Iterable[LabeledMessage],
+    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
+) -> None:
+    """Exact inverse of :func:`train_grouped` for the same messages.
+
+    This is how a fold's clean model is derived from the shared
+    full-inbox model: unlearn the held-out stripe instead of retraining
+    the other K-1 folds.
+    """
+    for ids, is_spam, count in _grouped_token_ids(messages, classifier.table, tokenizer):
+        classifier.unlearn_ids_repeated(ids, is_spam, count)
 
 
 class Dataset:

@@ -17,6 +17,10 @@ where ``N_{S,<}(t)`` counts spam in ``V`` scoring below ``t`` and
 1 at t=1; θ0 is placed where g reaches the lower quantile ``q`` (0.05
 or 0.10) and θ1 where it reaches ``1 - q``.  The deployed filter is
 trained on the full set with the fitted thresholds installed.
+
+The fit runs on encoded token IDs over the caller's interning table:
+grouped training, then one scoring row per distinct validation token
+set (see :meth:`DynamicThresholdDefense.fit`).
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from repro.corpus.dataset import Dataset
+from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
 from repro.errors import DefenseError
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.filter import SpamFilter
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
+from repro.spambayes.token_table import TokenTable
 from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
 
 __all__ = ["DynamicThresholdConfig", "ThresholdFit", "DynamicThresholdDefense"]
@@ -140,54 +145,68 @@ class DynamicThresholdDefense:
             validation_size=len(ham_scores) + len(spam_scores),
         )
 
-    def fit(self, training: Dataset, rng: random.Random) -> ThresholdFit:
+    def fit(
+        self, training: Dataset, rng: random.Random, table: TokenTable | None = None
+    ) -> ThresholdFit:
         """Run the paper's split/train/score/fit pipeline on a dataset.
 
         ``training`` is the *full* (possibly poisoned) training set —
         attack messages ride along labeled as spam, exactly as they
-        would in deployment.
+        would in deployment.  ``table`` is the interning table the fit
+        filter shares; pass the one ``training`` is already encoded
+        against (a stream's or a sweep's): the fit then interns nothing
+        and reuses the messages' cached ID arrays.  Omitted, the fit
+        gets a private table and those caches are re-keyed to it.
         """
         half_f, half_v = training.split(self.config.split_fraction, rng)
         if not half_f.ham or not half_f.spam or not half_v.ham or not half_v.spam:
             raise DefenseError("both halves need ham and spam to fit thresholds")
-        classifier = create_classifier(self.options)
-        _learn_dataset_grouped(classifier, half_f, self.tokenizer)
-        # One bulk pass per class: the validation halves share the
-        # kernel's significance memo instead of re-deriving it per
-        # message (scores are exactly the per-message ones).
-        ham_scores = classifier.score_many(
-            message.tokens(self.tokenizer) for message in half_v.ham
-        )
-        spam_scores = classifier.score_many(
-            message.tokens(self.tokenizer) for message in half_v.spam
-        )
-        return self.fit_from_scores(ham_scores, spam_scores)
+        classifier = create_classifier(self.options, table=table)
+        train_grouped(classifier, half_f, self.tokenizer)
+        ham, spam = half_v.ham, half_v.spam
+        scores = _score_distinct(classifier, ham + spam, self.tokenizer)
+        return self.fit_from_scores(scores[: len(ham)], scores[len(ham) :])
 
     # ------------------------------------------------------------------
     # Deployment
     # ------------------------------------------------------------------
 
-    def build_filter(self, training: Dataset, rng: random.Random) -> tuple[SpamFilter, ThresholdFit]:
+    def build_filter(
+        self, training: Dataset, rng: random.Random, table: TokenTable | None = None
+    ) -> tuple[SpamFilter, ThresholdFit]:
         """Train on the full set and install the fitted thresholds."""
-        fit = self.fit(training, rng)
-        spam_filter = SpamFilter(options=self.options, tokenizer=self.tokenizer)
-        _learn_dataset_grouped(spam_filter.classifier, training, self.tokenizer)
+        fit = self.fit(training, rng, table)
+        spam_filter = SpamFilter(
+            tokenizer=self.tokenizer, classifier=Classifier(self.options, table=table)
+        )
+        train_grouped(spam_filter.classifier, training, self.tokenizer)
         spam_filter.set_thresholds(fit.ham_cutoff, fit.spam_cutoff)
         return spam_filter, fit
 
 
-def _learn_dataset_grouped(
-    classifier: Classifier, dataset: Dataset, tokenizer: Tokenizer
-) -> None:
-    """Train a dataset, collapsing identical token sets into one pass.
+def _score_distinct(
+    classifier: Classifier, messages: list[LabeledMessage], tokenizer: Tokenizer
+) -> list[float]:
+    """Score ``messages`` in order, each distinct token set only once.
 
-    Poisoned datasets contain hundreds of attack messages sharing a
-    single (large) token frozenset; grouping turns their training cost
-    from O(messages * tokens) into O(tokens).
+    Attack mail shares one frozenset per group, so a poisoned half
+    adds one row per attack group, not one dictionary-sized row per
+    attack message: one ID-kernel pass over the distinct rows, then the
+    scores are expanded back to message order.  Validation tokens the fit
+    filter never trained are zero-count IDs, which score exactly like
+    the unseen tokens of string scoring (the prior, tie-broken by
+    text), so the floats are the per-message :meth:`Classifier.score`.
     """
-    groups: dict[tuple[bool, frozenset[str]], int] = {}
-    for message in dataset:
-        key = (message.is_spam, message.tokens(tokenizer))
-        groups[key] = groups.get(key, 0) + 1
-    for (is_spam, tokens), count in groups.items():
-        classifier.learn_repeated(tokens, is_spam, count)
+    table = classifier.table
+    slot_of: dict[frozenset[str], int] = {}
+    rows = []
+    slots = []
+    for message in messages:
+        tokens = message.tokens(tokenizer)
+        slot = slot_of.get(tokens)
+        if slot is None:
+            slot = slot_of[tokens] = len(rows)
+            rows.append(message.token_ids(table, tokenizer))
+        slots.append(slot)
+    scores = classifier.score_many_ids(rows)
+    return [scores[slot] for slot in slots]

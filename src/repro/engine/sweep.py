@@ -35,10 +35,11 @@ arrays (:class:`IncrementalAttackTrainer`).  Held-out folds are scored
 through :meth:`Classifier.score_many_ids`, the columnar kernel that
 shares per-token significance work across the fold's messages.
 
-The shared primitives the experiment drivers use (grouped training,
-dataset evaluation, the incremental attack trainer) live here too;
-:mod:`repro.experiments.crossval` re-exports them under their
-historical names.
+The shared primitives the experiment drivers use (dataset evaluation,
+the incremental attack trainer, and grouped training, which lives in
+:mod:`repro.corpus.dataset` so the defenses can train through it too)
+are exported here; :mod:`repro.experiments.crossval` re-exports them
+under their historical names.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.attacks.base import Attack, AttackBatch
-from repro.corpus.dataset import Dataset, LabeledMessage
+from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped, unlearn_grouped
 from repro.engine import sharedmem
 from repro.engine.runner import ParallelRunner, active_worker_pool, resolve_workers
 from repro.engine.seeding import drawn_seeds
@@ -97,62 +98,6 @@ def attack_message_count(base_size: int, fraction: float) -> int:
     if not 0.0 <= fraction < 1.0:
         raise ExperimentError(f"attack fraction must be in [0, 1), got {fraction}")
     return round(base_size * fraction / (1.0 - fraction))
-
-
-def _grouped_encoded(
-    messages: Iterable[LabeledMessage],
-    table: TokenTable,
-    tokenizer: Tokenizer,
-) -> list[tuple[array, bool, int]]:
-    """Collapse ``messages`` into (token_ids, is_spam, count) groups.
-
-    Grouping happens on the cached token *frozensets* — attack batches
-    materialize thousands of messages sharing one set object, and its
-    cached hash makes the probe O(1) — while each distinct set is
-    encoded exactly once, through the message-level
-    :meth:`~repro.corpus.dataset.LabeledMessage.token_ids` cache.
-    """
-    groups: dict[tuple[bool, frozenset[str]], list] = {}
-    for message in messages:
-        key = (message.is_spam, message.tokens(tokenizer))
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [message, 1]
-        else:
-            entry[1] += 1
-    return [
-        (message.token_ids(table, tokenizer), is_spam, count)
-        for (is_spam, _), (message, count) in groups.items()
-    ]
-
-
-def train_grouped(
-    classifier: Classifier,
-    messages: Iterable[LabeledMessage],
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-) -> None:
-    """Train ``messages``, collapsing identical token sets into one pass.
-
-    Messages are encoded against the classifier's interning table, so
-    training is a sweep over ID arrays, not string sets.
-    """
-    for ids, is_spam, count in _grouped_encoded(messages, classifier.table, tokenizer):
-        classifier.learn_ids_repeated(ids, is_spam, count)
-
-
-def unlearn_grouped(
-    classifier: Classifier,
-    messages: Iterable[LabeledMessage],
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-) -> None:
-    """Exact inverse of :func:`train_grouped` for the same messages.
-
-    This is how a fold's clean model is derived from the shared
-    full-inbox model: unlearn the held-out stripe instead of retraining
-    the other K-1 folds.
-    """
-    for ids, is_spam, count in _grouped_encoded(messages, classifier.table, tokenizer):
-        classifier.unlearn_ids_repeated(ids, is_spam, count)
 
 
 def evaluation_workspace(

@@ -7,9 +7,7 @@ messages included", the weekly retraining loop feeds attack arrivals
 through the RONI gate, and the streaming engine does both per tick.
 The adapter used to live in :mod:`repro.experiments.threshold_exp`,
 which forced sibling experiments to import one experiment from
-another; it lives here now, as shared experiment-layer plumbing
-(:mod:`repro.experiments.threshold_exp` keeps a deprecated re-export
-for old import paths).
+another; it lives here now, as shared experiment-layer plumbing.
 """
 
 from __future__ import annotations

@@ -57,7 +57,6 @@ __all__ = [
     "ThresholdExperimentConfig",
     "ThresholdExperimentResult",
     "run_threshold_experiment",
-    "attack_messages_as_dataset",
 ]
 
 PAPER_FRACTIONS = (0.0, 0.001, 0.01, 0.05, 0.10)
@@ -134,13 +133,6 @@ class ThresholdExperimentResult:
         )
 
 
-# ``attack_messages_as_dataset`` moved to
-# :mod:`repro.experiments.attack_data` (shared plumbing — retraining
-# and the streaming engine use it too).  The re-export above keeps the
-# historical ``threshold_exp`` import path working; new code should
-# import from ``repro.experiments.attack_data``.
-
-
 @dataclass(frozen=True)
 class _FoldTask:
     """One fold's work: index lists plus the pre-drawn seed block.
@@ -199,7 +191,12 @@ def _run_threshold_fold(
                     config=DynamicThresholdConfig(quantile=quantile),
                     options=context.options,
                 )
-                fit = defense.fit(poisoned, random.Random(next(seeds)))
+                # The fit shares the fold model's table, which already
+                # holds the inbox and the whole attack batch: the fit
+                # interns nothing and reuses the inbox's ID arrays.
+                fit = defense.fit(
+                    poisoned, random.Random(next(seeds)), table=classifier.table
+                )
                 confusion = evaluate_dataset(
                     classifier,
                     test_set,

@@ -792,6 +792,14 @@ class Classifier:
         are resolved to IDs up front and run through the columnar
         kernel; unseen tokens contribute the prior inline, without
         being interned (scoring never grows the table).
+
+        Batches with unseen tokens take the pure-Python loop on every
+        kernel.  Sending them to :meth:`score_many_ids` when the prior
+        is not significant (unseen tokens then drop out) was measured
+        on the serve benchmark (``serve-session``, 2-core host): wall
+        time 6.67 → 6.34 s (−5%), peak RSS 44.5 → 47.5 MiB (+6.7%).
+        That trade waits for a memory bound on serve batches; the
+        threshold fit avoids this path by scoring encoded IDs.
         """
         id_of = self._table.id_of
         encoded: list[tuple[list[int], list[str]]] = []

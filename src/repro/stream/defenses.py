@@ -183,8 +183,12 @@ class ThresholdTickDefense(TickDefense):
             config=DynamicThresholdConfig(quantile=self.spec.threshold_quantile),
             options=self.spec.options,
         )
+        # The trained history was encoded against the stream's table by
+        # the retrain, so the fit shares it and interns nothing.
         return defense.fit(
-            Dataset(list(trained_history), name="trained-history"), tick_rng
+            Dataset(list(trained_history), name="trained-history"),
+            tick_rng,
+            table=self.table,
         )
 
 

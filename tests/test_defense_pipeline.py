@@ -6,7 +6,7 @@ import pytest
 
 from repro.attacks.dictionary import UsenetDictionaryAttack
 from repro.defenses.pipeline import train_with_dynamic_threshold, train_with_roni
-from repro.experiments.threshold_exp import attack_messages_as_dataset
+from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.rng import SeedSpawner
 
 

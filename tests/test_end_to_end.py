@@ -14,8 +14,8 @@ from repro import SpamFilter, TrecStyleCorpus
 from repro.attacks import FocusedAttack, UsenetDictionaryAttack
 from repro.defenses import RoniDefense, train_with_dynamic_threshold
 from repro.corpus.dataset import Dataset
+from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.experiments.crossval import attack_message_count, evaluate_dataset, train_grouped
-from repro.experiments.threshold_exp import attack_messages_as_dataset
 from repro.rng import SeedSpawner
 from repro.spambayes.filter import Label
 

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import checkpoint, faults, supervise
+from repro.engine import checkpoint, faults, sharedmem, supervise
 from repro.engine.faults import FaultPlan, FaultSpec, parse_faults, use_faults
 from repro.engine.replicate import replica_seeds, replicate_scenario
 from repro.engine.supervise import (
@@ -518,12 +518,15 @@ def test_sigkill_mid_replicate_resumes_to_identical_bytes(tmp_path):
     # The victim: killed as soon as its first replica checkpoints.
     out = tmp_path / "resumed.json"
     ckpt = tmp_path / "ckpt"
+    # Its own session, so the SIGKILL reaches the forked pool workers
+    # too: killing only the parent would leave them asleep forever.
     victim = subprocess.Popen(
         _replicate_command(out, ckpt),
         cwd=Path(__file__).resolve().parent.parent,
         env=env,
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 300
@@ -531,12 +534,19 @@ def test_sigkill_mid_replicate_resumes_to_identical_bytes(tmp_path):
             if list(ckpt.glob("*.json")):
                 break
             time.sleep(0.05)
-        if victim.poll() is None:
-            victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=60)
     finally:
-        if victim.poll() is None:  # pragma: no cover - cleanup
-            victim.kill()
+        try:
+            os.killpg(victim.pid, signal.SIGKILL)
+        except ProcessLookupError:  # the whole group already exited
+            pass
+        victim.wait(timeout=60)
+        # The group kill took the victim's resource tracker too, so its
+        # shared-memory segments are orphans: reclaim them here rather
+        # than leave them for a later test's janitor to find.
+        victim_prefix = f"{sharedmem.BASE_PREFIX}{victim.pid:x}_"
+        for name in sharedmem.orphaned_segments():
+            if name.startswith(victim_prefix):
+                os.unlink(os.path.join("/dev/shm", name))
     # Resume: loads the surviving checkpoints, runs the rest.
     resumed = subprocess.run(
         _replicate_command(out, ckpt),

@@ -8,7 +8,7 @@ These tests hold the two side by side — under **both** defenses — and
 assert every weekly outcome identical, field for field: same arrival
 slices, same attack batches, same RONI calibration draws, same
 confusion counts.  Also covers the relocated
-``attack_messages_as_dataset`` helper's deprecated re-export.
+``attack_messages_as_dataset`` helper.
 """
 
 from __future__ import annotations
@@ -77,15 +77,6 @@ class TestStreamReproducesLegacyLoop:
 
 
 class TestAttackDataRelocation:
-    def test_threshold_exp_reexport_is_the_shared_helper(self):
-        from repro.experiments import attack_data, threshold_exp
-
-        assert (
-            threshold_exp.attack_messages_as_dataset
-            is attack_data.attack_messages_as_dataset
-        )
-        assert "attack_messages_as_dataset" in threshold_exp.__all__
-
     def test_helper_materializes_batches(self, tiny_corpus):
         import random
 

@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.attacks.dictionary import UsenetDictionaryAttack
+from repro.corpus.dataset import Dataset
+from repro.corpus.trec import TrecStyleCorpus
+from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.threshold import (
     DynamicThresholdConfig,
     DynamicThresholdDefense,
+    ThresholdFit,
     _utility_curve,
 )
 from repro.errors import DefenseError
+from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.rng import SeedSpawner
+from repro.spambayes import ndkernel
+from repro.spambayes.classifier import Classifier
 from repro.spambayes.filter import Label
+from repro.spambayes.options import ClassifierOptions
+from repro.spambayes.token_table import TokenTable
+
+KERNELS = ["nd", "python"] if ndkernel.available() else ["python"]
 
 
 class TestConfig:
@@ -131,3 +145,80 @@ class TestFitOnDataset:
             is (Label.SPAM if m.is_spam else Label.HAM)
         )
         assert correct > 60
+
+
+@pytest.fixture(scope="module")
+def fit_corpus() -> TrecStyleCorpus:
+    # A private corpus: the fits below re-key its messages' ID caches.
+    return TrecStyleCorpus.generate(n_ham=90, n_spam=90, profile=TINY_PROFILE, seed=13)
+
+
+def _training(corpus: TrecStyleCorpus, attack_count: int) -> Dataset:
+    messages = list(corpus.dataset)
+    if attack_count:
+        attack = UsenetDictionaryAttack.from_vocabulary(corpus.vocabulary)
+        batch = attack.generate(attack_count, random.Random(4))
+        messages += attack_messages_as_dataset(batch)
+    return Dataset(messages, name="training")
+
+
+def _reference_fit(defense: DynamicThresholdDefense, training: Dataset, rng) -> ThresholdFit:
+    """The fit spelled out: a fresh string-keyed classifier trained
+    message by message, and one ``score(tokens)`` per validation
+    message."""
+    half_f, half_v = training.split(defense.config.split_fraction, rng)
+    classifier = Classifier(defense.options)
+    for message in half_f:
+        classifier.learn(message.tokens(), message.is_spam)
+    return defense.fit_from_scores(
+        [classifier.score(message.tokens()) for message in half_v.ham],
+        [classifier.score(message.tokens()) for message in half_v.spam],
+    )
+
+
+class TestSharedTableFit:
+    """The fit scores on encoded IDs over the caller's table; the
+    fitted thresholds are exactly the string path's."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("attack_count", [0, 300], ids=["clean", "poisoned"])
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ClassifierOptions(),
+            ClassifierOptions(minimum_prob_strength=0.0),
+            # Graham's unknown-word prior.  (Not GRAHAM_OPTIONS whole:
+            # its zero smoothing strength is for GrahamClassifier's
+            # clamped formula, and Robinson's unclamped f(w) reaches 0.)
+            ClassifierOptions(unknown_word_prob=0.4, minimum_prob_strength=0.0),
+        ],
+        ids=["default-prior", "prior-0.5-significant", "prior-0.4-significant"],
+    )
+    def test_shared_private_and_reference_fits_agree(
+        self, monkeypatch, fit_corpus, kernel, attack_count, options
+    ):
+        monkeypatch.setenv(ndkernel.KERNEL_ENV, kernel)
+        training = _training(fit_corpus, attack_count)
+        attack = training.messages[len(fit_corpus.dataset) :]
+        # Poisoned means grouped: hundreds of attack messages, one
+        # frozenset between them.
+        assert len({id(message.tokens()) for message in attack}) == min(attack_count, 1)
+        table = TokenTable()
+        training.encode(table)
+        table_size = len(table)
+        defense = DynamicThresholdDefense(options=options)
+        shared = defense.fit(training, random.Random(9), table=table)
+        assert len(table) == table_size  # the fit interned nothing
+        private = defense.fit(training, random.Random(9))
+        reference = _reference_fit(defense, training, random.Random(9))
+        assert shared == private
+        assert shared == reference
+
+    def test_validation_holds_tokens_the_fit_never_trained(self, fit_corpus):
+        """Under a significant prior the agreement above rests on
+        zero-count table IDs scoring like unseen tokens — so the
+        validation half must actually contain such tokens."""
+        training = _training(fit_corpus, 300)
+        half_f, half_v = training.split(0.5, random.Random(9))
+        trained = set().union(*(message.tokens() for message in half_f))
+        assert any(message.tokens() - trained for message in half_v)

@@ -27,13 +27,17 @@ from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.roni import RoniConfig, RoniDefense
 from repro.engine.sweep import SweepSpec, run_attack_sweeps, sequential_reference_sweep
 from repro.errors import TrainingError
+from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.graham import GrahamClassifier
 from repro.spambayes.message import Email
+from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.options import ClassifierOptions
 from repro.spambayes.persistence import classifier_from_dict, classifier_to_dict
 from repro.spambayes.reference import ReferenceClassifier
 from repro.spambayes.token_table import TokenTable
+
+KERNELS = ["nd", "python"] if ndkernel.available() else ["python"]
 
 
 # ----------------------------------------------------------------------
@@ -264,6 +268,47 @@ class TestDifferentialScoring:
         expected = reference.significant_tokens({"cash", "never-seen-5"})
         assert [(ts.token, ts.spam_prob) for ts in evidence] == expected
         assert len(id_core.table) == table_size  # nothing interned
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ClassifierOptions(),
+            # Significant priors: x = 0.5 at strength 0, and Graham's
+            # x = 0.4; a tight cap makes the text tie-break decide which
+            # unseen tokens make the cut.
+            ClassifierOptions(minimum_prob_strength=0.0, max_discriminators=3),
+            ClassifierOptions(
+                unknown_word_prob=0.4, minimum_prob_strength=0.0, max_discriminators=4
+            ),
+        ],
+        ids=["default-prior", "prior-0.5-significant", "prior-0.4-significant"],
+    )
+    def test_unseen_tokens_score_like_zero_count_ids(self, monkeypatch, kernel, options):
+        """``score_many`` over unseen tokens is per-message ``score``
+        on both kernels, whether or not the prior is significant — and
+        once interned, those tokens are zero-count IDs that the ID
+        kernel scores to the same floats.  The threshold fit scores
+        validation mail through that ID path."""
+        monkeypatch.setenv(ndkernel.KERNEL_ENV, kernel)
+        classifier = create_classifier(options, table=TokenTable())
+        classifier.learn({"cash", "wire", "offer"}, True)
+        classifier.learn({"cash", "prize"}, True)
+        classifier.learn({"meeting", "agenda", "offer"}, False)
+        queries = [
+            {"cash", "unseen-b", "unseen-a"},
+            {"meeting", "unseen-c"},
+            {"unseen-a"},
+            {"zz-unseen", "aa-unseen", "offer", "agenda", "prize"},
+            set(),
+        ]
+        table_size = len(classifier.table)
+        expected = [classifier.score(query) for query in queries]
+        assert classifier.score_many(queries) == expected
+        assert len(classifier.table) == table_size  # nothing interned
+        encoded = [classifier.table.encode_unique(query) for query in queries]
+        assert len(classifier.table) > table_size  # now zero-count IDs
+        assert classifier.score_many_ids(encoded) == expected
 
     def test_repeated_and_unlearn_validation_parity(self):
         id_core, reference = _paired()
