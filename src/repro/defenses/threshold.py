@@ -40,6 +40,10 @@ from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
 
 __all__ = ["DynamicThresholdConfig", "ThresholdFit", "DynamicThresholdDefense"]
 
+# Token entries the fit scores in one kernel call: bounds the ND
+# kernel's per-batch intermediates as a stream's trained history grows.
+_SCORE_ENTRY_BUDGET = 1 << 16
+
 
 @dataclass(frozen=True, slots=True)
 class DynamicThresholdConfig:
@@ -171,14 +175,10 @@ class DynamicThresholdDefense:
     # Deployment
     # ------------------------------------------------------------------
 
-    def build_filter(
-        self, training: Dataset, rng: random.Random, table: TokenTable | None = None
-    ) -> tuple[SpamFilter, ThresholdFit]:
+    def build_filter(self, training: Dataset, rng: random.Random) -> tuple[SpamFilter, ThresholdFit]:
         """Train on the full set and install the fitted thresholds."""
-        fit = self.fit(training, rng, table)
-        spam_filter = SpamFilter(
-            tokenizer=self.tokenizer, classifier=Classifier(self.options, table=table)
-        )
+        fit = self.fit(training, rng)
+        spam_filter = SpamFilter(options=self.options, tokenizer=self.tokenizer)
         train_grouped(spam_filter.classifier, training, self.tokenizer)
         spam_filter.set_thresholds(fit.ham_cutoff, fit.spam_cutoff)
         return spam_filter, fit
@@ -191,7 +191,8 @@ def _score_distinct(
 
     Attack mail shares one frozenset per group, so a poisoned half
     adds one row per attack group, not one dictionary-sized row per
-    attack message: one ID-kernel pass over the distinct rows, then the
+    attack message.  The distinct rows go through ``score_many_ids`` in
+    batches of about :data:`_SCORE_ENTRY_BUDGET` token entries, then the
     scores are expanded back to message order.  Validation tokens the fit
     filter never trained are zero-count IDs, which score exactly like
     the unseen tokens of string scoring (the prior, tie-broken by
@@ -208,5 +209,15 @@ def _score_distinct(
             slot = slot_of[tokens] = len(rows)
             rows.append(message.token_ids(table, tokenizer))
         slots.append(slot)
-    scores = classifier.score_many_ids(rows)
+    scores: list[float] = []
+    batch: list = []
+    entries = 0
+    for row in rows:
+        batch.append(row)
+        entries += len(row)
+        if entries >= _SCORE_ENTRY_BUDGET:
+            scores.extend(classifier.score_many_ids(batch))
+            batch, entries = [], 0
+    if batch:
+        scores.extend(classifier.score_many_ids(batch))
     return [scores[slot] for slot in slots]

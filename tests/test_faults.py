@@ -546,7 +546,7 @@ def test_sigkill_mid_replicate_resumes_to_identical_bytes(tmp_path):
         victim_prefix = f"{sharedmem.BASE_PREFIX}{victim.pid:x}_"
         for name in sharedmem.orphaned_segments():
             if name.startswith(victim_prefix):
-                os.unlink(os.path.join("/dev/shm", name))
+                sharedmem.drop_segment_name(name)
     # Resume: loads the surviving checkpoints, runs the rest.
     resumed = subprocess.run(
         _replicate_command(out, ckpt),

@@ -10,6 +10,7 @@ from repro.attacks.dictionary import UsenetDictionaryAttack
 from repro.corpus.dataset import Dataset
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
+from repro.defenses import threshold
 from repro.defenses.threshold import (
     DynamicThresholdConfig,
     DynamicThresholdDefense,
@@ -22,6 +23,7 @@ from repro.rng import SeedSpawner
 from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.filter import Label
+from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.options import ClassifierOptions
 from repro.spambayes.token_table import TokenTable
 
@@ -213,6 +215,31 @@ class TestSharedTableFit:
         reference = _reference_fit(defense, training, random.Random(9))
         assert shared == private
         assert shared == reference
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_batched_scoring_matches_one_pass(self, monkeypatch, fit_corpus, kernel):
+        """Scoring the distinct rows in many small kernel calls gives
+        the fit a one-call pass gives."""
+        monkeypatch.setenv(ndkernel.KERNEL_ENV, kernel)
+        training = _training(fit_corpus, 300)
+        table = TokenTable()
+        training.encode(table)
+        defense = DynamicThresholdDefense()
+        one_pass = defense.fit(training, random.Random(9), table=table)
+
+        batch_sizes = []
+        classifier_type = type(create_classifier(defense.options))
+        score_many_ids = classifier_type.score_many_ids
+
+        def counted(self, rows):
+            batch_sizes.append(len(rows))
+            return score_many_ids(self, rows)
+
+        monkeypatch.setattr(classifier_type, "score_many_ids", counted)
+        monkeypatch.setattr(threshold, "_SCORE_ENTRY_BUDGET", 50)
+        batched = defense.fit(training, random.Random(9), table=table)
+        assert len(batch_sizes) > 10
+        assert batched == one_pass
 
     def test_validation_holds_tokens_the_fit_never_trained(self, fit_corpus):
         """Under a significant prior the agreement above rests on
