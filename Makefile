@@ -36,13 +36,13 @@ bench-core:
 bench-scenario:
 	$(PYTHON) benchmarks/bench_scenario_overhead.py --scale small
 
-# Flattened (seed x spec x fold) replication pool vs the naive
-# sequential seed loop, records asserted identical; appends to
+# Replica-per-worker replication pool vs the naive sequential seed
+# loop, records asserted identical; appends to
 # benchmarks/results/BENCH_replication.json.
 bench-replication:
 	$(PYTHON) benchmarks/bench_replication.py --scale small --workers 2
 
-# Streaming engine: multi-seed streams sequential vs shared-pool,
+# Streaming engine: multi-seed streams sequential vs one per worker,
 # records asserted identical, messages/sec reported; appends to
 # benchmarks/results/BENCH_stream.json.
 bench-stream:

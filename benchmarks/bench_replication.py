@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
-"""Replication-engine benchmark: flattened pool vs naive seed loop.
+"""Replication-engine benchmark: replica per worker vs naive seed loop.
 
 A multi-seed replication can be scheduled two ways:
 
 * **naive sequential seed loop** — run the scenario once per seed, one
   after the other, each run fanning its own folds out over a private
   process pool.  Every seed pays pool startup, and all workers idle
-  while the parent prepares the next seed's corpus and trains its full
-  model;
-* **flattened (seed × spec × fold) pool** — what
-  :func:`repro.engine.replicate.replicate_scenario` does: ONE shared
-  :class:`~repro.engine.runner.WorkerPool`, replicas on concurrent
-  parent threads, every replica's fold tasks interleaving in the same
-  worker set with no per-seed barrier.
+  while the parent generates the next seed's corpus, tokenizes it and
+  trains its full model;
+* **replica per worker** — what
+  :func:`repro.engine.replicate.replicate_scenario` does: one process
+  pool of ``min(workers, seeds)`` workers, each running whole replicas
+  (ingest, training and every fold) at ``workers=1``, so every stage
+  of every replica runs in parallel with the others.
 
 This benchmark runs both at the same worker count, asserts the pooled
 records are **identical** (same dict, byte for byte once serialized),
 and measures the wall-clock difference.  At ``workers >= 2`` the
-flattened pool should win — that is the engine's reason to exist — and
+replica pool should win — that is the engine's reason to exist — and
 the emitted record says by how much.
 
 Run directly (it is a script, not a pytest benchmark)::
@@ -74,8 +74,7 @@ _SCALES = {
         ),
     ),
     # Enough replica work that the pooled path's fixed costs (pool
-    # startup, shared-memory publish, task pickling) amortize to noise;
-    # the shared-corpus transport ships each replica's inbox once.
+    # startup, shipping records back) amortize to noise.
     "large": (
         24,
         dict(
@@ -150,7 +149,7 @@ def run(
     naive_seconds, naive = _best_of(
         lambda: _naive_seed_loop(scenario, seeds, overrides, workers)
     )
-    flattened_seconds, flattened = _best_of(
+    pooled_seconds, pooled = _best_of(
         lambda: replicate_scenario(
             scenario,
             seeds=seeds,
@@ -159,22 +158,22 @@ def run(
         )
     )
 
-    # The flattened pool must change scheduling only.  Compare on the
+    # The replica pool must change scheduling only.  Compare on the
     # stats + replicas (the naive baseline does not reconstruct the
     # derived-seed config block).
     identical = (
-        [s.as_dict() for s in naive.stats] == [s.as_dict() for s in flattened.stats]
+        [s.as_dict() for s in naive.stats] == [s.as_dict() for s in pooled.stats]
         and [r.as_dict() for r in naive.replicas]
-        == [r.as_dict() for r in flattened.replicas]
+        == [r.as_dict() for r in pooled.replicas]
     )
-    speedup = naive_seconds / flattened_seconds if flattened_seconds else 0.0
+    speedup = naive_seconds / pooled_seconds if pooled_seconds else 0.0
     print(
         f"naive seed loop   {naive_seconds:7.2f}s\n"
-        f"flattened pool    {flattened_seconds:7.2f}s\n"
+        f"replica per worker {pooled_seconds:6.2f}s\n"
         f"speedup           {speedup:7.2f}x   identical: {'yes' if identical else 'NO'}"
     )
     if workers >= 2 and speedup <= 1.0:
-        print("NOTE: flattened pool did not win at this scale/machine")
+        print("NOTE: replica pool did not win at this scale/machine")
 
     record = {
         "benchmark": "replication",
@@ -184,7 +183,7 @@ def run(
         "workers": workers,
         "base_seed": base_seed,
         "naive_seconds": naive_seconds,
-        "flattened_seconds": flattened_seconds,
+        "pooled_seconds": pooled_seconds,
         "speedup": speedup,
         "identical": identical,
     }

@@ -3,15 +3,13 @@
 
 A stream is inherently sequential — tick ``t+1`` trains on the state
 tick ``t`` left behind — so the streaming engine's parallelism lever
-is *across* streams: under ``replicate_scenario`` each replica's
-whole stream becomes one task in the shared
-:class:`~repro.engine.runner.WorkerPool` (single-task maps route into
-an active pool since the stream engine landed), so N seeds play N
-streams concurrently instead of queueing behind one parent thread.
+is *across* streams: under ``replicate_scenario`` each replica —
+its whole stream — runs in its own worker process, so N seeds play N
+streams concurrently instead of one after another.
 
 This benchmark replays the same multi-seed stream replication two
-ways — ``workers=1`` (strictly sequential) and ``workers>=2`` (the
-shared pool) — asserts the pooled records **identical**, and reports
+ways — ``workers=1`` (strictly sequential) and ``workers>=2`` (one
+replica per worker) — asserts the pooled records **identical**, and reports
 throughput as messages/sec, where the message count is everything the
 engine ingests or scores: every arrival the per-tick gate saw (ham,
 spam and attack mail, trained or rejected) plus every held-out

@@ -25,10 +25,10 @@ plain-string fallback).
 ``replicate <name> --seeds N`` runs a scenario at N derived root seeds
 through :func:`repro.scenarios.replicate_scenario` and prints the
 pooled error-bar table (per-x mean, std and 95% CI over seeds for
-every rate).  With ``--workers N`` the (seed × spec × fold) work
-flattens into one shared worker pool; the output — and the ``--out``
-JSON record — is byte-identical at any worker count and any
-``PYTHONHASHSEED``.
+every rate).  With ``--workers N`` up to N replicas run at once, each
+whole replica inside one worker process (a lone replica fans its own
+folds out instead); the output — and the ``--out`` JSON record — is
+byte-identical at any worker count and any ``PYTHONHASHSEED``.
 
 ``--workers N`` fans the experiment's independent units (folds,
 repetitions, targets) out over N processes through
@@ -40,7 +40,9 @@ JSON — are identical at any worker count.
 (:mod:`repro.engine.supervise`): wedged workers are killed at the
 deadline, crashed pools are respawned and unfinished chunks retried,
 and after N rounds the run degrades to in-process execution rather
-than dying — with identical results on every path.  ``replicate
+than dying — with identical results on every path.  On ``replicate``
+a dispatch wave is a set of whole replicas, so ``--timeout`` must
+cover the slowest replica, not one fold.  ``replicate
 --resume DIR`` checkpoints each replica record into ``DIR`` as it
 completes and loads completed replicas on restart, so a killed
 replication resumes where it stopped with byte-identical pooled
@@ -222,8 +224,9 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="deadline for each parallel dispatch wave; chunks that miss "
-        "it have their workers killed and are retried on a fresh pool",
+        help="deadline for each parallel dispatch wave (on replicate, a "
+        "wave of whole replicas); chunks that miss it have their workers "
+        "killed and are retried on a fresh pool",
     )
     parser.add_argument(
         "--retries",
@@ -443,9 +446,9 @@ def build_replicate_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_workers_arg,
         default=1,
-        help="shared worker-pool size; the (seed x spec x fold) tasks of "
-        "all replicas flatten into it (default 1 = sequential, 0 = one "
-        "per CPU; output is identical at any value)",
+        help="worker processes; each runs whole replicas, one at a time "
+        "(a lone replica fans its folds out instead; default 1 = "
+        "sequential, 0 = one per CPU; output is identical at any value)",
     )
     parser.add_argument(
         "--out",

@@ -17,8 +17,8 @@ those units across worker processes without changing a single result:
   classifier by snapshot/unlearn/restore, deterministic fold fan-out,
   bulk scoring via :meth:`Classifier.score_many`;
 * :mod:`repro.engine.replicate` — multi-seed replication: the same
-  scenario at N root seeds, flattened into one shared
-  :class:`WorkerPool` (no per-seed barrier), pooled into a
+  scenario at N root seeds, one whole replica per worker process,
+  pooled into a
   :class:`~repro.experiments.results.ReplicatedRecord` with per-point
   mean/std/95%-CI error bars.  (Imported lazily by
   :mod:`repro.scenarios`, which re-exports ``replicate_scenario``.)
@@ -39,7 +39,7 @@ parent process; any other value changes wall-clock time only.
 
 from repro.engine.checkpoint import ReplicaStore
 from repro.engine.faults import FaultPlan, FaultSpec, parse_faults, use_faults
-from repro.engine.runner import ParallelRunner, WorkerPool, resolve_workers, use_worker_pool
+from repro.engine.runner import ParallelRunner, WorkerPool, resolve_workers
 from repro.engine.seeding import drawn_seeds, resolve_root_seed
 from repro.engine.supervise import (
     SupervisePolicy,
@@ -75,7 +75,6 @@ __all__ = [
     "supervised_map",
     "use_faults",
     "use_supervision",
-    "use_worker_pool",
     "drawn_seeds",
     "resolve_root_seed",
     "AttackSweepPoint",

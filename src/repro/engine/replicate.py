@@ -9,31 +9,29 @@ registered scenario at N root seeds and pools the per-seed
 mean, sample std and a 95% confidence interval for every rate of every
 curve.
 
-**Flattened scheduling.**  A replication is not a loop over seeds.
-With ``workers > 1`` it opens ONE shared
-:class:`~repro.engine.runner.WorkerPool` and runs the replicas on
-concurrent parent threads, each with the pool activated
-(:func:`~repro.engine.runner.use_worker_pool`) — so every
-``ParallelRunner.map`` inside every replica's protocol drains into the
-same worker set.  The (seed × spec × fold) work flattens: a 10-seed,
-10-fold sweep is 100 independent tasks saturating all workers, with no
-per-seed barrier — while seed A's parent thread is still generating its
-corpus, the pool is busy with seed B's folds.  A naive sequential seed
-loop pays pool startup per seed and idles every worker during each
-seed's preparation stage; ``benchmarks/bench_replication.py`` measures
-the difference.
+**Replica per worker.**  A replica is the unit of parallelism.  With
+``workers > 1`` and at least two replicas to run, the replication is
+one :class:`~repro.engine.runner.ParallelRunner` map over the replica
+indices: each replica runs start to finish (corpus generation,
+tokenizing, training, every fold) inside one worker process at
+``workers=1``, and saves its checkpoint from that worker as soon as it
+finishes.  Ingest, the bulk of a replica, therefore runs on every core
+at once instead of behind the parent's GIL, and nothing crosses a
+process boundary but the replica index going out and its record coming
+back.  A lone replica (one seed, or one left to run on ``--resume``)
+runs in the parent instead and keeps the full ``workers`` for its own
+fold fan-out.  ``benchmarks/bench_replication.py`` measures the
+replica pool against a naive seed loop.
 
-On the NumPy kernel, each replica's encoded inbox crosses into the
-pool as a shared-memory CSR segment
-(:mod:`repro.engine.sharedmem`) rather than a per-map pickle; the
-pool adopts every segment shipped through it and unlinks them all
-when the ``with WorkerPool(...)`` block closes, so a replication
-leaves ``/dev/shm`` exactly as it found it.
+Under an active supervision policy the replica map is supervised like
+any other (:func:`repro.engine.supervise.supervised_map`): a crashed
+or hung worker's replicas are retried on a fresh worker set, and
+``--timeout`` bounds one dispatch wave of whole replicas.
 
 **Determinism.**  Replica ``i`` runs at root seed
 ``spawn_seed(base_seed, "replicate") || "replica:i"`` — a pure
-function of ``(base_seed, i)``, independent of thread scheduling,
-worker count and ``PYTHONHASHSEED`` (the interning layer assigns token
+function of ``(base_seed, i)``, independent of scheduling, worker
+count and ``PYTHONHASHSEED`` (the interning layer assigns token
 IDs in sorted order, see
 :meth:`~repro.spambayes.token_table.TokenTable.encode_unique`).  Each
 replica's record is exactly what a single ``run_scenario`` at that
@@ -44,13 +42,11 @@ byte-identical across runs, hash seeds and ``--workers`` values.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence, TYPE_CHECKING
 
-from repro.engine import supervise
 from repro.engine.checkpoint import ReplicaStore
-from repro.engine.runner import WorkerPool, resolve_workers, use_worker_pool
+from repro.engine.runner import ParallelRunner, resolve_workers
 from repro.errors import EngineError
 from repro.experiments.results import ExperimentRecord, ReplicatedRecord
 from repro.rng import SeedSpawner
@@ -92,6 +88,41 @@ def _resolve_spec(scenario: "str | ScenarioSpec") -> "ScenarioSpec":
     return get_scenario(scenario) if isinstance(scenario, str) else scenario
 
 
+@dataclass(frozen=True)
+class _ReplicaContext:
+    """Everything a worker needs to run any replica of one replication."""
+
+    spec: "ScenarioSpec"
+    seeds: tuple[int, ...]
+    overrides: dict[str, Any]
+    base_config: Any | None
+    checkpoint_dir: str | None
+    workers: int
+
+    def config(self, seed: int) -> Any:
+        if self.base_config is not None:
+            return replace(self.base_config, seed=seed, workers=self.workers)
+        return self.spec.build_config(**self.overrides, seed=seed, workers=self.workers)
+
+
+def _run_replica(context: _ReplicaContext, index: int) -> ExperimentRecord:
+    """Engine worker: run replica ``index`` and checkpoint its record."""
+    from repro.scenarios import run_scenario  # late: import cycle
+
+    seed = context.seeds[index]
+    outcome = run_scenario(context.spec, config=context.config(seed))
+    if outcome.record is None:
+        raise EngineError(
+            f"scenario {context.spec.name!r} produces no serializable record; "
+            "replication has nothing to pool"
+        )
+    if context.checkpoint_dir is not None:
+        ReplicaStore(context.checkpoint_dir, context.spec.name).save(
+            seed, outcome.record
+        )
+    return outcome.record
+
+
 def replicate_scenario(
     scenario: "str | ScenarioSpec",
     *,
@@ -118,22 +149,20 @@ def replicate_scenario(
     from, since the record cannot infer it.
 
     ``workers <= 1`` runs the replicas sequentially, entirely in the
-    parent process.  ``workers > 1`` flattens every replica's internal
-    fan-out into one shared :class:`WorkerPool` (see the module
-    docstring).  The returned record is identical either way.
+    parent process.  ``workers > 1`` runs each replica whole inside
+    one worker process, up to ``workers`` replicas at a time (see the
+    module docstring).  The returned record is identical either way.
 
     ``checkpoint_dir`` makes the replication resumable: each replica
-    record is persisted (atomically) the moment it completes, replicas
-    already checkpointed there are loaded instead of re-run, and
-    because every record is a pure function of its seed the pooled
-    output is byte-identical to an uninterrupted run.  When a
-    supervision policy is ambient (:func:`repro.engine.supervise.current_policy`)
-    the shared pool is a :class:`~repro.engine.supervise.SupervisedPool`,
-    so worker crashes and hangs inside any replica are retried rather
-    than fatal.
+    record is persisted (atomically, by the process that ran it) the
+    moment it completes, replicas already checkpointed there are loaded
+    instead of re-run, and because every record is a pure function of
+    its seed the pooled output is byte-identical to an uninterrupted
+    run.  When a supervision policy is ambient
+    (:func:`repro.engine.supervise.current_policy`) the replica map is
+    supervised, so a worker crash or hang costs a retry of the replicas
+    it held rather than the run.
     """
-    from repro.scenarios import run_scenario  # late: import cycle
-
     spec = _resolve_spec(scenario)
     if isinstance(seeds, int):
         seed_list = replica_seeds(base_seed, seeds)
@@ -157,76 +186,30 @@ def replicate_scenario(
             )
     pool_workers = resolve_workers(workers)
 
-    def replica_config(seed: int, config_workers: int) -> Any:
-        if base_config is not None:
-            return replace(base_config, seed=seed, workers=config_workers)
-        merged = dict(overrides or {})
-        merged["seed"] = seed
-        merged["workers"] = config_workers
-        return spec.build_config(**merged)
-
-    def run_replica(seed: int, config_workers: int) -> ExperimentRecord:
-        outcome = run_scenario(spec, config=replica_config(seed, config_workers))
-        if outcome.record is None:
-            raise EngineError(
-                f"scenario {spec.name!r} produces no serializable record; "
-                "replication has nothing to pool"
-            )
-        return outcome.record
-
-    store = ReplicaStore(checkpoint_dir, spec.name) if checkpoint_dir else None
     records: list[ExperimentRecord | None] = [None] * len(seed_list)
     todo = list(range(len(seed_list)))
-    if store is not None:
+    if checkpoint_dir is not None:
+        store = ReplicaStore(checkpoint_dir, spec.name)
         todo = []
         for index, seed in enumerate(seed_list):
-            cached = store.load(seed)
-            if cached is not None:
-                records[index] = cached
-            else:
+            records[index] = store.load(seed)
+            if records[index] is None:
                 todo.append(index)
 
-    def finish_replica(index: int, record: ExperimentRecord) -> None:
+    # Several replicas: one per worker, each sequential inside it.  A
+    # lone replica runs here and fans its own folds out instead.
+    fanout = min(pool_workers, len(todo))
+    context = _ReplicaContext(
+        spec=spec,
+        seeds=tuple(seed_list),
+        overrides=dict(overrides or {}),
+        base_config=base_config,
+        checkpoint_dir=checkpoint_dir,
+        workers=pool_workers if fanout == 1 else 1,
+    )
+    finished = ParallelRunner(max(fanout, 1)).map(_run_replica, context, todo)
+    for index, record in zip(todo, finished):
         records[index] = record
-        if store is not None:
-            store.save(seed_list[index], record)
-
-    policy = supervise.current_policy()
-    if pool_workers <= 1 or len(todo) <= 1:
-        # No flattening possible — but a lone replica still honours the
-        # caller's worker count through its own private fold fan-out.
-        config_workers = pool_workers if len(todo) == 1 else 1
-        for index in todo:
-            finish_replica(index, run_replica(seed_list[index], config_workers))
-    else:
-        # One replica thread per pool worker: a replica thread spends
-        # most of its life blocked on pool results, so whenever one is
-        # in its parent-side preparation stage (corpus generation,
-        # full-model training) the other threads' queued fold tasks
-        # keep the workers busy.  Exceeding the pool width buys no
-        # further queue depth worth its GIL churn (measured).
-        thread_count = min(len(todo), max(2, pool_workers))
-        pool_factory = (
-            (lambda: supervise.SupervisedPool(pool_workers, policy=policy))
-            if policy is not None
-            else (lambda: WorkerPool(pool_workers))
-        )
-        with pool_factory() as pool:
-
-            def threaded_replica(index: int) -> tuple[int, ExperimentRecord]:
-                with use_worker_pool(pool), supervise.use_supervision(policy):
-                    return index, run_replica(seed_list[index], pool_workers)
-
-            with ThreadPoolExecutor(max_workers=thread_count) as threads:
-                futures = [threads.submit(threaded_replica, index) for index in todo]
-                try:
-                    for future in as_completed(futures):
-                        index, record = future.result()
-                        finish_replica(index, record)
-                except BaseException:
-                    for future in futures:
-                        future.cancel()
-                    raise
 
     config: dict[str, Any] = {
         "scenario": spec.name,

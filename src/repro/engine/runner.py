@@ -22,23 +22,18 @@ results cross process boundaries, so they must pickle; everything the
 experiment layer ships (datasets, classifiers, attacks, confusion
 counts) does.
 
-Shared pools
-------------
+Persistent pools
+----------------
 
 A plain ``ParallelRunner.map`` owns its pool: it forks workers, runs
-its tasks, and tears the pool down — correct for one experiment, but a
-*replication* (the same scenario at N seeds,
-:mod:`repro.engine.replicate`) would pay pool startup N·(maps per run)
-times and, worse, leave every worker idle while the parent prepares
-the next seed's corpus.  :class:`WorkerPool` is the alternative: one
-persistent process pool that any number of ``map`` calls — issued from
-any number of parent threads — drain into concurrently.  Activating it
-(:func:`use_worker_pool`, thread-local) reroutes every
-``ParallelRunner.map`` on that thread into the shared pool, so fold
-tasks from many seeds interleave in one worker set with no per-seed
-barrier.  Results are unchanged by construction: each ``map`` still
-returns its own results in its own task order, and per-task seeds never
-depend on scheduling.
+its tasks, and tears the pool down.  :class:`WorkerPool` is the
+persistent alternative for callers that issue many maps against one
+worker set: the supervisor's
+:class:`~repro.engine.supervise.SupervisedPool` (respawn and retry
+need a pool that outlives one wave) and the serve daemon's scoring
+pool.  Maps may be issued from
+several threads at once; each returns its own results in its own
+task order.
 
 Because one pool serves many ``(fn, context)`` pairs, contexts cannot
 ride the pool initializer.  Instead each ``map`` call pickles its
@@ -49,6 +44,10 @@ map-call) and serve the rest of the call from a small cache.  Context
 transfer count therefore matches the private-pool initializer path
 exactly, while chunks from concurrent calls still interleave freely in
 the shared worker set.
+
+A replication (:mod:`repro.engine.replicate`) needs neither: its unit
+of parallelism is a whole replica, so it is one ordinary map whose
+tasks are replicas, each run start to finish inside one worker.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ import pickle
 import threading
 from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor, as_completed, wait
-from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from repro.engine import faults, sharedmem
@@ -67,9 +65,7 @@ from repro.errors import EngineError
 __all__ = [
     "ParallelRunner",
     "WorkerPool",
-    "active_worker_pool",
     "resolve_workers",
-    "use_worker_pool",
 ]
 
 TaskT = TypeVar("TaskT")
@@ -106,12 +102,11 @@ def resolve_workers(workers: int | None) -> int:
 # ----------------------------------------------------------------------
 
 # Worker-side cache of unpickled (fn, context) pairs, keyed by map-call
-# token, in LRU order.  A replication keeps at most (parent threads,
-# i.e. pool width) calls in flight, so the pool sizes the cache from
-# its own width at worker startup (via the initializer) — the live set
-# always fits, while finished calls' contexts — potentially a whole
-# tokenized inbox plus trained model — roll out instead of staying
-# pinned in every worker for the pool's lifetime.  Evicting a
+# token, in LRU order.  The pool sizes the cache from its own width at
+# worker startup (via the initializer), so a pool-width set of
+# concurrent calls always fits, while finished calls' contexts —
+# potentially a whole tokenized inbox plus trained model — roll out
+# instead of staying pinned in every worker for the pool's lifetime.  Evicting a
 # still-live entry is only a re-unpickle, never an error.
 _shared_entries: "OrderedDict[tuple[int, int], tuple[Callable, Any]]" = OrderedDict()
 _shared_entry_slots = 8
@@ -174,14 +169,12 @@ _TINY_MAP_SHIP_LIMIT = 4 << 20
 
 
 def _tiny_map_ships(blob_size: int) -> bool:
-    """Should a tiny (single-task) map ship to the shared pool at all?
+    """Should a tiny (single-task) map ship to a :class:`WorkerPool` at all?
 
     A lone task gains nothing from the pool *by itself* — the win is
-    concurrency with other threads' maps (each replica of a stream
-    replication submits one whole-stream task; on a multi-core box the
-    pool runs them truly in parallel).  Two situations where shipping
-    is pure overhead, measured as the 0.98x pooled-stream regression in
-    ``BENCH_stream.json``:
+    concurrency with other threads' maps on the same pool.  Two
+    situations where shipping is pure overhead, measured as the 0.98x
+    pooled-stream regression in ``BENCH_stream.json``:
 
     * **No parallel hardware.**  With one CPU the pool serializes
       everything anyway, so the pickle round-trip is the only effect.
@@ -191,8 +184,8 @@ def _tiny_map_ships(blob_size: int) -> bool:
 
     Inline execution computes the identical ``fn(context, task)`` —
     records are byte-identical either way, which
-    ``tests/test_engine.py`` pins by monkeypatching this predicate in
-    both directions.
+    ``tests/test_replication.py`` pins by monkeypatching this predicate
+    in both directions.
     """
     if (os.cpu_count() or 1) < 2:
         return False
@@ -264,12 +257,10 @@ def _kill_executor(executor: Executor) -> None:
 class WorkerPool:
     """A persistent process pool shared by many ``map`` calls.
 
-    Create one, activate it per thread with :func:`use_worker_pool`,
-    and every ``ParallelRunner.map`` issued on that thread routes into
-    it instead of forking a private pool.  The pool outlives any single
-    ``map``, which is the point: concurrent maps (one per replica
-    thread of a replication) keep all workers busy across the gaps
-    where a single experiment would be doing parent-side preparation.
+    Call :meth:`run` once per map, from any number of threads.  The
+    pool outlives any single map, which is the point: the supervisor
+    respawns and retries into it, and a long-lived service keeps its
+    workers warm across requests instead of forking per map.
 
     Results are identical to private-pool (and sequential) execution:
     each call's results come back in its own task order, and nothing a
@@ -302,16 +293,15 @@ class WorkerPool:
         executor = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_initialize_shared_worker,
-            # Live map calls ≈ replica threads ≈ pool width; headroom
-            # keeps a just-finished call's context warm for its last
-            # straggler chunks.
+            # Headroom over the pool width keeps a just-finished call's
+            # context warm for its last straggler chunks.
             initargs=(self.workers + 4,),
         )
         # Start the pool NOW, while (ideally) only the constructing
         # thread exists.  Stock ProcessPoolExecutor starts lazily on
         # first submit — which for a shared pool would mean forking
-        # workers from a replica thread, the classic fork-with-threads
-        # deadlock setup.  This is the exact hook submit() itself
+        # workers from whichever thread submits first, the classic
+        # fork-with-threads deadlock setup.  This is the exact hook submit() itself
         # calls: on the fork start method it launches every worker
         # process and the manager thread together.  It is private API;
         # if it disappears, the pool degrades to stock lazy start
@@ -448,40 +438,6 @@ class WorkerPool:
         return f"WorkerPool(workers={self.workers}, {state})"
 
 
-_active_pool = threading.local()
-
-
-@contextmanager
-def use_worker_pool(pool: WorkerPool | None) -> Iterator[WorkerPool | None]:
-    """Route this thread's ``ParallelRunner.map`` calls into ``pool``.
-
-    Thread-local and re-entrant: each replica thread of a replication
-    activates the one shared pool for the duration of its scenario run;
-    other threads (and code outside the ``with``) are unaffected.
-    ``None`` deactivates routing within the block.
-    """
-    previous = getattr(_active_pool, "pool", None)
-    _active_pool.pool = pool
-    try:
-        yield pool
-    finally:
-        _active_pool.pool = previous
-
-
-def _current_pool() -> WorkerPool | None:
-    return getattr(_active_pool, "pool", None)
-
-
-def active_worker_pool() -> WorkerPool | None:
-    """The shared pool routing this thread's maps, if any.
-
-    Lets callers that prepare expensive per-map state (shared-memory
-    corpora, say) know whether their context will cross process
-    boundaries — and who will own the published segments' lifetime.
-    """
-    return _current_pool()
-
-
 class ParallelRunner:
     """Maps ``fn(context, task)`` over tasks, optionally in a process pool."""
 
@@ -500,24 +456,9 @@ class ParallelRunner:
         traceback rendered by ``concurrent.futures``) and cancels every
         task still queued, so a failed sweep dies promptly instead of
         burning through the rest of the fan-out first.
-
-        When a shared :class:`WorkerPool` is active on this thread
-        (:func:`use_worker_pool`) and this runner would have gone
-        parallel, the tasks drain into the shared pool instead of a
-        private one — same results, no pool startup, and idle shared
-        workers can pick the tasks up immediately.
         """
         tasks = list(tasks)
-        if self.workers <= 1:
-            return [fn(context, task) for task in tasks]
-        pool = _current_pool()
-        if pool is not None:
-            # Even a single task routes to the shared pool: it frees
-            # this (replica) thread's slot in the parent process, which
-            # is what lets whole-stream protocols — one sequential task
-            # per run — execute truly concurrently across replicas.
-            return pool.run(fn, context, tasks)
-        if len(tasks) <= 1:
+        if self.workers <= 1 or len(tasks) <= 1:
             # A private pool for one task would pay a fork for nothing.
             return [fn(context, task) for task in tasks]
         # Supervision (timeouts/retries/fault tolerance) is ambient:
@@ -533,8 +474,8 @@ class ParallelRunner:
         # parent's *live* SQLite token table and MAP_SHARED count
         # columns, so sibling interns collide and worker-side learning
         # bleeds across processes.  A pickle roundtrip first gives
-        # workers the same independent by-value copies the shared-pool
-        # path ships (DiskTokenTable reduces to a plain in-memory
+        # workers the same independent by-value copies a WorkerPool
+        # ships (DiskTokenTable reduces to a plain in-memory
         # table); memory-backend contexts skip the copy.
         from repro.storage import store_name
 

@@ -253,13 +253,13 @@ def _provenance(fn: Callable, chunk: Sequence[Any]) -> str:
 class SupervisedPool(WorkerPool):
     """A :class:`WorkerPool` whose maps survive their workers.
 
-    Drop-in for ``WorkerPool`` everywhere (``use_worker_pool`` routing
-    included): ``run`` returns the same results — it just refuses to
-    die with its workers.  Every map, tiny or not, goes through the
-    chunk protocol so that chunk accounting and retry apply uniformly.
+    Drop-in for ``WorkerPool`` everywhere: ``run`` returns the same
+    results — it just refuses to die with its workers.  Every map,
+    tiny or not, goes through the chunk protocol so that chunk
+    accounting and retry apply uniformly.
 
-    Shared by concurrent replica threads like its parent class;
-    recovery is too: when one thread's wave breaks the executor, the
+    Safe to share between threads like its parent class, and so is
+    recovery: when one thread's wave breaks the executor, the
     generation check in :meth:`WorkerPool.respawn` ensures exactly one
     thread pays the respawn and the others simply retry into the new
     worker set.
@@ -460,11 +460,11 @@ def supervised_map(
     workers: int | None,
     policy: SupervisePolicy | None = None,
 ) -> list[Any]:
-    """One private map under supervision (the non-shared-pool path).
+    """One private map under supervision.
 
     What ``ParallelRunner.map`` routes into when a policy is ambient
-    and no shared pool is active: a throwaway :class:`SupervisedPool`
-    sized to the task list.  Falls back to inline execution when the
+    (a replication's replica map included): a throwaway
+    :class:`SupervisedPool` sized to the task list.  Falls back to inline execution when the
     map couldn't go parallel anyway.
     """
     tasks = list(tasks)

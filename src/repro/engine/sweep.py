@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.attacks.base import Attack, AttackBatch
 from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped, unlearn_grouped
 from repro.engine import sharedmem
-from repro.engine.runner import ParallelRunner, active_worker_pool, resolve_workers
+from repro.engine.runner import ParallelRunner, resolve_workers
 from repro.engine.seeding import drawn_seeds
 from repro.errors import EngineError, ExperimentError
 from repro.spambayes import ndkernel
@@ -471,11 +471,9 @@ def run_attack_sweeps(
 
     # In parallel runs on the NumPy kernel the encoded inbox crosses
     # process boundaries as ONE shared-memory CSR segment (a handle in
-    # the pickle) instead of a tuple of per-message arrays.  A shared
-    # WorkerPool adopts the segment and unlinks it at shutdown; a
-    # private pool's segment is unlinked as soon as its map returns.
-    pool = active_worker_pool()
-    parallel = pool is not None or (resolve_workers(workers) > 1 and len(tasks) > 1)
+    # the pickle) instead of a tuple of per-message arrays, unlinked
+    # as soon as the map returns.
+    parallel = resolve_workers(workers) > 1 and len(tasks) > 1
     corpus = None
     token_ids: tuple[array, ...] | None = tuple(
         message.token_ids(table, tokenizer) for message in inbox
@@ -495,7 +493,7 @@ def run_attack_sweeps(
     try:
         per_task = ParallelRunner(workers).map(_run_fold_task, context, tasks)
     finally:
-        if corpus is not None and pool is None:
+        if corpus is not None:
             corpus.unlink()
 
     confusion_counts = _confusion_counts()

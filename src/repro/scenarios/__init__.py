@@ -23,7 +23,7 @@ Any registered scenario also replicates over seeds with zero
 per-scenario code: :func:`replicate_scenario` (the
 :mod:`repro.engine.replicate` layer, re-exported here; CLI
 ``python -m repro replicate <name> --seeds N``) runs it at N derived
-root seeds — flattened into one shared worker pool — and pools the
+root seeds — one whole replica per worker process — and pools the
 records into a :class:`~repro.experiments.results.ReplicatedRecord`
 with per-point mean/std/95%-CI error bars.
 """

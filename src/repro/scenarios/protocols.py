@@ -476,8 +476,8 @@ PROTOCOLS: dict[str, Callable[[Any], Any]] = {
     "roni-gate": run_roni_gate,
     "threshold-arms": run_threshold_arms,
     # The streaming engine lives in its own subsystem
-    # (repro.stream): a stream is one sequential task, fanned out
-    # whole under the shared worker pool (see run_stream_experiment).
+    # (repro.stream): a stream is one sequential task; replication
+    # runs each replica's stream in its own worker process.
     "stream": run_stream_experiment,
 }
 """Protocol name -> executor function, as scenario specs declare them."""

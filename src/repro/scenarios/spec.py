@@ -65,6 +65,15 @@ class ScenarioSpec:
         # mutated behind the registry's back.
         object.__setattr__(self, "defaults", MappingProxyType(dict(self.defaults)))
 
+    def __reduce__(self) -> tuple:
+        # A mappingproxy does not pickle, and replications ship their
+        # spec to worker processes: rebuild through __init__ instead.
+        values = [getattr(self, f.name) for f in dataclasses.fields(self)]
+        return (type(self), tuple(
+            dict(value) if isinstance(value, MappingProxyType) else value
+            for value in values
+        ))
+
     # ------------------------------------------------------------------
     # Config construction
     # ------------------------------------------------------------------

@@ -17,8 +17,8 @@ engine-layer subsystem:
   records that serialize through the shared results layer.
 
 Streams are registered scenarios (``repro list-scenarios`` shows the
-``stream-*`` family), so ``repro run-scenario`` / ``repro replicate``
-and the shared worker pool all apply; the legacy
+``stream-*`` family), so ``repro run-scenario`` and ``repro
+replicate`` (a replica per worker process) both apply; the legacy
 :func:`repro.experiments.retraining.run_retraining_simulation` is a
 thin delegation onto this engine.
 """

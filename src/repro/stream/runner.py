@@ -51,13 +51,12 @@ stays byte-identical profiled or not.
 
 **Parallelism.**  One stream is inherently sequential (tick ``t+1``
 trains on state tick ``t`` left behind), so the fan-out unit is the
-*whole stream*: :func:`run_stream_experiment` ships it as a single
-engine task.  Standalone that runs inline; under
-``replicate_scenario(..., workers=N)`` every replica's stream becomes
-one task in the shared :class:`~repro.engine.runner.WorkerPool`, so N
-seeds play N streams truly concurrently
-(``benchmarks/bench_stream_throughput.py`` measures the messages/sec
-difference and asserts the records identical).
+*whole stream*: standalone it runs inline at any ``workers`` value,
+and under ``replicate_scenario(..., workers=N)`` each replica — its
+whole stream — runs in its own worker process, so N seeds play N
+streams truly concurrently (``benchmarks/bench_stream_throughput.py``
+measures the messages/sec difference and asserts the records
+identical).
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ from typing import TYPE_CHECKING
 from repro.attacks.variants import build_attack_variants
 from repro.corpus.dataset import Dataset, LabeledMessage
 from repro.corpus.trec import TrecStyleCorpus
-from repro.engine.runner import ParallelRunner
 from repro.engine.sweep import (
     evaluate_dataset,
     evaluation_workspace,
@@ -480,11 +478,14 @@ class StreamRunner:
 
 
 def _run_stream_task(spec: StreamSpec, _task: int) -> StreamResult:
-    """Engine worker: one whole stream is one task (stable pickle path).
+    """One whole stream as an engine task (a module-level, picklable fn).
 
     The fault-injection site fires before any stream state exists, so
     an injected crash or hang loses no partial work — the supervisor's
-    retry replays the whole (deterministic) stream from its spec.
+    retry replays the whole (deterministic) stream from its spec.  It
+    fires only inside a pool worker: in a replica worker of
+    ``repro replicate stream-* --workers N``, or wherever a caller
+    ships the task to a :class:`~repro.engine.runner.WorkerPool`.
     """
     from repro.engine import faults
 
@@ -493,14 +494,10 @@ def _run_stream_task(spec: StreamSpec, _task: int) -> StreamResult:
 
 
 def run_stream_experiment(spec: StreamSpec = StreamSpec()) -> StreamResult:
-    """Run one stream through the engine — the ``stream`` protocol.
+    """Run one stream — the ``stream`` protocol.
 
-    A stream is a single task, so standalone execution is inline and
-    sequential at any ``workers`` value; under an active shared
-    :class:`~repro.engine.runner.WorkerPool` (a replication) the task
-    ships to the pool, freeing the replica's parent thread — which is
-    how ``repro replicate stream-* --workers N`` plays N seeds' streams
-    concurrently.  Results are identical either way.
+    A stream is one sequential task, so it runs inline at any
+    ``workers`` value; ``repro replicate stream-* --workers N`` gets
+    its concurrency by running each replica in its own worker process.
     """
-    (result,) = ParallelRunner(spec.workers).map(_run_stream_task, spec, [0])
-    return result
+    return _run_stream_task(spec, 0)

@@ -91,9 +91,8 @@ class StreamSpec:
     options: ClassifierOptions = DEFAULT_OPTIONS
     workers: int = 1
     """Worker processes; a lone stream is inherently sequential, but
-    under ``replicate_scenario`` each replica's whole stream runs as
-    one task in the shared worker pool (results identical at any
-    value)."""
+    under ``replicate_scenario`` each replica's whole stream runs in
+    its own worker process (results identical at any value)."""
     profile_phases: bool = False
     """Collect per-tick phase timings (train / defense / eval /
     counterfactual) into ``StreamResult.phase_profile``.  Pure

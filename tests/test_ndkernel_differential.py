@@ -10,8 +10,8 @@ up), and this suite drives both through:
 * every attack class (dictionary variants, informed, focused,
   ham-labeled, good-word evasion),
 * both defenses (RONI and dynamic thresholds),
-* worker counts 1 and 2 (private pools and the shared WorkerPool with
-  the shared-memory corpus transport underneath),
+* worker counts 1 and 2 (private pools with the shared-memory corpus
+  transport underneath),
 * pinned ``PYTHONHASHSEED`` values in subprocesses.
 
 Kernel selection is the ``REPRO_KERNEL`` environment variable, read at

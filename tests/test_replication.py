@@ -2,13 +2,14 @@
 
 Three layers, mirroring how the tentpole is built:
 
-* :class:`~repro.engine.runner.WorkerPool` — the shared process pool
-  many ``ParallelRunner.map`` calls drain into (routing, chunk
-  reassembly, error propagation);
+* :class:`~repro.engine.runner.WorkerPool` — the persistent process
+  pool behind supervision (chunk reassembly, error propagation, the
+  tiny-map ship-or-inline heuristic);
 * :func:`~repro.engine.replicate.replicate_scenario` — replica seed
-  derivation, pooled statistics, and the core guarantee that the
-  flattened (seed × spec × fold) schedule returns byte-identical
-  records to the sequential path;
+  derivation, pooled statistics, and the core guarantee that running
+  one whole replica per worker process returns byte-identical records
+  to the sequential path, with each replica checkpointed by the worker
+  that ran it;
 * the ``repro replicate`` CLI — rendering, ``--out`` records, and
   worker-count invariance of the emitted bytes.
 """
@@ -16,11 +17,13 @@ Three layers, mirroring how the tentpole is built:
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import pytest
 
 from repro.engine.replicate import replica_seeds, replicate_scenario
-from repro.engine.runner import ParallelRunner, WorkerPool, use_worker_pool
+from repro.engine.runner import ParallelRunner, WorkerPool
 from repro.errors import EngineError
 
 TINY_DICTIONARY = dict(
@@ -77,39 +80,15 @@ class TestWorkerPool:
         with pytest.raises(EngineError):
             pool.run(_square_task, {"offset": 0}, [1])
 
-    def test_parallel_runner_routes_into_active_pool(self):
-        tasks = list(range(8))
-        expected = [1 + task * task for task in tasks]
-        with WorkerPool(2) as pool:
-            with use_worker_pool(pool):
-                routed = ParallelRunner(workers=4).map(
-                    _square_task, {"offset": 1}, tasks
-                )
-                # Sequential runners stay inline even with a pool active.
-                inline = ParallelRunner(workers=1).map(
-                    _square_task, {"offset": 1}, tasks
-                )
-            # Outside the context the runner is back to private pools /
-            # inline execution — no EngineError from the closed pool.
-        assert routed == expected
-        assert inline == expected
-        after = ParallelRunner(workers=1).map(_square_task, {"offset": 1}, tasks)
-        assert after == expected
-
     def test_single_task_ships_when_heuristic_says_so(self, monkeypatch):
-        # A lone task ships to the shared pool when the skip-pool
-        # heuristic approves (whole-stream protocols are one task per
-        # run; offloading it frees the replica thread), while without
-        # a pool a single task stays inline rather than paying a
-        # private fork.
-        import os
-
+        # A lone task ships to the pool when the skip-pool heuristic
+        # approves, while a ParallelRunner map of a single task stays
+        # inline rather than paying a private fork.
         from repro.engine import runner as engine_runner
 
         monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: True)
         with WorkerPool(2) as pool:
-            with use_worker_pool(pool):
-                (pooled_pid,) = ParallelRunner(workers=2).map(_pid_task, None, [0])
+            (pooled_pid,) = pool.run(_pid_task, None, [0])
         assert pooled_pid != os.getpid()
         (inline_pid,) = ParallelRunner(workers=2).map(_pid_task, None, [0])
         assert inline_pid == os.getpid()
@@ -117,15 +96,12 @@ class TestWorkerPool:
     def test_single_task_stays_inline_when_heuristic_declines(self, monkeypatch):
         # The 0.98x regression fix: when shipping cannot pay for the
         # transfer (one CPU, or an outsized context), the tiny map
-        # runs inline in the submitting thread — pool active or not.
-        import os
-
+        # runs inline in the submitting thread.
         from repro.engine import runner as engine_runner
 
         monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: False)
         with WorkerPool(2) as pool:
-            with use_worker_pool(pool):
-                (pid,) = ParallelRunner(workers=2).map(_pid_task, None, [0])
+            (pid,) = pool.run(_pid_task, None, [0])
         assert pid == os.getpid()
 
     def test_tiny_map_heuristic_inputs(self, monkeypatch):
@@ -143,10 +119,8 @@ class TestWorkerPool:
         # Pin the byte-identity contract behind the heuristic: the
         # same whole-stream task produces the same record whether the
         # tiny map ships to the pool or stays inline.
-        import dataclasses
-
         from repro.engine import runner as engine_runner
-        from repro.stream.runner import run_stream_experiment
+        from repro.stream.runner import _run_stream_task, run_stream_experiment
         from repro.stream.spec import StreamSpec
 
         spec = StreamSpec(
@@ -164,15 +138,22 @@ class TestWorkerPool:
                 engine_runner, "_tiny_map_ships", lambda size, s=ships: s
             )
             with WorkerPool(2) as pool:
-                with use_worker_pool(pool):
-                    result = run_stream_experiment(
-                        dataclasses.replace(spec, workers=2)
-                    )
+                (result,) = pool.run(_run_stream_task, spec, [0])
             records[ships] = json.dumps(result.to_record().as_dict(), sort_keys=True)
         sequential = json.dumps(
             run_stream_experiment(spec).to_record().as_dict(), sort_keys=True
         )
         assert records[True] == records[False] == sequential
+
+
+_SEQUENTIAL_BYTES: dict[int, str] = {}
+
+
+def _pooled_bytes(n_seeds: int, workers: int) -> str:
+    record = replicate_scenario(
+        "dictionary-vs-none", seeds=n_seeds, overrides=TINY_DICTIONARY, workers=workers
+    )
+    return json.dumps(record.as_dict(), indent=2)
 
 
 class TestReplicaSeeds:
@@ -214,16 +195,77 @@ class TestReplicateScenario:
         standalone = run_scenario(spec, config=config).record
         assert record.replicas[1].as_dict() == standalone.as_dict()
 
-    def test_flattened_pool_matches_sequential_bytes(self):
-        sequential = replicate_scenario(
-            "dictionary-vs-none", seeds=3, overrides=TINY_DICTIONARY, workers=1
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("n_seeds", [2, 3])
+    def test_replica_pool_matches_sequential_bytes(self, n_seeds, workers):
+        # Includes seeds < workers: the pool is sized to the replicas.
+        if n_seeds not in _SEQUENTIAL_BYTES:
+            _SEQUENTIAL_BYTES[n_seeds] = _pooled_bytes(n_seeds, workers=1)
+        assert _pooled_bytes(n_seeds, workers=workers) == _SEQUENTIAL_BYTES[n_seeds]
+
+    def test_replicas_run_and_checkpoint_in_workers(self, tmp_path, monkeypatch):
+        # Every replica runs in a worker process, and that worker saves
+        # its checkpoint the moment the replica finishes: replica 1
+        # holds its worker until replica 0's checkpoint is on disk,
+        # which a save made after the whole map returned never is.
+        import repro.scenarios
+        from repro.engine.checkpoint import ReplicaStore
+
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        store = ReplicaStore(tmp_path / "ckpt", "dictionary-vs-none")
+        seeds = replica_seeds(0, 2)
+        real_run = repro.scenarios.run_scenario
+        real_save = ReplicaStore.save
+
+        def run(spec, config=None):
+            outcome = real_run(spec, config=config)
+            (marks / f"run.{config.seed}").write_text(str(os.getpid()))
+            if config.seed == seeds[1]:
+                deadline = time.monotonic() + 120
+                while not store.path(seeds[0]).exists() and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                (marks / "saw-first").write_text(str(store.path(seeds[0]).exists()))
+            return outcome
+
+        def save(self, seed, record):
+            real_save(self, seed, record)
+            (marks / f"save.{seed}").write_text(str(os.getpid()))
+
+        monkeypatch.setattr(repro.scenarios, "run_scenario", run)
+        monkeypatch.setattr(ReplicaStore, "save", save)
+        record = replicate_scenario(
+            "dictionary-vs-none",
+            seeds=2,
+            overrides=TINY_DICTIONARY,
+            workers=2,
+            checkpoint_dir=str(store.root),
         )
-        flattened = replicate_scenario(
-            "dictionary-vs-none", seeds=3, overrides=TINY_DICTIONARY, workers=2
+        assert (marks / "saw-first").read_text() == "True"
+        for seed in seeds:
+            runner_pid = (marks / f"run.{seed}").read_text()
+            assert runner_pid != str(os.getpid())
+            assert (marks / f"save.{seed}").read_text() == runner_pid
+        assert [store.load(seed).as_dict() for seed in seeds] == [
+            replica.as_dict() for replica in record.replicas
+        ]
+
+    def test_replicate_leaves_dev_shm_unchanged(self, monkeypatch):
+        from repro.engine import sharedmem
+
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this platform")
+        pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_KERNEL", "nd")
+        before = sorted(os.listdir("/dev/shm"))
+        replicate_scenario(
+            "dictionary-vs-none", seeds=2, overrides=TINY_DICTIONARY, workers=2
         )
-        assert json.dumps(flattened.as_dict(), indent=2) == json.dumps(
-            sequential.as_dict(), indent=2
-        )
+        after = sorted(os.listdir("/dev/shm"))
+        prefix = sharedmem.BASE_PREFIX
+        assert [n for n in after if n.startswith(prefix)] == [
+            n for n in before if n.startswith(prefix)
+        ]
 
     def test_explicit_seed_list(self):
         record = replicate_scenario(

@@ -32,7 +32,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.engine import sharedmem
-from repro.engine.runner import ParallelRunner, WorkerPool, use_worker_pool
+from repro.engine.runner import WorkerPool
 from repro.errors import EngineError, ReproError
 from repro.spambayes.ndkernel import CsrMatrix
 
@@ -363,23 +363,24 @@ def _echo_task(context, task):
 
 
 class TestTinyMapRegression:
-    def test_single_task_skips_chunk_blob_protocol(self):
-        # The direct path must produce exactly what the blob path (and
-        # inline execution) produce, for any picklable payload.
+    @pytest.mark.parametrize("ships", [True, False], ids=["direct", "inline"])
+    def test_single_task_skips_chunk_blob_protocol(self, ships, monkeypatch):
+        # The direct path (and the inline path the heuristic falls back
+        # to) must produce exactly what inline execution produces, for
+        # any picklable payload.
+        from repro.engine import runner as engine_runner
+
+        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: ships)
         context = {"weights": [0.25, 0.5], "name": "tiny"}
         inline = [_echo_task(context, 7)]
         with WorkerPool(2) as pool:
-            with use_worker_pool(pool):
-                routed = ParallelRunner(workers=2).map(_echo_task, context, [7])
-            direct = pool.run(_echo_task, context, [7])
-        assert routed == inline
-        assert direct == inline
+            assert pool.run(_echo_task, context, [7]) == inline
 
-    def test_stream_records_byte_identical_sequential_vs_pooled(self):
-        # The BENCH_stream workload in miniature: a whole-stream
-        # protocol is a single engine task, so the pooled run exercises
-        # exactly the tiny-map path this PR rewired.
-        from repro.stream.runner import run_stream_experiment
+    def test_stream_records_byte_identical_sequential_vs_pooled(self, monkeypatch):
+        # The BENCH_stream workload in miniature: a whole stream is a
+        # single engine task, shipped here through the tiny-map path.
+        from repro.engine import runner as engine_runner
+        from repro.stream.runner import _run_stream_task, run_stream_experiment
         from repro.stream.spec import StreamSpec
 
         spec = StreamSpec(
@@ -393,9 +394,10 @@ class TestTinyMapRegression:
             seed=97,
         )
         sequential = run_stream_experiment(spec).to_record().as_dict()
+        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: True)
         with WorkerPool(2) as pool:
-            with use_worker_pool(pool):
-                pooled = run_stream_experiment(spec).to_record().as_dict()
+            (result,) = pool.run(_run_stream_task, spec, [0])
+        pooled = result.to_record().as_dict()
         assert (
             json.dumps(sequential, sort_keys=True).encode()
             == json.dumps(pooled, sort_keys=True).encode()

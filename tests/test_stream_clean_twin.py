@@ -13,7 +13,7 @@ that equality an enforced differential contract, not an argument:
   scenario, scaled down, run twin-vs-unlearn under both kernels —
   records compared as serialized bytes;
 * the **pooled leg**: the same differential with the whole stream
-  shipped through a shared :class:`WorkerPool` (workers=2);
+  shipped to a :class:`WorkerPool` worker process;
 * the **property test**: randomized attack schedules at the classifier
   level — interleaved learn-only twin construction vs
   snapshot/unlearn/restore, full state and scores compared exactly;
@@ -36,7 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.defenses.roni import RoniConfig
-from repro.engine.runner import WorkerPool, use_worker_pool
+from repro.engine.runner import WorkerPool
 from repro.errors import ExperimentError
 from repro.scenarios import get_scenario, scenario_names
 from repro.spambayes import ndkernel
@@ -45,7 +45,7 @@ from repro.spambayes.token_table import TokenTable
 from repro.stream.runner import (
     COUNTERFACTUAL_MODES,
     StreamRunner,
-    run_stream_experiment,
+    _run_stream_task,
 )
 from repro.stream.spec import StreamSpec
 
@@ -197,19 +197,19 @@ class TestScenarioDifferential:
             StreamRunner(StreamSpec(), counterfactual="oracle")
         assert COUNTERFACTUAL_MODES == ("twin", "unlearn")
 
-    def test_pooled_stream_matches_sequential_both_modes(self):
-        # Workers leg: the whole-stream task shipped through a shared
-        # pool (how `repro replicate stream-*` runs it) must produce
-        # the same bytes the sequential twin and unlearn paths do.
+    def test_pooled_stream_matches_sequential_both_modes(self, monkeypatch):
+        # Workers leg: the whole-stream task run in a worker process
+        # must produce the same bytes the sequential twin and unlearn
+        # paths do.
+        from repro.engine import runner as engine_runner
+
         spec = _scaled_spec("stream-usenet-burst")
         sequential = _record_bytes(StreamRunner(spec, "twin").run())
         reference = _record_bytes(StreamRunner(spec, "unlearn").run())
+        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: True)
         with WorkerPool(2) as pool:
-            with use_worker_pool(pool):
-                pooled = _record_bytes(
-                    run_stream_experiment(dataclasses.replace(spec, workers=2))
-                )
-        assert pooled == sequential == reference
+            (result,) = pool.run(_run_stream_task, spec, [0])
+        assert _record_bytes(result) == sequential == reference
 
 
 # ----------------------------------------------------------------------
