@@ -46,10 +46,8 @@ cover the slowest replica, not one fold.  ``replicate
 --resume DIR`` checkpoints each replica record into ``DIR`` as it
 completes and loads completed replicas on restart, so a killed
 replication resumes where it stopped with byte-identical pooled
-output.  ``gc`` reclaims every orphaned scratch resource left by
-killed runs — shared-memory segments in ``/dev/shm`` plus on-disk
-storage-backend directories (``repro_store_*``); ``gc-shm`` is the
-segments-only subset.
+output.  ``gc`` reclaims the on-disk storage-backend directories
+(``repro_store_*``) that killed runs leave behind.
 
 Engine and experiment failures exit with a one-line ``error: ...``
 diagnostic and status 2 — never a traceback.
@@ -177,7 +175,6 @@ SCENARIO_COMMANDS: tuple[str, ...] = (
     "replicate",
     "serve",
     "gc",
-    "gc-shm",
 )
 """Non-artifact subcommands, dispatched ahead of artifact parsing."""
 
@@ -644,51 +641,18 @@ def _main_serve(argv: list[str]) -> int:
     return 0
 
 
-def build_gc_shm_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro gc-shm",
-        description="Reclaim repro shared-memory segments orphaned in "
-        "/dev/shm — segments whose publishing process no longer exists "
-        "(it was SIGKILLed, so its cleanup never ran).",
-    )
-    parser.add_argument(
-        "--all",
-        action="store_true",
-        help="also unlink segments whose publisher is still alive (for "
-        "wedged runs you have already decided to kill; live runs using "
-        "those segments will fail)",
-    )
-    return parser
-
-
-def _main_gc_shm(argv: list[str]) -> int:
-    from repro.engine import sharedmem
-
-    args = build_gc_shm_parser().parse_args(argv)
-    try:
-        reclaimed = sharedmem.gc_segments(include_live=args.all)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for name in reclaimed:
-        print(f"unlinked /dev/shm/{name}")
-    print(f"{len(reclaimed)} segment(s) reclaimed")
-    return 0
-
-
 def build_gc_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro gc",
-        description="Reclaim every orphaned repro resource left by "
-        "killed processes: shared-memory segments under /dev/shm and "
-        "on-disk storage-backend directories (repro_store_*) under "
-        "REPRO_STORE_DIR or the system tempdir.  A resource is "
+        description="Reclaim the on-disk storage-backend directories "
+        "(repro_store_*) that killed processes left under "
+        "REPRO_STORE_DIR or the system tempdir.  A directory is "
         "orphaned when the pid baked into its name no longer runs.",
     )
     parser.add_argument(
         "--all",
         action="store_true",
-        help="also reclaim resources whose owner is still alive (for "
+        help="also reclaim directories whose owner is still alive (for "
         "wedged runs you have already decided to kill; live runs "
         "using them will fail)",
     )
@@ -697,20 +661,16 @@ def build_gc_parser() -> argparse.ArgumentParser:
 
 def _main_gc(argv: list[str]) -> int:
     from repro import storage
-    from repro.engine import sharedmem
 
     args = build_gc_parser().parse_args(argv)
     try:
-        segments = sharedmem.gc_segments(include_live=args.all)
         stores = storage.gc_stores(include_live=args.all)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for name in segments:
-        print(f"unlinked /dev/shm/{name}")
     for path in stores:
         print(f"removed {path}")
-    print(f"{len(segments)} segment(s) and {len(stores)} store(s) reclaimed")
+    print(f"{len(stores)} store(s) reclaimed")
     return 0
 
 
@@ -777,8 +737,6 @@ def main(argv: list[str] | None = None) -> int:
         return _main_serve(argv[1:])
     if argv and argv[0] == "gc":
         return _main_gc(argv[1:])
-    if argv and argv[0] == "gc-shm":
-        return _main_gc_shm(argv[1:])
     args = build_parser().parse_args(argv)
     names = sorted(ARTIFACTS) if "all" in args.artifacts else list(dict.fromkeys(args.artifacts))
     try:
@@ -796,8 +754,8 @@ def main(argv: list[str] | None = None) -> int:
                     save_record(record, args.out / f"{name}.json")
     except ReproError as exc:
         # Engine failures (worker crashes past the retry budget, map
-        # deadlines, lost segments) and experiment errors alike: one
-        # diagnostic line and a nonzero exit, never a traceback.
+        # deadlines) and experiment errors alike: one diagnostic line
+        # and a nonzero exit, never a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -422,9 +422,8 @@ class Dataset:
         Like :meth:`encode`, but additionally packs every message's ID
         array into a single :class:`~repro.spambayes.ndkernel.CsrMatrix`
         (indptr/indices over the whole dataset) — the layout the
-        vectorized kernel scores without touching Python objects, and
-        the one the shared-memory corpus transport publishes to worker
-        processes.  Returns ``(table, matrix)``; ``matrix.row(i)`` is
+        vectorized kernel scores without touching Python objects.
+        Returns ``(table, matrix)``; ``matrix.row(i)`` is
         message ``i``'s sorted ID array, identical in content to
         :meth:`LabeledMessage.token_ids`.
 

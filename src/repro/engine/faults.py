@@ -6,9 +6,8 @@ failure path that does not work.  This module makes the engine's
 failure paths *routinely executable*: a :class:`FaultPlan` describes,
 as pure data, which faults fire where, and the engine's worker
 entrypoints call :func:`inject` at named **sites** so a test (or a CI
-leg) can kill a worker mid-chunk, stall a chunk past its deadline, or
-yank a shared-memory segment out from under its readers — on demand,
-reproducibly.
+leg) can kill a worker mid-chunk or stall a chunk past its deadline —
+on demand, reproducibly.
 
 Activation
 ----------
@@ -38,9 +37,9 @@ chunk that crashed on attempt 0 draws a *fresh* decision on attempt 1
 retries-exhausted degradation path.
 
 The harness never fires in inline execution: injection sites live in
-the pool worker entrypoints and the supervisor's dispatch loop, so a
-sequential (``workers=1``) run is always the clean reference the
-differential fault suite compares against.
+the pool worker entrypoints, so a sequential (``workers=1``) run is
+always the clean reference the differential fault suite compares
+against.
 
 Faults
 ------
@@ -54,12 +53,6 @@ Faults
     deadline but *would* eventually complete, the classic wedged
     worker.  With no deadline configured the run merely slows down,
     which is why hang injection alone can never corrupt results.
-``shm-unlink``
-    Cooperative: :func:`should_unlink` tells the caller (the
-    supervisor) to remove a shared-memory segment's *name* while
-    readers still hold handles — the orphaned-parent scenario.  The
-    harness never unlinks anything itself; the segment layer owns
-    that (:func:`repro.engine.sharedmem.drop_segment_name`).
 """
 
 from __future__ import annotations
@@ -80,28 +73,22 @@ __all__ = [
     "active_plan",
     "inject",
     "parse_faults",
-    "should_unlink",
     "use_faults",
 ]
 
 FAULTS_ENV = "REPRO_FAULTS"
 """Environment spec, e.g. ``crash:p=0.1,hang:p=0.05:s=0.5,seed=3``."""
 
-MODES: tuple[str, ...] = ("crash", "hang", "shm-unlink")
+MODES: tuple[str, ...] = ("crash", "hang")
 """The fault modes a :class:`FaultSpec` can carry."""
 
 CRASH_EXIT_CODE = 13
 """The ``os._exit`` status an injected crash dies with — distinctive
 enough that a test can tell an injected death from a real one."""
 
-# Which injection sites each mode applies to.  crash/hang fire inside
-# worker processes as a chunk executes; shm-unlink fires parent-side,
-# in the supervisor, between waves.
-_MODE_SITES = {
-    "crash": ("worker-chunk", "stream-task"),
-    "hang": ("worker-chunk", "stream-task"),
-    "shm-unlink": ("shm-unlink",),
-}
+# The injection sites every mode applies to: both fire inside worker
+# processes as a chunk (or a whole stream task) executes.
+_SITES: tuple[str, ...] = ("worker-chunk", "stream-task")
 
 
 @dataclass(frozen=True)
@@ -143,9 +130,9 @@ class FaultPlan:
 
     def decide(self, site: str, key: str) -> FaultSpec | None:
         """The first clause that fires at ``(site, key)``, if any."""
+        if site not in _SITES:
+            return None
         for spec in self.specs:
-            if site not in _MODE_SITES[spec.mode]:
-                continue
             if _draw(self.seed, spec.mode, site, key) < spec.p:
                 return spec
         return None
@@ -299,16 +286,3 @@ def inject(site: str, key: str) -> None:
         os._exit(CRASH_EXIT_CODE)
     elif spec.mode == "hang":
         time.sleep(spec.seconds)
-
-
-def should_unlink(key: str) -> bool:
-    """True when the plan wants a segment name dropped at ``key``.
-
-    The cooperative half of ``shm-unlink``: the supervisor asks before
-    each dispatch wave and performs the unlink itself, so the harness
-    stays ignorant of segment bookkeeping.
-    """
-    plan = active_plan()
-    if plan is None:
-        return False
-    return plan.decide("shm-unlink", key) is not None

@@ -14,7 +14,9 @@ shared, read-only *context* object, and guarantees:
 * **one context transfer per worker, not per task** — the context
   (corpus, trained classifiers, attack objects) is shipped through the
   pool initializer, so a 10-fold sweep pickles the inbox ``min(workers,
-  tasks)`` times, not 10 times.
+  tasks)`` times, not 10 times.  Contexts always travel by value:
+  no map creates a cross-process resource, so nothing outlives the
+  pool that ran it.
 
 The worker function must be a module-level function (picklable by
 reference) of signature ``fn(context, task) -> result``.  Tasks and
@@ -59,7 +61,7 @@ from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor, as_completed, wait
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
-from repro.engine import faults, sharedmem
+from repro.engine import faults
 from repro.errors import EngineError
 
 __all__ = [
@@ -282,12 +284,6 @@ class WorkerPool:
         # break hands its generation back, so concurrent threads that
         # hit the same broken executor trigger exactly one respawn.
         self._generation = 0
-        # Shared-memory corpus segments whose lifetime is tied to this
-        # pool: adopted on the first map call that ships them, unlinked
-        # after shutdown (workers can no longer attach a name once the
-        # pool is drained).  They deliberately survive respawns — a
-        # fresh worker set re-attaches the same names.
-        self._adopted_segments: dict[str, "sharedmem.SharedCorpus"] = {}
 
     def _spawn_executor(self) -> Executor:
         executor = ProcessPoolExecutor(
@@ -321,9 +317,7 @@ class WorkerPool:
 
         Swaps in a new executor, then kills the old one — terminating
         its processes first, so wedged (hung) workers die instead of
-        blocking shutdown.  Adopted shared-memory segments are kept:
-        their names must stay attachable for the respawned workers,
-        which is the crash-safe half of the segment lifecycle.
+        blocking shutdown.
 
         ``generation`` is the incarnation the caller observed broken;
         if another thread already respawned past it this is a no-op
@@ -367,7 +361,6 @@ class WorkerPool:
         tasks = list(tasks)
         if not tasks:
             return []
-        self._adopt_segments(context)
         if len(tasks) <= _TINY_MAP_TASKS:
             blob = pickle.dumps((fn, context), protocol=pickle.HIGHEST_PROTOCOL)
             if not _tiny_map_ships(len(blob)):
@@ -400,32 +393,11 @@ class WorkerPool:
             raise
         return results
 
-    def _adopt_segments(self, context: Any) -> None:
-        """Tie any shared-memory corpora in ``context`` to this pool."""
-        for handle in sharedmem.adoptable_segments(context):
-            with self._lock:
-                self._adopted_segments.setdefault(handle.name, handle)
-
     def close(self) -> None:
-        """Shut the worker processes down (idempotent).
-
-        Adopted shared-memory segments are unlinked *after* the workers
-        drain — no future map call can attach them through this pool,
-        so their names must not outlive it (the leak check in
-        ``tests/test_shared_corpus.py`` scans for exactly that).  The
-        unlink runs in ``finally``: a broken pool's shutdown may raise,
-        and a crashed pool that leaked every adopted segment would
-        defeat the whole lifecycle model.
-        """
+        """Shut the worker processes down (idempotent)."""
         if not self._closed:
             self._closed = True
-            try:
-                self._executor.shutdown(wait=True)
-            finally:
-                with self._lock:
-                    adopted, self._adopted_segments = self._adopted_segments, {}
-                for handle in adopted.values():
-                    handle.unlink()
+            self._executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
         return self

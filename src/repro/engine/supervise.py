@@ -48,7 +48,7 @@ state:
 
 ``tests/test_faults.py`` proves the theorem differentially: every
 registered scenario family produces byte-identical records under
-injected crashes, hangs and segment unlinks.
+injected crashes and hangs.
 
 Activation
 ----------
@@ -74,7 +74,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.engine import faults, sharedmem
+from repro.engine import faults
 from repro.engine.runner import (
     WorkerPool,
     _chunked,
@@ -82,12 +82,7 @@ from repro.engine.runner import (
     _run_shared_chunk,
     resolve_workers,
 )
-from repro.errors import (
-    EngineError,
-    MapTimeoutError,
-    SegmentLostError,
-    WorkerCrashError,
-)
+from repro.errors import EngineError, MapTimeoutError, WorkerCrashError
 
 __all__ = [
     "DEFAULT_RETRIES",
@@ -148,7 +143,6 @@ class SuperviseStats:
     _FIELDS = (
         "crashes",
         "timeouts",
-        "segment_losses",
         "respawns",
         "retried_chunks",
         "degraded_chunks",
@@ -286,7 +280,6 @@ class SupervisedPool(WorkerPool):
         tasks = list(tasks)
         if not tasks:
             return []
-        self._adopt_segments(context)
         with self._lock:
             map_seq = self._map_seq
             self._map_seq += 1
@@ -298,7 +291,6 @@ class SupervisedPool(WorkerPool):
         )
         attempt = 0
         while pending:
-            self._maybe_drop_segment(f"{map_seq}:{attempt}")
             failure = self._dispatch_wave(
                 map_seq, attempt, blob, pending, results
             )
@@ -306,16 +298,12 @@ class SupervisedPool(WorkerPool):
             if not pending:
                 break
             kind, cause = failure.kind, failure.cause
-            self.stats.bump(
-                {"crash": "crashes", "timeout": "timeouts", "segment": "segment_losses"}[kind]
-            )
-            if kind in ("crash", "timeout"):
-                # Crash: the executor is broken.  Timeout: workers are
-                # presumed wedged and must die.  Either way the chunks
-                # retry on a fresh worker set; segment loss leaves the
-                # (healthy) workers alone.
-                if self.respawn(failure.generation):
-                    self.stats.bump("respawns")
+            self.stats.bump({"crash": "crashes", "timeout": "timeouts"}[kind])
+            # Crash: the executor is broken.  Timeout: workers are
+            # presumed wedged and must die.  Either way the chunks
+            # retry on a fresh worker set.
+            if self.respawn(failure.generation):
+                self.stats.bump("respawns")
             attempt += 1
             if attempt <= policy.retries:
                 self.stats.bump("retried_chunks", len(pending))
@@ -340,13 +328,9 @@ class SupervisedPool(WorkerPool):
                     attempts=attempt,
                     provenance=provenance,
                 )
-            detail = (
-                "worker process died (pool broke)"
-                if kind == "crash"
-                else f"shared-memory segment lost: {cause}"
-            )
             raise WorkerCrashError(
-                f"{detail}; retry budget ({policy.retries}) is exhausted",
+                "worker process died (pool broke); "
+                f"retry budget ({policy.retries}) is exhausted",
                 chunk_starts=starts,
                 attempts=attempt,
                 provenance=provenance,
@@ -377,7 +361,7 @@ class SupervisedPool(WorkerPool):
         """Submit ``pending`` once; record completions into ``results``.
 
         Returns the set of chunk starts still open plus the failure
-        class that left them open (``crash``/``timeout``/``segment``).
+        class that left them open (``crash``/``timeout``).
         Application exceptions are not failures in this sense — they
         are deterministic outcomes, so the wave drains and re-raises
         immediately, retrying nothing.
@@ -423,9 +407,6 @@ class SupervisedPool(WorkerPool):
                 except BrokenProcessPool as exc:
                     if kind is None:
                         kind, cause = "crash", exc
-                except SegmentLostError as exc:
-                    if kind is None:
-                        kind, cause = "segment", exc
                 except BaseException as exc:
                     app_error = app_error or exc
                 else:
@@ -441,16 +422,6 @@ class SupervisedPool(WorkerPool):
             _drain(list(futures))
             raise app_error
         return self._WaveFailure(open_starts, kind or "crash", cause, generation)
-
-    def _maybe_drop_segment(self, key: str) -> None:
-        """The parent-side ``shm-unlink`` injection point."""
-        if not faults.should_unlink(key):
-            return
-        with self._lock:
-            names = sorted(self._adopted_segments)
-        for name in names:
-            if sharedmem.drop_segment_name(name):
-                break
 
 
 def supervised_map(

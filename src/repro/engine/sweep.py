@@ -33,7 +33,10 @@ too: each fold's batch is interned once through
 :meth:`~repro.attacks.base.AttackBatch.encode` and layered as ID
 arrays (:class:`IncrementalAttackTrainer`).  Held-out folds are scored
 through :meth:`Classifier.score_many_ids`, the columnar kernel that
-shares per-token significance work across the fold's messages.
+shares per-token significance work across the fold's messages.  On the
+NumPy kernel a parallel sweep ships the inbox as one
+:class:`~repro.spambayes.ndkernel.CsrMatrix` inside the context, by
+value like the rest of it, and workers score stripes straight off it.
 
 The shared primitives the experiment drivers use (dataset evaluation,
 the incremental attack trainer, and grouped training, which lives in
@@ -51,7 +54,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.attacks.base import Attack, AttackBatch
 from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped, unlearn_grouped
-from repro.engine import sharedmem
 from repro.engine.runner import ParallelRunner, resolve_workers
 from repro.engine.seeding import drawn_seeds
 from repro.errors import EngineError, ExperimentError
@@ -314,12 +316,11 @@ class _SweepContext:
     object, so the arrays index directly into its count columns on the
     other side of the pickle.
 
-    When ``corpus`` is set (parallel runs on the NumPy kernel), the
-    encoded inbox travels as a shared-memory handle instead of the
-    ``token_ids`` tuple: workers attach the one published CSR segment
-    read-only and the context pickle shrinks from the whole inbox to a
-    segment name.  :meth:`shared_corpora` is the hook
-    :class:`~repro.engine.runner.WorkerPool` adopts segments through.
+    When ``csr`` is set (parallel runs on the NumPy kernel), the
+    encoded inbox travels as one :class:`~repro.spambayes.ndkernel.
+    CsrMatrix` instead of the ``token_ids`` tuple, carried by value
+    like every other field, so fold stripes score straight off its two
+    buffers through ``score_csr``.
     """
 
     token_ids: tuple[array, ...] | None
@@ -328,16 +329,27 @@ class _SweepContext:
     options: ClassifierOptions
     table: TokenTable
     full_model: Classifier | None
-    corpus: "sharedmem.SharedCorpus | sharedmem.InlineCorpus | None" = None
+    csr: "ndkernel.CsrMatrix | None" = None
 
     def rows(self) -> Sequence:
-        """Per-message ID arrays, whichever transport carried them."""
-        if self.corpus is not None:
-            return self.corpus.rows_list()
-        return self.token_ids
+        """Per-message ID arrays, whichever field carried them.
 
-    def shared_corpora(self):
-        return [self.corpus] if self.corpus is not None else []
+        CSR row views are built once per process and cached, so
+        ``id(row)`` is stable across calls — which keeps message-score
+        memos warm.  The cache never rides a pickle.
+        """
+        if self.csr is None:
+            return self.token_ids
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = [self.csr.row(i) for i in range(len(self.csr))]
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_rows", None)
+        return state
 
 
 def _grouped_id_indices(
@@ -381,11 +393,10 @@ def _evaluate_indices(
     ham_cutoff = classifier.options.ham_cutoff
     spam_cutoff = classifier.options.spam_cutoff
     kept = [i for i in indices if not (ham_only and context.labels[i])]
-    corpus = context.corpus
-    if corpus is not None and isinstance(classifier, ndkernel.NDClassifier):
+    if context.csr is not None and isinstance(classifier, ndkernel.NDClassifier):
         # Fold stripes are scored cold after every contamination step,
         # so the CSR bulk path (no per-row Python assembly) wins here.
-        scores = classifier.score_csr(corpus.as_csr(), rows=kept)
+        scores = classifier.score_csr(context.csr, rows=kept)
     else:
         rows = context.rows()
         scores = classifier.score_many_ids([rows[i] for i in kept])
@@ -470,16 +481,15 @@ def run_attack_sweeps(
         train_grouped(full_model, inbox, tokenizer)
 
     # In parallel runs on the NumPy kernel the encoded inbox crosses
-    # process boundaries as ONE shared-memory CSR segment (a handle in
-    # the pickle) instead of a tuple of per-message arrays, unlinked
-    # as soon as the map returns.
+    # process boundaries as one CSR pair instead of a tuple of
+    # per-message arrays.
     parallel = resolve_workers(workers) > 1 and len(tasks) > 1
-    corpus = None
+    csr = None
     token_ids: tuple[array, ...] | None = tuple(
         message.token_ids(table, tokenizer) for message in inbox
     )
     if parallel and ndkernel.classifier_class() is ndkernel.NDClassifier:
-        corpus = sharedmem.share_corpus(ndkernel.CsrMatrix.from_rows(token_ids))
+        csr = ndkernel.CsrMatrix.from_rows(token_ids)
         token_ids = None
     context = _SweepContext(
         token_ids=token_ids,
@@ -488,13 +498,9 @@ def run_attack_sweeps(
         options=options,
         table=table,
         full_model=full_model,
-        corpus=corpus,
+        csr=csr,
     )
-    try:
-        per_task = ParallelRunner(workers).map(_run_fold_task, context, tasks)
-    finally:
-        if corpus is not None:
-            corpus.unlink()
+    per_task = ParallelRunner(workers).map(_run_fold_task, context, tasks)
 
     confusion_counts = _confusion_counts()
     results: dict[str, SweepResult] = {}

@@ -22,7 +22,6 @@ __all__ = [
     "PersistenceError",
     "ProtocolError",
     "ScenarioError",
-    "SegmentLostError",
     "ServeError",
     "WorkerCrashError",
 ]
@@ -102,18 +101,6 @@ class WorkerCrashError(_SupervisedMapError):
 
 class MapTimeoutError(_SupervisedMapError):
     """A map's chunks missed their deadline and the retry budget ran out."""
-
-
-class SegmentLostError(EngineError):
-    """A shared-memory segment disappeared under a reader.
-
-    Raised by attach when the segment name no longer exists — the
-    publishing process died (its atexit/janitor reclaimed the name) or
-    a fault-injection run unlinked it deliberately.  The supervision
-    layer treats it as retryable infrastructure failure and ultimately
-    degrades to in-process execution, where the owner's original
-    mapping is still valid.
-    """
 
 
 class ExperimentError(ReproError):

@@ -186,8 +186,8 @@ class CsrMatrix:
     ``indices`` concatenates every message's sorted token-ID array;
     ``indptr[i]:indptr[i+1]`` delimits message ``i``.  Rows come back
     as zero-copy views, so a dataset's whole evaluation side lives in
-    two buffers — which is also exactly the shape the shared-memory
-    transport ships between processes.
+    two buffers — which is also how a parallel fold sweep ships its
+    inbox to workers: by value, two arrays in one pickle.
     """
 
     __slots__ = ("indices", "indptr")

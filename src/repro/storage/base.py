@@ -38,7 +38,7 @@ parent) and ``multiprocessing.util.Finalize`` (pool workers exit via
 ``os._exit`` and skip atexit); stores orphaned by SIGKILL are
 reclaimed by the ``repro gc`` janitor (:func:`repro.storage.disk.
 gc_stores`), which decides liveness from the pid baked into each
-store-directory name — exactly like the shared-memory janitor.
+store-directory name.
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def store_name() -> str:
 def pid_alive(pid: int) -> bool:
     """True when a process with ``pid`` exists (signal-0 probe).
 
-    Shared by every janitor that decides orphan-ness from a pid baked
-    into a resource name (shared-memory segments, on-disk stores).
+    What the store janitor decides orphan-ness from: the pid baked
+    into a store directory's name.
     """
     try:
         os.kill(pid, 0)

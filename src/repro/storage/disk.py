@@ -22,8 +22,7 @@ Every store lives under one backend-owned directory named
 ``repro_store_<pid-hex>_<salt>`` (under ``REPRO_STORE_DIR`` or the
 system tempdir).  The pid in the name is the crash-cleanup story:
 :func:`gc_stores` — the ``repro gc`` janitor — removes directories
-whose owning process is gone, exactly like the shared-memory segment
-janitor in :mod:`repro.engine.sharedmem`.
+whose owning process is gone.
 
 SQLite connections never cross a fork boundary: each table/store keys
 its connection by ``os.getpid()`` and lazily opens a fresh one in a
@@ -543,9 +542,8 @@ def _pid_of_store(name: str) -> int | None:
 def orphaned_stores(include_live: bool = False) -> list[Path]:
     """Store directories whose owning process is gone.
 
-    Mirrors ``sharedmem.orphaned_segments``: never lists this
-    process's own stores, and ``include_live=True`` widens the sweep
-    to other live owners (the ``--all`` escape hatch).
+    Never lists this process's own stores; ``include_live=True``
+    widens the sweep to other live owners (the ``--all`` escape hatch).
     """
     root = store_root()
     try:
@@ -567,8 +565,7 @@ def gc_stores(include_live: bool = False) -> list[str]:
     """Remove orphaned store directories; returns the paths removed.
 
     Removal races (the owner exiting and cleaning up concurrently) are
-    tolerated the same way the shm janitor tolerates them: a directory
-    that vanishes mid-removal simply is not reported.
+    tolerated: a directory that vanishes mid-removal is not reported.
     """
     removed: list[str] = []
     for path in orphaned_stores(include_live=include_live):

@@ -217,8 +217,8 @@ class TestScenarioHappyPaths:
 
 
 class TestFaultToleranceSurface:
-    """The supervision flags, the gc-shm janitor, and the error
-    envelope around engine failures."""
+    """The supervision flags and the error envelope around engine
+    failures."""
 
     def test_supervision_flags_registered(self):
         from repro.cli import build_replicate_parser, build_run_scenario_parser
@@ -233,10 +233,6 @@ class TestFaultToleranceSurface:
         assert args.timeout == 2.5
         assert args.retries == 3
         assert args.resume is None
-
-    def test_gc_shm_runs_clean(self, capsys):
-        assert main(["gc-shm"]) == 0
-        assert "reclaimed" in capsys.readouterr().out
 
     def test_engine_failure_exits_with_one_line_error(self, monkeypatch, capsys):
         # Workers crash on every chunk; retries 0, degradation off: the

@@ -8,6 +8,9 @@ APIs the engine is built on (snapshot/restore, bulk scoring).
 
 from __future__ import annotations
 
+import json
+import os
+import pickle
 import random
 
 import pytest
@@ -15,7 +18,7 @@ import pytest
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.attacks.dictionary import OptimalDictionaryAttack, UsenetDictionaryAttack
-from repro.engine.runner import ParallelRunner, resolve_workers
+from repro.engine.runner import ParallelRunner, WorkerPool, resolve_workers
 from repro.engine.seeding import drawn_seeds, resolve_root_seed
 from repro.engine.sweep import (
     SweepSpec,
@@ -104,6 +107,129 @@ class TestParallelRunner:
         assert resolve_workers(0) >= 1
         with pytest.raises(EngineError):
             resolve_workers(-1)
+
+
+# ----------------------------------------------------------------------
+# WorkerPool: the tiny-map path and respawn
+# ----------------------------------------------------------------------
+
+
+def _make_csr(n: int):
+    np = pytest.importorskip("numpy")
+    from repro.spambayes.ndkernel import CsrMatrix
+
+    return CsrMatrix.from_rows(
+        [np.arange(i, 2 * i + 1, dtype=np.int64) for i in range(n)]
+    )
+
+
+class _CorpusContext:
+    """Minimal context carrying a CSR corpus by value."""
+
+    def __init__(self, csr):
+        self.csr = csr
+
+
+def _read_row(context, i):
+    return (os.getpid(), context.csr.row(i).tolist())
+
+
+class TestWorkerPoolTransport:
+    def test_single_task_map_uses_direct_path_and_matches_inline(self, monkeypatch):
+        from repro.engine import runner as engine_runner
+
+        # Force the skip-pool heuristic to ship: this test is about
+        # the direct transport path, not the heuristic's verdict on
+        # this particular machine.
+        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: True)
+        context = _CorpusContext(_make_csr(4))
+        inline = _read_row(context, 2)
+        with WorkerPool(2) as pool:
+            (pooled,) = pool.run(_read_row, context, [2])
+        assert pooled[1] == inline[1]
+        assert pooled[0] != os.getpid()
+
+    def test_stale_respawn_is_a_noop(self):
+        with WorkerPool(2) as pool:
+            generation = pool.generation
+            assert pool.respawn(generation)
+            # A second caller holding the old generation lost the race.
+            assert not pool.respawn(generation)
+            assert pool.generation == generation + 1
+
+
+class TestSweepContextRows:
+    def test_csr_row_views_are_cached_per_process(self):
+        # Stable view objects keep per-message score memos warm across
+        # a worker's tasks; the cache itself never rides the pickle.
+        from repro.engine.sweep import _SweepContext
+        from repro.spambayes.options import DEFAULT_OPTIONS
+        from repro.spambayes.token_table import TokenTable
+
+        csr = _make_csr(6)
+        context = _SweepContext(
+            token_ids=None,
+            labels=(False,) * 6,
+            specs={},
+            options=DEFAULT_OPTIONS,
+            table=TokenTable(),
+            full_model=None,
+            csr=csr,
+        )
+        first = context.rows()
+        assert all(a is b for a, b in zip(first, context.rows()))
+        assert [row.tolist() for row in first] == [row.tolist() for row in csr.rows()]
+        clone = pickle.loads(pickle.dumps(context))
+        assert "_rows" not in clone.__dict__
+        assert [row.tolist() for row in clone.rows()] == [
+            row.tolist() for row in first
+        ]
+
+
+def _echo_task(context, task):
+    return {"task": task, "context": context}
+
+
+class TestTinyMapRegression:
+    @pytest.mark.parametrize("ships", [True, False], ids=["direct", "inline"])
+    def test_single_task_skips_chunk_blob_protocol(self, ships, monkeypatch):
+        # The direct path (and the inline path the heuristic falls back
+        # to) must produce exactly what inline execution produces, for
+        # any picklable payload.
+        from repro.engine import runner as engine_runner
+
+        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: ships)
+        context = {"weights": [0.25, 0.5], "name": "tiny"}
+        inline = [_echo_task(context, 7)]
+        with WorkerPool(2) as pool:
+            assert pool.run(_echo_task, context, [7]) == inline
+
+    def test_stream_records_byte_identical_sequential_vs_pooled(self, monkeypatch):
+        # The BENCH_stream workload in miniature: a whole stream is a
+        # single engine task, shipped here through the tiny-map path.
+        from repro.engine import runner as engine_runner
+        from repro.stream.runner import _run_stream_task, run_stream_experiment
+        from repro.stream.spec import StreamSpec
+
+        spec = StreamSpec(
+            ticks=3,
+            ham_per_tick=8,
+            spam_per_tick=8,
+            attack_variant="usenet",
+            attack_start_tick=2,
+            attack_per_tick=4,
+            test_size=20,
+            seed=97,
+        )
+        sequential = run_stream_experiment(spec).to_record().as_dict()
+        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: True)
+        with WorkerPool(2) as pool:
+            (result,) = pool.run(_run_stream_task, spec, [0])
+        pooled = result.to_record().as_dict()
+        assert (
+            json.dumps(sequential, sort_keys=True).encode()
+            == json.dumps(pooled, sort_keys=True).encode()
+        )
 
 
 # ----------------------------------------------------------------------

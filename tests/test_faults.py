@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import checkpoint, faults, sharedmem, supervise
+from repro.engine import checkpoint, faults, supervise
 from repro.engine.faults import FaultPlan, FaultSpec, parse_faults, use_faults
 from repro.engine.replicate import replica_seeds, replicate_scenario
 from repro.engine.supervise import (
@@ -45,6 +46,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.experiments.results import ExperimentRecord
+from repro.storage.disk import orphaned_stores
 
 TINY_DICTIONARY = dict(
     inbox_size=120,
@@ -96,14 +98,11 @@ class TestParseFaults:
         assert plan.specs[0] == FaultSpec("crash", 0.2)
         assert plan.specs[1] == FaultSpec("hang", 0.05, seconds=0.5)
 
-    def test_shm_unlink_mode(self):
-        plan = parse_faults("shm-unlink:p=0.5")
-        assert plan.specs == (FaultSpec("shm-unlink", 0.5),)
-
     @pytest.mark.parametrize(
         "text",
         [
             "explode",  # unknown mode
+            "shm-unlink:p=0.1",  # removed mode
             "crash:p=2",  # probability out of range
             "crash:q=0.5",  # unknown param
             "crash:p",  # missing value
@@ -135,11 +134,10 @@ class TestFaultPlan:
         assert fired(0) != fired(1)
 
     def test_site_gating(self):
-        plan = FaultPlan((FaultSpec("shm-unlink", 1.0),))
-        assert plan.decide("worker-chunk", "k") is None
-        assert plan.decide("shm-unlink", "k") is not None
-        crash = FaultPlan((FaultSpec("crash", 1.0),))
-        assert crash.decide("shm-unlink", "k") is None
+        plan = FaultPlan((FaultSpec("crash", 1.0),))
+        assert plan.decide("worker-chunk", "k") is not None
+        assert plan.decide("stream-task", "k") is not None
+        assert plan.decide("elsewhere", "k") is None
 
     def test_bool_reflects_live_probability(self):
         assert not FaultPlan((FaultSpec("crash", 0.0),))
@@ -347,9 +345,6 @@ class TestReplicaStore:
 
 CRASHY = FaultPlan((FaultSpec("crash", 0.4),), seed=5)
 HANGY = FaultPlan((FaultSpec("hang", 0.5, seconds=0.05),), seed=5)
-UNLINKY = FaultPlan(
-    (FaultSpec("shm-unlink", 0.5), FaultSpec("crash", 0.2)), seed=5
-)
 SUPERVISED = SupervisePolicy(timeout=60.0, retries=2, degrade=True)
 
 
@@ -374,17 +369,6 @@ def test_scenario_records_identical_under_faults(kernel, plan, monkeypatch):
     with use_supervision(None), use_faults(None):
         clean = _record_bytes(_scenario_record(workers=2))
     with use_supervision(SUPERVISED), use_faults(plan):
-        faulted = _record_bytes(_scenario_record(workers=2))
-    assert faulted == clean
-
-
-def test_scenario_records_identical_under_segment_loss(monkeypatch):
-    # shm-unlink only matters on the kernel that ships segments.
-    pytest.importorskip("numpy")
-    monkeypatch.setenv("REPRO_KERNEL", "nd")
-    with use_supervision(None), use_faults(None):
-        clean = _record_bytes(_scenario_record(workers=2))
-    with use_supervision(SUPERVISED), use_faults(UNLINKY):
         faulted = _record_bytes(_scenario_record(workers=2))
     assert faulted == clean
 
@@ -518,6 +502,7 @@ def test_sigkill_mid_replicate_resumes_to_identical_bytes(tmp_path):
     # The victim: killed as soon as its first replica checkpoints.
     out = tmp_path / "resumed.json"
     ckpt = tmp_path / "ckpt"
+    stores_before = set(orphaned_stores())
     # Its own session, so the SIGKILL reaches the forked pool workers
     # too: killing only the parent would leave them asleep forever.
     victim = subprocess.Popen(
@@ -540,13 +525,22 @@ def test_sigkill_mid_replicate_resumes_to_identical_bytes(tmp_path):
         except ProcessLookupError:  # the whole group already exited
             pass
         victim.wait(timeout=60)
-        # The group kill took the victim's resource tracker too, so its
-        # shared-memory segments are orphans: reclaim them here rather
-        # than leave them for a later test's janitor to find.
-        victim_prefix = f"{sharedmem.BASE_PREFIX}{victim.pid:x}_"
-        for name in sharedmem.orphaned_segments():
-            if name.startswith(victim_prefix):
-                sharedmem.drop_segment_name(name)
+        # Under the disk backend the group kill skips the victim's
+        # cleanup, so its (and its pool workers') store directories are
+        # orphans: reclaim them here, by dead pid as ``repro gc`` does,
+        # rather than leave them for a later test's janitor to find.
+        # The orphaned workers count as alive until init reaps them, so
+        # first wait for the victim's whole process group to be gone.
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(victim.pid, 0)
+            except ProcessLookupError:
+                break
+            time.sleep(0.05)
+        # Only stores orphaned since the victim started are touched.
+        for path in set(orphaned_stores()) - stores_before:
+            shutil.rmtree(path, ignore_errors=True)
     # Resume: loads the surviving checkpoints, runs the rest.
     resumed = subprocess.run(
         _replicate_command(out, ckpt),

@@ -176,6 +176,28 @@ class TestReplicaSeeds:
             replicate_scenario("dictionary-vs-none", seeds=[7, 7])
 
 
+# The /dev/shm name prefix CI's leak check greps for.
+_SHM_PREFIX = "repro_shm_"
+
+
+def _repro_segments() -> list[str]:
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm on this platform")
+    return sorted(n for n in os.listdir("/dev/shm") if n.startswith(_SHM_PREFIX))
+
+
+_SWEEP_BYTES: dict[str, bytes] = {}
+
+
+def _sweep_bytes(workers: int) -> bytes:
+    from repro.scenarios import get_scenario, run_scenario
+
+    spec = get_scenario("dictionary-vs-none")
+    config = spec.build_config(**TINY_DICTIONARY, seed=0, workers=workers)
+    record = run_scenario(spec, config=config).record
+    return json.dumps(record.as_dict(), sort_keys=True).encode()
+
+
 @pytest.mark.slow
 class TestReplicateScenario:
     def test_replicas_are_standalone_runs(self):
@@ -251,21 +273,29 @@ class TestReplicateScenario:
         ]
 
     def test_replicate_leaves_dev_shm_unchanged(self, monkeypatch):
-        from repro.engine import sharedmem
-
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
         pytest.importorskip("numpy")
         monkeypatch.setenv("REPRO_KERNEL", "nd")
-        before = sorted(os.listdir("/dev/shm"))
+        before = _repro_segments()
         replicate_scenario(
             "dictionary-vs-none", seeds=2, overrides=TINY_DICTIONARY, workers=2
         )
-        after = sorted(os.listdir("/dev/shm"))
-        prefix = sharedmem.BASE_PREFIX
-        assert [n for n in after if n.startswith(prefix)] == [
-            n for n in before if n.startswith(prefix)
-        ]
+        assert _repro_segments() == before
+
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_nd_sweep_matches_sequential_bytes(
+        self, workers, store, monkeypatch
+    ):
+        # The fold fan-out ships its CSR corpus inside the context, by
+        # value: same record bytes as workers=1, nothing in /dev/shm.
+        pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_KERNEL", "nd")
+        monkeypatch.setenv("REPRO_STORE", store)
+        before = _repro_segments()
+        if store not in _SWEEP_BYTES:
+            _SWEEP_BYTES[store] = _sweep_bytes(workers=1)
+        assert _sweep_bytes(workers) == _SWEEP_BYTES[store]
+        assert _repro_segments() == before
 
     def test_explicit_seed_list(self):
         record = replicate_scenario(

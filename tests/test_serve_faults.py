@@ -102,7 +102,6 @@ class TestCrashInjection:
         assert set(stats["supervision"]) == {
             "crashes",
             "timeouts",
-            "segment_losses",
             "respawns",
             "retried_chunks",
             "degraded_chunks",

@@ -6,8 +6,7 @@ hostile length prefixes, garbage JSON, unknown verbs, vanishing peers
 — must produce a one-line structured error envelope (the wire twin of
 the CLI's ``error: ...`` / exit-2 convention) and leave the daemon
 serving.  And a clean ``shutdown`` must leave *nothing* behind: no
-socket file, no shared-memory segments, no on-disk stores — ``repro
-gc`` finds zero orphans.
+socket file, no on-disk stores — ``repro gc`` finds zero orphans.
 """
 
 from __future__ import annotations
@@ -252,7 +251,7 @@ class TestShutdownLeavesNothing:
                 daemon.wait()
         assert not socket_path.exists()
         # The daemon's disk store died with the daemon (atexit), so the
-        # janitor must find zero orphans of any kind.
+        # janitor must find zero orphans.
         gc = subprocess.run(
             [sys.executable, "-m", "repro", "gc"],
             capture_output=True,
@@ -260,7 +259,7 @@ class TestShutdownLeavesNothing:
             env=env,
         )
         assert gc.returncode == 0, gc.stderr
-        assert "0 segment(s) and 0 store(s) reclaimed" in gc.stdout
+        assert "0 store(s) reclaimed" in gc.stdout
         assert not list(tmp_path.glob("repro_store_*"))
 
 

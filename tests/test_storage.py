@@ -392,7 +392,7 @@ class TestJanitor:
         assert not dead.exists()
         # Second sweep: nothing left.
         assert main(["gc"]) == 0
-        assert "0 segment(s) and 0 store(s) reclaimed" in capsys.readouterr().out
+        assert "0 store(s) reclaimed" in capsys.readouterr().out
 
 
 class TestStorageIo:

@@ -9,8 +9,6 @@ meets its floor.  The policy, enforced by the CI coverage leg:
   must be at least 90%;
 * ``src/repro/spambayes/ndkernel.py`` — the vectorized kernel ships
   covered: at least 90%;
-* ``src/repro/engine/sharedmem.py`` — the shared-memory corpus
-  transport: at least 90%;
 * ``src/repro/serve/`` — the always-on filter service (framing,
   micro-batcher, daemon, client): at least 90%;
 * ``src/repro/defenses/roni.py`` — the RONI gate, the hot path of
@@ -49,7 +47,6 @@ __all__ = ["DEFAULT_REGIONS", "measure", "main"]
 DEFAULT_REGIONS: tuple[tuple[str, float], ...] = (
     ("repro/stream/", 90.0),
     ("repro/spambayes/ndkernel.py", 90.0),
-    ("repro/engine/sharedmem.py", 90.0),
     ("repro/storage/", 90.0),
     ("repro/serve/", 90.0),
     ("repro/defenses/roni.py", 90.0),

@@ -78,9 +78,6 @@ def check_cli_invocation(doc: Path, words: list[str], cli: dict) -> list[str]:
     elif words and words[0] == "serve":
         valid_words, valid_flags = set(), cli["serve_flags"]
         words = words[1:]
-    elif words and words[0] == "gc-shm":
-        valid_words, valid_flags = set(), cli["gc_shm_flags"]
-        words = words[1:]
     elif words and words[0] == "gc":
         valid_words, valid_flags = set(), cli["gc_flags"]
         words = words[1:]
@@ -117,14 +114,12 @@ def known_env_vars() -> set[str]:
     fails docs-check instead of silently orphaning its walkthrough.
     """
     from repro.engine.faults import FAULTS_ENV
-    from repro.engine.sharedmem import SHM_ENV
     from repro.engine.supervise import DEGRADE_ENV, RETRIES_ENV, TIMEOUT_ENV
     from repro.spambayes.ndkernel import KERNEL_ENV
     from repro.storage import STORE_DIR_ENV, STORE_ENV
 
     return {
         FAULTS_ENV,
-        SHM_ENV,
         TIMEOUT_ENV,
         RETRIES_ENV,
         DEGRADE_ENV,
@@ -185,7 +180,6 @@ def cli_tables() -> dict:
     from repro.cli import (
         ARTIFACTS,
         build_gc_parser,
-        build_gc_shm_parser,
         build_parser,
         build_replicate_parser,
         build_run_scenario_parser,
@@ -200,7 +194,6 @@ def cli_tables() -> dict:
         "scenario_flags": _flags_of(build_run_scenario_parser()),
         "replicate_flags": _flags_of(build_replicate_parser()),
         "serve_flags": _flags_of(build_serve_parser()),
-        "gc_shm_flags": _flags_of(build_gc_shm_parser()),
         "gc_flags": _flags_of(build_gc_parser()),
         "env_vars": known_env_vars(),
     }
