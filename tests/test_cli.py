@@ -234,6 +234,14 @@ class TestFaultToleranceSurface:
         assert args.retries == 3
         assert args.resume is None
 
+    def test_gc_shm_is_not_a_command(self, capsys):
+        # The shared-memory janitor went with the transport; the name
+        # now falls through to artifact parsing and is rejected there.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gc-shm"])
+        assert excinfo.value.code == 2
+        assert "gc-shm" in capsys.readouterr().err
+
     def test_engine_failure_exits_with_one_line_error(self, monkeypatch, capsys):
         # Workers crash on every chunk; retries 0, degradation off: the
         # run must die with a clean `error:` line and status 2 — never

@@ -134,7 +134,67 @@ def _read_row(context, i):
     return (os.getpid(), context.csr.row(i).tolist())
 
 
+class TestCsrByValue:
+    """The parallel nd sweep ships its inbox as one pickled CsrMatrix."""
+
+    @pytest.mark.parametrize("n", [0, 1, 6], ids=["empty", "one", "many"])
+    def test_pickle_round_trips_rows(self, n):
+        csr = _make_csr(n)
+        clone = pickle.loads(pickle.dumps(csr, protocol=pickle.HIGHEST_PROTOCOL))
+        assert len(clone) == len(csr) == n
+        assert clone.nbytes() == csr.nbytes()
+        assert clone.indices.dtype == csr.indices.dtype
+        assert clone.indptr.dtype == csr.indptr.dtype
+        assert [row.tolist() for row in clone.rows()] == [
+            row.tolist() for row in csr.rows()
+        ]
+
+    def test_pickle_carries_the_buffers_themselves(self):
+        np = pytest.importorskip("numpy")
+        csr = _make_csr(40)
+        blob = pickle.dumps(csr, protocol=pickle.HIGHEST_PROTOCOL)
+        # By value: the corpus is in the blob, not a name pointing at it.
+        assert len(blob) >= csr.nbytes()
+        clone = pickle.loads(blob)
+        assert not np.shares_memory(clone.indices, csr.indices)
+        clone.indices[:] = -1
+        assert csr.row(5).tolist() == list(range(5, 11))
+
+    def test_rows_are_zero_copy_views(self):
+        np = pytest.importorskip("numpy")
+        csr = _make_csr(6)
+        for i in range(1, len(csr)):
+            assert np.shares_memory(csr.row(i), csr.indices)
+
+
 class TestWorkerPoolTransport:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_read_every_row_by_value(self, workers):
+        context = _CorpusContext(_make_csr(9))
+        inline = [_read_row(context, i)[1] for i in range(9)]
+        with WorkerPool(workers) as pool:
+            pooled = pool.run(_read_row, context, list(range(9)))
+        assert [rows for _, rows in pooled] == inline
+        assert os.getpid() not in {pid for pid, _ in pooled}
+
+    def test_respawned_workers_receive_the_context_again(self):
+        context = _CorpusContext(_make_csr(5))
+        with WorkerPool(2) as pool:
+            before = pool.run(_read_row, context, list(range(5)))
+            assert pool.respawn(pool.generation)
+            after = pool.run(_read_row, context, list(range(5)))
+        assert [rows for _, rows in after] == [rows for _, rows in before]
+        # A fresh worker set, not the old one.
+        assert not {pid for pid, _ in after} & {pid for pid, _ in before}
+
+    def test_close_is_idempotent(self):
+        pool = WorkerPool(2)
+        assert pool.run(_read_row, _CorpusContext(_make_csr(3)), [0, 2])
+        pool.close()
+        pool.close()
+        with pytest.raises(EngineError):
+            pool.run(_read_row, _CorpusContext(_make_csr(3)), [0, 2])
+
     def test_single_task_map_uses_direct_path_and_matches_inline(self, monkeypatch):
         from repro.engine import runner as engine_runner
 
@@ -184,6 +244,56 @@ class TestSweepContextRows:
         assert [row.tolist() for row in clone.rows()] == [
             row.tolist() for row in first
         ]
+
+    def test_token_id_rows_pass_through_without_csr(self):
+        from array import array
+
+        from repro.engine.sweep import _SweepContext
+        from repro.spambayes.options import DEFAULT_OPTIONS
+        from repro.spambayes.token_table import TokenTable
+
+        token_ids = (array("q", [1, 4]), array("q", [2]))
+        context = _SweepContext(
+            token_ids=token_ids,
+            labels=(False, True),
+            specs={},
+            options=DEFAULT_OPTIONS,
+            table=TokenTable(),
+            full_model=None,
+        )
+        assert context.rows() is token_ids
+        assert "_rows" not in context.__dict__
+
+    @pytest.mark.parametrize("ham_only", [False, True], ids=["all", "ham-only"])
+    def test_csr_scoring_matches_token_id_scoring(self, sweep_inbox, ham_only):
+        # The two fields a context can carry its inbox in must give the
+        # same confusion counts: score_csr on one, score_many_ids on
+        # the other.
+        pytest.importorskip("numpy")
+        from repro.engine.sweep import _evaluate_indices, _SweepContext
+        from repro.spambayes.ndkernel import CsrMatrix, NDClassifier
+        from repro.spambayes.options import DEFAULT_OPTIONS
+        from repro.spambayes.token_table import TokenTable
+
+        table = TokenTable()
+        classifier = NDClassifier(table=table)
+        train_grouped(classifier, sweep_inbox)
+        token_ids = tuple(message.token_ids(table) for message in sweep_inbox)
+        fields = dict(
+            labels=tuple(message.is_spam for message in sweep_inbox),
+            specs={},
+            options=DEFAULT_OPTIONS,
+            table=table,
+            full_model=None,
+        )
+        by_rows = _SweepContext(token_ids=token_ids, **fields)
+        by_csr = _SweepContext(
+            token_ids=None, csr=CsrMatrix.from_rows(token_ids), **fields
+        )
+        indices = tuple(range(0, len(sweep_inbox), 2))
+        want = _evaluate_indices(classifier, by_rows, indices, ham_only)
+        assert _evaluate_indices(classifier, by_csr, indices, ham_only) == want
+        assert sum(want.values()) > 0
 
 
 def _echo_task(context, task):
@@ -382,6 +492,24 @@ class TestSweepEquivalence:
         )
         parallel = attack_fraction_sweep(
             sweep_inbox, attack, self.FRACTIONS, 3, random.Random(77), workers=3
+        )
+        assert _sweep_signature(parallel) == _sweep_signature(sequential)
+
+    @pytest.mark.parametrize("kernel", ["python", "nd"])
+    def test_parallel_matches_sequential_on_each_kernel(
+        self, sweep_corpus, sweep_inbox, kernel, monkeypatch
+    ):
+        # python ships the inbox as per-message ID arrays, nd as one
+        # CsrMatrix; either way the sweep matches workers=1.
+        if kernel == "nd":
+            pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        attack = OptimalDictionaryAttack.from_vocabulary(sweep_corpus.vocabulary)
+        sequential = attack_fraction_sweep(
+            sweep_inbox, attack, self.FRACTIONS, 3, random.Random(77), workers=1
+        )
+        parallel = attack_fraction_sweep(
+            sweep_inbox, attack, self.FRACTIONS, 3, random.Random(77), workers=2
         )
         assert _sweep_signature(parallel) == _sweep_signature(sequential)
 

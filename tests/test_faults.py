@@ -70,6 +70,10 @@ def _square_task(context, task):
     return context["offset"] + task * task
 
 
+def _csr_row_task(context, task):
+    return context["csr"].row(task).tolist()
+
+
 def _failing_task(context, task):
     if task == 3:
         raise ValueError("task three exploded")
@@ -138,6 +142,13 @@ class TestFaultPlan:
         assert plan.decide("worker-chunk", "k") is not None
         assert plan.decide("stream-task", "k") is not None
         assert plan.decide("elsewhere", "k") is None
+
+    @pytest.mark.parametrize("mode", faults.MODES)
+    def test_every_mode_fires_only_at_worker_sites(self, mode):
+        plan = FaultPlan((FaultSpec(mode, 1.0),))
+        assert [plan.decide(site, "k") is not None for site in (
+            "worker-chunk", "stream-task", "shm-unlink", "supervisor"
+        )] == [True, True, False, False]
 
     def test_bool_reflects_live_probability(self):
         assert not FaultPlan((FaultSpec("crash", 0.0),))
@@ -292,6 +303,48 @@ class TestSupervisedPool:
             # Faults gone: the respawned workers serve a clean map.
             clean = pool.run(_square_task, {"offset": 0}, list(range(6)))
         assert degraded == clean == [task * task for task in range(6)]
+
+    def test_stats_ledger_counts_crashes_and_timeouts_only(self):
+        assert set(supervise.SuperviseStats().as_dict()) == {
+            "crashes",
+            "timeouts",
+            "respawns",
+            "retried_chunks",
+            "degraded_chunks",
+        }
+
+    @pytest.mark.parametrize(
+        "plan, policy",
+        [
+            (
+                FaultPlan((FaultSpec("crash", 0.08),), seed=1),
+                SupervisePolicy(retries=3, degrade=False),
+            ),
+            (
+                FaultPlan((FaultSpec("crash", 1.0),)),
+                SupervisePolicy(retries=0, degrade=True),
+            ),
+        ],
+        ids=["retry", "degrade"],
+    )
+    def test_crash_recovery_reships_csr_context(self, plan, policy):
+        # The sweep's CSR corpus rides the context by value, so a
+        # respawned worker set (or the degraded inline run) reads the
+        # same rows without any resource surviving the dead workers.
+        np = pytest.importorskip("numpy")
+        from repro.spambayes.ndkernel import CsrMatrix
+
+        csr = CsrMatrix.from_rows(
+            [np.arange(i, 3 * i + 1, dtype=np.int64) for i in range(16)]
+        )
+        tasks = list(range(16))
+        inline = [_csr_row_task({"csr": csr}, task) for task in tasks]
+        with use_faults(plan), SupervisedPool(2, policy=policy) as pool:
+            results = pool.run(_csr_row_task, {"csr": csr}, tasks)
+            stats = pool.stats.as_dict()
+        assert results == inline
+        assert stats["crashes"] >= 1
+        assert stats["respawns"] >= 1
 
     def test_supervised_map_inline_below_parallel_threshold(self):
         policy = SupervisePolicy(retries=0)

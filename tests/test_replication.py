@@ -24,6 +24,7 @@ import pytest
 
 from repro.engine.replicate import replica_seeds, replicate_scenario
 from repro.engine.runner import ParallelRunner, WorkerPool
+from repro.engine.supervise import SupervisePolicy, use_supervision
 from repro.errors import EngineError
 
 TINY_DICTIONARY = dict(
@@ -295,6 +296,23 @@ class TestReplicateScenario:
         if store not in _SWEEP_BYTES:
             _SWEEP_BYTES[store] = _sweep_bytes(workers=1)
         assert _sweep_bytes(workers) == _SWEEP_BYTES[store]
+        assert _repro_segments() == before
+
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_supervised_parallel_nd_sweep_matches_sequential_bytes(
+        self, workers, store, monkeypatch
+    ):
+        # Under supervision the fold map runs on a SupervisedPool; the
+        # CSR context still travels by value and the bytes still match.
+        pytest.importorskip("numpy")
+        monkeypatch.setenv("REPRO_KERNEL", "nd")
+        monkeypatch.setenv("REPRO_STORE", store)
+        before = _repro_segments()
+        if store not in _SWEEP_BYTES:
+            _SWEEP_BYTES[store] = _sweep_bytes(workers=1)
+        with use_supervision(SupervisePolicy(retries=2)):
+            assert _sweep_bytes(workers) == _SWEEP_BYTES[store]
         assert _repro_segments() == before
 
     def test_explicit_seed_list(self):

@@ -394,6 +394,25 @@ class TestJanitor:
         assert main(["gc"]) == 0
         assert "0 store(s) reclaimed" in capsys.readouterr().out
 
+    def test_gc_cli_all_reclaims_live_foreign_stores(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
+        live = tmp_path / f"{STORE_PREFIX}1_00000001"  # pid 1: alive, not ours
+        live.mkdir()
+        own = tmp_path / f"{STORE_PREFIX}{os.getpid():x}_cafecafe"
+        own.mkdir()
+        assert main(["gc"]) == 0
+        assert "0 store(s) reclaimed" in capsys.readouterr().out
+        assert live.exists()
+        assert main(["gc", "--all"]) == 0
+        out = capsys.readouterr().out
+        assert f"removed {live}" in out
+        assert "1 store(s) reclaimed" in out
+        assert not live.exists() and own.exists()
+
 
 class TestStorageIo:
     def test_gzip_suffix_is_case_insensitive(self):
