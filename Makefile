@@ -4,11 +4,19 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke bench bench-core bench-scenario bench-replication bench-stream bench-storage bench-serve bench-large docs-check check
+.PHONY: test goldens bench-smoke bench bench-core bench-scenario bench-replication bench-stream bench-storage bench-serve bench-large docs-check check
 
 # Tier-1 gate: the full test suite, fail-fast.
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Rewrite the golden records in tests/golden/ at the fixed cell (nd
+# kernel, memory store, one worker, PYTHONHASHSEED=0).  A golden may
+# change only in a change that names the moved record and why
+# (tests/golden/README.md); `tools/regen_goldens.py --check` compares
+# without writing.
+goldens:
+	$(PYTHON) tools/regen_goldens.py
 
 # Seconds-long proof that the parallel sweep engine reproduces the
 # sequential results (and a rough speedup reading), plus the

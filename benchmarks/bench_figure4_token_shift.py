@@ -15,7 +15,7 @@ from repro.analysis.token_shift import token_shift_analysis
 from repro.attacks.focused import FocusedAttack
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import PAPER_PROFILE, SMALL_PROFILE
-from repro.experiments.crossval import train_grouped
+from repro.corpus.dataset import train_grouped
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier
 

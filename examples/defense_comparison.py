@@ -19,11 +19,11 @@ import os
 
 from repro import SpamFilter, TrecStyleCorpus
 from repro.attacks import UsenetDictionaryAttack
-from repro.corpus.dataset import Dataset
+from repro.corpus.dataset import Dataset, train_grouped
 from repro.defenses import train_with_dynamic_threshold, train_with_roni
 from repro.defenses.threshold import DynamicThresholdConfig
 from repro.experiments.attack_data import attack_messages_as_dataset
-from repro.experiments.crossval import attack_message_count, evaluate_dataset, train_grouped
+from repro.experiments.crossval import attack_message_count, evaluate_dataset
 from repro.experiments.reporting import format_table
 from repro.rng import SeedSpawner
 

@@ -22,7 +22,8 @@ from repro import SpamFilter, TrecStyleCorpus
 from repro.attacks import AspellDictionaryAttack, UsenetDictionaryAttack
 from repro.corpus.stats import coverage_report
 from repro.defenses import RoniDefense
-from repro.experiments.crossval import attack_message_count, evaluate_dataset, train_grouped
+from repro.corpus.dataset import train_grouped
+from repro.experiments.crossval import attack_message_count, evaluate_dataset
 from repro.rng import SeedSpawner
 
 

@@ -21,7 +21,7 @@ import os
 from repro import SpamFilter, TrecStyleCorpus
 from repro.analysis.token_shift import token_shift_analysis
 from repro.attacks import FocusedAttack
-from repro.experiments.crossval import train_grouped
+from repro.corpus.dataset import train_grouped
 from repro.rng import SeedSpawner
 
 

@@ -57,8 +57,6 @@ from repro.engine.sweep import (
     evaluate_dataset,
     run_attack_sweeps,
     sequential_reference_sweep,
-    train_grouped,
-    unlearn_grouped,
 )
 
 __all__ = [
@@ -85,6 +83,4 @@ __all__ = [
     "evaluate_dataset",
     "run_attack_sweeps",
     "sequential_reference_sweep",
-    "train_grouped",
-    "unlearn_grouped",
 ]

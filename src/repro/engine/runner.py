@@ -254,6 +254,10 @@ def _kill_executor(executor: Executor) -> None:
                 process.join(5.0)
         except (OSError, ValueError, AssertionError):  # pragma: no cover
             pass
+    # Killed workers skip their exit hooks: remove the stores they built.
+    from repro.storage.disk import reclaim_stores
+
+    reclaim_stores(process.pid for process in processes)
 
 
 class WorkerPool:

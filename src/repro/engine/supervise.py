@@ -46,9 +46,9 @@ state:
    inline — exactly the sequential execution path, which is the
    equivalence the engine is tested against.
 
-``tests/test_faults.py`` proves the theorem differentially: every
-registered scenario family produces byte-identical records under
-injected crashes and hangs.
+``tests/test_golden.py`` checks the theorem on every registered
+scenario: each record is byte-identical to its golden under injected
+crashes and hangs.
 
 Activation
 ----------

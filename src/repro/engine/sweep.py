@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.attacks.base import Attack, AttackBatch
-from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped, unlearn_grouped
+from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
 from repro.engine.runner import ParallelRunner, resolve_workers
 from repro.engine.seeding import drawn_seeds
 from repro.errors import EngineError, ExperimentError
@@ -77,8 +77,6 @@ __all__ = [
     "evaluation_workspace",
     "run_attack_sweeps",
     "sequential_reference_sweep",
-    "train_grouped",
-    "unlearn_grouped",
 ]
 
 

@@ -45,8 +45,6 @@ from repro.experiments.metrics import ConfusionCounts
 from repro.experiments.crossval import (
     AttackSweepPoint,
     attack_fraction_sweep,
-    train_grouped,
-    unlearn_grouped,
 )
 from repro.experiments.dictionary_exp import (
     DictionaryExperimentConfig,
@@ -86,8 +84,6 @@ __all__ = [
     "ConfusionCounts",
     "AttackSweepPoint",
     "attack_fraction_sweep",
-    "train_grouped",
-    "unlearn_grouped",
     "GoodWordExperimentConfig",
     "GoodWordExperimentResult",
     "run_goodword_experiment",

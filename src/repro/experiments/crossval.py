@@ -24,10 +24,10 @@ without changing any result —
   (:func:`repro.engine.sweep.sequential_reference_sweep`).
 
 The older optimizations still apply: *grouped training*
-(:func:`train_grouped`) collapses identical token sets into one
-``learn_repeated`` call, and *incremental contamination* sweeps
-fractions in ascending order so attack batches are layered on top of
-each fold's classifier batch by batch (exact, because learning only
+(:func:`repro.corpus.dataset.train_grouped`) collapses identical token
+sets into one ``learn_repeated`` call, and *incremental contamination*
+sweeps fractions in ascending order so attack batches are layered on
+top of each fold's classifier batch by batch (exact, because learning only
 sums counts).
 """
 
@@ -45,8 +45,6 @@ from repro.engine.sweep import (
     attack_message_count,
     evaluate_dataset,
     run_attack_sweeps,
-    train_grouped,
-    unlearn_grouped,
 )
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
@@ -54,8 +52,6 @@ from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
 __all__ = [
     "AttackSweepPoint",
     "attack_message_count",
-    "train_grouped",
-    "unlearn_grouped",
     "evaluate_dataset",
     "attack_fraction_sweep",
 ]

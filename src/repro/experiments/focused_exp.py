@@ -41,10 +41,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.attacks.base import AttackBatch
-from repro.corpus.dataset import LabeledMessage
+from repro.corpus.dataset import LabeledMessage, train_grouped
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
-from repro.engine.sweep import IncrementalAttackTrainer, train_grouped
+from repro.engine.sweep import IncrementalAttackTrainer
 from repro.errors import ExperimentError
 from repro.experiments.results import CurvePoint, ExperimentRecord, Series
 from repro.rng import SeedSpawner

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.corpus.dataset import Dataset, LabeledMessage
+from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
 from repro.defenses.roni import RoniConfig, RoniDefense
 from repro.errors import ExperimentError
 from repro.experiments.attack_data import attack_messages_as_dataset
-from repro.experiments.crossval import evaluate_dataset, train_grouped
+from repro.experiments.crossval import evaluate_dataset
 from repro.experiments.dictionary_exp import build_attack_variants
 from repro.experiments.metrics import ConfusionCounts
 from repro.rng import SeedSpawner

@@ -38,14 +38,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.attacks.base import Attack
-from repro.corpus.dataset import Dataset
+from repro.corpus.dataset import Dataset, unlearn_grouped
 from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
 from repro.defenses.threshold import DynamicThresholdConfig, DynamicThresholdDefense
-from repro.engine.sweep import (
-    IncrementalAttackTrainer,
-    evaluate_dataset,
-    unlearn_grouped,
-)
+from repro.engine.sweep import IncrementalAttackTrainer, evaluate_dataset
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.experiments.metrics import ConfusionCounts
 from repro.experiments.results import CurvePoint, ExperimentRecord, Series

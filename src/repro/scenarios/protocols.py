@@ -37,11 +37,11 @@ from typing import Any, Callable, TYPE_CHECKING
 
 from repro.attacks.focused import FocusedAttack
 from repro.attacks.variants import build_attack_variants
-from repro.corpus.dataset import Dataset
+from repro.corpus.dataset import Dataset, train_grouped
 from repro.corpus.trec import TrecStyleCorpus
 from repro.engine.runner import ParallelRunner
 from repro.engine.seeding import drawn_seeds
-from repro.engine.sweep import SweepSpec, attack_message_count, run_attack_sweeps, train_grouped
+from repro.engine.sweep import SweepSpec, attack_message_count, run_attack_sweeps
 from repro.errors import ExperimentError
 from repro.experiments import dictionary_exp, focused_exp, goodword_exp, roni_exp, threshold_exp
 from repro.experiments.metrics import ConfusionCounts

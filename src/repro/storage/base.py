@@ -26,8 +26,8 @@ disk backend is opt-in because it trades speed for bounded RSS.  The
 the token-table layout (scoring tie-breaks compare token *text*,
 persisted dumps sort by text), so ``REPRO_STORE=memory`` and
 ``REPRO_STORE=disk`` produce byte-identical scenario, replicate and
-stream records — ``tests/test_storage_differential.py`` proves it the
-same way the ND-kernel and fault suites prove their contracts.
+stream records — the golden records in ``tests/golden/`` are replayed
+on both backends by ``tests/test_golden.py``.
 
 Backends are **per process**: :func:`active_backend` keys its cache on
 ``(pid, name)``, so a forked worker lazily builds its own backend (its

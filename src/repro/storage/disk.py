@@ -561,6 +561,14 @@ def orphaned_stores(include_live: bool = False) -> list[Path]:
     return orphans
 
 
+def reclaim_stores(pids) -> None:
+    """Remove the stores of exited processes ``pids`` (killed workers)."""
+    dead = set(pids)
+    for path in orphaned_stores():
+        if _pid_of_store(path.name) in dead:
+            shutil.rmtree(path, ignore_errors=True)
+
+
 def gc_stores(include_live: bool = False) -> list[str]:
     """Remove orphaned store directories; returns the paths removed.
 

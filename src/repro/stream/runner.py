@@ -66,14 +66,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.attacks.variants import build_attack_variants
-from repro.corpus.dataset import Dataset, LabeledMessage
+from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped, unlearn_grouped
 from repro.corpus.trec import TrecStyleCorpus
-from repro.engine.sweep import (
-    evaluate_dataset,
-    evaluation_workspace,
-    train_grouped,
-    unlearn_grouped,
-)
+from repro.engine.sweep import evaluate_dataset, evaluation_workspace
 from repro.errors import ExperimentError
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.experiments.metrics import ConfusionCounts

@@ -33,7 +33,8 @@ from repro.engine.sweep import (
     _StringPayloadTrainer,
     sequential_reference_sweep,
 )
-from repro.experiments.crossval import attack_fraction_sweep, train_grouped
+from repro.corpus.dataset import train_grouped
+from repro.experiments.crossval import attack_fraction_sweep
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.token_table import TokenTable
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks.dictionary import DictionaryAttack
-from repro.corpus.dataset import Dataset, LabeledMessage
+from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
 from repro.errors import ExperimentError
 from repro.experiments.crossval import (
     _IncrementalAttackTrainer,
     attack_fraction_sweep,
     attack_message_count,
     evaluate_dataset,
-    train_grouped,
 )
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier

@@ -7,8 +7,9 @@ downstream: count columns, snapshot WALs, persisted dumps, encoded
 arrays, grouping keys) differ between two runs of the *same* program.
 These tests run identical work under several explicit hash seeds in
 subprocesses and assert the observable state is identical, which is
-the foundation the replication engine's byte-identical-records
-guarantee stands on.
+the foundation the byte-identical-records guarantee stands on.  The
+records themselves are pinned across hash seeds by the golden harness
+(``tests/test_golden.py``).
 """
 
 from __future__ import annotations
@@ -104,69 +105,3 @@ print(out)
         blobs = [path.read_bytes() for path in paths]
         assert blobs[1] == blobs[0]
         assert blobs[2] == blobs[0]
-
-
-_REPLICATE_SCRIPT = """
-import json
-from repro.scenarios import replicate_scenario
-
-record = replicate_scenario(
-    "dictionary-vs-none",
-    seeds=2,
-    overrides=dict(
-        inbox_size=120, folds=2, corpus_ham=120, corpus_spam=120,
-        attack_fractions=(0.0, 0.05),
-    ),
-    workers=1,
-)
-print(json.dumps(record.as_dict(), indent=2))
-"""
-
-
-@pytest.mark.slow
-class TestReplicationAcrossHashSeeds:
-    def test_replicated_record_byte_identical_across_hash_seeds(self):
-        # The acceptance contract behind `repro replicate ... --out`:
-        # serialized replication records are byte-identical however the
-        # interpreter randomizes string hashing.
-        outputs = [
-            _run_under_hash_seed(_REPLICATE_SCRIPT, seed) for seed in HASH_SEEDS[:2]
-        ]
-        assert outputs[1] == outputs[0]
-
-
-_STREAM_REPLICATE_SCRIPT = """
-import json
-from repro.scenarios import replicate_scenario
-
-record = replicate_scenario(
-    "stream-dictionary-ramp",
-    seeds=2,
-    overrides=dict(
-        ticks=3, ham_per_tick=20, spam_per_tick=20,
-        attack_start_tick=2, attack_per_tick=6, test_size=40,
-    ),
-    workers=%d,
-)
-print(json.dumps(record.as_dict(), indent=2))
-"""
-
-
-@pytest.mark.slow
-class TestStreamReplicationDeterminism:
-    """The stream engine under the same contract: serialized stream
-    replication records are bit-identical across hash seeds AND across
-    worker counts (sequential replicas vs whole-stream tasks in the
-    shared pool)."""
-
-    def test_stream_records_identical_across_hash_seeds(self):
-        outputs = [
-            _run_under_hash_seed(_STREAM_REPLICATE_SCRIPT % 1, seed)
-            for seed in HASH_SEEDS[:2]
-        ]
-        assert outputs[1] == outputs[0]
-
-    def test_stream_records_identical_across_worker_counts(self):
-        sequential = _run_under_hash_seed(_STREAM_REPLICATE_SCRIPT % 1, HASH_SEEDS[0])
-        pooled = _run_under_hash_seed(_STREAM_REPLICATE_SCRIPT % 2, HASH_SEEDS[1])
-        assert pooled == sequential

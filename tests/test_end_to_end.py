@@ -13,9 +13,9 @@ import pytest
 from repro import SpamFilter, TrecStyleCorpus
 from repro.attacks import FocusedAttack, UsenetDictionaryAttack
 from repro.defenses import RoniDefense, train_with_dynamic_threshold
-from repro.corpus.dataset import Dataset
+from repro.corpus.dataset import Dataset, train_grouped
 from repro.experiments.attack_data import attack_messages_as_dataset
-from repro.experiments.crossval import attack_message_count, evaluate_dataset, train_grouped
+from repro.experiments.crossval import attack_message_count, evaluate_dataset
 from repro.rng import SeedSpawner
 from repro.spambayes.filter import Label
 

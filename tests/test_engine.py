@@ -20,13 +20,8 @@ from repro.corpus.vocabulary import TINY_PROFILE
 from repro.attacks.dictionary import OptimalDictionaryAttack, UsenetDictionaryAttack
 from repro.engine.runner import ParallelRunner, WorkerPool, resolve_workers
 from repro.engine.seeding import drawn_seeds, resolve_root_seed
-from repro.engine.sweep import (
-    SweepSpec,
-    run_attack_sweeps,
-    sequential_reference_sweep,
-    train_grouped,
-    unlearn_grouped,
-)
+from repro.corpus.dataset import train_grouped, unlearn_grouped
+from repro.engine.sweep import SweepSpec, run_attack_sweeps, sequential_reference_sweep
 from repro.errors import EngineError, ExperimentError, TrainingError
 from repro.experiments.crossval import attack_fraction_sweep
 from repro.rng import SeedSpawner

@@ -1,6 +1,6 @@
 """Tests for the fault-injection harness and the supervision layer.
 
-Four layers:
+Three layers:
 
 * :mod:`repro.engine.faults` — spec parsing, deterministic hash
   draws, site gating, worker-only firing;
@@ -9,12 +9,11 @@ Four layers:
   retry, app errors propagating unretried, with stats proving the
   faults actually fired;
 * :mod:`repro.engine.checkpoint` — replica checkpoint round-trips and
-  rejection of foreign/torn files;
-* the **differential fault suite** — the module's reason to exist:
-  every scenario family produces byte-identical records under
-  injected crashes and hangs (both kernels, ``workers=2``), a killed
-  ``repro replicate`` resumes via ``--resume`` to byte-identical
-  pooled output.
+  rejection of foreign/torn files, and a killed ``repro replicate``
+  resuming via ``--resume`` to byte-identical pooled output.
+
+That every scenario's record is byte-identical under injected crashes
+and hangs is checked by the golden harness (``tests/test_golden.py``).
 """
 
 from __future__ import annotations
@@ -56,14 +55,6 @@ TINY_DICTIONARY = dict(
     attack_fractions=(0.0, 0.05),
 )
 
-TINY_STREAM = dict(
-    ticks=3,
-    ham_per_tick=20,
-    spam_per_tick=20,
-    attack_start_tick=2,
-    test_size=60,
-)
-
 
 # Module-level so pool workers can pickle them by reference.
 def _square_task(context, task):
@@ -78,6 +69,13 @@ def _failing_task(context, task):
     if task == 3:
         raise ValueError("task three exploded")
     return task
+
+
+def _store_then_hang(context, task):
+    from repro.storage import active_backend
+
+    active_backend()  # REPRO_STORE=disk: this worker's own store directory
+    time.sleep(30.0)
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +280,17 @@ class TestSupervisedPool:
         assert stats["timeouts"] >= 1
         assert stats["degraded_chunks"] >= 1
 
+    def test_killed_workers_leave_no_disk_stores(self, tmp_path, monkeypatch):
+        # Killed workers skip their exit hooks; the supervisor reclaims
+        # the stores they built.
+        monkeypatch.setenv("REPRO_STORE", "disk")
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        policy = SupervisePolicy(timeout=1.0, retries=0, degrade=False)
+        with use_faults(None), SupervisedPool(2, policy=policy) as pool:
+            with pytest.raises(MapTimeoutError):
+                pool.run(_store_then_hang, None, [0, 1])
+        assert list(tmp_path.glob("repro_store_*")) == []
+
     def test_app_exception_propagates_unretried(self):
         policy = SupervisePolicy(retries=5, degrade=True)
         with use_faults(None), SupervisedPool(2, policy=policy) as pool:
@@ -393,87 +402,12 @@ class TestReplicaStore:
 
 
 # ----------------------------------------------------------------------
-# Differential fault suite: byte-identical records under injection
+# Checkpoint / resume
 # ----------------------------------------------------------------------
-
-CRASHY = FaultPlan((FaultSpec("crash", 0.4),), seed=5)
-HANGY = FaultPlan((FaultSpec("hang", 0.5, seconds=0.05),), seed=5)
-SUPERVISED = SupervisePolicy(timeout=60.0, retries=2, degrade=True)
 
 
 def _record_bytes(record) -> bytes:
     return json.dumps(record.as_dict(), sort_keys=True).encode()
-
-
-def _scenario_record(workers: int) -> ExperimentRecord:
-    from repro.scenarios import get_scenario, run_scenario
-
-    spec = get_scenario("dictionary-vs-none")
-    config = spec.build_config(**TINY_DICTIONARY, seed=0, workers=workers)
-    return run_scenario(spec, config=config).record
-
-
-@pytest.mark.parametrize("kernel", ["python", "nd"])
-@pytest.mark.parametrize("plan", [CRASHY, HANGY], ids=["crash", "hang"])
-def test_scenario_records_identical_under_faults(kernel, plan, monkeypatch):
-    if kernel == "nd":
-        pytest.importorskip("numpy")
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
-    with use_supervision(None), use_faults(None):
-        clean = _record_bytes(_scenario_record(workers=2))
-    with use_supervision(SUPERVISED), use_faults(plan):
-        faulted = _record_bytes(_scenario_record(workers=2))
-    assert faulted == clean
-
-
-@pytest.mark.parametrize("kernel", ["python", "nd"])
-def test_replicate_records_identical_under_faults(kernel, monkeypatch):
-    if kernel == "nd":
-        pytest.importorskip("numpy")
-    monkeypatch.setenv("REPRO_KERNEL", kernel)
-
-    def pooled():
-        return _record_bytes(
-            replicate_scenario(
-                "dictionary-vs-none",
-                seeds=2,
-                overrides=TINY_DICTIONARY,
-                workers=2,
-            )
-        )
-
-    with use_supervision(None), use_faults(None):
-        clean = pooled()
-    with use_supervision(SUPERVISED), use_faults(CRASHY):
-        faulted = pooled()
-    assert faulted == clean
-
-
-def test_stream_replicate_identical_under_faults(monkeypatch):
-    # Streams ship whole-stream tasks through the shared pool; the
-    # stream-task injection site fires per replica seed.
-    monkeypatch.setenv("REPRO_KERNEL", "python")
-
-    def pooled():
-        return _record_bytes(
-            replicate_scenario(
-                "stream-clean-control",
-                seeds=2,
-                overrides=TINY_STREAM,
-                workers=2,
-            )
-        )
-
-    with use_supervision(None), use_faults(None):
-        clean = pooled()
-    with use_supervision(SUPERVISED), use_faults(CRASHY):
-        faulted = pooled()
-    assert faulted == clean
-
-
-# ----------------------------------------------------------------------
-# Checkpoint / resume
-# ----------------------------------------------------------------------
 
 
 class TestResume:

@@ -115,7 +115,8 @@ class TestSharedMachinery:
         """The attack is combiner-independent: Graham scoring collapses
         under the same contamination."""
         from repro.attacks.dictionary import UsenetDictionaryAttack
-        from repro.experiments.crossval import evaluate_dataset, train_grouped
+        from repro.corpus.dataset import train_grouped
+        from repro.experiments.crossval import evaluate_dataset
         from repro.rng import SeedSpawner
 
         rng = SeedSpawner(77).rng("inbox")

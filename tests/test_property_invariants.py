@@ -3,18 +3,34 @@
 These hypothesis tests exercise the couplings the experiments rely on:
 batched vs sequential training equivalence, attack train/untrain
 round-trips, prefix-training consistency, and persistence fidelity
-under arbitrary training histories.
+under arbitrary training histories.  The last section fuzzes the input
+layer (parse, tokenize, mbox ingest) with hostile text, seeded with
+visual-spoofing mail: homoglyphs, zero-width characters, byte-order
+marks, right-to-left overrides and mixed scripts.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import functools
+import random
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.base import AttackBatch, AttackMessageGroup
+from repro.corpus.mbox import load_mbox
+from repro.corpus.trec import TrecStyleCorpus
+from repro.corpus.vocabulary import TINY_PROFILE
+from repro.errors import ReproError
 from repro.experiments.crossval import _IncrementalAttackTrainer
+from repro.serve import ServeClient, ServeConfig, serve_in_thread
 from repro.spambayes.classifier import Classifier
+from repro.spambayes.message import Email
+from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.persistence import classifier_from_dict, classifier_to_dict
+from repro.spambayes.tokenizer import Tokenizer
 
 token_sets = st.sets(st.sampled_from([f"w{i}" for i in range(25)]), min_size=1, max_size=8)
 histories = st.lists(st.tuples(token_sets, st.booleans()), min_size=1, max_size=25)
@@ -125,3 +141,86 @@ def test_copy_never_aliases(history):
     clone.learn({"w0", "w1"}, True)
     clone.learn_repeated({"w2"}, False, 3)
     assert _state(original) == snapshot
+
+
+# ----------------------------------------------------------------------
+# Input layer: hostile text parses or fails with ReproError, tokenizes
+# the same way twice, and scores inside [0, 1]
+# ----------------------------------------------------------------------
+
+# Cyrillic a inside Latin words; zero-width space, non-joiner, joiner;
+# byte-order marks; a right-to-left override; Latin/Cyrillic/Greek mix.
+SPOOFED = (
+    "Subject: verify your p\u0430ypal account\n\nlog in to p\u0430ypal now",
+    "Subject: win\n\nfree\u200bmoney cl\u200cick\u200dhere \u200b\u200c\u200d",
+    "\ufeffSubject: invoice\n\n\ufeffpayment due",
+    "Subject: invoice\u202egpj.exe\n\nopen the attached invoice\u202etxt.exe",
+    "From: B\u0430nk \u0405ecurity <alert@b\u0430nk.example>\n\nW\u0456nner \u03a1rize \u0412\u0410NK",
+)
+hostile_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=200)  # UTF-8 writable
+
+
+def _spoofed_examples(test):
+    for text in SPOOFED:
+        test = example(text=text)(test)
+    return test
+
+
+@functools.cache
+def _training_set() -> list[tuple[list[str], bool]]:
+    corpus = TrecStyleCorpus.generate(n_ham=20, n_spam=20, profile=TINY_PROFILE, seed=5)
+    return [(sorted(m.tokens()), m.is_spam) for m in corpus.dataset.sample_inbox(40, 0.5, random.Random(5))]
+
+
+@functools.cache
+def _trained():
+    classifier = create_classifier()
+    for tokens, is_spam in _training_set():
+        classifier.learn(tokens, is_spam)
+    return classifier
+
+
+def _assert_tokenizes_stably(email: Email) -> None:
+    tokens = Tokenizer().tokenize(email)
+    assert Tokenizer().tokenize(email) == tokens
+    assert 0.0 <= _trained().score(frozenset(tokens)) <= 1.0
+
+
+@_spoofed_examples
+@given(text=hostile_text)
+@settings(max_examples=150, deadline=None)
+def test_hostile_text_parses_tokenizes_and_scores(text):
+    try:
+        email = Email.from_text(text)
+    except ReproError:
+        return
+    _assert_tokenizes_stably(email)
+
+
+@_spoofed_examples
+@given(text=hostile_text)
+@settings(max_examples=60, deadline=None)
+def test_hostile_mbox_loads_or_raises_repro_error(text):
+    # The raw text as a mailbox, and as the body of a well-formed entry.
+    framed = ("From x@localhost Sat Jan  1 00:00:00 2005\nX-Repro-Label: spam\nX-Repro-Msgid: m1\n"
+              f"X-Repro-Body-Lines: {text.count(chr(10)) + 1}\n\n{text}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, mailbox in enumerate((text, framed)):
+            path = Path(tmp) / f"{index}.mbox"
+            path.write_text(mailbox, encoding="utf-8")
+            try:
+                dataset = load_mbox(path)
+            except ReproError:
+                continue
+            for message in dataset:
+                _assert_tokenizes_stably(message.email)
+
+
+def test_served_scores_equal_library_on_spoofed_mail(tmp_path):
+    probes = [sorted(set(Tokenizer().tokenize(Email.from_text(text)))) for text in SPOOFED]
+    config = ServeConfig(socket_path=str(tmp_path / "serve.sock"), batch_window_ms=0.0)
+    with serve_in_thread(config) as service, ServeClient(service.address) as client:
+        for tokens, is_spam in _training_set():
+            client.train(tokens, is_spam)
+        served = [client.score(tokens) for tokens in probes]
+    assert served == [_trained().score(tokens) for tokens in probes]

@@ -1,13 +1,13 @@
-"""Serve differentials: wire scores must be byte-identical to library
-scoring, across every kernel x storage backend combination.
+"""Serve differentials: a mutating session over the wire equals the
+same library call sequence, score for score.
 
 The daemon's whole value rests on one equivalence: a score obtained
-over the socket — possibly coalesced into a bulk kernel call with
-other clients' messages, possibly computed in a supervised worker
-process — is the *same float* ``Classifier.score`` returns for the
-same message against the same training state.  JSON round-trips IEEE
-doubles exactly (``float(repr(x)) == x``), so the comparison below is
-``==`` on floats, not approx.
+over the socket is the *same float* ``Classifier.score`` returns for
+the same message against the same training state.  JSON round-trips
+IEEE doubles exactly (``float(repr(x)) == x``), so the comparison below
+is ``==`` on floats, not approx.  Scores after a fixed training set —
+unbatched, coalesced and pooled, under each kernel and store — are
+pinned by the serve golden in ``tests/test_golden.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.serve import ServeClient, ServeConfig, serve_in_thread
 from repro.spambayes import ndkernel
 from repro.storage import STORE_DIR_ENV, STORE_ENV
 
-KERNELS = ("python", "nd") if ndkernel.available() else ("python",)
 STORES = ("memory", "disk")
 
 
@@ -42,7 +41,8 @@ def _env(var: str, value: str):
 @pytest.fixture(autouse=True)
 def _rooted_store_dir(tmp_path, monkeypatch):
     # Root any disk backend this test lazily creates under pytest's
-    # tmp tree (see test_storage_differential for the caching caveat).
+    # tmp tree.  (The backend is cached per process, so only the first
+    # disk-using test in a session actually picks the root.)
     monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
 
 
@@ -59,72 +59,6 @@ def workload(tiny_corpus):
     train = [(sorted(m.tokens()), m.is_spam) for m in inbox[:40]]
     score = [sorted(m.tokens()) for m in inbox[40:]]
     return train, score
-
-
-def _library_scores(train, score):
-    classifier = ndkernel.create_classifier()
-    for tokens, is_spam in train:
-        classifier.learn(tokens, is_spam)
-    return classifier.score_many(score)
-
-
-def _served_scores(tmp_path, train, score, *, batch_window_ms, pipelined=False):
-    config = ServeConfig(
-        socket_path=str(tmp_path / "serve.sock"), batch_window_ms=batch_window_ms
-    )
-    with serve_in_thread(config) as service:
-        with ServeClient(service.address) as client:
-            for tokens, is_spam in train:
-                client.train(tokens, is_spam)
-            if pipelined:
-                # All requests in flight at once: the window coalesces
-                # them into genuinely multi-message bulk calls.
-                ids = [client.send("score", tokens=tokens) for tokens in score]
-                responses = [client.recv(request_id) for request_id in ids]
-                assert max(r["batch"] for r in responses) > 1
-                return [r["score"] for r in responses]
-            return [client.score(tokens) for tokens in score]
-
-
-class TestWireMatchesLibrary:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("store", STORES)
-    def test_scores_byte_identical(self, tmp_path, workload, kernel, store):
-        train, score = workload
-        with _env(ndkernel.KERNEL_ENV, kernel), _env(STORE_ENV, store):
-            expected = _library_scores(train, score)
-            served = _served_scores(tmp_path, train, score, batch_window_ms=0.0)
-        assert served == expected
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_coalesced_scores_byte_identical(self, tmp_path, workload, kernel):
-        """The batched path — many messages per bulk call — returns the
-        same floats as the unbatched path and the library."""
-        train, score = workload
-        with _env(ndkernel.KERNEL_ENV, kernel):
-            expected = _library_scores(train, score)
-            served = _served_scores(
-                tmp_path, train, score, batch_window_ms=25.0, pipelined=True
-            )
-        assert served == expected
-
-    def test_pooled_scores_byte_identical(self, tmp_path, workload):
-        """Worker-pool scoring (the supervised path) changes where the
-        floats are computed, never what they are."""
-        train, score = workload
-        expected = _library_scores(train, score)
-        config = ServeConfig(
-            socket_path=str(tmp_path / "serve.sock"),
-            batch_window_ms=10.0,
-            workers=2,
-        )
-        with serve_in_thread(config) as service:
-            with ServeClient(service.address) as client:
-                for tokens, is_spam in train:
-                    client.train(tokens, is_spam)
-                ids = [client.send("score", tokens=tokens) for tokens in score]
-                served = [client.recv(request_id)["score"] for request_id in ids]
-        assert served == expected
 
 
 class TestMutationSequenceMatchesLibrary:
