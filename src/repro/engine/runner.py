@@ -237,6 +237,7 @@ def _kill_executor(executor: Executor) -> None:
     """
     process_map = getattr(executor, "_processes", None)
     processes = list(process_map.values()) if process_map else []
+    results = getattr(executor, "_result_queue", None)  # shutdown drops it
     for process in processes:
         try:
             process.terminate()
@@ -254,6 +255,12 @@ def _kill_executor(executor: Executor) -> None:
                 process.join(5.0)
         except (OSError, ValueError, AssertionError):  # pragma: no cover
             pass
+    # A worker killed mid-send leaves half a result in the pipe, and the
+    # executor's manager thread blocks reading the rest; interpreter exit
+    # would then wait on that thread forever.  Closing this process's
+    # write end turns the read into EOF once no live worker holds one.
+    if results is not None:
+        results._writer.close()
     # Killed workers skip their exit hooks: remove the stores they built.
     from repro.storage.disk import reclaim_stores
 

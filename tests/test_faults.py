@@ -22,14 +22,16 @@ import json
 import os
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from repro.engine import checkpoint, faults, supervise
+from repro.engine import checkpoint, faults, runner, supervise
 from repro.engine.faults import FaultPlan, FaultSpec, parse_faults, use_faults
 from repro.engine.replicate import replica_seeds, replicate_scenario
 from repro.engine.supervise import (
@@ -290,6 +292,18 @@ class TestSupervisedPool:
             with pytest.raises(MapTimeoutError):
                 pool.run(_store_then_hang, None, [0, 1])
         assert list(tmp_path.glob("repro_store_*")) == []
+
+    def test_kill_releases_a_manager_stuck_on_half_a_result(self):
+        # A worker killed mid-send leaves a length header without its
+        # payload: the executor's manager thread blocks reading the
+        # rest, and interpreter exit would wait on that thread forever.
+        executor = ProcessPoolExecutor(max_workers=2)
+        assert executor.submit(abs, -1).result() == 1
+        manager = executor._executor_manager_thread
+        os.write(executor._result_queue._writer.fileno(), struct.pack("!i", 1 << 16))
+        runner._kill_executor(executor)
+        manager.join(10.0)
+        assert not manager.is_alive()
 
     def test_app_exception_propagates_unretried(self):
         policy = SupervisePolicy(retries=5, degrade=True)

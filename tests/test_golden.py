@@ -5,34 +5,37 @@ count, ``PYTHONHASHSEED`` and fault schedule.  This module replays each
 golden in ``tests/golden/`` (written by ``tools/regen_goldens.py``)
 across a pairwise covering array of those axes plus ``PINNED``, the
 exact cells the older differential suites checked, and compares the
-``--out`` artifact byte for byte.  Cells with a pinned hash seed run in
-one background interpreter per seed while the in-process cells run; a
-fault cell whose entry fans out must record a crash or a timeout, and
-the disk stores of a hash-seed batch must be gone when it exits.  The
-serve golden is replayed through the library and the daemon.
+``--out`` artifact byte for byte (``golden_cells.py`` runs a cell).
+Cells with a pinned hash seed run in one background interpreter per
+seed, a seed at a time, while the in-process cells run; a fault cell
+whose entry fans out must record a crash or a timeout, the disk stores
+of a hash-seed batch must be gone when it exits, and an in-process cell
+must add no ``repro_shm_*`` entry to ``/dev/shm``.  The serve golden is replayed through the
+library and the daemon.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import importlib.util
 import itertools
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from golden_cells import Cell, golden, run_cell
 from repro.scenarios import get_scenario, scenario_names
 from repro.serve import ServeClient, ServeConfig, serve_in_thread
 from repro.spambayes import ndkernel
 from repro.storage import STORE_DIR_ENV, STORE_ENV
 
-_spec = importlib.util.spec_from_file_location(
-    "regen_goldens", Path(__file__).resolve().parent.parent / "tools" / "regen_goldens.py"
-)
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
-Cell = golden.Cell
+BATCH_TIMEOUT = 120  # seconds one hash seed's interpreter may take (it needs ~10)
 
 GOLDENS = {path.stem: json.loads(path.read_text()) for path in sorted(golden.GOLDEN_DIR.glob("*.json"))}
 ENTRIES = tuple(name for name in GOLDENS if name != golden.SERVE)
@@ -84,9 +87,6 @@ PINNED = [
     *_pins("ndkernel: stream defenses across kernels", "stream-dictionary-ramp", KERNELS),
     *_pins("ndkernel: stream defenses across kernels", "stream-threshold-over-time", KERNELS),
     *_pins("ndkernel: kernels across hash seeds", FIG1, KERNELS, hashseed=("0", "1")),
-    *_pins("ndkernel: good-word oracle across kernels", "goodword-evasion", KERNELS),
-    *_pins("ndkernel: RONI defense across kernels", "roni-defense", KERNELS),
-    *_pins("ndkernel: threshold defense across kernels", FIG5, KERNELS),
 ]
 """Every exact combination a retired differential leg checked, with the
 leg it stands for (CHANGES.md maps each removed test to these)."""
@@ -99,6 +99,14 @@ SUBPROCESS = [cell for cell in CELLS if cell.hashseed != INPROC]
 def _require(kernel: str) -> None:
     if kernel == "nd" and not ndkernel.available():
         pytest.skip("nd kernel needs NumPy")
+
+
+def _shm_segments() -> list[str]:
+    # The prefix the deleted shared-memory corpus transport used: a
+    # pooled map ships its corpus by value and publishes nothing.
+    if not os.path.isdir("/dev/shm"):
+        return []
+    return sorted(name for name in os.listdir("/dev/shm") if name.startswith("repro_shm_"))
 
 
 def _assert_faults_fired(cell: Cell, tally: dict) -> None:
@@ -117,9 +125,11 @@ def _assert_faults_fired(cell: Cell, tally: dict) -> None:
 def test_cell_matches_golden(cell, tmp_path, monkeypatch):
     _require(cell.kernel)
     monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
-    artifact, tally = golden.run_cell(GOLDENS[cell.entry], cell)
+    segments = _shm_segments()
+    artifact, tally = run_cell(GOLDENS[cell.entry], cell)
     assert golden.compare(GOLDENS[cell.entry], artifact) is None
     _assert_faults_fired(cell, tally)
+    assert _shm_segments() == segments
 
 
 @pytest.fixture(scope="module")
@@ -212,32 +222,72 @@ def test_check_flags_a_stale_golden(tmp_path):
 # ----------------------------------------------------------------------
 
 
+def _launch_batch(cells: list[Cell], batch: Path) -> subprocess.Popen:
+    """Start a fresh interpreter, in its own session, that runs ``cells``
+    under their hash seed with its disk stores rooted in ``batch``."""
+    batch.mkdir()
+    (batch / "cells.json").write_text(json.dumps([list(cell) for cell in cells]))
+    env = {**os.environ, "PYTHONHASHSEED": cells[0].hashseed, STORE_DIR_ENV: str(batch)}
+    with open(batch / "stderr.txt", "w") as stderr:
+        return subprocess.Popen([sys.executable, str(Path(__file__).with_name("golden_cells.py")), str(batch)],
+                                env=env, stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True)
+
+
+def _kill(process: subprocess.Popen) -> None:
+    """Kill a batch still running, pool workers included."""
+    if process.poll() is None:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(process.pid, signal.SIGKILL)
+        process.wait()
+
+
 @pytest.fixture(scope="module", autouse=True)
 def seed_batches(request, tmp_path_factory):
-    """Start the selected hash-seed cells as the module starts; yield a
-    function that waits for them and returns one cell's result and any
-    store directory its batch left behind."""
+    """Start the selected hash-seed cells as the module starts: one
+    interpreter per seed, one seed at a time, so the batches take one
+    core beside the in-process cells.  A batch that has not exited
+    ``BATCH_TIMEOUT`` seconds after it started is killed.  Yield a
+    function that waits for the batches and returns a cell's result and
+    any store directory its batch left behind.  Teardown kills a batch
+    still running and starts no other."""
     batches, workdir, results = {}, tmp_path_factory.mktemp("hashseeds"), {}
     for item in request.session.items:
         if getattr(item, "originalname", None) == "test_hash_seed_cell_matches_golden":
             cell = item.callspec.params["cell"]
             if cell.kernel != "nd" or ndkernel.available():
                 batches.setdefault(cell.hashseed, []).append(cell)
-    process = golden.launch_seed_batches(batches, workdir) if batches else None
+    processes, lock, stopping = {}, threading.Lock(), threading.Event()
+
+    def run_in_turn():
+        for seed, cells in batches.items():
+            with lock:
+                if stopping.is_set():
+                    return
+                process = processes[seed] = _launch_batch(cells, workdir / seed)
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                process.wait(timeout=BATCH_TIMEOUT)
+            _kill(process)
+
+    runner = threading.Thread(target=run_in_turn, daemon=True)
+    runner.start()
 
     def result(cell: Cell) -> tuple[dict, list[str]]:
-        if not results:
-            process.wait(timeout=len(batches) * golden.BATCH_TIMEOUT + 60)
-            for seed, cells in batches.items():
-                done = workdir / seed / "results.json"
-                assert done.exists(), (workdir / seed / "stderr.txt").read_text()
-                results.update(zip(cells, json.loads(done.read_text())))
-        return results[cell], sorted(p.name for p in (workdir / cell.hashseed).glob("repro_store_*"))
+        batch = workdir / cell.hashseed
+        if cell not in results:
+            runner.join()
+            # Exiting by itself is part of the contract: an interpreter
+            # that hangs at exit after a killed pool is a defect.
+            returncode = processes[cell.hashseed].returncode
+            assert returncode == 0, f"batch exited {returncode}: {(batch / 'stderr.txt').read_text()}"
+            results.update(zip(batches[cell.hashseed], json.loads((batch / "results.json").read_text())))
+        return results[cell], sorted(path.name for path in batch.glob("repro_store_*"))
 
     yield result
-    if process is not None and process.poll() is None:
-        process.kill()
-        process.wait()
+    stopping.set()
+    with lock:
+        for process in processes.values():
+            _kill(process)
+    runner.join()
 
 
 @pytest.mark.slow

@@ -9,6 +9,8 @@ up), and this suite drives both through:
 * seeded randomized learn/unlearn/score/snapshot interleavings,
 * the attack classes no registered scenario sweeps (informed, focused
   and ham-labeled payloads through the sweep engine),
+* the exact floats behind the thresholded records: good-word ranks and
+  padded scores, RONI deltas, dynamic-threshold cutoffs,
 * kernel edge cases (CSR validation, table growth, memo purges).
 
 Whole scenario records — the dictionary variants, good-word evasion,
@@ -25,18 +27,22 @@ from __future__ import annotations
 
 import os
 import random
-from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.attacks.goodword import OracleGoodWordAttack
 from repro.attacks.hamlabeled import HamLabeledAttack
 from repro.attacks.variants import build_attack_variants
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
+from repro.defenses.roni import RoniConfig, RoniDefense
+from repro.defenses.threshold import DynamicThresholdDefense
 from repro.engine.sweep import SweepSpec, run_attack_sweeps
 from repro.errors import ConfigurationError, TrainingError
+from repro.rng import SeedSpawner
 from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.ndkernel import NDClassifier
@@ -46,18 +52,9 @@ from repro.spambayes.token_table import TokenTable
 SUITE_WORKERS = int(os.environ.get("REPRO_WORKERS", "1") or "1")
 
 
-@contextmanager
 def forced_kernel(name: str):
     """Pin ``REPRO_KERNEL`` for the duration of one comparison arm."""
-    previous = os.environ.get(ndkernel.KERNEL_ENV)
-    os.environ[ndkernel.KERNEL_ENV] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ndkernel.KERNEL_ENV, None)
-        else:
-            os.environ[ndkernel.KERNEL_ENV] = previous
+    return mock.patch.dict(os.environ, {ndkernel.KERNEL_ENV: name})
 
 
 # ----------------------------------------------------------------------
@@ -225,6 +222,71 @@ def test_hamlabeled_attack_bit_identical(diff_corpus, diff_inbox):
     with forced_kernel("nd"):
         assert _sweep_dicts(diff_inbox, attack, workers=1, ham_only=True) == oracle
         assert _sweep_dicts(diff_inbox, attack, workers=2, ham_only=True) == oracle
+
+
+def test_goodword_oracle_attack_bit_identical(diff_corpus, diff_inbox):
+    """The evasion-side attack: ranked words and padded scores match."""
+
+    def ranked_and_scores(kernel: str):
+        with forced_kernel(kernel):
+            classifier = ndkernel.create_classifier()
+            for message in diff_inbox:
+                classifier.learn(message.tokens(), message.is_spam)
+            attack = OracleGoodWordAttack(
+                classifier, diff_corpus.vocabulary.ham_topic
+            )
+            spam = next(m for m in diff_inbox if m.is_spam)
+            padded = attack.pad(spam.email, 25).padded
+            from repro.spambayes.tokenizer import DEFAULT_TOKENIZER
+
+            return attack.ranked_words, classifier.score(
+                frozenset(DEFAULT_TOKENIZER.tokenize(padded))
+            )
+
+    assert ranked_and_scores("nd") == ranked_and_scores("python")
+
+
+# ----------------------------------------------------------------------
+# Both defenses
+# ----------------------------------------------------------------------
+
+
+def test_roni_defense_bit_identical(diff_corpus, diff_inbox):
+    def measurements(kernel: str):
+        with forced_kernel(kernel):
+            defense = RoniDefense(
+                diff_inbox,
+                SeedSpawner(31).rng("roni"),
+                RoniConfig(train_size=20, validation_size=20, trials=3),
+            )
+            candidates = diff_corpus.dataset.messages[:12]
+            return [
+                (
+                    m.ham_as_ham_delta,
+                    m.ham_as_spam_delta,
+                    m.ham_as_unsure_delta,
+                    m.spam_as_spam_delta,
+                    m.trials,
+                )
+                for m in defense.measure_many(candidates)
+            ]
+
+    assert measurements("nd") == measurements("python")
+
+
+def test_threshold_defense_bit_identical(diff_inbox):
+    def fit(kernel: str):
+        with forced_kernel(kernel):
+            defense = DynamicThresholdDefense()
+            result = defense.fit(diff_inbox, random.Random(77))
+            return (
+                result.ham_cutoff,
+                result.spam_cutoff,
+                result.quantile,
+                result.validation_size,
+            )
+
+    assert fit("nd") == fit("python")
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ pinned by the serve golden in ``tests/test_golden.py``.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -23,19 +23,6 @@ from repro.spambayes import ndkernel
 from repro.storage import STORE_DIR_ENV, STORE_ENV
 
 STORES = ("memory", "disk")
-
-
-@contextmanager
-def _env(var: str, value: str):
-    previous = os.environ.get(var)
-    os.environ[var] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = previous
 
 
 @pytest.fixture(autouse=True)
@@ -68,7 +55,7 @@ class TestMutationSequenceMatchesLibrary:
         equals the identical library call sequence, state for state."""
         train, score = workload
         probe = score[0]
-        with _env(STORE_ENV, store):
+        with mock.patch.dict(os.environ, {STORE_ENV: store}):
             classifier = ndkernel.create_classifier()
             expected = []
             for index, (tokens, is_spam) in enumerate(train):

@@ -9,9 +9,9 @@ which is precisely what the retained ``counterfactual="unlearn"``
 reference computes by snapshot/unlearn-all/restore.  These tests make
 that equality an enforced differential contract, not an argument:
 
-* the **scenario differential**: every registered stream scenario, at
-  its golden record's overrides, run twin-vs-unlearn under both
-  kernels — records compared as serialized bytes;
+* the **scenario differential**: every registered stream scenario,
+  scaled down so that it trains attack mail, run twin-vs-unlearn under
+  both kernels — records compared as serialized bytes;
 * the **pooled leg**: the same differential with the whole stream
   shipped to a :class:`WorkerPool` worker process;
 * the **property test**: randomized attack schedules at the classifier
@@ -30,11 +30,12 @@ import os
 import random
 import subprocess
 import sys
-from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from repro.defenses.roni import RoniConfig
 from repro.engine.runner import WorkerPool
 from repro.errors import ExperimentError
 from repro.scenarios import get_scenario, scenario_names
@@ -55,18 +56,9 @@ KERNELS = ("nd", "python")
 HASH_SEEDS = ("0", "1", "2")
 
 
-@contextmanager
 def forced_kernel(name: str):
     """Pin ``REPRO_KERNEL`` for the duration of one comparison arm."""
-    previous = os.environ.get(ndkernel.KERNEL_ENV)
-    os.environ[ndkernel.KERNEL_ENV] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ndkernel.KERNEL_ENV, None)
-        else:
-            os.environ[ndkernel.KERNEL_ENV] = previous
+    return mock.patch.dict(os.environ, {ndkernel.KERNEL_ENV: name})
 
 
 def _run_under_hash_seed(script: str, hash_seed: str) -> str:
@@ -85,18 +77,80 @@ def _run_under_hash_seed(script: str, hash_seed: str) -> str:
     assert result.returncode == 0, result.stderr
     return result.stdout
 
-# Every registered stream scenario, at the overrides its golden record
-# runs at (tests/golden/); the golden harness fails when a registered
-# scenario has no golden, so this list cannot silently fall behind.
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# Scaled-down overrides per registered stream scenario: small enough
+# to keep 6 scenarios x 2 kernels x 2 modes fast, large enough that
+# every scenario trains attack mail (so the twin path actually
+# diverges from the copy-the-confusion shortcut) — except the clean
+# control, which pins the no-attack degenerate case.
+_SCENARIO_SCALE: dict[str, dict] = {
+    "stream-dictionary-ramp": dict(
+        ticks=4,
+        ham_per_tick=14,
+        spam_per_tick=14,
+        attack_start_tick=2,
+        attack_per_tick=8,
+        ramp_ticks=2,
+        test_size=24,
+    ),
+    "stream-dictionary-vs-roni": dict(
+        ticks=3,
+        ham_per_tick=24,
+        spam_per_tick=24,
+        attack_start_tick=2,
+        attack_per_tick=5,
+        roni=RoniConfig(train_size=8, validation_size=16, trials=2),
+        roni_calibration_size=40,
+        test_size=24,
+    ),
+    "stream-focused-vs-roni": dict(
+        ticks=3,
+        ham_per_tick=24,
+        spam_per_tick=24,
+        attack_start_tick=2,
+        attack_per_tick=5,
+        roni=RoniConfig(train_size=8, validation_size=16, trials=2),
+        roni_calibration_size=40,
+        test_size=24,
+    ),
+    "stream-usenet-burst": dict(
+        ticks=4,
+        ham_per_tick=14,
+        spam_per_tick=14,
+        attack_start_tick=2,
+        attack_per_tick=6,
+        ramp_ticks=2,
+        test_size=24,
+    ),
+    "stream-threshold-over-time": dict(
+        ticks=3,
+        ham_per_tick=16,
+        spam_per_tick=16,
+        attack_start_tick=2,
+        attack_per_tick=6,
+        test_size=24,
+    ),
+    "stream-clean-control": dict(
+        ticks=3,
+        ham_per_tick=14,
+        spam_per_tick=14,
+        test_size=24,
+    ),
+}
+
+CLEAN_CONTROL = "stream-clean-control"
+
+# Driven by the registry, so a newly registered stream scenario is
+# parametrized here and fails until it has overrides above.
 STREAM_SCENARIOS = tuple(
     sorted(name for name in scenario_names() if get_scenario(name).protocol == "stream")
 )
 
 
 def _scaled_spec(name: str) -> StreamSpec:
-    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
-    config = get_scenario(name).build_config(**golden["overrides"])
+    if name not in _SCENARIO_SCALE:
+        pytest.fail(f"{name}: add attack-bearing overrides to _SCENARIO_SCALE")
+    spec = get_scenario(name)
+    config = spec.build_config(**_SCENARIO_SCALE[name])
     # measure_clean on everywhere: the differential is about the
     # counterfactual, so every scenario must compute one.
     return dataclasses.replace(config, measure_clean=True, seed=23)
@@ -115,6 +169,10 @@ class TestScenarioDifferential:
             twin = StreamRunner(spec, counterfactual="twin").run()
             unlearn = StreamRunner(spec, counterfactual="unlearn").run()
         assert _record_bytes(twin) == _record_bytes(unlearn)
+        # Only attack mail that was trained makes the twin diverge from
+        # the main line; without it the comparison is vacuous.
+        trained = twin.to_record().as_dict()["extras"]["attack_trained"]
+        assert (sum(trained) > 0) == (name != CLEAN_CONTROL), trained
 
     def test_kernels_agree_with_each_other(self):
         # One scenario cross-kernel: the twin path on nd must match

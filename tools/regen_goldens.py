@@ -13,40 +13,29 @@ parsed back and ``sha256`` pins its bytes.
 Both run at one fixed cell: the nd kernel when NumPy is installed,
 the memory store, one worker, ``PYTHONHASHSEED=0``.  ``--check`` names
 each mismatching entry and the first JSON path where it differs.
-``tests/test_golden.py`` replays the goldens through :func:`run_cell`.
+``tests/test_golden.py`` replays the goldens across the determinism
+matrix through :func:`render` and :func:`compare`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import hashlib
 import io
-import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import Any
 from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
-
-from repro.corpus.vocabulary import Vocabulary  # noqa: E402 (needs src on the path)
-
-# A vocabulary is an immutable pure function of (profile, seed) that no
-# cell varies, and building one is a third of a cell's time: the cells
-# one process runs share each build.
-_BUILD = Vocabulary.__dict__["build"]
-_SHARED_BUILD = classmethod(functools.cache(_BUILD.__func__))
 FIXED_HASH_SEED = "0"
-BATCH_TIMEOUT = 600  # seconds one hash seed's subprocess batch may take
 
 # Small enough for tier-1, large enough that every pool stays reachable
 # at workers 2 and 3: three folds, repetitions, RONI batches and caught
@@ -188,121 +177,16 @@ def compare_scores(golden: dict[str, Any], scores: list[float]) -> str | None:
     return where and f"{golden['entry']}: {where}"
 
 
-class Cell(NamedTuple):
-    """One point of the determinism matrix."""
-
-    entry: str
-    kernel: str  # python | nd
-    store: str  # memory | disk
-    workers: int
-    hashseed: str  # "in-process" or a PYTHONHASHSEED value
-    faults: str  # off | crash | hang
-
-    @property
-    def id(self) -> str:
-        return f"{self.entry}-{self.kernel}-{self.store}-w{self.workers}-h{self.hashseed}-{self.faults}"
-
-
-def fault_setup(mode: str):
-    """The (plan, policy) of a fault mode: ``crash`` kills about half
-    the chunks of each attempt and retries on a respawned pool; ``hang``
-    stalls about half far past a short deadline, so the wave times out,
-    its workers die and the rest runs inline.
-
-    Each supervised map has its own pool, so the first task of every map
-    draws the same key on its first attempt; the plan takes the first
-    seed that fires there, and so faults every pooled map at least once.
-    """
-    from repro.engine.faults import FaultPlan, FaultSpec
-    from repro.engine.supervise import SupervisePolicy
-
-    spec, policy = {
-        "crash": (FaultSpec("crash", 0.5), SupervisePolicy(retries=2)),
-        "hang": (FaultSpec("hang", 0.5, seconds=30.0), SupervisePolicy(timeout=0.5, retries=0)),
-    }[mode]
-    plans = (FaultPlan((spec,), seed=seed) for seed in itertools.count())
-    return next(plan for plan in plans if plan.decide("worker-chunk", "0:0:0:0")), policy
-
-
-def _kernel_and_store(cell: Cell):
-    return mock.patch.dict(os.environ, REPRO_KERNEL=cell.kernel, REPRO_STORE=cell.store)
-
-
-def run_cell(golden: dict[str, Any], cell: Cell) -> tuple[bytes, dict[str, int]]:
-    """``golden``'s artifact under ``cell`` in this process (whose hash
-    seed it runs under), and a tally of supervised maps and of every
-    ``SuperviseStats`` bump.  An ``off`` cell leaves an ambient
-    ``REPRO_FAULTS`` plan in force."""
-    from repro.engine import supervise
-    from repro.engine.faults import use_faults
-
-    tally: Counter = Counter()
-    bump, run = supervise.SuperviseStats.bump, supervise.SupervisedPool.run
-
-    def counting_bump(self, name, count=1):
-        tally[name] += count
-        bump(self, name, count)
-
-    def counting_run(self, fn, context, tasks):
-        tally["maps"] += 1
-        return run(self, fn, context, tasks)
-
-    supervise.SuperviseStats.bump, supervise.SupervisedPool.run = counting_bump, counting_run
-    Vocabulary.build = _SHARED_BUILD
-    try:
-        with _kernel_and_store(cell), contextlib.ExitStack() as stack:
-            if cell.faults != "off":
-                plan, policy = fault_setup(cell.faults)
-                stack.enter_context(use_faults(plan))
-                stack.enter_context(supervise.use_supervision(policy))
-            artifact = render(golden, cell.workers)
-    finally:
-        supervise.SuperviseStats.bump, supervise.SupervisedPool.run = bump, run
-        Vocabulary.build = _BUILD
-    return artifact, dict(tally)
-
-
-def run_cell_batch(batch: str) -> None:
-    """Run the cells of ``<batch>/cells.json`` here; write ``results.json``."""
-    results = []
-    for fields in json.loads((Path(batch) / "cells.json").read_text()):
-        golden = load_golden(fields[0])
-        artifact, tally = run_cell(golden, Cell(*fields))
-        results.append({"hashseed": os.environ.get("PYTHONHASHSEED"),
-                        "mismatch": compare(golden, artifact), "tally": tally})
-    (Path(batch) / "results.json").write_text(json.dumps(results))
-
-
-def launch_seed_batches(batches: dict[str, list[Cell]], workdir: Path) -> subprocess.Popen:
-    """Start, in the background, one fresh interpreter per hash seed in
-    turn, each running that seed's cells with its disk stores rooted in
-    ``<workdir>/<hashseed>``; results land in ``results.json`` there."""
-    for hashseed, cells in batches.items():
-        (workdir / hashseed).mkdir(parents=True)
-        (workdir / hashseed / "cells.json").write_text(json.dumps([list(c) for c in cells]))
-    return subprocess.Popen([sys.executable, __file__, "--run-seed-batches", str(workdir)],
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-
-def _run_seed_batches(workdir: Path) -> None:
-    for batch in sorted(workdir.iterdir()):
-        env = {**os.environ, "PYTHONHASHSEED": batch.name, "REPRO_STORE_DIR": str(batch)}
-        with open(batch / "stderr.txt", "w") as stderr:
-            with contextlib.suppress(subprocess.TimeoutExpired):
-                subprocess.run([sys.executable, __file__, "--run-cells", str(batch)], env=env,
-                               stdout=subprocess.DEVNULL, stderr=stderr, timeout=BATCH_TIMEOUT)
-
-
 def build_golden(name: str) -> dict[str, Any]:
-    """One golden, rendered at the fixed cell (this process's hash seed)."""
+    """One golden, rendered at the fixed cell's kernel, store and worker
+    count under this process's hash seed (:func:`main` pins that)."""
     from repro.spambayes.ndkernel import available
 
-    cell = Cell(name, "nd" if available() else "python", "memory", 1, FIXED_HASH_SEED, "off")
-    if name == SERVE:
-        with _kernel_and_store(cell):
+    with mock.patch.dict(os.environ, REPRO_KERNEL="nd" if available() else "python", REPRO_STORE="memory"):
+        if name == SERVE:
             return {"entry": name, **SERVE_WORKLOAD, "scores": library_scores(*serve_workload())}
-    golden = golden_spec(name)
-    artifact, _ = run_cell(golden, cell)
+        golden = golden_spec(name)
+        artifact = render(golden)
     record = json.loads(artifact)
     if json.dumps(record, indent=2).encode() != artifact:
         raise RuntimeError(f"{name}: the parsed record does not re-render to the artifact")
@@ -337,15 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Write or check tests/golden/.")
     parser.add_argument("--check", action="store_true", help="compare; write nothing")
     parser.add_argument("entries", nargs="*", help="entries to regenerate (default all)")
-    parser.add_argument("--run-cells", help=argparse.SUPPRESS)  # the harness's batches
-    parser.add_argument("--run-seed-batches", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.run_cells:
-        run_cell_batch(args.run_cells)
-        return 0
-    if args.run_seed_batches:
-        _run_seed_batches(Path(args.run_seed_batches))
-        return 0
     if os.environ.get("PYTHONHASHSEED") != FIXED_HASH_SEED:
         # Only a fresh interpreter can pin string hashing.
         env = {**os.environ, "PYTHONHASHSEED": FIXED_HASH_SEED}
