@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test goldens bench-smoke bench bench-core bench-scenario bench-replication bench-stream bench-storage bench-serve bench-large docs-check check
+.PHONY: test goldens bench-smoke bench bench-core bench-scenario bench-stream bench-storage bench-serve bench-large docs-check check
 
 # Tier-1 gate: the full test suite, fail-fast.
 test:
@@ -18,17 +18,13 @@ test:
 goldens:
 	$(PYTHON) tools/regen_goldens.py
 
-# Seconds-long proof that the parallel sweep engine reproduces the
-# sequential results (and a rough speedup reading), plus the
-# classifier-core micro-benchmarks (ID core vs retained dict core,
-# bit-identical outputs asserted; JSON record in benchmarks/results/)
-# and the scenario-executor dispatch benchmark (executor output
-# asserted identical to the retained drivers).
+# Seconds-long runs of the classifier-core micro-benchmarks (ID core
+# vs retained dict core, bit-identical outputs asserted; JSON record in
+# benchmarks/results/) and the scenario-executor dispatch benchmark
+# (executor output asserted identical to the retained drivers).
 bench-smoke:
-	$(PYTHON) benchmarks/bench_parallel_sweep.py --scale smoke --workers 2
 	$(PYTHON) benchmarks/bench_classifier_core.py --scale smoke
 	$(PYTHON) benchmarks/bench_scenario_overhead.py --scale smoke
-	$(PYTHON) benchmarks/bench_replication.py --scale smoke --workers 2
 	$(PYTHON) benchmarks/bench_stream_throughput.py --scale smoke --workers 2
 	$(PYTHON) benchmarks/bench_stream_throughput.py --scale smoke --ticks
 	$(PYTHON) benchmarks/bench_storage.py --scale smoke
@@ -43,12 +39,6 @@ bench-core:
 # scale; appends to benchmarks/results/BENCH_scenario.json.
 bench-scenario:
 	$(PYTHON) benchmarks/bench_scenario_overhead.py --scale small
-
-# Replica-per-worker replication pool vs the naive sequential seed
-# loop, records asserted identical; appends to
-# benchmarks/results/BENCH_replication.json.
-bench-replication:
-	$(PYTHON) benchmarks/bench_replication.py --scale small --workers 2
 
 # Streaming engine: multi-seed streams sequential vs one per worker,
 # records asserted identical, messages/sec reported; appends to
@@ -76,7 +66,6 @@ bench-serve:
 # BENCH_*.large.json records into benchmarks/results/.
 bench-large:
 	$(PYTHON) benchmarks/bench_classifier_core.py --scale large
-	$(PYTHON) benchmarks/bench_replication.py --scale large --workers 2
 	$(PYTHON) benchmarks/bench_stream_throughput.py --scale large --workers 2
 	$(PYTHON) benchmarks/bench_stream_throughput.py --scale large --ticks
 	$(PYTHON) benchmarks/bench_storage.py --scale large

@@ -35,9 +35,9 @@ repetitions, targets) out over N processes through
 :mod:`repro.engine`; ``0`` means one per CPU.  Results — text and
 JSON — are identical at any worker count.
 
-``--timeout SECONDS`` / ``--retries N`` (on ``run-scenario`` and
-``replicate``) activate the engine's supervision layer
-(:mod:`repro.engine.supervise`): wedged workers are killed at the
+``--timeout SECONDS`` / ``--retries N`` (on ``run-scenario``,
+``replicate`` and ``serve``) tune the supervisor every worker pool runs
+under (:mod:`repro.engine.supervise`): wedged workers are killed at the
 deadline, crashed pools are respawned and unfinished chunks retried,
 and after N rounds the run degrades to in-process execution rather
 than dying — with identical results on every path.  On ``replicate``
@@ -237,19 +237,17 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _supervision_policy(args) -> Any:
-    """The supervision policy an invocation asked for, or the ambient
-    one (env: ``REPRO_TIMEOUT``/``REPRO_RETRIES``/``REPRO_FAULTS``)
-    when no flag was given.  ``None`` means unsupervised."""
+    """The ambient supervision policy (env: ``REPRO_TIMEOUT``/
+    ``REPRO_RETRIES``/``REPRO_DEGRADE``) with the invocation's
+    ``--timeout``/``--retries`` applied on top."""
     from repro.engine import supervise
 
-    if args.timeout is None and args.retries is None:
-        return supervise.current_policy()
-    base = supervise.policy_from_env() or supervise.SupervisePolicy()
-    return supervise.SupervisePolicy(
-        timeout=base.timeout if args.timeout is None else args.timeout,
-        retries=base.retries if args.retries is None else args.retries,
-        degrade=base.degrade,
-    )
+    policy = supervise.current_policy()
+    if args.timeout is not None:
+        policy = dataclasses.replace(policy, timeout=args.timeout)
+    if args.retries is not None:
+        policy = dataclasses.replace(policy, retries=args.retries)
+    return policy
 
 
 def build_run_scenario_parser() -> argparse.ArgumentParser:

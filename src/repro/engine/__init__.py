@@ -8,7 +8,11 @@ those units across worker processes without changing a single result:
 * :mod:`repro.engine.runner` — :class:`ParallelRunner`, the one
   concurrency primitive: map a worker function over tasks with a
   shared read-only context, results in task order, sequential when
-  ``workers <= 1``;
+  ``workers <= 1``, otherwise through the one :class:`WorkerPool`,
+  which supervises every map: per-wave chunk deadlines, crash
+  detection with pool respawn, bounded retry, and graceful
+  degradation to in-process execution — all preserving the engine's
+  bit-identical determinism contract;
 * :mod:`repro.engine.seeding` — per-task seed derivation shared with
   the benchmark harness, so parallel and sequential runs consume
   identical random streams;
@@ -22,10 +26,8 @@ those units across worker processes without changing a single result:
   :class:`~repro.experiments.results.ReplicatedRecord` with per-point
   mean/std/95%-CI error bars.  (Imported lazily by
   :mod:`repro.scenarios`, which re-exports ``replicate_scenario``.)
-* :mod:`repro.engine.supervise` — worker supervision: per-wave chunk
-  deadlines, crash detection with pool respawn, bounded retry, and
-  graceful degradation to in-process execution — all preserving the
-  engine's bit-identical determinism contract;
+* :mod:`repro.engine.supervise` — the supervision policy, its stats
+  ledger and ambient policy resolution;
 * :mod:`repro.engine.faults` — deterministic, seed-driven fault
   injection (``REPRO_FAULTS``) that makes those failure paths
   routinely executable in tests and CI;
@@ -41,13 +43,7 @@ from repro.engine.checkpoint import ReplicaStore
 from repro.engine.faults import FaultPlan, FaultSpec, parse_faults, use_faults
 from repro.engine.runner import ParallelRunner, WorkerPool, resolve_workers
 from repro.engine.seeding import drawn_seeds, resolve_root_seed
-from repro.engine.supervise import (
-    SupervisePolicy,
-    SupervisedPool,
-    current_policy,
-    supervised_map,
-    use_supervision,
-)
+from repro.engine.supervise import SupervisePolicy, current_policy, use_supervision
 from repro.engine.sweep import (
     AttackSweepPoint,
     IncrementalAttackTrainer,
@@ -65,12 +61,10 @@ __all__ = [
     "ParallelRunner",
     "ReplicaStore",
     "SupervisePolicy",
-    "SupervisedPool",
     "WorkerPool",
     "current_policy",
     "parse_faults",
     "resolve_workers",
-    "supervised_map",
     "use_faults",
     "use_supervision",
     "drawn_seeds",

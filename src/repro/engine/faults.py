@@ -247,7 +247,7 @@ def use_faults(plan: FaultPlan | None) -> Iterator[FaultPlan | None]:
         _installed_plan = previous
 
 
-# True only in pool worker processes (set by the pool initializers
+# True only in pool worker processes (set by the pool initializer
 # after the fork).  crash/hang sites are worker-only: inline execution
 # — sequential runs, and the supervisor's degraded fallback — must
 # stay the clean reference the differential suite compares against,
@@ -256,7 +256,7 @@ _is_worker = False
 
 
 def mark_worker_process() -> None:
-    """Declare this process a pool worker (called by pool initializers)."""
+    """Declare this process a pool worker (called by the pool initializer)."""
     global _is_worker
     _is_worker = True
 

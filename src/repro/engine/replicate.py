@@ -20,13 +20,12 @@ at once instead of behind the parent's GIL, and nothing crosses a
 process boundary but the replica index going out and its record coming
 back.  A lone replica (one seed, or one left to run on ``--resume``)
 runs in the parent instead and keeps the full ``workers`` for its own
-fold fan-out.  ``benchmarks/bench_replication.py`` measures the
-replica pool against a naive seed loop.
+fold fan-out.
 
-Under an active supervision policy the replica map is supervised like
-any other (:func:`repro.engine.supervise.supervised_map`): a crashed
-or hung worker's replicas are retried on a fresh worker set, and
-``--timeout`` bounds one dispatch wave of whole replicas.
+The replica map is supervised like every pooled map
+(:class:`~repro.engine.runner.WorkerPool`): a crashed or hung worker's
+replicas are retried on a fresh worker set, and ``--timeout`` bounds
+one dispatch wave of whole replicas.
 
 **Determinism.**  Replica ``i`` runs at root seed
 ``spawn_seed(base_seed, "replicate") || "replica:i"`` — a pure
@@ -158,10 +157,8 @@ def replicate_scenario(
     moment it completes, replicas already checkpointed there are loaded
     instead of re-run, and because every record is a pure function of
     its seed the pooled output is byte-identical to an uninterrupted
-    run.  When a supervision policy is ambient
-    (:func:`repro.engine.supervise.current_policy`) the replica map is
-    supervised, so a worker crash or hang costs a retry of the replicas
-    it held rather than the run.
+    run.  The replica map is supervised, so a worker crash or hang costs
+    a retry of the replicas it held rather than the run.
     """
     spec = _resolve_spec(scenario)
     if isinstance(seeds, int):

@@ -1,22 +1,19 @@
-"""Deterministic fan-out of experiment tasks over worker processes.
+"""Deterministic, supervised fan-out of experiment tasks over worker processes.
 
-:class:`ParallelRunner` is the one concurrency primitive in this
-library.  It maps a picklable worker function over a task list with a
-shared, read-only *context* object, and guarantees:
+:class:`ParallelRunner` maps a picklable worker function over a task
+list with a shared, read-only *context* object, and guarantees:
 
 * **identical results at any worker count** — results are returned in
   task order, every task carries its own pre-derived seed (see
   :mod:`repro.engine.seeding`), and workers never share mutable state;
-* **zero overhead in sequential mode** — ``workers <= 1`` runs the
-  exact same worker function inline, in the parent process, with the
-  parent's context object.  The sequential path *is* the parallel path
-  minus the process pool, which is what makes equivalence testable;
-* **one context transfer per worker, not per task** — the context
-  (corpus, trained classifiers, attack objects) is shipped through the
-  pool initializer, so a 10-fold sweep pickles the inbox ``min(workers,
-  tasks)`` times, not 10 times.  Contexts always travel by value:
-  no map creates a cross-process resource, so nothing outlives the
-  pool that ran it.
+* **zero overhead in sequential mode** — ``workers <= 1`` (or a single
+  task) runs the exact same worker function inline, in the parent
+  process, with the parent's context object.  The sequential path *is*
+  the parallel path minus the process pool, which is what makes
+  equivalence testable;
+* **identical results under any fault schedule** — every pooled map
+  runs through one :class:`WorkerPool`, which is always supervised
+  (below).
 
 The worker function must be a module-level function (picklable by
 reference) of signature ``fn(context, task) -> result``.  Tasks and
@@ -24,32 +21,56 @@ results cross process boundaries, so they must pickle; everything the
 experiment layer ships (datasets, classifiers, attacks, confusion
 counts) does.
 
-Persistent pools
-----------------
+The pool
+--------
 
-A plain ``ParallelRunner.map`` owns its pool: it forks workers, runs
-its tasks, and tears the pool down.  :class:`WorkerPool` is the
-persistent alternative for callers that issue many maps against one
-worker set: the supervisor's
-:class:`~repro.engine.supervise.SupervisedPool` (respawn and retry
-need a pool that outlives one wave) and the serve daemon's scoring
-pool.  Maps may be issued from
-several threads at once; each returns its own results in its own
-task order.
+:class:`WorkerPool` is the one pool.  ``ParallelRunner.map`` builds one
+sized to its task list for the length of the map; the serve daemon
+keeps one warm across requests.  Maps may be issued from several
+threads at once; each returns its own results in its own task order.
 
-Because one pool serves many ``(fn, context)`` pairs, contexts cannot
-ride the pool initializer.  Instead each ``map`` call pickles its
-``(fn, context)`` pair once into a blob, splits its tasks into
-``min(workers, tasks)`` contiguous chunks, and submits each chunk with
-the blob attached; workers unpickle the pair once per (worker,
-map-call) and serve the rest of the call from a small cache.  Context
-transfer count therefore matches the private-pool initializer path
-exactly, while chunks from concurrent calls still interleave freely in
-the shared worker set.
+Each map pickles its ``(fn, context)`` pair once into a blob, splits its
+tasks into ``min(workers, tasks)`` contiguous chunks, and submits each
+chunk with the blob attached; workers unpickle the pair once per
+(worker, map-call) and serve the rest of the call from a small cache.
+Contexts therefore always travel by value: a worker never inherits a
+live parent object (a disk-backed token table reduces to a plain
+in-memory one), and no map creates a cross-process resource that
+outlives its pool.
 
-A replication (:mod:`repro.engine.replicate`) needs neither: its unit
-of parallelism is a whole replica, so it is one ordinary map whose
-tasks are replicas, each run start to finish inside one worker.
+Supervision
+-----------
+
+Every map runs under a :class:`~repro.engine.supervise.SupervisePolicy`
+(the ambient one unless the pool was given its own), and its
+:class:`~repro.engine.supervise.SuperviseStats` ledger counts what
+recovery had to do:
+
+* **Deadlines** — each dispatch wave of chunks gets
+  ``policy.timeout`` seconds; chunks that miss it are presumed wedged,
+  their workers are killed, and the chunks are retried on a fresh
+  worker set.
+* **Crash detection** — a worker that dies mid-chunk (segfault,
+  OOM-kill, injected ``os._exit``) breaks the executor
+  (``BrokenProcessPool``); the pool respawns and retries only the
+  chunks that never completed, so completed work survives.
+* **Bounded retry, then degradation** — after ``policy.retries``
+  respawn-and-retry rounds, the remaining chunks run inline,
+  sequentially, in the parent process (``policy.degrade``, default
+  on).  With degradation off the map raises
+  :class:`~repro.errors.WorkerCrashError` /
+  :class:`~repro.errors.MapTimeoutError` carrying chunk and task
+  provenance.
+
+Recovery recomputes from pristine state, which is why records are
+byte-identical under any fault schedule: a chunk's results return
+all-or-nothing; every retry wave uses a fresh call token, so workers
+unpickle a pristine ``(fn, context)``; and the degraded path is the
+sequential path.  ``tests/test_golden.py`` checks this on every
+registered scenario under injected crashes and hangs.
+
+A replication (:mod:`repro.engine.replicate`) is one ordinary map whose
+tasks are whole replicas, each run start to finish inside one worker.
 """
 
 from __future__ import annotations
@@ -57,12 +78,15 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+import time
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, as_completed, wait
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from concurrent.futures import Executor, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from repro.engine import faults
-from repro.errors import EngineError
+from repro.engine.supervise import SupervisePolicy, SuperviseStats, current_policy
+from repro.errors import EngineError, MapTimeoutError, WorkerCrashError
 
 __all__ = [
     "ParallelRunner",
@@ -72,22 +96,6 @@ __all__ = [
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
-
-# Per-worker-process slots, populated once by the pool initializer.
-_worker_fn: Callable[[Any, Any], Any] | None = None
-_worker_context: Any = None
-
-
-def _initialize_worker(fn: Callable[[Any, Any], Any], context: Any) -> None:
-    global _worker_fn, _worker_context
-    _worker_fn = fn
-    _worker_context = context
-    faults.mark_worker_process()
-
-
-def _run_indexed_task(index: int, task: Any) -> tuple[int, Any]:
-    assert _worker_fn is not None, "worker used before initialization"
-    return index, _worker_fn(_worker_context, task)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -100,7 +108,7 @@ def resolve_workers(workers: int | None) -> int:
 
 
 # ----------------------------------------------------------------------
-# The shared worker pool
+# Worker side
 # ----------------------------------------------------------------------
 
 # Worker-side cache of unpickled (fn, context) pairs, keyed by map-call
@@ -125,7 +133,7 @@ def _run_shared_chunk(
     blob: bytes,
     start: int,
     tasks: Sequence[Any],
-    fault_key: str | None = None,
+    fault_key: str,
 ) -> tuple[int, list[Any]]:
     entry = _shared_entries.get(token)
     if entry is None:
@@ -138,60 +146,24 @@ def _run_shared_chunk(
     fn, context = entry
     results: list[Any] = []
     for offset, task in enumerate(tasks):
-        if fault_key is not None:
-            # Mid-chunk injection point: a crash here discards the
-            # chunk's partial results with the process, so the retry
-            # recomputes the whole chunk from a freshly-unpickled
-            # context — which is what keeps retries bit-identical.
-            faults.inject("worker-chunk", f"{fault_key}:{offset}")
+        # Mid-chunk injection point: a crash here discards the chunk's
+        # partial results with the process, so the retry recomputes the
+        # whole chunk from a freshly-unpickled context — which is what
+        # keeps retries bit-identical.
+        faults.inject("worker-chunk", f"{fault_key}:{offset}")
         results.append(fn(context, task))
     return start, results
 
 
-def _run_direct_blob(blob: bytes, task: Any) -> Any:
-    """Run one task shipped without the chunk-blob caching protocol.
-
-    Tiny maps (a single task) skip the per-call-token worker cache:
-    the ``(fn, context)`` blob the parent already pickled (to size the
-    ship/inline decision) rides the submit once and is unpickled once,
-    instead of being shipped, cached and evicted under a call token.
-    Computes the exact same ``fn(context, task)`` as every other path.
-    """
-    fn, context = pickle.loads(blob)
-    return fn(context, task)
+def _tiny_map_ships(blob_size: int) -> bool:  # pragma: no cover
+    # Uncalled; e2ebench/launch.py still wraps this name, and the
+    # benchmark PR of ROADMAP item 2 deletes it.
+    return False
 
 
-# Maps with at most this many tasks skip the chunk-blob protocol.
-_TINY_MAP_TASKS = 1
-
-# A tiny map ships to the pool only while its (fn, context) pickle
-# stays under this; past it, shipping moves more bytes than the lone
-# task can plausibly amortize.
-_TINY_MAP_SHIP_LIMIT = 4 << 20
-
-
-def _tiny_map_ships(blob_size: int) -> bool:
-    """Should a tiny (single-task) map ship to a :class:`WorkerPool` at all?
-
-    A lone task gains nothing from the pool *by itself* — the win is
-    concurrency with other threads' maps on the same pool.  Two
-    situations where shipping is pure overhead, measured as the 0.98x
-    pooled-stream regression in ``BENCH_stream.json``:
-
-    * **No parallel hardware.**  With one CPU the pool serializes
-      everything anyway, so the pickle round-trip is the only effect.
-    * **An outsized context.**  Shipping multi-megabyte state across a
-      process boundary for a single task costs more than the task's
-      share of any concurrency it buys.
-
-    Inline execution computes the identical ``fn(context, task)`` —
-    records are byte-identical either way, which
-    ``tests/test_replication.py`` pins by monkeypatching this predicate
-    in both directions.
-    """
-    if (os.cpu_count() or 1) < 2:
-        return False
-    return blob_size <= _TINY_MAP_SHIP_LIMIT
+# ----------------------------------------------------------------------
+# Parent side
+# ----------------------------------------------------------------------
 
 
 def _chunked(tasks: Sequence[Any], chunks: int) -> Iterator[tuple[int, Sequence[Any]]]:
@@ -267,33 +239,61 @@ def _kill_executor(executor: Executor) -> None:
     reclaim_stores(process.pid for process in processes)
 
 
+def _provenance(fn: Callable, chunk: Sequence[Any]) -> str:
+    """A short, re-runnable description of a chunk's first task."""
+    text = f"{fn.__module__}.{fn.__qualname__}({chunk[0]!r})"
+    return text if len(text) <= 160 else text[:157] + "..."
+
+
+class _WaveFailure(NamedTuple):
+    """What a dispatch wave left unfinished, and why."""
+
+    open_starts: set[int]
+    kind: str  # crash | timeout
+    cause: BaseException | None
+    generation: int
+
+
 class WorkerPool:
-    """A persistent process pool shared by many ``map`` calls.
+    """A supervised process pool shared by many ``map`` calls.
 
     Call :meth:`run` once per map, from any number of threads.  The
-    pool outlives any single map, which is the point: the supervisor
-    respawns and retries into it, and a long-lived service keeps its
-    workers warm across requests instead of forking per map.
+    pool outlives any single map: recovery respawns and retries into
+    it, and a long-lived service keeps its workers warm across requests
+    instead of forking per map.
 
-    Results are identical to private-pool (and sequential) execution:
-    each call's results come back in its own task order, and nothing a
-    worker computes depends on which pool ran it.
+    ``policy`` defaults to the ambient
+    :func:`~repro.engine.supervise.current_policy`; :attr:`stats`
+    counts crashes, timeouts, respawns, retried and degraded chunks.
+    Recovery is thread-safe: when one thread's wave breaks the
+    executor, the generation check in :meth:`respawn` ensures exactly
+    one thread pays the respawn and the others retry into the new
+    worker set.
+
+    Results are identical to sequential execution: each call's results
+    come back in its own task order, and nothing a worker computes
+    depends on which pool ran it or how often it was retried.
     """
 
-    def __init__(self, workers: int | None = None) -> None:
+    def __init__(
+        self, workers: int | None = None, policy: SupervisePolicy | None = None
+    ) -> None:
         self.workers = resolve_workers(workers)
         if self.workers < 2:
             raise EngineError(
-                f"a shared WorkerPool needs >= 2 workers, got {self.workers}; "
+                f"a WorkerPool needs >= 2 workers, got {self.workers}; "
                 "run sequentially instead"
             )
+        self.policy = current_policy() if policy is None else policy
+        self.stats = SuperviseStats()
         self._executor: Executor = self._spawn_executor()
         self._lock = threading.Lock()
         self._next_token = 0
+        self._map_seq = 0
         self._closed = False
-        # Bumped on every respawn: a supervised map that saw the pool
-        # break hands its generation back, so concurrent threads that
-        # hit the same broken executor trigger exactly one respawn.
+        # Bumped on every respawn: a map that saw the pool break hands
+        # its generation back, so concurrent threads that hit the same
+        # broken executor trigger exactly one respawn.
         self._generation = 0
 
     def _spawn_executor(self) -> Executor:
@@ -358,51 +358,137 @@ class WorkerPool:
         context: Any,
         tasks: Sequence[TaskT],
     ) -> list[ResultT]:
-        """One ``map`` call's worth of tasks through the shared pool.
+        """One ``map`` call's worth of tasks through the pool, supervised.
 
-        The ``(fn, context)`` pair is pickled exactly once; the tasks
-        go out as ``min(workers, tasks)`` contiguous chunks carrying
-        the blob (workers cache the unpickled pair per call token, so
-        the unpickle cost is once per worker, like the initializer
-        path).  A chunk exception propagates and cancels this call's
-        remaining chunks — other concurrent calls are untouched.
+        The ``(fn, context)`` pair is pickled exactly once; the tasks go
+        out as ``min(workers, tasks)`` contiguous chunks carrying the
+        blob.  A task's own exception is a deterministic outcome: it
+        propagates, cancels this call's remaining chunks and consumes
+        no retry — other concurrent calls are untouched.
         """
         if self._closed:
             raise EngineError("WorkerPool is closed")
         tasks = list(tasks)
         if not tasks:
             return []
-        if len(tasks) <= _TINY_MAP_TASKS:
-            blob = pickle.dumps((fn, context), protocol=pickle.HIGHEST_PROTOCOL)
-            if not _tiny_map_ships(len(blob)):
-                # Stay inline: on this hardware (or at this context
-                # size) the pool cannot pay for the transfer.  Same
-                # deterministic computation, same records.
-                return [fn(context, task) for task in tasks]
-            futures = [
-                self._executor.submit(_run_direct_blob, blob, task)
-                for task in tasks
-            ]
-            try:
-                return [future.result() for future in futures]
-            except BaseException:
-                _drain(futures)
-                raise
-        token = self._token()
+        with self._lock:
+            map_seq = self._map_seq
+            self._map_seq += 1
+        policy = self.policy
         blob = pickle.dumps((fn, context), protocol=pickle.HIGHEST_PROTOCOL)
-        futures = [
-            self._executor.submit(_run_shared_chunk, token, blob, start, chunk)
-            for start, chunk in _chunked(tasks, self.workers)
-        ]
         results: list[Any] = [None] * len(tasks)
-        try:
-            for future in as_completed(futures):
-                start, chunk_results = future.result()
-                results[start : start + len(chunk_results)] = chunk_results
-        except BaseException:
-            _drain(futures)
-            raise
+        pending = list(_chunked(tasks, self.workers))
+        attempt = 0
+        while pending:
+            failure = self._dispatch_wave(map_seq, attempt, blob, pending, results)
+            pending = [entry for entry in pending if entry[0] in failure.open_starts]
+            if not pending:
+                break
+            self.stats.bump({"crash": "crashes", "timeout": "timeouts"}[failure.kind])
+            # Crash: the executor is broken.  Timeout: workers are
+            # presumed wedged and must die.  Either way the chunks
+            # retry on a fresh worker set.
+            if self.respawn(failure.generation):
+                self.stats.bump("respawns")
+            attempt += 1
+            if attempt <= policy.retries:
+                self.stats.bump("retried_chunks", len(pending))
+                continue
+            if policy.degrade:
+                # Retries exhausted: finish the map in-process, the
+                # sequential reference path.  Worker-side fault sites
+                # don't fire in the parent, so this always terminates.
+                self.stats.bump("degraded_chunks", len(pending))
+                for start, chunk in pending:
+                    inline = [fn(context, task) for task in chunk]
+                    results[start : start + len(inline)] = inline
+                break
+            starts = tuple(start for start, _ in pending)
+            provenance = _provenance(fn, pending[0][1])
+            if failure.kind == "timeout":
+                raise MapTimeoutError(
+                    f"map chunks missed their {policy.timeout:g}s deadline "
+                    f"and the retry budget ({policy.retries}) is exhausted",
+                    chunk_starts=starts,
+                    attempts=attempt,
+                    provenance=provenance,
+                )
+            raise WorkerCrashError(
+                "worker process died (pool broke); "
+                f"retry budget ({policy.retries}) is exhausted",
+                chunk_starts=starts,
+                attempts=attempt,
+                provenance=provenance,
+            ) from failure.cause
         return results
+
+    def _dispatch_wave(
+        self,
+        map_seq: int,
+        attempt: int,
+        blob: bytes,
+        pending: list[tuple[int, Sequence[Any]]],
+        results: list[Any],
+    ) -> _WaveFailure:
+        """Submit ``pending`` once; record completions into ``results``.
+
+        Returns the set of chunk starts still open plus the failure
+        class that left them open (``crash``/``timeout``).
+        Application exceptions are not failures in this sense — they
+        are deterministic outcomes, so the wave drains and re-raises
+        immediately, retrying nothing.
+        """
+        # Fresh token per wave: a retried chunk must unpickle a
+        # pristine (fn, context), never one a previous attempt mutated.
+        token = self._token()
+        generation = self.generation
+        open_starts = {start for start, _ in pending}
+        futures = {}
+        kind, cause = None, None
+        try:
+            for start, chunk in pending:
+                fault_key = f"{map_seq}:{start}:{attempt}"
+                futures[
+                    self._executor.submit(_run_shared_chunk, token, blob, start, chunk, fault_key)
+                ] = start
+        except (BrokenProcessPool, RuntimeError) as exc:
+            # The executor broke (or was shut down by a concurrent
+            # respawn race) before the wave was fully submitted.
+            kind, cause = "crash", exc
+        deadline = (
+            None
+            if self.policy.timeout is None
+            else time.monotonic() + self.policy.timeout
+        )
+        app_error: BaseException | None = None
+        remaining = set(futures)
+        while remaining:
+            wait_for = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+            done, remaining = wait(remaining, timeout=wait_for)
+            if not done:
+                kind = kind or "timeout"
+                break
+            for future in done:
+                try:
+                    chunk_start, chunk_results = future.result()
+                except BrokenProcessPool as exc:
+                    if kind is None:
+                        kind, cause = "crash", exc
+                except BaseException as exc:
+                    app_error = app_error or exc
+                else:
+                    results[chunk_start : chunk_start + len(chunk_results)] = (
+                        chunk_results
+                    )
+                    open_starts.discard(futures[future])
+            if app_error is not None:
+                # Deterministic task failure: it would fail identically
+                # on any retry.  Drain the siblings and surface it as-is.
+                _drain(list(futures))
+                raise app_error
+        return _WaveFailure(open_starts, kind or "crash", cause, generation)
 
     def close(self) -> None:
         """Shut the worker processes down (idempotent)."""
@@ -422,7 +508,7 @@ class WorkerPool:
 
 
 class ParallelRunner:
-    """Maps ``fn(context, task)`` over tasks, optionally in a process pool."""
+    """Maps ``fn(context, task)`` over tasks, inline or in a :class:`WorkerPool`."""
 
     def __init__(self, workers: int | None = 1) -> None:
         self.workers = resolve_workers(workers)
@@ -438,52 +524,15 @@ class ParallelRunner:
         A worker exception propagates to the caller (with the original
         traceback rendered by ``concurrent.futures``) and cancels every
         task still queued, so a failed sweep dies promptly instead of
-        burning through the rest of the fan-out first.
+        burning through the rest of the fan-out first.  A worker that
+        dies or misses the ambient deadline costs a retry, not the map.
         """
         tasks = list(tasks)
         if self.workers <= 1 or len(tasks) <= 1:
-            # A private pool for one task would pay a fork for nothing.
+            # A pool for one task would pay a fork for nothing.
             return [fn(context, task) for task in tasks]
-        # Supervision (timeouts/retries/fault tolerance) is ambient:
-        # when a policy is active — CLI flags, REPRO_TIMEOUT/RETRIES,
-        # or a fault plan — private-pool maps run supervised too.
-        # Imported lazily; supervise imports this module.
-        from repro.engine import supervise
-
-        if supervise.current_policy() is not None:
-            return supervise.supervised_map(fn, context, tasks, self.workers)
-        # Fork-started workers inherit ``initargs`` by memory, not by
-        # pickle — a disk-backed context would hand every worker the
-        # parent's *live* SQLite token table and MAP_SHARED count
-        # columns, so sibling interns collide and worker-side learning
-        # bleeds across processes.  A pickle roundtrip first gives
-        # workers the same independent by-value copies a WorkerPool
-        # ships (DiskTokenTable reduces to a plain in-memory
-        # table); memory-backend contexts skip the copy.
-        from repro.storage import store_name
-
-        if store_name() == "disk":
-            context = pickle.loads(pickle.dumps(context))
-        results: list[Any] = [None] * len(tasks)
-        max_workers = min(self.workers, len(tasks))
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_initialize_worker,
-            initargs=(fn, context),
-        ) as executor:
-            futures = [
-                executor.submit(_run_indexed_task, index, task)
-                for index, task in enumerate(tasks)
-            ]
-            try:
-                for future in as_completed(futures):
-                    index, result = future.result()
-                    results[index] = result
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
-        return results
+        with WorkerPool(min(self.workers, len(tasks))) as pool:
+            return pool.run(fn, context, tasks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ParallelRunner(workers={self.workers})"

@@ -553,8 +553,8 @@ def sequential_reference_sweep(
 ) -> list[AttackSweepPoint]:
     """The original strictly sequential sweep, verbatim.
 
-    Retained so equivalence tests and ``bench_parallel_sweep`` can
-    prove the engine's fan-out and clean-model reuse change nothing:
+    Retained so equivalence tests can prove the engine's fan-out and
+    clean-model reuse change nothing:
     one classifier per fold trained from scratch, per-message scoring,
     rng drawn inline.  Attack contamination is layered through the
     *string-payload* path (``learn_repeated`` over

@@ -18,7 +18,7 @@ Three tasks structure the loop:
 * **The micro-batcher** (:mod:`repro.serve.batcher`) coalesces
   concurrent ``score`` requests into one bulk call —
   ``Classifier.score_many`` inline, or per-message ``score`` fanned
-  across a :class:`~repro.engine.supervise.SupervisedPool` when
+  across a :class:`~repro.engine.runner.WorkerPool` when
   ``--workers N>=2`` — both byte-identical to scoring each message
   alone, which is the library's own ``score_many`` contract.
 * **The writer task** applies every mutation (``train``, ``feedback``,
@@ -30,11 +30,11 @@ Three tasks structure the loop:
   session sequentially and demand identical floats.
 
 Crash behaviour is inherited, not reinvented: pooled scoring runs
-through :class:`~repro.engine.supervise.SupervisedPool`, so an
-injected or genuine worker death (``REPRO_FAULTS=crash:p=...``)
-retries the batch on a fresh worker set and ultimately degrades to
-inline scoring — the client sees the same bytes, later, never a
-dropped connection.
+through the engine's always-supervised
+:class:`~repro.engine.runner.WorkerPool`, so an injected or genuine
+worker death (``REPRO_FAULTS=crash:p=...``) retries the batch on a
+fresh worker set and ultimately degrades to inline scoring — the
+client sees the same bytes, later, never a dropped connection.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
-from repro.engine.supervise import SupervisedPool
+from repro.engine.runner import WorkerPool
 from repro.errors import ConfigurationError, ProtocolError, ServeError
 from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher
@@ -123,7 +123,7 @@ class FilterService:
     ``classifier`` defaults to a fresh
     :func:`~repro.spambayes.ndkernel.create_classifier` on the ambient
     kernel and storage backend.  ``pool`` is an optional pre-built
-    :class:`~repro.engine.supervise.SupervisedPool`; when ``workers >=
+    :class:`~repro.engine.runner.WorkerPool`; when ``workers >=
     2`` and none is given, :meth:`run` builds one (callers embedding
     the service in a threaded host should build the pool themselves,
     in the main thread, before any threads start — forking with
@@ -134,7 +134,7 @@ class FilterService:
         self,
         config: ServeConfig,
         classifier: Classifier | None = None,
-        pool: SupervisedPool | None = None,
+        pool: WorkerPool | None = None,
     ) -> None:
         self.config = config
         self.classifier = (
@@ -170,7 +170,7 @@ class FilterService:
         subprocess driver both key on.
         """
         if self.pool is None and self.config.workers >= 2:
-            self.pool = SupervisedPool(self.config.workers)
+            self.pool = WorkerPool(self.config.workers)
             self._owns_pool = True
         try:
             asyncio.run(self._main())
@@ -507,7 +507,7 @@ def serve_in_thread(
     a daemon thread, waits for the socket to be bound, and guarantees
     shutdown (and pool teardown) on exit however the block ends.
     """
-    pool = SupervisedPool(config.workers) if config.workers >= 2 else None
+    pool = WorkerPool(config.workers) if config.workers >= 2 else None
     service = FilterService(config, classifier=classifier, pool=pool)
 
     def _run_quietly() -> None:

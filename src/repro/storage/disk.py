@@ -31,12 +31,10 @@ rows, token lookups).  Inherited handles are NOT safe to *write*: two
 forked siblings interning into one SQLite file race on the dense ID
 sequence, and count columns are ``MAP_SHARED`` so a child's writes
 would bleed into the parent.  The engine therefore never ships a
-writable disk-backed object across a fork by inheritance: shared-pool
-maps pickle their contexts (this class reduces to a plain in-memory
-``TokenTable``), and private-pool maps roundtrip the context through
-pickle first when the disk backend is active (see
-``ParallelRunner.map``); forked children needing their own stores
-build fresh backends via ``active_backend``.
+writable disk-backed object across a fork by inheritance: every pooled
+map pickles its context (this class reduces to a plain in-memory
+``TokenTable``), and forked children needing their own stores build
+fresh backends via ``active_backend``.
 """
 
 from __future__ import annotations

@@ -479,8 +479,8 @@ def _run_stream_task(spec: StreamSpec, _task: int) -> StreamResult:
     an injected crash or hang loses no partial work — the supervisor's
     retry replays the whole (deterministic) stream from its spec.  It
     fires only inside a pool worker: in a replica worker of
-    ``repro replicate stream-* --workers N``, or wherever a caller
-    ships the task to a :class:`~repro.engine.runner.WorkerPool`.
+    ``repro replicate stream-* --workers N``, or when a caller runs the
+    task through a :class:`~repro.engine.runner.WorkerPool`.
     """
     from repro.engine import faults
 

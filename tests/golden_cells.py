@@ -25,7 +25,7 @@ from unittest import mock
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import regen_goldens as golden  # noqa: E402 (tools/ is not a package)
 
-from repro.engine import supervise  # noqa: E402 (regen_goldens puts src/ on the path)
+from repro.engine import runner, supervise  # noqa: E402 (regen_goldens puts src/ on the path)
 from repro.engine.faults import FaultPlan, FaultSpec, use_faults  # noqa: E402
 
 
@@ -50,7 +50,7 @@ def fault_setup(mode: str):
     stalls about half far past a short deadline, so the wave times out,
     its workers die and the rest runs inline.
 
-    Each supervised map has its own pool, so the first task of every map
+    Each pooled map has its own pool, so the first task of every map
     draws the same key on its first attempt; the plan takes the first
     seed that fires there, and so faults every pooled map at least once.
     """
@@ -64,11 +64,11 @@ def fault_setup(mode: str):
 
 def run_cell(entry: dict[str, Any], cell: Cell) -> tuple[bytes, dict[str, int]]:
     """``entry``'s artifact under ``cell`` in this process (whose hash
-    seed it runs under), and a tally of supervised maps and of every
+    seed it runs under), and a tally of pooled maps and of every
     ``SuperviseStats`` bump.  An ``off`` cell leaves an ambient
     ``REPRO_FAULTS`` plan in force."""
     tally: Counter = Counter()
-    bump, run = supervise.SuperviseStats.bump, supervise.SupervisedPool.run
+    bump, run = supervise.SuperviseStats.bump, runner.WorkerPool.run
 
     def counting_bump(self, name, count=1):
         tally[name] += count
@@ -80,7 +80,7 @@ def run_cell(entry: dict[str, Any], cell: Cell) -> tuple[bytes, dict[str, int]]:
 
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(supervise.SuperviseStats, "bump", counting_bump))
-        stack.enter_context(mock.patch.object(supervise.SupervisedPool, "run", counting_run))
+        stack.enter_context(mock.patch.object(runner.WorkerPool, "run", counting_run))
         stack.enter_context(mock.patch.dict(os.environ, REPRO_KERNEL=cell.kernel, REPRO_STORE=cell.store))
         if cell.faults != "off":
             plan, policy = fault_setup(cell.faults)

@@ -105,7 +105,7 @@ class TestParallelRunner:
 
 
 # ----------------------------------------------------------------------
-# WorkerPool: the tiny-map path and respawn
+# WorkerPool: by-value transport and respawn
 # ----------------------------------------------------------------------
 
 
@@ -190,13 +190,7 @@ class TestWorkerPoolTransport:
         with pytest.raises(EngineError):
             pool.run(_read_row, _CorpusContext(_make_csr(3)), [0, 2])
 
-    def test_single_task_map_uses_direct_path_and_matches_inline(self, monkeypatch):
-        from repro.engine import runner as engine_runner
-
-        # Force the skip-pool heuristic to ship: this test is about
-        # the direct transport path, not the heuristic's verdict on
-        # this particular machine.
-        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: True)
+    def test_single_task_map_ships_and_matches_inline(self):
         context = _CorpusContext(_make_csr(4))
         inline = _read_row(context, 2)
         with WorkerPool(2) as pool:
@@ -291,28 +285,9 @@ class TestSweepContextRows:
         assert sum(want.values()) > 0
 
 
-def _echo_task(context, task):
-    return {"task": task, "context": context}
-
-
-class TestTinyMapRegression:
-    @pytest.mark.parametrize("ships", [True, False], ids=["direct", "inline"])
-    def test_single_task_skips_chunk_blob_protocol(self, ships, monkeypatch):
-        # The direct path (and the inline path the heuristic falls back
-        # to) must produce exactly what inline execution produces, for
-        # any picklable payload.
-        from repro.engine import runner as engine_runner
-
-        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: ships)
-        context = {"weights": [0.25, 0.5], "name": "tiny"}
-        inline = [_echo_task(context, 7)]
-        with WorkerPool(2) as pool:
-            assert pool.run(_echo_task, context, [7]) == inline
-
-    def test_stream_records_byte_identical_sequential_vs_pooled(self, monkeypatch):
-        # The BENCH_stream workload in miniature: a whole stream is a
-        # single engine task, shipped here through the tiny-map path.
-        from repro.engine import runner as engine_runner
+class TestSingleTaskPoolMap:
+    def test_stream_records_byte_identical_sequential_vs_pooled(self):
+        # A whole stream is a single engine task, shipped to a worker.
         from repro.stream.runner import _run_stream_task, run_stream_experiment
         from repro.stream.spec import StreamSpec
 
@@ -327,7 +302,6 @@ class TestTinyMapRegression:
             seed=97,
         )
         sequential = run_stream_experiment(spec).to_record().as_dict()
-        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: True)
         with WorkerPool(2) as pool:
             (result,) = pool.run(_run_stream_task, spec, [0])
         pooled = result.to_record().as_dict()

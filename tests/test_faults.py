@@ -4,10 +4,10 @@ Three layers:
 
 * :mod:`repro.engine.faults` — spec parsing, deterministic hash
   draws, site gating, worker-only firing;
-* :class:`repro.engine.supervise.SupervisedPool` — the recovery
-  ladder itself: crash → respawn → retry → degrade, hang → deadline →
-  retry, app errors propagating unretried, with stats proving the
-  faults actually fired;
+* :class:`repro.engine.runner.WorkerPool` — the recovery ladder every
+  pooled map runs under: crash → respawn → retry → degrade, hang →
+  deadline → retry, app errors propagating unretried, with stats
+  proving the faults actually fired;
 * :mod:`repro.engine.checkpoint` — replica checkpoint round-trips and
   rejection of foreign/torn files, and a killed ``repro replicate``
   resuming via ``--resume`` to byte-identical pooled output.
@@ -34,12 +34,8 @@ import pytest
 from repro.engine import checkpoint, faults, runner, supervise
 from repro.engine.faults import FaultPlan, FaultSpec, parse_faults, use_faults
 from repro.engine.replicate import replica_seeds, replicate_scenario
-from repro.engine.supervise import (
-    SupervisePolicy,
-    SupervisedPool,
-    supervised_map,
-    use_supervision,
-)
+from repro.engine.runner import ParallelRunner, WorkerPool
+from repro.engine.supervise import SupervisePolicy, use_supervision
 from repro.errors import (
     ConfigurationError,
     EngineError,
@@ -71,6 +67,17 @@ def _failing_task(context, task):
     if task == 3:
         raise ValueError("task three exploded")
     return task
+
+
+def _die_once(context, task):
+    # Task 3 kills its worker the first time it runs; the marker file
+    # lets the retry through.  Never in the parent, which runs pytest.
+    marker_dir, parent = context
+    marker = Path(marker_dir) / "died"
+    if task == 3 and os.getpid() != parent and not marker.exists():
+        marker.touch()
+        os._exit(1)
+    return task * task
 
 
 def _store_then_hang(context, task):
@@ -175,18 +182,15 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 
 
-class TestPolicyResolution:
-    def test_inactive_by_default(self, monkeypatch):
-        for var in ("REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_FAULTS"):
-            monkeypatch.delenv(var, raising=False)
-        assert supervise.current_policy() is None
+_SUPERVISION_ENV = ("REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_DEGRADE", "REPRO_FAULTS")
 
-    def test_faults_env_auto_activates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "crash:p=0.1")
-        monkeypatch.delenv("REPRO_RETRIES", raising=False)
-        policy = supervise.current_policy()
-        assert policy is not None
-        assert policy.retries == supervise.DEFAULT_RETRIES
+
+class TestPolicyResolution:
+    def test_defaults_when_nothing_is_set(self, monkeypatch):
+        for var in _SUPERVISION_ENV:
+            monkeypatch.delenv(var, raising=False)
+        assert supervise.current_policy() == SupervisePolicy()
+        assert SupervisePolicy().retries == supervise.DEFAULT_RETRIES
 
     def test_env_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMEOUT", "2.5")
@@ -196,13 +200,11 @@ class TestPolicyResolution:
         assert policy == SupervisePolicy(timeout=2.5, retries=4, degrade=False)
 
     def test_thread_local_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "crash:p=0.1")
-        with use_supervision(None):
-            assert supervise.current_policy() is None
+        monkeypatch.setenv("REPRO_RETRIES", "4")
         explicit = SupervisePolicy(retries=0)
         with use_supervision(explicit):
             assert supervise.current_policy() is explicit
-        assert supervise.current_policy() is not None  # env default restored
+        assert supervise.current_policy().retries == 4  # env default restored
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(EngineError):
@@ -212,17 +214,33 @@ class TestPolicyResolution:
 
 
 # ----------------------------------------------------------------------
-# The supervised pool: recovery ladder
+# The pool's recovery ladder
 # ----------------------------------------------------------------------
 
 
-class TestSupervisedPool:
-    def test_clean_run_matches_unsupervised(self):
+class TestWorkerPoolSupervision:
+    def test_worker_death_costs_a_retry_with_no_policy_set(self, tmp_path, monkeypatch):
+        # No REPRO_* knob and no use_supervision: every pool is
+        # supervised anyway, so a real worker death is retried.
+        for var in _SUPERVISION_ENV:
+            monkeypatch.delenv(var, raising=False)
+        tasks = list(range(8))
+        inline = [task * task for task in tasks]
+        runner_dir, pool_dir = tmp_path / "runner", tmp_path / "pool"
+        runner_dir.mkdir()
+        pool_dir.mkdir()
+        assert ParallelRunner(2).map(_die_once, (str(runner_dir), os.getpid()), tasks) == inline
+        with WorkerPool(2) as pool:
+            assert pool.run(_die_once, (str(pool_dir), os.getpid()), tasks) == inline
+            assert pool.stats.crashes == 1
+        assert (runner_dir / "died").exists() and (pool_dir / "died").exists()
+
+    def test_clean_run_records_nothing(self):
         tasks = list(range(23))
         policy = SupervisePolicy(timeout=120.0, retries=2)
         # use_faults(None): stay clean even when the CI leg exports
         # REPRO_FAULTS around this whole file.
-        with use_faults(None), SupervisedPool(3, policy=policy) as pool:
+        with use_faults(None), WorkerPool(3, policy=policy) as pool:
             results = pool.run(_square_task, {"offset": 5}, tasks)
             stats = pool.stats.as_dict()
         assert results == [5 + task * task for task in tasks]
@@ -231,7 +249,7 @@ class TestSupervisedPool:
     def test_certain_crash_degrades_to_correct_results(self):
         with use_faults(FaultPlan((FaultSpec("crash", 1.0),))):
             policy = SupervisePolicy(retries=1, degrade=True)
-            with SupervisedPool(2, policy=policy) as pool:
+            with WorkerPool(2, policy=policy) as pool:
                 results = pool.run(_square_task, {"offset": 3}, list(range(8)))
                 stats = pool.stats.as_dict()
         assert results == [3 + task * task for task in range(8)]
@@ -242,7 +260,7 @@ class TestSupervisedPool:
     def test_certain_crash_without_degrade_raises_with_provenance(self):
         with use_faults(FaultPlan((FaultSpec("crash", 1.0),))):
             policy = SupervisePolicy(retries=1, degrade=False)
-            with SupervisedPool(2, policy=policy) as pool:
+            with WorkerPool(2, policy=policy) as pool:
                 with pytest.raises(WorkerCrashError) as excinfo:
                     pool.run(_square_task, {"offset": 0}, list(range(8)))
         error = excinfo.value
@@ -256,7 +274,7 @@ class TestSupervisedPool:
         # ever degrading — the accounting path, not the fallback path.
         with use_faults(FaultPlan((FaultSpec("crash", 0.08),), seed=1)):
             policy = SupervisePolicy(retries=3, degrade=False)
-            with SupervisedPool(2, policy=policy) as pool:
+            with WorkerPool(2, policy=policy) as pool:
                 results = pool.run(_square_task, {"offset": 3}, list(range(16)))
                 stats = pool.stats.as_dict()
         assert results == [3 + task * task for task in range(16)]
@@ -267,7 +285,7 @@ class TestSupervisedPool:
     def test_hang_past_deadline_raises_timeout_without_degrade(self):
         with use_faults(FaultPlan((FaultSpec("hang", 1.0, seconds=30.0),))):
             policy = SupervisePolicy(timeout=0.5, retries=0, degrade=False)
-            with SupervisedPool(2, policy=policy) as pool:
+            with WorkerPool(2, policy=policy) as pool:
                 with pytest.raises(MapTimeoutError) as excinfo:
                     pool.run(_square_task, {"offset": 0}, list(range(4)))
         assert "deadline" in str(excinfo.value)
@@ -275,7 +293,7 @@ class TestSupervisedPool:
     def test_hang_past_deadline_degrades_to_correct_results(self):
         with use_faults(FaultPlan((FaultSpec("hang", 1.0, seconds=30.0),))):
             policy = SupervisePolicy(timeout=0.5, retries=0, degrade=True)
-            with SupervisedPool(2, policy=policy) as pool:
+            with WorkerPool(2, policy=policy) as pool:
                 results = pool.run(_square_task, {"offset": 1}, list(range(4)))
                 stats = pool.stats.as_dict()
         assert results == [1 + task * task for task in range(4)]
@@ -288,7 +306,7 @@ class TestSupervisedPool:
         monkeypatch.setenv("REPRO_STORE", "disk")
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         policy = SupervisePolicy(timeout=1.0, retries=0, degrade=False)
-        with use_faults(None), SupervisedPool(2, policy=policy) as pool:
+        with use_faults(None), WorkerPool(2, policy=policy) as pool:
             with pytest.raises(MapTimeoutError):
                 pool.run(_store_then_hang, None, [0, 1])
         assert list(tmp_path.glob("repro_store_*")) == []
@@ -307,7 +325,7 @@ class TestSupervisedPool:
 
     def test_app_exception_propagates_unretried(self):
         policy = SupervisePolicy(retries=5, degrade=True)
-        with use_faults(None), SupervisedPool(2, policy=policy) as pool:
+        with use_faults(None), WorkerPool(2, policy=policy) as pool:
             with pytest.raises(ValueError, match="task three exploded"):
                 pool.run(_failing_task, None, list(range(6)))
             stats = pool.stats.as_dict()
@@ -320,7 +338,7 @@ class TestSupervisedPool:
     def test_pool_survives_recovery_and_serves_next_map(self):
         crash_all = FaultPlan((FaultSpec("crash", 1.0),))
         policy = SupervisePolicy(retries=0, degrade=True)
-        with use_faults(None), SupervisedPool(2, policy=policy) as pool:
+        with use_faults(None), WorkerPool(2, policy=policy) as pool:
             with use_faults(crash_all):
                 degraded = pool.run(_square_task, {"offset": 0}, list(range(6)))
             # Faults gone: the respawned workers serve a clean map.
@@ -362,25 +380,20 @@ class TestSupervisedPool:
         )
         tasks = list(range(16))
         inline = [_csr_row_task({"csr": csr}, task) for task in tasks]
-        with use_faults(plan), SupervisedPool(2, policy=policy) as pool:
+        with use_faults(plan), WorkerPool(2, policy=policy) as pool:
             results = pool.run(_csr_row_task, {"csr": csr}, tasks)
             stats = pool.stats.as_dict()
         assert results == inline
         assert stats["crashes"] >= 1
         assert stats["respawns"] >= 1
 
-    def test_supervised_map_inline_below_parallel_threshold(self):
-        policy = SupervisePolicy(retries=0)
-        assert supervised_map(_square_task, {"offset": 0}, [3], 8, policy) == [9]
-        assert supervised_map(_square_task, {"offset": 0}, [], 8, policy) == []
-
-    def test_supervised_map_parallel_matches_inline(self):
-        tasks = list(range(10))
-        inline = [_square_task({"offset": 2}, task) for task in tasks]
-        policy = SupervisePolicy(retries=1)
-        with use_faults(None):
-            pooled = supervised_map(_square_task, {"offset": 2}, tasks, 2, policy)
-        assert pooled == inline
+    def test_runner_map_uses_the_ambient_policy(self):
+        # The ambient policy reaches the pool ParallelRunner builds: with
+        # no retry and no degradation, a certain crash surfaces as-is.
+        policy = SupervisePolicy(retries=0, degrade=False)
+        with use_faults(FaultPlan((FaultSpec("crash", 1.0),))), use_supervision(policy):
+            with pytest.raises(WorkerCrashError):
+                ParallelRunner(2).map(_square_task, {"offset": 0}, list(range(4)))
 
 
 # ----------------------------------------------------------------------

@@ -67,8 +67,8 @@ PINNED = [
     *_pins("storage: batch scenario across backends", BATCH, KERNELS, STORES),
     *_pins("storage: stream replication across backends", REP_STREAM, KERNELS, STORES),
     *_pins("storage: stream replication across workers", REP_STREAM, store=STORES, workers=(1, 2)),
-    # A private fold pool must not hand fork-started workers the
-    # parent's live SQLite table.
+    # A pooled fold map must not hand its workers the parent's live
+    # SQLite table.
     *_pins("storage: private-pool fork safety", FIG5),
     *_pins("storage: private-pool fork safety", FIG5, store=("disk",), workers=(1, 2)),
     *_pins("storage: backends across hash seeds", REP_STREAM, hashseed=("0",)),

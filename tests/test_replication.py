@@ -2,9 +2,8 @@
 
 Three layers, mirroring how the tentpole is built:
 
-* :class:`~repro.engine.runner.WorkerPool` — the persistent process
-  pool behind supervision (chunk reassembly, error propagation, the
-  tiny-map ship-or-inline heuristic);
+* :class:`~repro.engine.runner.WorkerPool` — the one process pool
+  (chunk reassembly, error propagation, single-task maps);
 * :func:`~repro.engine.replicate.replicate_scenario` — replica seed
   derivation, pooled statistics, and the core guarantee that running
   one whole replica per worker process returns byte-identical records
@@ -83,70 +82,15 @@ class TestWorkerPool:
         with pytest.raises(EngineError):
             pool.run(_square_task, {"offset": 0}, [1])
 
-    def test_single_task_ships_when_heuristic_says_so(self, monkeypatch):
-        # A lone task ships to the pool when the skip-pool heuristic
-        # approves, while a ParallelRunner map of a single task stays
-        # inline rather than paying a private fork.
-        from repro.engine import runner as engine_runner
-
-        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: True)
+    def test_single_task_ships_to_the_pool(self):
+        # A lone task still runs in a pool worker, while a
+        # ParallelRunner map of a single task stays inline rather than
+        # paying a fork.
         with WorkerPool(2) as pool:
             (pooled_pid,) = pool.run(_pid_task, None, [0])
         assert pooled_pid != os.getpid()
         (inline_pid,) = ParallelRunner(workers=2).map(_pid_task, None, [0])
         assert inline_pid == os.getpid()
-
-    def test_single_task_stays_inline_when_heuristic_declines(self, monkeypatch):
-        # The 0.98x regression fix: when shipping cannot pay for the
-        # transfer (one CPU, or an outsized context), the tiny map
-        # runs inline in the submitting thread.
-        from repro.engine import runner as engine_runner
-
-        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: False)
-        with WorkerPool(2) as pool:
-            (pid,) = pool.run(_pid_task, None, [0])
-        assert pid == os.getpid()
-
-    def test_tiny_map_heuristic_inputs(self, monkeypatch):
-        from repro.engine import runner as engine_runner
-
-        monkeypatch.setattr(engine_runner.os, "cpu_count", lambda: 1)
-        assert not engine_runner._tiny_map_ships(16)
-        monkeypatch.setattr(engine_runner.os, "cpu_count", lambda: 4)
-        assert engine_runner._tiny_map_ships(16)
-        assert not engine_runner._tiny_map_ships(
-            engine_runner._TINY_MAP_SHIP_LIMIT + 1
-        )
-
-    def test_single_task_records_identical_shipped_or_inline(self, monkeypatch):
-        # Pin the byte-identity contract behind the heuristic: the
-        # same whole-stream task produces the same record whether the
-        # tiny map ships to the pool or stays inline.
-        from repro.engine import runner as engine_runner
-        from repro.stream.runner import _run_stream_task, run_stream_experiment
-        from repro.stream.spec import StreamSpec
-
-        spec = StreamSpec(
-            ticks=2,
-            ham_per_tick=12,
-            spam_per_tick=12,
-            attack_start_tick=2,
-            attack_per_tick=4,
-            test_size=20,
-            seed=7,
-        )
-        records = {}
-        for ships in (True, False):
-            monkeypatch.setattr(
-                engine_runner, "_tiny_map_ships", lambda size, s=ships: s
-            )
-            with WorkerPool(2) as pool:
-                (result,) = pool.run(_run_stream_task, spec, [0])
-            records[ships] = json.dumps(result.to_record().as_dict(), sort_keys=True)
-        sequential = json.dumps(
-            run_stream_experiment(spec).to_record().as_dict(), sort_keys=True
-        )
-        assert records[True] == records[False] == sequential
 
 
 _SEQUENTIAL_BYTES: dict[int, str] = {}

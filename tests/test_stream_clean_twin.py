@@ -190,16 +190,13 @@ class TestScenarioDifferential:
             StreamRunner(StreamSpec(), counterfactual="oracle")
         assert COUNTERFACTUAL_MODES == ("twin", "unlearn")
 
-    def test_pooled_stream_matches_sequential_both_modes(self, monkeypatch):
+    def test_pooled_stream_matches_sequential_both_modes(self):
         # Workers leg: the whole-stream task run in a worker process
         # must produce the same bytes the sequential twin and unlearn
         # paths do.
-        from repro.engine import runner as engine_runner
-
         spec = _scaled_spec("stream-usenet-burst")
         sequential = _record_bytes(StreamRunner(spec, "twin").run())
         reference = _record_bytes(StreamRunner(spec, "unlearn").run())
-        monkeypatch.setattr(engine_runner, "_tiny_map_ships", lambda size: True)
         with WorkerPool(2) as pool:
             (result,) = pool.run(_run_stream_task, spec, [0])
         assert _record_bytes(result) == sequential == reference
