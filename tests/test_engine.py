@@ -92,6 +92,11 @@ class TestParallelRunner:
     def test_single_task_runs_inline_even_with_workers(self):
         assert ParallelRunner(4).map(_double, 2, [21]) == [42]
 
+    def test_empty_map_returns_nothing(self):
+        assert ParallelRunner(4).map(_double, 2, []) == []
+        with WorkerPool(2) as pool:
+            assert pool.run(_double, 2, []) == []
+
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError, match="boom"):
             ParallelRunner(2).map(_fail_on_three, None, [1, 2, 3, 4])
@@ -285,7 +290,23 @@ class TestSweepContextRows:
         assert sum(want.values()) > 0
 
 
+def _echo_task(context, task):
+    return {"task": task, "context": context}
+
+
 class TestSingleTaskPoolMap:
+    @pytest.mark.parametrize("path", ["pool", "runner"])
+    def test_single_task_matches_inline_for_any_payload(self, path):
+        # A lone task shipped to a pool worker and one run inline by
+        # ParallelRunner both return exactly what inline execution does.
+        context = {"weights": [0.25, 0.5], "name": "tiny"}
+        inline = [_echo_task(context, 7)]
+        if path == "runner":
+            assert ParallelRunner(2).map(_echo_task, context, [7]) == inline
+            return
+        with WorkerPool(2) as pool:
+            assert pool.run(_echo_task, context, [7]) == inline
+
     def test_stream_records_byte_identical_sequential_vs_pooled(self):
         # A whole stream is a single engine task, shipped to a worker.
         from repro.stream.runner import _run_stream_task, run_stream_experiment

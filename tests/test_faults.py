@@ -192,6 +192,15 @@ class TestPolicyResolution:
         assert supervise.current_policy() == SupervisePolicy()
         assert SupervisePolicy().retries == supervise.DEFAULT_RETRIES
 
+    def test_faults_env_selects_a_plan_not_a_policy(self, monkeypatch):
+        # REPRO_FAULTS only picks a fault plan; the policy it runs under
+        # is the same one every pooled map gets.
+        for var in _SUPERVISION_ENV:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("REPRO_FAULTS", "crash:p=0.1")
+        assert supervise.current_policy() == SupervisePolicy()
+        assert faults.active_plan() == parse_faults("crash:p=0.1")
+
     def test_env_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIMEOUT", "2.5")
         monkeypatch.setenv("REPRO_RETRIES", "4")
@@ -386,6 +395,27 @@ class TestWorkerPoolSupervision:
         assert results == inline
         assert stats["crashes"] >= 1
         assert stats["respawns"] >= 1
+
+    def test_pool_takes_the_ambient_policy_when_built(self):
+        ambient = SupervisePolicy(timeout=60.0, retries=0)
+        explicit = SupervisePolicy(retries=4, degrade=False)
+        with use_supervision(ambient):
+            pool = WorkerPool(2)
+            chosen = WorkerPool(2, policy=explicit)
+        try:
+            # Captured at construction, not looked up per map.
+            assert pool.policy is ambient
+            assert chosen.policy is explicit
+        finally:
+            pool.close()
+            chosen.close()
+
+    def test_runner_map_under_a_policy_matches_inline(self):
+        tasks = list(range(10))
+        inline = [_square_task({"offset": 2}, task) for task in tasks]
+        with use_faults(None), use_supervision(SupervisePolicy(retries=1)):
+            pooled = ParallelRunner(2).map(_square_task, {"offset": 2}, tasks)
+        assert pooled == inline
 
     def test_runner_map_uses_the_ambient_policy(self):
         # The ambient policy reaches the pool ParallelRunner builds: with
