@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test goldens bench-smoke bench bench-core bench-scenario bench-stream bench-storage bench-serve bench-large docs-check check
+.PHONY: test goldens e2e-selftest bench-smoke bench bench-core bench-scenario bench-stream bench-storage bench-serve bench-large docs-check check
 
 # Tier-1 gate: the full test suite, fail-fast.
 test:
@@ -17,6 +17,12 @@ test:
 # without writing.
 goldens:
 	$(PYTHON) tools/regen_goldens.py
+
+# The end-to-end benchmark's self-test: every workload at tiny size,
+# traced and untraced, records checked against e2ebench/digests.json.
+# The same command as CI's e2ebench-selftest job.
+e2e-selftest:
+	python3 -m pytest e2ebench/selftest.py -q
 
 # Seconds-long runs of the classifier-core micro-benchmarks (ID core
 # vs retained dict core, bit-identical outputs asserted; JSON record in
@@ -80,4 +86,4 @@ bench:
 docs-check:
 	$(PYTHON) tools/check_docs_links.py
 
-check: test docs-check bench-smoke
+check: test docs-check e2e-selftest bench-smoke

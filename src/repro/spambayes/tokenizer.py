@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from repro.spambayes.message import Email
@@ -41,6 +42,11 @@ _WORD_SPLIT_RE = re.compile(r"[\s]+")
 _NON_ALNUM_EDGE_RE = re.compile(r"^\W+|\W+$")
 _SUBTOKEN_SPLIT_RE = re.compile(r"[^\w']+")
 _MONEY_RE = re.compile(r"^\$\d[\d,]*(?:\.\d+)?$")
+
+_CHUNK_MEMO_SIZE = 65_536
+"""Most body chunks one tokenizer remembers.  A long-lived tokenizer
+(the serve daemon's) fed hostile mail made of unique chunks evicts its
+least recently used entries instead of growing."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,13 +78,30 @@ DEFAULT_TOKENIZER_OPTIONS = TokenizerOptions()
 
 
 class Tokenizer:
-    """Stateless converter from :class:`Email` to token streams."""
+    """Converter from :class:`Email` to token streams.
+
+    The only state is a memo from body chunk to its token tuple, bounded
+    at :data:`_CHUNK_MEMO_SIZE` entries.  Options are frozen, so a chunk
+    alone determines its tokens and a hit returns exactly what a miss
+    computes: output never depends on what was tokenized before.  The
+    memo is a :func:`functools.lru_cache`, which stays coherent under
+    concurrent calls, and it is never pickled — an unpickled tokenizer
+    starts cold (:meth:`__reduce__`).
+    """
 
     def __init__(self, options: TokenizerOptions = DEFAULT_TOKENIZER_OPTIONS) -> None:
         self.options = options
         # Options are frozen, so the header lookup set is hoisted here
         # instead of being rebuilt for every email.
         self._tokenized_headers = frozenset(options.tokenized_headers)
+        self._chunk_tokens = lru_cache(maxsize=_CHUNK_MEMO_SIZE)(
+            lambda chunk: tuple(self._tokenize_chunk(chunk))
+        )
+
+    def __reduce__(self) -> tuple[type[Tokenizer], tuple[TokenizerOptions]]:
+        # Ship the options only: the memo is a cache, not state, and
+        # would otherwise travel in every pickled worker context.
+        return (type(self), (self.options,))
 
     # ------------------------------------------------------------------
     # Public API
@@ -86,17 +109,18 @@ class Tokenizer:
 
     def tokenize(self, email: Email) -> list[str]:
         """Tokenize header and body of ``email`` into a token list."""
-        tokens = list(self.tokenize_body(email.body))
+        tokens = self.tokenize_body(email.body)
         if self.options.tokenize_headers:
             tokens.extend(self.tokenize_headers(email))
         return tokens
 
-    def tokenize_body(self, text: str) -> Iterator[str]:
-        """Yield body tokens for raw text."""
+    def tokenize_body(self, text: str) -> list[str]:
+        """Return the body tokens of raw text, chunk by memoized chunk."""
+        chunk_tokens = self._chunk_tokens
+        tokens: list[str] = []
         for chunk in _WORD_SPLIT_RE.split(text):
-            if not chunk:
-                continue
-            yield from self._tokenize_chunk(chunk)
+            tokens.extend(chunk_tokens(chunk))
+        return tokens
 
     def tokenize_headers(self, email: Email) -> Iterator[str]:
         """Yield prefixed tokens for the headers of ``email``."""
@@ -113,6 +137,8 @@ class Tokenizer:
     # ------------------------------------------------------------------
 
     def _tokenize_chunk(self, chunk: str) -> Iterator[str]:
+        # The empty chunks that leading or trailing whitespace leaves in
+        # the split fall through to an empty ``word`` and yield nothing.
         url_match = _URL_RE.search(chunk)
         if url_match:
             yield from self._tokenize_url(url_match)
@@ -201,7 +227,9 @@ class Tokenizer:
 
 
 DEFAULT_TOKENIZER = Tokenizer()
-"""Shared default tokenizer instance (stateless, safe to share)."""
+"""Shared default tokenizer instance.  Safe to share across threads and
+callers: its chunk memo is bounded, thread-safe, and never changes a
+result, only how fast it comes back."""
 
 
 def tokenize_text(text: str, tokenizer: Tokenizer | None = None) -> list[str]:

@@ -180,9 +180,16 @@ def _trained():
     return classifier
 
 
+# Warmed by every earlier example of the hostile-input tests, the
+# spoofing seeds included, so its chunk memo answers with hits where a
+# fresh tokenizer computes.
+_WARM_TOKENIZER = Tokenizer()
+
+
 def _assert_tokenizes_stably(email: Email) -> None:
     tokens = Tokenizer().tokenize(email)
-    assert Tokenizer().tokenize(email) == tokens
+    assert _WARM_TOKENIZER.tokenize(email) == tokens
+    assert _WARM_TOKENIZER.tokenize(email) == tokens  # every body chunk a hit
     assert 0.0 <= _trained().score(frozenset(tokens)) <= 1.0
 
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.spambayes import tokenizer as tokenizer_module
 from repro.spambayes.message import Email
 from repro.spambayes.tokenizer import (
     DEFAULT_TOKENIZER,
@@ -142,6 +147,109 @@ def test_tokenizer_never_crashes_and_emits_no_empty_tokens(text: str):
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=200))
 @settings(max_examples=60)
 def test_tokenizer_deterministic(text: str):
-    assert list(DEFAULT_TOKENIZER.tokenize_body(text)) == list(
-        DEFAULT_TOKENIZER.tokenize_body(text)
-    )
+    cold = Tokenizer().tokenize_body(text)
+    # The shared tokenizer's first call fills its memo; the second is
+    # all hits.  Both must match a tokenizer that has seen nothing.
+    assert DEFAULT_TOKENIZER.tokenize_body(text) == cold
+    assert DEFAULT_TOKENIZER.tokenize_body(text) == cold
+
+
+# ----------------------------------------------------------------------
+# The chunk memo: never shipped, bounded, thread-safe
+# ----------------------------------------------------------------------
+
+# Latin letters and their Cyrillic look-alikes, plus zero-width marks
+# that are neither whitespace nor word characters.
+_HOMOGLYPHS = {"a": "\u0430", "c": "\u0441", "e": "\u0435", "p": "\u0440", "s": "\u0455", "y": "\u0443"}
+_ZERO_WIDTH = ("", "\u200b", "\u200c", "\u200d")
+
+
+def _spoofed_chunk(index: int, word: str = "paypalsecure") -> str:
+    """The ``index``-th look-alike of ``word``: distinct for every index."""
+    out = []
+    for letter in word:
+        glyphs = (letter, _HOMOGLYPHS[letter]) if letter in _HOMOGLYPHS else (letter,)
+        index, choice = divmod(index, len(glyphs) * len(_ZERO_WIDTH))
+        glyph, mark = divmod(choice, len(_ZERO_WIDTH))
+        out.append(glyphs[glyph] + _ZERO_WIDTH[mark])
+    assert index == 0, "word too short for this many variants"
+    return "".join(out)
+
+
+def _corpus_emails(corpus) -> list[Email]:
+    return [message.email for message in corpus.dataset]
+
+
+class TestChunkMemo:
+    def test_pickle_ships_options_not_memo(self, tiny_corpus):
+        emails = _corpus_emails(tiny_corpus)
+        cold_size = len(pickle.dumps(Tokenizer()))
+        warm = [DEFAULT_TOKENIZER.tokenize(email) for email in emails]
+        assert DEFAULT_TOKENIZER._chunk_tokens.cache_info().currsize > 0
+        blob = pickle.dumps(DEFAULT_TOKENIZER)
+        assert len(blob) == cold_size
+        clone = pickle.loads(blob)
+        assert clone.options == DEFAULT_TOKENIZER.options
+        assert clone._chunk_tokens.cache_info().currsize == 0
+        assert [clone.tokenize(email) for email in emails] == warm
+
+    def test_pickle_keeps_non_default_options(self):
+        options = TokenizerOptions(min_token_length=2, generate_skip_tokens=False)
+        clone = pickle.loads(pickle.dumps(Tokenizer(options)))
+        assert clone.options == options
+        assert clone.tokenize_body("ab " + "z" * 30) == ["ab"]
+
+    def test_hostile_unique_chunks_stay_bounded(self):
+        cap = tokenizer_module._CHUNK_MEMO_SIZE
+        chunks = [_spoofed_chunk(index) for index in range(cap + 2_000)]
+        assert len(set(chunks)) == len(chunks)
+        tokenizer = Tokenizer()
+        per_mail = 1_000
+        for start in range(0, len(chunks), per_mail):
+            mail = chunks[start:start + per_mail]
+            email = Email(body=" ".join(mail), headers=[("Subject", "verify")])
+            expected = [token for chunk in mail for token in tokenizer._tokenize_chunk(chunk)]
+            assert tokenizer.tokenize(email) == expected + ["subject:verify"]
+        info = tokenizer._chunk_tokens.cache_info()
+        assert info.misses == len(chunks)
+        assert info.currsize <= cap
+
+    def test_shared_tokenizer_under_threads_with_evictions(self, tiny_corpus, monkeypatch):
+        monkeypatch.setattr(tokenizer_module, "_CHUNK_MEMO_SIZE", 64)
+        emails = _corpus_emails(tiny_corpus)
+        expected = [Tokenizer().tokenize(email) for email in emails]
+        shared = Tokenizer()
+        n_threads = 8
+        start = threading.Barrier(n_threads)
+        wrong: list[tuple[int, int]] = []
+        errors: list[Exception] = []
+
+        def work(slot: int) -> None:
+            try:
+                start.wait(timeout=30)
+                # Three passes, each thread starting at a different
+                # message, so the threads hit, miss and evict different
+                # chunks at once.
+                for position in range(slot * 17, slot * 17 + 3 * len(emails)):
+                    index = position % len(emails)
+                    if shared.tokenize(emails[index]) != expected[index]:
+                        wrong.append((slot, index))
+            except Exception as exc:  # reported by the assertions below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert wrong == []
+        info = shared._chunk_tokens.cache_info()
+        assert info.misses > 64
+        assert info.currsize <= 64
