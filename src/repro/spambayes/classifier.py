@@ -72,7 +72,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, compress, repeat
+from operator import is_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import TrainingError
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
@@ -720,24 +722,74 @@ class Classifier:
                 memo[tid] = None
         return prob
 
-    def _entries(self, ids: Sequence[int]) -> list:
-        """Memo entries for a batch of IDs (columns must be ensured)."""
-        memo = self._memo_list()
+    def _resolve(
+        self, token_sets: Iterable[Iterable[str]]
+    ) -> tuple[list[tuple[list[int], Sequence[str]]], bool]:
+        """Resolve each message in one :meth:`TokenTable.lookup` call.
+
+        Returns ``(encoded, any_unseen)``: per message, its distinct
+        interned IDs and the texts of its unseen tokens, plus whether
+        any message had one.  Scoring never interns, so unseen tokens
+        stay out of the table.  Their texts are kept only when the
+        prior is significant; otherwise they never enter δ(E).
+        """
+        lookup = self._table.lookup
+        keep_unseen = self._unknown_entry() is not None
+        encoded: list[tuple[list[int], Sequence[str]]] = []
+        any_unseen = False
+        for tokens in token_sets:
+            unique = tokens if isinstance(tokens, (set, frozenset)) else set(tokens)
+            ids = lookup(unique)
+            extras: Sequence[str] = ()
+            if None in ids:
+                any_unseen = True
+                if keep_unseen:
+                    extras = list(compress(unique, map(is_, ids, repeat(None))))
+                ids = [tid for tid in ids if tid is not None]
+            encoded.append((ids, extras))
+        return encoded, any_unseen
+
+    def _fill_memo(self, memo: list, ids: Iterable[int]) -> None:
+        """Compute every ``_MISSING`` memo entry among ``ids``.
+
+        The string path's one fill step: callers gather a batch's IDs
+        and fill once before combining, so the combine reads finished
+        entries only.  This is the lazy per-token fill through
+        :meth:`_prob_for_id`; the NumPy kernel overrides it with one
+        vectorized pass that writes the same tuples.  Columns must
+        already cover ``ids``.
+        """
         minimum = self.options.minimum_prob_strength
-        table = self._table
-        out = []
+        token = self._table.token
         for tid in ids:
-            entry = memo[tid]
-            if entry is _MISSING:
+            if memo[tid] is _MISSING:
                 prob = self._prob_for_id(tid)
                 strength = abs(prob - 0.5)
-                if strength >= minimum:
-                    entry = (-strength, table.token(tid), prob)
-                else:
-                    entry = None
-                memo[tid] = entry
-            out.append(entry)
-        return out
+                memo[tid] = (-strength, token(tid), prob) if strength >= minimum else None
+
+    def _ranked(self, encoded: list[tuple[list[int], Sequence[str]]]) -> Iterator[list]:
+        """Each message's significant memo entries, strongest first.
+
+        ``encoded`` is the first item :meth:`_resolve` returns, which
+        keeps unseen texts only when the prior's entry is significant.
+        The batch's IDs go to one :meth:`_fill_memo` call; then each
+        unseen text adds the prior's entry.  Sorting the tuples
+        *without* a key function orders by strength descending, then
+        token text ascending (tokens are unique, so the prob element
+        never participates in a comparison).
+        """
+        self._ensure_columns()
+        memo = self._memo_list()
+        self._fill_memo(memo, chain.from_iterable(ids for ids, _ in encoded))
+        memo_get = memo.__getitem__
+        unknown = self._unknown_entry()
+        for ids, extras in encoded:
+            scored = list(filter(None, map(memo_get, ids)))
+            if extras:
+                neg_strength, prob = unknown
+                scored += [(neg_strength, token, prob) for token in extras]
+            scored.sort()
+            yield scored
 
     def _unknown_entry(self) -> tuple | None:
         """The memo entry an unseen token would get, or None if the
@@ -758,21 +810,7 @@ class Classifier:
         first.  Ties are broken by token text so results are
         deterministic across runs and platforms.
         """
-        unique = tokens if isinstance(tokens, (set, frozenset)) else set(tokens)
-        id_of = self._table.id_of
-        ids = []
-        scored = []
-        unknown = self._unknown_entry()
-        for token in unique:
-            tid = id_of(token)
-            if tid is None:
-                if unknown is not None:
-                    scored.append((unknown[0], token, unknown[1]))
-            else:
-                ids.append(tid)
-        self._ensure_columns()
-        scored.extend(entry for entry in self._entries(ids) if entry is not None)
-        scored.sort()
+        (scored,) = self._ranked(self._resolve((tokens,))[0])
         limit = self.options.max_discriminators
         return [TokenScore(token, prob) for _, token, prob in scored[:limit]]
 
@@ -788,49 +826,40 @@ class Classifier:
         """I(E) for a batch of messages in one pass.
 
         Returns exactly ``[self.score(ts) for ts in token_sets]`` — the
-        same sort, the same tie-breaks, the same floats.  Known tokens
-        are resolved to IDs up front and run through the columnar
-        kernel; unseen tokens contribute the prior inline, without
-        being interned (scoring never grows the table).
+        same sort, the same tie-breaks, the same floats.  Each message's
+        distinct tokens are resolved in one :meth:`TokenTable.lookup`;
+        unseen tokens contribute the prior inline, without being
+        interned (scoring never grows the table).
 
-        Batches with unseen tokens take the pure-Python loop on every
-        kernel.  Sending them to :meth:`score_many_ids` when the prior
-        is not significant (unseen tokens then drop out) was measured
-        on the serve benchmark (``serve-session``, 2-core host): wall
-        time 6.67 → 6.34 s (−5%), peak RSS 44.5 → 47.5 MiB (+6.7%).
-        That trade waits for a memory bound on serve batches; the
-        threshold fit avoids this path by scoring encoded IDs.
+        A batch with no unseen token goes to :meth:`score_many_ids`.
+        Any other batch takes the memo-and-combine loop: its known IDs
+        are gathered and handed to one :meth:`_fill_memo` call, which
+        computes every entry a training call invalidated (the NumPy
+        kernel in one vectorized pass), and then each message sorts and
+        combines finished memo entries.  Under served feedback every
+        ``learn`` moves ``(nspam, nham)`` and voids the whole memo, so
+        the refill is the per-batch cost that matters.
+
+        Routing string batches to :meth:`score_many_ids` instead (unseen
+        tokens dropped when the prior is not significant, batch-local
+        text ranks) was measured on the serve benchmark
+        (``serve-session``, 2-core host) and rejected: wall time −35%,
+        but the kernel's fixed ~190 µs per call made read-only batches
+        of one message cost 245–271 µs against 78–99 µs, unbatched
+        serving fell from 2,798 to 1,577 msgs/s, and peak RSS rose 5.2%.
+        An earlier form of that route gained only 5%: each ``feedback``
+        grows the table, which forces a vocabulary-wide
+        :meth:`TokenTable.text_order_ranks` rebuild (688 rebuilds,
+        2.89 s in one `serve-session` run).
         """
-        id_of = self._table.id_of
-        encoded: list[tuple[list[int], list[str]]] = []
-        any_unknown = False
-        for tokens in token_sets:
-            unique = tokens if isinstance(tokens, (set, frozenset)) else set(tokens)
-            ids: list[int] = []
-            extras: list[str] = []
-            for token in unique:
-                tid = id_of(token)
-                if tid is None:
-                    extras.append(token)
-                else:
-                    ids.append(tid)
-            any_unknown = any_unknown or bool(extras)
-            encoded.append((ids, extras))
-        if not any_unknown:
+        encoded, any_unseen = self._resolve(token_sets)
+        if not any_unseen:
             return self.score_many_ids([ids for ids, _ in encoded])
-        self._ensure_columns()
-        unknown = self._unknown_entry()
-        max_discriminators = self.options.max_discriminators
+        limit = self.options.max_discriminators
         combine = self._combine
-        results: list[float] = []
-        for ids, extras in encoded:
-            scored = [entry for entry in self._entries(ids) if entry is not None]
-            if extras and unknown is not None:
-                neg_strength, prob = unknown
-                scored.extend((neg_strength, token, prob) for token in extras)
-            scored.sort()
-            results.append(combine([entry[2] for entry in scored[:max_discriminators]]))
-        return results
+        return [
+            combine([entry[2] for entry in scored[:limit]]) for scored in self._ranked(encoded)
+        ]
 
     def score_workspace(self, workspace) -> list[float]:
         """Score a fixed evaluation batch carried by a scoring workspace.

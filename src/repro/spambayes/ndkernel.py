@@ -61,7 +61,7 @@ except ImportError:  # pragma: no cover - numpy is in the baked image
     np = None  # type: ignore[assignment]
 
 from repro.errors import ConfigurationError, TrainingError
-from repro.spambayes.classifier import Classifier
+from repro.spambayes.classifier import _MISSING, Classifier
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.token_table import TOKEN_ID_TYPECODE, TokenTable, build_text_ranks
 from repro.spambayes.wordinfo import WordInfo
@@ -601,6 +601,37 @@ class NDClassifier(Classifier):
         # entries and evidence records carry native floats (float() of
         # a float64 is the identity on the bits).
         return float(super()._prob_for_id(token_id))
+
+    def _fill_memo(self, memo: list, ids: Iterable[int]) -> None:
+        """The string path's memo fill in one vectorized pass.
+
+        Every ``_MISSING`` entry among ``ids`` gets its prob from a
+        single :meth:`_nd_probs_for` call.  Those floats are bit-identical
+        to :meth:`_prob_for_id` (see :meth:`_nd_probs_of`), and the
+        strength test and negation are exact, so each memo tuple is the
+        one the lazy fill would write.  A subclass that overrides
+        :meth:`_prob_for_id` keeps its own formula through the lazy fill.
+        """
+        if type(self)._prob_for_id is not NDClassifier._prob_for_id:
+            super()._fill_memo(memo, ids)
+            return
+        need = {tid for tid in ids if memo[tid] is _MISSING}
+        if not need:
+            return
+        need_idx = np.fromiter(need, dtype=_ID_DTYPE, count=len(need))
+        probs = self._nd_probs_for(need_idx)
+        strength = np.abs(probs - 0.5)
+        significant = strength >= self.options.minimum_prob_strength
+        for tid in need_idx[~significant].tolist():
+            memo[tid] = None
+        sig_ids = need_idx[significant].tolist()
+        for tid, text, neg_strength, prob in zip(
+            sig_ids,
+            self._table.decode(sig_ids),
+            (-strength[significant]).tolist(),
+            probs[significant].tolist(),
+        ):
+            memo[tid] = (neg_strength, text, prob)
 
     def _nd_probs_for(self, need: "np.ndarray") -> "np.ndarray":
         """f(w) of Equation 2 for a batch of token IDs, bit-exact."""

@@ -37,7 +37,7 @@ twice it.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 __all__ = ["TokenTable", "build_text_ranks", "finish_encode"]
 
@@ -106,6 +106,15 @@ class TokenTable:
     def id_of(self, token: str) -> int | None:
         """The ID of ``token`` if already interned, else ``None``."""
         return self._ids.get(token)
+
+    def lookup(self, tokens: Collection[str]) -> list[int | None]:
+        """:meth:`id_of` for every token, aligned with the input.
+
+        One call per message on the scoring path: it never interns, and
+        it leaves the storage format (dict here, SQLite on disk) to the
+        table instead of a per-token method call.
+        """
+        return list(map(self._ids.get, tokens))
 
     def token(self, token_id: int) -> str:
         """The token text for an assigned ID (raises IndexError if unassigned)."""

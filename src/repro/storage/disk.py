@@ -45,7 +45,7 @@ import sqlite3
 import tempfile
 from array import array
 from pathlib import Path
-from typing import Iterator
+from typing import Collection, Iterator
 
 import mmap as _mmap
 
@@ -173,6 +173,25 @@ class DiskTokenTable(TokenTable):
         tid = int(row[0])
         self._cache_put(self._cache, token, tid)
         return tid
+
+    def lookup(self, tokens: Collection[str]) -> list[int | None]:
+        # Cache hits first, then one chunked query for every miss: an
+        # unseen token costs a share of one SELECT per message, not a
+        # SELECT of its own on every score.
+        ids = list(map(self._cache.get, tokens))
+        if None not in ids:
+            return ids
+        found = self._lookup_many(
+            sorted({token for token, tid in zip(tokens, ids) if tid is None})
+        )
+        if not found:
+            return ids
+        cache = self._cache
+        for token, tid in found.items():
+            self._cache_put(cache, token, tid)
+        return [
+            found.get(token) if tid is None else tid for token, tid in zip(tokens, ids)
+        ]
 
     def token(self, token_id: int) -> str:
         tid = token_id + self._len if token_id < 0 else token_id

@@ -68,6 +68,21 @@ def _random_message(rng: random.Random, table: TokenTable):
     return table.encode_unique(tokens)
 
 
+def _random_text_message(rng: random.Random, table: TokenTable) -> list[str]:
+    """Token texts mixing interned, never-interned and repeated tokens.
+
+    ``w400``-``w499`` are outside the vocabulary ``_random_message``
+    draws from, so they stay unseen however long the run.  Some
+    messages hold no unseen token, so the batch routing is exercised
+    both ways."""
+    known = rng.sample(range(len(table)), rng.randint(0, min(30, len(table))))
+    tokens = table.decode(known)
+    if rng.random() < 0.7:
+        tokens += [f"w{rng.randrange(400, 500)}" for _ in range(rng.randint(1, 5))]
+    tokens += rng.sample(tokens, len(tokens) // 3)
+    return tokens
+
+
 def _full_state(classifier: Classifier):
     return (
         classifier.nspam,
@@ -98,7 +113,7 @@ def test_randomized_interleavings_bit_identical(seed):
     snapshots = None
 
     for step in range(300):
-        op = rng.randrange(10)
+        op = rng.randrange(11)
         if op <= 3:  # learn
             ids = rng.choice(messages)
             is_spam = rng.random() < 0.5
@@ -133,6 +148,10 @@ def test_randomized_interleavings_bit_identical(seed):
             snapshots = None
             batch = rng.sample(messages, 10)
             assert pure.score_many_ids(batch) == vect.score_many_ids(batch)
+        elif op == 10:  # string score: memo fill against stale entries
+            batch = [_random_text_message(rng, table) for _ in range(rng.randint(1, 12))]
+            expected = [pure.score(tokens) for tokens in batch]
+            assert vect.score_many(batch) == pure.score_many(batch) == expected
 
     if snapshots is not None:
         pure.restore(snapshots[0])
@@ -174,6 +193,79 @@ def test_pickle_round_trip_preserves_scores():
     assert clone.score_many_ids(messages) == vect.score_many_ids(messages)
     copied = vect.copy()
     assert copied.score_many_ids(messages) == vect.score_many_ids(messages)
+
+
+def _trained_pair(seed: int):
+    """A pure and an ND classifier trained alike on one shared table,
+    plus held-back messages and a string batch with unseen tokens."""
+    rng = random.Random(seed)
+    table = TokenTable()
+    pure = Classifier(table=table)
+    vect = NDClassifier(table=table)
+    messages = [_random_message(rng, table) for _ in range(40)]
+    for ids in messages[:30]:
+        label = rng.random() < 0.5
+        pure.learn_ids(ids, label)
+        vect.learn_ids(ids, label)
+    batch = [_random_text_message(rng, table) for _ in range(8)]
+    batch.append(table.decode(messages[0]) + ["w450"])
+    return pure, vect, messages, batch
+
+
+def test_string_batch_after_learn_makes_no_scalar_prob_calls(monkeypatch):
+    """A learn voids the significance memo; the next string batch
+    refills it in one vectorized pass, not token by token."""
+    pure, vect, messages, batch = _trained_pair(17)
+    vect.score_many(batch)
+    pure.learn_ids(messages[35], True)
+    vect.learn_ids(messages[35], True)
+    calls = []
+    scalar = NDClassifier._prob_for_id
+
+    def spy(self, token_id):
+        calls.append(token_id)
+        return scalar(self, token_id)
+
+    monkeypatch.setattr(NDClassifier, "_prob_for_id", spy)
+    scores = vect.score_many(batch)
+    assert calls == []
+    assert scores == pure.score_many(batch) == [pure.score(t) for t in batch]
+
+
+def _halved_prob(self, token_id):
+    """A different per-token formula: f(w) pulled halfway to 0.5."""
+    return 0.5 + (float(Classifier._prob_for_id(self, token_id)) - 0.5) / 2
+
+
+class _HalvedPure(Classifier):
+    _prob_for_id = _halved_prob
+
+
+class _HalvedND(NDClassifier):
+    _prob_for_id = _halved_prob
+
+
+def test_prob_override_keeps_its_formula_on_the_string_path():
+    """An ND subclass that overrides ``_prob_for_id`` scores string
+    batches with its own formula, as the pure kernel does."""
+    _, vect, messages, batch = _trained_pair(23)
+    pure = _HalvedPure(table=vect.table)
+    halved = _HalvedND(table=vect.table)
+    for ids in messages[:30]:
+        label = sum(ids) % 2 == 0
+        pure.learn_ids(ids, label)
+        halved.learn_ids(ids, label)
+    halved.score_many(batch)
+    pure.learn_ids(messages[35], False)
+    halved.learn_ids(messages[35], False)
+    scores = halved.score_many(batch)
+    assert scores == [halved.score(t) for t in batch]
+    assert scores == pure.score_many(batch) == [pure.score(t) for t in batch]
+    plain = NDClassifier(table=vect.table)
+    for ids in messages[:30]:
+        plain.learn_ids(ids, sum(ids) % 2 == 0)
+    plain.learn_ids(messages[35], False)
+    assert scores != plain.score_many(batch)
 
 
 # ----------------------------------------------------------------------

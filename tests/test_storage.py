@@ -166,6 +166,37 @@ class TestDiskTokenTable:
         with pytest.raises(IndexError):
             table.token(len(table))
 
+    def test_bulk_lookup_matches_memory_and_never_interns(self, disk_backend):
+        reference, table = self._pair(disk_backend)
+        for batch in self.BATCHES:
+            reference.encode_unique(batch)
+            table.encode_unique(batch)
+        # Known, unknown and duplicate tokens, in an order with misses
+        # between hits; a second table on the same file starts with a
+        # cold cache, so every token goes through SQLite.
+        tokens = ["fig", "kiwi", "apple", "kiwi", "lime", "apple", "date", "plum"]
+        cold = DiskTokenTable(table.db_path)
+        statements: list[str] = []
+        cold._conn().set_trace_callback(statements.append)
+        expected = reference.lookup(tokens)
+        assert expected == [
+            reference.id_of("fig"), None, reference.id_of("apple"), None,
+            None, reference.id_of("apple"), reference.id_of("date"), None,
+        ]
+        assert cold.lookup(tokens) == expected
+        assert sum(s.lstrip().upper().startswith("SELECT") for s in statements) == 1
+        # Found tokens are now cached: a repeat costs one query for the
+        # misses only, and the warm table answers the same.
+        statements.clear()
+        assert cold.lookup(tokens) == expected
+        assert len(statements) == 1
+        assert table.lookup(tokens) == expected
+        assert table.lookup(["kiwi"]) == [None]
+        assert len(table) == len(cold) == len(reference)
+        (rows,) = table._conn().execute("SELECT COUNT(*) FROM tokens").fetchone()
+        assert rows == len(reference)
+        cold.close()
+
     def test_decode_round_trips(self, disk_backend):
         reference, table = self._pair(disk_backend)
         for batch in self.BATCHES:
