@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test goldens e2e-selftest bench-smoke bench bench-core bench-scenario bench-stream bench-storage bench-serve bench-large docs-check check
+.PHONY: test goldens e2e-selftest bench-smoke bench bench-scenario bench-stream bench-storage bench-serve bench-large docs-check check
 
 # Tier-1 gate: the full test suite, fail-fast.
 test:
@@ -24,22 +24,16 @@ goldens:
 e2e-selftest:
 	python3 -m pytest e2ebench/selftest.py -q
 
-# Seconds-long runs of the classifier-core micro-benchmarks (ID core
-# vs retained dict core, bit-identical outputs asserted; JSON record in
-# benchmarks/results/) and the scenario-executor dispatch benchmark
-# (executor output asserted identical to the retained drivers).
+# Seconds-long runs of the scenario-executor dispatch benchmark
+# (executor output asserted identical to the retained drivers), the
+# stream, storage and serve benchmarks; JSON records in
+# benchmarks/results/.
 bench-smoke:
-	$(PYTHON) benchmarks/bench_classifier_core.py --scale smoke
 	$(PYTHON) benchmarks/bench_scenario_overhead.py --scale smoke
 	$(PYTHON) benchmarks/bench_stream_throughput.py --scale smoke --workers 2
 	$(PYTHON) benchmarks/bench_stream_throughput.py --scale smoke --ticks
 	$(PYTHON) benchmarks/bench_storage.py --scale smoke
 	$(PYTHON) benchmarks/bench_serve.py --scale smoke
-
-# The classifier-core micro-benchmarks at the default (1/10) scale;
-# writes benchmarks/results/BENCH_classifier_core.json.
-bench-core:
-	$(PYTHON) benchmarks/bench_classifier_core.py --scale small
 
 # Scenario-executor equivalence + dispatch overhead at the default
 # scale; appends to benchmarks/results/BENCH_scenario.json.
@@ -66,12 +60,11 @@ bench-storage:
 bench-serve:
 	$(PYTHON) benchmarks/bench_serve.py --scale small
 
-# The headline perf scale: big enough that the NumPy kernel's
-# fold-scoring speedup and the pooled engines' fixed costs are
-# measured against real work, small enough for a CI job.  Writes
+# The headline perf scale: big enough that the pooled engines' fixed
+# costs and the storage backends' fold-scoring ratio are measured
+# against real work, small enough for a CI job.  Writes
 # BENCH_*.large.json records into benchmarks/results/.
 bench-large:
-	$(PYTHON) benchmarks/bench_classifier_core.py --scale large
 	$(PYTHON) benchmarks/bench_stream_throughput.py --scale large --workers 2
 	$(PYTHON) benchmarks/bench_stream_throughput.py --scale large --ticks
 	$(PYTHON) benchmarks/bench_storage.py --scale large

@@ -32,8 +32,8 @@ the inner loops never hash a string.  Attack payloads are ID-native
 too: each fold's batch is interned once through
 :meth:`~repro.attacks.base.AttackBatch.encode` and layered as ID
 arrays (:class:`IncrementalAttackTrainer`).  Held-out folds are scored
-through :meth:`Classifier.score_many_ids`, the columnar kernel that
-shares per-token significance work across the fold's messages.  On the
+through :meth:`Classifier.score_many_ids`, which shares per-token
+significance work across the fold's messages.  On the
 NumPy kernel a parallel sweep ships the inbox as one
 :class:`~repro.spambayes.ndkernel.CsrMatrix` inside the context, by
 value like the rest of it, and workers score stripes straight off it.
@@ -74,6 +74,7 @@ __all__ = [
     "SweepSpec",
     "attack_message_count",
     "evaluate_dataset",
+    "tally_scores",
     "evaluation_workspace",
     "run_attack_sweeps",
     "sequential_reference_sweep",
@@ -139,12 +140,13 @@ def evaluate_dataset(
     kernel, over ID arrays encoded against the classifier's interning
     table (encoded once per message, cached).  Scores are exactly the
     per-message ones.  ``cutoffs`` overrides the classifier's
-    (θ0, θ1) without touching its state — the dynamic-threshold
-    experiment evaluates one trained classifier under several
-    threshold fits.  ``workspace`` (from :func:`evaluation_workspace`
-    over the same messages/``ham_only``) reuses cached batch-shape
-    scoring state for callers that evaluate one fixed set repeatedly;
-    scores are bit-identical with or without it.
+    (θ0, θ1) without touching its state; to evaluate one trained state
+    under several threshold pairs, score once and call
+    :func:`tally_scores` per pair.  ``workspace`` (from
+    :func:`evaluation_workspace` over the same messages/``ham_only``)
+    reuses cached batch-shape scoring state for callers that evaluate
+    one fixed set repeatedly; scores are bit-identical with or without
+    it.
     """
     if cutoffs is None:
         ham_cutoff, spam_cutoff = classifier.options.ham_cutoff, classifier.options.spam_cutoff
@@ -156,15 +158,29 @@ def evaluate_dataset(
         scores = classifier.score_workspace(workspace)
     else:
         scores = classifier.score_many_ids([m.token_ids(table, tokenizer) for m in kept])
+    return tally_scores([m.is_spam for m in kept], scores, (ham_cutoff, spam_cutoff))
+
+
+def tally_scores(
+    labels: Iterable[bool], scores: Iterable[float], cutoffs: tuple[float, float]
+) -> "ConfusionCounts":
+    """Tally a confusion matrix from true labels (``True`` = spam) and
+    scores under ``cutoffs = (θ0, θ1)``.
+
+    Scoring once and tallying several times evaluates one trained
+    state under several threshold pairs (the dynamic-threshold
+    experiment).
+    """
+    ham_cutoff, spam_cutoff = cutoffs
     counts = _confusion_counts()()
-    for message, score in zip(kept, scores):
+    for is_spam, score in zip(labels, scores):
         if score <= ham_cutoff:
             label = Label.HAM
         elif score <= spam_cutoff:
             label = Label.UNSURE
         else:
             label = Label.SPAM
-        counts.record(message.is_spam, label)
+        counts.record(is_spam, label)
     return counts
 
 
@@ -332,9 +348,8 @@ class _SweepContext:
     def rows(self) -> Sequence:
         """Per-message ID arrays, whichever field carried them.
 
-        CSR row views are built once per process and cached, so
-        ``id(row)`` is stable across calls — which keeps message-score
-        memos warm.  The cache never rides a pickle.
+        CSR row views are built once per process and cached; the cache
+        never rides a pickle.
         """
         if self.csr is None:
             return self.token_ids
@@ -388,8 +403,6 @@ def _evaluate_indices(
     indices: tuple[int, ...],
     ham_only: bool,
 ) -> dict[str, int]:
-    ham_cutoff = classifier.options.ham_cutoff
-    spam_cutoff = classifier.options.spam_cutoff
     kept = [i for i in indices if not (ham_only and context.labels[i])]
     if context.csr is not None and isinstance(classifier, ndkernel.NDClassifier):
         # Fold stripes are scored cold after every contamination step,
@@ -398,16 +411,9 @@ def _evaluate_indices(
     else:
         rows = context.rows()
         scores = classifier.score_many_ids([rows[i] for i in kept])
-    counts = _confusion_counts()()
-    for i, score in zip(kept, scores):
-        if score <= ham_cutoff:
-            label = Label.HAM
-        elif score <= spam_cutoff:
-            label = Label.UNSURE
-        else:
-            label = Label.SPAM
-        counts.record(context.labels[i], label)
-    return counts.as_dict()
+    options = classifier.options
+    labels = [context.labels[i] for i in kept]
+    return tally_scores(labels, scores, (options.ham_cutoff, options.spam_cutoff)).as_dict()
 
 
 def _run_fold_task(context: _SweepContext, task: _FoldTask) -> list[dict[str, int]]:

@@ -41,7 +41,7 @@ from repro.attacks.base import Attack
 from repro.corpus.dataset import Dataset, unlearn_grouped
 from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
 from repro.defenses.threshold import DynamicThresholdConfig, DynamicThresholdDefense
-from repro.engine.sweep import IncrementalAttackTrainer, evaluate_dataset
+from repro.engine.sweep import IncrementalAttackTrainer, tally_scores
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.experiments.metrics import ConfusionCounts
 from repro.experiments.results import CurvePoint, ExperimentRecord, Series
@@ -172,11 +172,17 @@ def _run_threshold_fold(
         batch = context.attack.generate(context.counts[-1], random.Random(next(seeds)))
         trainer = IncrementalAttackTrainer(classifier, batch)
         attack_messages = attack_messages_as_dataset(batch)
+        test_rows = [m.token_ids(classifier.table, context.tokenizer) for m in test_set]
+        test_labels = [m.is_spam for m in test_set]
+        static_cutoffs = (classifier.options.ham_cutoff, classifier.options.spam_cutoff)
         static_arm: list[ConfusionCounts] = []
         fitted_arms: list[list[tuple[float, float, ConfusionCounts]]] = []
         for count in context.counts:
             trainer.advance_to(count)
-            static_arm.append(evaluate_dataset(classifier, test_set, context.tokenizer))
+            # One scoring pass per contamination level: the static and
+            # every fitted (θ0, θ1) pair share this trained state.
+            scores = classifier.score_many_ids(test_rows)
+            static_arm.append(tally_scores(test_labels, scores, static_cutoffs))
             poisoned = Dataset(
                 train_messages + attack_messages[:count],
                 name="poisoned-training",
@@ -193,13 +199,8 @@ def _run_threshold_fold(
                 fit = defense.fit(
                     poisoned, random.Random(next(seeds)), table=classifier.table
                 )
-                confusion = evaluate_dataset(
-                    classifier,
-                    test_set,
-                    context.tokenizer,
-                    cutoffs=(fit.ham_cutoff, fit.spam_cutoff),
-                )
-                per_quantile.append((fit.ham_cutoff, fit.spam_cutoff, confusion))
+                cutoffs = (fit.ham_cutoff, fit.spam_cutoff)
+                per_quantile.append((*cutoffs, tally_scores(test_labels, scores, cutoffs)))
             fitted_arms.append(per_quantile)
         return static_arm, fitted_arms
     finally:

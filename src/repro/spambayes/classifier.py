@@ -46,37 +46,39 @@ the RONI defense trains/untrains candidate messages in place.
 
 Snapshot / restore (:meth:`Classifier.snapshot`,
 :meth:`Classifier.restore`)
-    A copy-on-write checkpoint of the training state.  ``snapshot()``
-    is O(1): it arms an ID-keyed write-ahead log, and subsequent
-    learn/unlearn calls save each touched token's original count pair
-    the *first* time they touch it.  ``restore()`` replays the log,
-    returning the classifier to the exact snapshotted state (integer
-    counts, so the round-trip is bit-exact).  This is what lets the
+    A checkpoint of the training state: ``snapshot()`` copies the two
+    count columns (as bytes) plus the global counts, and ``restore()``
+    writes them back and zeroes every ID interned since.  Counts are
+    integers, so the round-trip is bit-exact.  This is what lets the
     sweep engine keep ONE shared clean model per inbox and derive every
     fold's classifier from it — unlearn the held-out stripe, layer
     attack batches, score, restore — instead of retraining K times per
     attack variant.  One snapshot may be active at a time; restoring
-    deactivates it.
+    deactivates it.  The NumPy kernel inherits both methods unchanged.
 
-Bulk scoring (:meth:`Classifier.score_many_ids`)
-    The columnar kernel.  Scores a batch of encoded messages in one
-    pass over a flat significance memo indexed by token ID; memo hits —
-    the common case once a fold's vocabulary is warm — are served by a
-    C-level ``map`` over the ID array with no per-token Python
-    bytecode.  The memo persists across calls and is invalidated as a
-    whole by any training call (one pointer write, not a per-token
-    sweep).  Scores are exactly what per-message :meth:`score` returns.
+Scoring and the significance memo
+    Every scoring path — :meth:`Classifier.score`,
+    :meth:`Classifier.score_many` and :meth:`Classifier.score_many_ids`
+    — runs one loop: fill the flat significance memo (indexed by token
+    ID) for the batch's IDs through :meth:`Classifier._prob_for_id`,
+    sort each message's significant entries, combine them with
+    Fisher's method (:mod:`repro.spambayes.chi2`).  A memo entry is a
+    pure function of its token's counts and of ``(nspam, nham)``, so a
+    training call evicts only the IDs it touched while ``(nspam,
+    nham)`` returns to the memo's tag (the RONI gate's learn/score/
+    unlearn cycle); any other change rebuilds the memo.  Scores are
+    exactly what per-message :meth:`Classifier.score` returns.
 """
 
 from __future__ import annotations
 
-import math
 from array import array
 from itertools import chain, compress, repeat
 from operator import is_
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import TrainingError
+from repro.spambayes.chi2 import fisher_combine
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.token_table import TOKEN_ID_TYPECODE, TokenTable
 from repro.spambayes.wordinfo import WordInfo
@@ -88,67 +90,6 @@ __all__ = ["Classifier", "ClassifierSnapshot", "TokenScore"]
 # C-level filter(None, ...)).
 _MISSING = object()
 
-_LN2 = math.log(2.0)
-
-
-def _fisher_message_score(probs: Sequence[float]) -> float:
-    """``(1 + H(E) - S(E)) / 2`` — Equations 3-4 in one fused pass.
-
-    Bit-exact restatement of::
-
-        spam = fisher_combine(probs)            # H(E)
-        ham  = fisher_combine([1 - p for p in probs])   # S(E)
-        (1.0 + spam - ham) / 2.0
-
-    The two ``ln_product`` accumulations are interleaved into a single
-    loop over ``probs`` (each accumulator still sees the same values in
-    the same order, so every intermediate float is identical) and the
-    even-dof chi-square survival series is inlined.  This combiner runs
-    once per message on every scoring path, so the function-call and
-    intermediate-list overhead it removes is a measurable slice of a
-    fold sweep.
-    """
-    if not probs:
-        return 0.5
-    mant_spam = 1.0
-    exp_spam = 0
-    mant_ham = 1.0
-    exp_ham = 0
-    frexp = math.frexp
-    for p in probs:
-        if p <= 0.0:
-            raise ValueError(f"ln_product requires positive values, got {p}")
-        q = 1.0 - p
-        if q <= 0.0:
-            raise ValueError(f"ln_product requires positive values, got {q}")
-        mant_spam *= p
-        if mant_spam < 1e-200:
-            mant_spam, shift = frexp(mant_spam)
-            exp_spam += shift
-        mant_ham *= q
-        if mant_ham < 1e-200:
-            mant_ham, shift = frexp(mant_ham)
-            exp_ham += shift
-    log = math.log
-    degrees_half = len(probs)  # chi2q over 2n degrees iterates n-1 terms
-    evidence = []
-    for mantissa, exponent in ((mant_spam, exp_spam), (mant_ham, exp_ham)):
-        x2 = -2.0 * (log(mantissa) + exponent * _LN2)
-        if x2 <= 0.0:
-            evidence.append(1.0)
-            continue
-        half = x2 / 2.0
-        if half > 708.0:  # chi2._EXP_UNDERFLOW_LIMIT
-            evidence.append(0.0)
-            continue
-        term = math.exp(-half)
-        total = term
-        for i in range(1, degrees_half):
-            term *= half / i
-            total += term
-        evidence.append(min(total, 1.0))
-    return (1.0 + evidence[0] - evidence[1]) / 2.0
-
 
 class TokenScore(NamedTuple):
     """One token's contribution to a message score (evidence record)."""
@@ -158,28 +99,40 @@ class TokenScore(NamedTuple):
 
 
 class ClassifierSnapshot:
-    """Opaque copy-on-write checkpoint of a :class:`Classifier`.
+    """Opaque checkpoint of a :class:`Classifier`.
 
     Created by :meth:`Classifier.snapshot`; consumed (once) by
-    :meth:`Classifier.restore`.  Holds the global message counts plus a
-    write-ahead log mapping token ID -> original ``(spamcount,
-    hamcount)`` pair, populated lazily as training calls touch tokens.
+    :meth:`Classifier.restore`.  Holds byte copies of the two count
+    columns plus the global message counts and the vocabulary size.
     """
 
-    __slots__ = ("owner", "nspam", "nham", "log", "active")
+    __slots__ = ("owner", "nspam", "nham", "vocabulary_size", "spam", "ham", "active")
 
-    def __init__(self, owner: "Classifier", nspam: int, nham: int) -> None:
+    def __init__(self, owner: "Classifier") -> None:
         self.owner = owner
-        self.nspam = nspam
-        self.nham = nham
-        # token ID -> (spamcount, hamcount) at snapshot time; (0, 0)
-        # records a token that was absent.
-        self.log: dict[int, tuple[int, int]] = {}
+        self.nspam = owner._nspam
+        self.nham = owner._nham
+        self.vocabulary_size = owner._active
+        self.spam = bytes(owner._spam)
+        self.ham = bytes(owner._ham)
         self.active = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "active" if self.active else "restored"
-        return f"ClassifierSnapshot({state}, touched={len(self.log)})"
+        return f"ClassifierSnapshot({state}, columns={len(self.spam)} bytes)"
+
+
+def _restore_column(column, saved: bytes) -> None:
+    """Write ``saved`` over the start of ``column`` and zero the rest.
+
+    Works on any writable contiguous buffer — ``array``, ``memoryview``
+    or ``ndarray`` — as one byte copy.  The views are released before
+    returning, so an ``array`` column can still grow afterwards.
+    """
+    with memoryview(column) as raw, raw.cast("B") as view:
+        kept = len(saved)
+        view[:kept] = saved
+        view[kept:] = bytes(len(view) - kept)
 
 
 class Classifier:
@@ -239,12 +192,10 @@ class Classifier:
         self._memo: list | None = None
         self._memo_tag: tuple[int, int] | None = None
         self._dirty: list[int] = []
-        # Message-level score memo: id(ids_array) -> (ids_array, score),
-        # valid until the next training call.  Holding the array ref
-        # keeps the id() stable.  Serves repeated evaluations of the
-        # same encoded messages against unchanged state (e.g. one fold
-        # scored under several threshold fits) at dict-probe cost.
-        self._score_memo: dict[int, tuple[array, float]] | None = None
+        # Bumped by every count change (training calls and restore):
+        # caches that do not track touched IDs compare it to the value
+        # they were built at and rebuild on any difference.
+        self._generation = 0
         self._snapshot: ClassifierSnapshot | None = None
 
     # ------------------------------------------------------------------
@@ -319,58 +270,42 @@ class Classifier:
         """
         memo = self._memo
         n = len(self._table)
-        if memo is not None:
-            dirty = self._dirty
-            # The tag is checked even with nothing dirty: a mutation
-            # with an empty token set still moves (nspam, nham), which
-            # every memoized probability depends on.
-            if (self._nspam, self._nham) != self._memo_tag:
-                memo = None
-            elif dirty:
-                limit = len(memo)
-                dirty_set = set(dirty)
-                for tid in dirty_set:
-                    if tid < limit:
-                        memo[tid] = _MISSING
-                score_memo = self._score_memo
-                if score_memo:
-                    # A message score survives iff none of its
-                    # tokens were touched — its entire input state
-                    # is then identical to when it was computed.
-                    stale = [
-                        key
-                        for key, entry in score_memo.items()
-                        if not dirty_set.isdisjoint(entry[0])
-                    ]
-                    for key in stale:
-                        del score_memo[key]
-                dirty.clear()
+        # The tag is checked even with nothing dirty: a mutation with an
+        # empty token set still moves (nspam, nham), which every
+        # memoized probability depends on.
+        if memo is not None and (self._nspam, self._nham) != self._memo_tag:
+            memo = None
         if memo is None:
             memo = self._memo = [_MISSING] * n
             self._memo_tag = (self._nspam, self._nham)
             self._dirty.clear()
-            self._score_memo = None
-        elif len(memo) < n:
+            return memo
+        dirty = self._dirty
+        if dirty:
+            limit = len(memo)
+            for tid in set(dirty):
+                if tid < limit:
+                    memo[tid] = _MISSING
+            dirty.clear()
+        if len(memo) < n:
             memo.extend([_MISSING] * (n - len(memo)))
         return memo
 
     def _note_mutation(self, ids: Iterable[int]) -> None:
         """Record a training mutation touching ``ids``.
 
-        The token and message memos survive with the touched IDs queued
-        for lazy, targeted eviction (see :meth:`_memo_list`), unless
-        the dirty backlog grows past the point where a rebuild is
-        cheaper.
+        The memo survives with the touched IDs queued for lazy,
+        targeted eviction (see :meth:`_memo_list`), unless the dirty
+        backlog grows past the point where a rebuild is cheaper.
         """
+        self._generation += 1
         if self._memo is None:
-            self._score_memo = None
             return
         dirty = self._dirty
         dirty.extend(ids)
         if len(dirty) > 1024 and len(dirty) * 4 > len(self._memo):
             self._memo = None
             dirty.clear()
-            self._score_memo = None
 
     # ------------------------------------------------------------------
     # Learning
@@ -493,12 +428,9 @@ class Classifier:
         ham_col = self._ham
         col = spam_col if is_spam else ham_col
         other = ham_col if is_spam else spam_col
-        log = None if self._snapshot is None else self._snapshot.log
         active = self._active
         for tid in ids:
             current = col[tid]
-            if log is not None and tid not in log:
-                log[tid] = (spam_col[tid], ham_col[tid])
             if current == 0 and other[tid] == 0:
                 active += 1
             col[tid] = current + count
@@ -524,11 +456,8 @@ class Classifier:
         ham_col = self._ham
         col = spam_col if is_spam else ham_col
         other = ham_col if is_spam else spam_col
-        log = None if self._snapshot is None else self._snapshot.log
         active = self._active
         for tid in ids:
-            if log is not None and tid not in log:
-                log[tid] = (spam_col[tid], ham_col[tid])
             remaining = col[tid] - count
             col[tid] = remaining
             if remaining == 0 and other[tid] == 0:
@@ -603,17 +532,16 @@ class Classifier:
         return self._snapshot is not None
 
     def snapshot(self) -> ClassifierSnapshot:
-        """Arm a copy-on-write checkpoint of the current training state.
+        """Checkpoint the current training state.
 
-        O(1) now; subsequent learn/unlearn calls pay one extra dict
-        probe per *newly touched* token ID to save its original counts.
-        Only one snapshot may be active at a time — layered checkpoints
-        would need a log per level, and no caller has wanted one.
+        Copies both count columns (one byte copy each) and the global
+        counts; training afterwards pays nothing extra.  Only one
+        snapshot may be active at a time — no caller has wanted
+        layered checkpoints.
         """
         if self._snapshot is not None:
             raise TrainingError("a snapshot is already active; restore it first")
-        snap = ClassifierSnapshot(self, self._nspam, self._nham)
-        self._snapshot = snap
+        snap = self._snapshot = ClassifierSnapshot(self)
         return snap
 
     def restore(self, snap: ClassifierSnapshot) -> None:
@@ -621,28 +549,24 @@ class Classifier:
 
         Counts are integers, so the round-trip is bit-exact: the
         restored classifier scores every message identically to the
-        moment the snapshot was taken.  The snapshot is single-use.
+        moment the snapshot was taken.  IDs interned after the snapshot
+        restore to zero counts — the count they had before they
+        existed.  The snapshot is single-use, and restoring voids the
+        scoring memos.
         """
         if snap.owner is not self:
             raise TrainingError("snapshot belongs to a different classifier")
         if not snap.active or self._snapshot is not snap:
             raise TrainingError("snapshot is not active on this classifier")
-        spam_col = self._spam
-        ham_col = self._ham
-        active = self._active
-        for tid, (spamcount, hamcount) in snap.log.items():
-            if spam_col[tid] or ham_col[tid]:
-                active -= 1
-            if spamcount or hamcount:
-                active += 1
-            spam_col[tid] = spamcount
-            ham_col[tid] = hamcount
-        self._active = active
+        _restore_column(self._spam, snap.spam)
+        _restore_column(self._ham, snap.ham)
+        self._active = snap.vocabulary_size
         self._nspam = snap.nspam
         self._nham = snap.nham
         snap.active = False
         self._snapshot = None
-        self._note_mutation(snap.log.keys())
+        self._memo = None
+        self._generation += 1
 
     # ------------------------------------------------------------------
     # Scoring
@@ -673,11 +597,9 @@ class Classifier:
 
         The single overridable probability hook: subclasses with a
         different per-token formula (Graham mode) override this, and
-        every scoring path — single-token, per-message, and the bulk
-        kernel — routes through it (the kernel inlines the base
-        arithmetic only when the hook is not overridden).  Columns must
-        already cover ``token_id`` (callers go through
-        :meth:`_ensure_columns`).
+        every scoring path — single-token, per-message and bulk —
+        routes through it.  Columns must already cover ``token_id``
+        (callers go through :meth:`_ensure_columns`).
         """
         opts = self.options
         spamcount = self._spam[token_id]
@@ -752,9 +674,9 @@ class Classifier:
     def _fill_memo(self, memo: list, ids: Iterable[int]) -> None:
         """Compute every ``_MISSING`` memo entry among ``ids``.
 
-        The string path's one fill step: callers gather a batch's IDs
-        and fill once before combining, so the combine reads finished
-        entries only.  This is the lazy per-token fill through
+        The scoring loop's one fill step: :meth:`_ranked` hands it the
+        batch's IDs once before combining, so the combine reads
+        finished entries only.  This is the per-token fill through
         :meth:`_prob_for_id`; the NumPy kernel overrides it with one
         vectorized pass that writes the same tuples.  Columns must
         already cover ``ids``.
@@ -767,7 +689,7 @@ class Classifier:
                 strength = abs(prob - 0.5)
                 memo[tid] = (-strength, token(tid), prob) if strength >= minimum else None
 
-    def _ranked(self, encoded: list[tuple[list[int], Sequence[str]]]) -> Iterator[list]:
+    def _ranked(self, encoded: list[tuple[Sequence[int], Sequence[str]]]) -> Iterator[list]:
         """Each message's significant memo entries, strongest first.
 
         ``encoded`` is the first item :meth:`_resolve` returns, which
@@ -855,6 +777,10 @@ class Classifier:
         encoded, any_unseen = self._resolve(token_sets)
         if not any_unseen:
             return self.score_many_ids([ids for ids, _ in encoded])
+        return self._combine_ranked(encoded)
+
+    def _combine_ranked(self, encoded: list[tuple[Sequence[int], Sequence[str]]]) -> list[float]:
+        """Each message's score from its :meth:`_ranked` entries."""
         limit = self.options.max_discriminators
         combine = self._combine
         return [
@@ -902,96 +828,16 @@ class Classifier:
         return results
 
     def score_many_ids(self, id_arrays: Iterable[Sequence[int]]) -> list[float]:
-        """The columnar bulk-scoring kernel over pre-encoded messages.
+        """I(E) for a batch of pre-encoded messages.
 
         Each element of ``id_arrays`` is a duplicate-free ID sequence
-        from this classifier's :attr:`table`.  Three memo layers, all
-        invalidated as a whole by any training call:
-
-        * the flat significance memo — a token recurring across the
-          batch (fold evaluation: the whole corpus vocabulary recurs)
-          pays for its strength test and sort entry once, and repeats
-          are served by a C-level ``map`` over the ID array with zero
-          per-token bytecode;
-        * a message-level score memo keyed by the encoded array object,
-          so re-evaluating the same messages against unchanged state
-          (one fold under several threshold fits, RONI baselines)
-          costs a dict probe per message.
-
+        from this classifier's :attr:`table`.  The batch takes the same
+        fill-sort-combine loop as :meth:`score_many`; a token recurring
+        across the batch (fold evaluation: the whole corpus vocabulary
+        recurs) pays for its probability and strength test once.
         Scores are bit-identical to per-message :meth:`score`.
         """
-        opts = self.options
-        minimum = opts.minimum_prob_strength
-        max_discriminators = opts.max_discriminators
-        combine = self._combine
-        self._ensure_columns()
-        memo = self._memo_list()
-        memo_get = memo.__getitem__
-        score_memo = self._score_memo
-        if score_memo is None:
-            score_memo = self._score_memo = {}
-        score_memo_get = score_memo.get
-        # The f(w) arithmetic is inlined below (identical expressions,
-        # identical floats, same as _prob_for_id) to drop ~1M
-        # function-call dispatches per fold sweep.  Subclasses that
-        # override _prob_for_id (Graham mode) keep their own formula
-        # via the hook path.
-        inline_prob = type(self)._prob_for_id is Classifier._prob_for_id
-        spam_col = self._spam
-        ham_col = self._ham
-        table = self._table
-        unknown = opts.unknown_word_prob
-        strength_s = opts.unknown_word_strength
-        nspam = self._nspam
-        nham = self._nham
-        results: list[float] = []
-        for ids in id_arrays:
-            cached = score_memo_get(id(ids))
-            if cached is not None and cached[0] is ids:
-                results.append(cached[1])
-                continue
-            entries = list(map(memo_get, ids))
-            if _MISSING in entries:
-                for index, tid in enumerate(ids):
-                    if entries[index] is not _MISSING:
-                        continue
-                    if inline_prob:
-                        spamcount = spam_col[tid]
-                        hamcount = ham_col[tid]
-                        n = spamcount + hamcount
-                        if n == 0:
-                            prob = unknown
-                        else:
-                            if nspam == 0 and nham == 0:
-                                ps = unknown
-                            else:
-                                spam_ratio = spamcount / nspam if nspam else 0.0
-                                ham_ratio = hamcount / nham if nham else 0.0
-                                denominator = spam_ratio + ham_ratio
-                                ps = unknown if denominator == 0.0 else spam_ratio / denominator
-                            prob = (strength_s * unknown + n * ps) / (strength_s + n)
-                    else:
-                        prob = self._prob_for_id(tid)
-                    strength = abs(prob - 0.5)
-                    if strength >= minimum:
-                        entry = (-strength, table.token(tid), prob)
-                    else:
-                        entry = None
-                    memo[tid] = entry
-                    entries[index] = entry
-            # Sorting the tuples *without* a key function gives exactly
-            # the significant_tokens() order: strength descending, token
-            # text ascending (tokens are unique, so the prob element
-            # never participates in a comparison).
-            scored = list(filter(None, entries))
-            scored.sort()
-            score = combine([entry[2] for entry in scored[:max_discriminators]])
-            results.append(score)
-            if type(ids) is array:
-                # Only persistent encoded arrays are worth remembering:
-                # ad-hoc lists from the string path would pin dead keys.
-                score_memo[id(ids)] = (ids, score)
-        return results
+        return self._combine_ranked([(ids, ()) for ids in id_arrays])
 
     def score_with_evidence(self, tokens: Iterable[str]) -> tuple[float, list[TokenScore]]:
         """Return ``(I(E), δ(E) evidence)`` — used by analysis & defenses."""
@@ -1000,9 +846,12 @@ class Classifier:
 
     @staticmethod
     def _combine(probs: Sequence[float]) -> float:
-        # Fused, bit-exact form of fisher_combine(probs) vs
-        # fisher_combine([1-p]); see _fisher_message_score.
-        return _fisher_message_score(probs)
+        """I(E) = (1 + H(E) - S(E)) / 2 of Equations 3-4."""
+        if not probs:
+            return 0.5
+        spam_evidence = fisher_combine(probs)
+        ham_evidence = fisher_combine([1.0 - p for p in probs])
+        return (1.0 + spam_evidence - ham_evidence) / 2.0
 
     # ------------------------------------------------------------------
     # Copying / pickling
@@ -1076,7 +925,7 @@ class Classifier:
         self._memo = None
         self._memo_tag = None
         self._dirty = []
-        self._score_memo = None
+        self._generation = 0
         self._snapshot = None
 
     def __repr__(self) -> str:

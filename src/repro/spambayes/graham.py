@@ -20,8 +20,10 @@ statistic both schemes consume.)
 same learn/unlearn, same persistence, same interned-ID count columns,
 different scoring.  It overrides exactly two hooks — the per-ID token
 probability (:meth:`Classifier._prob_for_id`) and the combiner — so it
-inherits the columnar bulk kernel, the flat memo and the snapshot WAL
-unchanged.
+inherits the one pure scoring loop, the significance memo and
+snapshot/restore unchanged.  It subclasses the pure kernel only: the
+NumPy kernel computes f(w) vectorized and rejects subclasses that
+override the probability hook.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ contiguous NumPy arrays:
 * the per-token count columns become int64 ``ndarray`` columns with
   geometric over-allocation (so per-message interning stays amortized
   O(1), like ``array.frombytes`` was);
-* the flat significance memo becomes a pair of arrays — ``prob[id]``
-  (float64 token score) plus ``known[id]`` (bool validity) — with the
-  same ``(nspam, nham)`` tag and dirty-ID eviction semantics the
-  pure memo uses;
+* the bulk paths keep their own significance memo, a pair of arrays —
+  ``prob[id]`` (float64 token score) plus ``known[id]`` (bool
+  validity) — that any count change marks stale and the next scoring
+  call refills in one vectorized pass;
 * ``score_many_ids`` becomes gather → log-prob accumulate → chi2
   survival over a whole batch, with no per-message Python loop.
 
@@ -42,7 +42,8 @@ executes:
 form: the validation scores under every candidate of a batch, in one
 vectorized pass per chunk of candidates, without mutating a count.
 
-The pure-Python :class:`Classifier` stays untouched as the
+Snapshot/restore, training validation and the string path's memo are
+inherited from :class:`Classifier`.  The pure-Python kernel stays the
 differential oracle; kernel selection is explicit via
 :func:`create_classifier` and the ``REPRO_KERNEL`` environment
 variable (``nd`` | ``python`` | ``auto``).
@@ -80,7 +81,7 @@ KERNEL_ENV = "REPRO_KERNEL"
 """Environment variable selecting the scoring kernel (nd/python/auto)."""
 
 _LN2 = math.log(2.0)
-_RENORM_THRESHOLD = 1e-200  # matches _fisher_message_score
+_RENORM_THRESHOLD = 1e-200  # matches chi2.ln_product
 _EXP_UNDERFLOW_LIMIT = 708.0  # matches chi2._EXP_UNDERFLOW_LIMIT
 # (candidate, workspace entry) pairs NDClassifier.score_under_candidates
 # expands at once; each pair costs a few dozen bytes of intermediates.
@@ -361,15 +362,24 @@ class NDClassifier(Classifier):
         super().__init__(options, table=table, columns=columns)
         self._nd_reset()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        # The vectorized paths compute f(w) with _nd_probs_of, never
+        # through the scalar hook, so a subclass formula would apply to
+        # some scores and not others.
+        super().__init_subclass__(**kwargs)
+        if cls._prob_for_id is not NDClassifier._prob_for_id:
+            raise TypeError(
+                f"{cls.__name__}: NDClassifier subclasses cannot override _prob_for_id; "
+                "subclass Classifier for a different per-token formula"
+            )
+
     def _nd_reset(self) -> None:
-        # The ND significance memo: prob[id] is valid iff known[id].
-        # Independent of the pure-path _memo/_dirty pair because each
-        # memo clears its own dirty backlog when it reconciles, and one
-        # path must not discard evictions the other still owes.
+        # The ND significance memo: prob[id] is valid iff known[id],
+        # and the whole memo only while _nd_tag equals the classifier's
+        # _generation (any count change marks it stale).
         self._nd_prob: "np.ndarray | None" = None
         self._nd_known: "np.ndarray | None" = None
-        self._nd_tag: tuple[int, int] | None = None
-        self._nd_dirty: list[int] = []
+        self._nd_tag: int | None = None
         # Cached per-vocabulary significance ordinal: the rank of each
         # token under the combiner's (-strength, text) sort order.
         # Valid only while no memoized prob has changed.
@@ -378,11 +388,6 @@ class NDClassifier(Classifier):
         # array) — a pure function of the append-only table, so its
         # length is a complete cache key and training never dirties it.
         self._nd_text_order: "np.ndarray | None" = None
-        # Column-copy checkpoint state while a snapshot is armed:
-        # (spam copy, ham copy, active) plus the IDs every training
-        # call touched, owed to memo eviction at restore.
-        self._snap_columns: tuple | None = None
-        self._snap_touched: list | None = None
 
     # ------------------------------------------------------------------
     # Columns
@@ -407,92 +412,29 @@ class NDClassifier(Classifier):
     # Memo bookkeeping
     # ------------------------------------------------------------------
 
-    def _note_mutation(self, ids: Iterable[int]) -> None:
-        known = self._nd_known
-        if known is not None:
-            nd_dirty = self._nd_dirty
-            nd_dirty.extend(ids)
-            if len(nd_dirty) > 1024 and len(nd_dirty) * 4 > known.shape[0]:
-                self._nd_known = None
-                self._nd_prob = None
-                nd_dirty.clear()
-        # Pure-path memo bookkeeping, as in Classifier._note_mutation —
-        # except the message-score memo survives while the ND memo is
-        # alive, because _nd_sync() owes it the same targeted eviction
-        # _memo_list() performs (both are idempotent deletes, so either
-        # order, or both, is safe).
-        if self._memo is None:
-            if self._nd_known is None:
-                self._score_memo = None
-            return
-        dirty = self._dirty
-        dirty.extend(ids)
-        if len(dirty) > 1024 and len(dirty) * 4 > len(self._memo):
-            self._memo = None
-            dirty.clear()
-            if self._nd_known is None:
-                self._score_memo = None
-
     def _nd_sync(self) -> tuple["np.ndarray", "np.ndarray"]:
-        """Reconcile the ND memo with pending mutations.
+        """The ND memo arrays, sized to the table and current.
 
-        Mirrors :meth:`Classifier._memo_list`: same ``(nspam, nham)``
-        tag check, same targeted dirty-ID eviction (including the
-        message-score memo), same full rebuild on a tag change.
-        Columns must already be ensured.
+        A memo built before the latest count change is stale as a
+        whole: every entry is marked unknown in place (keeping the
+        allocation), and the next scoring call refills it in one
+        vectorized pass.  Columns must already be ensured.
         """
         n = len(self._table)
-        tag = (self._nspam, self._nham)
         known = self._nd_known
-        if known is not None and tag != self._nd_tag:
-            if known.shape[0] >= n:
-                # Counts changed but the vocabulary still fits: keep
-                # the allocations and invalidate in place.  Every tick
-                # of a stream lands here (training bumps nspam/nham),
-                # so the steady state re-fills one bool column instead
-                # of allocating two fresh vocabulary-sized arrays —
-                # the probs are recomputed from the dirty (= all
-                # unknown) entries exactly as a fresh memo would be.
-                known.fill(False)
-                self._nd_tag = tag
-                self._nd_dirty.clear()
-                self._score_memo = None
-                self._nd_order = None
-                return known, self._nd_prob
-            known = None
-        if known is None:
-            capacity = max(n, 256)
-            self._nd_known = known = np.zeros(capacity, dtype=bool)
-            self._nd_prob = np.zeros(capacity, dtype=np.float64)
-            self._nd_tag = tag
-            self._nd_dirty.clear()
-            self._score_memo = None
-            self._nd_order = None
-        else:
-            dirty = self._nd_dirty
-            if dirty:
-                idx = np.asarray(dirty, dtype=_ID_DTYPE)
-                known[idx[idx < known.shape[0]]] = False
-                self._nd_order = None
-                score_memo = self._score_memo
-                if score_memo:
-                    dirty_set = set(dirty)
-                    stale = [
-                        key
-                        for key, entry in score_memo.items()
-                        if not dirty_set.isdisjoint(entry[0])
-                    ]
-                    for key in stale:
-                        del score_memo[key]
-                dirty.clear()
-            if known.shape[0] < n:
-                capacity = max(n, 2 * known.shape[0])
-                grown_known = np.zeros(capacity, dtype=bool)
+        if known is None or known.shape[0] < n:
+            capacity = max(n, 256) if known is None else max(n, 2 * known.shape[0])
+            grown_known = np.zeros(capacity, dtype=bool)
+            grown_prob = np.zeros(capacity, dtype=np.float64)
+            if known is not None:
                 grown_known[: known.shape[0]] = known
-                grown_prob = np.zeros(capacity, dtype=np.float64)
                 grown_prob[: known.shape[0]] = self._nd_prob
-                self._nd_known = known = grown_known
-                self._nd_prob = grown_prob
+            self._nd_known = known = grown_known
+            self._nd_prob = grown_prob
+        if self._nd_tag != self._generation:
+            known.fill(False)
+            self._nd_tag = self._generation
+            self._nd_order = None
         return known, self._nd_prob
 
     # ------------------------------------------------------------------
@@ -506,62 +448,9 @@ class NDClassifier(Classifier):
         col, other = (spam_col, ham_col) if is_spam else (ham_col, spam_col)
         idx = _as_id_index(ids)
         if idx.size:
-            if self._snap_touched is not None:
-                self._snap_touched.append(np.array(idx))
             self._active += int(np.count_nonzero((col[idx] == 0) & (other[idx] == 0)))
             col[idx] += count
         self._note_mutation(ids)
-
-    def snapshot(self):
-        """Arm a checkpoint; ND pays O(vocab) now instead of O(log) later.
-
-        The pure kernel logs pre-mutation counts per newly touched ID,
-        which costs a dict probe per token on *every* training call
-        under the snapshot.  The ND columns are two flat int64 arrays a
-        fraction of a megabyte long, so copying them outright at
-        snapshot time is cheaper than one logged attack increment —
-        training then pays nothing but a touched-ID note for memo
-        eviction at restore.  Same contract: single-use, one at a time.
-        """
-        snap = super().snapshot()
-        self._ensure_columns()
-        self._snap_columns = (self._spam.copy(), self._ham.copy(), self._active)
-        self._snap_touched = []
-        return snap
-
-    def restore(self, snap) -> None:
-        """Return to the columns captured by :meth:`snapshot`, exactly.
-
-        Counts are integers and the copies are bitwise, so this is the
-        same state the pure kernel's log-replay reaches; IDs interned
-        after the snapshot restore to zero counts, which is exactly the
-        count they had before they existed.  Touched IDs feed the same
-        memo-eviction bookkeeping a training call performs.
-        """
-        if snap.owner is not self:
-            raise TrainingError("snapshot belongs to a different classifier")
-        if not snap.active or self._snapshot is not snap:
-            raise TrainingError("snapshot is not active on this classifier")
-        spam_saved, ham_saved, active = self._snap_columns
-        spam_col = self._spam
-        ham_col = self._ham
-        saved_len = spam_saved.shape[0]
-        spam_col[:saved_len] = spam_saved
-        ham_col[:saved_len] = ham_saved
-        if spam_col.shape[0] > saved_len:
-            spam_col[saved_len:] = 0
-            ham_col[saved_len:] = 0
-        self._active = active
-        self._nspam = snap.nspam
-        self._nham = snap.nham
-        snap.active = False
-        self._snapshot = None
-        touched = self._snap_touched
-        self._snap_columns = None
-        self._snap_touched = None
-        self._note_mutation(
-            np.concatenate(touched).tolist() if touched else ()
-        )
 
     def _check_removal(self, ids: Sequence[int], is_spam: bool, count: int) -> None:
         col = self._spam if is_spam else self._ham
@@ -586,8 +475,6 @@ class NDClassifier(Classifier):
         col, other = (spam_col, ham_col) if is_spam else (ham_col, spam_col)
         idx = _as_id_index(ids)
         if idx.size:
-            if self._snap_touched is not None:
-                self._snap_touched.append(np.array(idx))
             col[idx] -= count
             self._active -= int(np.count_nonzero((col[idx] == 0) & (other[idx] == 0)))
         self._note_mutation(ids)
@@ -609,12 +496,8 @@ class NDClassifier(Classifier):
         single :meth:`_nd_probs_for` call.  Those floats are bit-identical
         to :meth:`_prob_for_id` (see :meth:`_nd_probs_of`), and the
         strength test and negation are exact, so each memo tuple is the
-        one the lazy fill would write.  A subclass that overrides
-        :meth:`_prob_for_id` keeps its own formula through the lazy fill.
+        one the lazy fill would write.
         """
-        if type(self)._prob_for_id is not NDClassifier._prob_for_id:
-            super()._fill_memo(memo, ids)
-            return
         need = {tid for tid in ids if memo[tid] is _MISSING}
         if not need:
             return
@@ -707,41 +590,10 @@ class NDClassifier(Classifier):
         return ordinal
 
     def score_many_ids(self, id_arrays: Iterable[Sequence[int]]) -> list[float]:
-        rows = id_arrays if isinstance(id_arrays, (list, tuple)) else list(id_arrays)
         self._ensure_columns()
         self._nd_sync()
-        score_memo = self._score_memo
-        if score_memo is None:
-            score_memo = self._score_memo = {}
-        score_memo_get = score_memo.get
-        results: list[float | None] = [None] * len(rows)
-        pending_index: list[int] = []
-        pending_rows: list[Sequence[int]] = []
-        for i, ids in enumerate(rows):
-            cached = score_memo_get(id(ids))
-            if cached is not None and cached[0] is ids:
-                results[i] = cached[1]
-            else:
-                pending_index.append(i)
-                pending_rows.append(ids)
-        if pending_rows:
-            views = [_as_id_index(ids) for ids in pending_rows]
-            lengths = np.fromiter(
-                (view.shape[0] for view in views),
-                dtype=_ID_DTYPE,
-                count=len(views),
-            )
-            indptr = np.zeros(len(views) + 1, dtype=_ID_DTYPE)
-            np.cumsum(lengths, out=indptr[1:])
-            ids_cat = np.concatenate(views)
-            scores = self._score_segments(ids_cat, indptr)
-            for i, ids, score in zip(pending_index, pending_rows, scores):
-                results[i] = score
-                if type(ids) is array:
-                    # Same policy as the pure kernel: only persistent
-                    # encoded arrays are worth remembering.
-                    score_memo[id(ids)] = (ids, score)
-        return results  # type: ignore[return-value]
+        batch = CsrMatrix.from_rows(id_arrays)
+        return self._score_segments(batch.indices, batch.indptr)
 
     def score_csr(self, corpus: CsrMatrix, rows: Sequence[int] | None = None) -> list[float]:
         """Bulk-score messages straight off a CSR corpus.
@@ -774,10 +626,7 @@ class NDClassifier(Classifier):
         Same floats as ``score_many_ids(workspace.rows)`` — the CSR
         encoding, rank gather and scratch buffers come from the
         workspace instead of being rebuilt, but every arithmetic
-        operation on them is identical.  The per-call score memo is
-        bypassed: a workspace *is* the memo for its batch shape, and
-        the streaming caller re-scores after every training tick, when
-        the score memo would have been invalidated anyway.
+        operation on them is identical.
         """
         self._ensure_columns()
         self._nd_sync()

@@ -61,8 +61,8 @@ def classifier_from_dict(data: dict[str, Any]) -> Classifier:
 
     Restores through :meth:`Classifier.from_token_counts`, the
     supported bulk-load constructor, so a loaded classifier carries the
-    same memo/dirty/active invariants a trained one does — it can keep
-    training, snapshot, and bulk-score exactly like the classifier
+    same vocabulary count and memo state a trained one does — it can
+    keep training, snapshot, and bulk-score exactly like the classifier
     that was saved.
     """
     if data.get("format") != _FORMAT:

@@ -7,13 +7,10 @@ token-ID core in :mod:`repro.spambayes.classifier` replaced it on every
 hot path, but the arithmetic contract is *bit-exactness*, and a claim
 like that needs something to be exact against.
 
-So this module stays, for two consumers:
-
-* the differential suite (``tests/test_token_table.py``), which runs
-  both cores side by side on randomized corpora and asserts identical
-  scores, snapshots and persistence round-trips;
-* ``benchmarks/bench_classifier_core.py``, which reports the ID core's
-  speedup over this baseline.
+So this module stays for the differential suite
+(``tests/test_token_table.py``), which runs both cores side by side on
+randomized corpora and asserts identical scores, snapshots and
+persistence round-trips.
 
 Do not "optimize" this file; its value is that it does not change.
 """

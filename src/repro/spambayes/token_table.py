@@ -25,7 +25,7 @@ Properties the rest of the system leans on:
   IDs in sorted text order.  Token sets arrive as ``set``/``frozenset``
   objects whose iteration order depends on ``PYTHONHASHSEED``; sorting
   before assignment makes the table layout — and everything ID-keyed
-  downstream (count columns, snapshot WALs, persisted dumps, encoded
+  downstream (count columns, snapshots, persisted dumps, encoded
   arrays) — a pure function of *which* tokens were interned in *which
   batch order*, never of string-hash randomization.
 

@@ -12,8 +12,8 @@ engine-layer subsystem:
   RONI recalibrated on accepted mail, refitted dynamic thresholds);
 * :mod:`repro.stream.runner` — :class:`StreamRunner`, which plays the
   stream against one incrementally trained classifier (bulk-kernel
-  held-out evaluation every tick; snapshot/restore WAL for the
-  no-poison counterfactual) and emits per-tick :class:`StreamOutcome`
+  held-out evaluation every tick; a snapshot/restore excursion for
+  the no-poison counterfactual) and emits per-tick :class:`StreamOutcome`
   records that serialize through the shared results layer.
 
 Streams are registered scenarios (``repro list-scenarios`` shows the

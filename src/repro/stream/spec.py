@@ -84,7 +84,7 @@ class StreamSpec:
     threshold_quantile: float = 0.10
     measure_clean: bool = False
     """Also record, per tick, the counterfactual confusion with every
-    trained attack message unlearned (via the snapshot/restore WAL)."""
+    trained attack message unlearned (inside a snapshot/restore)."""
     test_size: int = 200
     profile: VocabularyProfile = SMALL_PROFILE
     seed: int = 0

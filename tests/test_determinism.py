@@ -3,7 +3,7 @@
 Token sets are ``set``/``frozenset`` objects, and set iteration order
 varies with ``PYTHONHASHSEED`` — so any code path that assigned IDs in
 iteration order made the token table layout (and everything ID-keyed
-downstream: count columns, snapshot WALs, persisted dumps, encoded
+downstream: count columns, snapshots, persisted dumps, encoded
 arrays, grouping keys) differ between two runs of the *same* program.
 These tests run identical work under several explicit hash seeds in
 subprocesses and assert the observable state is identical, which is

@@ -214,8 +214,8 @@ class TestWorkerPoolTransport:
 
 class TestSweepContextRows:
     def test_csr_row_views_are_cached_per_process(self):
-        # Stable view objects keep per-message score memos warm across
-        # a worker's tasks; the cache itself never rides the pickle.
+        # A worker builds its row views once across its tasks; the
+        # cache itself never rides the pickle.
         from repro.engine.sweep import _SweepContext
         from repro.spambayes.options import DEFAULT_OPTIONS
         from repro.spambayes.token_table import TokenTable
@@ -599,6 +599,46 @@ class TestDriverEquivalence:
         parallel = run_threshold_experiment(replace(config, workers=2))
         assert sequential.to_record().as_dict() == parallel.to_record().as_dict()
         assert sequential.fitted_thresholds == parallel.fitted_thresholds
+
+    def test_threshold_fold_scores_each_test_message_once_per_count(self, monkeypatch):
+        """The static and every fitted (θ0, θ1) pair are tallied from
+        one scoring pass of the fold's test set per contamination
+        level."""
+        from repro.experiments import threshold_exp
+
+        calls: list[int] = []
+        fold_sizes: list[int] = []
+        run_fold = threshold_exp._run_threshold_fold
+
+        def spying_fold(context, task):
+            model = context.full_model
+
+            def score_many_ids(id_arrays):
+                rows = list(id_arrays)
+                calls.append(len(rows))
+                return type(model).score_many_ids(model, rows)
+
+            fold_sizes.append(len(task.test_indices))
+            model.score_many_ids = score_many_ids
+            try:
+                return run_fold(context, task)
+            finally:
+                del model.score_many_ids
+
+        monkeypatch.setattr(threshold_exp, "_run_threshold_fold", spying_fold)
+        config = threshold_exp.ThresholdExperimentConfig(
+            inbox_size=120,
+            folds=3,
+            attack_fractions=(0.0, 0.05, 0.10),
+            quantiles=(0.05, 0.10),
+            profile=TINY_PROFILE,
+            corpus_ham=120,
+            corpus_spam=120,
+            seed=2,
+        )
+        threshold_exp.run_threshold_experiment(config)
+        assert len(fold_sizes) == 3
+        assert calls == [size for size in fold_sizes for _ in range(3)]
 
     def test_focused_experiments(self):
         from dataclasses import replace

@@ -46,6 +46,7 @@ from repro.rng import SeedSpawner
 from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.ndkernel import NDClassifier
+from repro.spambayes.options import ClassifierOptions
 from repro.spambayes.persistence import classifier_to_dict
 from repro.spambayes.token_table import TokenTable
 
@@ -237,35 +238,21 @@ def _halved_prob(self, token_id):
     return 0.5 + (float(Classifier._prob_for_id(self, token_id)) - 0.5) / 2
 
 
-class _HalvedPure(Classifier):
-    _prob_for_id = _halved_prob
+def test_prob_override_is_rejected_at_definition():
+    """The vectorized paths never call ``_prob_for_id``, so an ND
+    subclass with its own formula fails when it is defined."""
+    with pytest.raises(TypeError, match="cannot override _prob_for_id"):
 
+        class _HalvedND(NDClassifier):
+            _prob_for_id = _halved_prob
 
-class _HalvedND(NDClassifier):
-    _prob_for_id = _halved_prob
+    class _HalvedPure(Classifier):
+        _prob_for_id = _halved_prob
 
+    with pytest.raises(TypeError, match="cannot override _prob_for_id"):
 
-def test_prob_override_keeps_its_formula_on_the_string_path():
-    """An ND subclass that overrides ``_prob_for_id`` scores string
-    batches with its own formula, as the pure kernel does."""
-    _, vect, messages, batch = _trained_pair(23)
-    pure = _HalvedPure(table=vect.table)
-    halved = _HalvedND(table=vect.table)
-    for ids in messages[:30]:
-        label = sum(ids) % 2 == 0
-        pure.learn_ids(ids, label)
-        halved.learn_ids(ids, label)
-    halved.score_many(batch)
-    pure.learn_ids(messages[35], False)
-    halved.learn_ids(messages[35], False)
-    scores = halved.score_many(batch)
-    assert scores == [halved.score(t) for t in batch]
-    assert scores == pure.score_many(batch) == [pure.score(t) for t in batch]
-    plain = NDClassifier(table=vect.table)
-    for ids in messages[:30]:
-        plain.learn_ids(ids, sum(ids) % 2 == 0)
-    plain.learn_ids(messages[35], False)
-    assert scores != plain.score_many(batch)
+        class _MixedND(_HalvedPure, NDClassifier):
+            pass
 
 
 # ----------------------------------------------------------------------
@@ -510,6 +497,32 @@ class TestKernelEdges:
             owner.restore(snap)
             with pytest.raises(TrainingError):
                 owner.restore(snap)
+
+    @pytest.mark.parametrize(
+        "message",
+        [{"s"}, {"h"}, {"s", "h"}, {"a_s", "z_h"}, {"a_h", "z_s"}, {"s", "h", "both"}],
+    )
+    def test_out_of_range_probs_raise_identically(self, message):
+        """With no smoothing (s = 0) a one-class token scores exactly 0
+        or 1, which the combiner rejects; every scoring path of both
+        kernels raises the same ValueError text, including for a
+        message holding both a p <= 0 and a p >= 1 entry."""
+        options = ClassifierOptions(unknown_word_strength=0.0)
+        errors = []
+        for cls in (Classifier, NDClassifier):
+            core = cls(options, table=TokenTable())
+            core.learn({"s", "a_s", "z_s", "both"}, True)
+            core.learn({"h", "a_h", "z_h", "both"}, False)
+            ids = core.encode_tokens(message)
+            for score in (
+                lambda: core.score(message),
+                lambda: core.score_many([message]),
+                lambda: core.score_many_ids([ids]),
+            ):
+                with pytest.raises(ValueError) as raised:
+                    score()
+                errors.append(str(raised.value))
+        assert errors == ["ln_product requires positive values, got 0.0"] * 6
 
     def test_unlearn_count_underflow_raises_identically(self):
         """The count-negative guard fires for both kernels, not just the

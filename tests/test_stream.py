@@ -187,7 +187,7 @@ class TestCleanCounterfactual:
         )
 
     def test_snapshot_rollback_leaves_the_stream_untouched(self, results):
-        # The WAL counterfactual must be a pure measurement: every
+        # The clean counterfactual must be a pure measurement: every
         # actual per-tick confusion is bit-identical with and without
         # the snapshot/unlearn/restore excursion.
         plain, measured = results

@@ -172,7 +172,7 @@ class TestDifferentialScoring:
         ]
         encoded = [id_core.encode_tokens(q) for q in queries]
         assert id_core.score_many_ids(encoded) == reference.score_many(queries)
-        # Second encoded pass exercises the message-score memo.
+        # Second encoded pass reads a warm significance memo.
         assert id_core.score_many_ids(encoded) == reference.score_many(queries)
         assert all(id_core.spam_prob(t) == reference.spam_prob(t) for t in vocab)
         _assert_same_state(id_core, reference)
