@@ -11,27 +11,27 @@ from __future__ import annotations
 
 from repro.analysis.plots import ascii_line_chart
 from repro.experiments.reporting import format_table
-from repro.experiments.retraining import RetrainingConfig, run_retraining_simulation
+from repro.stream import StreamRunner, StreamSpec
 
 
-def _config(scale: str, defense: str) -> RetrainingConfig:
+def _spec(scale: str, defense: str) -> StreamSpec:
     if scale == "paper":
-        return RetrainingConfig(
-            weeks=12,
-            ham_per_week=400,
-            spam_per_week=400,
-            attack_start_week=5,
-            attack_per_week=80,
+        return StreamSpec(
+            ticks=12,
+            ham_per_tick=400,
+            spam_per_tick=400,
+            attack_start_tick=5,
+            attack_per_tick=80,
             defense=defense,
             test_size=600,
             seed=16,
         )
-    return RetrainingConfig(
-        weeks=8,
-        ham_per_week=60,
-        spam_per_week=60,
-        attack_start_week=4,
-        attack_per_week=12,
+    return StreamSpec(
+        ticks=8,
+        ham_per_tick=60,
+        spam_per_tick=60,
+        attack_start_tick=4,
+        attack_per_tick=12,
         defense=defense,
         test_size=160,
         seed=16,
@@ -41,32 +41,32 @@ def _config(scale: str, defense: str) -> RetrainingConfig:
 def bench_retraining_dynamics(benchmark, artifacts, scale):
     def run_both():
         return (
-            run_retraining_simulation(_config(scale, "none")),
-            run_retraining_simulation(_config(scale, "roni")),
+            StreamRunner(_spec(scale, "none")).run(),
+            StreamRunner(_spec(scale, "roni")).run(),
         )
 
     undefended, defended = benchmark.pedantic(run_both, rounds=1, iterations=1)
 
-    attack_start = _config(scale, "none").attack_start_week
+    attack_start = _spec(scale, "none").attack_start_tick
     # Before the attack both filters are healthy.
-    assert undefended.week(attack_start - 1).confusion.ham_misclassified_rate < 0.1
+    assert undefended.outcome(attack_start - 1).confusion.ham_misclassified_rate < 0.1
     # After it, the undefended filter collapses and stays collapsed...
     assert undefended.final_ham_misclassification() > 0.8
     # ...while the RONI-gated one rejects the attack mail and stays healthy.
     assert defended.final_ham_misclassification() < 0.1
-    for outcome in defended.weeks:
+    for outcome in defended.ticks:
         if outcome.attack_sent:
             assert outcome.attack_rejected == outcome.attack_sent
 
     rows = [
         [
-            u.week,
+            u.tick,
             u.attack_sent,
             f"{u.confusion.ham_misclassified_rate:.0%}",
             f"{d.confusion.ham_misclassified_rate:.0%}",
             f"{d.attack_rejected}/{d.attack_sent}",
         ]
-        for u, d in zip(undefended.weeks, defended.weeks)
+        for u, d in zip(undefended.ticks, defended.ticks)
     ]
     table = format_table(
         ["week", "attack sent", "ham lost (none)", "ham lost (roni)", "attack rejected"],
@@ -75,10 +75,10 @@ def bench_retraining_dynamics(benchmark, artifacts, scale):
     chart = ascii_line_chart(
         {
             "no defense": [
-                (w.week, w.confusion.ham_misclassified_rate) for w in undefended.weeks
+                (t.tick, t.confusion.ham_misclassified_rate) for t in undefended.ticks
             ],
             "roni gate": [
-                (w.week, w.confusion.ham_misclassified_rate) for w in defended.weeks
+                (t.tick, t.confusion.ham_misclassified_rate) for t in defended.ticks
             ],
         },
         title="Weekly retraining: held-out ham misclassification over time",

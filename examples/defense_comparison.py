@@ -20,8 +20,7 @@ import os
 from repro import SpamFilter, TrecStyleCorpus
 from repro.attacks import UsenetDictionaryAttack
 from repro.corpus.dataset import Dataset, train_grouped
-from repro.defenses import train_with_dynamic_threshold, train_with_roni
-from repro.defenses.threshold import DynamicThresholdConfig
+from repro.defenses import DynamicThresholdConfig, DynamicThresholdDefense, RoniDefense
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.experiments.crossval import attack_message_count, evaluate_dataset
 from repro.experiments.reporting import format_table
@@ -61,22 +60,26 @@ def main() -> None:
     batch.train_into(poisoned)
     rows.append(["no defense"] + _rates(poisoned, test))
 
-    # Arm 2: RONI gates the retraining batch.
-    roni_filter, report = train_with_roni(
-        inbox, attack_messages, spawner.rng("roni")
-    )
+    # Arm 2: RONI gates the retraining batch; only accepted mail trains.
+    roni = RoniDefense(inbox, spawner.rng("roni"))
+    gated = clean.classifier.copy()
+    rejected = 0
+    for message in attack_messages:
+        if roni.judge(message).rejected:
+            rejected += 1
+        else:
+            gated.learn(message.tokens(), message.is_spam)
     rows.append(
-        [f"RONI (rejected {len(report.rejected)}/{len(attack_messages)} attack msgs)"]
-        + _rates(roni_filter.classifier, test)
+        [f"RONI (rejected {rejected}/{len(attack_messages)} attack msgs)"]
+        + _rates(gated, test)
     )
 
     # Arm 3: dynamic thresholds fitted on the poisoned training set.
     poisoned_dataset = Dataset(inbox.messages + attack_messages, name="poisoned")
     for quantile in (0.05, 0.10):
-        defended, fit = train_with_dynamic_threshold(
-            poisoned_dataset,
-            spawner.rng(f"threshold-{quantile}"),
-            config=DynamicThresholdConfig(quantile=quantile),
+        defense = DynamicThresholdDefense(config=DynamicThresholdConfig(quantile=quantile))
+        defended, fit = defense.build_filter(
+            poisoned_dataset, spawner.rng(f"threshold-{quantile}")
         )
         rows.append(
             [f"dynamic threshold q={quantile:.2f} (θ=({fit.ham_cutoff:.2f},{fit.spam_cutoff:.2f}))"]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 
 from repro.experiments.reporting import format_table
-from repro.experiments.retraining import RetrainingConfig, run_retraining_simulation
+from repro.stream import StreamRunner, StreamSpec
 
 
 # REPRO_EXAMPLE_SCALE=tiny shrinks the demo for the smoke tests in
@@ -24,17 +24,17 @@ TINY = os.environ.get("REPRO_EXAMPLE_SCALE", "").lower() == "tiny"
 
 
 def run(defense: str):
-    config = RetrainingConfig(
-        weeks=4 if TINY else 8,
-        ham_per_week=25 if TINY else 60,
-        spam_per_week=25 if TINY else 60,
-        attack_start_week=2 if TINY else 4,
-        attack_per_week=8 if TINY else 12,
+    spec = StreamSpec(
+        ticks=4 if TINY else 8,
+        ham_per_tick=25 if TINY else 60,
+        spam_per_tick=25 if TINY else 60,
+        attack_start_tick=2 if TINY else 4,
+        attack_per_tick=8 if TINY else 12,
         test_size=80 if TINY else 200,
         defense=defense,
         seed=99,
     )
-    return run_retraining_simulation(config)
+    return StreamRunner(spec).run()
 
 
 def main() -> None:
@@ -42,10 +42,10 @@ def main() -> None:
     defended = run("roni")
 
     rows = []
-    for u_week, d_week in zip(undefended.weeks, defended.weeks):
+    for u_week, d_week in zip(undefended.ticks, defended.ticks):
         rows.append(
             [
-                u_week.week,
+                u_week.tick,
                 u_week.attack_sent,
                 f"{u_week.confusion.ham_misclassified_rate:.0%}",
                 f"{d_week.confusion.ham_misclassified_rate:.0%}",
@@ -53,7 +53,7 @@ def main() -> None:
                 d_week.legitimate_rejected,
             ]
         )
-    start = undefended.config.attack_start_week
+    start = undefended.spec.attack_start_tick
     print(f"weekly retraining under a dictionary attack (attack starts week {start}):\n")
     print(
         format_table(
@@ -69,7 +69,7 @@ def main() -> None:
         )
     )
     print(
-        f"\nafter week 8: undefended filter loses "
+        f"\nafter week {undefended.spec.ticks}: undefended filter loses "
         f"{undefended.final_ham_misclassification():.0%} of ham; "
         f"RONI-gated filter loses {defended.final_ham_misclassification():.0%}."
         "\nThe attack compounds across retrains unless each batch is screened —"

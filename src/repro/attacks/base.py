@@ -17,9 +17,10 @@ interns every group's training token set into a shared
 engine's :class:`~repro.engine.sweep.IncrementalAttackTrainer`, the
 :meth:`train_into_ids` fast path and the RONI gate consume directly —
 no string is hashed inside a contamination loop.  The string-facing
-:attr:`AttackMessageGroup.training_tokens` path remains, both as the
-API for dict-keyed classifiers (``repro.spambayes.reference``) and as
-the differential baseline the ID path is tested against.
+:attr:`AttackMessageGroup.training_tokens` path remains
+(:meth:`AttackBatch.train_into`) for callers that train by token set,
+and ``tests/test_attack_id_payloads.py`` holds the two paths to equal
+counts and scores.
 """
 
 from __future__ import annotations

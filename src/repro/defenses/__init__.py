@@ -5,9 +5,9 @@
   set and refuse to train on messages with large negative impact.
 * :mod:`repro.defenses.threshold` — the dynamic threshold defense:
   re-derive θ0/θ1 from held-out scores instead of the static 0.15/0.9,
-  exploiting the rank-invariance of score-shifting attacks.
-* :mod:`repro.defenses.pipeline` — glue that trains defended filters
-  end to end.
+  exploiting the rank-invariance of score-shifting attacks;
+  :meth:`DynamicThresholdDefense.build_filter` trains a defended
+  filter end to end.
 """
 
 from repro.defenses.roni import RoniConfig, RoniDefense, RoniMeasurement, RoniVerdict
@@ -16,7 +16,6 @@ from repro.defenses.threshold import (
     DynamicThresholdDefense,
     ThresholdFit,
 )
-from repro.defenses.pipeline import train_with_dynamic_threshold, train_with_roni, RoniTrainingReport
 
 __all__ = [
     "RoniConfig",
@@ -26,7 +25,4 @@ __all__ = [
     "DynamicThresholdConfig",
     "DynamicThresholdDefense",
     "ThresholdFit",
-    "train_with_dynamic_threshold",
-    "train_with_roni",
-    "RoniTrainingReport",
 ]

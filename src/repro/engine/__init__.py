@@ -52,7 +52,6 @@ from repro.engine.sweep import (
     attack_message_count,
     evaluate_dataset,
     run_attack_sweeps,
-    sequential_reference_sweep,
 )
 
 __all__ = [
@@ -76,5 +75,4 @@ __all__ = [
     "attack_message_count",
     "evaluate_dataset",
     "run_attack_sweeps",
-    "sequential_reference_sweep",
 ]

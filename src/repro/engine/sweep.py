@@ -18,9 +18,8 @@ training work before any process even forks.
 independent task: it carries its fold's index lists and a pre-drawn
 attack seed (:func:`repro.engine.seeding.drawn_seeds` replays the
 sequential implementation's ``getrandbits`` draws in order), so
-results are bit-identical at any worker count, and identical to the
-sequential seed implementation retained as
-:func:`sequential_reference_sweep`.
+results are bit-identical at any worker count; the golden records in
+``tests/golden/`` pin the bytes.
 
 **Bulk scoring over encoded messages.**  The inbox is encoded once into
 sorted token-ID arrays against a shared
@@ -77,7 +76,6 @@ __all__ = [
     "tally_scores",
     "evaluation_workspace",
     "run_attack_sweeps",
-    "sequential_reference_sweep",
 ]
 
 
@@ -193,29 +191,24 @@ class AttackSweepPoint:
     confusion: "ConfusionCounts"
 
 
-class _BatchTrainerBase:
-    """Shared contamination schedule over one attack batch.
+class IncrementalAttackTrainer:
+    """Feeds a fold's classifier ever more of one attack batch.
 
-    Subclasses define only the payload representation: how the batch
-    becomes ``(payload, count)`` pairs and how one payload trains.  The
-    scheduling — ascending targets, partial-group consumption, the
-    exhaustion check — lives here once, so the ID-native trainer and
-    its string-payload differential baseline cannot drift apart.
+    The batch is encoded once, up front, against the classifier's table
+    (:meth:`AttackBatch.encode` — cached per batch/table pair); the
+    contamination sweep then re-trains the same groups at successive
+    fractions via pure ID-column arithmetic.  A dictionary attack's
+    ~10^5-token payload is hashed exactly once per batch, never per
+    fraction or per group visit.
     """
 
     def __init__(self, classifier: Classifier, batch: AttackBatch) -> None:
         self._classifier = classifier
         self._label = batch.trained_as_spam
-        self._payloads = self._payloads_of(classifier, batch)
+        self._payloads = batch.encode(classifier.table)
         self._group_index = 0
         self._used_in_group = 0
         self.trained = 0
-
-    def _payloads_of(self, classifier: Classifier, batch: AttackBatch):
-        raise NotImplementedError
-
-    def _train(self, payload, count: int) -> None:
-        raise NotImplementedError
 
     def advance_to(self, target: int) -> None:
         """Train messages until ``target`` of the batch are in effect.
@@ -235,33 +228,15 @@ class _BatchTrainerBase:
                 raise ExperimentError(
                     f"attack batch exhausted at {self.trained} of {target} messages"
                 )
-            payload, group_count = self._payloads[self._group_index]
+            ids, group_count = self._payloads[self._group_index]
             available = group_count - self._used_in_group
             take = min(available, target - self.trained)
-            self._train(payload, take)
+            self._classifier.learn_ids_repeated(ids, self._label, take)
             self._used_in_group += take
             self.trained += take
             if self._used_in_group == group_count:
                 self._group_index += 1
                 self._used_in_group = 0
-
-
-class IncrementalAttackTrainer(_BatchTrainerBase):
-    """Feeds a fold's classifier ever more of one attack batch.
-
-    The batch is encoded once, up front, against the classifier's table
-    (:meth:`AttackBatch.encode` — cached per batch/table pair); the
-    contamination sweep then re-trains the same groups at successive
-    fractions via pure ID-column arithmetic.  A dictionary attack's
-    ~10^5-token payload is hashed exactly once per batch, never per
-    fraction or per group visit.
-    """
-
-    def _payloads_of(self, classifier: Classifier, batch: AttackBatch):
-        return batch.encode(classifier.table)
-
-    def _train(self, payload, count: int) -> None:
-        self._classifier.learn_ids_repeated(payload, self._label, count)
 
 
 # ----------------------------------------------------------------------
@@ -522,85 +497,3 @@ def run_attack_sweeps(
         for point, confusion in zip(points, confusions):
             point.confusion.merge(confusion_counts.from_dict(confusion))
     return [results[key] for key in keys]
-
-
-# ----------------------------------------------------------------------
-# The seed implementation, kept as an executable specification
-# ----------------------------------------------------------------------
-
-
-class _StringPayloadTrainer(_BatchTrainerBase):
-    """The retained string-payload incremental trainer.
-
-    The same contamination schedule as
-    :class:`IncrementalAttackTrainer` (shared via
-    :class:`_BatchTrainerBase`), but training through
-    ``learn_repeated`` over the groups' token *frozensets* — the
-    pre-ID-native code path, kept executable as the differential
-    baseline for :meth:`AttackBatch.encode`.
-    """
-
-    def _payloads_of(self, classifier: Classifier, batch: AttackBatch):
-        return [(group.training_tokens, group.count) for group in batch.groups]
-
-    def _train(self, payload, count: int) -> None:
-        self._classifier.learn_repeated(payload, self._label, count)
-
-
-def sequential_reference_sweep(
-    inbox: Dataset,
-    attack: Attack,
-    fractions: Sequence[float],
-    folds: int,
-    rng: random.Random,
-    options: ClassifierOptions = DEFAULT_OPTIONS,
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-    ham_only: bool = False,
-) -> list[AttackSweepPoint]:
-    """The original strictly sequential sweep, verbatim.
-
-    Retained so equivalence tests can prove the engine's fan-out and
-    clean-model reuse change nothing:
-    one classifier per fold trained from scratch, per-message scoring,
-    rng drawn inline.  Attack contamination is layered through the
-    *string-payload* path (``learn_repeated`` over
-    ``AttackMessageGroup.training_tokens``), so this function doubles
-    as the differential baseline for the ID-native
-    :meth:`AttackBatch.encode` training the engine uses.
-    """
-    ordered = list(fractions)
-    if ordered != sorted(ordered):
-        raise ExperimentError("fractions must be ascending for incremental training")
-    if not ordered:
-        raise ExperimentError("need at least one fraction")
-    base_size = len(inbox)
-    counts = [attack_message_count(base_size, fraction) for fraction in ordered]
-    confusion_counts = _confusion_counts()
-    points = [
-        AttackSweepPoint(fraction, count, confusion_counts())
-        for fraction, count in zip(ordered, counts)
-    ]
-    for train_set, test_set in inbox.k_folds(folds, rng):
-        classifier = Classifier(options)
-        train_grouped(classifier, train_set, tokenizer)
-        fold_rng = random.Random(rng.getrandbits(64))
-        batch = attack.generate(counts[-1], fold_rng)
-        trainer = _StringPayloadTrainer(classifier, batch)
-        for point in points:
-            trainer.advance_to(point.attack_message_count)
-            ham_cutoff = options.ham_cutoff
-            spam_cutoff = options.spam_cutoff
-            fold_counts = confusion_counts()
-            for message in test_set:
-                if ham_only and message.is_spam:
-                    continue
-                score = classifier.score(message.tokens(tokenizer))
-                if score <= ham_cutoff:
-                    label = Label.HAM
-                elif score <= spam_cutoff:
-                    label = Label.UNSURE
-                else:
-                    label = Label.SPAM
-                fold_counts.record(message.is_spam, label)
-            point.confusion.merge(fold_counts)
-    return points

@@ -10,12 +10,10 @@ One module per paper artifact:
 * :mod:`repro.experiments.roni_exp` — the Section 5.1 RONI numbers,
 * :mod:`repro.experiments.threshold_exp` — Figure 5,
 
-two beyond-the-paper drivers:
+a beyond-the-paper driver:
 
 * :mod:`repro.experiments.goodword_exp` — Lowd & Meek evasion costs
   (the Exploratory/Integrity quadrant of the Section 3.1 taxonomy),
-* :mod:`repro.experiments.retraining` — the multi-week retraining
-  deployment simulation of the Section 2.1 threat model,
 
 plus shared machinery:
 
@@ -63,12 +61,6 @@ from repro.experiments.goodword_exp import (
     GoodWordExperimentResult,
     run_goodword_experiment,
 )
-from repro.experiments.retraining import (
-    RetrainingConfig,
-    RetrainingResult,
-    WeeklyOutcome,
-    run_retraining_simulation,
-)
 from repro.experiments.roni_exp import (
     RoniExperimentConfig,
     RoniExperimentResult,
@@ -87,10 +79,6 @@ __all__ = [
     "GoodWordExperimentConfig",
     "GoodWordExperimentResult",
     "run_goodword_experiment",
-    "RetrainingConfig",
-    "RetrainingResult",
-    "WeeklyOutcome",
-    "run_retraining_simulation",
     "DictionaryExperimentConfig",
     "DictionaryExperimentResult",
     "run_dictionary_experiment",

@@ -20,8 +20,7 @@ without changing any result —
   :meth:`Classifier.score_many`;
 * *process fan-out* — ``workers=N`` spreads folds across worker
   processes with pre-drawn per-fold seeds, bit-identical to
-  ``workers=1`` and to the retained sequential reference
-  (:func:`repro.engine.sweep.sequential_reference_sweep`).
+  ``workers=1``.
 
 The older optimizations still apply: *grouped training*
 (:func:`repro.corpus.dataset.train_grouped`) collapses identical token

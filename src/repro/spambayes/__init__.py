@@ -9,8 +9,6 @@ Whateley 2004):
 * :mod:`repro.spambayes.token_table` — str <-> int token interning,
 * :mod:`repro.spambayes.classifier` — token statistics over interned-ID
   count columns, Equations 1-4,
-* :mod:`repro.spambayes.reference` — the retained dict-keyed core the
-  ID core is differentially tested against,
 * :mod:`repro.spambayes.filter` — the three-way ham/unsure/spam filter,
 * :mod:`repro.spambayes.chi2` — the chi-square survival function used by
   Fisher's method, with the same underflow handling as SpamBayes,

@@ -33,11 +33,10 @@ Storage: the interned token-ID core
     shared table.  The ``*_ids`` twins accept pre-encoded ID arrays
     (see :meth:`~repro.corpus.dataset.LabeledMessage.token_ids`) so a
     message is encoded once and reused across every fold, attack batch
-    and worker.  The arithmetic is expression-for-expression identical to
-    the retained dict-keyed core
-    (:class:`repro.spambayes.reference.ReferenceClassifier`), so scores
-    are bit-exact against it — ``tests/test_token_table.py`` holds the
-    two side by side to prove it.
+    and worker.  Counts and scores are bit-exact against the paper's
+    formulas written out as a test-local oracle
+    (``tests/spambayes_spec.py``), which ``tests/test_spec_oracle.py``
+    holds both kernels to over random options and histories.
 
 Both :meth:`Classifier.learn` and :meth:`Classifier.unlearn` are
 incremental, which the experiment harness leans on heavily: a fold's

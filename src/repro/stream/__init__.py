@@ -12,15 +12,14 @@ engine-layer subsystem:
   RONI recalibrated on accepted mail, refitted dynamic thresholds);
 * :mod:`repro.stream.runner` — :class:`StreamRunner`, which plays the
   stream against one incrementally trained classifier (bulk-kernel
-  held-out evaluation every tick; a snapshot/restore excursion for
-  the no-poison counterfactual) and emits per-tick :class:`StreamOutcome`
-  records that serialize through the shared results layer.
+  held-out evaluation every tick; an incrementally trained clean twin
+  for the no-poison counterfactual) and emits per-tick
+  :class:`StreamOutcome` records that serialize through the shared
+  results layer.
 
 Streams are registered scenarios (``repro list-scenarios`` shows the
 ``stream-*`` family), so ``repro run-scenario`` and ``repro
-replicate`` (a replica per worker process) both apply; the legacy
-:func:`repro.experiments.retraining.run_retraining_simulation` is a
-thin delegation onto this engine.
+replicate`` (a replica per worker process) both apply.
 """
 
 from repro.stream.defenses import GateDecision, TickDefense, build_tick_defense

@@ -14,12 +14,10 @@ defense has two hooks:
   threshold defense lives; gate-style defenses return ``None`` and
   the static (θ0, θ1) apply.
 
-The RONI gate replays the legacy weekly loop **draw for draw**: the
-calibration subsample and the :class:`~repro.defenses.roni.RoniDefense`
-resamples consume the tick's rng in exactly the historical order, and
-arrivals are judged legitimate-first — which is what lets
-``run_retraining_simulation`` delegate to the stream engine
-bit-identically (``tests/test_stream_vs_retraining.py``).
+The RONI gate's draws are fixed: the calibration subsample and the
+:class:`~repro.defenses.roni.RoniDefense` resamples consume the tick's
+rng in one order, and arrivals are judged legitimate-first; the
+``stream-*-vs-roni`` goldens pin the result.
 """
 
 from __future__ import annotations
@@ -50,10 +48,9 @@ class GateDecision:
 
     ``accepted_legitimate`` joins the defense's calibration history;
     ``trained_attack`` is the attack mail that slipped through (the
-    runner tracks it cumulatively for the snapshot/restore clean
-    counterfactual).  The retrain batch is the concatenation, in gate
-    order: legitimate arrivals first, then surviving attack mail —
-    the legacy weekly loop's order.
+    runner tracks it cumulatively; the clean twin trains without it).
+    The retrain batch is the concatenation, in gate order: legitimate
+    arrivals first, then surviving attack mail.
     """
 
     accepted_legitimate: list[LabeledMessage] = field(default_factory=list)
@@ -107,7 +104,7 @@ class RoniTickDefense(TickDefense):
     """The RONI gate, recalibrated every tick on accepted mail.
 
     Until the accepted history can seat one ``train_size +
-    validation_size`` resample the gate is open (the legacy warm-up
+    validation_size`` resample the gate is open (the warm-up
     behaviour); from then on each tick subsamples
     ``roni_calibration_size`` accepted messages with the tick's rng,
     builds a fresh :class:`RoniDefense` over them, and judges every

@@ -4,7 +4,7 @@ The tick loop has four recurring phases — ``train`` (arrival slicing,
 attack generation and the incremental retrain), ``defense`` (the gate
 plus any cutoff refit), ``eval`` (the held-out bulk scoring pass) and
 ``counterfactual`` (maintaining and evaluating the no-poison clean
-twin, or the retained snapshot/unlearn excursion) — plus a one-off
+twin) — plus a one-off
 ``prepare`` step (corpus generation and test-set encoding).  With
 ``StreamSpec.profile_phases`` set, :class:`~repro.stream.runner.
 StreamRunner` wraps each phase with :func:`time.perf_counter` and
@@ -15,10 +15,10 @@ byte-identical-records contract must never depend on.
 
 The profile is what makes stream perf work measurable rather than
 asserted: ``repro run-scenario <stream-*> --profile`` renders it, and
-``benchmarks/bench_stream_throughput.py`` records the per-tick
-counterfactual series (flat under the clean twin, linear under the
-unlearn path) into ``BENCH_stream*.json`` and asserts the phases sum
-to within tolerance of the measured wall time.
+``benchmarks/bench_stream_throughput.py --ticks`` records the per-tick
+counterfactual series (flat under the clean twin) into
+``BENCH_stream*.json`` and asserts the phases sum to within tolerance
+of the measured wall time.
 """
 
 from __future__ import annotations

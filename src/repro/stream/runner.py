@@ -22,25 +22,20 @@ worker pool and the replication engine all understand:
   Training is count-addition, so the twin's state is bit-identical to
   "the main classifier with every trained attack message unlearned" —
   the "what if no poison had ever arrived" curve at O(tick) cost
-  instead of an O(history) unlearn excursion per tick.  The original
-  snapshot/unlearn-all/restore path is retained
-  (``counterfactual="unlearn"``) as the executable reference the
-  differential suite replays against the twin;
+  instead of an O(history) unlearn excursion per tick
+  (``tests/test_stream_clean_twin.py`` replays that excursion against
+  the twin);
 * per-tick **defenses** are pluggable
   (:mod:`repro.stream.defenses`): none, the RONI gate recalibrated on
   accepted mail, or per-tick refitted dynamic thresholds.
 
-**Seed streams.**  The runner inherits the legacy weekly loop's labels
-verbatim — root ``spawn("retraining")``, corpus ``child_seed("corpus")``,
-one ``rng(f"week[{tick}]")`` per tick, consumed in the historical
-order (attack batch, then gate, then threshold fit) — so a spec built
-by :meth:`StreamSpec.from_retraining` reproduces
-``run_retraining_simulation`` draw for draw, field for field
-(``tests/test_stream_vs_retraining.py`` proves it), and every other
-spec extends that contract rather than forking it.  The clean twin
-draws nothing: it re-trains already-encoded messages and re-scores
-already-encoded rows, so enabling ``measure_clean`` never moves a
-draw.
+**Seed streams.**  The labels are fixed — root ``spawn("retraining")``,
+corpus ``child_seed("corpus")``, one ``rng(f"week[{tick}]")`` per
+tick, consumed in one order (attack batch, then gate, then threshold
+fit) — and the stream goldens in ``tests/golden/`` pin the resulting
+records.  The clean twin draws nothing: it re-trains already-encoded
+messages and re-scores already-encoded rows, so enabling
+``measure_clean`` never moves a draw.
 
 **Profiling.**  With ``spec.profile_phases`` the tick loop wraps its
 four phases (train / defense / eval / counterfactual) plus the one-off
@@ -66,7 +61,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.attacks.variants import build_attack_variants
-from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped, unlearn_grouped
+from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
 from repro.corpus.trec import TrecStyleCorpus
 from repro.engine.sweep import evaluate_dataset, evaluation_workspace
 from repro.errors import ExperimentError
@@ -85,28 +80,19 @@ if TYPE_CHECKING:
     from repro.spambayes.ndkernel import ScoringWorkspace
 
 __all__ = [
-    "COUNTERFACTUAL_MODES",
     "StreamOutcome",
     "StreamResult",
     "StreamRunner",
     "run_stream_experiment",
 ]
 
-COUNTERFACTUAL_MODES: tuple[str, ...] = ("twin", "unlearn")
-"""How the clean counterfactual is computed: ``twin`` (the default —
-an incrementally trained clean-twin classifier, O(tick) per tick) or
-``unlearn`` (the retained snapshot/unlearn-all/restore reference,
-O(history) per tick).  Bit-identical records either way."""
-
 
 @dataclass
 class StreamOutcome:
     """State of the world after one tick's retrain.
 
-    The counter fields mirror the legacy ``WeeklyOutcome`` one for one
-    (the delegation maps them across); ``clean_confusion`` and the
-    fitted cutoffs are the stream engine's additions and stay ``None``
-    unless the spec asks for them.
+    ``clean_confusion`` and the fitted cutoffs stay ``None`` unless the
+    spec asks for them.
     """
 
     tick: int
@@ -245,22 +231,10 @@ class StreamResult:
 
 
 class StreamRunner:
-    """Plays one :class:`StreamSpec` and collects per-tick outcomes.
+    """Plays one :class:`StreamSpec` and collects per-tick outcomes."""
 
-    ``counterfactual`` selects how the optional clean measurement is
-    computed (:data:`COUNTERFACTUAL_MODES`); every mode produces
-    byte-identical records, which
-    ``tests/test_stream_clean_twin.py`` enforces differentially.
-    """
-
-    def __init__(self, spec: StreamSpec, counterfactual: str = "twin") -> None:
-        if counterfactual not in COUNTERFACTUAL_MODES:
-            raise ExperimentError(
-                f"unknown counterfactual mode {counterfactual!r}; "
-                f"known: {', '.join(COUNTERFACTUAL_MODES)}"
-            )
+    def __init__(self, spec: StreamSpec) -> None:
         self.spec = spec
-        self.counterfactual = counterfactual
 
     # ------------------------------------------------------------------
     # Preparation
@@ -269,8 +243,7 @@ class StreamRunner:
     def _prepare(self):
         """Corpus, arrival streams, held-out test set and the attack.
 
-        Sizing and slicing replicate the legacy loop exactly: the
-        corpus is arrival demand plus ``test_size`` slack per class,
+        The corpus is arrival demand plus ``test_size`` slack per class,
         and the test set is the *tail* ``test_size // 2`` of each
         class — mail the stream never trains on.
         """
@@ -350,7 +323,7 @@ class StreamRunner:
             # attack mail — the unlearn excursion's result, without the
             # excursion.
             twin: Classifier | None = None
-            if spec.measure_clean and self.counterfactual == "twin":
+            if spec.measure_clean:
                 twin = create_classifier(spec.options, table=classifier.table)
 
         accepted_history: list[LabeledMessage] = []
@@ -439,15 +412,13 @@ class StreamRunner:
     ) -> ConfusionCounts | None:
         """The tick's what-if-no-poison confusion.
 
-        Default path: evaluate the clean twin — one bulk scoring pass,
-        cost independent of how much attack mail the stream has
-        trained.  Twin counts equal main-minus-attack counts exactly
-        (integer count-addition), so the scores, and therefore the
-        confusion, are bit-identical to the retained reference path:
-        snapshot, unlearn every attack message trained so far, re-score
-        the held-out set, restore (``counterfactual="unlearn"``) —
-        which grows with the attack history and is kept only as the
-        executable specification the differential suite replays.
+        One bulk scoring pass over the clean twin, whose cost does not
+        grow with the attack mail the stream has trained.  Twin counts
+        equal main-minus-attack counts exactly (integer
+        count-addition), so the confusion is bit-identical to
+        snapshot, unlearn every attack message trained so far,
+        re-score, restore — the excursion
+        ``tests/test_stream_clean_twin.py`` replays against it.
         """
         if not self.spec.measure_clean:
             return None
@@ -457,14 +428,7 @@ class StreamRunner:
             # counts equal the main classifier's — so copying keeps
             # messages_processed()'s re-score accounting meaningful).
             return ConfusionCounts.from_dict(confusion.as_dict())
-        if twin is not None:
-            return evaluate_dataset(twin, test, cutoffs=cutoffs, workspace=workspace)
-        snap = classifier.snapshot()
-        try:
-            unlearn_grouped(classifier, trained_attack)
-            return evaluate_dataset(classifier, test, cutoffs=cutoffs)
-        finally:
-            classifier.restore(snap)
+        return evaluate_dataset(twin, test, cutoffs=cutoffs, workspace=workspace)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ the attacker approaches it from ``attack_start_tick``:
 
 ``constant``
     ``attack_per_tick`` messages every tick from the start tick on —
-    the legacy weekly loop's shape.
+    the paper's weekly retraining shape.
 ``linear``
     Ramp from ``attack_per_tick / ramp_ticks`` up to the peak over
     ``ramp_ticks`` ticks, then hold — a cautious attacker growing the
@@ -36,15 +36,11 @@ tests) consumes that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
 from repro.defenses.roni import RoniConfig
 from repro.errors import ExperimentError
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
-
-if TYPE_CHECKING:  # only for the from_retraining signature
-    from repro.experiments.retraining import RetrainingConfig
 
 __all__ = ["RAMPS", "DEFENSES", "StreamSpec"]
 
@@ -59,10 +55,10 @@ DEFENSES: tuple[str, ...] = ("none", "roni", "threshold")
 class StreamSpec:
     """Shape of one time-ordered attack scenario.
 
-    Defaults are the legacy weekly retraining loop's (8 ticks of 60+60
-    legitimate messages, a constant 12-message/tick usenet dictionary
-    attack from tick 4, undefended) so ``StreamSpec()`` is the
-    familiar Section 2.1 deployment.
+    Defaults are eight weekly retrains of 60+60 legitimate messages
+    with a constant 12-message/tick usenet dictionary attack from tick
+    4, undefended, so ``StreamSpec()`` is the familiar Section 2.1
+    deployment.
     """
 
     ticks: int = 8
@@ -83,8 +79,10 @@ class StreamSpec:
     roni_calibration_size: int = 120
     threshold_quantile: float = 0.10
     measure_clean: bool = False
-    """Also record, per tick, the counterfactual confusion with every
-    trained attack message unlearned (inside a snapshot/restore)."""
+    """Also record, per tick, the counterfactual confusion of a clean
+    twin: a second classifier trained on exactly the accepted
+    non-attack arrivals, i.e. the main classifier with every trained
+    attack message removed."""
     test_size: int = 200
     profile: VocabularyProfile = SMALL_PROFILE
     seed: int = 0
@@ -165,35 +163,4 @@ class StreamSpec:
         return (
             self.ticks * (self.ham_per_tick + self.spam_per_tick)
             + self.total_attack_messages()
-        )
-
-    # ------------------------------------------------------------------
-    # Legacy bridge
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_retraining(cls, config: "RetrainingConfig") -> "StreamSpec":
-        """The stream spec equivalent to a legacy :class:`RetrainingConfig`.
-
-        A constant-ramp, clean-measurement-free spec whose runner
-        replays the legacy weekly loop draw for draw — the delegation
-        path of
-        :func:`repro.experiments.retraining.run_retraining_simulation`
-        and the subject of ``tests/test_stream_vs_retraining.py``.
-        """
-        return cls(
-            ticks=config.weeks,
-            ham_per_tick=config.ham_per_week,
-            spam_per_tick=config.spam_per_week,
-            attack_start_tick=config.attack_start_week,
-            attack_per_tick=config.attack_per_week,
-            attack_variant=config.attack_variant,
-            ramp="constant",
-            defense=config.defense,
-            roni=config.roni,
-            roni_calibration_size=config.roni_calibration_size,
-            test_size=config.test_size,
-            profile=config.profile,
-            seed=config.seed,
-            options=config.options,
         )

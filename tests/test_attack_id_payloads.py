@@ -1,13 +1,13 @@
 """Differential tests: ID-native attack payloads vs the string path.
 
-PR 3 made attack payloads ID-native end to end —
+Attack payloads are ID-native end to end —
 :meth:`AttackBatch.encode` interns each payload once and the engine,
 the focused cells and the RONI gate consume the encoded arrays
-directly.  The string-payload path (``learn_repeated`` over
-``AttackMessageGroup.training_tokens``) is retained, and these tests
-hold the two side by side across **every attack class** and at
-workers ∈ {1, 2}: identical training counts, identical scores,
-identical sweep confusions, identical RONI measurements.
+directly.  The public string-payload path (``learn_repeated`` over
+``AttackMessageGroup.training_tokens``, as :meth:`AttackBatch.train_into`
+runs it) stays, and these tests hold the two side by side across
+**every attack class**: identical training counts, identical scores,
+identical RONI measurements; full sweeps agree at workers ∈ {1, 2}.
 """
 
 from __future__ import annotations
@@ -28,11 +28,7 @@ from repro.attacks.knowledge import EmpiricalHamDistribution, budgeted_attack
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.roni import RoniDefense
-from repro.engine.sweep import (
-    IncrementalAttackTrainer,
-    _StringPayloadTrainer,
-    sequential_reference_sweep,
-)
+from repro.engine.sweep import IncrementalAttackTrainer
 from repro.corpus.dataset import train_grouped
 from repro.experiments.crossval import attack_fraction_sweep
 from repro.spambayes.classifier import Classifier
@@ -121,18 +117,23 @@ class TestTrainingEquivalence:
         batch.untrain_from_ids(classifier)
         assert _state(classifier) == before
 
-    def test_incremental_trainer_matches_string_trainer(self, corpus, inbox, name):
+    def test_incremental_trainer_matches_string_prefix(self, corpus, inbox, name):
+        """Partial groups: at every target the ID trainer's state is the
+        first ``target`` messages of the batch trained as strings."""
         batch = self._batch(corpus, inbox, name, count=10)
-        via_strings = Classifier()
-        train_grouped(via_strings, inbox)
-        via_ids = Classifier()
-        train_grouped(via_ids, inbox)
+        clean = Classifier()
+        train_grouped(clean, inbox)
+        via_ids = clean.copy()
 
-        string_trainer = _StringPayloadTrainer(via_strings, batch)
         id_trainer = IncrementalAttackTrainer(via_ids, batch)
         for target in (0, 3, 7, 10):
-            string_trainer.advance_to(target)
             id_trainer.advance_to(target)
+            via_strings = clean.copy()
+            remaining = target
+            for group in batch.groups:
+                take = min(group.count, remaining)
+                via_strings.learn_repeated(group.training_tokens, batch.trained_as_spam, take)
+                remaining -= take
             assert _state(via_ids) == _state(via_strings)
 
     def test_roni_measure_batch_matches_measure_tokens(self, corpus, inbox, name):
@@ -181,16 +182,13 @@ class TestEncodeCache:
 
 
 class TestSweepEquivalenceAcrossWorkers:
-    """Full sweeps: string-payload reference == ID engine at workers 1, 2."""
+    """Full sweeps through the ID engine: workers 1 and 2 agree."""
 
     FRACTIONS = (0.0, 0.02, 0.05)
 
     @pytest.mark.parametrize("name", ["usenet", "focused"])
-    def test_engine_matches_string_reference(self, corpus, inbox, name):
+    def test_engine_identical_across_workers(self, corpus, inbox, name):
         attack = _all_attacks(corpus, inbox)[name]
-        reference = sequential_reference_sweep(
-            inbox, attack, self.FRACTIONS, 3, random.Random(21)
-        )
         signatures = {}
         for workers in WORKER_COUNTS:
             points = attack_fraction_sweep(
@@ -200,9 +198,6 @@ class TestSweepEquivalenceAcrossWorkers:
                 (p.attack_fraction, p.attack_message_count, p.confusion.as_dict())
                 for p in points
             ]
-        expected = [
-            (p.attack_fraction, p.attack_message_count, p.confusion.as_dict())
-            for p in reference
-        ]
-        for workers in WORKER_COUNTS:
-            assert signatures[workers] == expected
+        assert signatures[1] == signatures[2]
+        # The top fraction trains attack mail into every fold.
+        assert signatures[1][-1][1] > 0

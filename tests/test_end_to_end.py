@@ -12,7 +12,7 @@ import pytest
 
 from repro import SpamFilter, TrecStyleCorpus
 from repro.attacks import FocusedAttack, UsenetDictionaryAttack
-from repro.defenses import RoniDefense, train_with_dynamic_threshold
+from repro.defenses import DynamicThresholdDefense, RoniDefense
 from repro.corpus.dataset import Dataset, train_grouped
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.experiments.crossval import attack_message_count, evaluate_dataset
@@ -92,7 +92,7 @@ def test_act5_dynamic_threshold_rescues_ham_at_a_price(world, small_corpus):
     poisoned_training = Dataset(
         inbox.messages + attack_messages_as_dataset(batch), name="poisoned"
     )
-    defended, fit = train_with_dynamic_threshold(
+    defended, fit = DynamicThresholdDefense().build_filter(
         poisoned_training, spawner.rng("thr-fit")
     )
     assert fit.ham_cutoff > spam_filter.classifier.options.ham_cutoff

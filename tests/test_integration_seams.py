@@ -1,7 +1,7 @@
 """Tests for integration seams between components.
 
 Covers combinations the per-module tests don't: alternative classifier
-inside the SpamFilter facade, RONI warm-up in the retraining loop,
+inside the SpamFilter facade, RONI warm-up in a weekly stream,
 defended filters over Graham scoring, and chart rendering edge cases.
 """
 
@@ -10,12 +10,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.plots import ascii_bar_chart, ascii_line_chart, ascii_scatter
-from repro.experiments.retraining import RetrainingConfig, run_retraining_simulation
 from repro.rng import SeedSpawner
 from repro.spambayes.filter import Label, SpamFilter
 from repro.spambayes.graham import GrahamClassifier
 from repro.spambayes.message import Email
 from repro.spambayes.persistence import classifier_from_dict, classifier_to_dict
+from repro.stream import StreamRunner, StreamSpec
 
 
 class TestGrahamInsideFilterFacade:
@@ -64,34 +64,34 @@ class TestRetrainingWarmup:
         """With the attack arriving before RONI has enough accepted
         history to calibrate (week 1), the gate must fail open and the
         attack trains — a documented limitation, not a crash."""
-        config = RetrainingConfig(
-            weeks=2,
-            ham_per_week=20,
-            spam_per_week=20,
-            attack_start_week=1,
-            attack_per_week=5,
+        spec = StreamSpec(
+            ticks=2,
+            ham_per_tick=20,
+            spam_per_tick=20,
+            attack_start_tick=1,
+            attack_per_tick=5,
             defense="roni",
             test_size=60,
             seed=23,
         )
-        result = run_retraining_simulation(config)
-        week1 = result.week(1)
+        result = StreamRunner(spec).run()
+        week1 = result.outcome(1)
         assert week1.attack_trained == week1.attack_sent
         assert week1.attack_rejected == 0
 
     def test_roni_calibrates_from_week_two(self):
-        config = RetrainingConfig(
-            weeks=3,
-            ham_per_week=60,
-            spam_per_week=60,
-            attack_start_week=2,
-            attack_per_week=5,
+        spec = StreamSpec(
+            ticks=3,
+            ham_per_tick=60,
+            spam_per_tick=60,
+            attack_start_tick=2,
+            attack_per_tick=5,
             defense="roni",
             test_size=60,
             seed=24,
         )
-        result = run_retraining_simulation(config)
-        assert result.week(2).attack_rejected == 5
+        result = StreamRunner(spec).run()
+        assert result.outcome(2).attack_rejected == 5
 
 
 class TestChartEdgeCases:

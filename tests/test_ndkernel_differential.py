@@ -2,9 +2,9 @@
 
 The NumPy kernel (``repro.spambayes.ndkernel``) must be *bit-identical*
 to the pure-Python core — exact ``==`` on every score, count and
-serialized record, never ``approx``.  The pure core stays in the tree
-as the executable oracle (the PR-2 ``reference.py`` pattern, one layer
-up), and this suite drives both through:
+serialized record, never ``approx``.  The pure core is the executable
+oracle here (both kernels answer to the formula oracle in
+``tests/test_spec_oracle.py``), and this suite drives both through:
 
 * seeded randomized learn/unlearn/score/snapshot interleavings,
 * the attack classes no registered scenario sweeps (informed, focused

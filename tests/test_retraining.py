@@ -1,69 +1,56 @@
-"""Tests for the multi-week retraining simulation."""
+"""The Section 2.1 deployment model: weekly retraining over a stream.
+
+An organization retrains on each week's mail; a dictionary attacker
+starts mailing mid-way.  A constant-ramp :class:`StreamSpec` played by
+:class:`StreamRunner` is that loop, one tick per week.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExperimentError
-from repro.experiments.retraining import (
-    RetrainingConfig,
-    run_retraining_simulation,
-)
+from repro.stream import StreamRunner, StreamSpec
 
 
-def quick_config(**overrides) -> RetrainingConfig:
+def quick_spec(**overrides) -> StreamSpec:
     defaults = dict(
-        weeks=5,
-        ham_per_week=40,
-        spam_per_week=40,
-        attack_start_week=3,
-        attack_per_week=8,
+        ticks=5,
+        ham_per_tick=40,
+        spam_per_tick=40,
+        attack_start_tick=3,
+        attack_per_tick=8,
         test_size=100,
         seed=17,
     )
     defaults.update(overrides)
-    return RetrainingConfig(**defaults)
-
-
-class TestConfig:
-    def test_invalid_weeks(self):
-        with pytest.raises(ExperimentError):
-            RetrainingConfig(weeks=0)
-
-    def test_unknown_defense(self):
-        with pytest.raises(ExperimentError):
-            RetrainingConfig(defense="magic")
-
-    def test_invalid_attack_start(self):
-        with pytest.raises(ExperimentError):
-            RetrainingConfig(attack_start_week=0)
+    return StreamSpec(**defaults)
 
 
 class TestUndefendedDynamics:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_retraining_simulation(quick_config())
+        return StreamRunner(quick_spec()).run()
 
     def test_one_outcome_per_week(self, result):
-        assert [w.week for w in result.weeks] == [1, 2, 3, 4, 5]
+        assert [w.tick for w in result.ticks] == [1, 2, 3, 4, 5]
 
     def test_filter_healthy_before_attack(self, result):
-        for outcome in result.weeks[:2]:
+        for outcome in result.ticks[:2]:
             assert outcome.attack_sent == 0
             assert outcome.confusion.ham_misclassified_rate < 0.1
 
     def test_attack_degrades_filter(self, result):
-        before = result.week(2).confusion.ham_misclassified_rate
-        after = result.week(5).confusion.ham_misclassified_rate
+        before = result.outcome(2).confusion.ham_misclassified_rate
+        after = result.outcome(5).confusion.ham_misclassified_rate
         assert after > before + 0.3
 
     def test_attack_messages_all_trained(self, result):
-        for outcome in result.weeks:
+        for outcome in result.ticks:
             assert outcome.attack_trained == outcome.attack_sent
             assert outcome.attack_rejected == 0
 
     def test_training_set_grows_weekly(self, result):
-        sizes = [w.trained_messages for w in result.weeks]
+        sizes = [w.trained_messages for w in result.ticks]
         assert sizes == sorted(sizes)
         assert sizes[0] == 80  # 40 ham + 40 spam
 
@@ -71,10 +58,10 @@ class TestUndefendedDynamics:
 class TestRoniDefendedDynamics:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_retraining_simulation(quick_config(defense="roni"))
+        return StreamRunner(quick_spec(defense="roni")).run()
 
     def test_attack_rejected_once_calibrated(self, result):
-        attacked_weeks = [w for w in result.weeks if w.attack_sent > 0]
+        attacked_weeks = [w for w in result.ticks if w.attack_sent > 0]
         assert attacked_weeks
         for outcome in attacked_weeks:
             assert outcome.attack_rejected == outcome.attack_sent
@@ -84,13 +71,13 @@ class TestRoniDefendedDynamics:
         assert result.final_ham_misclassification() < 0.1
 
     def test_no_legitimate_mail_rejected(self, result):
-        assert sum(w.legitimate_rejected for w in result.weeks) == 0
+        assert sum(w.legitimate_rejected for w in result.ticks) == 0
 
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self):
-        a = run_retraining_simulation(quick_config())
-        b = run_retraining_simulation(quick_config())
-        assert [w.confusion.as_dict() for w in a.weeks] == [
-            w.confusion.as_dict() for w in b.weeks
+        a = StreamRunner(quick_spec()).run()
+        b = StreamRunner(quick_spec()).run()
+        assert [w.confusion.as_dict() for w in a.ticks] == [
+            w.confusion.as_dict() for w in b.ticks
         ]

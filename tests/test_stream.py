@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.results import ExperimentRecord
-from repro.experiments.retraining import RetrainingConfig
 from repro.scenarios import get_scenario, list_scenarios, run_scenario
 from repro.stream import (
     StreamRunner,
@@ -99,28 +98,21 @@ class TestSchedules:
         assert spec.total_arrivals() == 3 * 40 + 2 * 5
 
 
-class TestFromRetraining:
-    def test_field_mapping(self):
-        config = RetrainingConfig(
-            weeks=5,
-            ham_per_week=25,
-            spam_per_week=35,
-            attack_start_week=2,
-            attack_per_week=9,
-            defense="roni",
-            test_size=80,
-            seed=23,
-        )
-        spec = StreamSpec.from_retraining(config)
-        assert spec.ticks == 5
-        assert (spec.ham_per_tick, spec.spam_per_tick) == (25, 35)
-        assert (spec.attack_start_tick, spec.attack_per_tick) == (2, 9)
-        assert spec.ramp == "constant"
-        assert spec.defense == "roni"
-        assert spec.roni == config.roni
-        assert spec.test_size == 80
-        assert spec.seed == 23
-        assert spec.measure_clean is False
+class TestAttackArrivals:
+    def test_helper_materializes_batches(self, tiny_corpus):
+        import random
+
+        from repro.attacks.dictionary import OptimalDictionaryAttack
+        from repro.experiments.attack_data import attack_messages_as_dataset
+
+        attack = OptimalDictionaryAttack.from_vocabulary(tiny_corpus.vocabulary)
+        batch = attack.generate(3, random.Random(5))
+        messages = attack_messages_as_dataset(batch, start=100)
+        assert len(messages) == 3
+        assert all(message.is_spam for message in messages)
+        assert messages[0].msgid.endswith("000100")
+        # Token caches are pre-seeded with the payload.
+        assert messages[0].tokens() == batch.groups[0].training_tokens
 
 
 # ----------------------------------------------------------------------
@@ -186,10 +178,10 @@ class TestCleanCounterfactual:
             < last.confusion.ham_misclassified_rate
         )
 
-    def test_snapshot_rollback_leaves_the_stream_untouched(self, results):
+    def test_clean_twin_leaves_the_stream_untouched(self, results):
         # The clean counterfactual must be a pure measurement: every
         # actual per-tick confusion is bit-identical with and without
-        # the snapshot/unlearn/restore excursion.
+        # the clean twin.
         plain, measured = results
         assert [o.confusion.as_dict() for o in measured.ticks] == [
             o.confusion.as_dict() for o in plain.ticks

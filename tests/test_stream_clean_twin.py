@@ -1,17 +1,19 @@
 """The clean-twin counterfactual's bit-exactness contract.
 
-The streaming runner's default counterfactual is a *clean twin*: a
-second classifier over the stream's shared table, incrementally
-trained on exactly the accepted non-attack arrivals.  Because training
-is integer count-addition, the twin's state at every tick must equal
-"the main classifier with every trained attack message unlearned" —
-which is precisely what the retained ``counterfactual="unlearn"``
-reference computes by snapshot/unlearn-all/restore.  These tests make
-that equality an enforced differential contract, not an argument:
+The streaming runner's counterfactual is a *clean twin*: a second
+classifier over the stream's shared table, incrementally trained on
+exactly the accepted non-attack arrivals.  Because training is integer
+count-addition, the twin's state at every tick must equal "the main
+classifier with every trained attack message unlearned" — which is
+what :class:`UnlearnRunner`, a test-local runner, computes by
+snapshot/unlearn-all/restore.  These tests make that equality an
+enforced differential contract, not an argument:
 
 * the **scenario differential**: every registered stream scenario,
-  scaled down so that it trains attack mail, run twin-vs-unlearn under
-  both kernels — records compared as serialized bytes;
+  scaled down so that it trains attack mail, plus the long-horizon
+  spec of ``benchmarks/bench_stream_throughput.py --ticks``, run
+  twin-vs-unlearn under both kernels — records compared as serialized
+  bytes;
 * the **pooled leg**: the same differential with the whole stream
   shipped to a :class:`WorkerPool` worker process;
 * the **property test**: randomized attack schedules at the classifier
@@ -35,21 +37,19 @@ from unittest import mock
 
 import pytest
 
+from repro.corpus.dataset import unlearn_grouped
 from repro.defenses.roni import RoniConfig
 from repro.engine.runner import WorkerPool
-from repro.errors import ExperimentError
+from repro.engine.sweep import evaluate_dataset
 from repro.scenarios import get_scenario, scenario_names
 from repro.spambayes import ndkernel
 from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.token_table import TokenTable
-from repro.stream.runner import (
-    COUNTERFACTUAL_MODES,
-    StreamRunner,
-    _run_stream_task,
-)
+from repro.stream.runner import StreamRunner, _run_stream_task
 from repro.stream.spec import StreamSpec
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+TESTS = Path(__file__).resolve().parent
+SRC = str(TESTS.parent / "src")
 
 KERNELS = ("nd", "python")
 
@@ -64,8 +64,8 @@ def forced_kernel(name: str):
 def _run_under_hash_seed(script: str, hash_seed: str) -> str:
     env = os.environ.copy()
     env["PYTHONHASHSEED"] = hash_seed
-    env["PYTHONPATH"] = SRC + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC, str(TESTS)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     result = subprocess.run(
         [sys.executable, "-c", script],
@@ -77,8 +77,29 @@ def _run_under_hash_seed(script: str, hash_seed: str) -> str:
     assert result.returncode == 0, result.stderr
     return result.stdout
 
+
+class UnlearnRunner(StreamRunner):
+    """The counterfactual the twin replaces, as an O(history) excursion:
+    snapshot the main classifier, unlearn every attack message trained
+    so far, evaluate the held-out set, restore."""
+
+    def _clean_counterfactual(
+        self, classifier, twin, test, workspace, trained_attack, cutoffs, confusion
+    ):
+        if not trained_attack:
+            return super()._clean_counterfactual(
+                classifier, twin, test, workspace, trained_attack, cutoffs, confusion
+            )
+        snap = classifier.snapshot()
+        try:
+            unlearn_grouped(classifier, trained_attack)
+            return evaluate_dataset(classifier, test, cutoffs=cutoffs)
+        finally:
+            classifier.restore(snap)
+
+
 # Scaled-down overrides per registered stream scenario: small enough
-# to keep 6 scenarios x 2 kernels x 2 modes fast, large enough that
+# to keep 6 scenarios x 2 kernels x 2 runners fast, large enough that
 # every scenario trains attack mail (so the twin path actually
 # diverges from the copy-the-confusion shortcut) — except the clean
 # control, which pins the no-attack degenerate case.
@@ -145,8 +166,27 @@ STREAM_SCENARIOS = tuple(
     sorted(name for name in scenario_names() if get_scenario(name).protocol == "stream")
 )
 
+# The smoke-scale spec of ``bench_stream_throughput.py --ticks``: a
+# focused attack draws a distinct token set per message, so the
+# unlearn excursion grows with the trained attack history.
+BENCH_TICKS = "bench-stream-ticks"
+BENCH_TICKS_SPEC = StreamSpec(
+    ticks=8,
+    ham_per_tick=10,
+    spam_per_tick=10,
+    attack_start_tick=2,
+    attack_per_tick=24,
+    attack_variant="focused",
+    test_size=60,
+    measure_clean=True,
+    profile_phases=True,
+    seed=1,
+)
+
 
 def _scaled_spec(name: str) -> StreamSpec:
+    if name == BENCH_TICKS:
+        return BENCH_TICKS_SPEC
     if name not in _SCENARIO_SCALE:
         pytest.fail(f"{name}: add attack-bearing overrides to _SCENARIO_SCALE")
     spec = get_scenario(name)
@@ -161,13 +201,13 @@ def _record_bytes(result) -> bytes:
 
 
 class TestScenarioDifferential:
-    @pytest.mark.parametrize("name", STREAM_SCENARIOS)
+    @pytest.mark.parametrize("name", STREAM_SCENARIOS + (BENCH_TICKS,))
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_twin_record_equals_unlearn_record(self, name, kernel):
         spec = _scaled_spec(name)
         with forced_kernel(kernel):
-            twin = StreamRunner(spec, counterfactual="twin").run()
-            unlearn = StreamRunner(spec, counterfactual="unlearn").run()
+            twin = StreamRunner(spec).run()
+            unlearn = UnlearnRunner(spec).run()
         assert _record_bytes(twin) == _record_bytes(unlearn)
         # Only attack mail that was trained makes the twin diverge from
         # the main line; without it the comparison is vacuous.
@@ -180,23 +220,18 @@ class TestScenarioDifferential:
         # with the per-kernel differentials above).
         spec = _scaled_spec("stream-dictionary-ramp")
         with forced_kernel("nd"):
-            nd_twin = StreamRunner(spec, counterfactual="twin").run()
+            nd_twin = StreamRunner(spec).run()
         with forced_kernel("python"):
-            py_unlearn = StreamRunner(spec, counterfactual="unlearn").run()
+            py_unlearn = UnlearnRunner(spec).run()
         assert _record_bytes(nd_twin) == _record_bytes(py_unlearn)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ExperimentError, match="counterfactual"):
-            StreamRunner(StreamSpec(), counterfactual="oracle")
-        assert COUNTERFACTUAL_MODES == ("twin", "unlearn")
 
     def test_pooled_stream_matches_sequential_both_modes(self):
         # Workers leg: the whole-stream task run in a worker process
         # must produce the same bytes the sequential twin and unlearn
-        # paths do.
+        # runs do.
         spec = _scaled_spec("stream-usenet-burst")
-        sequential = _record_bytes(StreamRunner(spec, "twin").run())
-        reference = _record_bytes(StreamRunner(spec, "unlearn").run())
+        sequential = _record_bytes(StreamRunner(spec).run())
+        reference = _record_bytes(UnlearnRunner(spec).run())
         with WorkerPool(2) as pool:
             (result,) = pool.run(_run_stream_task, spec, [0])
         assert _record_bytes(result) == sequential == reference
@@ -278,14 +313,15 @@ _TWIN_DIFFERENTIAL_SCRIPT = """
 import json
 from repro.stream.runner import StreamRunner
 from repro.stream.spec import StreamSpec
+from test_stream_clean_twin import UnlearnRunner
 
 spec = StreamSpec(
     ticks=3, ham_per_tick=12, spam_per_tick=12,
     attack_start_tick=2, attack_per_tick=5,
     test_size=20, measure_clean=True, seed=13,
 )
-twin = StreamRunner(spec, counterfactual="twin").run()
-unlearn = StreamRunner(spec, counterfactual="unlearn").run()
+twin = StreamRunner(spec).run()
+unlearn = UnlearnRunner(spec).run()
 print(json.dumps({
     "twin": twin.to_record().as_dict(),
     "unlearn": unlearn.to_record().as_dict(),

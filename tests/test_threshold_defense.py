@@ -128,6 +128,16 @@ class TestFitOnDataset:
         assert 0.0 < fit.ham_cutoff < 1.0
         assert 0.0 < fit.spam_cutoff <= 1.0
 
+    def test_poisoned_training_moves_thresholds_up(self, small_corpus):
+        pool = small_corpus.dataset.sample_inbox(200, 0.5, SeedSpawner(41).rng("pool"))
+        attack = UsenetDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
+        batch = attack.generate(20, SeedSpawner(47).rng("a"))
+        poisoned = Dataset(pool.messages + attack_messages_as_dataset(batch))
+        defense = DynamicThresholdDefense()
+        clean_fit = defense.fit(pool, SeedSpawner(48).rng("t"))
+        poisoned_fit = defense.fit(poisoned, SeedSpawner(48).rng("t"))
+        assert poisoned_fit.ham_cutoff > clean_fit.ham_cutoff
+
     def test_missing_class_rejected(self, small_corpus):
         ham_only = small_corpus.dataset.filtered(lambda m: not m.is_spam).subset(range(50))
         with pytest.raises(DefenseError):

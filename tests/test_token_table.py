@@ -1,16 +1,15 @@
-"""Differential suite: the interned-ID classifier core vs the retained
-dict-keyed reference core.
+"""The token table, message encoding, and the interned-ID classifier
+core held to the formula oracle (:mod:`spambayes_spec`).
 
-The tentpole claim of the TokenTable refactor is *bit-exactness*: the
-columnar core (:class:`repro.spambayes.classifier.Classifier`) must
-produce float-for-float identical scores, snapshots and persistence
-round-trips to the PR-1 implementation
-(:class:`repro.spambayes.reference.ReferenceClassifier`) on any input.
-These tests run both cores side by side on randomized corpora through
-every mutation pattern the experiment harness uses — incremental
+The core's claim is *bit-exactness*: the columnar
+:class:`repro.spambayes.classifier.Classifier` must produce exactly
+the counts and float-for-float the scores that the paper's formulas
+give on the same training history.  These tests drive it through every
+mutation pattern the experiment harness uses — incremental
 learn/unlearn, grouped repetition, RONI-style learn/score/unlearn
-cycling, snapshot/restore fold derivation — and compare with ``==``,
-never ``pytest.approx``.
+cycling, snapshot/restore fold derivation, persistence — and compare
+with ``==``, never ``pytest.approx``.  ``tests/test_spec_oracle.py``
+runs the same comparison over random options and histories.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from array import array
 
 import pytest
 
-from repro.corpus.dataset import Dataset, LabeledMessage
+from repro.corpus.dataset import LabeledMessage
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.roni import RoniConfig, RoniDefense
-from repro.engine.sweep import SweepSpec, run_attack_sweeps, sequential_reference_sweep
 from repro.errors import TrainingError
 from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
@@ -34,8 +32,9 @@ from repro.spambayes.message import Email
 from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.options import ClassifierOptions
 from repro.spambayes.persistence import classifier_from_dict, classifier_to_dict
-from repro.spambayes.reference import ReferenceClassifier
 from repro.spambayes.token_table import TokenTable
+from spambayes_spec import SpecClassifier
+from test_spec_oracle import assert_matches_oracle
 
 KERNELS = ["nd", "python"] if ndkernel.available() else ["python"]
 
@@ -114,7 +113,7 @@ class TestMessageEncoding:
 
 
 # ----------------------------------------------------------------------
-# Differential harness
+# The core against the formula oracle
 # ----------------------------------------------------------------------
 
 
@@ -130,61 +129,23 @@ def _random_messages(rng, vocab, count, novel_prefix=""):
 
 def _paired(options=None):
     if options is None:
-        return Classifier(), ReferenceClassifier()
-    return Classifier(options), ReferenceClassifier(options)
+        return Classifier(), SpecClassifier()
+    return Classifier(options), SpecClassifier(options)
 
 
-def _assert_same_state(id_core: Classifier, reference: ReferenceClassifier):
-    assert id_core.nspam == reference.nspam
-    assert id_core.nham == reference.nham
-    assert id_core.vocabulary_size == reference.vocabulary_size
-    assert sorted(id_core.iter_vocabulary()) == sorted(reference.iter_vocabulary())
-    for token in reference.iter_vocabulary():
-        record = id_core.word_info(token)
-        expected = reference.word_info(token)
-        assert (record.spamcount, record.hamcount) == (
-            expected.spamcount,
-            expected.hamcount,
-        )
-
-
-OPTION_VARIANTS = [
-    ClassifierOptions(),
-    ClassifierOptions(unknown_word_strength=0.0),
-    ClassifierOptions(minimum_prob_strength=0.0, max_discriminators=15),
-    ClassifierOptions(unknown_word_prob=0.4, max_discriminators=50),
-]
+def _oracle_scores(spec, queries):
+    return [spec.score(q) for q in queries]
 
 
 class TestDifferentialScoring:
-    @pytest.mark.parametrize("options", OPTION_VARIANTS)
-    def test_scores_bit_identical_after_training(self, options):
-        rng = random.Random(7)
-        vocab = [f"tok{i}" for i in range(400)]
-        id_core, reference = _paired(options)
-        for tokens, is_spam in _random_messages(rng, vocab, 250):
-            id_core.learn(tokens, is_spam)
-            reference.learn(tokens, is_spam)
-        queries = [frozenset(rng.sample(vocab, rng.randint(3, 60))) for _ in range(150)]
-        assert id_core.score_many(queries) == reference.score_many(queries)
-        assert [id_core.score(q) for q in queries[:25]] == [
-            reference.score(q) for q in queries[:25]
-        ]
-        encoded = [id_core.encode_tokens(q) for q in queries]
-        assert id_core.score_many_ids(encoded) == reference.score_many(queries)
-        # Second encoded pass reads a warm significance memo.
-        assert id_core.score_many_ids(encoded) == reference.score_many(queries)
-        assert all(id_core.spam_prob(t) == reference.spam_prob(t) for t in vocab)
-        _assert_same_state(id_core, reference)
-
     def test_roni_style_learn_score_unlearn_cycling(self):
         """The targeted-eviction path: globals return to the memo tag."""
         rng = random.Random(31)
         vocab = [f"w{i}" for i in range(350)]
-        id_core, reference = _paired()
+        id_core, spec = _paired()
         for tokens, is_spam in _random_messages(rng, vocab, 150):
             id_core.learn(tokens, is_spam)
-            reference.learn(tokens, is_spam)
+            spec.learn(tokens, is_spam)
         queries = [frozenset(rng.sample(vocab, rng.randint(5, 50))) for _ in range(40)]
         encoded = [id_core.encode_tokens(q) for q in queries]
         for k in range(40):
@@ -193,79 +154,77 @@ class TestDifferentialScoring:
             )
             label = rng.random() < 0.7
             id_core.learn(candidate, label)
-            reference.learn(candidate, label)
-            assert id_core.score_many_ids(encoded) == reference.score_many(queries)
+            spec.learn(candidate, label)
+            assert id_core.score_many_ids(encoded) == _oracle_scores(spec, queries)
             id_core.unlearn(candidate, label)
-            reference.unlearn(candidate, label)
-            assert id_core.score_many_ids(encoded) == reference.score_many(queries)
-        _assert_same_state(id_core, reference)
+            spec.unlearn(candidate, label)
+            assert id_core.score_many_ids(encoded) == _oracle_scores(spec, queries)
+        assert_matches_oracle(id_core, spec)
 
     def test_snapshot_restore_round_trips_bit_exact(self):
         rng = random.Random(13)
         vocab = [f"v{i}" for i in range(300)]
-        id_core, reference = _paired()
+        id_core, spec = _paired()
         for tokens, is_spam in _random_messages(rng, vocab, 120):
             id_core.learn(tokens, is_spam)
-            reference.learn(tokens, is_spam)
+            spec.learn(tokens, is_spam)
         queries = [frozenset(rng.sample(vocab, 30)) for _ in range(30)]
         encoded = [id_core.encode_tokens(q) for q in queries]
-        baseline = reference.score_many(queries)
+        baseline = _oracle_scores(spec, queries)
         for round_index in range(12):
             id_snap = id_core.snapshot()
-            ref_snap = reference.snapshot()
             batch = frozenset(rng.sample(vocab, 50)) | {f"atk{round_index}"}
             id_core.learn_repeated(batch, True, 7)
-            reference.learn_repeated(batch, True, 7)
+            spec.learn(batch, True, 7)
             stripe = _random_messages(rng, vocab, 5)
             for tokens, is_spam in stripe:
                 id_core.learn(tokens, is_spam)
-                reference.learn(tokens, is_spam)
-            assert id_core.score_many_ids(encoded) == reference.score_many(queries)
+                spec.learn(tokens, is_spam)
+            assert id_core.score_many_ids(encoded) == _oracle_scores(spec, queries)
             id_core.restore(id_snap)
-            reference.restore(ref_snap)
+            spec.unlearn(batch, True, 7)
+            for tokens, is_spam in stripe:
+                spec.unlearn(tokens, is_spam)
             assert id_core.score_many_ids(encoded) == baseline
-            assert reference.score_many(queries) == baseline
-        _assert_same_state(id_core, reference)
+        assert_matches_oracle(id_core, spec)
 
     def test_empty_token_set_training_still_invalidates_memos(self):
         """Regression: a mutation with no tokens still moves (nspam,
         nham), which every memoized probability depends on."""
-        id_core, reference = _paired()
+        id_core, spec = _paired()
         id_core.learn(["a", "b"], True)
-        reference.learn(["a", "b"], True)
+        spec.learn(["a", "b"], True)
         id_core.learn(["a"], False)
-        reference.learn(["a"], False)
-        assert id_core.score(["a", "b"]) == reference.score(["a", "b"])
+        spec.learn(["a"], False)
+        assert id_core.score(["a", "b"]) == spec.score(["a", "b"])
         id_core.learn([], True)  # empty message: counts move, no tokens
-        reference.learn([], True)
-        assert id_core.score(["a", "b"]) == reference.score(["a", "b"])
+        spec.learn([], True)
+        assert id_core.score(["a", "b"]) == spec.score(["a", "b"])
         ids = id_core.encode_tokens(["a", "b"])
-        assert id_core.score_ids(ids) == reference.score(["a", "b"])
+        assert id_core.score_ids(ids) == spec.score(["a", "b"])
         id_core.unlearn([], True)
-        reference.unlearn([], True)
-        assert id_core.score_ids(ids) == reference.score(["a", "b"])
+        spec.unlearn([], True)
+        assert id_core.score_ids(ids) == spec.score(["a", "b"])
 
     def test_scoring_never_interns_unseen_tokens(self):
         """Scoring is read-only on the vocabulary: unseen query tokens
         score the prior without growing the shared table."""
-        id_core, reference = _paired()
+        id_core, spec = _paired()
         id_core.learn({"cash", "wire"}, True)
-        reference.learn({"cash", "wire"}, True)
+        spec.learn({"cash", "wire"}, True)
         id_core.learn({"meeting"}, False)
-        reference.learn({"meeting"}, False)
+        spec.learn({"meeting"}, False)
         table_size = len(id_core.table)
         queries = [
             {"cash", "never-seen-1"},
             {"never-seen-2", "never-seen-3", "meeting"},
             {"never-seen-1"},
         ]
-        assert id_core.score_many(queries) == reference.score_many(queries)
-        assert [id_core.score(q) for q in queries] == [
-            reference.score(q) for q in queries
-        ]
-        assert id_core.spam_prob("never-seen-4") == reference.spam_prob("never-seen-4")
+        assert id_core.score_many(queries) == _oracle_scores(spec, queries)
+        assert [id_core.score(q) for q in queries] == _oracle_scores(spec, queries)
+        assert id_core.spam_prob("never-seen-4") == spec.spam_prob("never-seen-4")
         evidence = id_core.significant_tokens({"cash", "never-seen-5"})
-        expected = reference.significant_tokens({"cash", "never-seen-5"})
+        expected = spec.significant({"cash", "never-seen-5"})
         assert [(ts.token, ts.spam_prob) for ts in evidence] == expected
         assert len(id_core.table) == table_size  # nothing interned
 
@@ -311,15 +270,15 @@ class TestDifferentialScoring:
         assert classifier.score_many_ids(encoded) == expected
 
     def test_repeated_and_unlearn_validation_parity(self):
-        id_core, reference = _paired()
+        id_core, spec = _paired()
         id_core.learn_repeated({"a", "b"}, True, 5)
-        reference.learn_repeated({"a", "b"}, True, 5)
+        spec.learn({"a", "b"}, True, 5)
         with pytest.raises(TrainingError):
             id_core.unlearn_repeated({"a"}, True, 6)
         with pytest.raises(TrainingError):
             id_core.unlearn({"zzz-never-seen"}, True)
-        # Failed unlearns leave the state untouched, like the reference.
-        _assert_same_state(id_core, reference)
+        # Failed unlearns leave the state untouched.
+        assert_matches_oracle(id_core, spec)
 
     def test_graham_subclass_uses_same_columns(self):
         rng = random.Random(3)
@@ -335,38 +294,34 @@ class TestDifferentialScoring:
 
 
 class TestDifferentialPersistence:
-    def test_dump_identical_between_cores_and_round_trips(self, tmp_path):
+    def test_dump_matches_oracle_counts_and_round_trips(self, tmp_path):
         rng = random.Random(17)
         vocab = [f"p{i}" for i in range(200)]
-        id_core, reference = _paired()
+        id_core, spec = _paired()
         for tokens, is_spam in _random_messages(rng, vocab, 100):
             id_core.learn(tokens, is_spam)
-            reference.learn(tokens, is_spam)
+            spec.learn(tokens, is_spam)
         dump = classifier_to_dict(id_core)
-        assert dump["nspam"] == reference.nspam
-        assert dump["nham"] == reference.nham
+        assert dump["nspam"] == spec.nspam
+        assert dump["nham"] == spec.nham
         assert dump["words"] == {
-            token: [
-                reference.word_info(token).spamcount,
-                reference.word_info(token).hamcount,
-            ]
-            for token in sorted(reference.iter_vocabulary())
+            token: list(counts) for token, counts in sorted(spec.counts().items())
         }
         restored = classifier_from_dict(dump)
         queries = [frozenset(rng.sample(vocab, 25)) for _ in range(40)]
-        assert restored.score_many(queries) == reference.score_many(queries)
-        _assert_same_state(restored, reference)
+        assert restored.score_many(queries) == _oracle_scores(spec, queries)
+        assert_matches_oracle(restored, spec)
 
     def test_pickle_round_trip_preserves_scores(self):
         rng = random.Random(23)
         vocab = [f"q{i}" for i in range(150)]
-        id_core, reference = _paired()
+        id_core, spec = _paired()
         for tokens, is_spam in _random_messages(rng, vocab, 80):
             id_core.learn(tokens, is_spam)
-            reference.learn(tokens, is_spam)
+            spec.learn(tokens, is_spam)
         clone = pickle.loads(pickle.dumps(id_core))
         queries = [frozenset(rng.sample(vocab, 25)) for _ in range(30)]
-        assert clone.score_many(queries) == reference.score_many(queries)
+        assert clone.score_many(queries) == _oracle_scores(spec, queries)
         # Shared-table identity survives one pickle graph.
         context = {"model": id_core, "table": id_core.table}
         thawed = pickle.loads(pickle.dumps(context))
@@ -374,7 +329,7 @@ class TestDifferentialPersistence:
 
 
 # ----------------------------------------------------------------------
-# Harness-level equivalence (engine + RONI)
+# Harness-level equivalence (RONI, shared tables)
 # ----------------------------------------------------------------------
 
 
@@ -384,26 +339,6 @@ def small_corpus():
 
 
 class TestHarnessEquivalence:
-    def test_sweep_bit_identical_at_any_worker_count(self, small_corpus):
-        from repro.attacks.dictionary import OptimalDictionaryAttack
-
-        inbox = small_corpus.dataset.sample_inbox(120, 0.5, random.Random(4))
-        inbox.tokenize_all()
-        attack = OptimalDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
-
-        def sweep(workers):
-            spec = SweepSpec(key="optimal", attack=attack, fractions=(0.0, 0.02, 0.05))
-            return run_attack_sweeps(
-                inbox, [(spec, random.Random(11))], folds=3, workers=workers
-            )[0].confusion_dicts()
-
-        sequential = sequential_reference_sweep(
-            inbox, attack, (0.0, 0.02, 0.05), 3, random.Random(11)
-        )
-        expected = [point.confusion.as_dict() for point in sequential]
-        assert sweep(1) == expected
-        assert sweep(2) == expected
-
     def test_roni_measure_many_matches_per_message(self, small_corpus):
         pool = small_corpus.dataset.sample_inbox(80, 0.5, random.Random(6))
         pool.tokenize_all()
