@@ -1,10 +1,11 @@
 """Tests for the parallel experiment engine.
 
 The engine's contract is absolute: any worker count, with or without
-the shared clean model, produces bit-identical results (and the golden
-records in ``tests/golden/`` pin the bytes).  These tests pin that
-contract on small corpora, plus the classifier APIs the engine is
-built on (snapshot/restore, bulk scoring).
+the shared clean model, produces bit-identical results, and they equal
+the plain per-fold loop the sweep stands for (written out test-locally
+below; the golden records in ``tests/golden/`` pin the bytes).  These
+tests pin that contract on small corpora, plus the classifier APIs the
+engine is built on (snapshot/restore, bulk scoring).
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from repro.attacks.dictionary import OptimalDictionaryAttack, UsenetDictionaryAt
 from repro.engine.runner import ParallelRunner, WorkerPool, resolve_workers
 from repro.engine.seeding import drawn_seeds, resolve_root_seed
 from repro.corpus.dataset import train_grouped, unlearn_grouped
-from repro.engine.sweep import SweepSpec, run_attack_sweeps
+from repro.engine.sweep import SweepSpec, attack_message_count, run_attack_sweeps
 from repro.errors import EngineError, ExperimentError, TrainingError
 from repro.experiments.crossval import attack_fraction_sweep
+from repro.experiments.metrics import ConfusionCounts
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier
+from repro.spambayes.filter import Label
+from repro.spambayes.options import DEFAULT_OPTIONS
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +222,6 @@ class TestSweepContextRows:
         # A worker builds its row views once across its tasks; the
         # cache itself never rides the pickle.
         from repro.engine.sweep import _SweepContext
-        from repro.spambayes.options import DEFAULT_OPTIONS
         from repro.spambayes.token_table import TokenTable
 
         csr = _make_csr(6)
@@ -244,7 +247,6 @@ class TestSweepContextRows:
         from array import array
 
         from repro.engine.sweep import _SweepContext
-        from repro.spambayes.options import DEFAULT_OPTIONS
         from repro.spambayes.token_table import TokenTable
 
         token_ids = (array("q", [1, 4]), array("q", [2]))
@@ -267,7 +269,6 @@ class TestSweepContextRows:
         pytest.importorskip("numpy")
         from repro.engine.sweep import _evaluate_indices, _SweepContext
         from repro.spambayes.ndkernel import CsrMatrix, NDClassifier
-        from repro.spambayes.options import DEFAULT_OPTIONS
         from repro.spambayes.token_table import TokenTable
 
         table = TokenTable()
@@ -453,7 +454,7 @@ class TestScoreMany:
 
 
 # ----------------------------------------------------------------------
-# Sweep equivalence: engine(workers=1) == engine(workers=N)
+# Sweep equivalence: sequential loop == engine(workers=1) == engine(workers=N)
 # ----------------------------------------------------------------------
 
 
@@ -463,8 +464,58 @@ def _sweep_signature(points):
     ]
 
 
+def sequential_sweep_signature(inbox, attack, fractions, folds, rng):
+    """The sweep written out as the plain loop it computes.
+
+    One classifier per fold trained from scratch, the attack batch
+    layered on through the string-payload ``learn_repeated`` path, and
+    every held-out message scored on its own.  No clean-model reuse,
+    no ID encoding of the batch, no bulk scoring, no workers.
+    """
+    counts = [attack_message_count(len(inbox), fraction) for fraction in fractions]
+    confusions = [ConfusionCounts() for _ in fractions]
+    for train_set, test_set in inbox.k_folds(folds, rng):
+        classifier = Classifier()
+        train_grouped(classifier, train_set)
+        batch = attack.generate(counts[-1], random.Random(rng.getrandbits(64)))
+        groups = iter(batch.groups)
+        trained = 0
+        group, used = None, 0
+        for count, confusion in zip(counts, confusions):
+            while trained < count:
+                if group is None or used == group.count:
+                    group, used = next(groups), 0
+                take = min(group.count - used, count - trained)
+                classifier.learn_repeated(group.training_tokens, batch.trained_as_spam, take)
+                used += take
+                trained += take
+            for message in test_set:
+                score = classifier.score(message.tokens())
+                if score <= DEFAULT_OPTIONS.ham_cutoff:
+                    label = Label.HAM
+                elif score <= DEFAULT_OPTIONS.spam_cutoff:
+                    label = Label.UNSURE
+                else:
+                    label = Label.SPAM
+                confusion.record(message.is_spam, label)
+    return [
+        (fraction, count, confusion.as_dict())
+        for fraction, count, confusion in zip(fractions, counts, confusions)
+    ]
+
+
 class TestSweepEquivalence:
     FRACTIONS = (0.0, 0.01, 0.05)
+
+    def test_engine_matches_sequential_reference(self, sweep_corpus, sweep_inbox):
+        attack = OptimalDictionaryAttack.from_vocabulary(sweep_corpus.vocabulary)
+        reference = sequential_sweep_signature(
+            sweep_inbox, attack, self.FRACTIONS, 3, random.Random(77)
+        )
+        engine = attack_fraction_sweep(
+            sweep_inbox, attack, self.FRACTIONS, 3, random.Random(77), workers=1
+        )
+        assert _sweep_signature(engine) == reference
 
     def test_parallel_matches_sequential(self, sweep_corpus, sweep_inbox):
         attack = OptimalDictionaryAttack.from_vocabulary(sweep_corpus.vocabulary)

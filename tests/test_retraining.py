@@ -26,6 +26,34 @@ def quick_spec(**overrides) -> StreamSpec:
     return StreamSpec(**defaults)
 
 
+def outcome_fields(result) -> list[tuple]:
+    return [
+        (
+            week.tick,
+            week.trained_messages,
+            week.attack_sent,
+            week.attack_trained,
+            week.attack_rejected,
+            week.legitimate_rejected,
+            week.confusion.as_dict(),
+        )
+        for week in result.ticks
+    ]
+
+
+class TestConfig:
+    def test_result_carries_the_spec(self):
+        spec = quick_spec(ticks=2)
+        result = StreamRunner(spec).run()
+        assert result.spec is spec
+        assert [w.tick for w in result.ticks] == [1, 2]
+
+    def test_attack_starting_after_the_last_week_never_arrives(self):
+        result = StreamRunner(quick_spec(ticks=2, attack_start_tick=3)).run()
+        assert [w.attack_sent for w in result.ticks] == [0, 0]
+        assert [w.trained_messages for w in result.ticks] == [80, 160]
+
+
 class TestUndefendedDynamics:
     @pytest.fixture(scope="class")
     def result(self):
@@ -54,6 +82,9 @@ class TestUndefendedDynamics:
         assert sizes == sorted(sizes)
         assert sizes[0] == 80  # 40 ham + 40 spam
 
+    def test_attack_follows_the_weekly_schedule(self, result):
+        assert [w.attack_sent for w in result.ticks] == [0, 0, 8, 8, 8]
+
 
 class TestRoniDefendedDynamics:
     @pytest.fixture(scope="class")
@@ -73,6 +104,10 @@ class TestRoniDefendedDynamics:
     def test_no_legitimate_mail_rejected(self, result):
         assert sum(w.legitimate_rejected for w in result.ticks) == 0
 
+    def test_training_set_grows_by_legitimate_mail_only(self, result):
+        sizes = [w.trained_messages for w in result.ticks]
+        assert sizes == [80 * week for week in range(1, 6)]
+
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self):
@@ -81,3 +116,10 @@ class TestDeterminism:
         assert [w.confusion.as_dict() for w in a.ticks] == [
             w.confusion.as_dict() for w in b.ticks
         ]
+
+    def test_second_seed_is_reproducible(self):
+        # A second root seed: determinism is structural, not one lucky draw.
+        spec = quick_spec(ticks=3, seed=404)
+        assert outcome_fields(StreamRunner(spec).run()) == outcome_fields(
+            StreamRunner(spec).run()
+        )

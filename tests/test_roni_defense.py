@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks.dictionary import AspellDictionaryAttack
+from repro.attacks.dictionary import AspellDictionaryAttack, UsenetDictionaryAttack
+from repro.corpus.dataset import Dataset, train_grouped
 from repro.defenses.base_types import DefenseVerdict
 from repro.defenses.roni import RoniConfig, RoniDefense
 from repro.errors import DefenseError
+from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.rng import SeedSpawner
+from repro.spambayes.classifier import Classifier
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +102,40 @@ class TestVerdicts:
         accepted, rejected = defense.filter_messages(candidates)
         assert [m.msgid for m in rejected] == ["att"]
         assert len(accepted) == 3
+
+
+class TestGatedTraining:
+    """RONI screening a retraining batch: only accepted mail trains."""
+
+    @pytest.fixture(scope="class")
+    def gate(self, small_corpus):
+        pool = small_corpus.dataset.sample_inbox(200, 0.5, SeedSpawner(41).rng("pool"))
+        return pool, RoniDefense(pool, SeedSpawner(43).rng("roni"))
+
+    def test_attack_messages_rejected_normal_accepted(self, small_corpus, gate):
+        pool, defense = gate
+        attack = UsenetDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
+        attack_messages = attack_messages_as_dataset(
+            attack.generate(3, SeedSpawner(42).rng("a"))
+        )
+        pool_ids = {m.msgid for m in pool}
+        incoming_normal = [m for m in small_corpus.dataset if m.msgid not in pool_ids][:10]
+        accepted, rejected = defense.filter_messages(attack_messages + incoming_normal)
+        rejected_ids = {m.msgid for m in rejected}
+        assert rejected_ids == {m.msgid for m in attack_messages}
+        assert [m.msgid for m in accepted] == [m.msgid for m in incoming_normal]
+        # The retrained filter sees the pool plus accepted mail only.
+        classifier = Classifier()
+        train_grouped(classifier, Dataset(pool.messages + accepted))
+        assert classifier.nspam + classifier.nham == len(pool) + len(incoming_normal)
+
+    def test_judge_agrees_with_the_batch_split(self, small_corpus, gate):
+        pool, defense = gate
+        pool_ids = {m.msgid for m in pool}
+        incoming = [m for m in small_corpus.dataset if m.msgid not in pool_ids][:5]
+        _, rejected = defense.filter_messages(incoming)
+        assert [m for m in incoming if defense.judge(m).rejected] == rejected
+
+    def test_empty_incoming(self, gate):
+        _, defense = gate
+        assert defense.filter_messages([]) == ([], [])

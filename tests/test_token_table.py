@@ -24,6 +24,7 @@ from repro.corpus.dataset import LabeledMessage
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.roni import RoniConfig, RoniDefense
+from repro.engine.sweep import SweepSpec, run_attack_sweeps
 from repro.errors import TrainingError
 from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
@@ -34,6 +35,7 @@ from repro.spambayes.options import ClassifierOptions
 from repro.spambayes.persistence import classifier_from_dict, classifier_to_dict
 from repro.spambayes.token_table import TokenTable
 from spambayes_spec import SpecClassifier
+from test_engine import sequential_sweep_signature
 from test_spec_oracle import assert_matches_oracle
 
 KERNELS = ["nd", "python"] if ndkernel.available() else ["python"]
@@ -137,7 +139,34 @@ def _oracle_scores(spec, queries):
     return [spec.score(q) for q in queries]
 
 
+OPTION_VARIANTS = [
+    ClassifierOptions(),
+    ClassifierOptions(unknown_word_strength=0.0),
+    ClassifierOptions(minimum_prob_strength=0.0, max_discriminators=15),
+    ClassifierOptions(unknown_word_prob=0.4, max_discriminators=50),
+]
+
+
 class TestDifferentialScoring:
+    @pytest.mark.parametrize("options", OPTION_VARIANTS)
+    def test_scores_bit_identical_after_training(self, options):
+        rng = random.Random(7)
+        vocab = [f"tok{i}" for i in range(400)]
+        id_core, spec = _paired(options)
+        for tokens, is_spam in _random_messages(rng, vocab, 250):
+            id_core.learn(tokens, is_spam)
+            spec.learn(tokens, is_spam)
+        queries = [frozenset(rng.sample(vocab, rng.randint(3, 60))) for _ in range(150)]
+        expected = _oracle_scores(spec, queries)
+        assert id_core.score_many(queries) == expected
+        assert [id_core.score(q) for q in queries[:25]] == expected[:25]
+        encoded = [id_core.encode_tokens(q) for q in queries]
+        assert id_core.score_many_ids(encoded) == expected
+        # Second encoded pass reads a warm significance memo.
+        assert id_core.score_many_ids(encoded) == expected
+        assert all(id_core.spam_prob(t) == spec.spam_prob(t) for t in vocab)
+        assert_matches_oracle(id_core, spec)
+
     def test_roni_style_learn_score_unlearn_cycling(self):
         """The targeted-eviction path: globals return to the memo tag."""
         rng = random.Random(31)
@@ -329,7 +358,7 @@ class TestDifferentialPersistence:
 
 
 # ----------------------------------------------------------------------
-# Harness-level equivalence (RONI, shared tables)
+# Harness-level equivalence (engine + RONI, shared tables)
 # ----------------------------------------------------------------------
 
 
@@ -339,6 +368,29 @@ def small_corpus():
 
 
 class TestHarnessEquivalence:
+    def test_sweep_bit_identical_at_any_worker_count(self, small_corpus):
+        from repro.attacks.dictionary import OptimalDictionaryAttack
+
+        inbox = small_corpus.dataset.sample_inbox(120, 0.5, random.Random(4))
+        inbox.tokenize_all()
+        attack = OptimalDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
+        fractions = (0.0, 0.02, 0.05)
+
+        def sweep(workers):
+            spec = SweepSpec(key="optimal", attack=attack, fractions=fractions)
+            return run_attack_sweeps(
+                inbox, [(spec, random.Random(11))], folds=3, workers=workers
+            )[0].confusion_dicts()
+
+        expected = [
+            confusion
+            for _, _, confusion in sequential_sweep_signature(
+                inbox, attack, fractions, 3, random.Random(11)
+            )
+        ]
+        assert sweep(1) == expected
+        assert sweep(2) == expected
+
     def test_roni_measure_many_matches_per_message(self, small_corpus):
         pool = small_corpus.dataset.sample_inbox(80, 0.5, random.Random(6))
         pool.tokenize_all()
