@@ -15,9 +15,9 @@ objects with the operations the paper's protocol needs:
   (:meth:`LabeledMessage.token_ids`); the classifier's ``*_ids``
   methods and the sweep engine's workers consume these directly, so no
   string is hashed in any training or scoring loop;
-* *grouped training* — :func:`train_grouped` / :func:`unlearn_grouped`
-  collapse messages sharing one token set (an attack batch) into one
-  ID-array update per set, for every layer that trains a dataset.
+* *grouping* — :func:`group_token_ids` encodes each distinct (label,
+  token set) once, an attack batch being one group, for training
+  (:func:`train_grouped`), the threshold fit and the RONI gate.
 
 Datasets are cheap views: folds and samples share the underlying
 ``LabeledMessage`` objects (and therefore the token and ID caches).
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -43,6 +44,7 @@ __all__ = [
     "StoredMessage",
     "Dataset",
     "store_message",
+    "group_token_ids",
     "train_grouped",
     "unlearn_grouped",
 ]
@@ -178,31 +180,33 @@ def store_message(
     return StoredMessage(store, row, is_spam, email_loader=email_loader)
 
 
-def _grouped_token_ids(
+def group_token_ids(
     messages: Iterable[LabeledMessage],
     table: TokenTable,
     tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-) -> list[tuple[array, bool, int]]:
-    """Collapse ``messages`` into (token_ids, is_spam, count) groups.
+) -> tuple[list[tuple[array, bool, int]], list[int]]:
+    """Collapse ``messages`` into distinct ``(is_spam, token set)`` groups.
 
-    Grouping happens on the cached token *frozensets* — attack batches
-    materialize thousands of messages sharing one set object, and its
-    cached hash makes the probe O(1) — while each distinct set is
-    encoded exactly once, through the message-level
-    :meth:`LabeledMessage.token_ids` cache.
+    Returns one ``(token_ids, is_spam, count)`` per group in first-seen
+    order, and each message's group index.  Grouping probes the cached
+    token *frozensets* (an attack batch shares one set object, whose
+    cached hash makes the probe O(1)); each group is encoded once, in
+    first-seen order, so ``table`` grows as per-message encoding would.
     """
-    groups: dict[tuple[bool, frozenset[str]], list] = {}
+    slot_of: dict[tuple[bool, frozenset[str]], int] = {}
+    firsts: list[LabeledMessage] = []
+    slots: list[int] = []
     for message in messages:
-        key = (message.is_spam, message.tokens(tokenizer))
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [message, 1]
-        else:
-            entry[1] += 1
-    return [
-        (message.token_ids(table, tokenizer), is_spam, count)
-        for (is_spam, _), (message, count) in groups.items()
+        slot = slot_of.setdefault((message.is_spam, message.tokens(tokenizer)), len(firsts))
+        if slot == len(firsts):
+            firsts.append(message)
+        slots.append(slot)
+    counts = Counter(slots)
+    groups = [
+        (message.token_ids(table, tokenizer), message.is_spam, counts[slot])
+        for slot, message in enumerate(firsts)
     ]
+    return groups, slots
 
 
 def train_grouped(
@@ -215,7 +219,7 @@ def train_grouped(
     Messages are encoded against the classifier's interning table, so
     training is a sweep over ID arrays, not string sets.
     """
-    for ids, is_spam, count in _grouped_token_ids(messages, classifier.table, tokenizer):
+    for ids, is_spam, count in group_token_ids(messages, classifier.table, tokenizer)[0]:
         classifier.learn_ids_repeated(ids, is_spam, count)
 
 
@@ -230,7 +234,7 @@ def unlearn_grouped(
     full-inbox model: unlearn the held-out stripe instead of retraining
     the other K-1 folds.
     """
-    for ids, is_spam, count in _grouped_token_ids(messages, classifier.table, tokenizer):
+    for ids, is_spam, count in group_token_ids(messages, classifier.table, tokenizer)[0]:
         classifier.unlearn_ids_repeated(ids, is_spam, count)
 
 

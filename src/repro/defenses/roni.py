@@ -32,14 +32,16 @@ Implementation notes:
   rows' CSR encoding, unique token IDs, inverse index and
   workspace-local text ranks are built once and never go stale (the
   rows are fixed and the table is append-only).
-* **One scoring call per trial.** :meth:`RoniDefense.measure_many`
-  encodes a whole candidate batch up front, then makes one
-  :meth:`Classifier.score_under_candidates` call per trial, which
-  returns the validation scores under each candidate.  The base
-  classifier implements it as learn / score / unlearn per candidate —
-  the executable reference, and what the pure kernel runs.  The NumPy
-  kernel scores every candidate of the batch in one vectorized pass
-  that never touches a count, bit-identical to that reference.
+* **One measurement per distinct candidate.**
+  :meth:`RoniDefense.measure_many` groups a batch by ``(is_spam, token
+  set)`` (:func:`~repro.corpus.dataset.group_token_ids`; a dictionary
+  attack's copies share one payload), encodes each group once in
+  per-message order, then makes one
+  :meth:`Classifier.score_under_candidates` call per trial.  The base
+  classifier runs learn / score / unlearn per candidate — the
+  executable reference, and what the pure kernel runs; the NumPy kernel
+  scores chunks of ``_CANDIDATE_ENTRY_BUDGET`` (candidate, entry) pairs
+  in vectorized passes that never touch a count, bit-identical to it.
 * **Encoded entry points.** Attack payloads that are already ID-native
   enter through :meth:`RoniDefense.measure_ids` /
   :meth:`RoniDefense.measure_batch` (fed by
@@ -58,7 +60,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.corpus.dataset import Dataset, LabeledMessage
+from repro.corpus.dataset import Dataset, LabeledMessage, group_token_ids
 from repro.defenses.base_types import DefenseVerdict
 from repro.errors import DefenseError
 from repro.spambayes.classifier import Classifier
@@ -295,17 +297,15 @@ class RoniDefense:
     def measure_many(self, candidates: Sequence[LabeledMessage]) -> list[RoniMeasurement]:
         """:meth:`measure` for a whole candidate batch in one sweep.
 
-        Candidates are encoded once up front, in order (so the shared
-        table grows exactly as per-message :meth:`measure` calls would
-        grow it); each trial then scores the whole batch in one call.
-        Returns one measurement per candidate, in order, identical to
-        per-message :meth:`measure`.
+        Candidates sharing a label and token set (the copies of one
+        attack payload) are encoded and measured once, in first-seen
+        order (so the shared table grows exactly as per-message
+        :meth:`measure` calls would grow it).  Returns one measurement
+        per candidate, in order, identical to per-message :meth:`measure`.
         """
-        encoded = [
-            (message.token_ids(self._table, self.tokenizer), message.is_spam)
-            for message in candidates
-        ]
-        return self._measure_encoded(encoded)
+        groups, slots = group_token_ids(candidates, self._table, self.tokenizer)
+        measured = self._measure_encoded([(ids, is_spam) for ids, is_spam, _ in groups])
+        return [measured[slot] for slot in slots]
 
     # ------------------------------------------------------------------
     # Decisions
@@ -326,8 +326,8 @@ class RoniDefense:
     ) -> tuple[list[LabeledMessage], list[LabeledMessage]]:
         """Split ``candidates`` into (accepted, rejected) lists.
 
-        Routed through :meth:`measure_many`: every candidate is encoded
-        once and each trial scores the whole batch in one call.
+        Routed through :meth:`measure_many`: each distinct candidate is
+        encoded and measured once.
         """
         candidates = list(candidates)
         accepted: list[LabeledMessage] = []

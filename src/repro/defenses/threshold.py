@@ -29,7 +29,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
+from repro.corpus.dataset import Dataset, LabeledMessage, group_token_ids, train_grouped
 from repro.errors import DefenseError
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.ndkernel import create_classifier
@@ -187,8 +187,9 @@ class DynamicThresholdDefense:
 def _score_distinct(
     classifier: Classifier, messages: list[LabeledMessage], tokenizer: Tokenizer
 ) -> list[float]:
-    """Score ``messages`` in order, each distinct token set only once.
+    """Score ``messages`` in order, each distinct (label, token set) once.
 
+    Rows are the groups of :func:`~repro.corpus.dataset.group_token_ids`.
     Attack mail shares one frozenset per group, so a poisoned half
     adds one row per attack group, not one dictionary-sized row per
     attack message.  The distinct rows go through ``score_many_ids`` in
@@ -198,21 +199,11 @@ def _score_distinct(
     the unseen tokens of string scoring (the prior, tie-broken by
     text), so the floats are the per-message :meth:`Classifier.score`.
     """
-    table = classifier.table
-    slot_of: dict[frozenset[str], int] = {}
-    rows = []
-    slots = []
-    for message in messages:
-        tokens = message.tokens(tokenizer)
-        slot = slot_of.get(tokens)
-        if slot is None:
-            slot = slot_of[tokens] = len(rows)
-            rows.append(message.token_ids(table, tokenizer))
-        slots.append(slot)
+    groups, slots = group_token_ids(messages, classifier.table, tokenizer)
     scores: list[float] = []
     batch: list = []
     entries = 0
-    for row in rows:
+    for row, _, _ in groups:
         batch.append(row)
         entries += len(row)
         if entries >= _SCORE_ENTRY_BUDGET:

@@ -84,8 +84,10 @@ _LN2 = math.log(2.0)
 _RENORM_THRESHOLD = 1e-200  # matches chi2.ln_product
 _EXP_UNDERFLOW_LIMIT = 708.0  # matches chi2._EXP_UNDERFLOW_LIMIT
 # (candidate, workspace entry) pairs NDClassifier.score_under_candidates
-# expands at once; each pair costs a few dozen bytes of intermediates.
-_CANDIDATE_ENTRY_BUDGET = 1 << 14
+# expands at once; tracemalloc puts a chunk's peak at ~55 B per pair
+# (3.4 MB for the tests/test_roni_batched.py fixture).  Smaller chunks
+# pay each chunk's nonzero, key sort and chi-square tail too often.
+_CANDIDATE_ENTRY_BUDGET = 1 << 16
 
 if np is not None:
     _ID_DTYPE = np.dtype(np.int64)
@@ -708,19 +710,22 @@ class NDClassifier(Classifier):
             del member
             variant += (label * n_unique)[cand]
             variant += inverse[entry]
-            row_of = cand
-            row_of *= n_rows
-            row_of += entry_row[entry]
+            key = cand
+            key *= n_rows
+            key += entry_row[entry]
             del entry
-            key = row_of << 32
+            counts = np.bincount(key, minlength=n_batch * n_rows)
+            key <<= 32
             key |= ordinal[variant]
-            sort = np.argsort(key)
+            del variant
+            # Keys are unique, so sorting them in place is the argsort
+            # order; ``order`` maps each sorted ordinal to its variant.
+            key.sort()
+            key &= 0xFFFFFFFF
+            prob_sorted = probs[order[key]]
             del key
-            row_of = row_of[sort]
-            prob_sorted = probs[variant[sort]]
-            del variant, sort
-            scores = self._combine_sorted(row_of, prob_sorted, n_batch * n_rows)
-            del row_of, prob_sorted
+            scores = self._combine_sorted(counts, prob_sorted)
+            del prob_sorted
             results.extend(
                 scores[k * n_rows : (k + 1) * n_rows] for k in range(n_batch)
             )
@@ -818,20 +823,20 @@ class NDClassifier(Classifier):
         else:
             ranks = np.frombuffer(self._table.text_order_ranks(), dtype=_ID_DTYPE)
             order = np.lexsort((ranks[sig_ids], -strength[sig_idx], row_of))
-        return self._combine_sorted(row_of[order], sig_prob[order], n_msgs, workspace)
+        counts = np.bincount(row_of, minlength=n_msgs)
+        return self._combine_sorted(counts, sig_prob[order], workspace)
 
     def _combine_sorted(
         self,
-        row_sorted: "np.ndarray",
+        counts: "np.ndarray",
         prob_sorted: "np.ndarray",
-        n_msgs: int,
         workspace: ScoringWorkspace | None = None,
     ) -> list[float]:
         """The shared combiner tail: sorted significant probs → scores.
 
-        ``row_sorted``/``prob_sorted`` hold every significant entry of
-        ``n_msgs`` messages, grouped by row (ascending) and, within a
-        row, in the pure kernel's ``(-strength, text)`` order.  Per-row
+        ``prob_sorted`` holds every significant entry of ``len(counts)``
+        messages, row by row (``counts[r]`` entries for row ``r``), each
+        row in the pure kernel's ``(-strength, text)`` order.  Per-row
         truncation to ``max_discriminators``, the interleaved
         mantissa/exponent product and the chi-square survival run
         here — the one copy of the combiner every vectorized scoring
@@ -840,7 +845,7 @@ class NDClassifier(Classifier):
         scratch columns.
         """
         opts = self.options
-        counts = np.bincount(row_sorted, minlength=n_msgs)
+        n_msgs = counts.shape[0]
         if workspace is not None:
             row_starts = workspace.buffer("row_starts", n_msgs + 1, np.int64)
             kept_starts = workspace.buffer("kept_starts", n_msgs + 1, np.int64)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import tracemalloc
 from array import array
 from contextlib import contextmanager
 
@@ -181,6 +182,33 @@ def test_batch_reaches_every_branch(kernel):
     after = max(len(significant_probs(row)) for row in workspace.rows[1::3])
     classifier.unlearn_ids(*dictionary)
     assert before <= options.max_discriminators < after
+
+
+@pytest.mark.skipif("nd" not in KERNELS, reason="needs numpy")
+def test_chunked_peak_memory_is_bounded_by_the_budget():
+    """One call's traced peak stays at one chunk's worth of pairs.
+
+    A batch 8 chunks long peaks where a batch 2 chunks long does: only
+    the returned score lists grow with the batch.  The per-pair figure
+    is the one the ``_CANDIDATE_ENTRY_BUDGET`` comment states.
+    """
+    classifier, workspace, candidates = _trial("nd", 0)
+    nnz = sum(len(row) for row in workspace.rows)
+    chunk = max(1, ndkernel._CANDIDATE_ENTRY_BUDGET // nnz)
+    classifier.score_under_candidates(workspace, candidates)  # warm the caches
+
+    def peak(n_chunks: int) -> int:
+        batch = (candidates * (n_chunks * chunk // len(candidates) + 1))[: n_chunks * chunk]
+        tracemalloc.start()
+        try:
+            classifier.score_under_candidates(workspace, batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    two, eight = peak(2), peak(8)
+    assert eight < 1.1 * two
+    assert two / (chunk * nnz) < 100
 
 
 @pytest.mark.skipif("nd" not in KERNELS, reason="needs numpy")

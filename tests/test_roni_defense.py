@@ -5,13 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks.dictionary import AspellDictionaryAttack, UsenetDictionaryAttack
-from repro.corpus.dataset import Dataset, train_grouped
+from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
 from repro.defenses.base_types import DefenseVerdict
 from repro.defenses.roni import RoniConfig, RoniDefense
 from repro.errors import DefenseError
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.rng import SeedSpawner
+from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
+from repro.spambayes.message import Email
+from repro.spambayes.token_table import TokenTable
+
+KERNELS = ["nd", "python"] if ndkernel.available() else ["python"]
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +96,6 @@ class TestVerdicts:
             assert not defense.judge(message).rejected
 
     def test_filter_messages_split(self, defense, small_corpus):
-        from repro.corpus.dataset import LabeledMessage
-        from repro.spambayes.message import Email
-
         attack = AspellDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
         tokens = attack.generate(1, SeedSpawner(4).rng("a")).groups[0].training_tokens
         attack_message = LabeledMessage(Email(body="", msgid="att"), True)
@@ -139,3 +141,53 @@ class TestGatedTraining:
     def test_empty_incoming(self, gate):
         _, defense = gate
         assert defense.filter_messages([]) == ([], [])
+
+
+class TestRepeatedCandidates:
+    """Copies of one payload are encoded and measured once."""
+
+    @staticmethod
+    def _batch(small_corpus, pool):
+        attack = AspellDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
+        copies = attack_messages_as_dataset(attack.generate(4, SeedSpawner(51).rng("a")))
+        payload = copies[0].tokens()
+        assert all(message.tokens() is payload for message in copies)
+        equal = LabeledMessage(Email(body="", msgid="equal-set"), True)
+        equal._tokens = frozenset(set(payload))
+        as_ham = LabeledMessage(Email(body="", msgid="ham-label"), False)
+        as_ham._tokens = payload
+        pool_ids = {m.msgid for m in pool}
+        fresh = [m for m in small_corpus.dataset if m.msgid not in pool_ids][:4]
+        # 4 copies + 1 equal set + 1 ham label + 4 ordinary messages.
+        return fresh[:2] + copies[:2] + [equal, as_ham] + copies[2:] + fresh[2:]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_measure_many_measures_each_group_once(self, kernel, monkeypatch, small_corpus, pool):
+        monkeypatch.setenv(ndkernel.KERNEL_ENV, kernel)
+        batch = self._batch(small_corpus, pool)
+        batched = RoniDefense(pool, SeedSpawner(52).rng("roni"))
+        looped = RoniDefense(pool, SeedSpawner(52).rng("roni"))
+
+        encoded = []
+        original = TokenTable.encode_unique
+
+        def counting(table, tokens):
+            if table is batched.table:
+                encoded.append(tokens)
+            return original(table, tokens)
+
+        monkeypatch.setattr(TokenTable, "encode_unique", counting)
+        measurements = batched.measure_many(batch)
+        monkeypatch.setattr(TokenTable, "encode_unique", original)
+
+        # One encode per distinct (label, token set): the four copies
+        # and the equal set share one; the ham label is its own group.
+        assert len(encoded) == len({(m.is_spam, m.tokens()) for m in batch}) == 6
+        verdicts = [looped.judge(message) for message in batch]
+        assert measurements == [verdict.measurement for verdict in verdicts]
+        assert verdicts[2].rejected
+
+        # The per-message judge loop grew its table to the same layout.
+        assert len(batched.table) == len(looped.table)
+        everything = range(len(looped.table))
+        assert batched.table.decode(everything) == looped.table.decode(everything)

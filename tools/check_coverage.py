@@ -9,6 +9,8 @@ meets its floor.  The policy, enforced by the CI coverage leg:
   must be at least 90%;
 * ``src/repro/spambayes/ndkernel.py`` — the vectorized kernel ships
   covered: at least 90%;
+* ``src/repro/storage/`` — the storage backends (memory and disk
+  tables, count columns, message stores): at least 90%;
 * ``src/repro/serve/`` — the always-on filter service (framing,
   micro-batcher, daemon, client): at least 90%;
 * ``src/repro/defenses/roni.py`` — the RONI gate, the hot path of
