@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test goldens e2e-selftest bench-smoke bench bench-scenario bench-stream bench-storage bench-serve bench-large docs-check check
+.PHONY: test goldens e2e-selftest bench-smoke bench bench-stream bench-storage bench-serve bench-large docs-check check
 
 # Tier-1 gate: the full test suite, fail-fast.
 test:
@@ -24,21 +24,13 @@ goldens:
 e2e-selftest:
 	python3 -m pytest e2ebench/selftest.py -q
 
-# Seconds-long runs of the scenario-executor dispatch benchmark
-# (executor output asserted identical to the retained drivers), the
-# stream, storage and serve benchmarks; JSON records in
-# benchmarks/results/.
+# Seconds-long runs of the stream, storage and serve benchmarks; JSON
+# records in benchmarks/results/.
 bench-smoke:
-	$(PYTHON) benchmarks/bench_scenario_overhead.py --scale smoke
 	$(PYTHON) benchmarks/bench_stream_throughput.py --scale smoke --workers 2
 	$(PYTHON) benchmarks/bench_stream_throughput.py --scale smoke --ticks
 	$(PYTHON) benchmarks/bench_storage.py --scale smoke
 	$(PYTHON) benchmarks/bench_serve.py --scale smoke
-
-# Scenario-executor equivalence + dispatch overhead at the default
-# scale; appends to benchmarks/results/BENCH_scenario.json.
-bench-scenario:
-	$(PYTHON) benchmarks/bench_scenario_overhead.py --scale small
 
 # Streaming engine: multi-seed streams sequential vs one per worker,
 # records asserted identical, messages/sec reported; appends to

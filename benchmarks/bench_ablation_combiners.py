@@ -15,7 +15,7 @@ from repro.attacks.dictionary import UsenetDictionaryAttack
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import PAPER_PROFILE, SMALL_PROFILE
 from repro.corpus.dataset import train_grouped
-from repro.experiments.crossval import attack_message_count, evaluate_dataset
+from repro.engine.sweep import attack_message_count, evaluate_dataset
 from repro.experiments.reporting import format_table
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier

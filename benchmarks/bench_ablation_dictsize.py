@@ -14,7 +14,7 @@ from repro.attacks.dictionary import UsenetDictionaryAttack
 from repro.corpus.stats import corpus_statistics
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import PAPER_PROFILE, SMALL_PROFILE
-from repro.experiments.crossval import attack_fraction_sweep
+from repro.engine.sweep import SweepSpec, run_attack_sweeps
 from repro.experiments.reporting import format_table
 from repro.rng import SeedSpawner
 
@@ -41,10 +41,9 @@ def _run(scale: str):
     stats = corpus_statistics(inbox)
     for top_k in top_ks:
         attack = UsenetDictionaryAttack.from_vocabulary(corpus.vocabulary, top_k=top_k)
-        points = attack_fraction_sweep(
-            inbox, attack, (0.0, fraction), folds=folds, rng=spawner.rng(f"k{top_k}")
-        )
-        attacked = points[1]
+        spec = SweepSpec(key=attack.name, attack=attack, fractions=(0.0, fraction))
+        (result,) = run_attack_sweeps(inbox, [(spec, spawner.rng(f"k{top_k}"))], folds)
+        attacked = result.points[1]
         token_cost = attacked.attack_message_count * top_k
         rows.append(
             [

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from repro.defenses.roni import RoniConfig
 from repro.experiments.reporting import format_table
-from repro.experiments.roni_exp import RoniExperimentConfig, run_roni_experiment
+from repro.experiments.roni_exp import RoniExperimentConfig
+from repro.scenarios import run_scenario
 
 
 def _run(scale: str):
@@ -31,7 +32,7 @@ def _run(scale: str):
                 corpus_spam=400,
                 seed=11,
             )
-            result = run_roni_experiment(config)
+            result = run_scenario("roni-defense", config=config).result
             validation_ham = validation_size * (1 - config.roni.spam_fraction)
             margin = result.min_attack_impact - result.max_nonattack_impact
             rows.append(

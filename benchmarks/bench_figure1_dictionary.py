@@ -9,27 +9,23 @@ optimal > usenet > aspell holds everywhere.
 
 from __future__ import annotations
 
-from repro.experiments.dictionary_exp import (
-    DictionaryExperimentConfig,
-    run_dictionary_experiment,
-)
+from repro.experiments.dictionary_exp import DictionaryExperimentConfig
 from repro.experiments.paper_targets import FIGURE1_CLAIMS
 from repro.experiments.reporting import render_dictionary_result
+from repro.scenarios import run_scenario
 
 def _config(scale: str, seed: int = 1, workers: int = 1) -> DictionaryExperimentConfig:
-    factory = (
-        DictionaryExperimentConfig.paper_scale
-        if scale == "paper"
-        else DictionaryExperimentConfig.small_scale
-    )
-    return factory(seed=seed, workers=workers)
+    if scale == "paper":
+        return DictionaryExperimentConfig.paper_scale(seed=seed, workers=workers)
+    return DictionaryExperimentConfig(seed=seed, workers=workers)
 
 
 def bench_figure1_dictionary_attacks(benchmark, artifacts, scale, root_seed, workers):
     config = _config(scale, root_seed, workers)
     result = benchmark.pedantic(
-        run_dictionary_experiment, args=(config,), rounds=1, iterations=1
-    )
+        run_scenario, args=("figure1-dictionary",), kwargs={"config": config},
+        rounds=1, iterations=1,
+    ).result
 
     sweeps = result.sweeps
     # Shape assertions: the claims of FIGURE1_CLAIMS.

@@ -9,11 +9,9 @@ insensitive to them — which is why the paper can show one panel.
 
 from __future__ import annotations
 
-from repro.experiments.dictionary_exp import (
-    DictionaryExperimentConfig,
-    run_dictionary_experiment,
-)
+from repro.experiments.dictionary_exp import DictionaryExperimentConfig
 from repro.experiments.reporting import format_table
+from repro.scenarios import run_scenario
 
 
 def _configs(scale: str) -> dict[str, DictionaryExperimentConfig]:
@@ -44,7 +42,7 @@ def _configs(scale: str) -> dict[str, DictionaryExperimentConfig]:
 def bench_figure1_variants(benchmark, artifacts, scale):
     def run_all():
         return {
-            name: run_dictionary_experiment(config)
+            name: run_scenario("figure1-dictionary", config=config).result
             for name, config in _configs(scale).items()
         }
 

@@ -7,12 +7,10 @@ classification of 60% of targets, and p=0.9 sends ~90% to spam.
 
 from __future__ import annotations
 
-from repro.experiments.focused_exp import (
-    FocusedExperimentConfig,
-    run_focused_knowledge_experiment,
-)
+from repro.experiments.focused_exp import FocusedExperimentConfig
 from repro.experiments.paper_targets import FIGURE2_CLAIMS
 from repro.experiments.reporting import render_focused_knowledge_result
+from repro.scenarios import run_scenario
 
 _SMALL = FocusedExperimentConfig(
     inbox_size=1_000,
@@ -32,8 +30,9 @@ def _config(scale: str) -> FocusedExperimentConfig:
 def bench_figure2_focused_knowledge(benchmark, artifacts, scale):
     config = _config(scale)
     result = benchmark.pedantic(
-        run_focused_knowledge_experiment, args=(config,), rounds=1, iterations=1
-    )
+        run_scenario, args=("figure2-focused-knowledge",), kwargs={"config": config},
+        rounds=1, iterations=1,
+    ).result
 
     success = [result.attack_success_rate(p) for p in config.guess_probabilities]
     for earlier, later in zip(success, success[1:]):

@@ -7,12 +7,10 @@ the time, rising steeply with attack size.
 
 from __future__ import annotations
 
-from repro.experiments.focused_exp import (
-    FocusedExperimentConfig,
-    run_focused_size_experiment,
-)
+from repro.experiments.focused_exp import FocusedExperimentConfig
 from repro.experiments.paper_targets import FIGURE3_CLAIMS
 from repro.experiments.reporting import render_focused_size_result
+from repro.scenarios import run_scenario
 
 _SMALL = FocusedExperimentConfig(
     inbox_size=1_000,
@@ -32,8 +30,9 @@ def _config(scale: str) -> FocusedExperimentConfig:
 def bench_figure3_focused_count(benchmark, artifacts, scale):
     config = _config(scale)
     result = benchmark.pedantic(
-        run_focused_size_experiment, args=(config,), rounds=1, iterations=1
-    )
+        run_scenario, args=("figure3-focused-size",), kwargs={"config": config},
+        rounds=1, iterations=1,
+    ).result
 
     rates = [point.ham_misclassified_rate for point in result.points]
     assert rates[0] < 0.1, "clean baseline"

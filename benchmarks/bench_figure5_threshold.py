@@ -10,25 +10,21 @@ from __future__ import annotations
 
 from repro.experiments.paper_targets import FIGURE5_CLAIMS
 from repro.experiments.reporting import render_threshold_result
-from repro.experiments.threshold_exp import (
-    ThresholdExperimentConfig,
-    run_threshold_experiment,
-)
+from repro.experiments.threshold_exp import ThresholdExperimentConfig
+from repro.scenarios import run_scenario
 
 def _config(scale: str, workers: int = 1) -> ThresholdExperimentConfig:
-    factory = (
-        ThresholdExperimentConfig.paper_scale
-        if scale == "paper"
-        else ThresholdExperimentConfig.small_scale
-    )
-    return factory(seed=5, workers=workers)
+    if scale == "paper":
+        return ThresholdExperimentConfig.paper_scale(seed=5, workers=workers)
+    return ThresholdExperimentConfig(seed=5, workers=workers)
 
 
 def bench_figure5_threshold_defense(benchmark, artifacts, scale, workers):
     config = _config(scale, workers)
     result = benchmark.pedantic(
-        run_threshold_experiment, args=(config,), rounds=1, iterations=1
-    )
+        run_scenario, args=("figure5-threshold",), kwargs={"config": config},
+        rounds=1, iterations=1,
+    ).result
 
     undefended = result.series["no-defense"]
     for arm in ("threshold-0.05", "threshold-0.10"):

@@ -9,11 +9,9 @@ blind common-word attacker (Wittel & Wu).
 from __future__ import annotations
 
 from repro.analysis.plots import ascii_line_chart
-from repro.experiments.goodword_exp import (
-    GoodWordExperimentConfig,
-    run_goodword_experiment,
-)
+from repro.experiments.goodword_exp import GoodWordExperimentConfig
 from repro.experiments.reporting import format_table
+from repro.scenarios import run_scenario
 
 _SMALL = GoodWordExperimentConfig(
     inbox_size=1_000, n_test_spam=50, corpus_ham=700, corpus_spam=800, seed=14
@@ -35,7 +33,10 @@ def bench_goodword_evasion_cost(benchmark, artifacts, scale):
         config = GoodWordExperimentConfig(
             **{**config.__dict__, "profile": PAPER_PROFILE}
         )
-    result = benchmark.pedantic(run_goodword_experiment, args=(config,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_scenario, args=("goodword-evasion",), kwargs={"config": config},
+        rounds=1, iterations=1,
+    ).result
 
     oracle = dict(result.evasion["oracle (Lowd-Meek)"])
     blind = dict(result.evasion["common-word (blind)"])

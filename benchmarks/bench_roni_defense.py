@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from repro.experiments.paper_targets import RONI_CLAIMS
 from repro.experiments.reporting import render_roni_result
-from repro.experiments.roni_exp import RoniExperimentConfig, run_roni_experiment
+from repro.experiments.roni_exp import RoniExperimentConfig
+from repro.scenarios import run_scenario
 
 _SMALL = RoniExperimentConfig(
     pool_size=400,
@@ -32,7 +33,10 @@ _PAPER = RoniExperimentConfig(
 
 def bench_roni_defense(benchmark, artifacts, scale):
     config = _PAPER if scale == "paper" else _SMALL
-    result = benchmark.pedantic(run_roni_experiment, args=(config,), rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        run_scenario, args=("roni-defense",), kwargs={"config": config},
+        rounds=1, iterations=1,
+    ).result
 
     threshold = config.roni.ham_as_ham_threshold
     assert result.separable, "attack/non-attack impact distributions separable"

@@ -21,7 +21,7 @@ from repro.attacks.hamlabeled import HamLabeledAttack
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import PAPER_PROFILE, SMALL_PROFILE
 from repro.corpus.dataset import train_grouped
-from repro.experiments.crossval import evaluate_dataset
+from repro.engine.sweep import evaluate_dataset
 from repro.experiments.reporting import format_table
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier

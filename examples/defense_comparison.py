@@ -22,7 +22,7 @@ from repro.attacks import UsenetDictionaryAttack
 from repro.corpus.dataset import Dataset, train_grouped
 from repro.defenses import DynamicThresholdConfig, DynamicThresholdDefense, RoniDefense
 from repro.experiments.attack_data import attack_messages_as_dataset
-from repro.experiments.crossval import attack_message_count, evaluate_dataset
+from repro.engine.sweep import attack_message_count, evaluate_dataset
 from repro.experiments.reporting import format_table
 from repro.rng import SeedSpawner
 

@@ -23,7 +23,7 @@ from repro.attacks import AspellDictionaryAttack, UsenetDictionaryAttack
 from repro.corpus.stats import coverage_report
 from repro.defenses import RoniDefense
 from repro.corpus.dataset import train_grouped
-from repro.experiments.crossval import attack_message_count, evaluate_dataset
+from repro.engine.sweep import attack_message_count, evaluate_dataset
 from repro.rng import SeedSpawner
 
 

@@ -2,18 +2,20 @@
 
 Usage::
 
-    python -m repro table1
-    python -m repro figure1 --scale small --seed 3
-    python -m repro figure2 figure3 roni
-    python -m repro figure1 --workers 4
-    python -m repro all --out results/
     python -m repro list-scenarios
+    python -m repro run-scenario figure1-dictionary --seed 3 --workers 4
+    python -m repro run-scenario figure5-threshold --scale paper --out results/
     python -m repro run-scenario focused-vs-roni --set pool_size=200
     python -m repro replicate dictionary-vs-none --seeds 8 --workers 4
 
-Each artifact command runs the corresponding experiment driver, prints
-the rendered artifact (data table + ASCII figure), and — with
-``--out`` — also writes the text and a machine-readable JSON record.
+Every paper artifact is a registered scenario — ``figure1-dictionary``,
+``figure2-focused-knowledge``, ``figure3-focused-size``,
+``roni-defense`` and ``figure5-threshold`` — so ``run-scenario``
+regenerates each one: it prints the rendered artifact (data table +
+ASCII figure) and, with ``--out``, also writes the text and a
+machine-readable JSON record.  ``--scale paper`` runs the config's
+``paper_scale()`` (Table 1 sizes).  Table 1 itself is printed by
+``benchmarks/bench_table1_params.py``.
 
 ``list-scenarios`` prints the declarative scenario registry
 (:mod:`repro.scenarios`); ``run-scenario <name>`` executes any
@@ -65,118 +67,18 @@ from typing import Any, Callable
 
 from repro.engine.runner import resolve_workers
 from repro.errors import EngineError, ReproError, ScenarioError
-from repro.experiments.dictionary_exp import (
-    DictionaryExperimentConfig,
-    run_dictionary_experiment,
-)
-from repro.experiments.focused_exp import (
-    FocusedExperimentConfig,
-    run_focused_knowledge_experiment,
-    run_focused_size_experiment,
-)
 from repro.experiments.reporting import (
     render_dictionary_result,
     render_focused_knowledge_result,
     render_focused_size_result,
     render_roni_result,
     render_stream_result,
-    render_table1,
     render_threshold_result,
 )
 from repro.experiments.results import save_record
-from repro.experiments.roni_exp import RoniExperimentConfig, run_roni_experiment
-from repro.experiments.threshold_exp import (
-    ThresholdExperimentConfig,
-    run_threshold_experiment,
-)
 
-__all__ = ["main", "ARTIFACTS", "SCENARIO_COMMANDS"]
+__all__ = ["main", "SCENARIO_COMMANDS"]
 
-
-def _dictionary_config(scale: str, seed: int, workers: int = 1) -> DictionaryExperimentConfig:
-    factory = (
-        DictionaryExperimentConfig.paper_scale
-        if scale == "paper"
-        else DictionaryExperimentConfig.small_scale
-    )
-    return factory(seed=seed, workers=workers)
-
-
-def _focused_config(scale: str, seed: int, workers: int = 1) -> FocusedExperimentConfig:
-    factory = (
-        FocusedExperimentConfig.paper_scale
-        if scale == "paper"
-        else FocusedExperimentConfig.small_scale
-    )
-    return factory(seed=seed, workers=workers)
-
-
-def _roni_config(scale: str, seed: int, workers: int = 1) -> RoniExperimentConfig:
-    factory = (
-        RoniExperimentConfig.paper_scale if scale == "paper" else RoniExperimentConfig.small_scale
-    )
-    return factory(seed=seed, workers=workers)
-
-
-def _threshold_config(scale: str, seed: int, workers: int = 1) -> ThresholdExperimentConfig:
-    factory = (
-        ThresholdExperimentConfig.paper_scale
-        if scale == "paper"
-        else ThresholdExperimentConfig.small_scale
-    )
-    return factory(seed=seed, workers=workers)
-
-
-def _run_table1(scale: str, seed: int, workers: int = 1):
-    return None, render_table1(), None
-
-
-def _run_figure1(scale: str, seed: int, workers: int = 1):
-    result = run_dictionary_experiment(_dictionary_config(scale, seed, workers))
-    return result, render_dictionary_result(result), result.to_record()
-
-
-def _run_figure2(scale: str, seed: int, workers: int = 1):
-    result = run_focused_knowledge_experiment(_focused_config(scale, seed, workers))
-    return result, render_focused_knowledge_result(result), result.to_record()
-
-
-def _run_figure3(scale: str, seed: int, workers: int = 1):
-    result = run_focused_size_experiment(_focused_config(scale, seed, workers))
-    return result, render_focused_size_result(result), result.to_record()
-
-
-def _run_roni(scale: str, seed: int, workers: int = 1):
-    result = run_roni_experiment(_roni_config(scale, seed, workers))
-    return result, render_roni_result(result), result.to_record()
-
-
-def _run_figure5(scale: str, seed: int, workers: int = 1):
-    result = run_threshold_experiment(_threshold_config(scale, seed, workers))
-    return result, render_threshold_result(result), result.to_record()
-
-
-ARTIFACTS: dict[str, Callable] = {
-    "table1": _run_table1,
-    "figure1": _run_figure1,
-    "figure2": _run_figure2,
-    "figure3": _run_figure3,
-    "roni": _run_roni,
-    "figure5": _run_figure5,
-}
-"""Artifact name -> runner. ("figure4" panels are produced by
-``benchmarks/bench_figure4_token_shift.py`` and the focused-attack
-example; they need no sweep, only a rendered analysis.)"""
-
-
-SCENARIO_COMMANDS: tuple[str, ...] = (
-    "list-scenarios",
-    "run-scenario",
-    "replicate",
-    "serve",
-    "gc",
-)
-"""Non-artifact subcommands, dispatched ahead of artifact parsing."""
 
 _SCENARIO_RENDERERS: dict[str, Callable] = {
     "dictionary-sweep": render_dictionary_result,
@@ -682,81 +584,36 @@ def _workers_arg(value: str) -> int:
     return int(value)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate artifacts from 'Exploiting Machine Learning "
-        "to Subvert Your Spam Filter' (Nelson et al., 2008).",
-        epilog="Beyond the paper artifacts: 'repro list-scenarios' prints "
-        "the declarative scenario registry and 'repro run-scenario <name> "
-        "[--set key=value ...]' executes any registered scenario.",
-    )
-    parser.add_argument(
-        "artifacts",
-        nargs="+",
-        choices=sorted(ARTIFACTS) + ["all"],
-        help="which paper artifacts to regenerate",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=("small", "paper"),
-        default="small",
-        help="small = 1/10-scale (default, ~minutes); paper = Table 1 sizes",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="root random seed")
-    parser.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=1,
-        help="worker processes for the experiment engine "
-        "(default 1 = sequential, 0 = one per CPU; results are "
-        "identical at any value)",
-    )
-    parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="directory for .txt artifacts and .json records",
-    )
-    return parser
+SCENARIO_COMMANDS: dict[str, Callable[[list[str]], int]] = {
+    "list-scenarios": lambda argv: _main_list_scenarios(),
+    "run-scenario": _main_run_scenario,
+    "replicate": _main_replicate,
+    "serve": _main_serve,
+    "gc": _main_gc,
+}
+"""Every command :func:`main` dispatches on, mapped to its handler
+(which parses the rest of the arguments)."""
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # Scenario subcommands dispatch before artifact parsing: they have
-    # their own grammar (a scenario name is not an artifact choice).
-    if argv and argv[0] == "list-scenarios":
-        return _main_list_scenarios()
-    if argv and argv[0] == "run-scenario":
-        return _main_run_scenario(argv[1:])
-    if argv and argv[0] == "replicate":
-        return _main_replicate(argv[1:])
-    if argv and argv[0] == "serve":
-        return _main_serve(argv[1:])
-    if argv and argv[0] == "gc":
-        return _main_gc(argv[1:])
-    args = build_parser().parse_args(argv)
-    names = sorted(ARTIFACTS) if "all" in args.artifacts else list(dict.fromkeys(args.artifacts))
-    try:
-        if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            runner = ARTIFACTS[name]
-            print(f"=== {name} (scale={args.scale}, seed={args.seed}) ===")
-            _, text, record = runner(args.scale, args.seed, args.workers)
-            print(text)
-            print()
-            if args.out is not None:
-                (args.out / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-                if record is not None:
-                    save_record(record, args.out / f"{name}.json")
-    except ReproError as exc:
-        # Engine failures (worker crashes past the retry budget, map
-        # deadlines) and experiment errors alike: one diagnostic line
-        # and a nonzero exit, never a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce 'Exploiting Machine Learning to Subvert "
+        "Your Spam Filter' (Nelson et al., 2008).  Each paper artifact "
+        "is a registered scenario: 'repro list-scenarios' prints the "
+        "catalogue and 'repro run-scenario <name>' runs one.",
+    )
+    parser.add_argument(
+        "command",
+        choices=SCENARIO_COMMANDS,
+        help="see 'repro <command> --help' for its arguments",
+    )
+    # Only the first word is the top level's: no command, an unknown
+    # one or --help exits here with the usage line naming every command
+    # (status 2, or 0 for --help); the rest goes to the command.
+    command = parser.parse_args(argv[:1]).command
+    return SCENARIO_COMMANDS[command](argv[1:])
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

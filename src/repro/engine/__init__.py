@@ -24,8 +24,8 @@ those units across worker processes without changing a single result:
   scenario at N root seeds, one whole replica per worker process,
   pooled into a
   :class:`~repro.experiments.results.ReplicatedRecord` with per-point
-  mean/std/95%-CI error bars.  (Imported lazily by
-  :mod:`repro.scenarios`, which re-exports ``replicate_scenario``.)
+  mean/std/95%-CI error bars (:mod:`repro.scenarios` re-exports
+  ``replicate_scenario``);
 * :mod:`repro.engine.supervise` — the supervision policy, its stats
   ledger and ambient policy resolution;
 * :mod:`repro.engine.faults` — deterministic, seed-driven fault
@@ -34,45 +34,7 @@ those units across worker processes without changing a single result:
 * :mod:`repro.engine.checkpoint` — per-replica checkpoints so a killed
   replication resumes, reproducing uninterrupted output byte-for-byte.
 
-Every experiment driver accepts ``workers`` in its config (surfaced as
+Every experiment config accepts ``workers`` (surfaced as
 ``--workers N`` on the CLI).  The default of 1 runs everything in the
 parent process; any other value changes wall-clock time only.
 """
-
-from repro.engine.checkpoint import ReplicaStore
-from repro.engine.faults import FaultPlan, FaultSpec, parse_faults, use_faults
-from repro.engine.runner import ParallelRunner, WorkerPool, resolve_workers
-from repro.engine.seeding import drawn_seeds, resolve_root_seed
-from repro.engine.supervise import SupervisePolicy, current_policy, use_supervision
-from repro.engine.sweep import (
-    AttackSweepPoint,
-    IncrementalAttackTrainer,
-    SweepResult,
-    SweepSpec,
-    attack_message_count,
-    evaluate_dataset,
-    run_attack_sweeps,
-)
-
-__all__ = [
-    "FaultPlan",
-    "FaultSpec",
-    "ParallelRunner",
-    "ReplicaStore",
-    "SupervisePolicy",
-    "WorkerPool",
-    "current_policy",
-    "parse_faults",
-    "resolve_workers",
-    "use_faults",
-    "use_supervision",
-    "drawn_seeds",
-    "resolve_root_seed",
-    "AttackSweepPoint",
-    "IncrementalAttackTrainer",
-    "SweepResult",
-    "SweepSpec",
-    "attack_message_count",
-    "evaluate_dataset",
-    "run_attack_sweeps",
-]

@@ -40,8 +40,7 @@ value like the rest of it, and workers score stripes straight off it.
 The shared primitives the experiment drivers use (dataset evaluation,
 the incremental attack trainer, and grouped training, which lives in
 :mod:`repro.corpus.dataset` so the defenses can train through it too)
-are exported here; :mod:`repro.experiments.crossval` re-exports them
-under their historical names.
+are exported here.
 """
 
 from __future__ import annotations
@@ -49,22 +48,20 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.attacks.base import Attack, AttackBatch
 from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
 from repro.engine.runner import ParallelRunner, resolve_workers
 from repro.engine.seeding import drawn_seeds
 from repro.errors import EngineError, ExperimentError
+from repro.experiments.metrics import ConfusionCounts
 from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.filter import Label
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.token_table import TokenTable
 from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
-
-if TYPE_CHECKING:  # runtime import would cycle through repro.experiments
-    from repro.experiments.metrics import ConfusionCounts
 
 __all__ = [
     "AttackSweepPoint",
@@ -77,15 +74,6 @@ __all__ = [
     "evaluation_workspace",
     "run_attack_sweeps",
 ]
-
-
-def _confusion_counts():
-    # Imported lazily: repro.experiments.__init__ imports crossval,
-    # which imports this module, so a module-level import of
-    # repro.experiments.metrics would be circular.
-    from repro.experiments.metrics import ConfusionCounts
-
-    return ConfusionCounts
 
 
 def attack_message_count(base_size: int, fraction: float) -> int:
@@ -131,7 +119,7 @@ def evaluate_dataset(
     ham_only: bool = False,
     cutoffs: tuple[float, float] | None = None,
     workspace: "ndkernel.ScoringWorkspace | None" = None,
-) -> "ConfusionCounts":
+) -> ConfusionCounts:
     """Classify ``messages`` and tally a confusion matrix.
 
     Scores through :meth:`Classifier.score_many_ids`, the columnar bulk
@@ -161,7 +149,7 @@ def evaluate_dataset(
 
 def tally_scores(
     labels: Iterable[bool], scores: Iterable[float], cutoffs: tuple[float, float]
-) -> "ConfusionCounts":
+) -> ConfusionCounts:
     """Tally a confusion matrix from true labels (``True`` = spam) and
     scores under ``cutoffs = (θ0, θ1)``.
 
@@ -170,7 +158,7 @@ def tally_scores(
     experiment).
     """
     ham_cutoff, spam_cutoff = cutoffs
-    counts = _confusion_counts()()
+    counts = ConfusionCounts()
     for is_spam, score in zip(labels, scores):
         if score <= ham_cutoff:
             label = Label.HAM
@@ -188,7 +176,7 @@ class AttackSweepPoint:
 
     attack_fraction: float
     attack_message_count: int
-    confusion: "ConfusionCounts"
+    confusion: ConfusionCounts
 
 
 class IncrementalAttackTrainer:
@@ -481,19 +469,18 @@ def run_attack_sweeps(
     )
     per_task = ParallelRunner(workers).map(_run_fold_task, context, tasks)
 
-    confusion_counts = _confusion_counts()
     results: dict[str, SweepResult] = {}
     for spec, _ in specs:
         counts = payloads[spec.key].counts
         results[spec.key] = SweepResult(
             spec.key,
             [
-                AttackSweepPoint(fraction, count, confusion_counts())
+                AttackSweepPoint(fraction, count, ConfusionCounts())
                 for fraction, count in zip(spec.fractions, counts)
             ],
         )
     for task, confusions in zip(tasks, per_task):
         points = results[task.spec_key].points
         for point, confusion in zip(points, confusions):
-            point.confusion.merge(confusion_counts.from_dict(confusion))
+            point.confusion.merge(ConfusionCounts.from_dict(confusion))
     return [results[key] for key in keys]

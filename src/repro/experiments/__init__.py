@@ -1,7 +1,5 @@
 """The paper's experimental protocol (Section 4) and defenses
-evaluation (Section 5), as runnable experiment drivers.
-
-One module per paper artifact:
+evaluation (Section 5): one definition module per paper artifact.
 
 * :mod:`repro.experiments.params` — Table 1 parameters,
 * :mod:`repro.experiments.dictionary_exp` — Figure 1,
@@ -10,7 +8,7 @@ One module per paper artifact:
 * :mod:`repro.experiments.roni_exp` — the Section 5.1 RONI numbers,
 * :mod:`repro.experiments.threshold_exp` — Figure 5,
 
-a beyond-the-paper driver:
+a beyond-the-paper experiment:
 
 * :mod:`repro.experiments.goodword_exp` — Lowd & Meek evasion costs
   (the Exploratory/Integrity quadrant of the Section 3.1 taxonomy),
@@ -18,79 +16,19 @@ a beyond-the-paper driver:
 plus shared machinery:
 
 * :mod:`repro.experiments.metrics` — three-way confusion accounting,
-* :mod:`repro.experiments.crossval` — K-fold incremental attack
-  sweeps (facade over the parallel :mod:`repro.engine`),
 * :mod:`repro.experiments.results` — serializable result records,
 * :mod:`repro.experiments.reporting` — ASCII rendering of results,
 * :mod:`repro.experiments.paper_targets` — the paper's reported values
   for shape comparison.
 
-All drivers take explicit size parameters with laptop-friendly
-defaults; pass :func:`repro.experiments.params.paper_scale` configs to
-run the full Table-1 sizes.  Every config accepts ``workers`` to fan
-its independent units out across processes (results identical at any
-worker count).
-
-Since PR 3 each driver module is the experiment's *definition*
-(config + result dataclasses + picklable fan-out workers) while the
-orchestration lives in the declarative scenario layer
-(:mod:`repro.scenarios`): ``run_*_experiment`` delegates to the
-registered scenario through the generic
-:func:`repro.scenarios.run_scenario` executor, bit-identically.
+Each experiment module holds the experiment's config and result
+dataclasses and its picklable fan-out workers.  Running one is the
+registered scenario's job: ``run_scenario("figure1-dictionary",
+config=...)`` in :mod:`repro.scenarios`, or ``python -m repro
+run-scenario figure1-dictionary`` from a shell.  The config defaults
+are laptop-scale; ``paper_scale()`` (``--scale paper``) gives the
+full Table 1 sizes.  Every config accepts ``workers`` to fan its
+independent units out across processes (results identical at any
+worker count).  The K-fold attack sweep behind Figures 1 and 5 is
+:mod:`repro.engine.sweep`.
 """
-
-from repro.experiments.metrics import ConfusionCounts
-from repro.experiments.crossval import (
-    AttackSweepPoint,
-    attack_fraction_sweep,
-)
-from repro.experiments.dictionary_exp import (
-    DictionaryExperimentConfig,
-    DictionaryExperimentResult,
-    run_dictionary_experiment,
-)
-from repro.experiments.focused_exp import (
-    FocusedExperimentConfig,
-    FocusedKnowledgeResult,
-    FocusedSizeResult,
-    run_focused_knowledge_experiment,
-    run_focused_size_experiment,
-)
-from repro.experiments.goodword_exp import (
-    GoodWordExperimentConfig,
-    GoodWordExperimentResult,
-    run_goodword_experiment,
-)
-from repro.experiments.roni_exp import (
-    RoniExperimentConfig,
-    RoniExperimentResult,
-    run_roni_experiment,
-)
-from repro.experiments.threshold_exp import (
-    ThresholdExperimentConfig,
-    ThresholdExperimentResult,
-    run_threshold_experiment,
-)
-
-__all__ = [
-    "ConfusionCounts",
-    "AttackSweepPoint",
-    "attack_fraction_sweep",
-    "GoodWordExperimentConfig",
-    "GoodWordExperimentResult",
-    "run_goodword_experiment",
-    "DictionaryExperimentConfig",
-    "DictionaryExperimentResult",
-    "run_dictionary_experiment",
-    "FocusedExperimentConfig",
-    "FocusedKnowledgeResult",
-    "FocusedSizeResult",
-    "run_focused_knowledge_experiment",
-    "run_focused_size_experiment",
-    "RoniExperimentConfig",
-    "RoniExperimentResult",
-    "run_roni_experiment",
-    "ThresholdExperimentConfig",
-    "ThresholdExperimentResult",
-    "run_threshold_experiment",
-]

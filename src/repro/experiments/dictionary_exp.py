@@ -10,8 +10,8 @@ Variants, in the paper's legend order: *optimal* (every token the
 victim can see), *usenet* (top-k Usenet words), *aspell* (the English
 dictionary).
 
-This module is the experiment's *definition* — its config, its result
-shape, its public entry point.  Execution is the registered
+This module is the experiment's *definition* — its config and its
+result shape.  Execution is the registered
 ``figure1-dictionary`` scenario
 (:func:`repro.scenarios.protocols.run_dictionary_sweep` through the
 generic :func:`repro.scenarios.run_scenario` executor).
@@ -22,20 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.attacks.base import Attack
-from repro.attacks.variants import build_attack_variants as _build_attack_variants
-from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
 from repro.errors import ExperimentError
-from repro.experiments.crossval import AttackSweepPoint
+from repro.engine.sweep import AttackSweepPoint
 from repro.experiments.results import CurvePoint, ExperimentRecord, Series
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 
 __all__ = [
     "DictionaryExperimentConfig",
     "DictionaryExperimentResult",
-    "build_attack_variants",
-    "run_dictionary_experiment",
 ]
 
 PAPER_FRACTIONS = (0.0, 0.001, 0.005, 0.01, 0.02, 0.05, 0.10)
@@ -75,18 +70,6 @@ class DictionaryExperimentConfig:
                 f"{needed_ham} ham / {needed_spam} spam, corpus has "
                 f"{self.corpus_ham} / {self.corpus_spam}"
             )
-
-    @classmethod
-    def small_scale(cls, seed: int = 0, workers: int = 1) -> "DictionaryExperimentConfig":
-        """The standard 1/10-scale run the CLI and benchmarks share."""
-        return cls(
-            inbox_size=1_000,
-            folds=3,
-            corpus_ham=700,
-            corpus_spam=700,
-            seed=seed,
-            workers=workers,
-        )
 
     @classmethod
     def paper_scale(cls, seed: int = 0, workers: int = 1) -> "DictionaryExperimentConfig":
@@ -136,28 +119,3 @@ class DictionaryExperimentResult:
             },
             series=series,
         )
-
-
-def build_attack_variants(
-    corpus: TrecStyleCorpus, variants: Sequence[str], seed: int = 0
-) -> dict[str, Attack]:
-    """Instantiate the named attack variants for ``corpus``.
-
-    Historical Figure 1 entry point, now a facade over the shared
-    catalogue (:func:`repro.attacks.variants.build_attack_variants`),
-    so it accepts every catalogued name, not just the Figure 1 trio.
-    """
-    return _build_attack_variants(corpus, variants, seed=seed)
-
-
-def run_dictionary_experiment(
-    config: DictionaryExperimentConfig = DictionaryExperimentConfig(),
-) -> DictionaryExperimentResult:
-    """Run the Figure 1 experiment end to end.
-
-    Delegates to the ``figure1-dictionary`` scenario; results are
-    bit-identical to the historical inline driver at any worker count.
-    """
-    from repro.scenarios import run_scenario  # late: scenarios imports this module
-
-    return run_scenario("figure1-dictionary", config=config).result

@@ -57,8 +57,6 @@ __all__ = [
     "FocusedExperimentConfig",
     "FocusedKnowledgeResult",
     "FocusedSizeResult",
-    "run_focused_knowledge_experiment",
-    "run_focused_size_experiment",
 ]
 
 PAPER_GUESS_PROBABILITIES = (0.1, 0.3, 0.5, 0.9)
@@ -98,20 +96,6 @@ class FocusedExperimentConfig:
             raise ExperimentError(
                 f"corpus_ham={self.corpus_ham} too small: inbox + targets need {needed_ham}"
             )
-
-    @classmethod
-    def small_scale(cls, seed: int = 0, workers: int = 1) -> "FocusedExperimentConfig":
-        """The standard 1/5-scale run the CLI and benchmarks share."""
-        return cls(
-            inbox_size=1_000,
-            n_targets=10,
-            repetitions=2,
-            attack_count=60,
-            corpus_ham=700,
-            corpus_spam=700,
-            seed=seed,
-            workers=workers,
-        )
 
     @classmethod
     def paper_scale(cls, seed: int = 0, workers: int = 1) -> "FocusedExperimentConfig":
@@ -294,16 +278,6 @@ class FocusedKnowledgeResult:
         )
 
 
-def run_focused_knowledge_experiment(
-    config: FocusedExperimentConfig = FocusedExperimentConfig(),
-) -> FocusedKnowledgeResult:
-    """Run the Figure 2 experiment (the ``figure2-focused-knowledge``
-    scenario); bit-identical to the historical inline driver."""
-    from repro.scenarios import run_scenario  # late: scenarios imports this module
-
-    return run_scenario("figure2-focused-knowledge", config=config).result
-
-
 @dataclass
 class FocusedSizeResult:
     """Figure 3: target misclassification vs number of attack emails."""
@@ -323,14 +297,3 @@ class FocusedSizeResult:
             },
             series=[Series(name="target", points=self.points)],
         )
-
-
-def run_focused_size_experiment(
-    config: FocusedExperimentConfig = FocusedExperimentConfig(),
-) -> FocusedSizeResult:
-    """Run the Figure 3 experiment (p fixed, attack size swept) — the
-    ``figure3-focused-size`` scenario; bit-identical to the historical
-    inline driver."""
-    from repro.scenarios import run_scenario  # late: scenarios imports this module
-
-    return run_scenario("figure3-focused-size", config=config).result

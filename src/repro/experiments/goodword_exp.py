@@ -30,7 +30,7 @@ from repro.spambayes.classifier import Classifier
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.tokenizer import DEFAULT_TOKENIZER
 
-__all__ = ["GoodWordExperimentConfig", "GoodWordExperimentResult", "run_goodword_experiment"]
+__all__ = ["GoodWordExperimentConfig", "GoodWordExperimentResult"]
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,3 @@ def _evade_one_message(context: _GoodWordContext, email: Email) -> dict[str, lis
             flags.append(score <= context.spam_cutoff)
         outcome[model_name] = flags
     return outcome
-
-
-def run_goodword_experiment(
-    config: GoodWordExperimentConfig = GoodWordExperimentConfig(),
-) -> GoodWordExperimentResult:
-    """Measure evasion rate vs word budget for both knowledge models —
-    the ``goodword-evasion`` scenario; bit-identical to the historical
-    inline driver."""
-    from repro.scenarios import run_scenario  # late: scenarios imports this module
-
-    return run_scenario("goodword-evasion", config=config).result

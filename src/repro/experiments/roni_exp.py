@@ -41,7 +41,7 @@ from repro.rng import SeedSpawner
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.token_table import TokenTable
 
-__all__ = ["RoniExperimentConfig", "RoniExperimentResult", "run_roni_experiment"]
+__all__ = ["RoniExperimentConfig", "RoniExperimentResult"]
 
 PAPER_VARIANTS = (
     "optimal",
@@ -80,19 +80,6 @@ class RoniExperimentConfig:
             raise ExperimentError("need at least one non-attack spam query")
         if self.repetitions_per_variant < 1:
             raise ExperimentError("need at least one repetition per variant")
-
-    @classmethod
-    def small_scale(cls, seed: int = 0, workers: int = 1) -> "RoniExperimentConfig":
-        """The standard reduced run the CLI and benchmarks share."""
-        return cls(
-            pool_size=400,
-            n_nonattack_spam=60,
-            repetitions_per_variant=6,
-            corpus_ham=400,
-            corpus_spam=400,
-            seed=seed,
-            workers=workers,
-        )
 
     @classmethod
     def paper_scale(cls, seed: int = 0, workers: int = 1) -> "RoniExperimentConfig":
@@ -236,13 +223,3 @@ def _measure_spam_batch(
         measurement.ham_as_ham_decrease
         for measurement in defense.measure_many(list(queries))
     ]
-
-
-def run_roni_experiment(
-    config: RoniExperimentConfig = RoniExperimentConfig(),
-) -> RoniExperimentResult:
-    """Run the Section 5.1 evaluation end to end — the ``roni-defense``
-    scenario; bit-identical to the historical inline driver."""
-    from repro.scenarios import run_scenario  # late: scenarios imports this module
-
-    return run_scenario("roni-defense", config=config).result

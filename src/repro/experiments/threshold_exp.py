@@ -52,7 +52,6 @@ from repro.spambayes.tokenizer import Tokenizer
 __all__ = [
     "ThresholdExperimentConfig",
     "ThresholdExperimentResult",
-    "run_threshold_experiment",
 ]
 
 PAPER_FRACTIONS = (0.0, 0.001, 0.01, 0.05, 0.10)
@@ -76,18 +75,6 @@ class ThresholdExperimentConfig:
     workers: int = 1
     """Worker processes for the fold fan-out (results identical at any
     value)."""
-
-    @classmethod
-    def small_scale(cls, seed: int = 0, workers: int = 1) -> "ThresholdExperimentConfig":
-        """The standard 1/10-scale run the CLI and benchmarks share."""
-        return cls(
-            inbox_size=1_000,
-            folds=3,
-            corpus_ham=700,
-            corpus_spam=700,
-            seed=seed,
-            workers=workers,
-        )
 
     @classmethod
     def paper_scale(cls, seed: int = 0, workers: int = 1) -> "ThresholdExperimentConfig":
@@ -205,14 +192,3 @@ def _run_threshold_fold(
         return static_arm, fitted_arms
     finally:
         classifier.restore(snap)
-
-
-def run_threshold_experiment(
-    config: ThresholdExperimentConfig = ThresholdExperimentConfig(),
-) -> ThresholdExperimentResult:
-    """Run the Figure 5 experiment end to end — the
-    ``figure5-threshold`` scenario; bit-identical to the historical
-    inline driver."""
-    from repro.scenarios import run_scenario  # late: scenarios imports this module
-
-    return run_scenario("figure5-threshold", config=config).result

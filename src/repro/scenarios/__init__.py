@@ -12,10 +12,10 @@ process-safe registry, executed by one generic :func:`run_scenario`.
     outcome = run_scenario("figure1-dictionary", overrides={"folds": 2})
     print(outcome.record_dict())
 
-The historical ``run_*_experiment`` entry points delegate here, and
 ``python -m repro run-scenario <name> [--set key=value ...]`` exposes
-the same path from a shell.  Adding a new composition is a ~20-line
-:func:`register_scenario` call — see
+the same path from a shell; each paper figure is one registered
+scenario (``figure1-dictionary``, ``figure5-threshold``, …).  Adding
+a new composition is a ~20-line :func:`register_scenario` call — see
 :mod:`repro.scenarios.builtin` for the catalogue and
 ``docs/experiments.md`` for a how-to.
 

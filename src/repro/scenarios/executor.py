@@ -1,13 +1,11 @@
 """The generic scenario executor.
 
-``run_scenario`` is the one entry point every experiment now runs
+``run_scenario`` is the one entry point every experiment runs
 through: resolve the scenario (by name or spec), materialize its
 config (defaults → overrides → seed/workers), dispatch to the
 registered protocol, and wrap the outcome with its serializable
-record.  The historical ``run_*_experiment`` functions are thin
-delegations into this path, so "the Figure 1 driver" and
-``repro run-scenario figure1-dictionary`` are the same code executing
-the same seed streams — bit for bit.
+record.  Library callers and ``repro run-scenario`` (and, per
+replica, ``repro replicate``) all take this path.
 """
 
 from __future__ import annotations

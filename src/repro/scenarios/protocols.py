@@ -13,15 +13,13 @@ five bespoke drivers:
 * one **protocol function** per fan-out shape, registered in
   :data:`PROTOCOLS` under the name scenario specs declare.
 
-Each protocol takes the experiment config dataclass its historical
-driver took and returns the same result object, reproducing the
-driver's output bit for bit — the seed-stream labels, rng draw order
-and engine calls are preserved exactly (`tests/test_scenarios.py` and
-``benchmarks/bench_scenario_overhead.py`` hold executor and drivers
-side by side).  The experiment modules keep their config/result
-types, worker functions and contexts (worker functions must stay at a
-stable pickle path for the process fan-out); what moved here is the
-orchestration that used to be copy-pasted five times.
+Each protocol takes an experiment config dataclass and returns that
+experiment's result object; the golden records in ``tests/golden/``
+pin every protocol's output bytes.  The experiment modules keep their
+config/result types, worker functions and contexts (worker functions
+must stay at a stable pickle path for the process fan-out); what
+lives here is the orchestration that used to be copy-pasted five
+times.
 
 Attack grids resolve through the shared catalogue
 (:func:`repro.attacks.variants.build_attack_variants`), so a scenario
@@ -47,7 +45,6 @@ from repro.experiments import dictionary_exp, focused_exp, goodword_exp, roni_ex
 from repro.experiments.metrics import ConfusionCounts
 from repro.experiments.results import CurvePoint
 from repro.rng import SeedSpawner
-from repro.spambayes.classifier import Classifier
 from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.filter import Label
 from repro.spambayes.tokenizer import DEFAULT_TOKENIZER

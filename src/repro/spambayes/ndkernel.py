@@ -560,8 +560,10 @@ class NDClassifier(Classifier):
                 denominator = spam_ratio + ham_ratio
                 ps = np.full(size, unknown, dtype=np.float64)
                 np.divide(spam_ratio, denominator, out=ps, where=denominator != 0.0)
-        prob = (s * unknown + n * ps) / (s + n)
-        np.copyto(prob, unknown, where=(n == 0))
+        # Zero-count tokens keep ``unknown`` without dividing: at
+        # unknown_word_strength 0 their quotient would be 0/0.
+        prob = np.full(size, unknown, dtype=np.float64)
+        np.divide(s * unknown + n * ps, s + n, out=prob, where=n != 0)
         return prob
 
     def _nd_build_order(self, table_len: int) -> "np.ndarray":

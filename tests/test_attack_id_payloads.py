@@ -28,9 +28,8 @@ from repro.attacks.knowledge import EmpiricalHamDistribution, budgeted_attack
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.roni import RoniDefense
-from repro.engine.sweep import IncrementalAttackTrainer
+from repro.engine.sweep import IncrementalAttackTrainer, SweepSpec, run_attack_sweeps
 from repro.corpus.dataset import train_grouped
-from repro.experiments.crossval import attack_fraction_sweep
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.token_table import TokenTable
 
@@ -188,15 +187,17 @@ class TestSweepEquivalenceAcrossWorkers:
 
     @pytest.mark.parametrize("name", ["usenet", "focused"])
     def test_engine_identical_across_workers(self, corpus, inbox, name):
-        attack = _all_attacks(corpus, inbox)[name]
+        spec = SweepSpec(
+            key=name, attack=_all_attacks(corpus, inbox)[name], fractions=self.FRACTIONS
+        )
         signatures = {}
         for workers in WORKER_COUNTS:
-            points = attack_fraction_sweep(
-                inbox, attack, self.FRACTIONS, 3, random.Random(21), workers=workers
+            (result,) = run_attack_sweeps(
+                inbox, [(spec, random.Random(21))], 3, workers=workers
             )
             signatures[workers] = [
                 (p.attack_fraction, p.attack_message_count, p.confusion.as_dict())
-                for p in points
+                for p in result.points
             ]
         assert signatures[1] == signatures[2]
         # The top fraction trains attack mail into every fold.

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.cli import ARTIFACTS, build_parser, main
+from repro.cli import SCENARIO_COMMANDS, build_run_scenario_parser, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 FAST_SCENARIO_ARGS = [
     "--set", "ticks=2",
@@ -17,70 +23,86 @@ FAST_SCENARIO_ARGS = [
 """Overrides that make `stream-clean-control` run in well under a second."""
 
 
+PAPER_ARTIFACT_SCENARIOS = (
+    "figure1-dictionary",
+    "figure2-focused-knowledge",
+    "figure3-focused-size",
+    "roni-defense",
+    "figure5-threshold",
+)
+
+
 class TestParser:
-    def test_requires_artifact(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args([])
+    """The top level knows only the commands in ``SCENARIO_COMMANDS``;
+    anything else is argparse's usage error, which names them all."""
 
-    def test_rejects_unknown_artifact(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure9"])
+    def _usage_error(self, capsys, argv: list[str]) -> str:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "Traceback" not in err
+        for command in SCENARIO_COMMANDS:
+            assert command in err
+        return err
 
-    def test_defaults(self):
-        args = build_parser().parse_args(["table1"])
+    def test_requires_command(self, capsys):
+        assert "required: command" in self._usage_error(capsys, [])
+
+    @pytest.mark.parametrize("word", ["figure1", "table1", "all", "--seed"])
+    def test_rejects_artifact_names_and_stray_flags(self, capsys, word):
+        self._usage_error(capsys, [word])
+
+    def test_help_lists_the_commands(self):
+        env = os.environ.copy()
+        env["PYTHONPATH"] = SRC + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.startswith("usage: repro")
+        assert "Traceback" not in completed.stderr
+        for command in SCENARIO_COMMANDS:
+            assert command in completed.stdout
+
+    def test_run_scenario_defaults(self):
+        args = build_run_scenario_parser().parse_args(["figure1-dictionary"])
         assert args.scale == "small"
         assert args.seed == 0
         assert args.workers == 1
         assert args.out is None
 
-    def test_all_artifacts_registered(self):
-        assert set(ARTIFACTS) == {"table1", "figure1", "figure2", "figure3", "roni", "figure5"}
+    def test_every_paper_artifact_is_a_scenario(self):
+        from repro.scenarios import scenario_names
+
+        assert set(PAPER_ARTIFACT_SCENARIOS) <= set(scenario_names())
 
 
 class TestExecution:
-    def test_table1_prints(self, capsys):
-        assert main(["table1"]) == 0
-        output = capsys.readouterr().out
-        assert "=== table1" in output
-        assert "Dictionary Attack" in output
-        assert "10,000" in output
-
-    def test_out_writes_text_and_json(self, tmp_path, capsys):
-        # figure3 with tiny scale would still be slow; table1 writes txt
-        # only (no record). Use table1 for the txt path and verify the
-        # record path shape with a monkeypatched fast artifact.
-        assert main(["table1", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "table1.txt").exists()
-        assert not (tmp_path / "table1.json").exists()
-
-    def test_duplicate_artifacts_run_once(self, capsys):
-        assert main(["table1", "table1"]) == 0
-        output = capsys.readouterr().out
-        assert output.count("=== table1") == 1
-
-    def test_fast_experiment_roundtrip(self, tmp_path, capsys, monkeypatch):
-        """Run a real (but tiny) figure3 through the CLI and check the
+    def test_fast_experiment_roundtrip(self, tmp_path, capsys):
+        """Run a real (but tiny) Figure 3 through the CLI and check the
         JSON record parses."""
-        from repro.experiments.focused_exp import FocusedExperimentConfig
-        import repro.cli as cli
-
-        def tiny_config(scale, seed, workers=1):
-            return FocusedExperimentConfig(
-                inbox_size=200,
-                n_targets=3,
-                repetitions=1,
-                attack_count=12,
-                corpus_ham=250,
-                corpus_spam=250,
-                size_sweep_fractions=(0.0, 0.05),
-                seed=seed,
-            )
-
-        monkeypatch.setattr(cli, "_focused_config", tiny_config)
-        assert main(["figure3", "--out", str(tmp_path)]) == 0
-        record = json.loads((tmp_path / "figure3.json").read_text())
+        tiny = [
+            "--set", "inbox_size=200",
+            "--set", "n_targets=3",
+            "--set", "repetitions=1",
+            "--set", "attack_count=12",
+            "--set", "corpus_ham=250",
+            "--set", "corpus_spam=250",
+            "--set", "size_sweep_fractions=(0.0, 0.05)",
+        ]
+        argv = ["run-scenario", "figure3-focused-size", *tiny, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        record = json.loads((tmp_path / "figure3-focused-size.json").read_text())
         assert record["experiment"] == "figure3-focused-size"
         assert record["series"][0]["points"]
+        assert (tmp_path / "figure3-focused-size.txt").exists()
         output = capsys.readouterr().out
         assert "Figure 3" in output
 
@@ -236,7 +258,7 @@ class TestFaultToleranceSurface:
 
     def test_gc_shm_is_not_a_command(self, capsys):
         # The shared-memory janitor went with the transport; the name
-        # now falls through to artifact parsing and is rejected there.
+        # is now an unknown command and gets the usage error.
         with pytest.raises(SystemExit) as excinfo:
             main(["gc-shm"])
         assert excinfo.value.code == 2

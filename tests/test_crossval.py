@@ -12,11 +12,12 @@ import pytest
 from repro.attacks.dictionary import DictionaryAttack
 from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
 from repro.errors import ExperimentError
-from repro.experiments.crossval import (
-    _IncrementalAttackTrainer,
-    attack_fraction_sweep,
+from repro.engine.sweep import (
+    IncrementalAttackTrainer,
+    SweepSpec,
     attack_message_count,
     evaluate_dataset,
+    run_attack_sweeps,
 )
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier
@@ -114,7 +115,7 @@ class TestIncrementalTrainer:
 
         incremental = Classifier()
         train_grouped(incremental, dataset)
-        trainer = _IncrementalAttackTrainer(incremental, batch)
+        trainer = IncrementalAttackTrainer(incremental, batch)
         for target in (0, 5, 12, 20):
             trainer.advance_to(target)
             scratch = Classifier()
@@ -127,7 +128,7 @@ class TestIncrementalTrainer:
     def test_rejects_descending_targets(self):
         classifier = Classifier()
         batch = DictionaryAttack(["a"]).generate(5, SeedSpawner(1).rng("x"))
-        trainer = _IncrementalAttackTrainer(classifier, batch)
+        trainer = IncrementalAttackTrainer(classifier, batch)
         trainer.advance_to(3)
         with pytest.raises(ExperimentError):
             trainer.advance_to(2)
@@ -135,16 +136,23 @@ class TestIncrementalTrainer:
     def test_rejects_overdraw(self):
         classifier = Classifier()
         batch = DictionaryAttack(["a"]).generate(5, SeedSpawner(1).rng("x"))
-        trainer = _IncrementalAttackTrainer(classifier, batch)
+        trainer = IncrementalAttackTrainer(classifier, batch)
         with pytest.raises(ExperimentError):
             trainer.advance_to(6)
+
+
+def sweep_points(dataset, attack, fractions, folds, rng):
+    """One attack's K-fold contamination sweep, a point per fraction."""
+    spec = SweepSpec(key="attack", attack=attack, fractions=fractions)
+    (result,) = run_attack_sweeps(dataset, [(spec, rng)], folds)
+    return result.points
 
 
 class TestSweep:
     def test_sweep_shapes(self):
         dataset = toy_dataset(60)
         attack = DictionaryAttack({f"meeting", "notes"} | {f"w{i}" for i in range(20)})
-        points = attack_fraction_sweep(
+        points = sweep_points(
             dataset, attack, (0.0, 0.05, 0.10), folds=3, rng=SeedSpawner(2).rng("s")
         )
         assert [p.attack_fraction for p in points] == [0.0, 0.05, 0.10]
@@ -158,7 +166,7 @@ class TestSweep:
         attack = DictionaryAttack(
             {"meeting", "notes"} | {f"item{i}" for i in range(30)}
         )
-        points = attack_fraction_sweep(
+        points = sweep_points(
             dataset, attack, (0.0, 0.2), folds=3, rng=SeedSpawner(3).rng("s")
         )
         assert (
@@ -167,16 +175,9 @@ class TestSweep:
         )
 
     def test_unsorted_fractions_rejected(self):
-        dataset = toy_dataset()
-        attack = DictionaryAttack(["a"])
         with pytest.raises(ExperimentError):
-            attack_fraction_sweep(
-                dataset, attack, (0.1, 0.05), folds=2, rng=SeedSpawner(1).rng("s")
-            )
+            SweepSpec(key="t", attack=DictionaryAttack(["a"]), fractions=(0.1, 0.05))
 
     def test_empty_fractions_rejected(self):
         with pytest.raises(ExperimentError):
-            attack_fraction_sweep(
-                toy_dataset(), DictionaryAttack(["a"]), (), folds=2,
-                rng=SeedSpawner(1).rng("s"),
-            )
+            SweepSpec(key="t", attack=DictionaryAttack(["a"]), fractions=())

@@ -38,14 +38,34 @@ def test_checker_flags_broken_references(tmp_path):
     )
     problems = checker.check_file(doc, checker.cli_tables())
     assert len(problems) == 4, problems
+    assert "bad.md: unknown CLI command 'figure1'" in problems
+
+
+def test_checker_flags_the_retired_artifact_commands(tmp_path):
+    """The paper artifacts are scenarios now; the old artifact words
+    are unknown commands, with or without flags."""
+    checker = _load_checker()
+    doc = tmp_path / "artifacts.md"
+    doc.write_text(
+        "`python -m repro figure1`\n"
+        "`python -m repro table1 --out results/`\n"
+        "`python -m repro figure5 --scale paper --seed 3`\n"
+        "`python -m repro all`\n",
+        encoding="utf-8",
+    )
+    problems = checker.check_file(doc, checker.cli_tables())
+    assert problems == [
+        f"artifacts.md: unknown CLI command {word!r}"
+        for word in ("figure1", "table1", "figure5", "all")
+    ]
 
 
 def test_checker_accepts_known_cli_usage(tmp_path):
     checker = _load_checker()
     doc = tmp_path / "good.md"
     doc.write_text(
-        "`python -m repro figure2 figure3 --scale paper --seed 3 --workers 4`\n"
-        "`python -m repro all --out results/`\n"
+        "`python -m repro run-scenario figure3-focused-size --scale paper --seed 3 --workers 4`\n"
+        "`python -m repro run-scenario figure1-dictionary --out results/`\n"
         "`python -m repro list-scenarios`\n"
         "`python -m repro run-scenario focused-vs-roni --set pool_size=200 --seed 3`\n"
         "`python -m repro replicate dictionary-vs-none --seeds 8 --workers 4 --out r.json`\n",
@@ -73,13 +93,14 @@ def test_checker_tracks_the_profile_flag(tmp_path):
 
 
 def test_checker_keeps_the_two_cli_grammars_apart(tmp_path):
-    """A scenario name or --set outside run-scenario is still invalid,
-    and run-scenario only accepts registered scenario names."""
+    """A scenario name without run-scenario is an unknown command, and
+    run-scenario and replicate accept only registered scenario names
+    and their own flags."""
     checker = _load_checker()
     doc = tmp_path / "mixed.md"
     doc.write_text(
         "`python -m repro focused-vs-roni`\n"               # scenario name w/o command
-        "`python -m repro figure1 --set folds=2`\n"          # --set on artifact grammar
+        "`python -m repro figure1 --set folds=2`\n"          # retired artifact word
         "`python -m repro run-scenario no-such-scenario`\n"  # unregistered name
         "`python -m repro run-scenario figure1-dictionary --bogus 1`\n"
         "`python -m repro replicate figure9`\n"              # unregistered name

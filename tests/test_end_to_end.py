@@ -15,7 +15,7 @@ from repro.attacks import FocusedAttack, UsenetDictionaryAttack
 from repro.defenses import DynamicThresholdDefense, RoniDefense
 from repro.corpus.dataset import Dataset, train_grouped
 from repro.experiments.attack_data import attack_messages_as_dataset
-from repro.experiments.crossval import attack_message_count, evaluate_dataset
+from repro.engine.sweep import attack_message_count, evaluate_dataset
 from repro.rng import SeedSpawner
 from repro.spambayes.filter import Label
 

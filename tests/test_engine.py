@@ -25,9 +25,9 @@ from repro.engine.seeding import drawn_seeds, resolve_root_seed
 from repro.corpus.dataset import train_grouped, unlearn_grouped
 from repro.engine.sweep import SweepSpec, attack_message_count, run_attack_sweeps
 from repro.errors import EngineError, ExperimentError, TrainingError
-from repro.experiments.crossval import attack_fraction_sweep
 from repro.experiments.metrics import ConfusionCounts
 from repro.rng import SeedSpawner
+from repro.scenarios import run_scenario
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.filter import Label
 from repro.spambayes.options import DEFAULT_OPTIONS
@@ -507,24 +507,26 @@ def sequential_sweep_signature(inbox, attack, fractions, folds, rng):
 class TestSweepEquivalence:
     FRACTIONS = (0.0, 0.01, 0.05)
 
+    def _sweep(self, inbox, attack, workers):
+        """One spec's points over 3 folds with a fixed planning rng."""
+        spec = SweepSpec(key="optimal", attack=attack, fractions=self.FRACTIONS)
+        (result,) = run_attack_sweeps(
+            inbox, [(spec, random.Random(77))], 3, workers=workers
+        )
+        return result.points
+
     def test_engine_matches_sequential_reference(self, sweep_corpus, sweep_inbox):
         attack = OptimalDictionaryAttack.from_vocabulary(sweep_corpus.vocabulary)
         reference = sequential_sweep_signature(
             sweep_inbox, attack, self.FRACTIONS, 3, random.Random(77)
         )
-        engine = attack_fraction_sweep(
-            sweep_inbox, attack, self.FRACTIONS, 3, random.Random(77), workers=1
-        )
+        engine = self._sweep(sweep_inbox, attack, workers=1)
         assert _sweep_signature(engine) == reference
 
     def test_parallel_matches_sequential(self, sweep_corpus, sweep_inbox):
         attack = OptimalDictionaryAttack.from_vocabulary(sweep_corpus.vocabulary)
-        sequential = attack_fraction_sweep(
-            sweep_inbox, attack, self.FRACTIONS, 3, random.Random(77), workers=1
-        )
-        parallel = attack_fraction_sweep(
-            sweep_inbox, attack, self.FRACTIONS, 3, random.Random(77), workers=3
-        )
+        sequential = self._sweep(sweep_inbox, attack, workers=1)
+        parallel = self._sweep(sweep_inbox, attack, workers=3)
         assert _sweep_signature(parallel) == _sweep_signature(sequential)
 
     @pytest.mark.parametrize("kernel", ["python", "nd"])
@@ -537,12 +539,8 @@ class TestSweepEquivalence:
             pytest.importorskip("numpy")
         monkeypatch.setenv("REPRO_KERNEL", kernel)
         attack = OptimalDictionaryAttack.from_vocabulary(sweep_corpus.vocabulary)
-        sequential = attack_fraction_sweep(
-            sweep_inbox, attack, self.FRACTIONS, 3, random.Random(77), workers=1
-        )
-        parallel = attack_fraction_sweep(
-            sweep_inbox, attack, self.FRACTIONS, 3, random.Random(77), workers=2
-        )
+        sequential = self._sweep(sweep_inbox, attack, workers=1)
+        parallel = self._sweep(sweep_inbox, attack, workers=2)
         assert _sweep_signature(parallel) == _sweep_signature(sequential)
 
     def test_multi_spec_sweep_results(self, sweep_corpus, sweep_inbox):
@@ -598,13 +596,19 @@ class TestSweepEquivalence:
 # ----------------------------------------------------------------------
 
 
+def _at_one_and_two_workers(name, config):
+    """The scenario's result objects at ``workers`` 1 and 2."""
+    from dataclasses import replace
+
+    return (
+        run_scenario(name, config=config).result,
+        run_scenario(name, config=replace(config, workers=2)).result,
+    )
+
+
 class TestDriverEquivalence:
     def test_dictionary_experiment(self):
-        from dataclasses import replace
-        from repro.experiments.dictionary_exp import (
-            DictionaryExperimentConfig,
-            run_dictionary_experiment,
-        )
+        from repro.experiments.dictionary_exp import DictionaryExperimentConfig
 
         config = DictionaryExperimentConfig(
             inbox_size=120,
@@ -616,16 +620,11 @@ class TestDriverEquivalence:
             corpus_spam=120,
             seed=2,
         )
-        sequential = run_dictionary_experiment(config)
-        parallel = run_dictionary_experiment(replace(config, workers=2))
+        sequential, parallel = _at_one_and_two_workers("figure1-dictionary", config)
         assert sequential.to_record().as_dict() == parallel.to_record().as_dict()
 
     def test_threshold_experiment(self):
-        from dataclasses import replace
-        from repro.experiments.threshold_exp import (
-            ThresholdExperimentConfig,
-            run_threshold_experiment,
-        )
+        from repro.experiments.threshold_exp import ThresholdExperimentConfig
 
         config = ThresholdExperimentConfig(
             inbox_size=120,
@@ -637,8 +636,7 @@ class TestDriverEquivalence:
             corpus_spam=120,
             seed=2,
         )
-        sequential = run_threshold_experiment(config)
-        parallel = run_threshold_experiment(replace(config, workers=2))
+        sequential, parallel = _at_one_and_two_workers("figure5-threshold", config)
         assert sequential.to_record().as_dict() == parallel.to_record().as_dict()
         assert sequential.fitted_thresholds == parallel.fitted_thresholds
 
@@ -678,17 +676,12 @@ class TestDriverEquivalence:
             corpus_spam=120,
             seed=2,
         )
-        threshold_exp.run_threshold_experiment(config)
+        run_scenario("figure5-threshold", config=config)
         assert len(fold_sizes) == 3
         assert calls == [size for size in fold_sizes for _ in range(3)]
 
     def test_focused_experiments(self):
-        from dataclasses import replace
-        from repro.experiments.focused_exp import (
-            FocusedExperimentConfig,
-            run_focused_knowledge_experiment,
-            run_focused_size_experiment,
-        )
+        from repro.experiments.focused_exp import FocusedExperimentConfig
 
         config = FocusedExperimentConfig(
             inbox_size=100,
@@ -702,19 +695,13 @@ class TestDriverEquivalence:
             corpus_spam=120,
             seed=2,
         )
-        assert (
-            run_focused_knowledge_experiment(config).to_record().as_dict()
-            == run_focused_knowledge_experiment(replace(config, workers=2)).to_record().as_dict()
-        )
-        assert (
-            run_focused_size_experiment(config).to_record().as_dict()
-            == run_focused_size_experiment(replace(config, workers=2)).to_record().as_dict()
-        )
+        for name in ("figure2-focused-knowledge", "figure3-focused-size"):
+            sequential, parallel = _at_one_and_two_workers(name, config)
+            assert sequential.to_record().as_dict() == parallel.to_record().as_dict()
 
     def test_roni_experiment(self):
-        from dataclasses import replace
         from repro.defenses.roni import RoniConfig
-        from repro.experiments.roni_exp import RoniExperimentConfig, run_roni_experiment
+        from repro.experiments.roni_exp import RoniExperimentConfig
 
         config = RoniExperimentConfig(
             pool_size=80,
@@ -727,17 +714,12 @@ class TestDriverEquivalence:
             corpus_spam=120,
             seed=2,
         )
-        sequential = run_roni_experiment(config)
-        parallel = run_roni_experiment(replace(config, workers=2))
+        sequential, parallel = _at_one_and_two_workers("roni-defense", config)
         assert sequential.attack_impacts == parallel.attack_impacts
         assert sequential.nonattack_spam_impacts == parallel.nonattack_spam_impacts
 
     def test_goodword_experiment(self):
-        from dataclasses import replace
-        from repro.experiments.goodword_exp import (
-            GoodWordExperimentConfig,
-            run_goodword_experiment,
-        )
+        from repro.experiments.goodword_exp import GoodWordExperimentConfig
 
         config = GoodWordExperimentConfig(
             inbox_size=120,
@@ -749,7 +731,6 @@ class TestDriverEquivalence:
             corpus_spam=140,
             seed=2,
         )
-        sequential = run_goodword_experiment(config)
-        parallel = run_goodword_experiment(replace(config, workers=2))
+        sequential, parallel = _at_one_and_two_workers("goodword-evasion", config)
         assert sequential.evasion == parallel.evasion
         assert sequential.median_words_to_evade == parallel.median_words_to_evade

@@ -10,20 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.dictionary_exp import (
-    DictionaryExperimentConfig,
-    run_dictionary_experiment,
-)
-from repro.experiments.focused_exp import (
-    FocusedExperimentConfig,
-    run_focused_knowledge_experiment,
-    run_focused_size_experiment,
-)
-from repro.experiments.roni_exp import RoniExperimentConfig, run_roni_experiment
-from repro.experiments.threshold_exp import (
-    ThresholdExperimentConfig,
-    run_threshold_experiment,
-)
+from repro.experiments.dictionary_exp import DictionaryExperimentConfig
+from repro.experiments.focused_exp import FocusedExperimentConfig
+from repro.experiments.roni_exp import RoniExperimentConfig
+from repro.experiments.threshold_exp import ThresholdExperimentConfig
+from repro.scenarios import run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +28,7 @@ def dictionary_result(suite_workers):
         seed=5,
         workers=suite_workers,
     )
-    return run_dictionary_experiment(config)
+    return run_scenario("figure1-dictionary", config=config).result
 
 
 @pytest.mark.slow
@@ -101,7 +92,7 @@ def focused_config(suite_workers):
 @pytest.mark.slow
 class TestFigure2Shape:
     def test_success_monotone_in_knowledge(self, focused_config):
-        result = run_focused_knowledge_experiment(focused_config)
+        result = run_scenario("figure2-focused-knowledge", config=focused_config).result
         success = [result.attack_success_rate(p) for p in (0.1, 0.3, 0.5, 0.9)]
         for earlier, later in zip(success, success[1:]):
             assert later >= earlier - 0.05
@@ -110,11 +101,11 @@ class TestFigure2Shape:
         assert success[0] < 0.7
 
     def test_targets_start_as_ham(self, focused_config):
-        result = run_focused_knowledge_experiment(focused_config)
+        result = run_scenario("figure2-focused-knowledge", config=focused_config).result
         assert result.pre_attack_ham / result.total_targets > 0.8
 
     def test_label_counts_complete(self, focused_config):
-        result = run_focused_knowledge_experiment(focused_config)
+        result = run_scenario("figure2-focused-knowledge", config=focused_config).result
         expected = focused_config.n_targets * focused_config.repetitions
         for probability in focused_config.guess_probabilities:
             assert sum(result.label_counts[probability].values()) == expected
@@ -123,7 +114,7 @@ class TestFigure2Shape:
 @pytest.mark.slow
 class TestFigure3Shape:
     def test_misclassification_monotone_in_size(self, focused_config):
-        result = run_focused_size_experiment(focused_config)
+        result = run_scenario("figure3-focused-size", config=focused_config).result
         rates = [p.ham_misclassified_rate for p in result.points]
         assert rates[0] < 0.1  # no attack, no effect
         for earlier, later in zip(rates, rates[1:]):
@@ -131,7 +122,7 @@ class TestFigure3Shape:
         assert rates[-1] > 0.5
 
     def test_spam_rate_below_filtered_rate(self, focused_config):
-        result = run_focused_size_experiment(focused_config)
+        result = run_scenario("figure3-focused-size", config=focused_config).result
         for point in result.points:
             assert point.ham_as_spam_rate <= point.ham_misclassified_rate
 
@@ -149,7 +140,7 @@ class TestRoniShape:
             seed=5,
             workers=suite_workers,
         )
-        return run_roni_experiment(config)
+        return run_scenario("roni-defense", config=config).result
 
     def test_separability(self, roni_result):
         assert roni_result.separable
@@ -179,7 +170,7 @@ class TestFigure5Shape:
             seed=5,
             workers=suite_workers,
         )
-        return run_threshold_experiment(config)
+        return run_scenario("figure5-threshold", config=config).result
 
     def test_defense_protects_ham(self, threshold_result):
         """Defended ham misclassification far below undefended, and

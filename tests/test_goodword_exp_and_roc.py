@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.score_distributions import RocCurve, auc, roc_curve, score_histogram
 from repro.errors import ExperimentError
-from repro.experiments.goodword_exp import (
-    GoodWordExperimentConfig,
-    run_goodword_experiment,
-)
+from repro.experiments.goodword_exp import GoodWordExperimentConfig
+from repro.scenarios import run_scenario
 
 
 class TestScoreHistogram:
@@ -79,7 +77,7 @@ class TestGoodWordExperiment:
             corpus_spam=400,
             seed=21,
         )
-        return run_goodword_experiment(config)
+        return run_scenario("goodword-evasion", config=config).result
 
     def test_models_present(self, result):
         assert set(result.evasion) == {"common-word (blind)", "oracle (Lowd-Meek)"}

@@ -116,7 +116,7 @@ class TestSharedMachinery:
         under the same contamination."""
         from repro.attacks.dictionary import UsenetDictionaryAttack
         from repro.corpus.dataset import train_grouped
-        from repro.experiments.crossval import evaluate_dataset
+        from repro.engine.sweep import evaluate_dataset
         from repro.rng import SeedSpawner
 
         rng = SeedSpawner(77).rng("inbox")

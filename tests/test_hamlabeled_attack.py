@@ -8,7 +8,7 @@ from repro.attacks.hamlabeled import HAMLABELED_TAXONOMY, HamLabeledAttack
 from repro.attacks.taxonomy import Influence, SecurityViolation
 from repro.errors import AttackError
 from repro.corpus.dataset import train_grouped
-from repro.experiments.crossval import evaluate_dataset
+from repro.engine.sweep import evaluate_dataset
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier
 

@@ -24,7 +24,7 @@ from repro.corpus.mbox import load_mbox
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.errors import ReproError
-from repro.experiments.crossval import _IncrementalAttackTrainer
+from repro.engine.sweep import IncrementalAttackTrainer
 from repro.serve import ServeClient, ServeConfig, serve_in_thread
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.message import Email
@@ -103,7 +103,7 @@ def test_incremental_prefix_equals_fresh_training(groups, data):
     target = data.draw(st.integers(min_value=0, max_value=batch.message_count))
     incremental = Classifier()
     incremental.learn({"base"}, False)
-    trainer = _IncrementalAttackTrainer(incremental, batch)
+    trainer = IncrementalAttackTrainer(incremental, batch)
     trainer.advance_to(target)
 
     fresh = Classifier()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.dictionary_exp import DictionaryExperimentConfig, DictionaryExperimentResult
-from repro.experiments.crossval import AttackSweepPoint
+from repro.engine.sweep import AttackSweepPoint
 from repro.experiments.focused_exp import (
     FocusedExperimentConfig,
     FocusedKnowledgeResult,

@@ -1,11 +1,11 @@
 """Tests for the declarative scenario layer (spec, registry, executor,
-CLI) introduced in PR 3.
+CLI).
 
-The load-bearing contract: every historical ``run_*_experiment`` entry
-point routes through :func:`repro.scenarios.run_scenario` and produces
-bit-identical results to calling the protocol directly, at any worker
-count — and the registry exposes at least the five paper figures plus
-two cross-product scenarios.
+The load-bearing contract: :func:`repro.scenarios.run_scenario` is the
+one way every experiment runs, with identical results at any worker
+count, and the registry exposes at least the five paper figures plus
+two cross-product scenarios.  The golden records in ``tests/golden/``
+pin each scenario's bytes.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ import pytest
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.roni import RoniConfig
 from repro.errors import ScenarioError
-from repro.experiments.dictionary_exp import (
-    DictionaryExperimentConfig,
-    run_dictionary_experiment,
-)
+from repro.experiments.dictionary_exp import DictionaryExperimentConfig
 from repro.experiments.roni_exp import RoniExperimentConfig
 from repro.experiments.threshold_exp import ThresholdExperimentConfig
 from repro.scenarios import (
@@ -177,15 +174,6 @@ class TestRunScenario:
     def test_rejects_mismatched_config_type(self):
         with pytest.raises(ScenarioError, match="DictionaryExperimentConfig"):
             run_scenario("figure1-dictionary", config=RoniExperimentConfig())
-
-    def test_driver_equals_executor_equals_direct_protocol(self, suite_workers):
-        """run_*_experiment == run_scenario == the protocol function,
-        record for record."""
-        config = _tiny_dictionary_config(workers=suite_workers)
-        via_driver = run_dictionary_experiment(config).to_record().as_dict()
-        outcome = run_scenario("figure1-dictionary", config=config)
-        via_protocol = PROTOCOLS["dictionary-sweep"](config).to_record().as_dict()
-        assert outcome.record_dict() == via_driver == via_protocol
 
     def test_overrides_may_name_seed_and_workers(self):
         outcome = run_scenario(

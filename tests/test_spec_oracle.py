@@ -118,3 +118,29 @@ def assert_matches_oracle(core: Classifier, spec: SpecClassifier) -> None:
         token: (core.word_info(token).spamcount, core.word_info(token).hamcount)
         for token in counts
     } == counts
+
+
+@pytest.mark.skipif(not ndkernel.available(), reason="NumPy absent")
+def test_zero_count_ids_at_zero_strength_score_without_dividing():
+    """At ``unknown_word_strength`` 0, f(w) of a zero-count token is
+    0/0 by the formula; the nd kernel must give it the prior without
+    computing that quotient (no ``RuntimeWarning``) and match the
+    oracle."""
+    import warnings
+
+    options = ClassifierOptions(unknown_word_strength=0.0, unknown_word_prob=0.3)
+    core = NDClassifier(options, table=TokenTable())
+    spec = SpecClassifier(options)
+    # Both tokens seen in both classes, so no f(w) is exactly 0 or 1
+    # and the combiner accepts s = 0.
+    for tokens, is_spam in (({"t00", "t01"}, True), ({"t00"}, False), ({"t01"}, False)):
+        core.learn(tokens, is_spam)
+        spec.learn(tokens, is_spam)
+    batch = [frozenset({"t00", "u0"}), frozenset({"u1"})]
+    encoded = [core.encode_tokens(q) for q in batch]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = core.score_many_ids(encoded)
+        probs = [core.spam_prob(t) for t in ("t00", "t01", "u0", "u1")]
+    assert scores == [spec.score(q) for q in batch]
+    assert probs == [spec.spam_prob(t) for t in ("t00", "t01", "u0", "u1")]

@@ -10,15 +10,14 @@ Checked, across ``README.md`` and every ``docs/*.md``:
 * **path-looking code spans** — a backtick span that looks like a repo
   path (contains ``/`` and a known extension, or starts with a
   top-level source directory) must exist on disk;
-* **CLI invocations** — every ``python -m repro <artifact> …`` mention
-  must name subcommands that :data:`repro.cli.ARTIFACTS` actually
-  registers (or ``all``), and flags the artifact parser defines.
-  ``python -m repro run-scenario <name> …`` and ``python -m repro
-  replicate <name> …`` are their own grammars: the word after the
-  command must be a registered scenario name and flags are checked
-  against the respective parser — a scenario name or ``--set``
-  outside those invocations is still flagged, exactly as the real
-  CLI would reject it.
+* **CLI invocations** — every ``python -m repro <command> …`` mention
+  must name one of :data:`repro.cli.SCENARIO_COMMANDS`; anything else
+  (a scenario name without ``run-scenario``, or a retired artifact
+  word such as ``figure1``) is an unknown command, exactly as the real
+  CLI rejects it.  Each command is its own grammar: after
+  ``run-scenario`` and ``replicate`` the next word must be a
+  registered scenario name, and every command's flags are checked
+  against its own parser.
 
 Run directly (``make docs-check``)::
 
@@ -58,31 +57,16 @@ def looks_like_repo_path(span: str) -> bool:
 def check_cli_invocation(doc: Path, words: list[str], cli: dict) -> list[str]:
     """Validate one ``python -m repro …`` word sequence.
 
-    Several grammars, mirroring the real CLI's dispatch: scenario
-    commands (``run-scenario <scenario-name> [scenario flags]``,
-    ``replicate <scenario-name> [replicate flags]``,
-    ``list-scenarios``) and the artifact grammar (artifact names +
-    artifact flags).  Words valid in one grammar are *not* accepted in
-    the others.
+    The first word picks the command, mirroring the real CLI's
+    dispatch; the rest must fit that command's grammar (its positional
+    words and its flags).  Words valid for one command are *not*
+    accepted for another.
     """
+    command, *words = words
+    if command not in cli["commands"]:
+        return [f"{doc.name}: unknown CLI command {command!r}"]
+    valid_words, valid_flags = cli["commands"][command]
     problems: list[str] = []
-    if words and words[0] == "run-scenario":
-        valid_words, valid_flags = cli["scenario_names"], cli["scenario_flags"]
-        words = words[1:]
-    elif words and words[0] == "replicate":
-        valid_words, valid_flags = cli["scenario_names"], cli["replicate_flags"]
-        words = words[1:]
-    elif words and words[0] == "list-scenarios":
-        valid_words, valid_flags = set(), {"-h", "--help"}
-        words = words[1:]
-    elif words and words[0] == "serve":
-        valid_words, valid_flags = set(), cli["serve_flags"]
-        words = words[1:]
-    elif words and words[0] == "gc":
-        valid_words, valid_flags = set(), cli["gc_flags"]
-        words = words[1:]
-    else:
-        valid_words, valid_flags = cli["artifacts"], cli["artifact_flags"]
     seen_flag = False
     skip_value = False
     for word in words:
@@ -99,7 +83,7 @@ def check_cli_invocation(doc: Path, words: list[str], cli: dict) -> list[str]:
         if seen_flag or word.endswith(("…", "...")):
             continue  # flag values / elided continuations in prose
         if word not in valid_words:
-            problems.append(f"{doc.name}: unknown CLI subcommand {word!r}")
+            problems.append(f"{doc.name}: unknown CLI argument {word!r} to {command}")
             break  # everything after an unknown word is its args
     return problems
 
@@ -173,30 +157,28 @@ def cli_tables() -> dict:
     """The live CLI grammar :func:`check_file` validates against.
 
     One construction point, shared with ``tests/test_docs_links.py``:
-    scenario names are valid only directly after ``run-scenario``,
-    mirroring the real dispatch, and they are read from the live
-    registry — docs cannot name an unregistered scenario.
+    ``commands`` maps each command to its (positional words, flags),
+    read from the live parsers.  Scenario names are valid only directly
+    after ``run-scenario`` and ``replicate``, and they come from the
+    live registry — docs cannot name an unregistered scenario.
     """
     from repro.cli import (
-        ARTIFACTS,
         build_gc_parser,
-        build_parser,
         build_replicate_parser,
         build_run_scenario_parser,
         build_serve_parser,
     )
     from repro.scenarios import scenario_names
 
-    return {
-        "artifacts": set(ARTIFACTS) | {"all"},
-        "artifact_flags": _flags_of(build_parser()),
-        "scenario_names": set(scenario_names()),
-        "scenario_flags": _flags_of(build_run_scenario_parser()),
-        "replicate_flags": _flags_of(build_replicate_parser()),
-        "serve_flags": _flags_of(build_serve_parser()),
-        "gc_flags": _flags_of(build_gc_parser()),
-        "env_vars": known_env_vars(),
+    names = set(scenario_names())
+    commands = {
+        "list-scenarios": (set(), {"-h", "--help"}),
+        "run-scenario": (names, _flags_of(build_run_scenario_parser())),
+        "replicate": (names, _flags_of(build_replicate_parser())),
+        "serve": (set(), _flags_of(build_serve_parser())),
+        "gc": (set(), _flags_of(build_gc_parser())),
     }
+    return {"commands": commands, "scenario_names": names, "env_vars": known_env_vars()}
 
 
 def main() -> int:
@@ -214,8 +196,8 @@ def main() -> int:
             print(f"  - {problem}")
         return 1
     print(
-        f"docs-check: OK ({len(DOC_FILES)} files, CLI artifacts: "
-        f"{sorted(cli['artifacts'])}, scenarios: {sorted(cli['scenario_names'])})"
+        f"docs-check: OK ({len(DOC_FILES)} files, CLI commands: "
+        f"{sorted(cli['commands'])}, scenarios: {sorted(cli['scenario_names'])})"
     )
     return 0
 
