@@ -4,8 +4,7 @@ The serving layer over the spambayes library: a long-lived asyncio
 daemon (:mod:`~repro.serve.service`) speaking a length-prefixed JSON
 protocol (:mod:`~repro.serve.protocol`), coalescing concurrent score
 requests into bulk kernel calls (:mod:`~repro.serve.batcher`), with a
-blocking client (:mod:`~repro.serve.client`) for tests, tools and the
-load generator.
+blocking client (:mod:`~repro.serve.client`) for tests and tools.
 """
 
 from repro.serve.batcher import BatcherStats, MicroBatcher

@@ -18,8 +18,9 @@ batched response equals the response the same request would have
 received alone.  The differential suite holds the daemon to that.
 
 A window of ``0`` disables coalescing (``max_batch`` is forced to 1):
-that is the benchmark's "unbatched" arm and the semantics of
-``repro serve --batch-window 0``.
+that is the semantics of ``repro serve --batch-window 0``.
+``tests/test_serve_concurrency.py`` counts the default window's
+coalescing under pipelined load.
 """
 
 from __future__ import annotations

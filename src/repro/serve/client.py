@@ -1,6 +1,6 @@
 """A blocking client for the filter service.
 
-The counterpart the tests and the load generator speak through: one
+The counterpart the tests and tools speak through: one
 socket, framed requests with auto-assigned ``id``\\ s, responses
 matched back by id (the daemon may answer out of request order — a
 ``ping`` overtakes a coalescing ``score``).  Error envelopes

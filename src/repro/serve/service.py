@@ -82,8 +82,8 @@ class ServeConfig:
     Exactly one of ``socket_path`` (Unix domain socket) and ``port``
     (TCP, ``host`` defaulting to loopback; port 0 lets the OS pick and
     :attr:`FilterService.address` reports the choice).  A
-    ``batch_window_ms`` of 0 disables coalescing entirely — the
-    benchmark's unbatched arm.  ``workers >= 2`` scores batches
+    ``batch_window_ms`` of 0 disables coalescing entirely: every
+    request is its own bulk call.  ``workers >= 2`` scores batches
     through a supervised process pool; below that, inline.
     """
 
@@ -166,8 +166,8 @@ class FilterService:
 
         Blocking; owns its own event loop.  Sets :attr:`ready` once
         the listening socket is bound and :attr:`stopped` on the way
-        out — the handshake ``serve_in_thread`` and the benchmark's
-        subprocess driver both key on.
+        out — the handshake ``serve_in_thread`` and the CLI's address
+        announcement both key on.
         """
         if self.pool is None and self.config.workers >= 2:
             self.pool = WorkerPool(self.config.workers)

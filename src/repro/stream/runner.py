@@ -49,9 +49,9 @@ trains on state tick ``t`` left behind), so the fan-out unit is the
 *whole stream*: standalone it runs inline at any ``workers`` value,
 and under ``replicate_scenario(..., workers=N)`` each replica — its
 whole stream — runs in its own worker process, so N seeds play N
-streams truly concurrently (``benchmarks/bench_stream_throughput.py``
-measures the messages/sec difference and asserts the records
-identical).
+streams truly concurrently; the golden harness
+(``tests/test_golden.py``) holds the pooled records byte-identical to
+the sequential ones.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class StreamResult:
     def messages_processed(self) -> int:
         """Ingested arrivals plus held-out scoring work, stream-wide.
 
-        The numerator of the throughput benchmark: every arrival the
+        A throughput numerator: every arrival the
         gate saw (trained or rejected) plus every held-out evaluation
         actually performed.  A clean-counterfactual re-score only
         counts from the first tick with attack mail trained — before

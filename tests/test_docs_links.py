@@ -109,3 +109,18 @@ def test_checker_keeps_the_two_cli_grammars_apart(tmp_path):
     )
     problems = checker.check_file(doc, checker.cli_tables())
     assert len(problems) == 6, problems
+
+
+def test_checker_flags_retired_make_targets(tmp_path):
+    """A backticked `make <target>` must name a Makefile target; prose
+    that merely uses the word "make" is not a target reference."""
+    checker = _load_checker()
+    retired = "bench-smoke"
+    doc = tmp_path / "targets.md"
+    doc.write_text(
+        "Run `make test`, `make docs-check` and `make bench` to make the\n"
+        f"checks pass, then `make {retired}` for the retired perf runs.\n",
+        encoding="utf-8",
+    )
+    problems = checker.check_file(doc, checker.cli_tables())
+    assert problems == [f"targets.md: unknown make target {retired!r}"]

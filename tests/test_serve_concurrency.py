@@ -14,6 +14,11 @@ Two properties make concurrent serving trustworthy:
   request's answer.  The seeded property test gives every request a
   distinguishable token set and checks each reply against the library
   score for that exact set, under heavy coalescing.
+
+A third, :class:`TestPipelinedLoadCoalesces`, counts the mechanism
+batched serving throughput rests on: under the default window,
+pipelined load from many clients reaches the classifier as a few
+large bulk calls, not one call per request.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import random
 import threading
+from collections import deque
 
 import pytest
 
@@ -213,6 +219,82 @@ class TestCoalescingNeverCrossWires:
         assert batching["max_batch"] > 1  # coalescing actually happened
         for index in range(8):
             assert results[index] == reference.score_many(probes[index])
+
+
+class TestPipelinedLoadCoalesces:
+    """The serve layer's batching gate, as counts rather than timings.
+
+    Eight clients each keep eight score requests in flight against a
+    daemon on the default :class:`ServeConfig`.  Coalescing must fuse
+    them: the mean batch is at least one client's in-flight depth, and
+    the classifier sees exactly one bulk ``score_many`` call per batch
+    the batcher reports.  With the window at 0 every batch is a single
+    request, and the mean-batch assertion fails.
+    """
+
+    CLIENTS = 8
+    IN_FLIGHT = 8
+    REQUESTS_PER_CLIENT = 40
+
+    def _pipelined_session(self, address, probes, start, replies):
+        with ServeClient(address) as client:
+            start.wait()
+            pending: deque = deque()
+            for probe in probes:
+                if len(pending) == self.IN_FLIGHT:
+                    replies.append(client.recv(pending.popleft()))
+                pending.append(client.send("score", tokens=probe))
+            while pending:
+                replies.append(client.recv(pending.popleft()))
+
+    def test_default_window_coalesces_pipelined_clients(self, tmp_path, messages):
+        classifier = ndkernel.create_classifier()
+        bulk_calls: list[int] = []
+        score_many = classifier.score_many
+
+        def counted_score_many(token_sets):
+            bulk_calls.append(len(token_sets))
+            return score_many(token_sets)
+
+        classifier.score_many = counted_score_many
+        reference = ndkernel.create_classifier()
+        for tokens, is_spam in messages[:20]:
+            reference.learn(tokens, is_spam)
+        pool = [tokens for tokens, _ in messages[20:]]
+        probes = [
+            [pool[(index * 7 + i) % len(pool)] for i in range(self.REQUESTS_PER_CLIENT)]
+            for index in range(self.CLIENTS)
+        ]
+        replies: list[list[dict]] = [[] for _ in range(self.CLIENTS)]
+        start = threading.Barrier(self.CLIENTS)
+
+        config = ServeConfig(socket_path=str(tmp_path / "serve.sock"))
+        with serve_in_thread(config, classifier=classifier) as service:
+            with ServeClient(service.address) as client:
+                for tokens, is_spam in messages[:20]:
+                    client.train(tokens, is_spam)
+            threads = [
+                threading.Thread(
+                    target=self._pipelined_session,
+                    args=(service.address, probes[index], start, replies[index]),
+                )
+                for index in range(self.CLIENTS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            with ServeClient(service.address) as client:
+                batching = client.stats()["batching"]
+
+        for index in range(self.CLIENTS):
+            assert [reply["score"] for reply in replies[index]] == (
+                reference.score_many(probes[index])
+            )
+        total = self.CLIENTS * self.REQUESTS_PER_CLIENT
+        assert batching["requests"] == sum(bulk_calls) == total
+        assert len(bulk_calls) == batching["batches"]
+        assert batching["mean_batch"] >= self.IN_FLIGHT, batching
 
 
 class TestBatcherFailureContracts:

@@ -222,7 +222,9 @@ class TestShutdownLeavesNothing:
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         socket_path = tmp_path / "daemon.sock"
-        daemon = subprocess.Popen(
+        # The with-block closes both pipes, so the test leaves no
+        # unclosed file behind (it passes under -W error::ResourceWarning).
+        with subprocess.Popen(
             [
                 sys.executable,
                 "-m",
@@ -237,18 +239,18 @@ class TestShutdownLeavesNothing:
             stderr=subprocess.PIPE,
             text=True,
             env=env,
-        )
-        try:
-            assert "serving on" in daemon.stdout.readline()
-            with ServeClient(str(socket_path)) as client:
-                client.train(["cheap", "pills"], True)
-                client.score(["cheap", "meeting"])
-                client.shutdown()
-            assert daemon.wait(timeout=15.0) == 0
-        finally:
-            if daemon.poll() is None:  # pragma: no cover - failure path
-                daemon.kill()
-                daemon.wait()
+        ) as daemon:
+            try:
+                assert "serving on" in daemon.stdout.readline()
+                with ServeClient(str(socket_path)) as client:
+                    client.train(["cheap", "pills"], True)
+                    client.score(["cheap", "meeting"])
+                    client.shutdown()
+                assert daemon.wait(timeout=15.0) == 0
+            finally:
+                if daemon.poll() is None:  # pragma: no cover - failure path
+                    daemon.kill()
+                    daemon.wait()
         assert not socket_path.exists()
         # The daemon's disk store died with the daemon (atexit), so the
         # janitor must find zero orphans.

@@ -226,9 +226,16 @@ class TestDiskTokenTable:
     def test_reopen_sees_persisted_vocabulary(self, tmp_path):
         table = DiskTokenTable(tmp_path / "vocab.db")
         ids = table.encode_unique({"alpha", "beta", "gamma"})
+        ranks = list(table.text_order_ranks())
+        first = table.token(0)
         table.close()
+        # A cold open: a fresh handle with no caches shared with the
+        # writer knows the size, the text ranks and the rows.
         reopened = DiskTokenTable(tmp_path / "vocab.db")
         assert len(reopened) == 3
+        assert list(reopened.text_order_ranks()) == ranks
+        assert reopened.token(0) == first
+        assert first in {"alpha", "beta", "gamma"}
         assert list(reopened.encode_unique({"alpha", "beta", "gamma"})) == list(ids)
         reopened.close()
 

@@ -10,10 +10,13 @@ snapshot/unlearn-all/restore.  These tests make that equality an
 enforced differential contract, not an argument:
 
 * the **scenario differential**: every registered stream scenario,
-  scaled down so that it trains attack mail, plus the long-horizon
-  spec of ``benchmarks/bench_stream_throughput.py --ticks``, run
-  twin-vs-unlearn under both kernels — records compared as serialized
-  bytes;
+  scaled down so that it trains attack mail, plus a long-horizon
+  focused-attack spec, run twin-vs-unlearn under both kernels —
+  records compared as serialized bytes;
+* the **twin cost counts**: on the long-horizon spec, each tick's
+  twin work is that tick's accepted legitimate mail plus one bulk
+  scoring pass, however much attack mail the stream has trained, and
+  the profiled phases explain the run's wall time;
 * the **pooled leg**: the same differential with the whole stream
   shipped to a :class:`WorkerPool` worker process;
 * the **property test**: randomized attack schedules at the classifier
@@ -166,11 +169,11 @@ STREAM_SCENARIOS = tuple(
     sorted(name for name in scenario_names() if get_scenario(name).protocol == "stream")
 )
 
-# The smoke-scale spec of ``bench_stream_throughput.py --ticks``: a
-# focused attack draws a distinct token set per message, so the
-# unlearn excursion grows with the trained attack history.
-BENCH_TICKS = "bench-stream-ticks"
-BENCH_TICKS_SPEC = StreamSpec(
+# A long-horizon focused-attack stream: a focused attack draws a
+# distinct token set per message, so an unlearn excursion would grow
+# with the trained attack history while the twin's cost stays flat.
+LONG_HORIZON = "long-horizon-focused"
+LONG_HORIZON_SPEC = StreamSpec(
     ticks=8,
     ham_per_tick=10,
     spam_per_tick=10,
@@ -185,8 +188,8 @@ BENCH_TICKS_SPEC = StreamSpec(
 
 
 def _scaled_spec(name: str) -> StreamSpec:
-    if name == BENCH_TICKS:
-        return BENCH_TICKS_SPEC
+    if name == LONG_HORIZON:
+        return LONG_HORIZON_SPEC
     if name not in _SCENARIO_SCALE:
         pytest.fail(f"{name}: add attack-bearing overrides to _SCENARIO_SCALE")
     spec = get_scenario(name)
@@ -201,7 +204,7 @@ def _record_bytes(result) -> bytes:
 
 
 class TestScenarioDifferential:
-    @pytest.mark.parametrize("name", STREAM_SCENARIOS + (BENCH_TICKS,))
+    @pytest.mark.parametrize("name", STREAM_SCENARIOS + (LONG_HORIZON,))
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_twin_record_equals_unlearn_record(self, name, kernel):
         spec = _scaled_spec(name)
@@ -235,6 +238,92 @@ class TestScenarioDifferential:
         with WorkerPool(2) as pool:
             (result,) = pool.run(_run_stream_task, spec, [0])
         assert _record_bytes(result) == sequential == reference
+
+
+# The profiled phases must explain at least this share of a stream's
+# wall time, or the phase accounting is not measuring the run.
+ACCOUNTED_FLOOR = 0.7
+
+
+class CountingRunner(StreamRunner):
+    """Counts the clean twin's work tick by tick.
+
+    The counterfactual hook runs once per tick, after the twin's
+    retrain.  On its first call it wraps the twin's two count-column
+    primitives (every learn and unlearn ends in one of them) and its
+    ``score_workspace``; each later call records the messages the
+    twin learned and unlearned since the previous tick and the bulk
+    scoring passes it made this tick.  Tick 1's training precedes the
+    wrapping, so its entries are 0.
+    """
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.learned: list[int] = []
+        self.unlearned: list[int] = []
+        self.passes: list[int] = []
+        self._work = {"learn": 0, "unlearn": 0, "score": 0}
+
+    def _count(self, twin, name, key, weight):
+        method = getattr(twin, name)
+
+        def counted(*args):
+            self._work[key] += weight(*args)
+            return method(*args)
+
+        setattr(twin, name, counted)
+
+    def _clean_counterfactual(
+        self, classifier, twin, test, workspace, trained_attack, cutoffs, confusion
+    ):
+        if not self.passes:
+            for name, key in (("_apply_delta", "learn"), ("_apply_removal", "unlearn")):
+                self._count(twin, name, key, lambda ids, is_spam, count: count)
+            self._count(twin, "score_workspace", "score", lambda workspace: 1)
+        self.learned.append(self._work["learn"])
+        self.unlearned.append(self._work["unlearn"])
+        self._work["learn"] = self._work["unlearn"] = 0
+        clean = super()._clean_counterfactual(
+            classifier, twin, test, workspace, trained_attack, cutoffs, confusion
+        )
+        self.passes.append(self._work["score"])
+        self._work["score"] = 0
+        return clean
+
+
+class TestLongHorizonTwinCost:
+    def test_twin_work_per_tick_is_flat_and_phases_explain_the_run(self):
+        spec = LONG_HORIZON_SPEC
+        runner = CountingRunner(spec)
+        result = runner.run()
+        outcomes = result.ticks
+        assert len(runner.learned) == len(runner.passes) == spec.ticks
+
+        # From the attack's first tick on, the trained attack history
+        # grows every tick, so work that tracked it would grow too.
+        first = spec.attack_start_tick - 1
+        attack_history = []
+        trained = 0
+        for outcome in outcomes:
+            trained += outcome.attack_trained
+            attack_history.append(trained)
+        assert attack_history[first - 1] == 0 < attack_history[first]
+        assert all(
+            later > earlier
+            for earlier, later in zip(attack_history[first:], attack_history[first + 1 :])
+        ), attack_history
+
+        accepted_legitimate = [
+            spec.ham_per_tick + spec.spam_per_tick - outcome.legitimate_rejected
+            for outcome in outcomes
+        ]
+        assert runner.learned[first:] == accepted_legitimate[first:]
+        assert len(set(runner.learned[first:])) == 1, runner.learned
+        assert runner.unlearned[first:] == [0] * (spec.ticks - first)
+        assert runner.passes[first:] == [1] * (spec.ticks - first)
+
+        profile = result.phase_profile
+        assert profile.accounted_fraction() >= ACCOUNTED_FLOOR, profile.as_dict()
 
 
 # ----------------------------------------------------------------------

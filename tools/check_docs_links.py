@@ -17,7 +17,10 @@ Checked, across ``README.md`` and every ``docs/*.md``:
   CLI rejects it.  Each command is its own grammar: after
   ``run-scenario`` and ``replicate`` the next word must be a
   registered scenario name, and every command's flags are checked
-  against its own parser.
+  against its own parser;
+* **make targets** — a code span that starts ``make <target>`` must
+  name a target defined in the repo's ``Makefile``, so a doc cannot
+  keep pointing at a retired target.
 
 Run directly (``make docs-check``)::
 
@@ -40,6 +43,8 @@ DOC_FILES = ["README.md", *sorted(p.relative_to(REPO_ROOT).as_posix() for p in (
 MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 CLI_CALL = re.compile(r"python -m repro\s+((?:[\w.-]+\s*)+)")
+MAKE_CALL = re.compile(r"^make\s+([\w.-]+)")
+MAKE_TARGET = re.compile(r"^([\w.-]+)\s*:(?!=)", re.MULTILINE)
 PATH_EXTENSIONS = (".py", ".md", ".ini", ".txt", ".toml", ".cfg", ".json")
 SOURCE_PREFIXES = ("src/", "docs/", "tests/", "benchmarks/", "examples/", "tools/")
 
@@ -137,6 +142,11 @@ def check_file(doc: Path, cli: dict) -> list[str]:
                 problems.append(
                     f"{doc.name}: unknown environment variable {var!r}"
                 )
+        make_call = MAKE_CALL.match(span)
+        if make_call and make_call.group(1) not in cli["make_targets"]:
+            problems.append(
+                f"{doc.name}: unknown make target {make_call.group(1)!r}"
+            )
         if not looks_like_repo_path(span):
             continue
         if not (REPO_ROOT / span).exists():
@@ -145,6 +155,12 @@ def check_file(doc: Path, cli: dict) -> list[str]:
     for match in CLI_CALL.finditer(text):
         problems.extend(check_cli_invocation(doc, match.group(1).split(), cli))
     return problems
+
+
+def makefile_targets() -> set[str]:
+    """Every target the repo's ``Makefile`` defines (``.PHONY`` aside)."""
+    text = (REPO_ROOT / "Makefile").read_text(encoding="utf-8")
+    return set(MAKE_TARGET.findall(text)) - {".PHONY"}
 
 
 def _flags_of(parser) -> set[str]:
@@ -178,7 +194,12 @@ def cli_tables() -> dict:
         "serve": (set(), _flags_of(build_serve_parser())),
         "gc": (set(), _flags_of(build_gc_parser())),
     }
-    return {"commands": commands, "scenario_names": names, "env_vars": known_env_vars()}
+    return {
+        "commands": commands,
+        "scenario_names": names,
+        "env_vars": known_env_vars(),
+        "make_targets": makefile_targets(),
+    }
 
 
 def main() -> int:
