@@ -35,7 +35,6 @@ def _run(scale: str):
         inbox_size = 1_000
     spawner = SeedSpawner(18).spawn("ablation-combiners")
     inbox = corpus.dataset.sample_inbox(inbox_size, 0.5, spawner.rng("inbox"))
-    inbox.tokenize_all()
     inbox_ids = {m.msgid for m in inbox}
     held_out = [m for m in corpus.dataset if m.msgid not in inbox_ids][:300]
     attack = UsenetDictionaryAttack.from_vocabulary(corpus.vocabulary)

@@ -34,7 +34,6 @@ def _run(scale: str):
         top_ks = (9_000, 4_500, 2_250, 900, 200)
     spawner = SeedSpawner(10).spawn("ablation-dictsize")
     inbox = corpus.dataset.sample_inbox(inbox_size, 0.5, spawner.rng("inbox"))
-    inbox.tokenize_all()
     fraction = 0.02
     rows = []
     curve = []

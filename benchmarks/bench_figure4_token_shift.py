@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.analysis.token_shift import token_shift_analysis
 from repro.attacks.focused import FocusedAttack
+from repro.attacks.payload import HeaderPool
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import PAPER_PROFILE, SMALL_PROFILE
 from repro.corpus.dataset import train_grouped
@@ -33,18 +34,18 @@ def _run(scale: str):
         inbox_size, attack_count, candidates = 1_000, 60, 40
     spawner = SeedSpawner(4).spawn("figure4")
     inbox = corpus.dataset.sample_inbox(inbox_size, 0.5, spawner.rng("inbox"))
-    inbox.tokenize_all()
     classifier = Classifier()
     train_grouped(classifier, inbox)
     inbox_ids = {message.msgid for message in inbox}
     targets = [m for m in corpus.dataset.ham if m.msgid not in inbox_ids][:candidates]
-    header_pool = [message.email for message in inbox.spam]
+    header_pool = HeaderPool(inbox.spam)
     reports = []
     rng = spawner.rng("attacks")
     for target in targets:
-        attack = FocusedAttack(target.email, guess_probability=0.5, header_pool=header_pool)
+        email = target.email
+        attack = FocusedAttack(email, guess_probability=0.5, header_pool=header_pool)
         batch = attack.generate(attack_count, rng)
-        reports.append(token_shift_analysis(classifier, target.email, batch))
+        reports.append(token_shift_analysis(classifier, email, batch))
     return reports
 
 

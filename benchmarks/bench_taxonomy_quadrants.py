@@ -42,7 +42,6 @@ def _run(scale: str):
         inbox_size, contamination = 1_000, 0.05
     spawner = SeedSpawner(12).spawn("taxonomy-quadrants")
     inbox = corpus.dataset.sample_inbox(inbox_size, 0.5, spawner.rng("inbox"))
-    inbox.tokenize_all()
     inbox_ids = {m.msgid for m in inbox}
     held_out = [m for m in corpus.dataset if m.msgid not in inbox_ids][:400]
     test_spam = [m for m in held_out if m.is_spam][:100]

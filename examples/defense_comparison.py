@@ -37,7 +37,6 @@ def main() -> None:
     spawner = SeedSpawner(2024).spawn("defense-comparison")
     corpus = TrecStyleCorpus.generate(n_ham=CORPUS_SIZE, n_spam=CORPUS_SIZE, seed=2024)
     inbox = corpus.dataset.sample_inbox(INBOX_SIZE, 0.5, spawner.rng("inbox"))
-    inbox.tokenize_all()
     inbox_ids = {m.msgid for m in inbox}
     test = [m for m in corpus.dataset if m.msgid not in inbox_ids][:TEST_SIZE]
 

@@ -45,7 +45,6 @@ def main() -> None:
     spawner = SeedSpawner(42).spawn("dictionary-demo")
     corpus = TrecStyleCorpus.generate(n_ham=CORPUS_SIZE, n_spam=CORPUS_SIZE, seed=42)
     inbox = corpus.dataset.sample_inbox(INBOX_SIZE, 0.5, spawner.rng("inbox"))
-    inbox.tokenize_all()
     inbox_ids = {m.msgid for m in inbox}
     test = [m for m in corpus.dataset if m.msgid not in inbox_ids][:TEST_SIZE]
 

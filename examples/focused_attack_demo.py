@@ -35,7 +35,6 @@ def main() -> None:
     spawner = SeedSpawner(1337).spawn("focused-demo")
     corpus = TrecStyleCorpus.generate(n_ham=CORPUS_SIZE, n_spam=CORPUS_SIZE, seed=1337)
     inbox = corpus.dataset.sample_inbox(INBOX_SIZE, 0.5, spawner.rng("inbox"))
-    inbox.tokenize_all()
 
     # The bid email the attacker wants buried: a ham message the victim
     # has NOT yet received (it is outside the training inbox).

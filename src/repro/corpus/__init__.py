@@ -18,8 +18,8 @@ Layers, bottom to top:
   ham and spam text;
 * :mod:`repro.corpus.generator` — full :class:`Email` synthesis with
   headers;
-* :mod:`repro.corpus.dataset` — labeled datasets, folds, inbox
-  sampling, token caching;
+* :mod:`repro.corpus.dataset` — message handles, labeled datasets,
+  folds, inbox sampling, ID encoding;
 * :mod:`repro.corpus.trec` — the TREC-2005-style bundle used by the
   experiments (plus a loader for the real corpus when available);
 * :mod:`repro.corpus.mbox` — mbox-style persistence;

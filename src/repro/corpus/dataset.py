@@ -1,35 +1,40 @@
 """Labeled datasets: the unit the experiment harness manipulates.
 
 A :class:`Dataset` is an ordered collection of :class:`LabeledMessage`
-objects with the operations the paper's protocol needs:
+handles with the operations the paper's protocol needs:
 
 * *inbox sampling* — draw an N-message inbox with a given spam
   prevalence (Table 1's "training set size" and "spam prevalence"),
 * *K-fold cross-validation* — partition into folds, yielding
   train/test pairs (Section 4.1),
-* *token caching* — each message's token set is computed once and
-  shared by every fold, repetition and attack sweep that touches it,
 * *ID encoding* — against a shared
-  :class:`~repro.spambayes.token_table.TokenTable`, each message's
-  token set is interned once into a sorted token-ID ``array``
-  (:meth:`LabeledMessage.token_ids`); the classifier's ``*_ids``
-  methods and the sweep engine's workers consume these directly, so no
-  string is hashed in any training or scoring loop;
-* *grouping* — :func:`group_token_ids` encodes each distinct (label,
-  token set) once, an attack batch being one group, for training
-  (:func:`train_grouped`), the threshold fit and the RONI gate.
+  :class:`~repro.spambayes.token_table.TokenTable`, each message is
+  loaded, tokenized and interned once into a sorted token-ID ``array``
+  (:meth:`LabeledMessage.token_ids`), and only that row is kept; the
+  classifier's ``*_ids`` methods and the sweep engine's workers
+  consume these directly, so no string is hashed in any training or
+  scoring loop;
+* *grouping* — :func:`group_token_ids` collapses messages with the
+  same (label, ID row) into one group, an attack batch being one
+  group, for training (:func:`train_grouped`), the threshold fit and
+  the RONI gate.
 
-Datasets are cheap views: folds and samples share the underlying
-``LabeledMessage`` objects (and therefore the token and ID caches).
+Messages are handles, not mail.  A handle holds its label and a
+*source* with the key the source loads it by: the email itself, a
+mail source (generated corpora regenerate message ``i`` from the seed,
+file corpora re-read a file), or a :class:`SharedTokens` payload that
+many messages share (attack mail).  Until a message is first encoded
+nothing of it is materialized; the email and its token set exist only
+for the length of that encode.  Datasets are cheap views: folds and
+samples share the underlying handles (and therefore their encoded
+rows).
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
 
 from repro.errors import CorpusError
 from repro.spambayes.message import Email
@@ -41,143 +46,149 @@ if TYPE_CHECKING:
 
 __all__ = [
     "LabeledMessage",
-    "StoredMessage",
+    "MailSource",
+    "SharedTokens",
     "Dataset",
-    "store_message",
     "group_token_ids",
     "train_grouped",
     "unlearn_grouped",
 ]
 
 
-@dataclass(slots=True)
-class LabeledMessage:
-    """One email with its gold label, a cached token set and a cached
-    token-ID encoding."""
+class MailSource(Protocol):
+    """Where lazy messages come from: ``load(key)`` re-creates the
+    email of the message named ``key``, ``msgid(key)`` names it without
+    loading.  One source serves a whole corpus (or one class of it), so
+    a handle costs its key, not a closure."""
 
-    email: Email
-    is_spam: bool
-    _tokens: frozenset[str] | None = field(default=None, repr=False)
-    _token_ids: array | None = field(default=None, repr=False)
-    _ids_table: TokenTable | None = field(default=None, repr=False, compare=False)
+    def load(self, key) -> Email: ...
+
+    def msgid(self, key) -> str: ...
+
+
+class SharedTokens:
+    """A token set that many messages share, encoded once per table.
+
+    The source of attack mail: every copy of one attack payload points
+    at one ``SharedTokens``, so the copies share one token set and one
+    encoded row instead of each interning a dictionary-sized set.  A
+    payload message's key is its msgid; its email is an empty body, as
+    no email text reproduces the payload.
+    """
+
+    __slots__ = ("tokens", "_row", "_table")
+
+    def __init__(self, tokens: Iterable[str]) -> None:
+        self.tokens = frozenset(tokens)
+        self._row: array | None = None
+        self._table: TokenTable | None = None
+
+    def encode(self, table: TokenTable) -> array:
+        if self._table is not table:
+            self._row = table.encode_unique(self.tokens)
+            self._table = table
+        return self._row
+
+    def load(self, key: str) -> Email:
+        return Email(body="", msgid=key)
+
+    def msgid(self, key: str) -> str:
+        return key
+
+    def __getstate__(self) -> frozenset[str]:
+        return self.tokens
+
+    def __setstate__(self, tokens: frozenset[str]) -> None:
+        self.tokens = tokens
+        self._row = None
+        self._table = None
+
+
+class LabeledMessage:
+    """One message's handle: gold label, source and key, encoded row.
+
+    ``source`` is an :class:`Email`, or a :class:`MailSource` (a
+    :class:`SharedTokens` payload included) with the ``key`` it loads
+    this message by.
+
+    :meth:`token_ids` encodes the message against a table the first
+    time it is asked for that table and keeps only the sorted ID row
+    (in the table's row store: the handle itself on the in-memory
+    backend, SQLite on the disk one).  Asked for another table, the
+    handle moves: it decodes its row from the old table and re-encodes
+    the text, never reloading the email.  Payload messages keep no row
+    of their own; their :class:`SharedTokens` holds it.
+
+    :meth:`tokens` is transient: decoded from the row when the message
+    is encoded, otherwise loaded and tokenized, and never cached.
+    """
+
+    __slots__ = ("is_spam", "_key", "_source", "_row", "_table")
+
+    def __init__(self, source: "Email | MailSource", is_spam: bool, key=None) -> None:
+        if key is None and not isinstance(source, Email):
+            raise CorpusError("a message without its email needs the key to load it by")
+        self.is_spam = is_spam
+        self._key = key
+        self._source = source
+        self._row = None
+        self._table: TokenTable | None = None
 
     @property
     def msgid(self) -> str:
-        return self.email.msgid
+        source = self._source
+        return source.msgid if isinstance(source, Email) else source.msgid(self._key)
+
+    @property
+    def email(self) -> Email:
+        """The message's email, loaded again on every access."""
+        source = self._source
+        return source if isinstance(source, Email) else source.load(self._key)
 
     def tokens(self, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> frozenset[str]:
-        """The message's token set, computed once and cached.
-
-        The cache is keyed by nothing: all built-in experiments share
-        one tokenizer configuration. Call :meth:`invalidate_tokens`
-        first if you must re-tokenize with different options.
-        """
-        if self._tokens is None:
-            self._tokens = frozenset(tokenizer.tokenize(self.email))
-        return self._tokens
+        """The message's token set, built for the caller and not kept."""
+        source = self._source
+        if isinstance(source, SharedTokens):
+            return source.tokens
+        return frozenset(self._text(tokenizer))
 
     def token_ids(self, table: TokenTable, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> array:
         """The message's sorted, duplicate-free token-ID array.
 
-        Encoded once per ``table`` (identity-keyed cache) and then
-        reused by every fold, attack batch and worker that scores or
-        trains this message.  The table is append-only, so a cached
-        encoding never goes stale — new vocabulary elsewhere cannot
-        shift these IDs.
+        Encoded once per ``table``, then reused by every fold, attack
+        batch and worker that scores or trains this message.  The
+        table is append-only, so a kept row never goes stale.
         """
-        if self._token_ids is None or self._ids_table is not table:
-            self._token_ids = table.encode_unique(self.tokens(tokenizer))
-            self._ids_table = table
-        return self._token_ids
+        source = self._source
+        if isinstance(source, SharedTokens):
+            return source.encode(table)
+        if table is not self._table:
+            ids = table.encode_unique(self._text(tokenizer))
+            self._row = table.keep_row(ids)
+            self._table = table
+            return ids
+        return table.fetch_row(self._row)
 
-    def invalidate_tokens(self) -> None:
-        self._tokens = None
-        self._token_ids = None
-        self._ids_table = None
+    def _text(self, tokenizer: Tokenizer) -> Iterable[str]:
+        """The tokens to encode: decoded from the current table when
+        there is one, so a move never reloads the email."""
+        table = self._table
+        if table is not None:
+            return table.decode(table.fetch_row(self._row))
+        return tokenizer.tokenize(self.email)
 
+    def __getstate__(self):
+        # A row kept in a store travels as the array itself, next to
+        # its table (which pickles by value).
+        table = self._table
+        row = None if table is None else table.fetch_row(self._row)
+        return (self.is_spam, self._key, self._source, row, table)
 
-class StoredMessage:
-    """A message whose encoded form lives in a backend message store.
-
-    The disk-backed counterpart of :class:`LabeledMessage`, duck-typed
-    to the same interface (``email``, ``is_spam``, ``msgid``,
-    ``tokens``, ``token_ids``, ``invalidate_tokens``) so datasets,
-    folds, the sweep engine and the stream runner handle both without
-    branching.  The handle itself holds only ``(store, row, label)``:
-
-    * ``token_ids(table)`` against the store's own ingest table is one
-      row fetch — no tokenization, no interning, no retained cache;
-      against any *other* table it decodes the stored IDs back to text
-      and re-encodes, same result as the in-memory path;
-    * ``tokens()`` decodes transiently and never caches — not caching
-      is the point; the memory the in-memory path spends on token sets
-      is exactly what the disk backend exists to avoid;
-    * ``email`` is re-materialized on demand through ``email_loader``
-      (synthetic corpora regenerate from the seed, file corpora
-      re-read the source); stores do not retain bodies.
-
-    Ingestion tokenizes once (see :func:`store_message`); handles
-    assume the same tokenizer configuration, like every cache in this
-    module.  Pickling materializes a plain :class:`LabeledMessage` —
-    handles are process-local because their store connections are.
-    """
-
-    __slots__ = ("_store", "_row", "is_spam", "_email_loader")
-
-    def __init__(self, store, row: int, is_spam: bool, email_loader=None) -> None:
-        self._store = store
-        self._row = row
-        self.is_spam = is_spam
-        self._email_loader = email_loader
-
-    @property
-    def msgid(self) -> str:
-        return self._store.msgid(self._row)
-
-    @property
-    def email(self) -> Email:
-        if self._email_loader is None:
-            raise CorpusError(
-                "message body was not retained by the message store "
-                "and no loader was provided at ingest"
-            )
-        return self._email_loader()
-
-    def tokens(self, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> frozenset[str]:
-        store = self._store
-        return frozenset(store.table.decode(store.ids(self._row)))
-
-    def token_ids(self, table: TokenTable, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> array:
-        if table is self._store.table:
-            return self._store.ids(self._row)
-        return table.encode_unique(self.tokens(tokenizer))
-
-    def invalidate_tokens(self) -> None:
-        """Nothing cached, nothing to invalidate (interface parity)."""
-
-    def __reduce__(self):
-        return (LabeledMessage, (self.email, self.is_spam))
+    def __setstate__(self, state) -> None:
+        self.is_spam, self._key, self._source, self._row, self._table = state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"StoredMessage(row={self._row}, is_spam={self.is_spam})"
-
-
-def store_message(
-    store,
-    email: Email,
-    is_spam: bool,
-    tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-    email_loader=None,
-) -> StoredMessage:
-    """Ingest one message into a backend store, returning its handle.
-
-    The streaming-ingestion primitive: tokenize, intern into the
-    store's table (seed-stable batch order), append one row.  Nothing
-    about the email is retained in RAM afterwards.
-    """
-    ids = store.table.encode_unique(frozenset(tokenizer.tokenize(email)))
-    row = store.append(email.msgid, is_spam, ids)
-    return StoredMessage(store, row, is_spam, email_loader=email_loader)
+        return f"LabeledMessage({self.msgid!r}, is_spam={self.is_spam})"
 
 
 def group_token_ids(
@@ -185,28 +196,34 @@ def group_token_ids(
     table: TokenTable,
     tokenizer: Tokenizer = DEFAULT_TOKENIZER,
 ) -> tuple[list[tuple[array, bool, int]], list[int]]:
-    """Collapse ``messages`` into distinct ``(is_spam, token set)`` groups.
+    """Collapse ``messages`` into distinct ``(is_spam, ID row)`` groups.
 
     Returns one ``(token_ids, is_spam, count)`` per group in first-seen
-    order, and each message's group index.  Grouping probes the cached
-    token *frozensets* (an attack batch shares one set object, whose
-    cached hash makes the probe O(1)); each group is encoded once, in
-    first-seen order, so ``table`` grows as per-message encoding would.
+    order, and each message's group index.  Within one table, equal
+    rows mean equal token sets, so this is the partition by
+    ``(is_spam, token set)``.  Messages are encoded in order, so
+    ``table`` grows as per-message encoding would.  The copies of one
+    attack payload share one row object: after the first, each is one
+    identity probe, never a dictionary-sized comparison.
     """
-    slot_of: dict[tuple[bool, frozenset[str]], int] = {}
-    firsts: list[LabeledMessage] = []
+    by_content: dict[tuple[bool, bytes], int] = {}
+    # id() of a row already kept in ``groups`` (so the id cannot be
+    # reused while this dict lives) -> its slot.
+    by_object: dict[tuple[bool, int], int] = {}
+    groups: list[list] = []
     slots: list[int] = []
     for message in messages:
-        slot = slot_of.setdefault((message.is_spam, message.tokens(tokenizer)), len(firsts))
-        if slot == len(firsts):
-            firsts.append(message)
+        row = message.token_ids(table, tokenizer)
+        is_spam = message.is_spam
+        slot = by_object.get((is_spam, id(row)))
+        if slot is None:
+            slot = by_content.setdefault((is_spam, row.tobytes()), len(groups))
+            if slot == len(groups):
+                groups.append([row, is_spam, 0])
+                by_object[(is_spam, id(row))] = slot
+        groups[slot][2] += 1
         slots.append(slot)
-    counts = Counter(slots)
-    groups = [
-        (message.token_ids(table, tokenizer), message.is_spam, counts[slot])
-        for slot, message in enumerate(firsts)
-    ]
-    return groups, slots
+    return [tuple(group) for group in groups], slots
 
 
 def train_grouped(
@@ -386,23 +403,18 @@ class Dataset:
     # Token plumbing
     # ------------------------------------------------------------------
 
-    def tokenize_all(self, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> None:
-        """Force-populate every message's token cache (bulk warm-up)."""
-        for message in self._messages:
-            message.tokens(tokenizer)
-
     def encode(
         self,
         table: TokenTable | None = None,
         tokenizer: Tokenizer = DEFAULT_TOKENIZER,
     ) -> TokenTable:
-        """Encode every message into sorted token-ID arrays.
+        """Encode every message into sorted token-ID arrays, in order.
 
-        Interns the dataset's whole vocabulary into ``table`` (a fresh
-        one when omitted) and populates each message's
-        :meth:`LabeledMessage.token_ids` cache.  Returns the table —
-        hand it to ``Classifier(options, table=...)`` so the encoded
-        arrays index straight into the classifier's count columns.
+        Streams the messages one at a time through load → tokenize →
+        intern into ``table`` (a fresh one when omitted), keeping only
+        each row.  Returns the table — hand it to
+        ``Classifier(options, table=...)`` so the encoded arrays index
+        straight into the classifier's count columns.
         """
         if table is None:
             # The backend decides where a fresh table lives (in-memory
@@ -447,7 +459,8 @@ class Dataset:
         return table, matrix
 
     def vocabulary(self, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> set[str]:
-        """Union of all token sets in the dataset."""
+        """Union of all token sets in the dataset (decoded from each
+        encoded message's table)."""
         tokens: set[str] = set()
         for message in self._messages:
             tokens |= message.tokens(tokenizer)

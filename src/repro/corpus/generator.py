@@ -85,6 +85,11 @@ class EmailGenerator:
     # Public factories
     # ------------------------------------------------------------------
 
+    @staticmethod
+    def msgid(is_spam: bool, index: int) -> str:
+        """The msgid of message ``index`` of one class, without generating it."""
+        return f"{'spam' if is_spam else 'ham'}-{index:06d}"
+
     def ham_email(self, index: int) -> Email:
         """Generate ham message ``index``."""
         rng = self._spawner.rng(f"ham[{index}]")
@@ -106,7 +111,7 @@ class EmailGenerator:
             ("Message-ID", f"<ham-{index}@{rng.choice(config.ham_domains)}>"),
             ("X-Mailer", rng.choice(("Outlook 9.0", "Evolution 1.4", "Mutt 1.5"))),
         ]
-        return Email(body=body, headers=headers, msgid=f"ham-{index:06d}")
+        return Email(body=body, headers=headers, msgid=self.msgid(False, index))
 
     def spam_email(self, index: int) -> Email:
         """Generate spam message ``index``."""
@@ -131,7 +136,7 @@ class EmailGenerator:
             ("Date", self._date_header(rng)),
             ("Message-ID", f"<spam-{index}@{domain}>"),
         ]
-        return Email(body=body, headers=headers, msgid=f"spam-{index:06d}")
+        return Email(body=body, headers=headers, msgid=self.msgid(True, index))
 
     # ------------------------------------------------------------------
     # Pieces

@@ -10,12 +10,11 @@ trips losslessly through a single file.
 
 from __future__ import annotations
 
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.errors import CorpusError
-from repro.corpus.dataset import Dataset, LabeledMessage, store_message
+from repro.corpus.dataset import Dataset, LabeledMessage
 from repro.spambayes.message import Email
 
 __all__ = ["save_mbox", "iter_mbox", "load_mbox"]
@@ -88,8 +87,8 @@ def iter_mbox(path: str | Path) -> Iterator[LabeledMessage]:
     """Yield messages from an mboxo file lazily, in file order.
 
     The file is streamed line by line and one message block is held at
-    a time, so callers that ingest into a backend store (or stop
-    early) never materialize the mailbox.
+    a time, so callers that consume and drop messages (or stop early)
+    never materialize the mailbox.
     """
     path = Path(path)
     try:
@@ -110,38 +109,13 @@ def iter_mbox(path: str | Path) -> Iterator[LabeledMessage]:
             yield _parse_mbox_message(current, path)
 
 
-def _mbox_email_at(path: Path, index: int) -> Email:
-    """Re-read the ``index``-th message's email from the source file."""
-    for position, message in enumerate(iter_mbox(path)):
-        if position == index:
-            return message.email
-    raise CorpusError(f"mbox at {path} no longer has a message {index}")
-
-
 def load_mbox(path: str | Path) -> Dataset:
     """Read a dataset previously written by :func:`save_mbox`.
 
-    Messages stream through :func:`iter_mbox`; under
-    ``REPRO_STORE=disk`` each one is encoded into a backend message
-    store as it arrives (bodies re-read from the mailbox on demand),
-    so the corpus never fully materializes in RAM.
+    Messages stream through :func:`iter_mbox`, and each handle keeps
+    its parsed email (an mbox has no cheap per-message reload).
     """
-    path = Path(path)
-    from repro import storage
-
-    store = storage.active_backend().corpus_store()
-    if store is None:
-        messages: list = list(iter_mbox(path))
-    else:
-        messages = [
-            store_message(
-                store,
-                message.email,
-                message.is_spam,
-                email_loader=partial(_mbox_email_at, path, position),
-            )
-            for position, message in enumerate(iter_mbox(path))
-        ]
+    messages = list(iter_mbox(path))
     if not messages:
         raise CorpusError(f"mbox at {path} contained no messages")
-    return Dataset(messages, name=f"mbox({path.name})")
+    return Dataset(messages, name=f"mbox({Path(path).name})")

@@ -18,13 +18,12 @@ against the genuine data unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Iterator
 
 from repro.errors import CorpusError
 from repro.rng import SeedSpawner
-from repro.corpus.dataset import Dataset, LabeledMessage, store_message
+from repro.corpus.dataset import Dataset, LabeledMessage
 from repro.corpus.generator import EmailGenerator, GeneratorConfig
 from repro.corpus.vocabulary import (
     Vocabulary,
@@ -33,9 +32,9 @@ from repro.corpus.vocabulary import (
     SMALL_PROFILE,
 )
 from repro.spambayes.message import Email
-from repro.spambayes.token_table import TokenTable
 
 __all__ = [
+    "GeneratedMail",
     "TREC05_SPAM_COUNT",
     "TREC05_HAM_COUNT",
     "TrecStyleCorpus",
@@ -49,20 +48,52 @@ _TREC05_SPAM_PREVALENCE = TREC05_SPAM_COUNT / (TREC05_SPAM_COUNT + TREC05_HAM_CO
 
 
 @dataclass(frozen=True)
+class GeneratedMail:
+    """One class of a generated corpus as a mail source.
+
+    Message ``i`` is ``generator.ham_email(i)`` (``spam_email(i)`` for
+    the spam class), a pure function of (vocabulary, config, seed, i),
+    so an index is all a handle needs to hold.
+    """
+
+    generator: EmailGenerator
+    is_spam: bool
+
+    def load(self, index: int) -> Email:
+        if self.is_spam:
+            return self.generator.spam_email(index)
+        return self.generator.ham_email(index)
+
+    def msgid(self, index: int) -> str:
+        return self.generator.msgid(self.is_spam, index)
+
+
+@dataclass(frozen=True)
+class _TrecFiles:
+    """A TREC tree as a mail source: a message is its index path."""
+
+    index_parent: Path
+
+    def load(self, relative: str) -> Email:
+        return _read_trec_message(self.index_parent, relative)
+
+    def msgid(self, relative: str) -> str:
+        return relative
+
+
+@dataclass(frozen=True)
 class TrecStyleCorpus:
     """A generated corpus plus everything attacks need to target it.
 
-    ``table`` is ``None`` when the corpus lives in RAM (the memory
-    backend) and the ingest token table when it was streamed into a
-    backend message store — consumers that own a classifier adopt it
-    so stored token-ID rows index straight into the count columns.
+    The dataset's messages are handles: nothing is generated until a
+    message is first encoded (or its email asked for), so a run pays
+    for the mail it samples, not for the whole corpus.
     """
 
     dataset: Dataset
     vocabulary: Vocabulary
     generator: EmailGenerator
     seed: int
-    table: TokenTable | None = None
 
     @classmethod
     def generate(
@@ -87,62 +118,20 @@ class TrecStyleCorpus:
             raise CorpusError(f"n_spam must be >= 0, got {n_spam}")
         vocabulary = Vocabulary.build(profile, seed=seed)
         generator = EmailGenerator(vocabulary, config=config, seed=seed)
-        from repro import storage
-
-        store = storage.active_backend().corpus_store()
-        if store is None:
-            messages = [
-                LabeledMessage(generator.ham_email(i), is_spam=False)
-                for i in range(n_ham)
-            ]
-            messages.extend(
-                LabeledMessage(generator.spam_email(i), is_spam=True)
-                for i in range(n_spam)
-            )
-            table = None
-        else:
-            # Streaming ingestion: each email is generated, tokenized,
-            # encoded into the store and dropped — only the O(1)
-            # handles stay in RAM.  ``ham_email(i)``/``spam_email(i)``
-            # are pure functions of (vocabulary, config, seed, i), so
-            # handles re-materialize bodies on demand for free.
-            messages = [
-                store_message(
-                    store,
-                    generator.ham_email(i),
-                    False,
-                    email_loader=partial(generator.ham_email, i),
-                )
-                for i in range(n_ham)
-            ]
-            messages.extend(
-                store_message(
-                    store,
-                    generator.spam_email(i),
-                    True,
-                    email_loader=partial(generator.spam_email, i),
-                )
-                for i in range(n_spam)
-            )
-            table = store.table
-        # Same RNG, same-length list, same permutation either way:
-        # corpus order is backend-independent by construction.
+        ham, spam = GeneratedMail(generator, False), GeneratedMail(generator, True)
+        messages = [LabeledMessage(ham, False, i) for i in range(n_ham)]
+        messages.extend(LabeledMessage(spam, True, i) for i in range(n_spam))
         SeedSpawner(seed).rng("trec-shuffle").shuffle(messages)
         dataset = Dataset(messages, name=f"trec-style(seed={seed})")
-        return cls(
-            dataset=dataset,
-            vocabulary=vocabulary,
-            generator=generator,
-            seed=seed,
-            table=table,
-        )
+        return cls(dataset=dataset, vocabulary=vocabulary, generator=generator, seed=seed)
 
     @classmethod
     def generate_paper_scale(cls, seed: int = 0) -> "TrecStyleCorpus":
         """The full-size equivalent: 39,399 ham / 52,790 spam messages.
 
-        Minutes of generation time and gigabyte-order memory; intended
-        for ``REPRO_SCALE=paper`` benchmark runs only.
+        Only the messages a run encodes are generated (minutes for the
+        whole corpus); intended for ``REPRO_SCALE=paper`` benchmark
+        runs only.
         """
         return cls.generate(
             n_ham=TREC05_HAM_COUNT,
@@ -166,15 +155,15 @@ def iter_trec_corpus(
 ) -> Iterator[LabeledMessage]:
     """Yield a real TREC corpus's messages lazily, in index order.
 
-    One message is materialized at a time — the index is streamed and
-    each referenced file is read only when its message is consumed, so
-    callers that ingest into a backend store (or stop early via
-    ``limit``) never hold the corpus in RAM.
+    The index is streamed and each message is a handle over its file:
+    the file is read when the message is encoded (or its email asked
+    for), so callers never hold the corpus text in RAM.
     """
     root = Path(root)
     index_path = root / "full" / "index"
     if not index_path.is_file():
         raise CorpusError(f"no TREC index at {index_path}")
+    files = _TrecFiles(index_path.parent)
     yielded = 0
     with open(index_path, "r", encoding="utf-8", errors="replace") as index_file:
         for line_number, line in enumerate(index_file):
@@ -186,8 +175,9 @@ def iter_trec_corpus(
             label, relative = parts
             if label not in ("spam", "ham"):
                 raise CorpusError(f"unknown TREC label {label!r} on line {line_number}")
-            email = _read_trec_message(index_path.parent, relative)
-            yield LabeledMessage(email, is_spam=(label == "spam"))
+            if not (index_path.parent / relative).is_file():
+                raise CorpusError(f"no TREC message file {relative!r} (line {line_number})")
+            yield LabeledMessage(files, label == "spam", relative)
             yielded += 1
 
 
@@ -200,30 +190,13 @@ def load_trec_corpus(root: str | Path, limit: int | None = None) -> Dataset:
     been placed on disk; every experiment accepts the resulting
     :class:`Dataset` in place of the synthetic one.
 
-    Messages stream through :func:`iter_trec_corpus`; under
-    ``REPRO_STORE=disk`` each one is encoded into a backend message
-    store as it arrives (bodies re-read from the source tree on
-    demand), so the corpus never fully materializes in RAM.
+    Messages are the handles of :func:`iter_trec_corpus`: each file is
+    read when its message is first encoded, and under
+    ``REPRO_STORE=disk`` the encoded rows live in SQLite, so the corpus
+    never fully materializes in RAM.
     """
     root = Path(root)
-    from repro import storage
-
-    store = storage.active_backend().corpus_store()
-    if store is None:
-        messages: list = list(iter_trec_corpus(root, limit))
-    else:
-        index_parent = root / "full"
-        messages = [
-            store_message(
-                store,
-                message.email,
-                message.is_spam,
-                email_loader=partial(
-                    _read_trec_message, index_parent, message.email.msgid
-                ),
-            )
-            for message in iter_trec_corpus(root, limit)
-        ]
+    messages = list(iter_trec_corpus(root, limit))
     if not messages:
         raise CorpusError(f"TREC index at {root / 'full' / 'index'} contained no messages")
     return Dataset(messages, name=f"trec({root.name})")

@@ -33,10 +33,10 @@ Implementation notes:
   workspace-local text ranks are built once and never go stale (the
   rows are fixed and the table is append-only).
 * **One measurement per distinct candidate.**
-  :meth:`RoniDefense.measure_many` groups a batch by ``(is_spam, token
-  set)`` (:func:`~repro.corpus.dataset.group_token_ids`; a dictionary
-  attack's copies share one payload), encodes each group once in
-  per-message order, then makes one
+  :meth:`RoniDefense.measure_many` groups a batch by ``(is_spam, ID
+  row)`` (:func:`~repro.corpus.dataset.group_token_ids`; a dictionary
+  attack's copies share one encoded payload), encoding in per-message
+  order, then makes one
   :meth:`Classifier.score_under_candidates` call per trial.  The base
   classifier runs learn / score / unlearn per candidate — the
   executable reference, and what the pure kernel runs; the NumPy kernel
@@ -297,10 +297,10 @@ class RoniDefense:
     def measure_many(self, candidates: Sequence[LabeledMessage]) -> list[RoniMeasurement]:
         """:meth:`measure` for a whole candidate batch in one sweep.
 
-        Candidates sharing a label and token set (the copies of one
-        attack payload) are encoded and measured once, in first-seen
-        order (so the shared table grows exactly as per-message
-        :meth:`measure` calls would grow it).  Returns one measurement
+        Candidates sharing a label and ID row (the copies of one attack
+        payload) are measured once, in first-seen order; candidates are
+        encoded in order, so the shared table grows exactly as
+        per-message :meth:`measure` calls would grow it.  Returns one measurement
         per candidate, in order, identical to per-message :meth:`measure`.
         """
         groups, slots = group_token_ids(candidates, self._table, self.tokenizer)

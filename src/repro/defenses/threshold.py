@@ -187,10 +187,10 @@ class DynamicThresholdDefense:
 def _score_distinct(
     classifier: Classifier, messages: list[LabeledMessage], tokenizer: Tokenizer
 ) -> list[float]:
-    """Score ``messages`` in order, each distinct (label, token set) once.
+    """Score ``messages`` in order, each distinct (label, ID row) once.
 
     Rows are the groups of :func:`~repro.corpus.dataset.group_token_ids`.
-    Attack mail shares one frozenset per group, so a poisoned half
+    Attack mail shares one encoded row per group, so a poisoned half
     adds one row per attack group, not one dictionary-sized row per
     attack message.  The distinct rows go through ``score_many_ids`` in
     batches of about :data:`_SCORE_ENTRY_BUDGET` token entries, then the

@@ -3,39 +3,63 @@
 Several experiment layers need to treat an
 :class:`~repro.attacks.base.AttackBatch` as ordinary dataset members —
 the threshold defense fits on "the poisoned training set, attack
-messages included", the weekly retraining loop feeds attack arrivals
-through the RONI gate, and the streaming engine does both per tick.
-The adapter used to live in :mod:`repro.experiments.threshold_exp`,
-which forced sibling experiments to import one experiment from
-another; it lives here now, as shared experiment-layer plumbing.
+messages included", and the streaming engine feeds attack arrivals
+through the RONI gate and the retrain every tick.  The adapter lives
+here, as shared experiment-layer plumbing, so sibling experiments do
+not import one another.
 """
 
 from __future__ import annotations
 
+from array import array
+
 from repro.attacks.base import AttackBatch
-from repro.corpus.dataset import LabeledMessage
-from repro.spambayes.message import Email
+from repro.corpus.dataset import LabeledMessage, SharedTokens
+from repro.spambayes.token_table import TokenTable
 
 __all__ = ["attack_messages_as_dataset"]
+
+
+class _GroupTokens(SharedTokens):
+    """One attack group's payload, encoded through its batch.
+
+    :meth:`AttackBatch.encode` already caches the whole batch per
+    table, so the group's messages, the sweep trainer and the RONI
+    gate all share that one row.
+    """
+
+    __slots__ = ("_batch", "_index")
+
+    def __init__(self, batch: AttackBatch, index: int) -> None:
+        super().__init__(batch.groups[index].training_tokens)
+        self._batch = batch
+        self._index = index
+
+    def encode(self, table: TokenTable) -> array:
+        return self._batch.encode(table)[self._index][0]
+
+    def __getstate__(self):
+        return self._batch, self._index
+
+    def __setstate__(self, state) -> None:
+        self._batch, self._index = state
+        self.tokens = self._batch.groups[self._index].training_tokens
 
 
 def attack_messages_as_dataset(batch: AttackBatch, start: int = 0) -> list[LabeledMessage]:
     """Materialize a batch as spam-labeled dataset members.
 
-    Bodies stay empty — token caches are pre-seeded with the payload,
-    which is all downstream training ever reads — so a thousand
-    90k-token attack messages cost one shared frozenset, not gigabytes
-    of rendered text.
+    Every message of one group is a handle over the group's shared
+    payload: a thousand 90k-token attack messages cost one frozenset
+    and, per table, one encoded row, not gigabytes of rendered text.
     """
     messages: list[LabeledMessage] = []
     index = start
-    for group in batch.groups:
+    for group_index, group in enumerate(batch.groups):
+        payload = _GroupTokens(batch, group_index)
         for _ in range(group.count):
-            message = LabeledMessage(
-                Email(body="", msgid=f"attack-{batch.attack_name}-{index:06d}"),
-                is_spam=True,
+            messages.append(
+                LabeledMessage(payload, True, f"attack-{batch.attack_name}-{index:06d}")
             )
-            message._tokens = group.training_tokens
-            messages.append(message)
             index += 1
     return messages

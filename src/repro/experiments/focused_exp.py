@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.attacks.base import AttackBatch
+from repro.attacks.payload import HeaderPool
 from repro.corpus.dataset import LabeledMessage, train_grouped
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
@@ -122,7 +123,7 @@ class _Repetition:
 
     classifier: Classifier
     targets: list[LabeledMessage]
-    header_pool: list
+    header_pool: HeaderPool
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,6 @@ def _prepare_one_repetition(context: _PrepareContext, rep: int) -> _Repetition:
     inbox = context.corpus.dataset.sample_inbox(
         config.inbox_size, config.spam_prevalence, rep_rng
     )
-    inbox.tokenize_all()
     inbox_ids = {message.msgid for message in inbox}
     candidates = [m for m in context.corpus.dataset.ham if m.msgid not in inbox_ids]
     if len(candidates) < config.n_targets:
@@ -150,7 +150,7 @@ def _prepare_one_repetition(context: _PrepareContext, rep: int) -> _Repetition:
     targets = rep_rng.sample(candidates, config.n_targets)
     classifier = create_classifier(config.options)
     train_grouped(classifier, inbox)
-    header_pool = [message.email for message in inbox.spam]
+    header_pool = HeaderPool(inbox.spam)
     return _Repetition(classifier, targets, header_pool)
 
 

@@ -7,8 +7,9 @@ This module is where those instantiations live, collapsed out of the
 five bespoke drivers:
 
 * a shared **preparation stage** (:func:`prepare_inbox`) that every
-  pool-based protocol runs: seed-spawn, generate the corpus, sample
-  the inbox/pool, tokenize, encode against one shared
+  pool-based protocol runs: seed-spawn, lay out the corpus handles,
+  sample the inbox/pool, then stream only the sampled mail through
+  generate → tokenize → encode against one shared
   :class:`~repro.spambayes.token_table.TokenTable`;
 * one **protocol function** per fan-out shape, registered in
   :data:`PROTOCOLS` under the name scenario specs declare.
@@ -51,6 +52,9 @@ from repro.spambayes.tokenizer import DEFAULT_TOKENIZER
 from repro.stream.runner import run_stream_experiment
 
 if TYPE_CHECKING:
+    from array import array
+
+    from repro.spambayes.message import Email
     from repro.spambayes.token_table import TokenTable
 
 __all__ = ["PROTOCOLS", "PreparedInbox", "prepare_inbox"]
@@ -78,12 +82,16 @@ def prepare_inbox(
     sample_label: str = "inbox",
     size_attr: str = "inbox_size",
 ) -> PreparedInbox:
-    """Corpus → inbox → tokenize → encode, under the historical labels.
+    """Corpus → inbox → generate/tokenize/encode, under the historical labels.
 
     ``spawn_label`` and ``sample_label`` are the experiment's seed
     stream names ("dictionary-experiment"/"inbox",
     "roni-experiment"/"pool", ...) — they are part of each scenario's
     identity, because every downstream draw descends from them.
+
+    The corpus is handles, so sampling draws from it without
+    generating anything; only the sampled messages are then generated,
+    one at a time in inbox order, and each keeps just its ID row.
     """
     spawner = SeedSpawner(config.seed).spawn(spawn_label)
     corpus = TrecStyleCorpus.generate(
@@ -95,7 +103,6 @@ def prepare_inbox(
     inbox = corpus.dataset.sample_inbox(
         getattr(config, size_attr), config.spam_prevalence, spawner.rng(sample_label)
     )
-    inbox.tokenize_all()
     # Encode once: the full model, every fold worker, every defense and
     # every evaluation reuses these arrays and this table.
     table = inbox.encode()
@@ -161,6 +168,15 @@ def _prepare_repetitions(
     )
 
 
+def _encode_target(email: "Email", table: "TokenTable") -> "array":
+    """A target's ID row, from the email its attacks were built on.
+
+    The attacks need the target's text and the cells need its row, so
+    both come from one load instead of a handle loading it twice.
+    """
+    return table.encode_unique(DEFAULT_TOKENIZER.tokenize(email))
+
+
 def run_focused_knowledge(
     config: "focused_exp.FocusedExperimentConfig",
 ) -> "focused_exp.FocusedKnowledgeResult":
@@ -172,15 +188,16 @@ def run_focused_knowledge(
     tasks: list[focused_exp._KnowledgeTask] = []
     for rep_index, repetition in enumerate(repetitions):
         for target in repetition.targets:
+            email = target.email
             batches = []
             for probability in config.guess_probabilities:
                 attack = FocusedAttack(
-                    target.email,
+                    email,
                     guess_probability=probability,
                     header_pool=repetition.header_pool,
                 )
                 batches.append(attack.generate(config.attack_count, attack_rng))
-            target_ids = target.token_ids(repetition.classifier.table, DEFAULT_TOKENIZER)
+            target_ids = _encode_target(email, repetition.classifier.table)
             tasks.append(focused_exp._KnowledgeTask(rep_index, target_ids, tuple(batches)))
     context = focused_exp._EvalContext(tuple(rep.classifier for rep in repetitions))
     outcomes = ParallelRunner(config.workers).map(
@@ -212,13 +229,14 @@ def run_focused_size(
     tasks: list[focused_exp._SizeTask] = []
     for rep_index, repetition in enumerate(repetitions):
         for target in repetition.targets:
+            email = target.email
             attack = FocusedAttack(
-                target.email,
+                email,
                 guess_probability=config.size_sweep_guess_probability,
                 header_pool=repetition.header_pool,
             )
             batch = attack.generate(counts[-1] if counts else 0, attack_rng)
-            target_ids = target.token_ids(repetition.classifier.table, DEFAULT_TOKENIZER)
+            target_ids = _encode_target(email, repetition.classifier.table)
             tasks.append(focused_exp._SizeTask(rep_index, target_ids, batch))
     context = focused_exp._EvalContext(
         tuple(rep.classifier for rep in repetitions), counts=tuple(counts)

@@ -131,20 +131,6 @@ def classifier_class() -> type[Classifier]:
     return NDClassifier if kernel_name() == "nd" else Classifier
 
 
-def backend_columns():
-    """A count-column store from the active storage backend.
-
-    The ``kind`` matches the active kernel, so whichever classifier
-    class :func:`create_classifier` builds gets columns it can index
-    natively (NumPy int64 views for ``nd``, flat buffers for pure).
-    """
-    from repro import storage
-
-    return storage.active_backend().count_columns(
-        "nd" if kernel_name() == "nd" else "pure"
-    )
-
-
 def create_classifier(
     options: ClassifierOptions = DEFAULT_OPTIONS,
     table: TokenTable | None = None,

@@ -156,6 +156,20 @@ class TokenTable:
         tokens = self._tokens
         return [tokens[tid] for tid in ids]
 
+    def keep_row(self, ids: array):
+        """Keep an encoded message row; returns the key to fetch it by.
+
+        The in-memory table keeps nothing itself: the row is its own
+        key, held by the message handle.  Disk-backed tables store the
+        row and hand back a row number (see
+        :class:`~repro.storage.disk.DiskTokenTable`).
+        """
+        return ids
+
+    def fetch_row(self, key) -> array:
+        """The row :meth:`keep_row` returned ``key`` for."""
+        return key
+
     def text_order_ranks(self) -> array:
         """Rank of each token's text in the table's sorted vocabulary.
 

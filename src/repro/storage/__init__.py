@@ -1,4 +1,4 @@
-"""Pluggable storage layer: where tables, counts and corpora live.
+"""Pluggable storage layer: where tables, counts and message rows live.
 
 ``REPRO_STORE=memory|disk|auto`` selects the backend; see
 :mod:`repro.storage.base` for the protocol and the determinism
@@ -18,7 +18,6 @@ from repro.storage.base import (
 from repro.storage.disk import (
     STORE_PREFIX,
     DiskBackend,
-    DiskMessageStore,
     DiskTokenTable,
     MmapCountColumns,
     gc_stores,
@@ -36,7 +35,6 @@ __all__ = [
     "STORE_ENV",
     "STORE_PREFIX",
     "DiskBackend",
-    "DiskMessageStore",
     "DiskTokenTable",
     "MemoryBackend",
     "MemoryCountColumns",

@@ -7,17 +7,18 @@ hard-coded in-memory structures:
   seed-stable layout — see :mod:`repro.spambayes.token_table`),
 * the classifier's **spam/ham count columns** (flat integer columns
   indexed by token ID),
-* encoded **message corpora** (per-message sorted token-ID arrays plus
-  the gold label).
+* encoded **message rows** (each message's sorted token-ID array,
+  kept by the table it was encoded against).
 
 A :class:`StorageBackend` decides where each lives.  Two ship:
 
 * ``memory`` — the original in-memory structures, extracted verbatim
   (:mod:`repro.storage.memory`); byte-identical behaviour to the
   pre-storage-layer code by construction;
-* ``disk`` — SQLite-backed token tables and message stores plus
-  mmap-backed count columns (:mod:`repro.storage.disk`), so corpora
-  and vocabulary spill to disk instead of capping at RAM.
+* ``disk`` — SQLite-backed token tables that also hold their message
+  rows, plus mmap-backed count columns (:mod:`repro.storage.disk`), so
+  encoded corpora and vocabulary spill to disk instead of capping at
+  RAM.
 
 Selection is environmental (``REPRO_STORE=memory|disk|auto``),
 mirroring ``REPRO_KERNEL``: ``auto`` (or unset) means ``memory`` — the
@@ -104,14 +105,12 @@ class StorageBackend:
     the corpus layer and persistence need, nothing more:
 
     * :meth:`new_token_table` — a fresh append-only token table (the
-      unit a classifier owns when none is shared with it);
+      unit a classifier owns when none is shared with it, and the
+      keeper of the rows of the messages encoded against it);
     * :meth:`count_columns` — a column store whose ``grow(n)`` returns
       the ``(spam, ham)`` count columns sized to ``n`` IDs; ``kind``
       is ``"pure"`` (indexable buffers for the pure-Python kernel) or
-      ``"nd"`` (NumPy int64 arrays for the vectorized kernel);
-    * :meth:`corpus_store` — a message store for streaming corpus
-      ingestion, or ``None`` when corpora stay in RAM (the memory
-      backend), which is what corpus builders branch on.
+      ``"nd"`` (NumPy int64 arrays for the vectorized kernel).
     """
 
     name: str = "abstract"
@@ -120,9 +119,6 @@ class StorageBackend:
         raise NotImplementedError
 
     def count_columns(self, kind: str):
-        raise NotImplementedError
-
-    def corpus_store(self):
         raise NotImplementedError
 
     def close(self) -> None:

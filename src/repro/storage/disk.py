@@ -1,6 +1,6 @@
 """The disk storage backend: SQLite tables + mmap count columns.
 
-Three pieces, mirroring the protocol in :mod:`repro.storage.base`:
+Two pieces, mirroring the protocol in :mod:`repro.storage.base`:
 
 * :class:`DiskTokenTable` — the append-only ``str <-> int`` registry
   backed by a SQLite table, with a bounded in-process cache.  It is a
@@ -8,15 +8,15 @@ Three pieces, mirroring the protocol in :mod:`repro.storage.base`:
   dense-ID, append-only, **seed-stable layout** contract (new tokens
   in a batch are interned in sorted text order via the shared
   :func:`~repro.spambayes.token_table.finish_encode` helper), so every
-  ID-keyed structure downstream behaves identically.
+  ID-keyed structure downstream behaves identically.  Its SQLite file
+  also stores the encoded message rows (:meth:`DiskTokenTable.keep_row`):
+  a message encoded against a disk table keeps only a row number in
+  RAM, so a corpus never fully materializes.
 * :class:`MmapCountColumns` — spam/ham count columns in file-backed
   ``mmap`` regions with geometric capacity growth.  File-backed pages
   are reclaimable by the OS and do **not** count against
   ``RLIMIT_DATA``, which is what lets a capped process score folds
   over vocabularies it could not hold as private anonymous memory.
-* :class:`DiskMessageStore` — encoded corpora as rows of
-  ``(msgid, label, sorted token-ID blob)``; streaming ingestion
-  appends one row per message so a corpus never fully materializes.
 
 Every store lives under one backend-owned directory named
 ``repro_store_<pid-hex>_<salt>`` (under ``REPRO_STORE_DIR`` or the
@@ -24,9 +24,9 @@ system tempdir).  The pid in the name is the crash-cleanup story:
 :func:`gc_stores` — the ``repro gc`` janitor — removes directories
 whose owning process is gone.
 
-SQLite connections never cross a fork boundary: each table/store keys
-its connection by ``os.getpid()`` and lazily opens a fresh one in a
-forked child — which makes inherited handles safe to *read* (corpus
+SQLite connections never cross a fork boundary: each table keys its
+connection by ``os.getpid()`` and lazily opens a fresh one in a
+forked child — which makes inherited handles safe to *read* (message
 rows, token lookups).  Inherited handles are NOT safe to *write*: two
 forked siblings interning into one SQLite file race on the dense ID
 sequence, and count columns are ``MAP_SHARED`` so a child's writes
@@ -60,7 +60,6 @@ from repro.storage.base import STORE_DIR_ENV, StorageBackend, pid_alive
 __all__ = [
     "STORE_PREFIX",
     "DiskBackend",
-    "DiskMessageStore",
     "DiskTokenTable",
     "MmapCountColumns",
     "gc_stores",
@@ -101,12 +100,14 @@ class DiskTokenTable(TokenTable):
 
     The bounded token/text caches are pure accelerators: a miss falls
     back to a SELECT, so cache state can never change results, only
-    latency.  Pickling degrades to a plain in-memory ``TokenTable``
-    (``__reduce__``), matching the existing convention that tables
-    cross process boundaries by value.
+    latency.  The same file holds the rows of the messages encoded
+    against the table (:meth:`keep_row`/:meth:`fetch_row`).  Pickling
+    degrades to a plain in-memory ``TokenTable`` (``__reduce__``),
+    matching the existing convention that tables cross process
+    boundaries by value; a pickled message ships its row as an array.
     """
 
-    __slots__ = ("_db_path", "_conns", "_cache", "_rcache", "_cache_limit", "_len")
+    __slots__ = ("_db_path", "_conns", "_cache", "_rcache", "_cache_limit", "_len", "_rows")
 
     def __init__(self, db_path: str | Path, cache_limit: int = 1 << 16) -> None:
         # Deliberately no super().__init__(): the list/dict storage is
@@ -119,6 +120,7 @@ class DiskTokenTable(TokenTable):
         self._rank_cache = None
         conn = self._conn()
         self._len = int(conn.execute("SELECT COUNT(*) FROM tokens").fetchone()[0])
+        self._rows = int(conn.execute("SELECT COUNT(*) FROM rows").fetchone()[0])
 
     @property
     def db_path(self) -> str:
@@ -132,6 +134,9 @@ class DiskTokenTable(TokenTable):
             conn.execute(
                 "CREATE TABLE IF NOT EXISTS tokens "
                 "(id INTEGER PRIMARY KEY, text TEXT NOT NULL UNIQUE)"
+            )
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS rows (i INTEGER PRIMARY KEY, ids BLOB NOT NULL)"
             )
             self._conns[pid] = conn
         return conn
@@ -302,6 +307,18 @@ class DiskTokenTable(TokenTable):
                 self._cache_put(rcache, tid, text)
         return out  # type: ignore[return-value]
 
+    def keep_row(self, ids: array) -> int:
+        row = self._rows
+        self._conn().execute("INSERT INTO rows (i, ids) VALUES (?, ?)", (row, ids.tobytes()))
+        self._rows += 1
+        return row
+
+    def fetch_row(self, key: int) -> array:
+        blob = self._conn().execute("SELECT ids FROM rows WHERE i = ?", (key,)).fetchone()[0]
+        out = array(TOKEN_ID_TYPECODE)
+        out.frombytes(blob)
+        return out
+
     def text_order_ranks(self) -> array:
         cached = self._rank_cache
         n = self._len
@@ -408,70 +425,6 @@ class MmapCountColumns:
                 handle.close()
 
 
-class DiskMessageStore:
-    """Encoded corpus rows: ``(index, msgid, label, token-ID blob)``.
-
-    Append-only like everything else in the pipeline; ``ids`` blobs
-    are the raw bytes of the sorted ``array('l')`` the table produced,
-    so a fetch is one SELECT plus ``frombytes``.  ``table`` is the
-    ingest :class:`DiskTokenTable` the blobs are encoded against —
-    stored-message handles use the identity to hand back stored rows
-    zero-copy and re-encode against any other table.
-    """
-
-    __slots__ = ("table", "_db_path", "_conns", "_len")
-
-    def __init__(self, db_path: str | Path, table: DiskTokenTable) -> None:
-        self.table = table
-        self._db_path = str(db_path)
-        self._conns: dict[int, sqlite3.Connection] = {}
-        conn = self._conn()
-        self._len = int(conn.execute("SELECT COUNT(*) FROM messages").fetchone()[0])
-
-    def _conn(self) -> sqlite3.Connection:
-        pid = os.getpid()
-        conn = self._conns.get(pid)
-        if conn is None:
-            conn = _connect(self._db_path)
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS messages "
-                "(i INTEGER PRIMARY KEY, msgid TEXT NOT NULL, "
-                "is_spam INTEGER NOT NULL, ids BLOB NOT NULL)"
-            )
-            self._conns[pid] = conn
-        return conn
-
-    def append(self, msgid: str, is_spam: bool, ids: array) -> int:
-        row = self._len
-        self._conn().execute(
-            "INSERT INTO messages (i, msgid, is_spam, ids) VALUES (?, ?, ?, ?)",
-            (row, msgid, 1 if is_spam else 0, ids.tobytes()),
-        )
-        self._len += 1
-        return row
-
-    def ids(self, row: int) -> array:
-        blob = self._conn().execute(
-            "SELECT ids FROM messages WHERE i = ?", (row,)
-        ).fetchone()[0]
-        out = array(TOKEN_ID_TYPECODE)
-        out.frombytes(blob)
-        return out
-
-    def msgid(self, row: int) -> str:
-        return self._conn().execute(
-            "SELECT msgid FROM messages WHERE i = ?", (row,)
-        ).fetchone()[0]
-
-    def __len__(self) -> int:
-        return self._len
-
-    def close(self) -> None:
-        conn = self._conns.pop(os.getpid(), None)
-        if conn is not None:
-            conn.close()
-
-
 class DiskBackend(StorageBackend):
     """One store directory per process; see the module docstring."""
 
@@ -510,16 +463,6 @@ class DiskBackend(StorageBackend):
         columns = MmapCountColumns(self._next("cols"), kind)
         self._resources.append(columns)
         return columns
-
-    def corpus_store(self) -> DiskMessageStore:
-        # One file per corpus holding both its token table and its
-        # message rows — the blobs and the table they are encoded
-        # against travel together.
-        path = self._next("corpus").with_suffix(".db")
-        table = DiskTokenTable(path)
-        store = DiskMessageStore(path, table)
-        self._resources.extend((store, table))
-        return store
 
     def close(self) -> None:
         for resource in self._resources:

@@ -8,9 +8,9 @@ buffer doubling, moved verbatim so the memory path stays
 byte-identical — including pickle payloads, which still ship plain
 ``array('l')`` / ``ndarray`` columns.
 
-The memory backend has no corpus store (:meth:`MemoryBackend.
-corpus_store` returns ``None``): corpus builders see ``None`` and take
-the original list-of-``LabeledMessage`` path unchanged.
+Its token tables keep no message rows: a message encoded against one
+holds its own row (:meth:`~repro.spambayes.token_table.TokenTable.
+keep_row`).
 """
 
 from __future__ import annotations
@@ -101,6 +101,3 @@ class MemoryBackend(StorageBackend):
         if kind == "nd":
             return NDMemoryCountColumns()
         return MemoryCountColumns()
-
-    def corpus_store(self) -> None:
-        return None

@@ -58,10 +58,6 @@ class StreamProfile:
                 totals[phase] = totals.get(phase, 0.0) + seconds
         return totals
 
-    def phase_series(self, phase: str) -> list[float]:
-        """One phase's seconds, tick by tick."""
-        return [tick.get(phase, 0.0) for tick in self.per_tick]
-
     def accounted_seconds(self) -> float:
         """Prepare plus every timed phase — the explained wall time."""
         return self.prepare_seconds + sum(self.phase_totals().values())
@@ -71,16 +67,6 @@ class StreamProfile:
         if self.total_seconds <= 0.0:
             return 1.0
         return self.accounted_seconds() / self.total_seconds
-
-    def as_dict(self) -> dict:
-        """JSON-ready form of the timings."""
-        return {
-            "prepare_seconds": self.prepare_seconds,
-            "total_seconds": self.total_seconds,
-            "accounted_seconds": self.accounted_seconds(),
-            "phase_totals": self.phase_totals(),
-            "per_tick": [dict(tick) for tick in self.per_tick],
-        }
 
     def render(self) -> str:
         """ASCII phase table: one row per tick plus totals."""

@@ -70,7 +70,7 @@ from repro.experiments.metrics import ConfusionCounts
 from repro.experiments.results import CurvePoint, ExperimentRecord, Series
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier
-from repro.spambayes.ndkernel import backend_columns, create_classifier
+from repro.spambayes.ndkernel import create_classifier
 from repro.stream.defenses import build_tick_defense
 from repro.stream.profile import PhaseTimer, StreamProfile
 from repro.stream.spec import StreamSpec
@@ -263,7 +263,6 @@ class StreamRunner:
             ham_stream[-spec.test_size // 2 :] + spam_stream[-spec.test_size // 2 :],
             name="held-out",
         )
-        test.tokenize_all()
         ham_stream = ham_stream[: -spec.test_size // 2]
         spam_stream = spam_stream[: -spec.test_size // 2]
 
@@ -278,7 +277,7 @@ class StreamRunner:
             attack = build_attack_variants(
                 corpus, (spec.attack_variant,), seed=spec.seed, pool=pool
             )[spec.attack_variant]
-        return spawner, ham_stream, spam_stream, test, attack, corpus.table
+        return spawner, ham_stream, spam_stream, test, attack
 
     # ------------------------------------------------------------------
     # The tick loop
@@ -290,21 +289,12 @@ class StreamRunner:
         timer = PhaseTimer(spec.profile_phases)
         run_start = time.perf_counter()
         with timer.phase("prepare"):
-            spawner, ham_stream, spam_stream, test, attack, table = self._prepare()
+            spawner, ham_stream, spam_stream, test, attack = self._prepare()
             counts = spec.tick_attack_counts()
-
-            if table is None:
-                classifier = create_classifier(spec.options)
-            else:
-                # Backend-stored corpus: adopt the ingest table so every
-                # stored token-ID row indexes the count columns
-                # directly, and take backend columns for the stream's
-                # root classifier (the one whose vocabulary grows with
-                # the corpus).  Record-identical to the in-memory path:
-                # records never depend on table layout.
-                classifier = create_classifier(
-                    spec.options, table=table, columns=backend_columns()
-                )
+            # The stream's root classifier: its table and count columns
+            # come from the storage backend (on disk, the table also
+            # keeps every encoded message row).
+            classifier = create_classifier(spec.options)
             # Encode the held-out set once against the stream's table:
             # every tick's evaluation is then one bulk kernel pass over
             # cached ID arrays (the table is append-only, so the arrays
@@ -340,6 +330,9 @@ class StreamRunner:
                 arrivals: list[LabeledMessage] = list(
                     ham_stream[start_ham : start_ham + spec.ham_per_tick]
                 ) + list(spam_stream[start_spam : start_spam + spec.spam_per_tick])
+                # Ingest the tick's mail in one pass, in arrival order —
+                # the order the gate or the retrain would encode it in.
+                Dataset(arrivals).encode(classifier.table)
                 attack_sent = counts[tick - 1]
                 attack_arrivals: list[LabeledMessage] = []
                 if attack_sent:

@@ -44,7 +44,6 @@ def corpus():
 @pytest.fixture(scope="module")
 def inbox(corpus):
     inbox = corpus.dataset.sample_inbox(160, 0.5, random.Random(4))
-    inbox.tokenize_all()
     return inbox
 
 

@@ -204,7 +204,6 @@ class TestZeroCountGeneration:
             n_ham=120, n_spam=120, profile=TINY_PROFILE, seed=42
         )
         inbox = corpus.dataset.sample_inbox(100, 0.5, random.Random(1))
-        inbox.tokenize_all()
         attack = build_attack_variants(corpus, ("usenet",), seed=1)["usenet"]
 
         def sweep(fractions):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks.dictionary import DictionaryAttack
-from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
+from repro.corpus.dataset import Dataset, LabeledMessage, SharedTokens, train_grouped
 from repro.errors import ExperimentError
 from repro.engine.sweep import (
     IncrementalAttackTrainer,
@@ -68,12 +68,8 @@ class TestTrainGrouped:
             assert grouped.word_info(token) == individual.word_info(token)
 
     def test_collapses_identical_messages(self):
-        tokens = frozenset({"same", "tokens"})
-        messages = []
-        for i in range(10):
-            message = LabeledMessage(Email(body="", msgid=str(i)), True)
-            message._tokens = tokens
-            messages.append(message)
+        payload = SharedTokens({"same", "tokens"})
+        messages = [LabeledMessage(payload, True, str(i)) for i in range(10)]
         classifier = Classifier()
         train_grouped(classifier, Dataset(messages))
         assert classifier.nspam == 10

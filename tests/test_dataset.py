@@ -1,4 +1,4 @@
-"""Tests for Dataset operations: sampling, folds, token caching."""
+"""Tests for Dataset operations: sampling, folds, message handles."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from repro.errors import CorpusError
 from repro.rng import SeedSpawner
 from repro.corpus.dataset import Dataset, LabeledMessage
 from repro.spambayes.message import Email
+from repro.spambayes.token_table import TokenTable
 
 
 def make_dataset(n_ham: int, n_spam: int) -> Dataset:
@@ -120,25 +121,55 @@ class TestSplitAndFolds:
         assert {m.msgid for m in shuffled} == {m.msgid for m in dataset}
 
 
-class TestTokenCaching:
-    def test_tokens_cached_once(self):
-        message = LabeledMessage(Email.build(body="some words here"), False)
-        first = message.tokens()
-        assert message.tokens() is first
+class TestMessageHandles:
+    class _Bodies:
+        """A mail source over a dict of bodies, counting its loads."""
 
-    def test_invalidate_recomputes(self):
+        def __init__(self, bodies):
+            self.bodies = bodies
+            self.loads = []
+
+        def load(self, key):
+            self.loads.append(key)
+            return Email.build(body=self.bodies[key], msgid=key)
+
+        def msgid(self, key):
+            return key
+
+    def _lazy(self, body: str = "some words here"):
+        source = self._Bodies({"lazy": body})
+        return LabeledMessage(source, False, "lazy"), source.loads
+
+    def test_tokens_are_transient(self):
         message = LabeledMessage(Email.build(body="some words here"), False)
         first = message.tokens()
-        message.invalidate_tokens()
         second = message.tokens()
         assert second == first
-        assert second is not first
+        assert second is not first  # built per call, never kept
 
-    def test_tokenize_all_warms_cache(self):
-        dataset = make_dataset(3, 3)
-        dataset.tokenize_all()
-        for message in dataset:
-            assert message._tokens is not None
+    def test_loader_runs_once_per_message(self):
+        message, loads = self._lazy()
+        assert message.msgid == "lazy" and not loads  # a handle loads nothing
+        table = TokenTable()
+        row = message.token_ids(table)
+        assert len(loads) == 1
+        assert message.token_ids(table) is row
+        # Strings come back from the table, not from another load.
+        assert message.tokens() == {"some", "words", "here"}
+        assert len(loads) == 1
+
+    def test_moving_tables_decodes_instead_of_reloading(self):
+        message, loads = self._lazy("cheap cash wire now")
+        first_table, second_table = TokenTable(["zzz"]), TokenTable()
+        message.token_ids(first_table)
+        moved = message.token_ids(second_table)
+        assert len(loads) == 1
+        assert second_table.decode(moved) == sorted(["cheap", "cash", "wire", "now"])
+        assert list(moved) == list(TokenTable().encode_unique(message.tokens()))
+
+    def test_lazy_message_needs_its_key(self):
+        with pytest.raises(CorpusError, match="key"):
+            LabeledMessage(self._Bodies({}), False)
 
     def test_vocabulary_unions_tokens(self):
         dataset = make_dataset(2, 2)

@@ -41,6 +41,21 @@ def test_checker_flags_broken_references(tmp_path):
     assert "bad.md: unknown CLI command 'figure1'" in problems
 
 
+def test_checker_resolves_pytest_node_ids_to_their_file(tmp_path):
+    checker = _load_checker()
+    doc = tmp_path / "node_ids.md"
+    doc.write_text(
+        "`tests/test_docs_links.py::test_docs_references_resolve` passes;\n"
+        "`tests/test_no_such_file.py::TestMissing` does not.\n",
+        encoding="utf-8",
+    )
+    problems = checker.check_file(doc, checker.cli_tables())
+    assert problems == [
+        "node_ids.md: referenced path "
+        "'tests/test_no_such_file.py::TestMissing' does not exist"
+    ]
+
+
 def test_checker_flags_the_retired_artifact_commands(tmp_path):
     """The paper artifacts are scenarios now; the old artifact words
     are unknown commands, with or without flags."""

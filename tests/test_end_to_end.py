@@ -24,7 +24,6 @@ from repro.spambayes.filter import Label
 def world(small_corpus):
     spawner = SeedSpawner(2008).spawn("end-to-end")
     inbox = small_corpus.dataset.sample_inbox(600, 0.5, spawner.rng("inbox"))
-    inbox.tokenize_all()
     inbox_ids = {m.msgid for m in inbox}
     held_out = [m for m in small_corpus.dataset if m.msgid not in inbox_ids]
     spam_filter = SpamFilter()

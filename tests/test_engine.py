@@ -46,7 +46,6 @@ def sweep_corpus():
 @pytest.fixture(scope="module")
 def sweep_inbox(sweep_corpus):
     inbox = sweep_corpus.dataset.sample_inbox(180, 0.5, random.Random(3))
-    inbox.tokenize_all()
     return inbox
 
 

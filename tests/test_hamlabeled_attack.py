@@ -52,7 +52,6 @@ class TestIntegrityDamage:
         contamination lets spam through."""
         rng = SeedSpawner(61).rng("inbox")
         inbox = small_corpus.dataset.sample_inbox(600, 0.5, rng)
-        inbox.tokenize_all()
         inbox_ids = {m.msgid for m in inbox}
         test = [m for m in small_corpus.dataset if m.msgid not in inbox_ids][:200]
 

@@ -268,7 +268,6 @@ def diff_corpus():
 @pytest.fixture(scope="module")
 def diff_inbox(diff_corpus):
     inbox = diff_corpus.dataset.sample_inbox(80, 0.5, random.Random(4))
-    inbox.tokenize_all()
     return inbox
 
 

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks.dictionary import AspellDictionaryAttack, UsenetDictionaryAttack
-from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
+from repro.corpus.dataset import (
+    Dataset,
+    LabeledMessage,
+    SharedTokens,
+    group_token_ids,
+    train_grouped,
+)
 from repro.defenses.base_types import DefenseVerdict
 from repro.defenses.roni import RoniConfig, RoniDefense
 from repro.errors import DefenseError
@@ -13,7 +19,6 @@ from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.rng import SeedSpawner
 from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
-from repro.spambayes.message import Email
 from repro.spambayes.token_table import TokenTable
 
 KERNELS = ["nd", "python"] if ndkernel.available() else ["python"]
@@ -98,8 +103,7 @@ class TestVerdicts:
     def test_filter_messages_split(self, defense, small_corpus):
         attack = AspellDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
         tokens = attack.generate(1, SeedSpawner(4).rng("a")).groups[0].training_tokens
-        attack_message = LabeledMessage(Email(body="", msgid="att"), True)
-        attack_message._tokens = tokens
+        attack_message = LabeledMessage(SharedTokens(tokens), True, "att")
         candidates = [attack_message] + small_corpus.dataset.spam[11:14]
         accepted, rejected = defense.filter_messages(candidates)
         assert [m.msgid for m in rejected] == ["att"]
@@ -152,10 +156,8 @@ class TestRepeatedCandidates:
         copies = attack_messages_as_dataset(attack.generate(4, SeedSpawner(51).rng("a")))
         payload = copies[0].tokens()
         assert all(message.tokens() is payload for message in copies)
-        equal = LabeledMessage(Email(body="", msgid="equal-set"), True)
-        equal._tokens = frozenset(set(payload))
-        as_ham = LabeledMessage(Email(body="", msgid="ham-label"), False)
-        as_ham._tokens = payload
+        equal = LabeledMessage(SharedTokens(set(payload)), True, "equal-set")
+        as_ham = LabeledMessage(SharedTokens(payload), False, "ham-label")
         pool_ids = {m.msgid for m in pool}
         fresh = [m for m in small_corpus.dataset if m.msgid not in pool_ids][:4]
         # 4 copies + 1 equal set + 1 ham label + 4 ordinary messages.
@@ -180,9 +182,13 @@ class TestRepeatedCandidates:
         measurements = batched.measure_many(batch)
         monkeypatch.setattr(TokenTable, "encode_unique", original)
 
-        # One encode per distinct (label, token set): the four copies
-        # and the equal set share one; the ham label is its own group.
-        assert len(encoded) == len({(m.is_spam, m.tokens()) for m in batch}) == 6
+        # One encode per payload: the four copies share theirs, the
+        # equal set and the ham-labelled copy bring one each.
+        assert len(encoded) == 7
+        # One group per distinct (label, token set): the equal set joins
+        # the copies by its row; the ham label is its own group.
+        groups, _ = group_token_ids(batch, batched.table)
+        assert len(groups) == len({(m.is_spam, m.tokens()) for m in batch}) == 6
         verdicts = [looped.judge(message) for message in batch]
         assert measurements == [verdict.measurement for verdict in verdicts]
         assert verdicts[2].rejected

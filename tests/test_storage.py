@@ -16,12 +16,11 @@ import os
 import pickle
 import subprocess
 import sys
-from array import array
 from pathlib import Path
 
 import pytest
 
-from repro.corpus.dataset import LabeledMessage, store_message
+from repro.corpus.dataset import LabeledMessage
 from repro.errors import ConfigurationError, PersistenceError
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.message import Email
@@ -36,7 +35,6 @@ from repro.storage import (
     STORE_ENV,
     STORE_PREFIX,
     DiskBackend,
-    DiskMessageStore,
     DiskTokenTable,
     MemoryBackend,
     MemoryCountColumns,
@@ -118,7 +116,10 @@ class TestStoreSelection:
         assert isinstance(backend.new_token_table(), TokenTable)
         assert isinstance(backend.count_columns("pure"), MemoryCountColumns)
         assert isinstance(backend.count_columns("nd"), NDMemoryCountColumns)
-        assert backend.corpus_store() is None
+        # In-memory tables keep no rows: the row is its own key.
+        table = backend.new_token_table()
+        ids = table.encode_unique({"a", "b"})
+        assert table.keep_row(ids) is ids and table.fetch_row(ids) is ids
         backend.close()
         backend.destroy()  # no-ops, but must exist and be idempotent
 
@@ -292,70 +293,66 @@ class TestMmapCountColumns:
         assert spam3[1] == 3
 
 
-class TestDiskMessageStore:
-    def test_append_fetch_and_reopen(self, disk_backend):
-        store = disk_backend.corpus_store()
-        assert isinstance(store, DiskMessageStore)
-        ids = store.table.encode_unique({"cash", "offer", "prize"})
-        row = store.append("msg-1", True, ids)
-        assert row == 0 and len(store) == 1
-        assert list(store.ids(0)) == list(ids)
-        assert store.msgid(0) == "msg-1"
+class _TextSource:
+    """A picklable mail source over raw message texts."""
+
+    def __init__(self, texts):
+        self.texts = texts
+
+    def load(self, key):
+        return Email.from_text(self.texts[key], msgid=key)
+
+    def msgid(self, key):
+        return key
+
+
+class TestDiskRows:
+    def test_keep_fetch_and_reopen(self, disk_backend):
+        table = disk_backend.new_token_table()
+        ids = table.encode_unique({"cash", "offer", "prize"})
+        assert table.keep_row(ids) == 0
+        assert table.keep_row(table.encode_unique({"cash"})) == 1
+        assert list(table.fetch_row(0)) == list(ids)
         # A second handle over the same file (a resumed process) sees
         # the same rows and vocabulary.
-        reopened = DiskMessageStore(store._db_path, store.table)
-        assert len(reopened) == 1
-        assert list(reopened.ids(0)) == list(ids)
+        reopened = DiskTokenTable(table.db_path)
+        assert list(reopened.fetch_row(0)) == list(ids)
+        assert reopened.keep_row(ids) == 2
         reopened.close()
 
-    def test_stored_message_handles(self, disk_backend):
-        store = disk_backend.corpus_store()
-        email = Email.from_text(
-            "Subject: cheap prize\n\nclaim your cash prize offer now",
-            msgid="spam-0",
-        )
-        message = store_message(
-            store, email, True, email_loader=lambda: email
-        )
-        plain = LabeledMessage(email, is_spam=True)
+    def test_message_row_lives_in_the_store(self, disk_backend):
+        text = "Subject: cheap prize\n\nclaim your cash prize offer now"
+        message = LabeledMessage(_TextSource({"spam-0": text}), True, "spam-0")
+        plain = LabeledMessage(Email.from_text(text, "spam-0"), is_spam=True)
+        table = disk_backend.new_token_table()
+        row = message.token_ids(table)
+        # The handle holds a row number; the IDs come back from SQLite.
+        assert message._row == 0
+        assert list(table.fetch_row(0)) == list(row)
+        assert list(message.token_ids(table)) == list(row)
         assert message.is_spam and message.msgid == "spam-0"
         assert message.tokens() == plain.tokens()
-        assert message.email is email
-        message.invalidate_tokens()  # interface parity no-op
-        # Against the ingest table: the stored row, verbatim.
-        assert list(message.token_ids(store.table)) == list(
-            store.ids(0)
-        )
-        # Against a different table: re-encoded, same result as the
+        # Against a different table: moved, same result as the
         # in-memory message against that table.
         other = TokenTable()
         assert list(message.token_ids(other)) == list(plain.token_ids(TokenTable()))
-        # Pickling materializes a plain LabeledMessage via the loader.
+        # Pickling ships the row as an array next to an in-memory table.
+        message.token_ids(table)
         revived = pickle.loads(pickle.dumps(message))
-        assert type(revived) is LabeledMessage
+        assert type(revived._table) is TokenTable
+        assert list(revived.token_ids(revived._table)) == list(row)
         assert revived.tokens() == plain.tokens()
-
-    def test_stored_message_without_loader_refuses_body(self, disk_backend):
-        from repro.errors import CorpusError
-
-        store = disk_backend.corpus_store()
-        email = Email.from_text("Subject: hi\n\nhello there", msgid="m")
-        message = store_message(store, email, False)
-        with pytest.raises(CorpusError, match="loader"):
-            _ = message.email
 
 
 class TestDiskBackendLifecycle:
     def test_resources_live_under_one_directory(self, disk_backend):
         table = disk_backend.new_token_table()
         columns = disk_backend.count_columns("pure")
-        store = disk_backend.corpus_store()
         files = list(disk_backend.path.iterdir())
         assert files, "backend directory should hold store files"
         assert disk_backend.path.name.startswith(STORE_PREFIX)
         columns.grow(8)
-        table.encode_unique({"a"})
-        store.append("m", False, array("l"))
+        table.keep_row(table.encode_unique({"a"}))
         disk_backend.destroy()
         assert not disk_backend.path.exists()
         disk_backend.destroy()  # idempotent

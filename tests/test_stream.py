@@ -407,13 +407,9 @@ class TestPhaseProfiling:
         )
         totals = profile.phase_totals()
         assert totals["train"] == pytest.approx(0.5)
-        assert profile.phase_series("eval") == [0.1, 0.1]
-        assert profile.phase_series("missing") == [0.0, 0.0]
         assert profile.accounted_seconds() == pytest.approx(0.5 + 0.85)
         assert profile.accounted_fraction() == pytest.approx(1.35 / 1.5)
-        payload = profile.as_dict()
-        assert payload["phase_totals"]["counterfactual"] == pytest.approx(0.12)
-        assert len(payload["per_tick"]) == 2
+        assert totals["counterfactual"] == pytest.approx(0.12)
         rendered = profile.render()
         assert "phase timings" in rendered
         for phase in PHASES:

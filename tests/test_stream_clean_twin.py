@@ -323,7 +323,7 @@ class TestLongHorizonTwinCost:
         assert runner.passes[first:] == [1] * (spec.ticks - first)
 
         profile = result.phase_profile
-        assert profile.accounted_fraction() >= ACCOUNTED_FLOOR, profile.as_dict()
+        assert profile.accounted_fraction() >= ACCOUNTED_FLOOR, profile.render()
 
 
 # ----------------------------------------------------------------------

@@ -98,12 +98,16 @@ class TestMessageEncoding:
         assert re_encoded is not first  # different table -> re-encode
         assert message.token_ids(other) is re_encoded
 
-    def test_invalidate_tokens_clears_encoding(self):
+    def test_pickled_message_ships_its_row_and_table(self):
         message = LabeledMessage(Email(body="cheap cash", msgid="m2"), True)
-        table = TokenTable()
-        first = message.token_ids(table)
-        message.invalidate_tokens()
-        assert message.token_ids(table) is not first
+        table = TokenTable(["unrelated"])
+        row = message.token_ids(table)
+        model = {"table": table, "message": message}
+        thawed = pickle.loads(pickle.dumps(model))
+        # One table on the far side, and the row is valid against it.
+        assert thawed["message"]._table is thawed["table"]
+        assert list(thawed["message"].token_ids(thawed["table"])) == list(row)
+        assert len(thawed["table"]) == len(table)
 
     def test_dataset_encode_populates_all(self):
         corpus = TrecStyleCorpus.generate(n_ham=20, n_spam=20, profile=TINY_PROFILE, seed=5)
@@ -372,7 +376,6 @@ class TestHarnessEquivalence:
         from repro.attacks.dictionary import OptimalDictionaryAttack
 
         inbox = small_corpus.dataset.sample_inbox(120, 0.5, random.Random(4))
-        inbox.tokenize_all()
         attack = OptimalDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
         fractions = (0.0, 0.02, 0.05)
 
@@ -393,7 +396,6 @@ class TestHarnessEquivalence:
 
     def test_roni_measure_many_matches_per_message(self, small_corpus):
         pool = small_corpus.dataset.sample_inbox(80, 0.5, random.Random(6))
-        pool.tokenize_all()
         table = pool.encode()
         defense = RoniDefense(
             pool,
@@ -419,7 +421,6 @@ class TestHarnessEquivalence:
     def test_shared_table_across_classifiers(self, small_corpus):
         """Two classifiers on one table see each other's interning only."""
         inbox = small_corpus.dataset.sample_inbox(60, 0.5, random.Random(9))
-        inbox.tokenize_all()
         table = inbox.encode()
         first = Classifier(table=table)
         second = Classifier(table=table)

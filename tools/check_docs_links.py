@@ -147,9 +147,11 @@ def check_file(doc: Path, cli: dict) -> list[str]:
             problems.append(
                 f"{doc.name}: unknown make target {make_call.group(1)!r}"
             )
-        if not looks_like_repo_path(span):
+        # A pytest node id (``tests/x.py::TestY``) names its file.
+        path = span.split("::", 1)[0]
+        if not looks_like_repo_path(path):
             continue
-        if not (REPO_ROOT / span).exists():
+        if not (REPO_ROOT / path).exists():
             problems.append(f"{doc.name}: referenced path {span!r} does not exist")
 
     for match in CLI_CALL.finditer(text):
