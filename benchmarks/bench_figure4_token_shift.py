@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.analysis.token_shift import token_shift_analysis
 from repro.attacks.focused import FocusedAttack
-from repro.attacks.payload import HeaderPool
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import PAPER_PROFILE, SMALL_PROFILE
 from repro.corpus.dataset import train_grouped
@@ -38,7 +37,7 @@ def _run(scale: str):
     train_grouped(classifier, inbox)
     inbox_ids = {message.msgid for message in inbox}
     targets = [m for m in corpus.dataset.ham if m.msgid not in inbox_ids][:candidates]
-    header_pool = HeaderPool(inbox.spam)
+    header_pool = [message.email for message in inbox.spam]
     reports = []
     rng = spawner.rng("attacks")
     for target in targets:

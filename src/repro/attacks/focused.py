@@ -70,8 +70,7 @@ class FocusedAttack(Attack):
             Independent probability of knowing each target body token
             (1.0 = the paper's "knows the exact content" extreme).
         header_pool:
-            Real spam messages whose headers attack emails will wear
-            (a list, or a lazy :class:`~repro.attacks.payload.HeaderPool`).
+            Real spam messages whose headers attack emails will wear.
             Empty pool falls back to headerless attack emails.
         extra_words:
             Additional words the attacker mixes in ("the attack email
@@ -84,8 +83,7 @@ class FocusedAttack(Attack):
         self.name = "focused"
         self.target = target
         self.guess_probability = guess_probability
-        # A Sequence stays as given: a HeaderPool loads only what is drawn.
-        self.header_pool = header_pool if isinstance(header_pool, Sequence) else list(header_pool)
+        self.header_pool = list(header_pool)
         self.extra_words = tuple(extra_words)
         self.tokenizer = tokenizer
         self._target_body_tokens = frozenset(tokenizer.tokenize_body(target.body))

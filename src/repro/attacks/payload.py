@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import AttackError
 from repro.spambayes.message import Email
 
-__all__ = ["HeaderPolicy", "HeaderPool", "render_attack_email", "choose_header_source"]
+__all__ = ["HeaderPolicy", "render_attack_email", "choose_header_source"]
 
 _LINE_WIDTH = 72
 
@@ -30,34 +30,6 @@ class HeaderPolicy(enum.Enum):
     RANDOM_SPAM = "random-spam"
     """Copy the full header block of a randomly chosen real spam —
     the focused-attack setting."""
-
-
-class HeaderPool(Sequence[Email]):
-    """The header blocks of a spam pool, loaded as draws pick them.
-
-    Wraps message handles (anything with an ``email``).  Item ``i`` is
-    message ``i``'s header block as a body-less :class:`Email`, loaded
-    the first time a draw picks it and kept, so an attack over a large
-    pool loads only the spam it steals headers from.  Draws see the
-    same length and order as a list of the emails would.
-    """
-
-    def __init__(self, messages: Iterable) -> None:
-        self._messages = list(messages)
-        self._loaded: dict[int, Email] = {}
-
-    def __len__(self) -> int:
-        return len(self._messages)
-
-    def __getitem__(self, index: int) -> Email:
-        message = self._messages[index]
-        index %= len(self._messages)
-        header = self._loaded.get(index)
-        if header is None:
-            email = message.email
-            header = Email(body="", headers=list(email.iter_headers()), msgid=email.msgid)
-            self._loaded[index] = header
-        return header
 
 
 def choose_header_source(spam_pool: Sequence[Email], rng: random.Random) -> Email:

@@ -45,7 +45,6 @@ from repro.attacks.dictionary import (
 )
 from repro.attacks.focused import FocusedAttack
 from repro.attacks.knowledge import EmpiricalHamDistribution, budgeted_attack
-from repro.attacks.payload import HeaderPool
 from repro.errors import AttackError
 
 if TYPE_CHECKING:
@@ -85,7 +84,7 @@ def _focused_from_pool(corpus: "TrecStyleCorpus", pool: "Dataset") -> FocusedAtt
     return FocusedAttack(
         target.email,
         guess_probability=0.5,
-        header_pool=HeaderPool(pool.spam),
+        header_pool=[message.email for message in pool.spam],
     )
 
 

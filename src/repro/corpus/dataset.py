@@ -22,8 +22,8 @@ handles with the operations the paper's protocol needs:
 Messages are handles, not mail.  A handle holds its label and a
 *source* with the key the source loads it by: the email itself, a
 mail source (generated corpora regenerate message ``i`` from the seed,
-file corpora re-read a file), or a :class:`SharedTokens` payload that
-many messages share (attack mail).  Until a message is first encoded
+file corpora re-read a file), or an :class:`AttackPayload` that the
+copies of one attack group share.  Until a message is first encoded
 nothing of it is materialized; the email and its token set exist only
 for the length of that encode.  Datasets are cheap views: folds and
 samples share the underlying handles (and therefore their encoded
@@ -42,12 +42,13 @@ from repro.spambayes.token_table import TokenTable
 from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
 
 if TYPE_CHECKING:
+    from repro.attacks.base import AttackBatch
     from repro.spambayes.classifier import Classifier
 
 __all__ = [
     "LabeledMessage",
     "MailSource",
-    "SharedTokens",
+    "AttackPayload",
     "Dataset",
     "group_token_ids",
     "train_grouped",
@@ -66,28 +67,29 @@ class MailSource(Protocol):
     def msgid(self, key) -> str: ...
 
 
-class SharedTokens:
-    """A token set that many messages share, encoded once per table.
+class AttackPayload:
+    """One attack group as the source its messages share.
 
-    The source of attack mail: every copy of one attack payload points
-    at one ``SharedTokens``, so the copies share one token set and one
-    encoded row instead of each interning a dictionary-sized set.  A
-    payload message's key is its msgid; its email is an empty body, as
-    no email text reproduces the payload.
+    Every copy of group ``index`` of ``batch`` points at one
+    ``AttackPayload``, so the copies share the group's token set and,
+    through :meth:`~repro.attacks.base.AttackBatch.encode` (cached per
+    batch and table), one encoded row, instead of each interning a
+    dictionary-sized set.  A payload message's key is its msgid; its
+    email is an empty body, as no email text reproduces the payload.
     """
 
-    __slots__ = ("tokens", "_row", "_table")
+    __slots__ = ("batch", "index")
 
-    def __init__(self, tokens: Iterable[str]) -> None:
-        self.tokens = frozenset(tokens)
-        self._row: array | None = None
-        self._table: TokenTable | None = None
+    def __init__(self, batch: "AttackBatch", index: int) -> None:
+        self.batch = batch
+        self.index = index
+
+    @property
+    def tokens(self) -> frozenset[str]:
+        return self.batch.groups[self.index].training_tokens
 
     def encode(self, table: TokenTable) -> array:
-        if self._table is not table:
-            self._row = table.encode_unique(self.tokens)
-            self._table = table
-        return self._row
+        return self.batch.encode(table)[self.index][0]
 
     def load(self, key: str) -> Email:
         return Email(body="", msgid=key)
@@ -95,21 +97,13 @@ class SharedTokens:
     def msgid(self, key: str) -> str:
         return key
 
-    def __getstate__(self) -> frozenset[str]:
-        return self.tokens
-
-    def __setstate__(self, tokens: frozenset[str]) -> None:
-        self.tokens = tokens
-        self._row = None
-        self._table = None
-
 
 class LabeledMessage:
     """One message's handle: gold label, source and key, encoded row.
 
-    ``source`` is an :class:`Email`, or a :class:`MailSource` (a
-    :class:`SharedTokens` payload included) with the ``key`` it loads
-    this message by.
+    ``source`` is an :class:`Email`, or a :class:`MailSource` (an
+    :class:`AttackPayload` included) with the ``key`` it loads this
+    message by.
 
     :meth:`token_ids` encodes the message against a table the first
     time it is asked for that table and keeps only the sorted ID row
@@ -117,7 +111,7 @@ class LabeledMessage:
     backend, SQLite on the disk one).  Asked for another table, the
     handle moves: it decodes its row from the old table and re-encodes
     the text, never reloading the email.  Payload messages keep no row
-    of their own; their :class:`SharedTokens` holds it.
+    of their own; their batch holds it.
 
     :meth:`tokens` is transient: decoded from the row when the message
     is encoded, otherwise loaded and tokenized, and never cached.
@@ -148,7 +142,7 @@ class LabeledMessage:
     def tokens(self, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> frozenset[str]:
         """The message's token set, built for the caller and not kept."""
         source = self._source
-        if isinstance(source, SharedTokens):
+        if isinstance(source, AttackPayload):
             return source.tokens
         return frozenset(self._text(tokenizer))
 
@@ -160,7 +154,7 @@ class LabeledMessage:
         table is append-only, so a kept row never goes stale.
         """
         source = self._source
-        if isinstance(source, SharedTokens):
+        if isinstance(source, AttackPayload):
             return source.encode(table)
         if table is not self._table:
             ids = table.encode_unique(self._text(tokenizer))

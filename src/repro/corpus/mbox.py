@@ -10,6 +10,8 @@ trips losslessly through a single file.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -57,8 +59,8 @@ def save_mbox(dataset: Iterable[LabeledMessage], path: str | Path) -> int:
     return count
 
 
-def _parse_mbox_message(lines: list[str], path: Path) -> LabeledMessage:
-    """One accumulated mboxo message block back into a LabeledMessage."""
+def _parse_mbox_block(lines: list[str], path: Path) -> tuple[Email, bool]:
+    """One mboxo message block back into its email and label."""
     raw = "\n".join(lines)
     email = Email.from_text(raw)
     label = email.get_header(_LABEL_HEADER)
@@ -80,40 +82,80 @@ def _parse_mbox_message(lines: list[str], path: Path) -> LabeledMessage:
         for line in email.body.split("\n")
     ][:line_count]
     cleaned = Email(body="\n".join(body_lines), headers=headers, msgid=msgid)
-    return LabeledMessage(cleaned, is_spam=(label == "spam"))
+    return cleaned, label == "spam"
+
+
+def _open(path: Path):
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise CorpusError(f"cannot read mbox from {path}: {exc}") from exc
+
+
+def _lines(handle) -> Iterator[str]:
+    """The file's lines without their newlines, read with readline()
+    so ``handle.tell()`` stays usable between them."""
+    for raw in iter(handle.readline, ""):
+        yield raw[:-1] if raw.endswith("\n") else raw
+
+
+@dataclass(frozen=True)
+class _MboxFile:
+    """A mailbox as a mail source.
+
+    A message's key is where its block starts (the text file's
+    ``tell()`` position) and its msgid, so a load seeks there and
+    parses one block.
+    """
+
+    path: Path
+
+    def load(self, key: tuple[int, str]) -> Email:
+        position, msgid = key
+        with _open(self.path) as handle:
+            handle.seek(position)
+            block = takewhile(lambda line: not line.startswith(_SEPARATOR_PREFIX), _lines(handle))
+            email, _ = _parse_mbox_block(list(block), self.path)
+        if email.msgid != msgid:
+            raise CorpusError(f"mbox at {self.path} changed: no message {msgid!r} there")
+        return email
+
+    def msgid(self, key: tuple[int, str]) -> str:
+        return key[1]
+
+    def message(self, position: int, lines: list[str]) -> LabeledMessage:
+        """The handle of the block at ``position`` (its ``lines``
+        parsed once, for the label and msgid, then dropped)."""
+        email, is_spam = _parse_mbox_block(lines, self.path)
+        return LabeledMessage(self, is_spam, (position, email.msgid))
 
 
 def iter_mbox(path: str | Path) -> Iterator[LabeledMessage]:
     """Yield messages from an mboxo file lazily, in file order.
 
-    The file is streamed line by line and one message block is held at
-    a time, so callers that consume and drop messages (or stop early)
-    never materialize the mailbox.
+    The file is streamed and one message block is parsed at a time.
+    Each message is a handle that keeps its block's position, not its
+    email: the block is read again when the message is encoded (or its
+    email asked for), so the mailbox never materializes in RAM.
     """
-    path = Path(path)
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read mbox from {path}: {exc}") from exc
-    with handle:
-        current: list[str] = []
-        for raw in handle:
-            line = raw[:-1] if raw.endswith("\n") else raw
+    source = _MboxFile(Path(path))
+    with _open(source.path) as handle:
+        position, lines = 0, []
+        for line in _lines(handle):
             if line.startswith(_SEPARATOR_PREFIX):
-                if current:
-                    yield _parse_mbox_message(current, path)
-                current = []
-                continue
-            current.append(line)
-        if current:
-            yield _parse_mbox_message(current, path)
+                if lines:
+                    yield source.message(position, lines)
+                position, lines = handle.tell(), []
+            else:
+                lines.append(line)
+        if lines:
+            yield source.message(position, lines)
 
 
 def load_mbox(path: str | Path) -> Dataset:
     """Read a dataset previously written by :func:`save_mbox`.
 
-    Messages stream through :func:`iter_mbox`, and each handle keeps
-    its parsed email (an mbox has no cheap per-message reload).
+    Messages are the handles of :func:`iter_mbox`.
     """
     messages = list(iter_mbox(path))
     if not messages:

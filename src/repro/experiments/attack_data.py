@@ -11,39 +11,10 @@ not import one another.
 
 from __future__ import annotations
 
-from array import array
-
 from repro.attacks.base import AttackBatch
-from repro.corpus.dataset import LabeledMessage, SharedTokens
-from repro.spambayes.token_table import TokenTable
+from repro.corpus.dataset import AttackPayload, LabeledMessage
 
 __all__ = ["attack_messages_as_dataset"]
-
-
-class _GroupTokens(SharedTokens):
-    """One attack group's payload, encoded through its batch.
-
-    :meth:`AttackBatch.encode` already caches the whole batch per
-    table, so the group's messages, the sweep trainer and the RONI
-    gate all share that one row.
-    """
-
-    __slots__ = ("_batch", "_index")
-
-    def __init__(self, batch: AttackBatch, index: int) -> None:
-        super().__init__(batch.groups[index].training_tokens)
-        self._batch = batch
-        self._index = index
-
-    def encode(self, table: TokenTable) -> array:
-        return self._batch.encode(table)[self._index][0]
-
-    def __getstate__(self):
-        return self._batch, self._index
-
-    def __setstate__(self, state) -> None:
-        self._batch, self._index = state
-        self.tokens = self._batch.groups[self._index].training_tokens
 
 
 def attack_messages_as_dataset(batch: AttackBatch, start: int = 0) -> list[LabeledMessage]:
@@ -56,7 +27,7 @@ def attack_messages_as_dataset(batch: AttackBatch, start: int = 0) -> list[Label
     messages: list[LabeledMessage] = []
     index = start
     for group_index, group in enumerate(batch.groups):
-        payload = _GroupTokens(batch, group_index)
+        payload = AttackPayload(batch, group_index)
         for _ in range(group.count):
             messages.append(
                 LabeledMessage(payload, True, f"attack-{batch.attack_name}-{index:06d}")

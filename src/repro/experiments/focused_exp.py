@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.attacks.base import AttackBatch
-from repro.attacks.payload import HeaderPool
-from repro.corpus.dataset import LabeledMessage, train_grouped
+from repro.corpus.dataset import train_grouped
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
 from repro.engine.sweep import IncrementalAttackTrainer
@@ -52,6 +51,7 @@ from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.filter import Label
+from repro.spambayes.message import Email
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 
 __all__ = [
@@ -119,11 +119,16 @@ class FocusedExperimentConfig:
 
 @dataclass
 class _Repetition:
-    """One repetition's trained inbox state and target pool."""
+    """One repetition's trained inbox state and target pool.
+
+    Targets and header sources are emails, not corpus handles: a
+    handle pickles its corpus' whole generator, and this comes back
+    from a worker.
+    """
 
     classifier: Classifier
-    targets: list[LabeledMessage]
-    header_pool: HeaderPool
+    targets: list[Email]
+    header_pool: list[Email]
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,8 @@ def _prepare_one_repetition(context: _PrepareContext, rep: int) -> _Repetition:
     targets = rep_rng.sample(candidates, config.n_targets)
     classifier = create_classifier(config.options)
     train_grouped(classifier, inbox)
-    header_pool = HeaderPool(inbox.spam)
-    return _Repetition(classifier, targets, header_pool)
+    header_pool = [message.email for message in inbox.spam]
+    return _Repetition(classifier, [target.email for target in targets], header_pool)
 
 
 def _label_of_ids(classifier: Classifier, target_ids) -> Label:

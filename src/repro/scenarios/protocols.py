@@ -169,11 +169,7 @@ def _prepare_repetitions(
 
 
 def _encode_target(email: "Email", table: "TokenTable") -> "array":
-    """A target's ID row, from the email its attacks were built on.
-
-    The attacks need the target's text and the cells need its row, so
-    both come from one load instead of a handle loading it twice.
-    """
+    """A target email's ID row, interned after its attacks were built."""
     return table.encode_unique(DEFAULT_TOKENIZER.tokenize(email))
 
 
@@ -187,8 +183,7 @@ def run_focused_knowledge(
     # stays in the parent, in the historical rep -> target -> p order.
     tasks: list[focused_exp._KnowledgeTask] = []
     for rep_index, repetition in enumerate(repetitions):
-        for target in repetition.targets:
-            email = target.email
+        for email in repetition.targets:
             batches = []
             for probability in config.guess_probabilities:
                 attack = FocusedAttack(
@@ -228,8 +223,7 @@ def run_focused_size(
     counts = [attack_message_count(config.inbox_size, f) for f in fractions]
     tasks: list[focused_exp._SizeTask] = []
     for rep_index, repetition in enumerate(repetitions):
-        for target in repetition.targets:
-            email = target.email
+        for email in repetition.targets:
             attack = FocusedAttack(
                 email,
                 guess_probability=config.size_sweep_guess_probability,
@@ -394,7 +388,7 @@ def run_roni_gate(
     )
     per_defense = max(1, config.n_nonattack_spam // config.repetitions_per_variant)
     batches = [
-        (rep, tuple(queries[start : start + per_defense]))
+        (rep, tuple(query.email for query in queries[start : start + per_defense]))
         for rep, start in enumerate(range(0, len(queries), per_defense))
     ]
     for impacts in runner.map(roni_exp._measure_spam_batch, context, batches):

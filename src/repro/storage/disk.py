@@ -107,7 +107,7 @@ class DiskTokenTable(TokenTable):
     boundaries by value; a pickled message ships its row as an array.
     """
 
-    __slots__ = ("_db_path", "_conns", "_cache", "_rcache", "_cache_limit", "_len", "_rows")
+    __slots__ = ("_db_path", "_conns", "_cache", "_rcache", "_cache_limit", "_len")
 
     def __init__(self, db_path: str | Path, cache_limit: int = 1 << 16) -> None:
         # Deliberately no super().__init__(): the list/dict storage is
@@ -120,7 +120,6 @@ class DiskTokenTable(TokenTable):
         self._rank_cache = None
         conn = self._conn()
         self._len = int(conn.execute("SELECT COUNT(*) FROM tokens").fetchone()[0])
-        self._rows = int(conn.execute("SELECT COUNT(*) FROM rows").fetchone()[0])
 
     @property
     def db_path(self) -> str:
@@ -308,10 +307,10 @@ class DiskTokenTable(TokenTable):
         return out  # type: ignore[return-value]
 
     def keep_row(self, ids: array) -> int:
-        row = self._rows
-        self._conn().execute("INSERT INTO rows (i, ids) VALUES (?, ?)", (row, ids.tobytes()))
-        self._rows += 1
-        return row
+        # SQLite numbers the row, so every table object (and process)
+        # over this file gets its own.
+        cursor = self._conn().execute("INSERT INTO rows (ids) VALUES (?)", (ids.tobytes(),))
+        return cursor.lastrowid
 
     def fetch_row(self, key: int) -> array:
         blob = self._conn().execute("SELECT ids FROM rows WHERE i = ?", (key,)).fetchone()[0]

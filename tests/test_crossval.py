@@ -10,8 +10,10 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks.dictionary import DictionaryAttack
-from repro.corpus.dataset import Dataset, LabeledMessage, SharedTokens, train_grouped
+from repro.attacks.base import AttackBatch, AttackMessageGroup
+from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
 from repro.errors import ExperimentError
+from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.engine.sweep import (
     IncrementalAttackTrainer,
     SweepSpec,
@@ -68,8 +70,8 @@ class TestTrainGrouped:
             assert grouped.word_info(token) == individual.word_info(token)
 
     def test_collapses_identical_messages(self):
-        payload = SharedTokens({"same", "tokens"})
-        messages = [LabeledMessage(payload, True, str(i)) for i in range(10)]
+        group = AttackMessageGroup(frozenset({"same", "tokens"}), 10)
+        messages = attack_messages_as_dataset(AttackBatch("same", [group]))
         classifier = Classifier()
         train_grouped(classifier, Dataset(messages))
         assert classifier.nspam == 10

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.attacks.base import AttackBatch, AttackMessageGroup
 from repro.attacks.dictionary import AspellDictionaryAttack, UsenetDictionaryAttack
 from repro.corpus.dataset import (
     Dataset,
+    AttackPayload,
     LabeledMessage,
-    SharedTokens,
     group_token_ids,
     train_grouped,
 )
@@ -102,8 +103,9 @@ class TestVerdicts:
 
     def test_filter_messages_split(self, defense, small_corpus):
         attack = AspellDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
-        tokens = attack.generate(1, SeedSpawner(4).rng("a")).groups[0].training_tokens
-        attack_message = LabeledMessage(SharedTokens(tokens), True, "att")
+        attack_message = LabeledMessage(
+            AttackPayload(attack.generate(1, SeedSpawner(4).rng("a")), 0), True, "att"
+        )
         candidates = [attack_message] + small_corpus.dataset.spam[11:14]
         accepted, rejected = defense.filter_messages(candidates)
         assert [m.msgid for m in rejected] == ["att"]
@@ -156,8 +158,16 @@ class TestRepeatedCandidates:
         copies = attack_messages_as_dataset(attack.generate(4, SeedSpawner(51).rng("a")))
         payload = copies[0].tokens()
         assert all(message.tokens() is payload for message in copies)
-        equal = LabeledMessage(SharedTokens(set(payload)), True, "equal-set")
-        as_ham = LabeledMessage(SharedTokens(payload), False, "ham-label")
+        # Two more payloads: an equal token set in a batch of its own,
+        # and the same set trained as ham.
+        [equal] = attack_messages_as_dataset(
+            AttackBatch("equal-set", [AttackMessageGroup(frozenset(set(payload)), 1)])
+        )
+        as_ham = LabeledMessage(
+            AttackPayload(AttackBatch("ham-label", [AttackMessageGroup(payload, 1)]), 0),
+            False,
+            "ham-label",
+        )
         pool_ids = {m.msgid for m in pool}
         fresh = [m for m in small_corpus.dataset if m.msgid not in pool_ids][:4]
         # 4 copies + 1 equal set + 1 ham label + 4 ordinary messages.

@@ -310,14 +310,20 @@ class TestDiskRows:
     def test_keep_fetch_and_reopen(self, disk_backend):
         table = disk_backend.new_token_table()
         ids = table.encode_unique({"cash", "offer", "prize"})
-        assert table.keep_row(ids) == 0
-        assert table.keep_row(table.encode_unique({"cash"})) == 1
-        assert list(table.fetch_row(0)) == list(ids)
+        cash = table.encode_unique({"cash"})
+        first, second = table.keep_row(ids), table.keep_row(cash)
+        assert first != second
+        assert list(table.fetch_row(first)) == list(ids)
         # A second handle over the same file (a resumed process) sees
-        # the same rows and vocabulary.
+        # the same rows and vocabulary, and neither object hands out a
+        # row number the other already used.
         reopened = DiskTokenTable(table.db_path)
-        assert list(reopened.fetch_row(0)) == list(ids)
-        assert reopened.keep_row(ids) == 2
+        assert list(reopened.fetch_row(first)) == list(ids)
+        third = reopened.keep_row(ids)
+        fourth = table.keep_row(cash)
+        assert len({first, second, third, fourth}) == 4
+        assert list(table.fetch_row(third)) == list(ids)
+        assert list(reopened.fetch_row(fourth)) == list(cash)
         reopened.close()
 
     def test_message_row_lives_in_the_store(self, disk_backend):
@@ -327,8 +333,8 @@ class TestDiskRows:
         table = disk_backend.new_token_table()
         row = message.token_ids(table)
         # The handle holds a row number; the IDs come back from SQLite.
-        assert message._row == 0
-        assert list(table.fetch_row(0)) == list(row)
+        assert isinstance(message._row, int)
+        assert list(table.fetch_row(message._row)) == list(row)
         assert list(message.token_ids(table)) == list(row)
         assert message.is_spam and message.msgid == "spam-0"
         assert message.tokens() == plain.tokens()

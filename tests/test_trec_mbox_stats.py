@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.errors import CorpusError
@@ -15,6 +17,8 @@ from repro.corpus.trec import (
 )
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.corpus.wordlists import build_aspell_dictionary, build_usenet_wordlist
+from repro.spambayes.message import Email
+from repro.storage import STORE_DIR_ENV, STORE_ENV
 
 
 class TestTrecStyleCorpus:
@@ -125,6 +129,34 @@ class TestMbox:
         save_mbox(tricky, path)
         loaded = load_mbox(path)
         assert loaded[0].email.body == "From the start\nnormal line"
+
+    @pytest.mark.parametrize("store", ["memory", "disk"])
+    def test_loaded_messages_hold_no_email(self, store, tiny_corpus, tmp_path, monkeypatch):
+        # A loaded mailbox is handles over the file: each message keeps
+        # its block's position and, once encoded, its row (in SQLite on
+        # the disk backend), never its email.
+        monkeypatch.setenv(STORE_ENV, store)
+        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
+        subset = tiny_corpus.dataset.subset(range(10))
+        path = tmp_path / "box.mbox"
+        save_mbox(subset, path)
+        loaded = load_mbox(path)
+        table = loaded.encode()
+        for original, restored in zip(subset, loaded):
+            for obj in gc.get_referents(restored):
+                assert not isinstance(obj, (Email, frozenset, set, list))
+            assert set(table.decode(restored.token_ids(table))) == original.tokens()
+            assert restored.email.headers == original.email.headers
+        if store == "disk":
+            assert all(isinstance(message._row, int) for message in loaded)
+
+    def test_changed_mailbox_is_detected(self, tiny_corpus, tmp_path):
+        path = tmp_path / "box.mbox"
+        save_mbox(tiny_corpus.dataset.subset(range(3)), path)
+        loaded = load_mbox(path)
+        save_mbox(tiny_corpus.dataset.subset(range(3, 6)), path)
+        with pytest.raises(CorpusError):
+            loaded[0].email
 
     def test_empty_mbox_rejected(self, tmp_path):
         path = tmp_path / "empty.mbox"
