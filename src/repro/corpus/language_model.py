@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.corpus.vocabulary import Vocabulary
@@ -79,26 +79,39 @@ class MixtureModel:
     def __init__(self, components: Sequence[tuple[str, ZipfSampler, float]]) -> None:
         if not components:
             raise ConfigurationError("MixtureModel needs at least one component")
-        total_weight = sum(weight for _, _, weight in components)
-        if total_weight <= 0:
+        if sum(weight for _, _, weight in components) <= 0:
             raise ConfigurationError("mixture weights must sum to a positive value")
         self.components = list(components)
         self._population: list[str] = []
         cumulative: list[float] = []
         running = 0.0
-        self._unigram: dict[str, float] = {}
-        for _, sampler, weight in components:
-            share = weight / total_weight
-            for rank, word in enumerate(sampler.words):
-                word_weight = share * (1.0 / (rank + 1.0) ** sampler.exponent) / sampler._total
-                running += word_weight
-                self._population.append(word)
-                cumulative.append(running)
-                self._unigram[word] = self._unigram.get(word, 0.0) + word_weight
+        for word, word_weight in self._weighted_words():
+            running += word_weight
+            self._population.append(word)
+            cumulative.append(running)
         # Normalize the tail to exactly 1.0 to protect bisect edge cases.
         self._cum_weights = [value / running for value in cumulative]
-        scale = 1.0 / running
-        self._unigram = {word: p * scale for word, p in self._unigram.items()}
+        # Built on first use: sampling never reads it.
+        self._unigram: dict[str, float] | None = None
+
+    def _weighted_words(self) -> Iterator[tuple[str, float]]:
+        """Every component word with its mixture weight, in table order."""
+        total_weight = sum(weight for _, _, weight in self.components)
+        for _, sampler, weight in self.components:
+            share = weight / total_weight
+            for rank, word in enumerate(sampler.words):
+                yield word, share * (1.0 / (rank + 1.0) ** sampler.exponent) / sampler._total
+
+    def _unigram_table(self) -> dict[str, float]:
+        if self._unigram is None:
+            unigram: dict[str, float] = {}
+            running = 0.0
+            for word, word_weight in self._weighted_words():
+                running += word_weight
+                unigram[word] = unigram.get(word, 0.0) + word_weight
+            scale = 1.0 / running
+            self._unigram = {word: p * scale for word, p in unigram.items()}
+        return self._unigram
 
     def sample(self, rng: random.Random, count: int) -> list[str]:
         if count <= 0:
@@ -107,7 +120,7 @@ class MixtureModel:
 
     def unigram_probability(self, word: str) -> float:
         """Marginal probability of drawing ``word`` per token."""
-        return self._unigram.get(word, 0.0)
+        return self._unigram_table().get(word, 0.0)
 
     def inclusion_probability(self, word: str, length: int) -> float:
         """P[``word`` appears at least once in a ``length``-token email]."""
@@ -118,7 +131,7 @@ class MixtureModel:
 
     @property
     def vocabulary(self) -> set[str]:
-        return set(self._unigram)
+        return set(self._unigram_table())
 
 
 class _LengthModel:

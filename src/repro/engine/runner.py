@@ -156,8 +156,8 @@ def _run_shared_chunk(
 
 
 def _tiny_map_ships(blob_size: int) -> bool:  # pragma: no cover
-    # Uncalled; e2ebench/launch.py still wraps this name, and the
-    # benchmark PR of ROADMAP item 2 deletes it.
+    # Uncalled; e2ebench/launch.py still wraps this name.  It goes
+    # once the benchmark reads spans instead of patching module names.
     return False
 
 

@@ -1,6 +1,6 @@
 """The always-on filter service: an asyncio daemon over a live classifier.
 
-This is the serving layer ROADMAP item 3 asks for — the paper's threat
+This is the project's serving layer — the paper's threat
 model is a *live* filter under continuous mail flow with periodic
 retraining, and this daemon is that surface: clients connect over a
 Unix socket or TCP port, stream framed requests

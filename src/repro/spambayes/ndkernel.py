@@ -22,16 +22,15 @@ executes:
 * elementwise ``+ - * /`` between float64 arrays and Python scalars
   are the same correctly-rounded IEEE ops CPython performs (counts are
   far below 2**53, so int64→float64 conversion is exact);
-* the combiner's sequential product with frexp renormalization is run
-  column-by-column over a dense padded matrix.  Padding slots hold
-  exactly ``1.0`` (in *both* the ``p`` and the ``1-p`` matrix — never
-  ``1-1``), so a padded multiply is an exact no-op, and the invariant
-  "post-step mantissa >= 1e-200" guarantees padding never triggers a
-  spurious renormalization;
-* transcendentals go through :func:`math.log` / :func:`math.exp` via
-  ``np.frompyfunc`` — NumPy's SIMD ``np.log``/``np.exp`` may differ
-  from libm in the last ulp, and only O(messages) calls are needed, so
-  the exact scalar routines cost nothing;
+* the combiner's sequential product is one left-to-right
+  ``multiply.reduceat`` per row; only rows whose product falls below
+  the frexp renormalization threshold re-run the scalar loop, and the
+  chi-square series runs column by column over rows sorted by degree;
+* transcendentals go through :func:`math.log` / :func:`math.exp`
+  mapped over a list into ``np.fromiter`` — NumPy's SIMD
+  ``np.log``/``np.exp`` may differ from libm in the last ulp, and only
+  O(messages) calls are needed, so the exact scalar routines cost
+  nothing;
 * the ``(-strength, token text)`` tie-break is reproduced with text
   ranks computed by Python's own ``sorted`` — table-wide
   (:meth:`TokenTable.text_order_ranks`) or local to a
@@ -40,7 +39,8 @@ executes:
 
 :meth:`NDClassifier.score_under_candidates` is the RONI gate's batched
 form: the validation scores under every candidate of a batch, in one
-vectorized pass per chunk of candidates, without mutating a count.
+vectorized pass per chunk of candidates and one chi-square pass per
+call, without mutating a count.
 
 Snapshot/restore, training validation and the string path's memo are
 inherited from :class:`Classifier`.  The pure-Python kernel stays the
@@ -86,7 +86,7 @@ _EXP_UNDERFLOW_LIMIT = 708.0  # matches chi2._EXP_UNDERFLOW_LIMIT
 # (candidate, workspace entry) pairs NDClassifier.score_under_candidates
 # expands at once; tracemalloc puts a chunk's peak at ~55 B per pair
 # (3.4 MB for the tests/test_roni_batched.py fixture).  Smaller chunks
-# pay each chunk's nonzero, key sort and chi-square tail too often.
+# pay each chunk's nonzero, key sort and Fisher products too often.
 _CANDIDATE_ENTRY_BUDGET = 1 << 16
 
 if np is not None:
@@ -94,10 +94,16 @@ if np is not None:
     # array('l') shares int64's layout on every platform we run on;
     # np.frombuffer then gives zero-copy views of encoded messages.
     _FAST_ARRAY_VIEW = array(TOKEN_ID_TYPECODE).itemsize == _ID_DTYPE.itemsize
-    # Exact scalar transcendentals, vectorized at the Python level.
-    # Only O(messages) elements pass through these per batch.
-    _exact_log_u = np.frompyfunc(math.log, 1, 1)
-    _exact_exp_u = np.frompyfunc(math.exp, 1, 1)
+
+
+def _exact(fn, values: "np.ndarray") -> "np.ndarray":
+    """``fn`` (:func:`math.log` or :func:`math.exp`) over ``values``.
+
+    The same C-library call per element the pure kernel makes, without
+    an object array; only O(messages) elements pass through per batch.
+    """
+    flat = map(fn, values.ravel().tolist())
+    return np.fromiter(flat, np.float64, values.size).reshape(values.shape)
 
 
 def available() -> bool:
@@ -637,16 +643,18 @@ class NDClassifier(Classifier):
         formula the memo refresh uses.  Each (candidate, entry) pair
         picks its column through a candidate-membership mask; one
         ``(-strength, text)`` ordinal over the 4 × |unique| variants
-        orders every row with a single int64 key; the shared combiner
-        tail does the rest.  Candidates go through in chunks of at most
-        :data:`_CANDIDATE_ENTRY_BUDGET` (candidate, entry) pairs, so
-        memory stays bounded whatever the batch size.
+        orders every row with a single int64 key; the shared Fisher
+        products give each row's statistics.  Candidates go through in
+        chunks of at most :data:`_CANDIDATE_ENTRY_BUDGET` (candidate,
+        entry) pairs, so memory stays bounded whatever the batch size;
+        only the chunks' statistics are kept, and one chi-square pass
+        over all of them ends the call.
         """
         candidates = candidates if isinstance(candidates, (list, tuple)) else list(candidates)
         ids_cat, indptr = workspace.csr()
         n_rows = indptr.shape[0] - 1
         nnz = ids_cat.shape[0]
-        if nnz == 0:
+        if nnz == 0 or not candidates:
             return [[0.5] * n_rows for _ in candidates]
         self._ensure_columns()
         unique_ids, inverse = workspace.unique()
@@ -672,7 +680,7 @@ class NDClassifier(Classifier):
         significant_entry = significant.reshape(4, n_unique)[:, inverse]
         entry_row = np.repeat(np.arange(n_rows, dtype=_ID_DTYPE), np.diff(indptr))
         chunk = max(1, _CANDIDATE_ENTRY_BUDGET // nnz)
-        results: list[list[float]] = []
+        x2_parts, degree_parts = [], []
         for start in range(0, len(candidates), chunk):
             batch = candidates[start : start + chunk]
             n_batch = len(batch)
@@ -712,12 +720,14 @@ class NDClassifier(Classifier):
             key &= 0xFFFFFFFF
             prob_sorted = probs[order[key]]
             del key
-            scores = self._combine_sorted(counts, prob_sorted)
+            x2, degrees = self._combine_sorted(counts, prob_sorted)
             del prob_sorted
-            results.extend(
-                scores[k * n_rows : (k + 1) * n_rows] for k in range(n_batch)
-            )
-        return results
+            x2_parts.append(x2)
+            degree_parts.append(degrees)
+        scores = _fisher_scores(
+            np.concatenate(x2_parts, axis=1), np.concatenate(degree_parts)
+        )
+        return [scores[k * n_rows : (k + 1) * n_rows] for k in range(len(candidates))]
 
     def _score_segments(
         self,
@@ -812,25 +822,28 @@ class NDClassifier(Classifier):
             ranks = np.frombuffer(self._table.text_order_ranks(), dtype=_ID_DTYPE)
             order = np.lexsort((ranks[sig_ids], -strength[sig_idx], row_of))
         counts = np.bincount(row_of, minlength=n_msgs)
-        return self._combine_sorted(counts, sig_prob[order], workspace)
+        return _fisher_scores(*self._combine_sorted(counts, sig_prob[order], workspace))
 
     def _combine_sorted(
         self,
         counts: "np.ndarray",
         prob_sorted: "np.ndarray",
         workspace: ScoringWorkspace | None = None,
-    ) -> list[float]:
-        """The shared combiner tail: sorted significant probs → scores.
+    ) -> tuple["np.ndarray", "np.ndarray"]:
+        """The shared Fisher products: sorted significant probs → ``x2``.
 
         ``prob_sorted`` holds every significant entry of ``len(counts)``
         messages, row by row (``counts[r]`` entries for row ``r``), each
         row in the pure kernel's ``(-strength, text)`` order.  Per-row
-        truncation to ``max_discriminators``, the interleaved
-        mantissa/exponent product and the chi-square survival run
-        here — the one copy of the combiner every vectorized scoring
-        path feeds (:meth:`_score_segments` and
-        :meth:`score_under_candidates`).  ``workspace`` only supplies
-        scratch columns.
+        truncation to ``max_discriminators`` and the interleaved
+        mantissa/exponent product run here — the one copy every
+        vectorized scoring path feeds (:meth:`_score_segments` and
+        :meth:`score_under_candidates`).  Returns ``(x2, degrees)``:
+        ``x2[0]`` and ``x2[1]`` are each row's spam- and ham-side
+        Fisher statistics, ``degrees`` its kept count; the caller
+        hands them, alone or gathered over chunks, to one
+        :func:`_fisher_scores`.  ``workspace`` only supplies scratch
+        columns.
         """
         opts = self.options
         n_msgs = counts.shape[0]
@@ -872,31 +885,21 @@ class NDClassifier(Classifier):
         # renormalized.  Only rows landing below the threshold re-run
         # through the pure combiner's exact mantissa/exponent loop.
         q_kept = 1.0 - kept_probs
+        # Row 0 holds the spam side's mantissas/exponents, row 1 the ham side's.
         if workspace is not None:
-            mant_spam = workspace.buffer("mant_spam", n_msgs, np.float64)
-            exp_spam = workspace.buffer("exp_spam", n_msgs, np.int64)
-            mant_ham = workspace.buffer("mant_ham", n_msgs, np.float64)
-            exp_ham = workspace.buffer("exp_ham", n_msgs, np.int64)
-            mant_spam.fill(1.0)
-            exp_spam.fill(0)
-            mant_ham.fill(1.0)
-            exp_ham.fill(0)
+            mants = workspace.buffer("mants", 2 * n_msgs, np.float64).reshape(2, n_msgs)
+            exps = workspace.buffer("exps", 2 * n_msgs, np.int64).reshape(2, n_msgs)
+            mants.fill(1.0)
+            exps.fill(0)
         else:
-            mant_spam = np.ones(n_msgs)
-            exp_spam = np.zeros(n_msgs, dtype=np.int64)
-            mant_ham = np.ones(n_msgs)
-            exp_ham = np.zeros(n_msgs, dtype=np.int64)
+            mants = np.ones((2, n_msgs))
+            exps = np.zeros((2, n_msgs), dtype=np.int64)
         nonzero = np.flatnonzero(degrees)
-        if nonzero.size:
-            starts = kept_starts[nonzero]
-            mant_spam[nonzero] = np.multiply.reduceat(kept_probs, starts)
-            mant_ham[nonzero] = np.multiply.reduceat(q_kept, starts)
         frexp = math.frexp
-        for mant_col, exp_col, factors in (
-            (mant_spam, exp_spam, kept_probs),
-            (mant_ham, exp_ham, q_kept),
-        ):
-            for row in np.flatnonzero(mant_col < _RENORM_THRESHOLD).tolist():
+        for side, factors in enumerate((kept_probs, q_kept)):
+            if nonzero.size:
+                mants[side, nonzero] = np.multiply.reduceat(factors, kept_starts[nonzero])
+            for row in np.flatnonzero(mants[side] < _RENORM_THRESHOLD).tolist():
                 mant, exp = 1.0, 0
                 for value in factors[
                     kept_starts[row] : kept_starts[row + 1]
@@ -905,24 +908,9 @@ class NDClassifier(Classifier):
                     if mant < _RENORM_THRESHOLD:
                         mant, shift = frexp(mant)
                         exp += shift
-                mant_col[row] = mant
-                exp_col[row] = exp
-        x2_spam = -2.0 * (_exact_log_u(mant_spam).astype(np.float64) + exp_spam * _LN2)
-        x2_ham = -2.0 * (_exact_log_u(mant_ham).astype(np.float64) + exp_ham * _LN2)
-        # One stacked survival call: rows are independent, and fusing
-        # the spam and ham sides halves the bucketing overhead.
-        if workspace is not None:
-            x2_cat = workspace.buffer("x2_cat", 2 * n_msgs, np.float64)
-            deg_cat = workspace.buffer("deg_cat", 2 * n_msgs, np.int64)
-            x2_cat[:n_msgs] = x2_spam
-            x2_cat[n_msgs:] = x2_ham
-            deg_cat[:n_msgs] = degrees
-            deg_cat[n_msgs:] = degrees
-        else:
-            x2_cat = np.concatenate((x2_spam, x2_ham))
-            deg_cat = np.concatenate((degrees, degrees))
-        evidence = _chi2_survival(x2_cat, deg_cat)
-        return ((1.0 + evidence[:n_msgs] - evidence[n_msgs:]) / 2.0).tolist()
+                mants[side, row] = mant
+                exps[side, row] = exp
+        return -2.0 * (_exact(math.log, mants) + exps * _LN2), degrees
 
     # ------------------------------------------------------------------
     # Copy / pickle
@@ -957,70 +945,54 @@ class NDClassifier(Classifier):
         self._nd_reset()
 
 
+def _fisher_scores(x2: "np.ndarray", degrees: "np.ndarray") -> list[float]:
+    """Message scores from :meth:`NDClassifier._combine_sorted` output.
+
+    One survival pass over both sides of every row, then the pure
+    kernel's ``(1 + S - H) / 2``.
+    """
+    evidence = _chi2_survival(x2, degrees)
+    return ((1.0 + evidence[0] - evidence[1]) / 2.0).tolist()
+
+
 def _chi2_survival(x2: "np.ndarray", degrees: "np.ndarray") -> "np.ndarray":
     """Vectorized even-dof chi-square survival, matching the pure series.
 
-    ``degrees[i]`` is message ``i``'s significant-prob count (any
-    order).  The scalar series is ``term = exp(-half); total = term;
-    then d-1 times: term *= half/i; total += term`` — a sequential
-    multiply chain and a sequential add chain, reproduced exactly by
-    ``multiply.accumulate`` and ``cumsum`` along each row of a
-    (messages × steps) factor matrix: NumPy accumulates strictly left
-    to right, so every intermediate float is the scalar loop's.
-    Columns beyond a row's own degree compute junk terms that cost
-    arithmetic but never reach its gathered entry (and stay finite:
-    each term is a Poisson pmf value, bounded by 1).  The final
-    ``where`` reproduces the scalar early-outs exactly: ``x2 <= 0`` →
-    1.0, ``half > 708`` → 0.0, else ``min(total, 1.0)``.  Callers may
-    stack independent batches (the combiner fuses its spam and ham
-    sides) — rows never interact.
+    ``x2[..., r]`` is a statistic over ``degrees[r]`` significant probs
+    (rows in any order; leading axes share their row's degree, like
+    the combiner's spam and ham sides).  The scalar series
+    (:func:`repro.spambayes.chi2.chi2q`) is ``term = exp(-half); total
+    = term; then for i in 1..d-1: term *= half/i; total += term``.
+    Here it runs column by column over the rows sorted by degree,
+    descending: step ``i`` updates only the leading rows whose degree
+    exceeds ``i``, so every row sees exactly the scalar multiply and
+    add chain and no row computes past its own degree.  The final
+    ``where`` reproduces the scalar early-outs: ``x2 <= 0`` → 1.0,
+    ``half > 708`` → 0.0, else ``min(total, 1.0)``.  A degree-0 row
+    (an empty message, whose ``x2`` is -0.0) runs the degree-1 series
+    and takes the first early-out.
     """
-    half = x2 / 2.0
-    # exp(-half) with half >= -0.0 never overflows; for half > 708 it
-    # underflows to the same 0.0 the skipped scalar branch pins.
-    term0 = _exact_exp_u(-half).astype(np.float64)
-    total = term0.copy()
-    max_degrees = int(degrees.max()) if degrees.size else 0
-    if max_degrees > 1:
-        # Row degrees are heavily skewed (medians run ~1/3 of the max),
-        # so one batch-wide matrix would spend most of its arithmetic
-        # on columns past each row's own degree.  Bucket rows by degree
-        # instead — descending, splitting at successive halvings of the
-        # width — so every row lands in a matrix at most twice as wide
-        # as its own series, keeping total work near sum(degrees) with
-        # only O(log max) vectorized rounds.
-        multi = np.flatnonzero(degrees > 1)
-        order = multi[np.argsort(-degrees[multi])]
-        d_desc = degrees[order]
-        lo = 0
-        width = max_degrees
-        while lo < order.size:
-            next_width = width // 2
-            # Below a small width the per-round overhead outweighs the
-            # junk-column savings: fold the whole tail into one bucket.
-            hi = (
-                int(np.searchsorted(-d_desc, -next_width, side="left"))
-                if next_width > 8
-                else int(order.size)
-            )
-            rows = order[lo:hi]
-            if rows.size:
-                factors = np.empty((rows.shape[0], width), dtype=np.float64)
-                factors[:, 0] = term0[rows]
-                np.divide(
-                    half[rows, None],
-                    np.arange(1.0, width, dtype=np.float64)[None, :],
-                    out=factors[:, 1:],
-                )
-                np.multiply.accumulate(factors, axis=1, out=factors)
-                np.cumsum(factors, axis=1, out=factors)
-                total[rows] = factors[
-                    np.arange(rows.shape[0]), degrees[rows] - 1
-                ]
-            lo = hi
-            width = next_width
+    # Clamping at 0 keeps exp(-half) finite on rows the first early-out
+    # pins anyway; for half > 708 it underflows harmlessly.
+    half = np.maximum(x2 / 2.0, 0.0)
+    order = np.argsort(-degrees)
+    d_desc = degrees[order]
+    # Rows on the first axis, so each step's slice is one contiguous run.
+    half_desc = np.ascontiguousarray(half[..., order].T)
+    term = _exact(math.exp, -half_desc)
+    total = term.copy()
+    step = np.empty_like(half_desc)
+    max_degree = int(d_desc[0]) if d_desc.size else 0
+    # above[i - 1] counts the rows whose degree exceeds i.
+    above = np.searchsorted(-d_desc, -np.arange(1, max_degree), side="left")
+    for i, n in enumerate(above.tolist(), start=1):
+        np.divide(half_desc[:n], i, out=step[:n])
+        term[:n] *= step[:n]
+        total[:n] += term[:n]
+    survival = np.empty_like(half)
+    survival[..., order] = total.T
     return np.where(
         x2 <= 0.0,
         1.0,
-        np.where(half > _EXP_UNDERFLOW_LIMIT, 0.0, np.minimum(total, 1.0)),
+        np.where(half > _EXP_UNDERFLOW_LIMIT, 0.0, np.minimum(survival, 1.0)),
     )

@@ -27,10 +27,11 @@ whose owning process is gone.
 SQLite connections never cross a fork boundary: each table keys its
 connection by ``os.getpid()`` and lazily opens a fresh one in a
 forked child — which makes inherited handles safe to *read* (message
-rows, token lookups).  Inherited handles are NOT safe to *write*: two
-forked siblings interning into one SQLite file race on the dense ID
-sequence, and count columns are ``MAP_SHARED`` so a child's writes
-would bleed into the parent.  The engine therefore never ships a
+rows, token lookups) and to intern into: every table object takes new
+IDs from the file inside one write-locked transaction, so two objects
+or processes over one file still hand out dense, unique IDs.  Count
+columns are NOT safe to inherit for writing: they are ``MAP_SHARED``,
+so a child's writes would bleed into the parent.  The engine never ships a
 writable disk-backed object across a fork by inheritance: every pooled
 map pickles its context (this class reduces to a plain in-memory
 ``TokenTable``), and forked children needing their own stores build
@@ -151,31 +152,15 @@ class DiskTokenTable(TokenTable):
     # ------------------------------------------------------------------
 
     def intern(self, token: str) -> int:
-        tid = self._cache.get(token)
-        if tid is not None:
-            return tid
-        conn = self._conn()
-        row = conn.execute("SELECT id FROM tokens WHERE text = ?", (token,)).fetchone()
-        if row is not None:
-            tid = int(row[0])
-        else:
-            tid = self._len
-            conn.execute("INSERT INTO tokens (id, text) VALUES (?, ?)", (tid, token))
-            self._len += 1
-        self._cache_put(self._cache, token, tid)
-        return tid
+        tid = self.id_of(token)
+        return self._intern_new([token])[token] if tid is None else tid
 
     def id_of(self, token: str) -> int | None:
         tid = self._cache.get(token)
-        if tid is not None:
-            return tid
-        row = self._conn().execute(
-            "SELECT id FROM tokens WHERE text = ?", (token,)
-        ).fetchone()
-        if row is None:
-            return None
-        tid = int(row[0])
-        self._cache_put(self._cache, token, tid)
+        if tid is None:
+            tid = self._lookup_many([token]).get(token)
+            if tid is not None:
+                self._cache_put(self._cache, token, tid)
         return tid
 
     def lookup(self, tokens: Collection[str]) -> list[int | None]:
@@ -199,14 +184,16 @@ class DiskTokenTable(TokenTable):
 
     def token(self, token_id: int) -> str:
         tid = token_id + self._len if token_id < 0 else token_id
-        if not 0 <= tid < self._len:
-            raise IndexError(f"token id {token_id} out of range")
         text = self._rcache.get(tid)
         if text is None:
+            # Not bounded by ``_len``: another writer may have interned it.
             row = self._conn().execute(
                 "SELECT text FROM tokens WHERE id = ?", (tid,)
             ).fetchone()
+            if tid < 0 or row is None:
+                raise IndexError(f"token id {token_id} out of range")
             text = row[0]
+            self._len = max(self._len, tid + 1)
             self._cache_put(self._rcache, tid, text)
         return text
 
@@ -224,6 +211,10 @@ class DiskTokenTable(TokenTable):
                 f"SELECT text, id FROM tokens WHERE text IN ({marks})", chunk
             ):
                 found[text] = int(tid)
+        if found:
+            # Another writer may have interned these: IDs are dense, so
+            # the file holds at least every ID up to the largest found.
+            self._len = max(self._len, max(found.values()) + 1)
         return found
 
     def encode_unique(self, tokens) -> array:
@@ -254,30 +245,36 @@ class DiskTokenTable(TokenTable):
         if not new:
             ids.sort()
             return array(TOKEN_ID_TYPECODE, ids)
-        return finish_encode(ids, new, self._intern_batch(new))
+        return finish_encode(ids, new, self._intern_new(new).__getitem__)
 
-    def _intern_batch(self, new: list[str]):
-        """An ``intern`` for :func:`finish_encode` that writes once.
+    def _intern_new(self, tokens: list[str]) -> dict[str, int]:
+        """IDs for ``tokens``, interning those the file lacks in one write.
 
-        ``finish_encode`` calls it per token in sorted order; rows are
-        buffered and flushed in a single transaction at the last one.
+        Another table object or process may share the file, so IDs come
+        from the file itself, inside one ``BEGIN IMMEDIATE`` transaction
+        that holds the write lock: the tokens are looked up again, and
+        the still-new ones take the next dense IDs in sorted text order.
+        This object's caches and ``_len`` take the new IDs only after
+        ``COMMIT``; a failure rolls back and leaves them as they were.
         """
-        rows: list[tuple[int, str]] = []
-        total = len(new)
-
-        def intern(token: str) -> int:
-            tid = self._len
-            self._len += 1
-            rows.append((tid, token))
+        conn = self._conn()
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            found = self._lookup_many(tokens)
+            start = conn.execute("SELECT COALESCE(MAX(id) + 1, 0) FROM tokens").fetchone()[0]
+            new = sorted(token for token in tokens if token not in found)
+            rows = list(enumerate(new, start))
+            conn.executemany("INSERT INTO tokens (id, text) VALUES (?, ?)", rows)
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
+            raise
+        self._len = max(self._len, start + len(rows))
+        found.update((token, tid) for tid, token in rows)
+        for token, tid in found.items():
             self._cache_put(self._cache, token, tid)
-            if len(rows) == total:
-                conn = self._conn()
-                conn.execute("BEGIN")
-                conn.executemany("INSERT INTO tokens (id, text) VALUES (?, ?)", rows)
-                conn.execute("COMMIT")
-            return tid
-
-        return intern
+        return found
 
     def decode(self, ids) -> list[str]:
         rcache = self._rcache
@@ -328,7 +325,7 @@ class DiskTokenTable(TokenTable):
             tokens = [
                 text
                 for (text,) in self._conn().execute(
-                    "SELECT text FROM tokens ORDER BY id"
+                    "SELECT text FROM tokens WHERE id < ? ORDER BY id", (n,)
                 )
             ]
             self._rank_cache = cached = build_text_ranks(tokens)
@@ -345,7 +342,10 @@ class DiskTokenTable(TokenTable):
         return self.id_of(token) is not None
 
     def __iter__(self) -> Iterator[str]:
-        for (text,) in self._conn().execute("SELECT text FROM tokens ORDER BY id"):
+        # The IDs this object has seen: another writer's later tokens
+        # join once a lookup or encode here meets them.
+        query = "SELECT text FROM tokens WHERE id < ? ORDER BY id"
+        for (text,) in self._conn().execute(query, (self._len,)):
             yield text
 
     # ------------------------------------------------------------------

@@ -240,6 +240,69 @@ class TestDiskTokenTable:
         assert list(reopened.encode_unique({"alpha", "beta", "gamma"})) == list(ids)
         reopened.close()
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_writers_sharing_a_file_intern_dense_unique_ids(self, tmp_path):
+        path = tmp_path / "shared.db"
+        first = DiskTokenTable(path)
+        assert list(first.encode_unique({"x"})) == [0]
+        second = DiskTokenTable(path)
+        assert list(second.encode_unique({"y"})) == [1]
+        # ``first`` opened before ``second`` wrote; it must not reuse 1.
+        assert list(first.encode_unique({"z"})) == [2]
+        assert first.intern("w") == 3
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            status = 1
+            try:
+                os.close(read_end)
+                ids = second.encode_unique({"child-b", "child-a"})
+                os.write(write_end, ",".join(map(str, ids)).encode())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        with os.fdopen(read_end) as pipe:
+            child_ids = pipe.read()
+        assert os.waitpid(pid, 0)[1] == 0
+        assert child_ids == "4,5"
+        assert list(second.encode_unique({"v"})) == [6]
+        # ``first`` has not met the child's or ``second``'s later IDs:
+        # it stays a consistent prefix, and its text ranks stay cached.
+        assert list(first) == ["x", "y", "z", "w"] and len(first) == 4
+        assert first.text_order_ranks() is first.text_order_ranks()
+        vocabulary = ["x", "y", "z", "w", "child-a", "child-b", "v"]
+        third = DiskTokenTable(path)
+        for table in (first, second, third):
+            assert list(table.encode_unique(set(vocabulary))) == list(range(7))
+            assert table.decode(range(7)) == vocabulary
+            assert [table.token(i) for i in range(7)] == vocabulary
+            assert len(table) == 7
+            table.close()
+
+    def test_failed_insert_leaves_no_cache_entry(self, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "failing.db"
+        table = DiskTokenTable(path)
+        table.encode_unique({"a"})
+        other = sqlite3.connect(path, isolation_level=None)
+        other.execute(
+            "CREATE TRIGGER refuse BEFORE INSERT ON tokens WHEN NEW.text = 'boom' "
+            "BEGIN SELECT RAISE(ABORT, 'refused'); END"
+        )
+        # "b" sorts before "boom", so its row is written before the failure.
+        with pytest.raises(sqlite3.DatabaseError):
+            table.encode_unique({"boom", "b"})
+        assert table.id_of("b") is None and "b" not in table._cache
+        assert len(table) == 1
+        assert not table._conn().in_transaction
+        other.execute("DROP TRIGGER refuse")
+        other.close()
+        assert list(table.encode_unique({"boom", "b"})) == [1, 2]
+        assert table.decode([0, 1, 2]) == ["a", "b", "boom"]
+        table.close()
+
     def test_pickling_degrades_to_memory_table(self, disk_backend):
         _, table = self._pair(disk_backend)
         table.encode_unique({"x", "y", "z"})
