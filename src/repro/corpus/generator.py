@@ -13,6 +13,7 @@ does in the paper's TREC data.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -53,6 +54,23 @@ class GeneratorConfig:
             raise ConfigurationError("subject_tokens must be an increasing pair >= 1")
 
 
+_LIVE: "weakref.WeakValueDictionary[tuple, EmailGenerator]" = weakref.WeakValueDictionary()
+"""The live generators over a seeded vocabulary in this process, by
+``(profile, vocabulary seed, config, seed)``.  Weak, so a dropped
+corpus is freed; a forked worker inherits the parent's entries."""
+
+
+def _seeded_generator(
+    vocabulary: Vocabulary, config: GeneratorConfig, seed: int
+) -> "EmailGenerator":
+    """The unpickling side of :meth:`EmailGenerator.__reduce__`."""
+    if vocabulary.seeded:
+        live = _LIVE.get((vocabulary.profile, vocabulary.seed, config, seed))
+        if live is not None:
+            return live
+    return EmailGenerator(vocabulary, config, seed)
+
+
 class EmailGenerator:
     """Deterministic ham/spam :class:`Email` factory.
 
@@ -60,6 +78,10 @@ class EmailGenerator:
     ``(vocabulary, config, seed, i)`` — message ``i`` is identical no
     matter how many siblings are generated or in what order, which is
     what makes fold/experiment resampling reproducible.
+
+    So a generator pickles as ``(vocabulary, config, seed)`` (a built
+    vocabulary as its ``(profile, seed)``) and unpickles to this
+    process's live generator for that key when there is one.
     """
 
     def __init__(
@@ -80,6 +102,11 @@ class EmailGenerator:
             f"{domain_rng.choice(entity_pool)}.{domain_rng.choice(('biz', 'info', 'net', 'com'))}"
             for _ in range(self.config.spam_domain_count)
         )
+        if vocabulary.seeded:
+            _LIVE[vocabulary.profile, vocabulary.seed, self.config, seed] = self
+
+    def __reduce__(self):
+        return (_seeded_generator, (self.vocabulary, self.config, self.seed))
 
     # ------------------------------------------------------------------
     # Public factories
@@ -99,7 +126,7 @@ class EmailGenerator:
             rng.choice(self.vocabulary.entity)
             for _ in range(config.ham_signature_entities)
         ] if self.vocabulary.entity else []
-        body = self._render_body(rng, tokens + entities)
+        body = self._render_body(tokens + entities)
         sender_name = rng.choice(self.vocabulary.entity) if self.vocabulary.entity else "sender"
         sender = f"{sender_name}@{rng.choice(config.ham_domains)}"
         subject = " ".join(self._subject_tokens(rng, self.ham_model.base))
@@ -125,7 +152,7 @@ class EmailGenerator:
             extras.append(f"http://{host}/{path}{rng.randrange(100)}")
         if rng.random() < config.spam_money_probability:
             extras.append(f"${rng.randrange(10, 5000)}")
-        body = self._render_body(rng, tokens + extras)
+        body = self._render_body(tokens + extras)
         domain = rng.choice(self._spam_domains)
         local = rng.choice(self.vocabulary.entity) if self.vocabulary.entity else "promo"
         subject = " ".join(self._subject_tokens(rng, self.spam_model.base))
@@ -156,18 +183,21 @@ class EmailGenerator:
         return f"{day} {month} 2005 {hour:02d}:{minute:02d}:{second:02d} -0000"
 
     @staticmethod
-    def _render_body(rng: random.Random, tokens: list[str]) -> str:
-        """Wrap tokens into text lines; adds light sentence dressing."""
+    def _render_body(tokens: list[str]) -> str:
+        """Greedy-wrap tokens into lines of at most ``_LINE_WIDTH``
+        characters (a longer token gets a line of its own)."""
         lines: list[str] = []
         current: list[str] = []
         width = 0
-        for token in tokens:
-            word = token
-            if width + len(word) + 1 > _LINE_WIDTH and current:
+        for word in tokens:
+            size = len(word) + 1
+            if width + size > _LINE_WIDTH and current:
                 lines.append(" ".join(current))
-                current, width = [], 0
-            current.append(word)
-            width += len(word) + 1
+                current = [word]
+                width = size
+            else:
+                current.append(word)
+                width += size
         if current:
             lines.append(" ".join(current))
         return "\n".join(lines)

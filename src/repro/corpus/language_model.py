@@ -15,9 +15,11 @@ English:
 * Per-email *topic windows* in ham — business threads share jargon, so
   a focused attacker who knows the thread can guess rare tokens.
 
-Both models are deterministic given (vocabulary, seed) and sample with
-``random.choices`` against precomputed cumulative weights, which keeps
-10k-message corpus generation in the seconds range.
+Both models are deterministic given (vocabulary, seed).  They sample
+with ``random.choices`` against precomputed cumulative weights (one
+bisect per token), and the ham body's shuffle is
+:func:`repro.rng.shuffle_exact`: ``Random.shuffle``'s permutation and
+stream position, with its per-element draw call inlined.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Iterator, Sequence
 
 from repro.errors import ConfigurationError
 from repro.corpus.vocabulary import Vocabulary
+from repro.rng import shuffle_exact
 
 __all__ = ["ZipfSampler", "MixtureModel", "HamLanguageModel", "SpamLanguageModel"]
 
@@ -201,7 +204,7 @@ class HamLanguageModel:
         topic_tokens = int(length * self._topic_token_fraction)
         tokens = self.base.sample(rng, length - topic_tokens)
         tokens.extend(self._topic_samplers[topic % self.topic_count].sample(rng, topic_tokens))
-        rng.shuffle(tokens)
+        shuffle_exact(rng, tokens)
         return tokens
 
 

@@ -32,7 +32,8 @@ obfuscations for spam), generated deterministically from a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from repro.errors import ConfigurationError
@@ -165,19 +166,44 @@ class WordForge:
         self._rng = seed_spawner.rng("word-forge")
         self._seen: set[str] = set()
 
-    def _syllable(self) -> str:
-        rng = self._rng
-        syllable = rng.choice(_CONSONANTS) + rng.choice(_VOWELS)
-        if rng.random() < 0.35:
-            syllable += rng.choice(_CODA)
-        return syllable
-
     def word(self, min_syllables: int = 2, max_syllables: int = 4) -> str:
-        """Return a fresh word not produced before by this forge."""
-        rng = self._rng
+        """Return a fresh word not produced before by this forge.
+
+        A word is ``randint(min_syllables, max_syllables)`` syllables of
+        ``choice(_CONSONANTS) + choice(_VOWELS)``, plus ``choice(_CODA)``
+        when ``random() < 0.35``.  Each draw inlines the loop of CPython's
+        ``Random._randbelow_with_getrandbits`` (``k = n.bit_length()``,
+        even for a power of two), so the draws are exactly those calls'.
+        """
+        span = max_syllables - min_syllables + 1
+        if span < 1:
+            raise ValueError(f"empty syllable range ({min_syllables}, {max_syllables})")
+        getrandbits = self._rng.getrandbits
+        random = self._rng.random
+        k_span = span.bit_length()
+        n_c, k_c = len(_CONSONANTS), len(_CONSONANTS).bit_length()
+        n_v, k_v = len(_VOWELS), len(_VOWELS).bit_length()
+        n_d, k_d = len(_CODA), len(_CODA).bit_length()  # 8 letters take 4 bits
         while True:
-            count = rng.randint(min_syllables, max_syllables)
-            candidate = "".join(self._syllable() for _ in range(count))[:12]
+            count = getrandbits(k_span)
+            while count >= span:
+                count = getrandbits(k_span)
+            letters = []
+            for _ in range(min_syllables + count):
+                c = getrandbits(k_c)
+                while c >= n_c:
+                    c = getrandbits(k_c)
+                v = getrandbits(k_v)
+                while v >= n_v:
+                    v = getrandbits(k_v)
+                letters.append(_CONSONANTS[c])
+                letters.append(_VOWELS[v])
+                if random() < 0.35:
+                    d = getrandbits(k_d)
+                    while d >= n_d:
+                        d = getrandbits(k_d)
+                    letters.append(_CODA[d])
+            candidate = "".join(letters)[:12]
             if len(candidate) >= 3 and candidate not in self._seen:
                 self._seen.add(candidate)
                 return candidate
@@ -243,9 +269,23 @@ class WordForge:
                 return candidate
 
 
+_BUILT: "weakref.WeakValueDictionary[tuple[VocabularyProfile, int], Vocabulary]" = (
+    weakref.WeakValueDictionary()
+)
+"""The live vocabularies :meth:`Vocabulary.build` made in this process,
+by ``(profile, seed)``.  Weak, so a vocabulary nothing else holds is
+freed; a forked process inherits the parent's entries."""
+
+
 @dataclass(frozen=True)
 class Vocabulary:
-    """A fully realized word universe, sliced per the module table."""
+    """A fully realized word universe, sliced per the module table.
+
+    A vocabulary :meth:`build` made is a pure function of
+    ``(profile, seed)``, so it pickles as those two and unpickles
+    through :meth:`build`, which returns the live one of this process
+    when there is one.  Any other vocabulary pickles by value.
+    """
 
     profile: VocabularyProfile
     seed: int
@@ -259,7 +299,16 @@ class Vocabulary:
 
     @classmethod
     def build(cls, profile: VocabularyProfile = SMALL_PROFILE, seed: int = 0) -> "Vocabulary":
-        """Generate the universe for ``profile`` deterministically."""
+        """Generate the universe for ``profile`` deterministically, or
+        return this process's live one for ``(profile, seed)``."""
+        vocabulary = _BUILT.get((profile, seed))
+        if vocabulary is None:
+            vocabulary = cls._generate(profile, seed)
+            _BUILT[profile, seed] = vocabulary
+        return vocabulary
+
+    @classmethod
+    def _generate(cls, profile: VocabularyProfile, seed: int) -> "Vocabulary":
         spawner = SeedSpawner(seed).spawn(f"vocabulary:{profile.name}")
         forge = WordForge(spawner)
         core = forge.words(profile.core_size)
@@ -296,6 +345,17 @@ class Vocabulary:
             spam_unlisted=tuple(spam_slangy + spam_obfuscated),
             entity=tuple(entity),
         )
+
+    @property
+    def seeded(self) -> bool:
+        """Whether this is the live vocabulary :meth:`build` made for
+        its ``(profile, seed)``, so the pair alone rebuilds it."""
+        return _BUILT.get((self.profile, self.seed)) is self
+
+    def __reduce__(self):
+        if self.seeded:
+            return (Vocabulary.build, (self.profile, self.seed))
+        return (Vocabulary, tuple(getattr(self, field.name) for field in fields(self)))
 
     # ------------------------------------------------------------------
     # Derived word sets

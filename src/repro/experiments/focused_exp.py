@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.attacks.base import AttackBatch
-from repro.corpus.dataset import train_grouped
+from repro.corpus.dataset import LabeledMessage, train_grouped
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
 from repro.engine.sweep import IncrementalAttackTrainer
@@ -121,13 +121,13 @@ class FocusedExperimentConfig:
 class _Repetition:
     """One repetition's trained inbox state and target pool.
 
-    Targets and header sources are emails, not corpus handles: a
-    handle pickles its corpus' whole generator, and this comes back
-    from a worker.
+    Targets are corpus handles (a generated corpus pickles as its
+    seed).  The header pool is eager emails on purpose: at the defaults,
+    the attack's header draws touch almost all of it.
     """
 
     classifier: Classifier
-    targets: list[Email]
+    targets: list[LabeledMessage]
     header_pool: list[Email]
 
 
@@ -156,7 +156,7 @@ def _prepare_one_repetition(context: _PrepareContext, rep: int) -> _Repetition:
     classifier = create_classifier(config.options)
     train_grouped(classifier, inbox)
     header_pool = [message.email for message in inbox.spam]
-    return _Repetition(classifier, [target.email for target in targets], header_pool)
+    return _Repetition(classifier, targets, header_pool)
 
 
 def _label_of_ids(classifier: Classifier, target_ids) -> Label:

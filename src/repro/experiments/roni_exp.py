@@ -38,7 +38,6 @@ from repro.defenses.roni import RoniConfig, RoniDefense
 from repro.errors import ExperimentError
 from repro.experiments.results import ExperimentRecord
 from repro.rng import SeedSpawner
-from repro.spambayes.message import Email
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.token_table import TokenTable
 
@@ -205,14 +204,12 @@ def _measure_attack_repetition(context: _RoniContext, rep: int) -> list[float]:
 
 
 def _measure_spam_batch(
-    context: _RoniContext, task: tuple[int, tuple[Email, ...]]
+    context: _RoniContext, task: tuple[int, tuple[LabeledMessage, ...]]
 ) -> list[float]:
     """One dedicated calibration measuring a slice of non-attack spam.
 
-    The slice arrives as emails (a corpus handle would pickle its
-    corpus' whole generator into every task) and goes through
-    :meth:`RoniDefense.measure_many`: encoded once, then swept
-    trial-by-trial through the bulk scoring kernel.
+    The slice goes through :meth:`RoniDefense.measure_many`: encoded
+    once, then swept trial-by-trial through the bulk scoring kernel.
     """
     rep, queries = task
     defense = RoniDefense(
@@ -224,5 +221,5 @@ def _measure_spam_batch(
     )
     return [
         measurement.ham_as_ham_decrease
-        for measurement in defense.measure_many([LabeledMessage(q, True) for q in queries])
+        for measurement in defense.measure_many(queries)
     ]

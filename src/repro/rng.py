@@ -22,7 +22,7 @@ import hashlib
 import random
 from typing import Iterator
 
-__all__ = ["spawn_seed", "spawn_rng", "SeedSpawner", "DEFAULT_SEED"]
+__all__ = ["spawn_seed", "spawn_rng", "shuffle_exact", "SeedSpawner", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20080415
 """Default root seed (the LEET'08 workshop date) used across examples."""
@@ -42,6 +42,20 @@ def spawn_seed(parent_seed: int, label: str) -> int:
 def spawn_rng(parent_seed: int, label: str) -> random.Random:
     """Return a fresh ``random.Random`` seeded from ``(parent_seed, label)``."""
     return random.Random(spawn_seed(parent_seed, label))
+
+
+def shuffle_exact(rng: random.Random, items: list) -> None:
+    """``rng.shuffle(items)``: the same permutation and stream position,
+    with CPython's per-element ``_randbelow_with_getrandbits(i + 1)``
+    call inlined (``getrandbits(n.bit_length())`` until below ``n``)."""
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
 
 
 class SeedSpawner:

@@ -183,7 +183,8 @@ def run_focused_knowledge(
     # stays in the parent, in the historical rep -> target -> p order.
     tasks: list[focused_exp._KnowledgeTask] = []
     for rep_index, repetition in enumerate(repetitions):
-        for email in repetition.targets:
+        for target in repetition.targets:
+            email = target.email
             batches = []
             for probability in config.guess_probabilities:
                 attack = FocusedAttack(
@@ -223,7 +224,8 @@ def run_focused_size(
     counts = [attack_message_count(config.inbox_size, f) for f in fractions]
     tasks: list[focused_exp._SizeTask] = []
     for rep_index, repetition in enumerate(repetitions):
-        for email in repetition.targets:
+        for target in repetition.targets:
+            email = target.email
             attack = FocusedAttack(
                 email,
                 guess_probability=config.size_sweep_guess_probability,
@@ -388,7 +390,7 @@ def run_roni_gate(
     )
     per_defense = max(1, config.n_nonattack_spam // config.repetitions_per_variant)
     batches = [
-        (rep, tuple(query.email for query in queries[start : start + per_defense]))
+        (rep, tuple(queries[start : start + per_defense]))
         for rep, start in enumerate(range(0, len(queries), per_defense))
     ]
     for impacts in runner.map(roni_exp._measure_spam_batch, context, batches):

@@ -38,7 +38,6 @@ __all__ = ["TokenizerOptions", "Tokenizer", "tokenize_text", "DEFAULT_TOKENIZER"
 
 _URL_RE = re.compile(r"(?:(https?|ftp)://|www\.)([^\s<>\"']+)", re.IGNORECASE)
 _EMAIL_RE = re.compile(r"([\w.+-]+)@([\w-]+(?:\.[\w-]+)+)")
-_WORD_SPLIT_RE = re.compile(r"[\s]+")
 _NON_ALNUM_EDGE_RE = re.compile(r"^\W+|\W+$")
 _SUBTOKEN_SPLIT_RE = re.compile(r"[^\w']+")
 _MONEY_RE = re.compile(r"^\$\d[\d,]*(?:\.\d+)?$")
@@ -115,10 +114,15 @@ class Tokenizer:
         return tokens
 
     def tokenize_body(self, text: str) -> list[str]:
-        """Return the body tokens of raw text, chunk by memoized chunk."""
+        """Return the body tokens of raw text, chunk by memoized chunk.
+
+        Chunks are ``str.split()``'s: runs of characters that are not
+        ``str.isspace()``, the same set ``\\s`` matches in a ``str``
+        pattern.
+        """
         chunk_tokens = self._chunk_tokens
         tokens: list[str] = []
-        for chunk in _WORD_SPLIT_RE.split(text):
+        for chunk in text.split():
             tokens.extend(chunk_tokens(chunk))
         return tokens
 
@@ -137,8 +141,19 @@ class Tokenizer:
     # ------------------------------------------------------------------
 
     def _tokenize_chunk(self, chunk: str) -> Iterator[str]:
-        # The empty chunks that leading or trailing whitespace leaves in
-        # the split fall through to an empty ``word`` and yield nothing.
+        if chunk.isalnum():
+            # No ``\W`` character, so no URL, address or money match and
+            # no edge to strip: the chunk is one word.  Lowercasing can
+            # still add a non-alnum character ("İ" -> "i" + U+0307), and
+            # such a word takes the rule path.
+            word = chunk.lower()
+            if word.isalnum():
+                return self._emit_word(word)
+        return self._tokenize_rules(chunk)
+
+    def _tokenize_rules(self, chunk: str) -> Iterator[str]:
+        """The tokens of one chunk by the URL, address, money and word
+        rules, in that order."""
         url_match = _URL_RE.search(chunk)
         if url_match:
             yield from self._tokenize_url(url_match)

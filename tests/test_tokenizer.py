@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import re
 import sys
 import threading
 
@@ -253,3 +254,55 @@ class TestChunkMemo:
         info = shared._chunk_tokens.cache_info()
         assert info.misses > 64
         assert info.currsize <= 64
+
+
+# ----------------------------------------------------------------------
+# Split once: str.split() and the alnum fast path against the regex split
+# ----------------------------------------------------------------------
+
+_REGEX_SPLIT = re.compile(r"[\s]+")
+
+
+def regex_split_tokens(tokenizer: Tokenizer, text: str) -> list[str]:
+    """The body tokenizer before it split once: a regex split (empty edge
+    chunks included) and every chunk through the rule path."""
+    tokens: list[str] = []
+    for chunk in _REGEX_SPLIT.split(text):
+        tokens.extend(tokenizer._tokenize_rules(chunk))
+    return tokens
+
+
+# Whitespace to str.isspace() and \s alike, including the separators
+# only Unicode calls whitespace; format characters that are not
+# whitespace (zero-width space, BOM, right-to-left override); a capital
+# whose lowercase adds a combining mark; a non-ASCII digit; and the
+# characters the URL, address and money rules key on.
+_HOSTILE_PIECES = (
+    "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000", " ", "\n", "\t",
+    "\u200b", "\ufeff", "\u202e", "\u0130", "\u0663", "_", "'", "$", "@", "://",
+    "http", "www.", ".", "-", ",", "5", "a", "Z", "\u0430", "abc", "x" * 13,
+)
+hostile_text = st.lists(
+    st.one_of(st.sampled_from(_HOSTILE_PIECES), st.text(max_size=3)), max_size=40
+).map("".join)
+
+
+class TestSplitOnce:
+    @settings(max_examples=400, deadline=None)
+    @given(text=hostile_text)
+    def test_matches_regex_split(self, text):
+        assert Tokenizer().tokenize_body(text) == regex_split_tokens(Tokenizer(), text)
+
+    def test_capital_dotted_i_keeps_its_parts(self):
+        # "İ".lower() is "i" + U+0307, which is not alphanumeric: the
+        # word and its parts come from the rule path.
+        assert body_tokens("\u0130stanbul") == ["i\u0307stanbul", "stanbul"]
+
+    def test_split_and_fast_path_rest_on_unicode_classes(self):
+        # str.split() cuts where \s matches, and an isalnum() chunk has
+        # no \W character, over every code point.
+        space, word = re.compile(r"\s"), re.compile(r"\w")
+        for code in range(sys.maxunicode + 1):
+            char = chr(code)
+            assert (space.match(char) is not None) == char.isspace(), hex(code)
+            assert (word.match(char) is not None) == (char.isalnum() or char == "_"), hex(code)
