@@ -468,8 +468,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="MS",
-        help="micro-batch coalescing window in milliseconds: score "
-        "requests arriving within it share one bulk kernel call "
+        help="upper bound, in milliseconds, on how long a micro-batch "
+        "waits for more score requests; a batch closes as soon as "
+        "arrivals stop and shares one bulk kernel call "
         "(default 2.0; 0 disables batching entirely)",
     )
     parser.add_argument(

@@ -5,11 +5,13 @@ The daemon's scoring hot path is a bulk kernel call
 per-call overhead — attribute lookups, kernel dispatch, numpy array
 setup — is amortized across every message in the batch.  A lone wire
 request would pay all of it for one message.  The micro-batcher
-recovers the bulk shape from concurrent traffic: requests arriving
-within a short window (``--batch-window``, milliseconds) are coalesced
-into one bulk call and the per-request results demultiplexed back to
-their futures, in submission order, so no client can observe another
-client's answer.
+recovers the bulk shape from concurrent traffic: requests that arrive
+back to back are coalesced into one bulk call and the per-request
+results demultiplexed back to their futures, in submission order, so
+no client can observe another client's answer.  A batch closes once
+arrivals stop — the queue has not grown over two event-loop passes —
+or when it is full; ``--batch-window`` (milliseconds) is only the upper
+bound on how long a batch that keeps growing may wait.
 
 The contract that makes coalescing safe is the library's own:
 ``score_many(token_sets)`` returns exactly
@@ -41,8 +43,12 @@ class BatcherStats:
     batched_requests: int = 0  # requests that shared a batch with >=1 other
     max_batch: int = 0
     batch_sizes: dict = field(default_factory=dict)  # size -> count
+    closed_by: dict = field(
+        default_factory=lambda: dict.fromkeys(("quiet", "full", "window"), 0)
+    )
 
-    def record(self, size: int) -> None:
+    def record(self, size: int, reason: str) -> None:
+        self.closed_by[reason] += 1
         self.requests += size
         self.batches += 1
         if size > 1:
@@ -59,6 +65,7 @@ class BatcherStats:
             "max_batch": self.max_batch,
             "mean_batch": (self.requests / self.batches) if self.batches else 0.0,
             "batch_sizes": {str(k): v for k, v in sorted(self.batch_sizes.items())},
+            "closed_by": dict(self.closed_by),
         }
 
 
@@ -71,11 +78,13 @@ class MicroBatcher:
     result; if the bulk call raises, every future in that batch gets
     the same exception.
 
-    The drain loop waits for the first item, then sleeps the window to
-    let concurrent peers pile in, then executes up to ``max_batch``
-    items.  A zero window skips the sleep — each drain takes whatever
-    is queued *right now*, which with ``max_batch=1`` is exactly
-    one-request-per-call serving.
+    The drain loop waits for the first item, then yields to the event
+    loop one pass at a time while concurrent peers pile in.  It
+    executes up to ``max_batch`` items once the queue has not grown
+    over two consecutive passes (``"quiet"``), once ``max_batch`` items
+    are queued (``"full"``), or once the window ends (``"window"``);
+    :attr:`BatcherStats.closed_by` counts each.  A zero window forces
+    ``max_batch=1``: exactly one-request-per-call serving.
     """
 
     def __init__(
@@ -136,30 +145,41 @@ class MicroBatcher:
         return future
 
     async def _drain_loop(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
             if not self._queue:
                 await self._wakeup.wait()
             self._wakeup.clear()
             if self._closed:
                 return
-            if self._window_s and len(self._queue) < self._max_batch:
-                # Let concurrent submitters land in the same batch.
-                # The window is a *maximum* wait: a batch that is
-                # already full flushes immediately — and only a full
-                # batch skips the window.  Flushing a partial batch
-                # the moment a full one finishes would lock the
-                # steady state into alternating full and fragment
-                # batches, wasting the amortization this layer exists
-                # to provide.
-                await asyncio.sleep(self._window_s)
+            # Two quiet passes, not one: a frame takes one pass to
+            # reach the protocol and a second for its reader to
+            # submit.  A queue still growing never flushes as a
+            # fragment — flushing whatever is queued the moment the
+            # previous batch finishes would lock the steady state into
+            # alternating full and fragment batches.
+            deadline = loop.time() + self._window_s
+            seen, quiet, reason = len(self._queue), 0, "full"
+            while seen < self._max_batch:
+                if loop.time() >= deadline:
+                    reason = "window"
+                    break
+                await asyncio.sleep(0)
+                quiet = quiet + 1 if len(self._queue) == seen else 0
+                seen = len(self._queue)
+                if quiet == 2:
+                    reason = "quiet"
+                    break
             batch = self._queue[: self._max_batch]
             del self._queue[: len(batch)]
             if batch:
-                await self._run_batch(batch)
+                await self._run_batch(batch, reason)
 
-    async def _run_batch(self, batch: list[tuple[Any, asyncio.Future]]) -> None:
+    async def _run_batch(
+        self, batch: list[tuple[Any, asyncio.Future]], reason: str
+    ) -> None:
         items = [item for item, _ in batch]
-        self.stats.record(len(items))
+        self.stats.record(len(items), reason)
         try:
             results = await self._execute(items)
         except Exception as exc:  # noqa: BLE001 - fan the failure out per-future

@@ -13,14 +13,16 @@ Three tasks structure the loop:
 * **Reader tasks** (one per connection) parse frames and dispatch
   them.  Dispatch is synchronous up to enqueue — a connection's
   requests enter the scoring batcher and the writer queue in frame
-  order — then each response is awaited and written by its own small
-  task, serialized per connection, demultiplexed by request ``id``.
+  order — then each response writes itself from a done-callback when
+  its future resolves, demultiplexed by request ``id``.
 * **The micro-batcher** (:mod:`repro.serve.batcher`) coalesces
-  concurrent ``score`` requests into one bulk call —
-  ``Classifier.score_many`` inline, or per-message ``score`` fanned
-  across a :class:`~repro.engine.runner.WorkerPool` when
-  ``--workers N>=2`` — both byte-identical to scoring each message
-  alone, which is the library's own ``score_many`` contract.
+  concurrent ``score`` requests into one bulk call, closed once
+  arrivals stop — ``Classifier.score_many`` inline on the loop thread,
+  or per-message ``score`` fanned across a
+  :class:`~repro.engine.runner.WorkerPool` from a helper thread (a
+  pooled run can block for long) when ``--workers N>=2`` — both
+  byte-identical to scoring each message alone, which is the
+  library's own ``score_many`` contract.
 * **The writer task** applies every mutation (``train``, ``feedback``,
   ``snapshot``) one at a time, in arrival order, stamping each with a
   global sequence number.  Scoring holds the same model lock per
@@ -42,10 +44,10 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
+import itertools
 import os
 import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -154,7 +156,6 @@ class FilterService:
         self._batcher: MicroBatcher | None = None
         self._model_lock: asyncio.Lock | None = None
         self._write_queue: asyncio.Queue | None = None
-        self._scoring_executor: ThreadPoolExecutor | None = None
         self._connections: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
@@ -204,9 +205,6 @@ class FilterService:
                 self._loop.add_signal_handler(signum, self._request_stop)
         self._model_lock = asyncio.Lock()
         self._write_queue = asyncio.Queue()
-        self._scoring_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-score"
-        )
         self._batcher = MicroBatcher(
             self._score_batch,
             window_s=self.config.batch_window_ms / 1000.0,
@@ -235,7 +233,6 @@ class FilterService:
             with contextlib.suppress(asyncio.CancelledError):
                 await writer_task
             await self._batcher.close()
-            self._scoring_executor.shutdown(wait=True)
             self._unlink_socket()
 
     async def _open_server(self):
@@ -395,7 +392,7 @@ class FilterService:
     def _tokens_of(request: dict) -> list[str]:
         tokens = request.get("tokens")
         if not isinstance(tokens, list) or not all(
-            isinstance(token, str) for token in tokens
+            map(isinstance, tokens, itertools.repeat(str))
         ):
             raise ProtocolError("field 'tokens' must be a list of strings")
         return tokens
@@ -455,23 +452,17 @@ class FilterService:
         async with self._model_lock:
             model_seq = self.seq
             if self.pool is not None:
-                scores = await self._loop.run_in_executor(
-                    self._scoring_executor, self._score_pooled, list(token_lists)
+                # A supervised pool run can block for long: off the loop.
+                scores = await asyncio.to_thread(
+                    self.pool.run, _score_task, self.classifier, list(token_lists)
                 )
             else:
-                scores = await self._loop.run_in_executor(
-                    self._scoring_executor,
-                    self.classifier.score_many,
-                    list(token_lists),
-                )
+                scores = self.classifier.score_many(list(token_lists))
         batch = len(token_lists)
         return [
             {"score": score, "batch": batch, "model_seq": model_seq}
             for score in scores
         ]
-
-    def _score_pooled(self, token_lists: list[list[str]]) -> list[float]:
-        return self.pool.run(_score_task, self.classifier, token_lists)
 
     # ------------------------------------------------------------------
     # Stats

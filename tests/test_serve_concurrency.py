@@ -327,6 +327,61 @@ class TestBatcherFailureContracts:
 
         self._run(scenario())
 
+    @staticmethod
+    def _echo(calls):
+        async def execute(items):
+            calls.append(list(items))
+            return list(items)
+
+        return execute
+
+    @pytest.mark.parametrize(
+        "max_batch, batches, closed_by",
+        [
+            (256, [[0, 1, 2]], {"quiet": 1, "full": 0, "window": 0}),
+            (2, [[0, 1], [2]], {"quiet": 1, "full": 1, "window": 0}),
+        ],
+    )
+    def test_batch_closes_when_arrivals_stop_not_at_the_window(
+        self, max_batch, batches, closed_by
+    ):
+        async def scenario():
+            calls = []
+            batcher = MicroBatcher(self._echo(calls), window_s=60.0, max_batch=max_batch)
+            batcher.start()
+            futures = [batcher.submit(n) for n in range(3)]
+            # The guard only stops a regression from hanging the suite;
+            # closed_by says why each batch closed.
+            assert await asyncio.wait_for(asyncio.gather(*futures), 30.0) == [0, 1, 2]
+            assert calls == batches
+            assert batcher.stats.closed_by == closed_by
+            await batcher.close()
+
+        self._run(scenario())
+
+    @pytest.mark.parametrize("idle_passes, batches", [(0, 1), (1, 1), (2, 6)])
+    def test_arrivals_one_idle_pass_apart_share_a_batch(self, idle_passes, batches):
+        """A trickle with at most one idle loop pass between arrivals
+        is still arriving: it lands in one batch, never as alternating
+        fragments.  Two idle passes are quiet, and every item closes
+        its own batch."""
+
+        async def scenario():
+            calls = []
+            batcher = MicroBatcher(self._echo(calls), window_s=60.0)
+            batcher.start()
+            futures = []
+            for n in range(6):
+                futures.append(batcher.submit(n))
+                for _ in range(1 + idle_passes):
+                    await asyncio.sleep(0)
+            assert await asyncio.wait_for(asyncio.gather(*futures), 30.0) == list(range(6))
+            assert len(calls) == batches, calls
+            assert batcher.stats.closed_by["quiet"] == batches
+            await batcher.close()
+
+        self._run(scenario())
+
     def test_bulk_failure_fans_out_to_every_future(self):
         async def scenario():
             async def execute(items):
@@ -360,12 +415,18 @@ class TestBatcherFailureContracts:
 
     def test_close_cancels_queued_work_and_refuses_new(self):
         async def scenario():
+            started, release = asyncio.Event(), asyncio.Event()
+
             async def execute(items):
+                started.set()
+                await release.wait()  # never set: the drain loop stays busy
                 return list(items)
 
-            batcher = MicroBatcher(execute, window_s=60.0)  # never drains
+            batcher = MicroBatcher(execute, window_s=60.0)
             batcher.start()
-            future = batcher.submit("stranded")
+            batcher.submit("in flight")
+            await started.wait()
+            future = batcher.submit("stranded")  # queued behind the blocked batch
             await batcher.close()
             with pytest.raises(asyncio.CancelledError):
                 future.result()

@@ -11,6 +11,7 @@ socket file, no on-disk stores — ``repro gc`` finds zero orphans.
 
 from __future__ import annotations
 
+import itertools
 import os
 import socket
 import struct
@@ -27,6 +28,10 @@ from repro.serve import protocol
 from repro.storage import STORE_DIR_ENV, STORE_ENV, orphaned_stores
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Lists that are not all strings: an int or a null after a string, a
+# nested list, a bool (a bool is not a str, though it is an int).
+MIXED_TOKENS = (["a", 1], ["a", None], [["a"]], [True])
 
 
 @pytest.fixture(autouse=True)
@@ -130,6 +135,15 @@ class TestBadRequests:
             ),
             ({"id": 8, "verb": "snapshot"}, "path"),
             ({"id": 9, "verb": "snapshot", "path": ""}, "path"),
+            *(
+                (
+                    {"id": 10 + n, "verb": verb, "tokens": tokens, "is_spam": True},
+                    "list of strings",
+                )
+                for n, (verb, tokens) in enumerate(
+                    itertools.product(("score", "train", "feedback"), MIXED_TOKENS)
+                )
+            ),
         ],
     )
     def test_structured_error_echoes_id_and_keeps_serving(
