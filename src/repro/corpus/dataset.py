@@ -230,8 +230,7 @@ def train_grouped(
     Messages are encoded against the classifier's interning table, so
     training is a sweep over ID arrays, not string sets.
     """
-    for ids, is_spam, count in group_token_ids(messages, classifier.table, tokenizer)[0]:
-        classifier.learn_ids_repeated(ids, is_spam, count)
+    classifier.learn_groups(group_token_ids(messages, classifier.table, tokenizer)[0])
 
 
 def unlearn_grouped(
@@ -245,8 +244,7 @@ def unlearn_grouped(
     full-inbox model: unlearn the held-out stripe instead of retraining
     the other K-1 folds.
     """
-    for ids, is_spam, count in group_token_ids(messages, classifier.table, tokenizer)[0]:
-        classifier.unlearn_ids_repeated(ids, is_spam, count)
+    classifier.unlearn_groups(group_token_ids(messages, classifier.table, tokenizer)[0])
 
 
 class Dataset:

@@ -263,11 +263,11 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class _FoldTask:
-    """One (spec, fold) unit of work, fully self-describing."""
+    """One (spec, fold) unit of work, fully self-describing: the fold
+    trains on every inbox message outside ``test_indices``."""
 
     spec_key: str
     fold_index: int
-    train_indices: tuple[int, ...]
     test_indices: tuple[int, ...]
     attack_seed: int
 
@@ -303,9 +303,8 @@ class _SweepContext:
     token_ids: tuple[array, ...] | None
     labels: tuple[bool, ...]
     specs: dict[str, _SpecPayload]
-    options: ClassifierOptions
     table: TokenTable
-    full_model: Classifier | None
+    full_model: Classifier
     csr: "ndkernel.CsrMatrix | None" = None
 
     def rows(self) -> Sequence:
@@ -347,17 +346,11 @@ def _grouped_id_indices(
 
 
 def _fold_classifier(context: _SweepContext, task: _FoldTask):
-    """The fold's clean classifier, plus the snapshot to restore (if any)."""
-    if context.full_model is not None:
-        classifier = context.full_model
-        snap = classifier.snapshot()
-        for ids, is_spam, count in _grouped_id_indices(context, task.test_indices):
-            classifier.unlearn_ids_repeated(ids, is_spam, count)
-        return classifier, snap
-    classifier = ndkernel.create_classifier(context.options, table=context.table)
-    for ids, is_spam, count in _grouped_id_indices(context, task.train_indices):
-        classifier.learn_ids_repeated(ids, is_spam, count)
-    return classifier, None
+    """The fold's clean classifier, plus the snapshot to restore."""
+    classifier = context.full_model
+    snap = classifier.snapshot()
+    classifier.unlearn_groups(_grouped_id_indices(context, task.test_indices))
+    return classifier, snap
 
 
 def _evaluate_indices(
@@ -394,8 +387,7 @@ def _run_fold_task(context: _SweepContext, task: _FoldTask) -> list[dict[str, in
             )
         return confusions
     finally:
-        if snap is not None:
-            classifier.restore(snap)
+        classifier.restore(snap)
 
 
 def run_attack_sweeps(
@@ -405,7 +397,6 @@ def run_attack_sweeps(
     options: ClassifierOptions = DEFAULT_OPTIONS,
     tokenizer: Tokenizer = DEFAULT_TOKENIZER,
     workers: int | None = 1,
-    reuse_clean_model: bool = True,
     table: TokenTable | None = None,
 ) -> list[SweepResult]:
     """Run every spec's K-fold contamination sweep, fanning folds out.
@@ -415,10 +406,9 @@ def run_attack_sweeps(
     attack seed per fold) — so any worker count, and the legacy
     sequential path, produce identical :class:`SweepResult`s.
 
-    ``reuse_clean_model=True`` (the default) enables the shared
-    full-inbox model with per-fold stripe subtraction; ``False`` keeps
-    the naive train-per-fold behaviour (only the benchmark baseline
-    wants that).
+    Every fold's clean model is the shared full-inbox model with the
+    fold's held-out stripe unlearned, never a retrain of the other
+    K-1 folds.
 
     ``table`` is the interning table the inbox is encoded against; pass
     a pre-populated corpus table to reuse encodings across calls, or
@@ -437,15 +427,11 @@ def run_attack_sweeps(
         payloads[spec.key] = _SpecPayload(spec.attack, counts, spec.ham_only)
         pairs = inbox.k_fold_indices(folds, rng)
         seeds = drawn_seeds(rng, len(pairs))
-        for fold_index, ((train_idx, test_idx), seed) in enumerate(zip(pairs, seeds)):
-            tasks.append(
-                _FoldTask(spec.key, fold_index, tuple(train_idx), tuple(test_idx), seed)
-            )
+        for fold_index, ((_, test_idx), seed) in enumerate(zip(pairs, seeds)):
+            tasks.append(_FoldTask(spec.key, fold_index, tuple(test_idx), seed))
     table = inbox.encode(table, tokenizer)
-    full_model: Classifier | None = None
-    if reuse_clean_model:
-        full_model = ndkernel.create_classifier(options, table=table)
-        train_grouped(full_model, inbox, tokenizer)
+    full_model = ndkernel.create_classifier(options, table=table)
+    train_grouped(full_model, inbox, tokenizer)
 
     # In parallel runs on the NumPy kernel the encoded inbox crosses
     # process boundaries as one CSR pair instead of a tuple of
@@ -462,7 +448,6 @@ def run_attack_sweeps(
         token_ids=token_ids,
         labels=tuple(message.is_spam for message in inbox),
         specs=payloads,
-        options=options,
         table=table,
         full_model=full_model,
         csr=csr,

@@ -116,7 +116,8 @@ class MicroBatcher:
             )
 
     async def close(self) -> None:
-        """Stop the drain loop, failing any still-queued submissions."""
+        """Stop the drain loop, failing every unanswered submission:
+        the queued ones and the batch in flight."""
         self._closed = True
         self._wakeup.set()
         if self._task is not None:
@@ -126,9 +127,7 @@ class MicroBatcher:
                 await task
             except asyncio.CancelledError:
                 pass
-        for _, future in self._queue:
-            if not future.done():
-                future.set_exception(asyncio.CancelledError("batcher closed"))
+        _fail(self._queue, asyncio.CancelledError("batcher closed"))
         self._queue.clear()
 
     def submit(self, item: Any) -> asyncio.Future:
@@ -182,20 +181,26 @@ class MicroBatcher:
         self.stats.record(len(items), reason)
         try:
             results = await self._execute(items)
+        except asyncio.CancelledError:
+            # close() cancelled the drain task mid-batch: these futures
+            # left the queue, so nothing else would ever resolve them.
+            _fail(batch, asyncio.CancelledError("batcher closed"))
+            raise
         except Exception as exc:  # noqa: BLE001 - fan the failure out per-future
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(exc)
+            _fail(batch, exc)
             return
         if len(results) != len(items):
-            mismatch = RuntimeError(
+            _fail(batch, RuntimeError(
                 f"bulk scorer returned {len(results)} results "
                 f"for {len(items)} requests"
-            )
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(mismatch)
+            ))
             return
         for (_, future), result in zip(batch, results):
             if not future.done():
                 future.set_result(result)
+
+
+def _fail(batch: list[tuple[Any, asyncio.Future]], exc: BaseException) -> None:
+    for _, future in batch:
+        if not future.done():
+            future.set_exception(exc)

@@ -134,6 +134,15 @@ def _restore_column(column, saved: bytes) -> None:
         view[kept:] = bytes(len(view) - kept)
 
 
+def _checked_groups(groups: Iterable) -> list:
+    """``groups`` as a list, once every count is known to be >= 0."""
+    groups = list(groups)
+    for _, _, count in groups:
+        if count < 0:
+            raise TrainingError(f"learn_repeated needs count >= 0, got {count}")
+    return groups
+
+
 class Classifier:
     """Incremental SpamBayes token classifier over an interned ID core.
 
@@ -420,6 +429,72 @@ class Classifier:
             self._nham -= count
         self._apply_removal(ids, is_spam, count)
 
+    def learn_groups(self, groups: Iterable[tuple[Sequence[int], bool, int]]) -> None:
+        """Learn a set of message groups in one call.
+
+        ``groups`` holds ``(ids, is_spam, count)`` triples — ``count``
+        copies of one pre-encoded message, as
+        :func:`~repro.corpus.dataset.group_token_ids` returns them.
+        The state afterwards is exactly what one
+        :meth:`learn_ids_repeated` call per group would leave; every
+        count is checked before any is applied.  The NumPy kernel
+        overrides this with one vectorized pass per label.
+        """
+        groups = _checked_groups(groups)
+        for ids, is_spam, count in groups:
+            self.learn_ids_repeated(ids, is_spam, count)
+
+    def unlearn_groups(self, groups: Iterable[tuple[Sequence[int], bool, int]]) -> None:
+        """Reverse :meth:`learn_groups` with the same groups.
+
+        Validates every group before mutating anything, and raises the
+        error the first failing :meth:`unlearn_ids_repeated` call of a
+        per-group loop would raise, so a failed call leaves the
+        classifier unchanged.
+        """
+        groups = list(groups)
+        self._check_group_removal(groups)
+        for ids, is_spam, count in groups:
+            self.unlearn_ids_repeated(ids, is_spam, count)
+
+    def _check_group_removal(self, groups: list) -> None:
+        """Raise what a per-group :meth:`unlearn_ids_repeated` loop
+        would raise first, without touching a count.
+
+        Replays the loop's checks against the counts the earlier
+        groups would have removed (IDs are unique within a group, so
+        each ID is checked against the removals of earlier groups
+        only).
+        """
+        trained = {True: self._nspam, False: self._nham}
+        removed: dict[tuple[bool, int], int] = {}
+        for ids, is_spam, count in groups:
+            if count < 0:
+                raise TrainingError(f"unlearn_repeated needs count >= 0, got {count}")
+            if count == 0:
+                continue
+            label = bool(is_spam)
+            if trained[label] < count:
+                raise TrainingError(
+                    f"unlearn_repeated({'spam' if label else 'ham'}, {count}) "
+                    f"with only {trained[label]} trained"
+                )
+            trained[label] -= count
+            col = self._spam if label else self._ham
+            limit = len(col)
+            for tid in ids:
+                key = (label, tid)
+                taken = removed.get(key, 0)
+                if (col[tid] if tid < limit else 0) - taken < count:
+                    raise self._negative_count_error(tid)
+                removed[key] = taken + count
+
+    def _negative_count_error(self, tid: int) -> TrainingError:
+        return TrainingError(
+            f"unlearn would drive count of token {self._table.token(tid)!r} negative; "
+            "message was not learned with this label"
+        )
+
     def _apply_delta(self, ids: Sequence[int], is_spam: bool, count: int) -> None:
         """Add ``count`` to one class column for every ID (no checks)."""
         self._ensure_columns()
@@ -443,11 +518,7 @@ class Classifier:
         for tid in ids:
             current = col[tid] if tid < limit else 0
             if current < count:
-                token = self._table.token(tid)
-                raise TrainingError(
-                    f"unlearn would drive count of token {token!r} negative; "
-                    "message was not learned with this label"
-                )
+                raise self._negative_count_error(tid)
 
     def _apply_removal(self, ids: Sequence[int], is_spam: bool, count: int) -> None:
         """Subtract ``count`` from one class column (caller validated)."""
@@ -645,30 +716,27 @@ class Classifier:
 
     def _resolve(
         self, token_sets: Iterable[Iterable[str]]
-    ) -> tuple[list[tuple[list[int], Sequence[str]]], bool]:
+    ) -> list[tuple[list[int], Sequence[str]]]:
         """Resolve each message in one :meth:`TokenTable.lookup` call.
 
-        Returns ``(encoded, any_unseen)``: per message, its distinct
-        interned IDs and the texts of its unseen tokens, plus whether
-        any message had one.  Scoring never interns, so unseen tokens
+        Returns, per message, its distinct interned IDs and the texts
+        of its unseen tokens.  Scoring never interns, so unseen tokens
         stay out of the table.  Their texts are kept only when the
         prior is significant; otherwise they never enter δ(E).
         """
         lookup = self._table.lookup
         keep_unseen = self._unknown_entry() is not None
         encoded: list[tuple[list[int], Sequence[str]]] = []
-        any_unseen = False
         for tokens in token_sets:
             unique = tokens if isinstance(tokens, (set, frozenset)) else set(tokens)
             ids = lookup(unique)
             extras: Sequence[str] = ()
             if None in ids:
-                any_unseen = True
                 if keep_unseen:
                     extras = list(compress(unique, map(is_, ids, repeat(None))))
                 ids = [tid for tid in ids if tid is not None]
             encoded.append((ids, extras))
-        return encoded, any_unseen
+        return encoded
 
     def _fill_memo(self, memo: list, ids: Iterable[int]) -> None:
         """Compute every ``_MISSING`` memo entry among ``ids``.
@@ -691,8 +759,8 @@ class Classifier:
     def _ranked(self, encoded: list[tuple[Sequence[int], Sequence[str]]]) -> Iterator[list]:
         """Each message's significant memo entries, strongest first.
 
-        ``encoded`` is the first item :meth:`_resolve` returns, which
-        keeps unseen texts only when the prior's entry is significant.
+        ``encoded`` is what :meth:`_resolve` returns, which keeps
+        unseen texts only when the prior's entry is significant.
         The batch's IDs go to one :meth:`_fill_memo` call; then each
         unseen text adds the prior's entry.  Sorting the tuples
         *without* a key function orders by strength descending, then
@@ -731,7 +799,7 @@ class Classifier:
         first.  Ties are broken by token text so results are
         deterministic across runs and platforms.
         """
-        (scored,) = self._ranked(self._resolve((tokens,))[0])
+        (scored,) = self._ranked(self._resolve((tokens,)))
         limit = self.options.max_discriminators
         return [TokenScore(token, prob) for _, token, prob in scored[:limit]]
 
@@ -752,31 +820,23 @@ class Classifier:
         unseen tokens contribute the prior inline, without being
         interned (scoring never grows the table).
 
-        A batch with no unseen token goes to :meth:`score_many_ids`.
-        Any other batch takes the memo-and-combine loop: its known IDs
-        are gathered and handed to one :meth:`_fill_memo` call, which
+        Every batch takes the memo-and-combine loop: its known IDs are
+        gathered and handed to one :meth:`_fill_memo` call, which
         computes every entry a training call invalidated (the NumPy
         kernel in one vectorized pass), and then each message sorts and
         combines finished memo entries.  Under served feedback every
         ``learn`` moves ``(nspam, nham)`` and voids the whole memo, so
         the refill is the per-batch cost that matters.
 
-        Routing string batches to :meth:`score_many_ids` instead (unseen
-        tokens dropped when the prior is not significant, batch-local
-        text ranks) was measured on the serve benchmark
-        (``serve-session``, 2-core host) and rejected: wall time −35%,
-        but the kernel's fixed ~190 µs per call made read-only batches
-        of one message cost 245–271 µs against 78–99 µs, unbatched
-        serving fell from 2,798 to 1,577 msgs/s, and peak RSS rose 5.2%.
-        An earlier form of that route gained only 5%: each ``feedback``
-        grows the table, which forces a vocabulary-wide
-        :meth:`TokenTable.text_order_ranks` rebuild (688 rebuilds,
-        2.89 s in one `serve-session` run).
+        String batches never go to :meth:`score_many_ids`, not even
+        those with no unseen token.  Each served ``feedback`` grows the
+        table, so that route rebuilds the vocabulary-wide
+        :meth:`TokenTable.text_order_ranks` with a ``sorted()`` after
+        every learn; and on the serve benchmark (``serve-session``,
+        2-core host) its fixed ~190 µs per call made read-only batches
+        of one message cost 245–271 µs against 78–99 µs.
         """
-        encoded, any_unseen = self._resolve(token_sets)
-        if not any_unseen:
-            return self.score_many_ids([ids for ids, _ in encoded])
-        return self._combine_ranked(encoded)
+        return self._combine_ranked(self._resolve(token_sets))
 
     def _combine_ranked(self, encoded: list[tuple[Sequence[int], Sequence[str]]]) -> list[float]:
         """Each message's score from its :meth:`_ranked` entries."""

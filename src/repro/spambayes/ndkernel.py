@@ -61,8 +61,8 @@ try:  # pragma: no cover - exercised via the availability gates
 except ImportError:  # pragma: no cover - numpy is in the baked image
     np = None  # type: ignore[assignment]
 
-from repro.errors import ConfigurationError, TrainingError
-from repro.spambayes.classifier import _MISSING, Classifier
+from repro.errors import ConfigurationError
+from repro.spambayes.classifier import _MISSING, Classifier, _checked_groups
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.token_table import TOKEN_ID_TYPECODE, TokenTable, build_text_ranks
 from repro.spambayes.wordinfo import WordInfo
@@ -87,6 +87,8 @@ _EXP_UNDERFLOW_LIMIT = 708.0  # matches chi2._EXP_UNDERFLOW_LIMIT
 # expands at once; tracemalloc puts a chunk's peak at ~55 B per pair
 # (3.4 MB for the tests/test_roni_batched.py fixture).  Smaller chunks
 # pay each chunk's nonzero, key sort and Fisher products too often.
+# NDClassifier.learn_groups joins at most this many row entries per
+# bincount.
 _CANDIDATE_ENTRY_BUDGET = 1 << 16
 
 if np is not None:
@@ -173,6 +175,57 @@ def _as_id_index(ids: Sequence[int]) -> "np.ndarray":
     if isinstance(ids, np.ndarray):
         return np.ascontiguousarray(ids, dtype=_ID_DTYPE)
     return np.asarray(ids, dtype=_ID_DTYPE)
+
+
+def _concat_rows(rows: list) -> "np.ndarray":
+    """Encoded messages joined into one int64 ID array."""
+    if _FAST_ARRAY_VIEW and all(type(ids) is array for ids in rows):
+        return np.frombuffer(b"".join(rows), dtype=_ID_DTYPE)
+    return np.concatenate([_as_id_index(ids) for ids in rows])
+
+
+def _label_delta(groups: list, is_spam: bool, n: int) -> tuple["np.ndarray | None", int]:
+    """One label's per-ID count sum over ``groups``, and its message total.
+
+    Single-copy rows, the bulk of any training set, are counted with
+    one unweighted ``np.bincount`` per chunk of at most
+    :data:`_CANDIDATE_ENTRY_BUDGET` joined entries (rows are
+    duplicate-free, so each row adds 1 per ID); repeated groups
+    (attack copies) add their count to their own IDs.  The sum is
+    None when the label has no message.
+    """
+    delta = None
+    total = 0
+    chunk: list = []
+    entries = 0
+    repeated = []
+    for ids, label, count in groups:
+        if bool(label) is not is_spam or count <= 0:
+            continue
+        total += count
+        if count > 1:
+            repeated.append((ids, count))
+            continue
+        if chunk and entries + len(ids) > _CANDIDATE_ENTRY_BUDGET:
+            delta = _add_bincount(delta, chunk, n)
+            chunk, entries = [], 0
+        chunk.append(ids)
+        entries += len(ids)
+    if chunk:
+        delta = _add_bincount(delta, chunk, n)
+    if total and delta is None:
+        delta = np.zeros(n, dtype=_ID_DTYPE)
+    for ids, count in repeated:
+        delta[_as_id_index(ids)] += count
+    return delta, total
+
+
+def _add_bincount(delta: "np.ndarray | None", rows: list, n: int) -> "np.ndarray":
+    counts = np.bincount(_concat_rows(rows), minlength=n)
+    if delta is None:
+        return counts
+    delta += counts
+    return delta
 
 
 class CsrMatrix:
@@ -378,8 +431,8 @@ class NDClassifier(Classifier):
         # token under the combiner's (-strength, text) sort order.
         # Valid only while no memoized prob has changed.
         self._nd_order: "np.ndarray | None" = None
-        # Vocabulary IDs in text order (argsort of the table's rank
-        # array) — a pure function of the append-only table, so its
+        # Vocabulary IDs in text order (the inverse of the table's rank
+        # permutation) — a pure function of the append-only table, so its
         # length is a complete cache key and training never dirties it.
         self._nd_text_order: "np.ndarray | None" = None
 
@@ -435,6 +488,70 @@ class NDClassifier(Classifier):
     # Training (vectorized column updates, same bookkeeping)
     # ------------------------------------------------------------------
 
+    def learn_groups(self, groups: Iterable[tuple[Sequence[int], bool, int]]) -> None:
+        """:meth:`Classifier.learn_groups` as one vectorized pass per label.
+
+        Counts are integers, so adding each label's summed per-ID
+        counts (see :func:`_label_delta`) leaves exactly the state the
+        per-group loop does, with one memo invalidation for the call.
+        """
+        groups = _checked_groups(groups)
+        self._nd_shift_groups(self._nd_group_deltas(groups), 1)
+
+    def unlearn_groups(self, groups: Iterable[tuple[Sequence[int], bool, int]]) -> None:
+        """:meth:`Classifier.unlearn_groups` as one vectorized pass per label.
+
+        The summed removals are checked against the counts first; only
+        when some count would go negative does the per-group replay
+        (:meth:`Classifier._check_group_removal`) run, to raise the
+        error the per-group loop would raise first.
+        """
+        groups = list(groups)
+        deltas = self._nd_group_deltas(groups)
+        (spam_delta, nspam), (ham_delta, nham) = deltas
+        n = len(self._table)
+        if (
+            any(count < 0 for _, _, count in groups)
+            or nspam > self._nspam
+            or nham > self._nham
+            or (spam_delta is not None and bool((self._spam[:n] < spam_delta).any()))
+            or (ham_delta is not None and bool((self._ham[:n] < ham_delta).any()))
+        ):
+            self._check_group_removal(groups)
+        self._nd_shift_groups(deltas, -1)
+
+    def _nd_group_deltas(self, groups: list) -> list:
+        """``[(spam sum, spam total), (ham sum, ham total)]`` over the
+        table, columns grown to cover it (see :func:`_label_delta`)."""
+        self._ensure_columns()
+        n = len(self._table)
+        return [_label_delta(groups, label, n) for label in (True, False)]
+
+    def _nd_shift_groups(self, deltas: list, sign: int) -> None:
+        """Add (``sign`` 1) or subtract (-1) per-label count sums."""
+        (spam_delta, nspam), (ham_delta, nham) = deltas
+        if not (nspam or nham):
+            return
+        n = len(self._table)
+        changed = np.zeros(n, dtype=bool)
+        for delta in (spam_delta, ham_delta):
+            if delta is not None:
+                changed |= delta != 0
+        touched = np.flatnonzero(changed)
+        live_before = np.count_nonzero(self._spam[touched] | self._ham[touched])
+        for col, delta in ((self._spam, spam_delta), (self._ham, ham_delta)):
+            if delta is not None:
+                view = col[:n]
+                if sign > 0:
+                    view += delta
+                else:
+                    view -= delta
+        self._nspam += sign * nspam
+        self._nham += sign * nham
+        live_after = np.count_nonzero(self._spam[touched] | self._ham[touched])
+        self._active += int(live_after - live_before)
+        self._note_mutation(touched)
+
     def _apply_delta(self, ids: Sequence[int], is_spam: bool, count: int) -> None:
         self._ensure_columns()
         spam_col = self._spam
@@ -457,11 +574,7 @@ class NDClassifier(Classifier):
             current[in_bounds] = col[idx[in_bounds]]
         bad = current < count
         if bad.any():
-            token = self._table.token(int(idx[int(np.argmax(bad))]))
-            raise TrainingError(
-                f"unlearn would drive count of token {token!r} negative; "
-                "message was not learned with this label"
-            )
+            raise self._negative_count_error(int(idx[int(np.argmax(bad))]))
 
     def _apply_removal(self, ids: Sequence[int], is_spam: bool, count: int) -> None:
         spam_col = self._spam
@@ -575,8 +688,11 @@ class NDClassifier(Classifier):
         """
         text_order = self._nd_text_order
         if text_order is None or text_order.shape[0] != table_len:
+            # The ranks are a permutation of range(table_len), so its
+            # inverse is one scatter, not a sort.
             ranks = np.frombuffer(self._table.text_order_ranks(), dtype=_ID_DTYPE)
-            text_order = self._nd_text_order = np.argsort(ranks[:table_len])
+            text_order = self._nd_text_order = np.empty(table_len, dtype=_ID_DTYPE)
+            text_order[ranks[:table_len]] = np.arange(table_len, dtype=_ID_DTYPE)
         strength = np.abs(self._nd_prob[:table_len] - 0.5)
         order = text_order[
             np.argsort(-strength[text_order], kind="stable")

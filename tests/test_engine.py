@@ -1,7 +1,7 @@
 """Tests for the parallel experiment engine.
 
-The engine's contract is absolute: any worker count, with or without
-the shared clean model, produces bit-identical results, and they equal
+The engine's contract is absolute: any worker count produces
+bit-identical results, and they equal
 the plain per-fold loop the sweep stands for (written out test-locally
 below; the golden records in ``tests/golden/`` pin the bytes).  These
 tests pin that contract on small corpora, plus the classifier APIs the
@@ -228,7 +228,6 @@ class TestSweepContextRows:
             token_ids=None,
             labels=(False,) * 6,
             specs={},
-            options=DEFAULT_OPTIONS,
             table=TokenTable(),
             full_model=None,
             csr=csr,
@@ -253,7 +252,6 @@ class TestSweepContextRows:
             token_ids=token_ids,
             labels=(False, True),
             specs={},
-            options=DEFAULT_OPTIONS,
             table=TokenTable(),
             full_model=None,
         )
@@ -277,7 +275,6 @@ class TestSweepContextRows:
         fields = dict(
             labels=tuple(message.is_spam for message in sweep_inbox),
             specs={},
-            options=DEFAULT_OPTIONS,
             table=table,
             full_model=None,
         )
@@ -542,10 +539,14 @@ class TestSweepEquivalence:
         parallel = self._sweep(sweep_inbox, attack, workers=2)
         assert _sweep_signature(parallel) == _sweep_signature(sequential)
 
-    def test_multi_spec_sweep_results(self, sweep_corpus, sweep_inbox):
+    def test_multi_spec_sweep_results(self, sweep_corpus, sweep_inbox, monkeypatch):
         """Several variants share the planning rng layout of the
-        sequential per-variant loop, at any worker count and with or
-        without the shared clean model."""
+        sequential per-variant loop at any worker count, and every
+        fold's clean model — the shared full-inbox model with the
+        fold's stripe unlearned — holds exactly the counts of a fresh
+        classifier trained on that fold's train stripe."""
+        from repro.engine import sweep
+
         def build_specs():
             spawner = SeedSpawner(5).spawn("test-sweeps")
             return [
@@ -563,14 +564,34 @@ class TestSweepEquivalence:
                 )
             ]
 
-        runs = [
-            run_attack_sweeps(sweep_inbox, build_specs(), 3, workers=workers, reuse_clean_model=reuse)
-            for workers, reuse in ((1, True), (2, True), (1, False))
-        ]
+        checked = []
+        unlearned_fold = sweep._fold_classifier
+
+        def checked_fold(context, task):
+            classifier, snap = unlearned_fold(context, task)
+            held_out = set(task.test_indices)
+            train_stripe = tuple(i for i in range(len(context.labels)) if i not in held_out)
+            fresh = type(classifier)(classifier.options, table=context.table)
+            fresh.learn_groups(sweep._grouped_id_indices(context, train_stripe))
+            classifier._ensure_columns()
+            fresh._ensure_columns()
+            n = len(context.table)
+            assert (classifier.nspam, classifier.nham) == (fresh.nspam, fresh.nham)
+            assert list(classifier._spam[:n]) == list(fresh._spam[:n])
+            assert list(classifier._ham[:n]) == list(fresh._ham[:n])
+            checked.append(task.fold_index)
+            return classifier, snap
+
+        monkeypatch.setattr(sweep, "_fold_classifier", checked_fold)
+        sequential = run_attack_sweeps(sweep_inbox, build_specs(), 3, workers=1)
+        monkeypatch.undo()
+        assert checked == [0, 1, 2] * 2
+        parallel = run_attack_sweeps(sweep_inbox, build_specs(), 3, workers=2)
         signatures = [
-            [(result.key, result.confusion_dicts()) for result in run] for run in runs
+            [(result.key, result.confusion_dicts()) for result in run]
+            for run in (sequential, parallel)
         ]
-        assert signatures[0] == signatures[1] == signatures[2]
+        assert signatures[0] == signatures[1]
 
     def test_rejects_descending_fractions(self, sweep_corpus):
         with pytest.raises(ExperimentError):

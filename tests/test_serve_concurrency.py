@@ -424,12 +424,15 @@ class TestBatcherFailureContracts:
 
             batcher = MicroBatcher(execute, window_s=60.0)
             batcher.start()
-            batcher.submit("in flight")
+            in_flight = batcher.submit("in flight")
             await started.wait()
             future = batcher.submit("stranded")  # queued behind the blocked batch
             await batcher.close()
             with pytest.raises(asyncio.CancelledError):
                 future.result()
+            assert in_flight.done()
+            with pytest.raises(asyncio.CancelledError, match="batcher closed"):
+                in_flight.result()
             with pytest.raises(RuntimeError, match="closed"):
                 batcher.submit("too late")
 

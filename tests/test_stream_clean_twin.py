@@ -245,16 +245,26 @@ class TestScenarioDifferential:
 ACCOUNTED_FLOOR = 0.7
 
 
+def _group_messages(groups):
+    """Messages in a grouped training call (``train_grouped`` passes a
+    list, so summing it leaves the groups for the wrapped method)."""
+    return sum(count for _, _, count in groups)
+
+
 class CountingRunner(StreamRunner):
     """Counts the clean twin's work tick by tick.
 
     The counterfactual hook runs once per tick, after the twin's
-    retrain.  On its first call it wraps the twin's two count-column
-    primitives (every learn and unlearn ends in one of them) and its
-    ``score_workspace``; each later call records the messages the
-    twin learned and unlearned since the previous tick and the bulk
-    scoring passes it made this tick.  Tick 1's training precedes the
-    wrapping, so its entries are 0.
+    retrain.  On its first call it wraps the twin's count-column
+    primitives — the per-message ``_apply_delta``/``_apply_removal``
+    and the grouped ``learn_groups``/``unlearn_groups`` (every learn
+    and unlearn reaches one of them) — and its ``score_workspace``;
+    each later call records the messages the twin learned and
+    unlearned since the previous tick and the bulk scoring passes it
+    made this tick.  A primitive called inside another counted one
+    (the pure kernel's grouped calls end in per-message ones) is not
+    counted twice.  Tick 1's training precedes the wrapping, so its
+    entries are 0.
     """
 
     def __init__(self, spec):
@@ -263,13 +273,20 @@ class CountingRunner(StreamRunner):
         self.unlearned: list[int] = []
         self.passes: list[int] = []
         self._work = {"learn": 0, "unlearn": 0, "score": 0}
+        self._inside = False
 
     def _count(self, twin, name, key, weight):
         method = getattr(twin, name)
 
         def counted(*args):
+            if self._inside:
+                return method(*args)
             self._work[key] += weight(*args)
-            return method(*args)
+            self._inside = True
+            try:
+                return method(*args)
+            finally:
+                self._inside = False
 
         setattr(twin, name, counted)
 
@@ -279,6 +296,8 @@ class CountingRunner(StreamRunner):
         if not self.passes:
             for name, key in (("_apply_delta", "learn"), ("_apply_removal", "unlearn")):
                 self._count(twin, name, key, lambda ids, is_spam, count: count)
+            for name, key in (("learn_groups", "learn"), ("unlearn_groups", "unlearn")):
+                self._count(twin, name, key, _group_messages)
             self._count(twin, "score_workspace", "score", lambda workspace: 1)
         self.learned.append(self._work["learn"])
         self.unlearned.append(self._work["unlearn"])
