@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from repro.defenses.roni import RoniConfig
 from repro.experiments.reporting import format_table
-from repro.experiments.roni_exp import RoniExperimentConfig
 from repro.scenarios import run_scenario
+from repro.scenarios.roni_exp import RoniExperimentConfig
 
 
 def _run(scale: str):

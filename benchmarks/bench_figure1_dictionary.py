@@ -9,10 +9,9 @@ optimal > usenet > aspell holds everywhere.
 
 from __future__ import annotations
 
-from repro.experiments.dictionary_exp import DictionaryExperimentConfig
 from repro.experiments.paper_targets import FIGURE1_CLAIMS
-from repro.experiments.reporting import render_dictionary_result
 from repro.scenarios import run_scenario
+from repro.scenarios.dictionary_exp import DictionaryExperimentConfig, render_dictionary_result
 
 def _config(scale: str, seed: int = 1, workers: int = 1) -> DictionaryExperimentConfig:
     if scale == "paper":

@@ -9,9 +9,9 @@ insensitive to them — which is why the paper can show one panel.
 
 from __future__ import annotations
 
-from repro.experiments.dictionary_exp import DictionaryExperimentConfig
 from repro.experiments.reporting import format_table
 from repro.scenarios import run_scenario
+from repro.scenarios.dictionary_exp import DictionaryExperimentConfig
 
 
 def _configs(scale: str) -> dict[str, DictionaryExperimentConfig]:

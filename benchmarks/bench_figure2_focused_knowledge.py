@@ -7,10 +7,12 @@ classification of 60% of targets, and p=0.9 sends ~90% to spam.
 
 from __future__ import annotations
 
-from repro.experiments.focused_exp import FocusedExperimentConfig
 from repro.experiments.paper_targets import FIGURE2_CLAIMS
-from repro.experiments.reporting import render_focused_knowledge_result
 from repro.scenarios import run_scenario
+from repro.scenarios.focused_exp import (
+    FocusedExperimentConfig,
+    render_focused_knowledge_result,
+)
 
 _SMALL = FocusedExperimentConfig(
     inbox_size=1_000,

@@ -7,10 +7,9 @@ the time, rising steeply with attack size.
 
 from __future__ import annotations
 
-from repro.experiments.focused_exp import FocusedExperimentConfig
 from repro.experiments.paper_targets import FIGURE3_CLAIMS
-from repro.experiments.reporting import render_focused_size_result
 from repro.scenarios import run_scenario
+from repro.scenarios.focused_exp import FocusedExperimentConfig, render_focused_size_result
 
 _SMALL = FocusedExperimentConfig(
     inbox_size=1_000,

@@ -9,9 +9,8 @@ contamination.
 from __future__ import annotations
 
 from repro.experiments.paper_targets import FIGURE5_CLAIMS
-from repro.experiments.reporting import render_threshold_result
-from repro.experiments.threshold_exp import ThresholdExperimentConfig
 from repro.scenarios import run_scenario
+from repro.scenarios.threshold_exp import ThresholdExperimentConfig, render_threshold_result
 
 def _config(scale: str, workers: int = 1) -> ThresholdExperimentConfig:
     if scale == "paper":

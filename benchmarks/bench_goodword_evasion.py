@@ -9,9 +9,9 @@ blind common-word attacker (Wittel & Wu).
 from __future__ import annotations
 
 from repro.analysis.plots import ascii_line_chart
-from repro.experiments.goodword_exp import GoodWordExperimentConfig
 from repro.experiments.reporting import format_table
 from repro.scenarios import run_scenario
+from repro.scenarios.goodword_exp import GoodWordExperimentConfig
 
 _SMALL = GoodWordExperimentConfig(
     inbox_size=1_000, n_test_spam=50, corpus_ham=700, corpus_spam=800, seed=14

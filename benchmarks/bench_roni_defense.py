@@ -8,9 +8,8 @@ on the 50-message validation set, every non-attack spam <= 4.4.
 from __future__ import annotations
 
 from repro.experiments.paper_targets import RONI_CLAIMS
-from repro.experiments.reporting import render_roni_result
-from repro.experiments.roni_exp import RoniExperimentConfig
 from repro.scenarios import run_scenario
+from repro.scenarios.roni_exp import RoniExperimentConfig, render_roni_result
 
 _SMALL = RoniExperimentConfig(
     pool_size=400,

@@ -7,8 +7,7 @@ those values, so the table printed here is the table the code runs.
 
 from __future__ import annotations
 
-from repro.experiments.dictionary_exp import DictionaryExperimentConfig, PAPER_FRACTIONS
-from repro.experiments.focused_exp import FocusedExperimentConfig
+from repro.defenses.roni import RoniConfig
 from repro.experiments.params import (
     DICTIONARY_PARAMS,
     FOCUSED_PARAMS,
@@ -16,8 +15,9 @@ from repro.experiments.params import (
     THRESHOLD_PARAMS,
 )
 from repro.experiments.reporting import render_table1
-from repro.experiments.threshold_exp import ThresholdExperimentConfig
-from repro.defenses.roni import RoniConfig
+from repro.scenarios.dictionary_exp import DictionaryExperimentConfig, PAPER_FRACTIONS
+from repro.scenarios.focused_exp import FocusedExperimentConfig
+from repro.scenarios.threshold_exp import ThresholdExperimentConfig
 
 
 def bench_table1(benchmark, artifacts):

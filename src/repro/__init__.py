@@ -11,8 +11,9 @@ The library provides four layers, each usable on its own:
   Aspell-dictionary and Usenet-dictionary attacks and the focused
   attack,
 * :mod:`repro.defenses` — the RONI and dynamic-threshold defenses,
-* :mod:`repro.experiments` / :mod:`repro.analysis` — the paper's
-  experimental protocol (cross-validated attack sweeps) and reporting.
+* :mod:`repro.scenarios` — the paper's experiments, one module each,
+  run by name through a registry; :mod:`repro.experiments` and
+  :mod:`repro.analysis` hold the shared records, metrics and reporting.
 
 Quickstart::
 
@@ -36,6 +37,7 @@ from repro.errors import (
     ReproError,
     TrainingError,
 )
+from repro.corpus import TrecStyleCorpus
 from repro.rng import DEFAULT_SEED, SeedSpawner
 from repro.spambayes import (
     Classifier,
@@ -74,22 +76,6 @@ __all__ = [
     "Label",
     "SpamFilter",
     "Tokenizer",
+    # corpus
+    "TrecStyleCorpus",
 ]
-
-
-def _extend_public_api() -> None:
-    """Re-export corpus-layer names once that package exists.
-
-    Kept in a function so the core engine stays importable while the
-    higher layers are being developed or stripped down.
-    """
-    from repro.corpus import TrecStyleCorpus as _TrecStyleCorpus
-
-    globals()["TrecStyleCorpus"] = _TrecStyleCorpus
-    __all__.append("TrecStyleCorpus")
-
-
-try:  # pragma: no cover - exercised implicitly on import
-    _extend_public_api()
-except ImportError:  # corpus layer not built yet
-    pass

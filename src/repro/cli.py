@@ -65,31 +65,20 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.engine import supervise
 from repro.engine.runner import resolve_workers
 from repro.errors import EngineError, ReproError, ScenarioError
-from repro.experiments.reporting import (
-    render_dictionary_result,
-    render_focused_knowledge_result,
-    render_focused_size_result,
-    render_roni_result,
-    render_stream_result,
-    render_threshold_result,
-)
+from repro.experiments.reporting import render_replicated_record
 from repro.experiments.results import save_record
+from repro.scenarios import (
+    PROTOCOLS,
+    get_scenario,
+    list_scenarios,
+    replicate_scenario,
+    run_scenario,
+)
 
 __all__ = ["main", "SCENARIO_COMMANDS"]
-
-
-_SCENARIO_RENDERERS: dict[str, Callable] = {
-    "dictionary-sweep": render_dictionary_result,
-    "focused-knowledge": render_focused_knowledge_result,
-    "focused-size": render_focused_size_result,
-    "roni-gate": render_roni_result,
-    "stream": render_stream_result,
-    "threshold-arms": render_threshold_result,
-}
-"""Protocol -> ASCII renderer; protocols without one print the JSON
-record."""
 
 
 def _parse_override(assignment: str) -> tuple[str, Any]:
@@ -142,8 +131,6 @@ def _supervision_policy(args) -> Any:
     """The ambient supervision policy (env: ``REPRO_TIMEOUT``/
     ``REPRO_RETRIES``/``REPRO_DEGRADE``) with the invocation's
     ``--timeout``/``--retries`` applied on top."""
-    from repro.engine import supervise
-
     policy = supervise.current_policy()
     if args.timeout is not None:
         policy = dataclasses.replace(policy, timeout=args.timeout)
@@ -202,8 +189,6 @@ def build_run_scenario_parser() -> argparse.ArgumentParser:
 
 
 def _main_list_scenarios() -> int:
-    from repro.scenarios import list_scenarios
-
     specs = list_scenarios()
     width = max(len(spec.name) for spec in specs)
     for spec in specs:
@@ -265,10 +250,6 @@ def _scenario_config(spec, args) -> Any:
 
 
 def _main_run_scenario(argv: list[str]) -> int:
-    from repro.scenarios import get_scenario, run_scenario
-
-    from repro.engine import supervise
-
     args = build_run_scenario_parser().parse_args(argv)
     try:
         spec = get_scenario(args.name)
@@ -282,7 +263,7 @@ def _main_run_scenario(argv: list[str]) -> int:
         # input mistakes get a diagnostic, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    renderer = _SCENARIO_RENDERERS.get(spec.protocol)
+    renderer = PROTOCOLS[spec.protocol].render
     text = (
         renderer(outcome.result)
         if renderer is not None
@@ -369,8 +350,6 @@ def build_replicate_parser() -> argparse.ArgumentParser:
 
 
 def _main_replicate(argv: list[str]) -> int:
-    from repro.scenarios import get_scenario, replicate_scenario
-
     args = build_replicate_parser().parse_args(argv)
     try:
         if args.seeds < 1:
@@ -401,8 +380,6 @@ def _main_replicate(argv: list[str]) -> int:
             f"=== replicate {spec.name} (scale={args.scale}, seeds={args.seeds}, "
             f"base_seed={args.seed}) ==="
         )
-        from repro.engine import supervise
-
         with supervise.use_supervision(_supervision_policy(args)):
             record = replicate_scenario(
                 spec,
@@ -417,8 +394,6 @@ def _main_replicate(argv: list[str]) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from repro.experiments.reporting import render_replicated_record
-
     print(render_replicated_record(record))
     if args.out is not None:
         try:
@@ -496,7 +471,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def _main_serve(argv: list[str]) -> int:
     import threading
 
-    from repro.engine import supervise
     from repro.serve.service import (
         DEFAULT_BATCH_WINDOW_MS,
         DEFAULT_MAX_BATCH,

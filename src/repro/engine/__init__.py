@@ -24,8 +24,8 @@ those units across worker processes without changing a single result:
   scenario at N root seeds, one whole replica per worker process,
   pooled into a
   :class:`~repro.experiments.results.ReplicatedRecord` with per-point
-  mean/std/95%-CI error bars (:mod:`repro.scenarios` re-exports
-  ``replicate_scenario``);
+  mean/std/95%-CI error bars (:func:`repro.scenarios.replicate_scenario`
+  is the by-name entry point);
 * :mod:`repro.engine.supervise` — the supervision policy, its stats
   ledger and ambient policy resolution;
 * :mod:`repro.engine.faults` — deterministic, seed-driven fault

@@ -1,4 +1,4 @@
-"""Per-replica checkpointing for :func:`repro.engine.replicate.replicate_scenario`.
+"""Per-replica checkpointing for :func:`repro.engine.replicate.replicate_spec`.
 
 A replication is embarrassingly resumable: each replica's
 :class:`~repro.experiments.results.ExperimentRecord` is a pure

@@ -2,12 +2,14 @@
 
 Every figure in the paper pools repeated randomized trials — the
 curves are means over folds *and* seeds, not single runs.  This module
-is the engine layer for that: :func:`replicate_scenario` runs any
-registered scenario at N root seeds and pools the per-seed
+is the engine layer for that: :func:`replicate_spec` runs a resolved
+scenario spec at N root seeds and pools the per-seed
 :class:`~repro.experiments.results.ExperimentRecord`\\s into one
 :class:`~repro.experiments.results.ReplicatedRecord` carrying per-x
 mean, sample std and a 95% confidence interval for every rate of every
-curve.
+curve.  The scenario layer hands it the spec and its ``run_scenario``
+(:func:`repro.scenarios.replicate_scenario` is the by-name entry
+point), so the engine never imports the layer above it.
 
 **Replica per worker.**  A replica is the unit of parallelism.  With
 ``workers > 1`` and at least two replicas to run, the replication is
@@ -42,7 +44,7 @@ byte-identical across runs, hash seeds and ``--workers`` values.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence, TYPE_CHECKING
+from typing import Any, Callable, Mapping, Sequence, TYPE_CHECKING
 
 from repro.engine.checkpoint import ReplicaStore
 from repro.engine.runner import ParallelRunner, resolve_workers
@@ -50,10 +52,10 @@ from repro.errors import EngineError
 from repro.experiments.results import ExperimentRecord, ReplicatedRecord
 from repro.rng import SeedSpawner
 
-if TYPE_CHECKING:  # runtime import would cycle via repro.scenarios
+if TYPE_CHECKING:
     from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["replica_seeds", "replicate_scenario"]
+__all__ = ["replica_seeds", "replicate_spec"]
 
 
 def replica_seeds(base_seed: int, count: int) -> list[int]:
@@ -80,18 +82,14 @@ def _json_safe(value: Any) -> Any:
     return repr(value)
 
 
-def _resolve_spec(scenario: "str | ScenarioSpec") -> "ScenarioSpec":
-    # Late import: repro.scenarios imports the engine package.
-    from repro.scenarios import get_scenario
-
-    return get_scenario(scenario) if isinstance(scenario, str) else scenario
-
-
 @dataclass(frozen=True)
 class _ReplicaContext:
     """Everything a worker needs to run any replica of one replication."""
 
     spec: "ScenarioSpec"
+    run: Callable[..., Any]
+    """``run(spec, config=...)`` -> an outcome with a ``record``; a
+    module-level function, so the context pickles it by name."""
     seeds: tuple[int, ...]
     overrides: dict[str, Any]
     base_config: Any | None
@@ -106,10 +104,8 @@ class _ReplicaContext:
 
 def _run_replica(context: _ReplicaContext, index: int) -> ExperimentRecord:
     """Engine worker: run replica ``index`` and checkpoint its record."""
-    from repro.scenarios import run_scenario  # late: import cycle
-
     seed = context.seeds[index]
-    outcome = run_scenario(context.spec, config=context.config(seed))
+    outcome = context.run(context.spec, config=context.config(seed))
     if outcome.record is None:
         raise EngineError(
             f"scenario {context.spec.name!r} produces no serializable record; "
@@ -122,8 +118,9 @@ def _run_replica(context: _ReplicaContext, index: int) -> ExperimentRecord:
     return outcome.record
 
 
-def replicate_scenario(
-    scenario: "str | ScenarioSpec",
+def replicate_spec(
+    spec: "ScenarioSpec",
+    run: Callable[..., Any],
     *,
     seeds: int | Sequence[int] = 8,
     base_seed: int = 0,
@@ -133,7 +130,7 @@ def replicate_scenario(
     extra_config: Mapping[str, Any] | None = None,
     checkpoint_dir: str | None = None,
 ) -> ReplicatedRecord:
-    """Run ``scenario`` at N seeds and pool the results.
+    """Run ``spec`` at N seeds through ``run`` and pool the results.
 
     ``seeds`` is either a replica count (seeds derived from
     ``base_seed`` via :func:`replica_seeds`) or an explicit seed
@@ -160,7 +157,6 @@ def replicate_scenario(
     run.  The replica map is supervised, so a worker crash or hang costs
     a retry of the replicas it held rather than the run.
     """
-    spec = _resolve_spec(scenario)
     if isinstance(seeds, int):
         seed_list = replica_seeds(base_seed, seeds)
     else:
@@ -198,6 +194,7 @@ def replicate_scenario(
     fanout = min(pool_workers, len(todo))
     context = _ReplicaContext(
         spec=spec,
+        run=run,
         seeds=tuple(seed_list),
         overrides=dict(overrides or {}),
         base_config=base_config,

@@ -1,36 +1,20 @@
-"""Rendering experiment results as the paper's rows and figures.
+"""Plain-text tables shared by every experiment's renderer.
 
-Each ``render_*`` function takes the corresponding experiment result
-and returns printable text: a data table (the numbers behind the
-figure) followed by an ASCII rendition of the figure itself.  The
-benchmark harness prints these, so a benchmark run's stdout doubles as
-the reproduction artifact referenced by EXPERIMENTS.md.
+:func:`format_table` is the one table layout; :func:`render_table1`
+prints the paper's Table 1 and :func:`render_replicated_record` any
+pooled multi-seed record.  Each experiment's own renderer sits in its
+:mod:`repro.scenarios` module, next to its result type.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.analysis.plots import ascii_bar_chart, ascii_line_chart
-from repro.experiments.dictionary_exp import DictionaryExperimentResult
-from repro.experiments.focused_exp import FocusedKnowledgeResult, FocusedSizeResult
+from repro.analysis.plots import ascii_line_chart
 from repro.experiments.params import TABLE1, Table1Row
 from repro.experiments.results import RateStats, ReplicatedRecord
-from repro.experiments.roni_exp import RoniExperimentResult
-from repro.experiments.threshold_exp import ThresholdExperimentResult
-from repro.stream.runner import StreamResult
 
-__all__ = [
-    "format_table",
-    "render_table1",
-    "render_dictionary_result",
-    "render_focused_knowledge_result",
-    "render_focused_size_result",
-    "render_replicated_record",
-    "render_roni_result",
-    "render_stream_result",
-    "render_threshold_result",
-]
+__all__ = ["format_table", "render_replicated_record", "render_table1"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -61,189 +45,6 @@ def render_table1(rows: Sequence[Table1Row] = TABLE1) -> str:
     cells = [row.as_cells() for row in rows]
     table_rows = [[field] + [cell[field] for cell in cells] for field in field_order]
     return format_table(headers, table_rows)
-
-
-def render_dictionary_result(result: DictionaryExperimentResult) -> str:
-    """Figure 1's table and chart."""
-    headers = ["variant", "attack %", "messages", "ham-as-spam", "ham-as-spam|unsure"]
-    rows = []
-    chart_series: dict[str, list[tuple[float, float]]] = {}
-    for variant, points in result.sweeps.items():
-        for point in points:
-            rows.append(
-                [
-                    variant,
-                    f"{point.attack_fraction:.1%}",
-                    point.attack_message_count,
-                    f"{point.confusion.ham_as_spam_rate:.1%}",
-                    f"{point.confusion.ham_misclassified_rate:.1%}",
-                ]
-            )
-        chart_series[f"{variant} (solid)"] = [
-            (point.attack_fraction * 100, point.confusion.ham_misclassified_rate)
-            for point in points
-        ]
-    chart = ascii_line_chart(
-        chart_series,
-        title="Figure 1: percent of test ham misclassified vs percent control",
-        x_label="percent control of training set",
-        y_label="fraction of test ham misclassified",
-    )
-    return format_table(headers, rows) + "\n\n" + chart
-
-
-def render_focused_knowledge_result(result: FocusedKnowledgeResult) -> str:
-    """Figure 2's table and bar chart."""
-    headers = ["guess p", "ham", "unsure", "spam", "attack success"]
-    rows = []
-    bars = {}
-    for probability in sorted(result.label_counts):
-        fractions = result.fractions(probability)
-        rows.append(
-            [
-                f"{probability:.1f}",
-                f"{fractions.get('ham', 0.0):.0%}",
-                f"{fractions.get('unsure', 0.0):.0%}",
-                f"{fractions.get('spam', 0.0):.0%}",
-                f"{result.attack_success_rate(probability):.0%}",
-            ]
-        )
-        bars[f"p={probability:.1f}"] = {
-            "ham": fractions.get("ham", 0.0),
-            "unsure": fractions.get("unsure", 0.0),
-            "spam": fractions.get("spam", 0.0),
-        }
-    chart = ascii_bar_chart(
-        bars, title="Figure 2: target label mix vs probability of guessing target tokens"
-    )
-    return format_table(headers, rows) + "\n\n" + chart
-
-
-def render_focused_size_result(result: FocusedSizeResult) -> str:
-    """Figure 3's table and chart."""
-    headers = ["attack %", "targets as spam", "targets as spam|unsure"]
-    rows = [
-        [
-            f"{point.x:.1%}",
-            f"{point.ham_as_spam_rate:.0%}",
-            f"{point.ham_misclassified_rate:.0%}",
-        ]
-        for point in result.points
-    ]
-    chart = ascii_line_chart(
-        {
-            "as spam (dashed)": [(p.x * 100, p.ham_as_spam_rate) for p in result.points],
-            "as spam|unsure (solid)": [
-                (p.x * 100, p.ham_misclassified_rate) for p in result.points
-            ],
-        },
-        title="Figure 3: percent of target ham misclassified vs percent control (p=0.5)",
-        x_label="percent control of training set",
-        y_label="fraction of targets misclassified",
-    )
-    return format_table(headers, rows) + "\n\n" + chart
-
-
-def render_roni_result(result: RoniExperimentResult) -> str:
-    """Section 5.1's numbers."""
-    threshold = result.config.roni.ham_as_ham_threshold
-    headers = ["query kind", "n", "min impact", "mean impact", "max impact"]
-    rows = []
-    for variant, impacts in result.attack_impacts.items():
-        rows.append(
-            [
-                f"attack:{variant}",
-                len(impacts),
-                f"{min(impacts):.2f}",
-                f"{sum(impacts) / len(impacts):.2f}",
-                f"{max(impacts):.2f}",
-            ]
-        )
-    spam_impacts = result.nonattack_spam_impacts
-    rows.append(
-        [
-            "non-attack spam",
-            len(spam_impacts),
-            f"{min(spam_impacts):.2f}",
-            f"{sum(spam_impacts) / len(spam_impacts):.2f}",
-            f"{max(spam_impacts):.2f}",
-        ]
-    )
-    summary = (
-        f"\nseparability: min attack impact {result.min_attack_impact:.2f} vs "
-        f"max non-attack impact {result.max_nonattack_impact:.2f} "
-        f"({'SEPARABLE' if result.separable else 'NOT separable'})\n"
-        f"at threshold {threshold}: detection {result.detection_rate(threshold):.0%}, "
-        f"false positives {result.false_positive_rate(threshold):.0%}\n"
-        f"(paper: attack >= 6.8, non-attack <= 4.4, 100% detection, 0% FP; "
-        f"impacts are mean ham-as-ham messages lost on a "
-        f"{result.config.roni.validation_size}-message validation set)"
-    )
-    return format_table(headers, rows) + summary
-
-
-def render_stream_result(result: StreamResult) -> str:
-    """A stream's per-tick trail: table plus the degradation curve.
-
-    One row per tick (arrival and gate counters, the held-out rates,
-    fitted cutoffs when the threshold defense ran) and an ASCII chart
-    of held-out ham misclassification over time — with the
-    counterfactual clean curve alongside when the spec measured it.
-    """
-    spec = result.spec
-    with_clean = all(o.clean_confusion is not None for o in result.ticks)
-    with_cutoffs = any(o.ham_cutoff is not None for o in result.ticks)
-    headers = [
-        "tick",
-        "trained",
-        "attack sent/trained/rej",
-        "legit rej",
-        "ham-as-spam",
-        "ham-as-spam|unsure",
-        "spam-as-spam",
-    ]
-    if with_clean:
-        headers.append("clean ham|unsure")
-    if with_cutoffs:
-        headers.append("fitted (θ0, θ1)")
-    rows = []
-    for outcome in result.ticks:
-        row = [
-            outcome.tick,
-            outcome.trained_messages,
-            f"{outcome.attack_sent}/{outcome.attack_trained}/{outcome.attack_rejected}",
-            outcome.legitimate_rejected,
-            f"{outcome.confusion.ham_as_spam_rate:.1%}",
-            f"{outcome.confusion.ham_misclassified_rate:.1%}",
-            f"{outcome.confusion.spam_as_spam_rate:.1%}",
-        ]
-        if with_clean:
-            row.append(f"{outcome.clean_confusion.ham_misclassified_rate:.1%}")
-        if with_cutoffs:
-            row.append(
-                "-"
-                if outcome.ham_cutoff is None
-                else f"({outcome.ham_cutoff:.2f}, {outcome.spam_cutoff:.2f})"
-            )
-        rows.append(row)
-    chart_series = {
-        "ham-as-spam|unsure": [
-            (float(o.tick), o.confusion.ham_misclassified_rate) for o in result.ticks
-        ]
-    }
-    if with_clean:
-        chart_series["clean counterfactual"] = [
-            (float(o.tick), o.clean_confusion.ham_misclassified_rate)
-            for o in result.ticks
-        ]
-    chart = ascii_line_chart(
-        chart_series,
-        title=f"stream: held-out ham misclassification over {spec.ticks} ticks "
-        f"({spec.attack_variant} {spec.ramp}, defense={spec.defense})",
-        x_label="tick (retraining period)",
-        y_label="fraction of held-out ham misclassified",
-    )
-    return format_table(headers, rows) + "\n\n" + chart
 
 
 def _error_bar(stats: RateStats) -> str:
@@ -302,39 +103,3 @@ def render_replicated_record(record: ReplicatedRecord) -> str:
         y_label="mean rate",
     )
     return header + "\n\n" + format_table(headers, rows) + "\n\n" + chart
-
-
-def render_threshold_result(result: ThresholdExperimentResult) -> str:
-    """Figure 5's table and chart."""
-    headers = [
-        "arm",
-        "attack %",
-        "ham-as-spam",
-        "ham-as-spam|unsure",
-        "spam-as-unsure",
-    ]
-    rows = []
-    chart_series: dict[str, list[tuple[float, float]]] = {}
-    for arm, points in result.series.items():
-        for point in points:
-            rows.append(
-                [
-                    arm,
-                    f"{point.x:.1%}",
-                    f"{point.ham_as_spam_rate:.1%}",
-                    f"{point.ham_misclassified_rate:.1%}",
-                    f"{point.spam_as_unsure_rate:.1%}",
-                ]
-            )
-        chart_series[arm] = [(p.x * 100, p.ham_misclassified_rate) for p in points]
-    chart = ascii_line_chart(
-        chart_series,
-        title="Figure 5: ham misclassified (spam|unsure) vs percent control",
-        x_label="percent control of training set",
-        y_label="fraction of test ham misclassified",
-    )
-    fits = "\n".join(
-        f"  {arm}: " + "  ".join(f"f={f:.3f}: θ=({t0:.3f},{t1:.3f})" for f, t0, t1 in triples)
-        for arm, triples in result.fitted_thresholds.items()
-    )
-    return format_table(headers, rows) + "\n\n" + chart + "\n\nfitted thresholds:\n" + fits

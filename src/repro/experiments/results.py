@@ -1,9 +1,8 @@
 """Serializable experiment results.
 
-Every driver returns a result object that (a) renders itself as the
-paper's rows/series via :mod:`repro.experiments.reporting`, and
-(b) round-trips through JSON so benchmark runs can be archived and
-compared across machines.  The JSON layer is deliberately dumb —
+Every protocol returns a result object whose record (a) carries the
+paper's rows/series and (b) round-trips through JSON so benchmark runs
+can be archived and compared across machines.  The JSON layer is deliberately dumb —
 plain dicts, no pickle — so archived results stay readable forever.
 
 Two record shapes live here:
@@ -11,7 +10,7 @@ Two record shapes live here:
 * :class:`ExperimentRecord` — one run's outcome: named
   :class:`Series` of :class:`CurvePoint`\\s plus free-form extras;
 * :class:`ReplicatedRecord` — a *pooled* outcome over N seeds
-  (:func:`repro.engine.replicate.replicate_scenario`): the per-seed
+  (:func:`repro.scenarios.replicate_scenario`): the per-seed
   records verbatim, plus :class:`SeriesStats` — per-x mean, sample
   std and a 95% confidence interval over seeds for every rate — which
   is what the paper's error bars are.

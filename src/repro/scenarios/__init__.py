@@ -19,20 +19,25 @@ a new composition is a ~20-line :func:`register_scenario` call — see
 :mod:`repro.scenarios.builtin` for the catalogue and
 ``docs/experiments.md`` for a how-to.
 
+Each paper experiment is one module here — config, result, picklable
+workers, protocol and renderer — and :data:`PROTOCOLS` maps each
+protocol name to its run function and renderer.
+
 Any registered scenario also replicates over seeds with zero
-per-scenario code: :func:`replicate_scenario` (the
-:mod:`repro.engine.replicate` layer, re-exported here; CLI
+per-scenario code: :func:`replicate_scenario` (over the
+:mod:`repro.engine.replicate` layer; CLI
 ``python -m repro replicate <name> --seeds N``) runs it at N derived
 root seeds — one whole replica per worker process — and pools the
 records into a :class:`~repro.experiments.results.ReplicatedRecord`
 with per-point mean/std/95%-CI error bars.
 """
 
-from repro.engine.replicate import replica_seeds, replicate_scenario
+from repro.engine.replicate import replica_seeds
 from repro.scenarios.builtin import BUILTIN_SCENARIOS, register_builtin_scenarios
-from repro.scenarios.executor import ScenarioOutcome, run_scenario
-from repro.scenarios.protocols import PROTOCOLS, PreparedInbox, prepare_inbox
+from repro.scenarios.executor import ScenarioOutcome, replicate_scenario, run_scenario
+from repro.scenarios.protocols import PreparedInbox, prepare_inbox
 from repro.scenarios.registry import (
+    PROTOCOLS,
     get_scenario,
     list_scenarios,
     register_scenario,

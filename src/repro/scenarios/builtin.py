@@ -15,12 +15,12 @@ catalogue.
 
 from __future__ import annotations
 
-from repro.experiments.dictionary_exp import DictionaryExperimentConfig
-from repro.experiments.focused_exp import FocusedExperimentConfig
-from repro.experiments.goodword_exp import GoodWordExperimentConfig
-from repro.experiments.roni_exp import PAPER_VARIANTS, RoniExperimentConfig
-from repro.experiments.threshold_exp import ThresholdExperimentConfig
+from repro.scenarios.dictionary_exp import DictionaryExperimentConfig
+from repro.scenarios.focused_exp import FocusedExperimentConfig
+from repro.scenarios.goodword_exp import GoodWordExperimentConfig
 from repro.scenarios.registry import register_scenario
+from repro.scenarios.roni_exp import PAPER_VARIANTS, RoniExperimentConfig
+from repro.scenarios.threshold_exp import ThresholdExperimentConfig
 from repro.scenarios.spec import ScenarioSpec
 from repro.stream.spec import StreamSpec
 

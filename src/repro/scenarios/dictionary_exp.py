@@ -8,13 +8,8 @@ classified as spam (dashed lines in the figure) and as spam-or-unsure
 
 Variants, in the paper's legend order: *optimal* (every token the
 victim can see), *usenet* (top-k Usenet words), *aspell* (the English
-dictionary).
-
-This module is the experiment's *definition* — its config and its
-result shape.  Execution is the registered
-``figure1-dictionary`` scenario
-(:func:`repro.scenarios.protocols.run_dictionary_sweep` through the
-generic :func:`repro.scenarios.run_scenario` executor).
+dictionary).  The K-fold sweep itself is
+:func:`repro.engine.sweep.run_attack_sweeps`.
 """
 
 from __future__ import annotations
@@ -22,15 +17,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
+from repro.analysis.plots import ascii_line_chart
+from repro.attacks.variants import build_attack_variants
+from repro.corpus.vocabulary import PAPER_PROFILE, SMALL_PROFILE, VocabularyProfile
+from repro.engine.sweep import AttackSweepPoint, SweepSpec, run_attack_sweeps
 from repro.errors import ExperimentError
-from repro.engine.sweep import AttackSweepPoint
+from repro.experiments.reporting import format_table
 from repro.experiments.results import CurvePoint, ExperimentRecord, Series
+from repro.scenarios.protocols import prepare_inbox
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 
 __all__ = [
     "DictionaryExperimentConfig",
     "DictionaryExperimentResult",
+    "render_dictionary_result",
+    "run_dictionary_sweep",
 ]
 
 PAPER_FRACTIONS = (0.0, 0.001, 0.005, 0.01, 0.02, 0.05, 0.10)
@@ -74,8 +75,6 @@ class DictionaryExperimentConfig:
     @classmethod
     def paper_scale(cls, seed: int = 0, workers: int = 1) -> "DictionaryExperimentConfig":
         """Table 1's large configuration: 10,000-message inbox, 10 folds."""
-        from repro.corpus.vocabulary import PAPER_PROFILE
-
         return cls(
             inbox_size=10_000,
             spam_prevalence=0.50,
@@ -119,3 +118,56 @@ class DictionaryExperimentResult:
             },
             series=series,
         )
+
+
+def run_dictionary_sweep(config: DictionaryExperimentConfig) -> DictionaryExperimentResult:
+    """K-fold contamination sweep per attack variant, pooled over folds."""
+    prepared = prepare_inbox(config, spawn_label="dictionary-experiment")
+    attacks = build_attack_variants(prepared.corpus, config.variants, seed=config.seed)
+    result = DictionaryExperimentResult(config=config)
+    specs = [
+        (
+            SweepSpec(key=variant, attack=attack, fractions=tuple(config.attack_fractions)),
+            prepared.spawner.rng(f"sweep:{variant}"),
+        )
+        for variant, attack in attacks.items()
+    ]
+    for sweep in run_attack_sweeps(
+        prepared.inbox,
+        specs,
+        config.folds,
+        options=config.options,
+        workers=config.workers,
+        table=prepared.table,
+    ):
+        result.sweeps[sweep.key] = sweep.points
+    return result
+
+
+def render_dictionary_result(result: DictionaryExperimentResult) -> str:
+    """Figure 1's table and chart."""
+    headers = ["variant", "attack %", "messages", "ham-as-spam", "ham-as-spam|unsure"]
+    rows = []
+    chart_series: dict[str, list[tuple[float, float]]] = {}
+    for variant, points in result.sweeps.items():
+        for point in points:
+            rows.append(
+                [
+                    variant,
+                    f"{point.attack_fraction:.1%}",
+                    point.attack_message_count,
+                    f"{point.confusion.ham_as_spam_rate:.1%}",
+                    f"{point.confusion.ham_misclassified_rate:.1%}",
+                ]
+            )
+        chart_series[f"{variant} (solid)"] = [
+            (point.attack_fraction * 100, point.confusion.ham_misclassified_rate)
+            for point in points
+        ]
+    chart = ascii_line_chart(
+        chart_series,
+        title="Figure 1: percent of test ham misclassified vs percent control",
+        x_label="percent control of training set",
+        y_label="fraction of test ham misclassified",
+    )
+    return format_table(headers, rows) + "\n\n" + chart

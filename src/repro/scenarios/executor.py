@@ -4,8 +4,9 @@
 through: resolve the scenario (by name or spec), materialize its
 config (defaults → overrides → seed/workers), dispatch to the
 registered protocol, and wrap the outcome with its serializable
-record.  Library callers and ``repro run-scenario`` (and, per
-replica, ``repro replicate``) all take this path.
+record.  Library callers and ``repro run-scenario`` take this path,
+and :func:`replicate_scenario` hands it to the replication engine,
+which runs it once per replica.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.engine.replicate import replicate_spec
 from repro.errors import ScenarioError
-from repro.scenarios.protocols import PROTOCOLS
-from repro.scenarios.registry import get_scenario
+from repro.experiments.results import ReplicatedRecord
+from repro.scenarios.registry import get_protocol, get_scenario
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["ScenarioOutcome", "run_scenario"]
+__all__ = ["ScenarioOutcome", "replicate_scenario", "run_scenario"]
 
 
 @dataclass
@@ -26,7 +28,7 @@ class ScenarioOutcome:
     """What one scenario run produced.
 
     ``result`` is the protocol's native result object (e.g.
-    :class:`~repro.experiments.dictionary_exp.DictionaryExperimentResult`);
+    :class:`~repro.scenarios.dictionary_exp.DictionaryExperimentResult`);
     ``record`` is its serializable
     :class:`~repro.experiments.results.ExperimentRecord`, when the
     result type provides one.
@@ -54,8 +56,7 @@ def run_scenario(
 
     ``scenario`` is a registry name or a :class:`ScenarioSpec`.  Either
     pass a ready-made ``config`` (it must be an instance of the spec's
-    ``config_type``; this is the path the ``run_*_experiment``
-    compatibility wrappers use), or let the executor build one from the
+    ``config_type``), or let the executor build one from the
     spec's defaults plus ``overrides``/``seed``/``workers``.  Mixing
     both is an error — a pre-built config already fixes every knob.
     ``overrides`` may name any config field; when it names ``seed`` or
@@ -63,12 +64,7 @@ def run_scenario(
     (the mapping is the more specific user intent).
     """
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    protocol = PROTOCOLS.get(spec.protocol)
-    if protocol is None:
-        raise ScenarioError(
-            f"scenario {spec.name!r} names unknown protocol {spec.protocol!r}; "
-            f"known: {', '.join(sorted(PROTOCOLS))}"
-        )
+    protocol = get_protocol(spec)
     if config is not None:
         if overrides or seed is not None or workers is not None:
             raise ScenarioError(
@@ -86,7 +82,19 @@ def run_scenario(
         if workers is not None and "workers" not in merged:
             merged["workers"] = workers
         config = spec.build_config(**merged)
-    result = protocol(config)
+    result = protocol.run(config)
     to_record = getattr(result, "to_record", None)
     record = to_record() if callable(to_record) else None
     return ScenarioOutcome(spec=spec, config=config, result=result, record=record)
+
+
+def replicate_scenario(scenario: str | ScenarioSpec, **options: Any) -> ReplicatedRecord:
+    """Run a scenario (by name or spec) at N seeds and pool the records.
+
+    Each replica is one :func:`run_scenario` call; ``options`` are
+    :func:`repro.engine.replicate.replicate_spec`'s (``seeds``,
+    ``base_seed``, ``overrides``, ``workers``, ``base_config``,
+    ``extra_config``, ``checkpoint_dir``).
+    """
+    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
+    return replicate_spec(spec, run_scenario, **options)

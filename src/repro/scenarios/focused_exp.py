@@ -26,12 +26,6 @@ bit-identical at any worker count:
    :meth:`Classifier.snapshot`, classify the target, and
    :meth:`~Classifier.restore` — the snapshotted state is exactly what
    the historical learn/unlearn pairing produced.
-
-This module holds the experiment's definition — configs, results, and
-the picklable worker functions the fan-out ships — while the
-orchestration runs as the ``figure2-focused-knowledge`` /
-``figure3-focused-size`` scenarios
-(:mod:`repro.scenarios.protocols`).
 """
 
 from __future__ import annotations
@@ -40,24 +34,34 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.analysis.plots import ascii_bar_chart, ascii_line_chart
 from repro.attacks.base import AttackBatch
+from repro.attacks.focused import FocusedAttack
 from repro.corpus.dataset import LabeledMessage, train_grouped
 from repro.corpus.trec import TrecStyleCorpus
-from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
-from repro.engine.sweep import IncrementalAttackTrainer
+from repro.corpus.vocabulary import PAPER_PROFILE, SMALL_PROFILE, VocabularyProfile
+from repro.engine.runner import ParallelRunner
+from repro.engine.sweep import IncrementalAttackTrainer, attack_message_count
 from repro.errors import ExperimentError
+from repro.experiments.reporting import format_table
 from repro.experiments.results import CurvePoint, ExperimentRecord, Series
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier
-from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.filter import Label
 from repro.spambayes.message import Email
+from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
+from repro.spambayes.token_table import TokenTable
+from repro.spambayes.tokenizer import DEFAULT_TOKENIZER
 
 __all__ = [
     "FocusedExperimentConfig",
     "FocusedKnowledgeResult",
     "FocusedSizeResult",
+    "render_focused_knowledge_result",
+    "render_focused_size_result",
+    "run_focused_knowledge",
+    "run_focused_size",
 ]
 
 PAPER_GUESS_PROBABILITIES = (0.1, 0.3, 0.5, 0.9)
@@ -102,8 +106,6 @@ class FocusedExperimentConfig:
     def paper_scale(cls, seed: int = 0, workers: int = 1) -> "FocusedExperimentConfig":
         """Section 4.3 exactly: 5,000-message inbox, 300 attack emails,
         20 targets, 5 repetitions."""
-        from repro.corpus.vocabulary import PAPER_PROFILE
-
         return cls(
             inbox_size=5_000,
             n_targets=20,
@@ -302,3 +304,163 @@ class FocusedSizeResult:
             },
             series=[Series(name="target", points=self.points)],
         )
+
+
+def _prepare_repetitions(config: FocusedExperimentConfig) -> list[_Repetition]:
+    """The focused protocol's preparation stage.
+
+    Unlike the pool-based protocols, each repetition samples its own
+    inbox and trains its own classifier — so preparation is itself a
+    fan-out (one task per repetition, each with its labelled seed
+    stream).
+    """
+    spawner = SeedSpawner(config.seed).spawn("focused-experiment")
+    corpus = TrecStyleCorpus.generate(
+        n_ham=config.corpus_ham,
+        n_spam=config.corpus_spam,
+        profile=config.profile,
+        seed=spawner.child_seed("corpus"),
+    )
+    context = _PrepareContext(corpus, config, spawner.seed)
+    return ParallelRunner(config.workers).map(
+        _prepare_one_repetition, context, list(range(config.repetitions))
+    )
+
+
+def _encode_target(email: Email, table: TokenTable) -> array:
+    """A target email's ID row, interned after its attacks were built."""
+    return table.encode_unique(DEFAULT_TOKENIZER.tokenize(email))
+
+
+def run_focused_knowledge(config: FocusedExperimentConfig) -> FocusedKnowledgeResult:
+    """Figure 2: post-attack target label mix per guess probability."""
+    repetitions = _prepare_repetitions(config)
+    attack_rng = SeedSpawner(config.seed).spawn("focused-knowledge").rng("attacks")
+    # Batch generation consumes the one shared attack stream, so it
+    # stays in the parent, in the historical rep -> target -> p order.
+    tasks: list[_KnowledgeTask] = []
+    for rep_index, repetition in enumerate(repetitions):
+        for target in repetition.targets:
+            email = target.email
+            batches = []
+            for probability in config.guess_probabilities:
+                attack = FocusedAttack(
+                    email,
+                    guess_probability=probability,
+                    header_pool=repetition.header_pool,
+                )
+                batches.append(attack.generate(config.attack_count, attack_rng))
+            target_ids = _encode_target(email, repetition.classifier.table)
+            tasks.append(_KnowledgeTask(rep_index, target_ids, tuple(batches)))
+    context = _EvalContext(tuple(rep.classifier for rep in repetitions))
+    outcomes = ParallelRunner(config.workers).map(_run_knowledge_cell, context, tasks)
+
+    result = FocusedKnowledgeResult(config=config)
+    for probability in config.guess_probabilities:
+        result.label_counts[probability] = {"ham": 0, "unsure": 0, "spam": 0}
+    for pre_attack_ham, labels in outcomes:
+        result.total_targets += 1
+        if pre_attack_ham:
+            result.pre_attack_ham += 1
+        for probability, label in zip(config.guess_probabilities, labels):
+            result.label_counts[probability][label] += 1
+    return result
+
+
+def run_focused_size(config: FocusedExperimentConfig) -> FocusedSizeResult:
+    """Figure 3: target misclassification vs number of attack emails."""
+    fractions = list(config.size_sweep_fractions)
+    if fractions != sorted(fractions):
+        raise ExperimentError("size_sweep_fractions must be ascending")
+    repetitions = _prepare_repetitions(config)
+    attack_rng = SeedSpawner(config.seed).spawn("focused-size").rng("attacks")
+    counts = [attack_message_count(config.inbox_size, f) for f in fractions]
+    tasks: list[_SizeTask] = []
+    for rep_index, repetition in enumerate(repetitions):
+        for target in repetition.targets:
+            email = target.email
+            attack = FocusedAttack(
+                email,
+                guess_probability=config.size_sweep_guess_probability,
+                header_pool=repetition.header_pool,
+            )
+            batch = attack.generate(counts[-1] if counts else 0, attack_rng)
+            target_ids = _encode_target(email, repetition.classifier.table)
+            tasks.append(_SizeTask(rep_index, target_ids, batch))
+    context = _EvalContext(
+        tuple(rep.classifier for rep in repetitions), counts=tuple(counts)
+    )
+    outcomes = ParallelRunner(config.workers).map(_run_size_cell, context, tasks)
+
+    as_spam = [0] * len(fractions)
+    as_filtered = [0] * len(fractions)  # spam or unsure
+    total = 0
+    for labels in outcomes:
+        total += 1
+        for index, label in enumerate(labels):
+            if label == Label.SPAM.value:
+                as_spam[index] += 1
+            if label != Label.HAM.value:
+                as_filtered[index] += 1
+    result = FocusedSizeResult(config=config)
+    for index, fraction in enumerate(fractions):
+        result.points.append(
+            CurvePoint(
+                x=fraction,
+                ham_as_spam_rate=as_spam[index] / total if total else 0.0,
+                ham_misclassified_rate=as_filtered[index] / total if total else 0.0,
+            )
+        )
+    return result
+
+
+def render_focused_knowledge_result(result: FocusedKnowledgeResult) -> str:
+    """Figure 2's table and bar chart."""
+    headers = ["guess p", "ham", "unsure", "spam", "attack success"]
+    rows = []
+    bars = {}
+    for probability in sorted(result.label_counts):
+        fractions = result.fractions(probability)
+        rows.append(
+            [
+                f"{probability:.1f}",
+                f"{fractions.get('ham', 0.0):.0%}",
+                f"{fractions.get('unsure', 0.0):.0%}",
+                f"{fractions.get('spam', 0.0):.0%}",
+                f"{result.attack_success_rate(probability):.0%}",
+            ]
+        )
+        bars[f"p={probability:.1f}"] = {
+            "ham": fractions.get("ham", 0.0),
+            "unsure": fractions.get("unsure", 0.0),
+            "spam": fractions.get("spam", 0.0),
+        }
+    chart = ascii_bar_chart(
+        bars, title="Figure 2: target label mix vs probability of guessing target tokens"
+    )
+    return format_table(headers, rows) + "\n\n" + chart
+
+
+def render_focused_size_result(result: FocusedSizeResult) -> str:
+    """Figure 3's table and chart."""
+    headers = ["attack %", "targets as spam", "targets as spam|unsure"]
+    rows = [
+        [
+            f"{point.x:.1%}",
+            f"{point.ham_as_spam_rate:.0%}",
+            f"{point.ham_misclassified_rate:.0%}",
+        ]
+        for point in result.points
+    ]
+    chart = ascii_line_chart(
+        {
+            "as spam (dashed)": [(p.x * 100, p.ham_as_spam_rate) for p in result.points],
+            "as spam|unsure (solid)": [
+                (p.x * 100, p.ham_misclassified_rate) for p in result.points
+            ],
+        },
+        title="Figure 3: percent of target ham misclassified vs percent control (p=0.5)",
+        x_label="percent control of training set",
+        y_label="fraction of targets misclassified",
+    )
+    return format_table(headers, rows) + "\n\n" + chart

@@ -10,10 +10,6 @@ footing inside this reproduction.
 
 Output: per attacker model, the evasion rate as a function of the
 word budget, and the median words-to-evade.
-
-This module holds the experiment's definition (config, result, the
-picklable evasion worker); orchestration runs as the
-``goodword-evasion`` scenario (:mod:`repro.scenarios.protocols`).
 """
 
 from __future__ import annotations
@@ -22,15 +18,24 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.attacks.goodword import CommonWordGoodWordAttack, OracleGoodWordAttack
+from repro.corpus.dataset import train_grouped
 from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
+from repro.corpus.wordlists import build_usenet_wordlist
+from repro.engine.runner import ParallelRunner
 from repro.errors import ExperimentError
-from repro.spambayes.message import Email
 from repro.experiments.results import CurvePoint, ExperimentRecord, Series
+from repro.scenarios.protocols import prepare_inbox
 from repro.spambayes.classifier import Classifier
+from repro.spambayes.message import Email
+from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.tokenizer import DEFAULT_TOKENIZER
 
-__all__ = ["GoodWordExperimentConfig", "GoodWordExperimentResult"]
+__all__ = [
+    "GoodWordExperimentConfig",
+    "GoodWordExperimentResult",
+    "run_goodword_evasion",
+]
 
 
 @dataclass(frozen=True)
@@ -114,3 +119,70 @@ def _evade_one_message(context: _GoodWordContext, email: Email) -> dict[str, lis
             flags.append(score <= context.spam_cutoff)
         outcome[model_name] = flags
     return outcome
+
+
+def run_goodword_evasion(config: GoodWordExperimentConfig) -> GoodWordExperimentResult:
+    """Evasion rate vs word budget for both attacker knowledge models."""
+    prepared = prepare_inbox(config, spawn_label="goodword-experiment")
+    classifier = create_classifier(config.options, table=prepared.table)
+    train_grouped(classifier, prepared.inbox)
+
+    inbox_ids = {m.msgid for m in prepared.inbox}
+    test_spam = [m for m in prepared.corpus.dataset.spam if m.msgid not in inbox_ids]
+    if len(test_spam) < config.n_test_spam:
+        raise ExperimentError(
+            f"need {config.n_test_spam} held-out spam, only {len(test_spam)} available"
+        )
+    test_spam = test_spam[: config.n_test_spam]
+    # Only spam the clean filter actually catches is worth evading.
+    # One encoded bulk pass instead of a per-message score loop.
+    spam_cutoff = config.options.spam_cutoff
+    test_scores = classifier.score_many_ids(
+        [m.token_ids(prepared.table) for m in test_spam]
+    )
+    caught = [
+        m for m, score in zip(test_spam, test_scores) if score > spam_cutoff
+    ]
+    if not caught:
+        raise ExperimentError("clean filter catches no test spam; nothing to evade")
+
+    usenet = build_usenet_wordlist(prepared.corpus.vocabulary, seed=config.seed)
+    attackers = {
+        "common-word (blind)": CommonWordGoodWordAttack(usenet.words),
+        "oracle (Lowd-Meek)": OracleGoodWordAttack(
+            classifier, usenet.words[: config.oracle_candidates]
+        ),
+    }
+
+    # Each caught spam is one task: padding and scoring draw no
+    # randomness, so any execution order (and any worker count) tallies
+    # the same curves.
+    context = _GoodWordContext(
+        classifier, attackers, tuple(config.word_budgets), spam_cutoff
+    )
+    per_message = ParallelRunner(config.workers).map(
+        _evade_one_message, context, [message.email for message in caught]
+    )
+
+    result = GoodWordExperimentResult(config=config)
+    budgets = list(config.word_budgets)
+    for model_name in attackers:
+        evaded_per_budget = [0] * len(budgets)
+        evaded_at: list[int | None] = []
+        for outcome in per_message:
+            flags = outcome[model_name]
+            first_evading = None
+            for index, evaded in enumerate(flags):
+                if evaded:
+                    evaded_per_budget[index] += 1
+                    if first_evading is None:
+                        first_evading = budgets[index]
+            evaded_at.append(first_evading)
+        result.evasion[model_name] = [
+            (budget, count / len(caught)) for budget, count in zip(budgets, evaded_per_budget)
+        ]
+        # Median words-to-evade, with "never evaded within budget"
+        # treated as +infinity: a None median means most spam resisted.
+        costs = sorted(evaded_at, key=lambda c: float("inf") if c is None else c)
+        result.median_words_to_evade[model_name] = costs[(len(costs) - 1) // 2]
+    return result

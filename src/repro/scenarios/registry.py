@@ -9,25 +9,74 @@ by a lock plus a duplicate check — so every process that imports
 :mod:`repro.scenarios` sees the identical catalogue, and a scenario
 name means the same experiment everywhere (parent, worker, CLI, CI).
 
-Registration validates the spec's ``protocol`` against the executor's
-protocol table at registration time, not first-run time, so a typo in
-a new scenario fails at import.
+Scenarios name their protocol; :data:`PROTOCOLS` maps each protocol
+name to the function that runs it and the renderer that prints its
+result.  Registration validates the spec's ``protocol`` against that
+table at registration time, not first-run time, so a typo in a new
+scenario fails at import.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.errors import ScenarioError
+from repro.scenarios import dictionary_exp, focused_exp, goodword_exp, roni_exp, threshold_exp
 from repro.scenarios.spec import ScenarioSpec
+from repro.stream.runner import render_stream_result, run_stream_experiment
 
 __all__ = [
+    "PROTOCOLS",
+    "Protocol",
+    "get_protocol",
     "register_scenario",
     "get_scenario",
     "list_scenarios",
     "scenario_names",
 ]
+
+
+class Protocol(NamedTuple):
+    """How one protocol runs a config and prints the result."""
+
+    run: Callable[[Any], Any]
+    render: Callable[[Any], str] | None
+    """``None``: ``repro run-scenario`` prints the JSON record instead."""
+
+
+PROTOCOLS: dict[str, Protocol] = {
+    "dictionary-sweep": Protocol(
+        dictionary_exp.run_dictionary_sweep, dictionary_exp.render_dictionary_result
+    ),
+    "focused-knowledge": Protocol(
+        focused_exp.run_focused_knowledge, focused_exp.render_focused_knowledge_result
+    ),
+    "focused-size": Protocol(
+        focused_exp.run_focused_size, focused_exp.render_focused_size_result
+    ),
+    "goodword-evasion": Protocol(goodword_exp.run_goodword_evasion, None),
+    "roni-gate": Protocol(roni_exp.run_roni_gate, roni_exp.render_roni_result),
+    "threshold-arms": Protocol(
+        threshold_exp.run_threshold_arms, threshold_exp.render_threshold_result
+    ),
+    # A stream is one sequential task; replication runs each replica's
+    # stream in its own worker process.
+    "stream": Protocol(run_stream_experiment, render_stream_result),
+}
+"""Protocol name -> run function and renderer, as scenario specs name them."""
+
+
+def get_protocol(spec: ScenarioSpec) -> Protocol:
+    """The protocol ``spec`` names; unknown names list the table."""
+    protocol = PROTOCOLS.get(spec.protocol)
+    if protocol is None:
+        raise ScenarioError(
+            f"scenario {spec.name!r} names unknown protocol {spec.protocol!r}; "
+            f"known: {', '.join(sorted(PROTOCOLS))}"
+        )
+    return protocol
+
 
 _REGISTRY: dict[str, ScenarioSpec] = {}
 _LOCK = threading.Lock()
@@ -40,13 +89,7 @@ def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
     and silently replacing one would make the same name mean different
     experiments in different processes.
     """
-    from repro.scenarios.protocols import PROTOCOLS  # late: avoids import cycle
-
-    if spec.protocol not in PROTOCOLS:
-        raise ScenarioError(
-            f"scenario {spec.name!r} names unknown protocol {spec.protocol!r}; "
-            f"known: {', '.join(sorted(PROTOCOLS))}"
-        )
+    get_protocol(spec)
     with _LOCK:
         existing = _REGISTRY.get(spec.name)
         if existing is not None:

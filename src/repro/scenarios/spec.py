@@ -31,7 +31,7 @@ class ScenarioSpec:
     """One named, declarative experiment definition.
 
     ``protocol`` names an entry in
-    :data:`repro.scenarios.protocols.PROTOCOLS`; ``config_type`` is the
+    :data:`repro.scenarios.registry.PROTOCOLS`; ``config_type`` is the
     experiment config dataclass the protocol consumes; ``defaults`` are
     field overrides applied on top of ``config_type``'s own defaults
     (this is what makes a cross-product scenario a ~20-line

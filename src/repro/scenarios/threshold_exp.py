@@ -22,13 +22,8 @@ seeds (one for the attack batch, one per fraction × quantile for the
 threshold fits) replaying the sequential rng draw order, so
 ``workers=N`` reproduces ``workers=1`` bit for bit.  Fold classifiers
 are derived from a shared full-inbox model by snapshot/unlearn/restore
-rather than retrained.
-
-This module holds the experiment's definition (config, result, the
-picklable fold worker); orchestration runs as the
-``figure5-threshold`` scenario — and, with a one-line attack-variant
-override, as cross-products like ``aspell-vs-threshold``
-(:mod:`repro.scenarios.protocols`).
+rather than retrained.  With a one-line attack-variant override the
+same protocol runs cross-products such as ``aspell-vs-threshold``.
 """
 
 from __future__ import annotations
@@ -37,21 +32,31 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.analysis.plots import ascii_line_chart
 from repro.attacks.base import Attack
-from repro.corpus.dataset import Dataset, unlearn_grouped
-from repro.corpus.vocabulary import VocabularyProfile, SMALL_PROFILE
+from repro.attacks.variants import build_attack_variants
+from repro.corpus.dataset import Dataset, train_grouped, unlearn_grouped
+from repro.corpus.vocabulary import PAPER_PROFILE, SMALL_PROFILE, VocabularyProfile
 from repro.defenses.threshold import DynamicThresholdConfig, DynamicThresholdDefense
-from repro.engine.sweep import IncrementalAttackTrainer, tally_scores
+from repro.engine.runner import ParallelRunner
+from repro.engine.seeding import drawn_seeds
+from repro.engine.sweep import IncrementalAttackTrainer, attack_message_count, tally_scores
+from repro.errors import ExperimentError
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.experiments.metrics import ConfusionCounts
+from repro.experiments.reporting import format_table
 from repro.experiments.results import CurvePoint, ExperimentRecord, Series
+from repro.scenarios.protocols import prepare_inbox
 from repro.spambayes.classifier import Classifier
+from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
-from repro.spambayes.tokenizer import Tokenizer
+from repro.spambayes.tokenizer import DEFAULT_TOKENIZER, Tokenizer
 
 __all__ = [
     "ThresholdExperimentConfig",
     "ThresholdExperimentResult",
+    "render_threshold_result",
+    "run_threshold_arms",
 ]
 
 PAPER_FRACTIONS = (0.0, 0.001, 0.01, 0.05, 0.10)
@@ -79,8 +84,6 @@ class ThresholdExperimentConfig:
     @classmethod
     def paper_scale(cls, seed: int = 0, workers: int = 1) -> "ThresholdExperimentConfig":
         """Table 1: 10,000-message inbox, 5 folds."""
-        from repro.corpus.vocabulary import PAPER_PROFILE
-
         return cls(
             inbox_size=10_000,
             folds=5,
@@ -192,3 +195,111 @@ def _run_threshold_fold(
         return static_arm, fitted_arms
     finally:
         classifier.restore(snap)
+
+
+def run_threshold_arms(config: ThresholdExperimentConfig) -> ThresholdExperimentResult:
+    """Dictionary contamination sweep under the threshold defense arms."""
+    fractions = list(config.attack_fractions)
+    if fractions != sorted(fractions):
+        raise ExperimentError("attack_fractions must be ascending")
+    prepared = prepare_inbox(config, spawn_label="threshold-experiment")
+    attack = build_attack_variants(
+        prepared.corpus, (config.attack_variant,), seed=config.seed
+    )[config.attack_variant]
+    counts = [attack_message_count(config.inbox_size, f) for f in fractions]
+    quantiles = tuple(config.quantiles)
+    arms = ["no-defense"] + [f"threshold-{q:.2f}" for q in quantiles]
+
+    # Plan fold tasks, replaying the sequential draw order on the fold
+    # rng: the k-fold shuffle, then per fold one batch seed followed by
+    # one fit seed per fraction × quantile.
+    fold_rng = prepared.spawner.rng("folds")
+    pairs = prepared.inbox.k_fold_indices(config.folds, fold_rng)
+    seeds_per_fold = 1 + len(fractions) * len(quantiles)
+    tasks = [
+        _FoldTask(
+            tuple(train_idx), tuple(test_idx), tuple(drawn_seeds(fold_rng, seeds_per_fold))
+        )
+        for train_idx, test_idx in pairs
+    ]
+    # The inbox's shared table: the full model's count columns, the
+    # pre-encoded message arrays and every fold worker all index by it.
+    full_model = create_classifier(config.options, table=prepared.table)
+    train_grouped(full_model, prepared.inbox)
+    context = _FoldContext(
+        inbox=prepared.inbox,
+        attack=attack,
+        counts=tuple(counts),
+        quantiles=quantiles,
+        options=config.options,
+        tokenizer=DEFAULT_TOKENIZER,
+        full_model=full_model,
+    )
+    fold_outcomes = ParallelRunner(config.workers).map(_run_threshold_fold, context, tasks)
+
+    result = ThresholdExperimentResult(config=config)
+    accumulators: dict[str, list[ConfusionCounts]] = {
+        arm: [ConfusionCounts() for _ in fractions] for arm in arms
+    }
+    threshold_fits: dict[str, list[list[tuple[float, float]]]] = {
+        arm: [[] for _ in fractions] for arm in arms[1:]
+    }
+    for static_arm, fitted_arms in fold_outcomes:
+        for index, confusion in enumerate(static_arm):
+            accumulators["no-defense"][index].merge(confusion)
+        for index, per_quantile in enumerate(fitted_arms):
+            for quantile, (theta0, theta1, confusion) in zip(quantiles, per_quantile):
+                arm = f"threshold-{quantile:.2f}"
+                threshold_fits[arm][index].append((theta0, theta1))
+                accumulators[arm][index].merge(confusion)
+    for arm in arms:
+        result.series[arm] = [
+            CurvePoint.from_confusion(fraction, confusion)
+            for fraction, confusion in zip(fractions, accumulators[arm])
+        ]
+    for arm, fits_per_fraction in threshold_fits.items():
+        result.fitted_thresholds[arm] = [
+            (
+                fraction,
+                sum(theta0 for theta0, _ in fits) / len(fits),
+                sum(theta1 for _, theta1 in fits) / len(fits),
+            )
+            for fraction, fits in zip(fractions, fits_per_fraction)
+        ]
+    return result
+
+
+def render_threshold_result(result: ThresholdExperimentResult) -> str:
+    """Figure 5's table and chart."""
+    headers = [
+        "arm",
+        "attack %",
+        "ham-as-spam",
+        "ham-as-spam|unsure",
+        "spam-as-unsure",
+    ]
+    rows = []
+    chart_series: dict[str, list[tuple[float, float]]] = {}
+    for arm, points in result.series.items():
+        for point in points:
+            rows.append(
+                [
+                    arm,
+                    f"{point.x:.1%}",
+                    f"{point.ham_as_spam_rate:.1%}",
+                    f"{point.ham_misclassified_rate:.1%}",
+                    f"{point.spam_as_unsure_rate:.1%}",
+                ]
+            )
+        chart_series[arm] = [(p.x * 100, p.ham_misclassified_rate) for p in points]
+    chart = ascii_line_chart(
+        chart_series,
+        title="Figure 5: ham misclassified (spam|unsure) vs percent control",
+        x_label="percent control of training set",
+        y_label="fraction of test ham misclassified",
+    )
+    fits = "\n".join(
+        f"  {arm}: " + "  ".join(f"f={f:.3f}: θ=({t0:.3f},{t1:.3f})" for f, t0, t1 in triples)
+        for arm, triples in result.fitted_thresholds.items()
+    )
+    return format_table(headers, rows) + "\n\n" + chart + "\n\nfitted thresholds:\n" + fits

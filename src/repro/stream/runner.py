@@ -60,13 +60,16 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.analysis.plots import ascii_line_chart
 from repro.attacks.variants import build_attack_variants
 from repro.corpus.dataset import Dataset, LabeledMessage, train_grouped
 from repro.corpus.trec import TrecStyleCorpus
+from repro.engine import faults
 from repro.engine.sweep import evaluate_dataset, evaluation_workspace
 from repro.errors import ExperimentError
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.experiments.metrics import ConfusionCounts
+from repro.experiments.reporting import format_table
 from repro.experiments.results import CurvePoint, ExperimentRecord, Series
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier
@@ -83,6 +86,7 @@ __all__ = [
     "StreamOutcome",
     "StreamResult",
     "StreamRunner",
+    "render_stream_result",
     "run_stream_experiment",
 ]
 
@@ -439,8 +443,6 @@ def _run_stream_task(spec: StreamSpec, _task: int) -> StreamResult:
     ``repro replicate stream-* --workers N``, or when a caller runs the
     task through a :class:`~repro.engine.runner.WorkerPool`.
     """
-    from repro.engine import faults
-
     faults.inject("stream-task", f"seed:{spec.seed}")
     return StreamRunner(spec).run()
 
@@ -453,3 +455,67 @@ def run_stream_experiment(spec: StreamSpec = StreamSpec()) -> StreamResult:
     its concurrency by running each replica in its own worker process.
     """
     return _run_stream_task(spec, 0)
+
+
+def render_stream_result(result: StreamResult) -> str:
+    """A stream's per-tick trail: table plus the degradation curve.
+
+    One row per tick (arrival and gate counters, the held-out rates,
+    fitted cutoffs when the threshold defense ran) and an ASCII chart
+    of held-out ham misclassification over time — with the
+    counterfactual clean curve alongside when the spec measured it.
+    """
+    spec = result.spec
+    with_clean = all(o.clean_confusion is not None for o in result.ticks)
+    with_cutoffs = any(o.ham_cutoff is not None for o in result.ticks)
+    headers = [
+        "tick",
+        "trained",
+        "attack sent/trained/rej",
+        "legit rej",
+        "ham-as-spam",
+        "ham-as-spam|unsure",
+        "spam-as-spam",
+    ]
+    if with_clean:
+        headers.append("clean ham|unsure")
+    if with_cutoffs:
+        headers.append("fitted (θ0, θ1)")
+    rows = []
+    for outcome in result.ticks:
+        row = [
+            outcome.tick,
+            outcome.trained_messages,
+            f"{outcome.attack_sent}/{outcome.attack_trained}/{outcome.attack_rejected}",
+            outcome.legitimate_rejected,
+            f"{outcome.confusion.ham_as_spam_rate:.1%}",
+            f"{outcome.confusion.ham_misclassified_rate:.1%}",
+            f"{outcome.confusion.spam_as_spam_rate:.1%}",
+        ]
+        if with_clean:
+            row.append(f"{outcome.clean_confusion.ham_misclassified_rate:.1%}")
+        if with_cutoffs:
+            row.append(
+                "-"
+                if outcome.ham_cutoff is None
+                else f"({outcome.ham_cutoff:.2f}, {outcome.spam_cutoff:.2f})"
+            )
+        rows.append(row)
+    chart_series = {
+        "ham-as-spam|unsure": [
+            (float(o.tick), o.confusion.ham_misclassified_rate) for o in result.ticks
+        ]
+    }
+    if with_clean:
+        chart_series["clean counterfactual"] = [
+            (float(o.tick), o.clean_confusion.ham_misclassified_rate)
+            for o in result.ticks
+        ]
+    chart = ascii_line_chart(
+        chart_series,
+        title=f"stream: held-out ham misclassification over {spec.ticks} ticks "
+        f"({spec.attack_variant} {spec.ramp}, defense={spec.defense})",
+        x_label="tick (retraining period)",
+        y_label="fraction of held-out ham misclassified",
+    )
+    return format_table(headers, rows) + "\n\n" + chart

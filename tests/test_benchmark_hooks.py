@@ -8,6 +8,7 @@ the benchmark's own self-test job.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -15,13 +16,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The benchmark's tiny figure5-threshold run (e2ebench/run.py).
+_TINY_SWEEP = [
+    "--set", "inbox_size=200", "--set", "corpus_ham=150", "--set", "corpus_spam=150",
+    "--set", "folds=2", "--set", "attack_fractions=(0.0, 0.05)",
+]
 
-def test_launcher_installs_every_hook():
+
+def test_launcher_installs_every_hook(tmp_path):
     # A fresh interpreter: installing the hooks rebinds library names,
-    # which must not leak into the rest of the suite.
+    # which must not leak into the rest of the suite.  The traced run
+    # then proves the rebound names are the ones the run calls.
+    argv = ["run-scenario", "figure5-threshold", *_TINY_SWEEP, "--out", str(tmp_path)]
     script = (
-        "import sys; sys.path.insert(0, 'e2ebench'); import launch; "
-        "launch.install(launch.Tracer()); print('installed')"
+        "import json, sys; sys.path.insert(0, 'e2ebench'); import launch; "
+        "import repro.cli; tracer = launch.Tracer(); launch.install(tracer); "
+        f"status = repro.cli.main({argv!r}); "
+        "print(json.dumps({'status': status, 'calls': tracer.report()['calls']}))"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
@@ -29,4 +40,8 @@ def test_launcher_installs_every_hook():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "installed"
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["status"] == 0
+    for span in ("scenarios.prepare", "threshold.fit", "classifier.score_ids"):
+        assert report["calls"].get(span, 0) >= 1, (span, report["calls"])
+    assert (tmp_path / "figure5-threshold.json").exists()

@@ -139,3 +139,39 @@ def test_checker_flags_retired_make_targets(tmp_path):
     )
     problems = checker.check_file(doc, checker.cli_tables())
     assert problems == [f"targets.md: unknown make target {retired!r}"]
+
+
+def test_checker_resolves_dotted_references(tmp_path):
+    """A dotted ``repro.…`` code span must import and its attributes
+    must exist; prose that merely mentions a path is not checked."""
+    checker = _load_checker()
+    doc = tmp_path / "dotted.md"
+    doc.write_text(
+        "`repro.scenarios.PROTOCOLS` and `repro.experiments.results` resolve;\n"
+        "`repro.scenarios.protocols.run_dictionary_sweep` and\n"
+        "`repro.no_such_package` do not.\n",
+        encoding="utf-8",
+    )
+    problems = checker.check_file(doc, checker.cli_tables())
+    assert problems == [
+        "dotted.md: unresolved reference 'repro.scenarios.protocols.run_dictionary_sweep'",
+        "dotted.md: unresolved reference 'repro.no_such_package'",
+    ]
+
+
+def test_checker_resolves_docstring_role_references(tmp_path):
+    checker = _load_checker()
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "module.py").write_text(
+        '"""See :func:`~repro.scenarios.run_scenario` and\n'
+        ':class:`repro.experiments.results.ExperimentRecord`, not\n'
+        ':func:`repro.experiments.dictionary_exp.run_dictionary_sweep`."""\n',
+        encoding="utf-8",
+    )
+    checker.REPO_ROOT = tmp_path
+    problems = checker.check_source_references(source)
+    assert problems == [
+        "src/module.py:3: unresolved reference "
+        "'repro.experiments.dictionary_exp.run_dictionary_sweep'"
+    ]

@@ -628,7 +628,7 @@ def _at_one_and_two_workers(name, config):
 
 class TestDriverEquivalence:
     def test_dictionary_experiment(self):
-        from repro.experiments.dictionary_exp import DictionaryExperimentConfig
+        from repro.scenarios.dictionary_exp import DictionaryExperimentConfig
 
         config = DictionaryExperimentConfig(
             inbox_size=120,
@@ -644,7 +644,7 @@ class TestDriverEquivalence:
         assert sequential.to_record().as_dict() == parallel.to_record().as_dict()
 
     def test_threshold_experiment(self):
-        from repro.experiments.threshold_exp import ThresholdExperimentConfig
+        from repro.scenarios.threshold_exp import ThresholdExperimentConfig
 
         config = ThresholdExperimentConfig(
             inbox_size=120,
@@ -664,7 +664,7 @@ class TestDriverEquivalence:
         """The static and every fitted (θ0, θ1) pair are tallied from
         one scoring pass of the fold's test set per contamination
         level."""
-        from repro.experiments import threshold_exp
+        from repro.scenarios import threshold_exp
 
         calls: list[int] = []
         fold_sizes: list[int] = []
@@ -701,7 +701,7 @@ class TestDriverEquivalence:
         assert calls == [size for size in fold_sizes for _ in range(3)]
 
     def test_focused_experiments(self):
-        from repro.experiments.focused_exp import FocusedExperimentConfig
+        from repro.scenarios.focused_exp import FocusedExperimentConfig
 
         config = FocusedExperimentConfig(
             inbox_size=100,
@@ -721,7 +721,7 @@ class TestDriverEquivalence:
 
     def test_roni_experiment(self):
         from repro.defenses.roni import RoniConfig
-        from repro.experiments.roni_exp import RoniExperimentConfig
+        from repro.scenarios.roni_exp import RoniExperimentConfig
 
         config = RoniExperimentConfig(
             pool_size=80,
@@ -739,7 +739,7 @@ class TestDriverEquivalence:
         assert sequential.nonattack_spam_impacts == parallel.nonattack_spam_impacts
 
     def test_goodword_experiment(self):
-        from repro.experiments.goodword_exp import GoodWordExperimentConfig
+        from repro.scenarios.goodword_exp import GoodWordExperimentConfig
 
         config = GoodWordExperimentConfig(
             inbox_size=120,

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.dictionary_exp import DictionaryExperimentConfig
-from repro.experiments.focused_exp import FocusedExperimentConfig
-from repro.experiments.roni_exp import RoniExperimentConfig
-from repro.experiments.threshold_exp import ThresholdExperimentConfig
 from repro.scenarios import run_scenario
+from repro.scenarios.dictionary_exp import DictionaryExperimentConfig
+from repro.scenarios.focused_exp import FocusedExperimentConfig
+from repro.scenarios.roni_exp import RoniExperimentConfig
+from repro.scenarios.threshold_exp import ThresholdExperimentConfig
 
 
 @pytest.fixture(scope="module")

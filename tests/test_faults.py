@@ -33,7 +33,7 @@ import pytest
 
 from repro.engine import checkpoint, faults, runner, supervise
 from repro.engine.faults import FaultPlan, FaultSpec, parse_faults, use_faults
-from repro.engine.replicate import replica_seeds, replicate_scenario
+from repro.engine.replicate import replica_seeds
 from repro.engine.runner import ParallelRunner, WorkerPool
 from repro.engine.supervise import SupervisePolicy, use_supervision
 from repro.errors import (
@@ -43,6 +43,7 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.experiments.results import ExperimentRecord
+from repro.scenarios import replicate_scenario
 from repro.storage.disk import orphaned_stores
 
 TINY_DICTIONARY = dict(

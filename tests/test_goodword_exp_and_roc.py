@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.score_distributions import RocCurve, auc, roc_curve, score_histogram
 from repro.errors import ExperimentError
-from repro.experiments.goodword_exp import GoodWordExperimentConfig
 from repro.scenarios import run_scenario
+from repro.scenarios.goodword_exp import GoodWordExperimentConfig
 
 
 class TestScoreHistogram:

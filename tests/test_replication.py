@@ -4,7 +4,7 @@ Three layers, mirroring how the tentpole is built:
 
 * :class:`~repro.engine.runner.WorkerPool` — the one process pool
   (chunk reassembly, error propagation, single-task maps);
-* :func:`~repro.engine.replicate.replicate_scenario` — replica seed
+* :func:`~repro.scenarios.replicate_scenario` — replica seed
   derivation, pooled statistics, and the core guarantee that running
   one whole replica per worker process returns byte-identical records
   to the sequential path, with each replica checkpointed by the worker
@@ -24,9 +24,10 @@ import time
 
 import pytest
 
-from repro.engine.replicate import replica_seeds, replicate_scenario
+from repro.engine.replicate import replica_seeds
 from repro.engine.runner import ParallelRunner, WorkerPool
 from repro.errors import EngineError
+from repro.scenarios import replicate_scenario
 
 TINY_DICTIONARY = dict(
     inbox_size=120,
@@ -52,6 +53,27 @@ def _failing_task(context, task):
     if task == 3:
         raise ValueError("task three exploded")
     return task
+
+
+_MARKING: dict = {}
+"""What :func:`_marking_run` needs; set by the test before the pool forks."""
+
+
+def _marking_run(spec, config=None):
+    """``run_scenario`` that leaves a pid mark, and holds replica 1's
+    worker until replica 0's checkpoint is on disk.  Module-level, so
+    the replica context pickles it by reference."""
+    from repro.scenarios import executor
+
+    marks, store, seeds = _MARKING["state"]
+    outcome = executor.run_scenario(spec, config=config)
+    (marks / f"run.{config.seed}").write_text(str(os.getpid()))
+    if config.seed == seeds[1]:
+        deadline = time.monotonic() + 120
+        while not store.path(seeds[0]).exists() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        (marks / "saw-first").write_text(str(store.path(seeds[0]).exists()))
+    return outcome
 
 
 class TestWorkerPool:
@@ -157,34 +179,25 @@ class TestReplicateScenario:
         # its checkpoint the moment the replica finishes: replica 1
         # holds its worker until replica 0's checkpoint is on disk,
         # which a save made after the whole map returned never is.
-        import repro.scenarios
         from repro.engine.checkpoint import ReplicaStore
+        from repro.engine.replicate import replicate_spec
+        from repro.scenarios import get_scenario
 
         marks = tmp_path / "marks"
         marks.mkdir()
         store = ReplicaStore(tmp_path / "ckpt", "dictionary-vs-none")
         seeds = replica_seeds(0, 2)
-        real_run = repro.scenarios.run_scenario
         real_save = ReplicaStore.save
-
-        def run(spec, config=None):
-            outcome = real_run(spec, config=config)
-            (marks / f"run.{config.seed}").write_text(str(os.getpid()))
-            if config.seed == seeds[1]:
-                deadline = time.monotonic() + 120
-                while not store.path(seeds[0]).exists() and time.monotonic() < deadline:
-                    time.sleep(0.02)
-                (marks / "saw-first").write_text(str(store.path(seeds[0]).exists()))
-            return outcome
 
         def save(self, seed, record):
             real_save(self, seed, record)
             (marks / f"save.{seed}").write_text(str(os.getpid()))
 
-        monkeypatch.setattr(repro.scenarios, "run_scenario", run)
+        monkeypatch.setitem(_MARKING, "state", (marks, store, seeds))
         monkeypatch.setattr(ReplicaStore, "save", save)
-        record = replicate_scenario(
-            "dictionary-vs-none",
+        record = replicate_spec(
+            get_scenario("dictionary-vs-none"),
+            _marking_run,
             seeds=2,
             overrides=TINY_DICTIONARY,
             workers=2,

@@ -4,26 +4,28 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.dictionary_exp import DictionaryExperimentConfig, DictionaryExperimentResult
 from repro.engine.sweep import AttackSweepPoint
-from repro.experiments.focused_exp import (
+from repro.experiments.metrics import ConfusionCounts
+from repro.experiments.reporting import format_table, render_table1
+from repro.experiments.results import CurvePoint
+from repro.scenarios.dictionary_exp import (
+    DictionaryExperimentConfig,
+    DictionaryExperimentResult,
+    render_dictionary_result,
+)
+from repro.scenarios.focused_exp import (
     FocusedExperimentConfig,
     FocusedKnowledgeResult,
     FocusedSizeResult,
-)
-from repro.experiments.metrics import ConfusionCounts
-from repro.experiments.reporting import (
-    format_table,
-    render_dictionary_result,
     render_focused_knowledge_result,
     render_focused_size_result,
-    render_roni_result,
-    render_table1,
+)
+from repro.scenarios.roni_exp import RoniExperimentConfig, RoniExperimentResult, render_roni_result
+from repro.scenarios.threshold_exp import (
+    ThresholdExperimentConfig,
+    ThresholdExperimentResult,
     render_threshold_result,
 )
-from repro.experiments.results import CurvePoint
-from repro.experiments.roni_exp import RoniExperimentConfig, RoniExperimentResult
-from repro.experiments.threshold_exp import ThresholdExperimentConfig, ThresholdExperimentResult
 
 
 class TestFormatTable:

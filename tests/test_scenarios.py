@@ -18,9 +18,6 @@ import pytest
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.roni import RoniConfig
 from repro.errors import ScenarioError
-from repro.experiments.dictionary_exp import DictionaryExperimentConfig
-from repro.experiments.roni_exp import RoniExperimentConfig
-from repro.experiments.threshold_exp import ThresholdExperimentConfig
 from repro.scenarios import (
     BUILTIN_SCENARIOS,
     PROTOCOLS,
@@ -32,6 +29,9 @@ from repro.scenarios import (
     run_scenario,
     scenario_names,
 )
+from repro.scenarios.dictionary_exp import DictionaryExperimentConfig
+from repro.scenarios.roni_exp import RoniExperimentConfig
+from repro.scenarios.threshold_exp import ThresholdExperimentConfig
 
 
 def _tiny_dictionary_config(workers: int = 1) -> DictionaryExperimentConfig:

@@ -20,7 +20,14 @@ Checked, across ``README.md`` and every ``docs/*.md``:
   against its own parser;
 * **make targets** — a code span that starts ``make <target>`` must
   name a target defined in the repo's ``Makefile``, so a doc cannot
-  keep pointing at a retired target.
+  keep pointing at a retired target;
+* **dotted references** — a code span that is a dotted ``repro.…``
+  path must import, and its trailing attributes must exist.
+
+Across ``src/``, every Sphinx-role reference to a ``repro.…`` path
+(``:mod:``, ``:func:``, ``:class:``, ``:meth:``, ``:data:``,
+``:attr:``, ``:exc:``) must resolve the same way, so moving a module
+or renaming a function cannot orphan a docstring that points at it.
 
 Run directly (``make docs-check``)::
 
@@ -31,6 +38,7 @@ Exit status 0 when clean, 1 with a findings report otherwise.
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -47,6 +55,45 @@ MAKE_CALL = re.compile(r"^make\s+([\w.-]+)")
 MAKE_TARGET = re.compile(r"^([\w.-]+)\s*:(?!=)", re.MULTILINE)
 PATH_EXTENSIONS = (".py", ".md", ".ini", ".txt", ".toml", ".cfg", ".json")
 SOURCE_PREFIXES = ("src/", "docs/", "tests/", "benchmarks/", "examples/", "tools/")
+DOTTED_SPAN = re.compile(r"^~?(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?$")
+ROLE_REFERENCE = re.compile(
+    r":(?:mod|func|class|meth|data|attr|exc):`(?:[^`<]*<)?~?(repro(?:\.\w+)+)(?:\(\))?>?`"
+)
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute path under one.
+
+    The longest importable prefix is the module; every part after it
+    must be an attribute of the one before.
+    """
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def check_source_references(root: Path) -> list[str]:
+    """Sphinx-role ``repro.…`` references under ``root`` that do not resolve."""
+    problems = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for match in ROLE_REFERENCE.finditer(text):
+            if not resolves(match.group(1)):
+                line = text.count("\n", 0, match.start()) + 1
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{line}: "
+                    f"unresolved reference {match.group(1)!r}"
+                )
+    return problems
 
 
 def looks_like_repo_path(span: str) -> bool:
@@ -142,6 +189,9 @@ def check_file(doc: Path, cli: dict) -> list[str]:
                 problems.append(
                     f"{doc.name}: unknown environment variable {var!r}"
                 )
+        dotted = DOTTED_SPAN.match(span)
+        if dotted and not resolves(dotted.group(1)):
+            problems.append(f"{doc.name}: unresolved reference {dotted.group(1)!r}")
         make_call = MAKE_CALL.match(span)
         if make_call and make_call.group(1) not in cli["make_targets"]:
             problems.append(
@@ -213,6 +263,7 @@ def main() -> int:
             problems.append(f"expected documentation file missing: {name}")
             continue
         problems.extend(check_file(doc, cli))
+    problems.extend(check_source_references(REPO_ROOT / "src"))
     if problems:
         print(f"docs-check: {len(problems)} problem(s)")
         for problem in problems:
