@@ -475,13 +475,15 @@ class TestResume:
         full = replicate_scenario(
             "dictionary-vs-none", checkpoint_dir=str(tmp_path), **kwargs
         )
-        # Second run must not recompute anything: poison run_scenario.
-        import repro.scenarios
+        # Second run must not recompute anything: poison the run_scenario
+        # that replicate_scenario hands to the engine (it reads the name
+        # from the executor module at call time).
+        import repro.scenarios.executor
 
         def explode(*args, **kw):  # pragma: no cover - failure mode
             raise AssertionError("resume recomputed a completed replica")
 
-        monkeypatch.setattr(repro.scenarios, "run_scenario", explode)
+        monkeypatch.setattr(repro.scenarios.executor, "run_scenario", explode)
         resumed = replicate_scenario(
             "dictionary-vs-none", checkpoint_dir=str(tmp_path), **kwargs
         )
