@@ -61,6 +61,7 @@ import argparse
 import ast
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -415,8 +416,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "length-prefixed JSON protocol (verbs: score, train, feedback, "
         "snapshot, stats, shutdown).  Concurrent score requests are "
         "coalesced into bulk kernel calls; training serializes through "
-        "a single writer task.  Kernel and storage backend follow "
-        "REPRO_KERNEL / REPRO_STORE, exactly as library calls do.",
+        "a single writer task.  The storage backend follows "
+        "REPRO_STORE, exactly as library calls do.",
     )
     parser.add_argument(
         "--socket",
@@ -588,7 +589,18 @@ def main(argv: list[str] | None = None) -> int:
     # one or --help exits here with the usage line naming every command
     # (status 2, or 0 for --help); the rest goes to the command.
     command = parser.parse_args(argv[:1]).command
-    return SCENARIO_COMMANDS[command](argv[1:])
+    try:
+        status = SCENARIO_COMMANDS[command](argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro ... | head``).  Point
+        # stdout at devnull so the interpreter's exit flush cannot fail
+        # again, and exit without a traceback (the signal module's
+        # advice on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

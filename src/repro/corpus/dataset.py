@@ -429,21 +429,15 @@ class Dataset:
 
         Like :meth:`encode`, but additionally packs every message's ID
         array into a single :class:`~repro.spambayes.ndkernel.CsrMatrix`
-        (indptr/indices over the whole dataset) — the layout the
-        vectorized kernel scores without touching Python objects.
+        (indptr/indices over the whole dataset) — the layout
+        :meth:`~repro.spambayes.classifier.Classifier.score_csr` scores
+        without touching Python objects.
         Returns ``(table, matrix)``; ``matrix.row(i)`` is
         message ``i``'s sorted ID array, identical in content to
         :meth:`LabeledMessage.token_ids`.
-
-        Requires NumPy; raises ``ConfigurationError`` otherwise (use
-        :meth:`encode` for the array-per-message form).
         """
         from repro.spambayes import ndkernel
 
-        if not ndkernel.available():
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError("encode_csr requires NumPy; use encode()")
         table = self.encode(table, tokenizer)
         matrix = ndkernel.CsrMatrix.from_rows(
             [message.token_ids(table, tokenizer) for message in self._messages]

@@ -37,11 +37,11 @@ Implementation notes:
   row)`` (:func:`~repro.corpus.dataset.group_token_ids`; a dictionary
   attack's copies share one encoded payload), encoding in per-message
   order, then makes one
-  :meth:`Classifier.score_under_candidates` call per trial.  The base
-  classifier runs learn / score / unlearn per candidate — the
-  executable reference, and what the pure kernel runs; the NumPy kernel
+  :meth:`Classifier.score_under_candidates` call per trial, which
   scores chunks of ``_CANDIDATE_ENTRY_BUDGET`` (candidate, entry) pairs
-  in vectorized passes that never touch a count, bit-identical to it.
+  in vectorized passes that never touch a count, bit-identical to a
+  learn / score / unlearn loop per candidate
+  (``tests/test_roni_batched.py`` holds it to that loop).
 * **Encoded entry points.** Attack payloads that are already ID-native
   enter through :meth:`RoniDefense.measure_ids` /
   :meth:`RoniDefense.measure_batch` (fed by

@@ -40,8 +40,8 @@ from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
 
 __all__ = ["DynamicThresholdConfig", "ThresholdFit", "DynamicThresholdDefense"]
 
-# Token entries the fit scores in one kernel call: bounds the ND
-# kernel's per-batch intermediates as a stream's trained history grows.
+# Token entries the fit scores in one kernel call: bounds the
+# classifier's per-batch intermediates as a stream's trained history grows.
 _SCORE_ENTRY_BUDGET = 1 << 16
 
 

@@ -32,8 +32,8 @@ too: each fold's batch is interned once through
 :meth:`~repro.attacks.base.AttackBatch.encode` and layered as ID
 arrays (:class:`IncrementalAttackTrainer`).  Held-out folds are scored
 through :meth:`Classifier.score_many_ids`, which shares per-token
-significance work across the fold's messages.  On the
-NumPy kernel a parallel sweep ships the inbox as one
+significance work across the fold's messages.  A parallel sweep
+ships the inbox as one
 :class:`~repro.spambayes.ndkernel.CsrMatrix` inside the context, by
 value like the rest of it, and workers score stripes straight off it.
 
@@ -100,9 +100,9 @@ def evaluation_workspace(
     held-out test set) and passed back via ``evaluate_dataset(...,
     workspace=...)``; the workspace caches the batch-shape scoring
     state (CSR encoding, text ranks, scratch buffers) across calls.
-    The construction is kernel-agnostic — the pure kernel just scores
-    the rows — and classifier-independent beyond the interning table,
-    so one workspace may serve several classifiers sharing a table.
+    The workspace is classifier-independent beyond the interning
+    table, so one workspace may serve several classifiers sharing a
+    table.
     """
     table = classifier.table
     return ndkernel.ScoringWorkspace(
@@ -293,7 +293,7 @@ class _SweepContext:
     object, so the arrays index directly into its count columns on the
     other side of the pickle.
 
-    When ``csr`` is set (parallel runs on the NumPy kernel), the
+    When ``csr`` is set (parallel runs), the
     encoded inbox travels as one :class:`~repro.spambayes.ndkernel.
     CsrMatrix` instead of the ``token_ids`` tuple, carried by value
     like every other field, so fold stripes score straight off its two
@@ -360,7 +360,7 @@ def _evaluate_indices(
     ham_only: bool,
 ) -> dict[str, int]:
     kept = [i for i in indices if not (ham_only and context.labels[i])]
-    if context.csr is not None and isinstance(classifier, ndkernel.NDClassifier):
+    if context.csr is not None:
         # Fold stripes are scored cold after every contamination step,
         # so the CSR bulk path (no per-row Python assembly) wins here.
         scores = classifier.score_csr(context.csr, rows=kept)
@@ -433,15 +433,14 @@ def run_attack_sweeps(
     full_model = ndkernel.create_classifier(options, table=table)
     train_grouped(full_model, inbox, tokenizer)
 
-    # In parallel runs on the NumPy kernel the encoded inbox crosses
-    # process boundaries as one CSR pair instead of a tuple of
-    # per-message arrays.
+    # In parallel runs the encoded inbox crosses process boundaries as
+    # one CSR pair instead of a tuple of per-message arrays.
     parallel = resolve_workers(workers) > 1 and len(tasks) > 1
     csr = None
     token_ids: tuple[array, ...] | None = tuple(
         message.token_ids(table, tokenizer) for message in inbox
     )
-    if parallel and ndkernel.classifier_class() is ndkernel.NDClassifier:
+    if parallel:
         csr = ndkernel.CsrMatrix.from_rows(token_ids)
         token_ids = None
     context = _SweepContext(

@@ -1,7 +1,7 @@
 """Micro-batching for concurrent score requests.
 
 The daemon's scoring hot path is a bulk kernel call
-(``Classifier.score_many`` / the ND kernel's vectorized twin), whose
+(``Classifier.score_many``), whose
 per-call overhead — attribute lookups, kernel dispatch, numpy array
 setup — is amortized across every message in the batch.  A lone wire
 request would pay all of it for one message.  The micro-batcher

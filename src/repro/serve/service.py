@@ -5,8 +5,8 @@ model is a *live* filter under continuous mail flow with periodic
 retraining, and this daemon is that surface: clients connect over a
 Unix socket or TCP port, stream framed requests
 (:mod:`repro.serve.protocol`), and get scores from, and apply training
-to, one long-lived classifier built on whatever ``REPRO_KERNEL`` /
-``REPRO_STORE`` backend is ambient.
+to, one long-lived classifier built on whatever ``REPRO_STORE``
+backend is ambient.
 
 Three tasks structure the loop:
 
@@ -124,7 +124,7 @@ class FilterService:
 
     ``classifier`` defaults to a fresh
     :func:`~repro.spambayes.ndkernel.create_classifier` on the ambient
-    kernel and storage backend.  ``pool`` is an optional pre-built
+    storage backend.  ``pool`` is an optional pre-built
     :class:`~repro.engine.runner.WorkerPool`; when ``workers >=
     2`` and none is given, :meth:`run` builds one (callers embedding
     the service in a threaded host should build the pool themselves,
@@ -475,6 +475,7 @@ class FilterService:
             "seq": self.seq,
             "nspam": self.classifier.nspam,
             "nham": self.classifier.nham,
+            # Kept for stats clients; there is one kernel.
             "kernel": ndkernel.kernel_name(),
             "store": store_name(),
             "workers": self.config.workers,

@@ -19,7 +19,6 @@ The public names most callers need are re-exported here.
 
 from repro.spambayes.chi2 import chi2q, fisher_combine
 from repro.spambayes.classifier import Classifier, ClassifierSnapshot, TokenScore
-from repro.spambayes.graham import GRAHAM_OPTIONS, GrahamClassifier
 from repro.spambayes.filter import Label, SpamFilter, ClassifiedMessage
 from repro.spambayes.message import Email
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
@@ -34,8 +33,6 @@ __all__ = [
     "ClassifierSnapshot",
     "TokenScore",
     "TokenTable",
-    "GrahamClassifier",
-    "GRAHAM_OPTIONS",
     "Label",
     "SpamFilter",
     "ClassifiedMessage",

@@ -23,25 +23,24 @@ Message score (Equations 3-4)
 Storage: the interned token-ID core
     Tokens are interned through a shared, append-only
     :class:`~repro.spambayes.token_table.TokenTable` (``str <-> int``),
-    and the per-token statistics live in two parallel ``array`` columns
-    (``spamcount[id]``, ``hamcount[id]``) instead of a str-keyed object
-    store.  Every hot loop — bulk scoring, attack-batch training, the
-    RONI gate — runs over integer IDs with flat array/list indexing; no
-    string is hashed inside a loop.  The string-facing *training* API
-    (:meth:`learn`, ...) interns at the boundary; *scoring* never
-    interns — unseen tokens contribute the prior without growing the
-    shared table.  The ``*_ids`` twins accept pre-encoded ID arrays
-    (see :meth:`~repro.corpus.dataset.LabeledMessage.token_ids`) so a
+    and the per-token statistics live in two parallel int64 NumPy
+    columns (``spamcount[id]``, ``hamcount[id]``) handed out by a
+    count-column store from :mod:`repro.storage`.  The string-facing
+    *training* API (:meth:`learn`, ...) interns at the boundary;
+    *scoring* never interns — unseen tokens contribute the prior
+    without growing the shared table.  The ``*_ids`` twins accept
+    pre-encoded ID arrays (see
+    :meth:`~repro.corpus.dataset.LabeledMessage.token_ids`) so a
     message is encoded once and reused across every fold, attack batch
     and worker.  Counts and scores are bit-exact against the paper's
     formulas written out as a test-local oracle
     (``tests/spambayes_spec.py``), which ``tests/test_spec_oracle.py``
-    holds both kernels to over random options and histories.
+    holds the classifier to over random options and histories.
 
 Both :meth:`Classifier.learn` and :meth:`Classifier.unlearn` are
 incremental, which the experiment harness leans on heavily: a fold's
 clean model is trained once and attack batches are layered on top, and
-the RONI defense trains/untrains candidate messages in place.
+the RONI defense scores candidate messages as if trained.
 
 Snapshot / restore (:meth:`Classifier.snapshot`,
 :meth:`Classifier.restore`)
@@ -53,28 +52,63 @@ Snapshot / restore (:meth:`Classifier.snapshot`,
     fold's classifier from it — unlearn the held-out stripe, layer
     attack batches, score, restore — instead of retraining K times per
     attack variant.  One snapshot may be active at a time; restoring
-    deactivates it.  The NumPy kernel inherits both methods unchanged.
+    deactivates it.
 
-Scoring and the significance memo
-    Every scoring path — :meth:`Classifier.score`,
-    :meth:`Classifier.score_many` and :meth:`Classifier.score_many_ids`
-    — runs one loop: fill the flat significance memo (indexed by token
-    ID) for the batch's IDs through :meth:`Classifier._prob_for_id`,
-    sort each message's significant entries, combine them with
-    Fisher's method (:mod:`repro.spambayes.chi2`).  A memo entry is a
-    pure function of its token's counts and of ``(nspam, nham)``, so a
-    training call evicts only the IDs it touched while ``(nspam,
-    nham)`` returns to the memo's tag (the RONI gate's learn/score/
-    unlearn cycle); any other change rebuilds the memo.  Scores are
-    exactly what per-message :meth:`Classifier.score` returns.
+Scoring
+    The string path (:meth:`Classifier.score`,
+    :meth:`Classifier.score_many`) keeps a flat significance memo
+    (indexed by token ID), fills the batch's missing entries in one
+    vectorized pass, sorts each message's significant entries and
+    combines them with Fisher's method (:mod:`repro.spambayes.chi2`).
+    A memo entry is a pure function of its token's counts and of
+    ``(nspam, nham)``, so a training call evicts only the IDs it
+    touched while ``(nspam, nham)`` returns to the memo's tag; any
+    other change rebuilds the memo.
+
+    The ID paths (:meth:`Classifier.score_many_ids`,
+    :meth:`Classifier.score_csr`, :meth:`Classifier.score_workspace`)
+    keep their own memo, a pair of arrays — ``prob[id]`` plus
+    ``known[id]`` — that any count change marks stale and the next
+    call refills in one vectorized pass, and score a whole CSR batch
+    as gather → lexsort → log-prob accumulate → chi2 survival, with no
+    per-message Python loop.  :meth:`Classifier.score_under_candidates`
+    is the RONI gate's batched form: the validation scores under every
+    candidate of a batch, without mutating a count.
+
+Bit-exactness is a hard requirement (the oracle tests assert ``==`` on
+floats), and every vectorized expression is chosen so each message
+sees the IEEE-754 operation sequence the formulas' scalar reading
+executes:
+
+* elementwise ``+ - * /`` between float64 arrays and Python scalars
+  are the same correctly-rounded IEEE ops CPython performs (counts are
+  far below 2**53, so int64→float64 conversion is exact);
+* the combiner's sequential product is one left-to-right
+  ``multiply.reduceat`` per row; only rows whose product falls below
+  the frexp renormalization threshold re-run the scalar loop of
+  :func:`repro.spambayes.chi2.ln_product`, and the chi-square series
+  runs column by column over rows sorted by degree;
+* transcendentals go through :func:`math.log` / :func:`math.exp`
+  mapped over a list into ``np.fromiter`` — NumPy's SIMD
+  ``np.log``/``np.exp`` may differ from libm in the last ulp, and only
+  O(messages) calls are needed, so the exact scalar routines cost
+  nothing;
+* the ``(-strength, token text)`` tie-break is reproduced with text
+  ranks computed by Python's own ``sorted`` — table-wide
+  (:meth:`TokenTable.text_order_ranks`) or local to a
+  :class:`~repro.spambayes.ndkernel.ScoringWorkspace` — under one
+  ``np.lexsort`` or a fused ``(row << 32) | ordinal`` key.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from itertools import chain, compress, repeat
 from operator import is_
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.errors import TrainingError
 from repro.spambayes.chi2 import fisher_combine
@@ -85,9 +119,25 @@ from repro.spambayes.wordinfo import WordInfo
 __all__ = ["Classifier", "ClassifierSnapshot", "TokenScore"]
 
 # Memo sentinel for "never computed" (None means "computed, not
-# significant", so the kernel can drop insignificant entries with a
-# C-level filter(None, ...)).
+# significant", so the string path can drop insignificant entries with
+# a C-level filter(None, ...)).
 _MISSING = object()
+
+_LN2 = math.log(2.0)
+_RENORM_THRESHOLD = 1e-200  # matches chi2.ln_product
+_EXP_UNDERFLOW_LIMIT = 708.0  # matches chi2._EXP_UNDERFLOW_LIMIT
+# (candidate, workspace entry) pairs Classifier.score_under_candidates
+# expands at once; tracemalloc puts a chunk's peak at ~55 B per pair
+# (3.4 MB for the tests/test_roni_batched.py fixture).  Smaller chunks
+# pay each chunk's nonzero, key sort and Fisher products too often.
+# Classifier.learn_groups joins at most this many row entries per
+# bincount.
+_CANDIDATE_ENTRY_BUDGET = 1 << 16
+
+_ID_DTYPE = np.dtype(np.int64)
+# array('l') shares int64's layout on every platform we run on;
+# np.frombuffer then gives zero-copy views of encoded messages.
+_FAST_ARRAY_VIEW = array(TOKEN_ID_TYPECODE).itemsize == _ID_DTYPE.itemsize
 
 
 class TokenScore(NamedTuple):
@@ -124,9 +174,8 @@ class ClassifierSnapshot:
 def _restore_column(column, saved: bytes) -> None:
     """Write ``saved`` over the start of ``column`` and zero the rest.
 
-    Works on any writable contiguous buffer — ``array``, ``memoryview``
-    or ``ndarray`` — as one byte copy.  The views are released before
-    returning, so an ``array`` column can still grow afterwards.
+    Works on any writable contiguous buffer as one byte copy.  The
+    views are released before returning.
     """
     with memoryview(column) as raw, raw.cast("B") as view:
         kept = len(saved)
@@ -141,6 +190,90 @@ def _checked_groups(groups: Iterable) -> list:
         if count < 0:
             raise TrainingError(f"learn_repeated needs count >= 0, got {count}")
     return groups
+
+
+def _exact(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (:func:`math.log` or :func:`math.exp`) over ``values``.
+
+    The same C-library call per element the scalar formulas make,
+    without an object array; only O(messages) elements pass through per
+    batch.
+    """
+    flat = map(fn, values.ravel().tolist())
+    return np.fromiter(flat, np.float64, values.size).reshape(values.shape)
+
+
+def _as_id_index(ids: Sequence[int]) -> np.ndarray:
+    """An int64 index view/copy of one encoded message."""
+    if type(ids) is array and _FAST_ARRAY_VIEW:
+        return np.frombuffer(ids, dtype=_ID_DTYPE)
+    if isinstance(ids, np.ndarray):
+        return np.ascontiguousarray(ids, dtype=_ID_DTYPE)
+    return np.asarray(ids, dtype=_ID_DTYPE)
+
+
+def _concat_rows(rows: list) -> np.ndarray:
+    """Encoded messages joined into one int64 ID array."""
+    if _FAST_ARRAY_VIEW and all(type(ids) is array for ids in rows):
+        return np.frombuffer(b"".join(rows), dtype=_ID_DTYPE)
+    return np.concatenate([_as_id_index(ids) for ids in rows])
+
+
+def _csr_arrays(rows: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded messages as one ``(indices, indptr)`` CSR pair."""
+    views = [_as_id_index(ids) for ids in rows]
+    lengths = np.fromiter((view.shape[0] for view in views), dtype=_ID_DTYPE, count=len(views))
+    indptr = np.zeros(len(views) + 1, dtype=_ID_DTYPE)
+    np.cumsum(lengths, out=indptr[1:])
+    if views:
+        indices = np.concatenate(views)
+    else:
+        indices = np.zeros(0, dtype=_ID_DTYPE)
+    return indices, indptr
+
+
+def _label_delta(groups: list, is_spam: bool, n: int) -> tuple[np.ndarray | None, int]:
+    """One label's per-ID count sum over ``groups``, and its message total.
+
+    Single-copy rows, the bulk of any training set, are counted with
+    one unweighted ``np.bincount`` per chunk of at most
+    :data:`_CANDIDATE_ENTRY_BUDGET` joined entries (rows are
+    duplicate-free, so each row adds 1 per ID); repeated groups
+    (attack copies) add their count to their own IDs.  The sum is
+    None when the label has no message.
+    """
+    delta = None
+    total = 0
+    chunk: list = []
+    entries = 0
+    repeated = []
+    for ids, label, count in groups:
+        if bool(label) is not is_spam or count <= 0:
+            continue
+        total += count
+        if count > 1:
+            repeated.append((ids, count))
+            continue
+        if chunk and entries + len(ids) > _CANDIDATE_ENTRY_BUDGET:
+            delta = _add_bincount(delta, chunk, n)
+            chunk, entries = [], 0
+        chunk.append(ids)
+        entries += len(ids)
+    if chunk:
+        delta = _add_bincount(delta, chunk, n)
+    if total and delta is None:
+        delta = np.zeros(n, dtype=_ID_DTYPE)
+    for ids, count in repeated:
+        delta[_as_id_index(ids)] += count
+    return delta, total
+
+
+def _add_bincount(delta: np.ndarray | None, rows: list, n: int) -> np.ndarray:
+    counts = np.bincount(_concat_rows(rows), minlength=n)
+    if delta is None:
+        return counts
+    delta += counts
+    return delta
 
 
 class Classifier:
@@ -171,11 +304,10 @@ class Classifier:
         self.options = options
         self._table = table if table is not None else TokenTable()
         # ``columns`` is a count-column store from the storage layer
-        # (``repro.storage``); the default is the in-memory store whose
-        # behaviour is the pre-storage-layer code extracted verbatim.
-        # Derived classifiers (copies, unpickles, bulk loads) always
-        # get in-memory columns — only explicitly wired classifiers
-        # (``create_classifier`` under REPRO_STORE=disk) spill counts.
+        # (``repro.storage``).  Derived classifiers (copies, unpickles,
+        # bulk loads) always get in-memory columns — only explicitly
+        # wired classifiers (``create_classifier`` under
+        # REPRO_STORE=disk) spill counts.
         if columns is None:
             from repro.storage.memory import MemoryCountColumns
 
@@ -185,18 +317,16 @@ class Classifier:
         self._nspam = 0
         self._nham = 0
         self._active = 0  # IDs with spamcount + hamcount > 0
-        # Flat significance memo indexed by token ID.  Entries:
-        # _MISSING = not yet computed, tuple (-strength, token, prob) =
-        # significant, None = computed and not significant.  An entry
-        # is a pure function of (spamcount[id], hamcount[id], nspam,
-        # nham), so the memo carries the (nspam, nham) pair it was
-        # built under (_memo_tag) plus the IDs touched by mutations
-        # since (_dirty): at the next scoring call, if the global pair
-        # matches the tag again, only the dirty IDs are evicted — the
-        # RONI gate's learn/score/unlearn cycling re-derives a few
-        # hundred candidate tokens instead of the whole validation
-        # vocabulary.  A tag mismatch (or an oversized dirty list)
-        # rebuilds from scratch.
+        # The string path's flat significance memo, indexed by token
+        # ID.  Entries: _MISSING = not yet computed, tuple (-strength,
+        # token, prob) = significant, None = computed and not
+        # significant.  An entry is a pure function of
+        # (spamcount[id], hamcount[id], nspam, nham), so the memo
+        # carries the (nspam, nham) pair it was built under (_memo_tag)
+        # plus the IDs touched by mutations since (_dirty): at the next
+        # scoring call, if the global pair matches the tag again, only
+        # the dirty IDs are evicted.  A tag mismatch (or an oversized
+        # dirty list) rebuilds from scratch.
         self._memo: list | None = None
         self._memo_tag: tuple[int, int] | None = None
         self._dirty: list[int] = []
@@ -205,6 +335,23 @@ class Classifier:
         # they were built at and rebuild on any difference.
         self._generation = 0
         self._snapshot: ClassifierSnapshot | None = None
+        self._reset_prob_memo()
+
+    def _reset_prob_memo(self) -> None:
+        # The ID paths' memo: prob[id] is valid iff known[id], and the
+        # whole memo only while _prob_tag equals _generation (any count
+        # change marks it stale).
+        self._prob: np.ndarray | None = None
+        self._known: np.ndarray | None = None
+        self._prob_tag: int | None = None
+        # Cached per-vocabulary significance ordinal: the rank of each
+        # token under the combiner's (-strength, text) sort order.
+        # Valid only while no memoized prob has changed.
+        self._order: np.ndarray | None = None
+        # Vocabulary IDs in text order (the inverse of the table's rank
+        # permutation) — a pure function of the append-only table, so its
+        # length is a complete cache key and training never dirties it.
+        self._text_order: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Training state
@@ -234,24 +381,22 @@ class Classifier:
         """Return a (spamcount, hamcount) record for ``token``, if any.
 
         The record is a *view copy* of the count columns — mutating it
-        does not change the classifier.
+        does not change the classifier.  Counts are plain ints: the
+        records flow into JSON dumps.
         """
         tid = self._table.id_of(token)
-        if tid is None or tid >= len(self._spam):
+        if tid is None or tid >= self._spam.shape[0]:
             return None
-        spamcount = self._spam[tid]
-        hamcount = self._ham[tid]
+        spamcount = int(self._spam[tid])
+        hamcount = int(self._ham[tid])
         if spamcount == 0 and hamcount == 0:
             return None
         return WordInfo(spamcount, hamcount)
 
     def iter_vocabulary(self) -> Iterable[str]:
-        tokens = self._table
-        spam_col = self._spam
-        ham_col = self._ham
-        for tid in range(len(spam_col)):
-            if spam_col[tid] or ham_col[tid]:
-                yield tokens.token(tid)
+        """Every token with a non-zero count, in token-ID order."""
+        live = np.flatnonzero(self._spam | self._ham)
+        yield from self._table.decode(live.tolist())
 
     def encode_tokens(self, tokens: Iterable[str]) -> array:
         """Intern ``tokens`` into this classifier's table as a sorted,
@@ -259,17 +404,21 @@ class Classifier:
         return self._table.encode_unique(tokens)
 
     # ------------------------------------------------------------------
-    # Column plumbing
+    # Column and memo plumbing
     # ------------------------------------------------------------------
 
     def _ensure_columns(self) -> None:
-        """Grow the count columns to cover every interned ID."""
+        """Grow the count columns to cover every interned ID.
+
+        Slots past any previous view are untouched zeros in the
+        store's capacity buffers, so growing the view zero-fills.
+        """
         n = len(self._table)
-        if len(self._spam) < n:
+        if self._spam.shape[0] < n:
             self._spam, self._ham = self._columns.grow(n)
 
     def _memo_list(self) -> list:
-        """The flat significance memo, validated and sized to the table.
+        """The string path's significance memo, validated and sized.
 
         Reconciles pending mutations: when the global (nspam, nham)
         pair equals the pair the memo was built under, every entry for
@@ -302,7 +451,7 @@ class Classifier:
     def _note_mutation(self, ids: Iterable[int]) -> None:
         """Record a training mutation touching ``ids``.
 
-        The memo survives with the touched IDs queued for lazy,
+        The string memo survives with the touched IDs queued for lazy,
         targeted eviction (see :meth:`_memo_list`), unless the dirty
         backlog grows past the point where a rebuild is cheaper.
         """
@@ -314,6 +463,31 @@ class Classifier:
         if len(dirty) > 1024 and len(dirty) * 4 > len(self._memo):
             self._memo = None
             dirty.clear()
+
+    def _sync_probs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ID paths' memo arrays, sized to the table and current.
+
+        A memo built before the latest count change is stale as a
+        whole: every entry is marked unknown in place (keeping the
+        allocation), and the next scoring call refills it in one
+        vectorized pass.  Columns must already be ensured.
+        """
+        n = len(self._table)
+        known = self._known
+        if known is None or known.shape[0] < n:
+            capacity = max(n, 256) if known is None else max(n, 2 * known.shape[0])
+            grown_known = np.zeros(capacity, dtype=bool)
+            grown_prob = np.zeros(capacity, dtype=np.float64)
+            if known is not None:
+                grown_known[: known.shape[0]] = known
+                grown_prob[: known.shape[0]] = self._prob
+            self._known = known = grown_known
+            self._prob = grown_prob
+        if self._prob_tag != self._generation:
+            known.fill(False)
+            self._prob_tag = self._generation
+            self._order = None
+        return known, self._prob
 
     # ------------------------------------------------------------------
     # Learning
@@ -436,26 +610,38 @@ class Classifier:
         copies of one pre-encoded message, as
         :func:`~repro.corpus.dataset.group_token_ids` returns them.
         The state afterwards is exactly what one
-        :meth:`learn_ids_repeated` call per group would leave; every
-        count is checked before any is applied.  The NumPy kernel
-        overrides this with one vectorized pass per label.
+        :meth:`learn_ids_repeated` call per group would leave: counts
+        are integers, so adding each label's summed per-ID counts (see
+        :func:`_label_delta`) in one vectorized pass per label is the
+        same, with one memo invalidation for the call.  Every count is
+        checked before any is applied.
         """
         groups = _checked_groups(groups)
-        for ids, is_spam, count in groups:
-            self.learn_ids_repeated(ids, is_spam, count)
+        self._shift_groups(self._group_deltas(groups), 1)
 
     def unlearn_groups(self, groups: Iterable[tuple[Sequence[int], bool, int]]) -> None:
         """Reverse :meth:`learn_groups` with the same groups.
 
-        Validates every group before mutating anything, and raises the
-        error the first failing :meth:`unlearn_ids_repeated` call of a
-        per-group loop would raise, so a failed call leaves the
-        classifier unchanged.
+        The summed removals are checked against the counts first; only
+        when some count would go negative does the per-group replay
+        (:meth:`_check_group_removal`) run, to raise the error the
+        first failing :meth:`unlearn_ids_repeated` call of a per-group
+        loop would raise.  A failed call leaves the classifier
+        unchanged.
         """
         groups = list(groups)
-        self._check_group_removal(groups)
-        for ids, is_spam, count in groups:
-            self.unlearn_ids_repeated(ids, is_spam, count)
+        deltas = self._group_deltas(groups)
+        (spam_delta, nspam), (ham_delta, nham) = deltas
+        n = len(self._table)
+        if (
+            any(count < 0 for _, _, count in groups)
+            or nspam > self._nspam
+            or nham > self._nham
+            or (spam_delta is not None and bool((self._spam[:n] < spam_delta).any()))
+            or (ham_delta is not None and bool((self._ham[:n] < ham_delta).any()))
+        ):
+            self._check_group_removal(groups)
+        self._shift_groups(deltas, -1)
 
     def _check_group_removal(self, groups: list) -> None:
         """Raise what a per-group :meth:`unlearn_ids_repeated` loop
@@ -495,44 +681,73 @@ class Classifier:
             "message was not learned with this label"
         )
 
+    def _group_deltas(self, groups: list) -> list:
+        """``[(spam sum, spam total), (ham sum, ham total)]`` over the
+        table, columns grown to cover it (see :func:`_label_delta`)."""
+        self._ensure_columns()
+        n = len(self._table)
+        return [_label_delta(groups, label, n) for label in (True, False)]
+
+    def _shift_groups(self, deltas: list, sign: int) -> None:
+        """Add (``sign`` 1) or subtract (-1) per-label count sums."""
+        (spam_delta, nspam), (ham_delta, nham) = deltas
+        if not (nspam or nham):
+            return
+        n = len(self._table)
+        changed = np.zeros(n, dtype=bool)
+        for delta in (spam_delta, ham_delta):
+            if delta is not None:
+                changed |= delta != 0
+        touched = np.flatnonzero(changed)
+        live_before = np.count_nonzero(self._spam[touched] | self._ham[touched])
+        for col, delta in ((self._spam, spam_delta), (self._ham, ham_delta)):
+            if delta is not None:
+                view = col[:n]
+                if sign > 0:
+                    view += delta
+                else:
+                    view -= delta
+        self._nspam += sign * nspam
+        self._nham += sign * nham
+        live_after = np.count_nonzero(self._spam[touched] | self._ham[touched])
+        self._active += int(live_after - live_before)
+        self._note_mutation(touched)
+
     def _apply_delta(self, ids: Sequence[int], is_spam: bool, count: int) -> None:
         """Add ``count`` to one class column for every ID (no checks)."""
         self._ensure_columns()
         spam_col = self._spam
         ham_col = self._ham
-        col = spam_col if is_spam else ham_col
-        other = ham_col if is_spam else spam_col
-        active = self._active
-        for tid in ids:
-            current = col[tid]
-            if current == 0 and other[tid] == 0:
-                active += 1
-            col[tid] = current + count
-        self._active = active
+        col, other = (spam_col, ham_col) if is_spam else (ham_col, spam_col)
+        idx = _as_id_index(ids)
+        if idx.size:
+            self._active += int(np.count_nonzero((col[idx] == 0) & (other[idx] == 0)))
+            col[idx] += count
         self._note_mutation(ids)
 
     def _check_removal(self, ids: Sequence[int], is_spam: bool, count: int) -> None:
         """Raise if any ID's class count would go negative (pre-mutation)."""
         col = self._spam if is_spam else self._ham
-        limit = len(col)
-        for tid in ids:
-            current = col[tid] if tid < limit else 0
-            if current < count:
-                raise self._negative_count_error(tid)
+        idx = _as_id_index(ids)
+        if not idx.size:
+            return
+        in_bounds = idx < col.shape[0]
+        current = np.zeros(idx.shape[0], dtype=_ID_DTYPE)
+        if in_bounds.any():
+            current[in_bounds] = col[idx[in_bounds]]
+        bad = current < count
+        if bad.any():
+            raise self._negative_count_error(int(idx[int(np.argmax(bad))]))
 
     def _apply_removal(self, ids: Sequence[int], is_spam: bool, count: int) -> None:
         """Subtract ``count`` from one class column (caller validated)."""
         spam_col = self._spam
         ham_col = self._ham
-        col = spam_col if is_spam else ham_col
-        other = ham_col if is_spam else spam_col
-        active = self._active
-        for tid in ids:
-            remaining = col[tid] - count
-            col[tid] = remaining
-            if remaining == 0 and other[tid] == 0:
-                active -= 1
-        self._active = active
+        col, other = (spam_col, ham_col) if is_spam else (ham_col, spam_col)
+        idx = _as_id_index(ids)
+        if idx.size:
+            col[idx] -= count
+            self._active -= int(np.count_nonzero((col[idx] == 0) & (other[idx] == 0)))
         self._note_mutation(ids)
 
     @classmethod
@@ -550,10 +765,10 @@ class Classifier:
 
         This is the supported bulk-load path (persistence restores
         through it): tokens are interned in the order given, counts
-        land in the columns through the same bookkeeping training uses,
-        and the memo/dirty/active invariants hold afterwards — callers
-        never need to poke ``_spam``/``_ham`` directly.  Counts must be
-        non-negative and each token may appear at most once.
+        land in the columns, and the memo/active invariants hold
+        afterwards — callers never need to poke ``_spam``/``_ham``
+        directly.  Counts must be non-negative and each token may
+        appear at most once.
         """
         if nspam < 0 or nham < 0:
             raise TrainingError(
@@ -581,15 +796,10 @@ class Classifier:
         classifier._nspam = nspam
         classifier._nham = nham
         classifier._ensure_columns()
-        spam_col = classifier._spam
-        ham_col = classifier._ham
-        for tid, count in spam_pairs:
-            spam_col[tid] = count
-        for tid, count in ham_pairs:
-            ham_col[tid] = count
-        classifier._active = sum(
-            1 for tid in range(len(spam_col)) if spam_col[tid] or ham_col[tid]
-        )
+        for col, pairs in ((classifier._spam, spam_pairs), (classifier._ham, ham_pairs)):
+            for tid, count in pairs:
+                col[tid] = count
+        classifier._active = int(np.count_nonzero(classifier._spam | classifier._ham))
         return classifier
 
     # ------------------------------------------------------------------
@@ -639,13 +849,13 @@ class Classifier:
         self._generation += 1
 
     # ------------------------------------------------------------------
-    # Scoring
+    # Token probabilities
     # ------------------------------------------------------------------
 
     def raw_spam_score(self, token: str) -> float:
         """PS(w) of Equation 1; the prior ``x`` for unseen tokens."""
         tid = self._table.id_of(token)
-        if tid is None or tid >= len(self._spam):
+        if tid is None or tid >= self._spam.shape[0]:
             return self.options.unknown_word_prob
         spamcount = self._spam[tid]
         hamcount = self._ham[tid]
@@ -660,35 +870,55 @@ class Classifier:
         denominator = spam_ratio + ham_ratio
         if denominator == 0.0:
             return self.options.unknown_word_prob
-        return spam_ratio / denominator
+        return float(spam_ratio / denominator)
 
-    def _prob_for_id(self, token_id: int) -> float:
-        """f(w) of Equation 2 for one interned token ID.
+    def _probs_for(self, need: np.ndarray) -> np.ndarray:
+        """f(w) of Equation 2 for a batch of token IDs, bit-exact."""
+        return self._probs_of(self._spam[need], self._ham[need], self._nspam, self._nham)
 
-        The single overridable probability hook: subclasses with a
-        different per-token formula (Graham mode) override this, and
-        every scoring path — single-token, per-message and bulk —
-        routes through it.  Columns must already cover ``token_id``
-        (callers go through :meth:`_ensure_columns`).
+    def _probs_of(
+        self, spamcount: np.ndarray, hamcount: np.ndarray, nspam: int, nham: int
+    ) -> np.ndarray:
+        """f(w) over parallel count arrays (gathered or sliced), bit-exact.
+
+        Every elementwise expression is the scalar formula's
+        arithmetic: int64→float64 conversions are exact (counts are
+        tiny against 2**53) and each ``+ - * /`` is the identical
+        correctly-rounded IEEE operation.  The formula is elementwise,
+        so feeding it contiguous column *slices* (the every-entry-
+        missing refresh after a count change) computes the same floats
+        as gathering the IDs one by one.  The global message counts
+        are parameters, so a caller can evaluate the probabilities a
+        state it has not trained into would have (the RONI gate's
+        "candidate learned" columns) without touching ``_nspam``/``_nham``.
         """
         opts = self.options
-        spamcount = self._spam[token_id]
-        hamcount = self._ham[token_id]
-        n = spamcount + hamcount
-        if n == 0:
-            return opts.unknown_word_prob
-        nspam = self._nspam
-        nham = self._nham
         unknown = opts.unknown_word_prob
-        if nspam == 0 and nham == 0:
-            ps = unknown
-        else:
-            spam_ratio = spamcount / nspam if nspam else 0.0
-            ham_ratio = hamcount / nham if nham else 0.0
-            denominator = spam_ratio + ham_ratio
-            ps = unknown if denominator == 0.0 else spam_ratio / denominator
         s = opts.unknown_word_strength
-        return (s * unknown + n * ps) / (s + n)
+        size = spamcount.shape[0]
+        n = spamcount + hamcount
+        if nspam == 0 and nham == 0:
+            ps = np.full(size, unknown, dtype=np.float64)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                spam_ratio = (
+                    spamcount / nspam
+                    if nspam
+                    else np.zeros(size, dtype=np.float64)
+                )
+                ham_ratio = (
+                    hamcount / nham
+                    if nham
+                    else np.zeros(size, dtype=np.float64)
+                )
+                denominator = spam_ratio + ham_ratio
+                ps = np.full(size, unknown, dtype=np.float64)
+                np.divide(spam_ratio, denominator, out=ps, where=denominator != 0.0)
+        # Zero-count tokens keep ``unknown`` without dividing: at
+        # unknown_word_strength 0 their quotient would be 0/0.
+        prob = np.full(size, unknown, dtype=np.float64)
+        np.divide(s * unknown + n * ps, s + n, out=prob, where=n != 0)
+        return prob
 
     def spam_prob(self, token: str) -> float:
         """f(w) of Equation 2: smoothed token spam score in [0, 1].
@@ -705,7 +935,9 @@ class Classifier:
         entry = memo[tid]
         if type(entry) is tuple:
             return entry[2]
-        prob = self._prob_for_id(tid)
+        # A plain float, so memo entries and evidence records carry
+        # native floats (float() of a float64 keeps the bits).
+        prob = float(self._probs_for(np.array([tid], dtype=_ID_DTYPE))[0])
         if entry is _MISSING:
             strength = abs(prob - 0.5)
             if strength >= self.options.minimum_prob_strength:
@@ -713,6 +945,10 @@ class Classifier:
             else:
                 memo[tid] = None
         return prob
+
+    # ------------------------------------------------------------------
+    # Scoring token streams
+    # ------------------------------------------------------------------
 
     def _resolve(
         self, token_sets: Iterable[Iterable[str]]
@@ -739,22 +975,31 @@ class Classifier:
         return encoded
 
     def _fill_memo(self, memo: list, ids: Iterable[int]) -> None:
-        """Compute every ``_MISSING`` memo entry among ``ids``.
+        """Compute every ``_MISSING`` memo entry among ``ids`` in one
+        vectorized pass.
 
-        The scoring loop's one fill step: :meth:`_ranked` hands it the
-        batch's IDs once before combining, so the combine reads
-        finished entries only.  This is the per-token fill through
-        :meth:`_prob_for_id`; the NumPy kernel overrides it with one
-        vectorized pass that writes the same tuples.  Columns must
+        The probs come from a single :meth:`_probs_for` call, and the
+        strength test and negation are exact, so each memo tuple is the
+        one :meth:`spam_prob` would write for its token.  Columns must
         already cover ``ids``.
         """
-        minimum = self.options.minimum_prob_strength
-        token = self._table.token
-        for tid in ids:
-            if memo[tid] is _MISSING:
-                prob = self._prob_for_id(tid)
-                strength = abs(prob - 0.5)
-                memo[tid] = (-strength, token(tid), prob) if strength >= minimum else None
+        need = {tid for tid in ids if memo[tid] is _MISSING}
+        if not need:
+            return
+        need_idx = np.fromiter(need, dtype=_ID_DTYPE, count=len(need))
+        probs = self._probs_for(need_idx)
+        strength = np.abs(probs - 0.5)
+        significant = strength >= self.options.minimum_prob_strength
+        for tid in need_idx[~significant].tolist():
+            memo[tid] = None
+        sig_ids = need_idx[significant].tolist()
+        for tid, text, neg_strength, prob in zip(
+            sig_ids,
+            self._table.decode(sig_ids),
+            (-strength[significant]).tolist(),
+            probs[significant].tolist(),
+        ):
+            memo[tid] = (neg_strength, text, prob)
 
     def _ranked(self, encoded: list[tuple[Sequence[int], Sequence[str]]]) -> Iterator[list]:
         """Each message's significant memo entries, strongest first.
@@ -807,10 +1052,6 @@ class Classifier:
         """I(E) of Equation 3 for a message given as its token stream."""
         return self._combine([ts.spam_prob for ts in self.significant_tokens(tokens)])
 
-    def score_ids(self, ids: Sequence[int]) -> float:
-        """I(E) for one pre-encoded message (see :meth:`learn_ids`)."""
-        return self.score_many_ids((ids,))[0]
-
     def score_many(self, token_sets: Iterable[Iterable[str]]) -> list[float]:
         """I(E) for a batch of messages in one pass.
 
@@ -822,11 +1063,11 @@ class Classifier:
 
         Every batch takes the memo-and-combine loop: its known IDs are
         gathered and handed to one :meth:`_fill_memo` call, which
-        computes every entry a training call invalidated (the NumPy
-        kernel in one vectorized pass), and then each message sorts and
-        combines finished memo entries.  Under served feedback every
-        ``learn`` moves ``(nspam, nham)`` and voids the whole memo, so
-        the refill is the per-batch cost that matters.
+        computes every entry a training call invalidated in one
+        vectorized pass, and then each message sorts and combines
+        finished memo entries.  Under served feedback every ``learn``
+        moves ``(nspam, nham)`` and voids the whole memo, so the refill
+        is the per-batch cost that matters.
 
         String batches never go to :meth:`score_many_ids`, not even
         those with no unseen token.  Each served ``feedback`` grows the
@@ -836,67 +1077,12 @@ class Classifier:
         2-core host) its fixed ~190 µs per call made read-only batches
         of one message cost 245–271 µs against 78–99 µs.
         """
-        return self._combine_ranked(self._resolve(token_sets))
-
-    def _combine_ranked(self, encoded: list[tuple[Sequence[int], Sequence[str]]]) -> list[float]:
-        """Each message's score from its :meth:`_ranked` entries."""
         limit = self.options.max_discriminators
         combine = self._combine
         return [
-            combine([entry[2] for entry in scored[:limit]]) for scored in self._ranked(encoded)
+            combine([entry[2] for entry in scored[:limit]])
+            for scored in self._ranked(self._resolve(token_sets))
         ]
-
-    def score_workspace(self, workspace) -> list[float]:
-        """Score a fixed evaluation batch carried by a scoring workspace.
-
-        ``workspace`` is a
-        :class:`repro.spambayes.ndkernel.ScoringWorkspace` (duck-typed
-        here — only its ``rows`` are read, so the pure kernel needs no
-        NumPy).  The base implementation simply bulk-scores the rows;
-        :class:`~repro.spambayes.ndkernel.NDClassifier` overrides it to
-        reuse the workspace's cached CSR encoding, rank gather and
-        scratch buffers.  Either way the floats are exactly
-        ``score_many_ids(workspace.rows)`` — callers that evaluate the
-        same held-out set every tick stay kernel-agnostic.
-        """
-        return self.score_many_ids(workspace.rows)
-
-    def score_under_candidates(
-        self, workspace, candidates: Sequence[tuple[Sequence[int], bool]]
-    ) -> list[list[float]]:
-        """Score a workspace's rows once per hypothetical training message.
-
-        ``candidates`` holds ``(ids, is_spam)`` pairs of encoded
-        messages from this classifier's :attr:`table`.  Entry ``k`` of
-        the result is ``score_workspace(workspace)`` as it would read
-        with candidate ``k`` — and only candidate ``k`` — learned on
-        top of the current state.  The state afterwards is exactly the
-        state before.  This is the RONI gate's one scoring primitive.
-
-        This implementation is the executable reference: learn, score,
-        unlearn, candidate by candidate (learning and unlearning are
-        exact inverses on integer counts).  The NumPy kernel overrides
-        it with a vectorized pass that never mutates a count and must
-        return the same floats bit for bit.
-        """
-        results: list[list[float]] = []
-        for ids, is_spam in candidates:
-            self.learn_ids(ids, is_spam)
-            results.append(self.score_workspace(workspace))
-            self.unlearn_ids(ids, is_spam)
-        return results
-
-    def score_many_ids(self, id_arrays: Iterable[Sequence[int]]) -> list[float]:
-        """I(E) for a batch of pre-encoded messages.
-
-        Each element of ``id_arrays`` is a duplicate-free ID sequence
-        from this classifier's :attr:`table`.  The batch takes the same
-        fill-sort-combine loop as :meth:`score_many`; a token recurring
-        across the batch (fold evaluation: the whole corpus vocabulary
-        recurs) pays for its probability and strength test once.
-        Scores are bit-identical to per-message :meth:`score`.
-        """
-        return self._combine_ranked([(ids, ()) for ids in id_arrays])
 
     def score_with_evidence(self, tokens: Iterable[str]) -> tuple[float, list[TokenScore]]:
         """Return ``(I(E), δ(E) evidence)`` — used by analysis & defenses."""
@@ -913,6 +1099,388 @@ class Classifier:
         return (1.0 + spam_evidence - ham_evidence) / 2.0
 
     # ------------------------------------------------------------------
+    # Scoring encoded messages
+    # ------------------------------------------------------------------
+
+    def score_ids(self, ids: Sequence[int]) -> float:
+        """I(E) for one pre-encoded message (see :meth:`learn_ids`)."""
+        return self.score_many_ids((ids,))[0]
+
+    def score_many_ids(self, id_arrays: Iterable[Sequence[int]]) -> list[float]:
+        """I(E) for a batch of pre-encoded messages.
+
+        Each element of ``id_arrays`` is a duplicate-free ID sequence
+        from this classifier's :attr:`table`.  The batch is scored as
+        one CSR matrix by :meth:`_score_segments`; scores are
+        bit-identical to per-message :meth:`score`.
+        """
+        self._ensure_columns()
+        self._sync_probs()
+        return self._score_segments(*_csr_arrays(id_arrays))
+
+    def score_csr(self, corpus, rows: Sequence[int] | None = None) -> list[float]:
+        """Bulk-score messages straight off a CSR corpus.
+
+        ``corpus`` is a :class:`~repro.spambayes.ndkernel.CsrMatrix`;
+        ``rows`` selects a message subset (fold stripes), ``None``
+        scores the whole corpus.  Scores are exactly what per-message
+        :meth:`score_ids` returns for the same rows.
+        """
+        self._ensure_columns()
+        self._sync_probs()
+        indices = corpus.indices
+        indptr = corpus.indptr
+        if rows is not None:
+            row_index = np.asarray(rows, dtype=_ID_DTYPE)
+            starts = indptr[row_index]
+            lengths = indptr[row_index + 1] - starts
+            sub_indptr = np.zeros(row_index.shape[0] + 1, dtype=_ID_DTYPE)
+            np.cumsum(lengths, out=sub_indptr[1:])
+            total = int(sub_indptr[-1])
+            gather = np.repeat(starts - sub_indptr[:-1], lengths) + np.arange(
+                total, dtype=_ID_DTYPE
+            )
+            indices = indices[gather]
+            indptr = sub_indptr
+        return self._score_segments(indices, indptr)
+
+    def score_workspace(self, workspace) -> list[float]:
+        """Bulk-score a workspace's fixed rows, reusing its cached state.
+
+        ``workspace`` is a
+        :class:`~repro.spambayes.ndkernel.ScoringWorkspace`.  Same
+        floats as ``score_many_ids(workspace.rows)`` — the CSR
+        encoding, rank gather and scratch buffers come from the
+        workspace instead of being rebuilt, but every arithmetic
+        operation on them is identical.
+        """
+        self._ensure_columns()
+        self._sync_probs()
+        ids_cat, indptr = workspace.csr()
+        return self._score_segments(ids_cat, indptr, workspace=workspace)
+
+    def score_under_candidates(
+        self, workspace, candidates: Sequence[tuple[Sequence[int], bool]]
+    ) -> list[list[float]]:
+        """Score a workspace's rows once per hypothetical training message.
+
+        ``candidates`` holds ``(ids, is_spam)`` pairs of encoded
+        messages from this classifier's :attr:`table`.  Entry ``k`` of
+        the result is ``score_workspace(workspace)`` as it would read
+        with candidate ``k`` — and only candidate ``k`` — learned on
+        top of the current state; no count is mutated.  This is the
+        RONI gate's one scoring primitive.
+
+        Learning one candidate changes a validation token's probability
+        in only one of four ways: ham- or spam-labelled candidate, token
+        in the candidate or not.  So the four probability columns over
+        the workspace's unique tokens — base and +1 counts, under
+        ``nspam + 1`` and under ``nham + 1`` — hold every probability
+        any candidate can produce, computed by the same elementwise
+        formula the memo refresh uses.  Each (candidate, entry) pair
+        picks its column through a candidate-membership mask; one
+        ``(-strength, text)`` ordinal over the 4 × |unique| variants
+        orders every row with a single int64 key; the shared Fisher
+        products give each row's statistics.  Candidates go through in
+        chunks of at most :data:`_CANDIDATE_ENTRY_BUDGET` (candidate,
+        entry) pairs, so memory stays bounded whatever the batch size;
+        only the chunks' statistics are kept, and one chi-square pass
+        over all of them ends the call.
+        """
+        candidates = candidates if isinstance(candidates, (list, tuple)) else list(candidates)
+        ids_cat, indptr = workspace.csr()
+        n_rows = indptr.shape[0] - 1
+        nnz = ids_cat.shape[0]
+        if nnz == 0 or not candidates:
+            return [[0.5] * n_rows for _ in candidates]
+        self._ensure_columns()
+        unique_ids, inverse = workspace.unique()
+        n_unique = unique_ids.shape[0]
+        spam_u = self._spam[unique_ids]
+        ham_u = self._ham[unique_ids]
+        nspam, nham = self._nspam, self._nham
+        # Variant v of unique token u sits at v * n_unique + u: 0/1 =
+        # ham-labelled candidate without/with u, 2/3 = spam-labelled.
+        probs = np.concatenate((
+            self._probs_of(spam_u, ham_u, nspam, nham + 1),
+            self._probs_of(spam_u, ham_u + 1, nspam, nham + 1),
+            self._probs_of(spam_u, ham_u, nspam + 1, nham),
+            self._probs_of(spam_u + 1, ham_u, nspam + 1, nham),
+        ))
+        strength = np.abs(probs - 0.5)
+        significant = strength >= self.options.minimum_prob_strength
+        # Variants of one token never meet in one row, so ranking all
+        # 4 × |unique| of them once gives every row's order.
+        order = np.lexsort((np.tile(workspace.text_ranks(self._table), 4), -strength))
+        ordinal = np.empty(4 * n_unique, dtype=_ID_DTYPE)
+        ordinal[order] = np.arange(4 * n_unique, dtype=_ID_DTYPE)
+        significant_entry = significant.reshape(4, n_unique)[:, inverse]
+        entry_row = np.repeat(np.arange(n_rows, dtype=_ID_DTYPE), np.diff(indptr))
+        chunk = max(1, _CANDIDATE_ENTRY_BUDGET // nnz)
+        x2_parts, degree_parts = [], []
+        for start in range(0, len(candidates), chunk):
+            batch = candidates[start : start + chunk]
+            n_batch = len(batch)
+            member = np.zeros((n_batch, n_unique), dtype=bool)
+            for k, (ids, _) in enumerate(batch):
+                # One candidate at a time: a dictionary-attack candidate
+                # is thousands of IDs, and its temporaries stay its own.
+                view = _as_id_index(ids)
+                slot = np.minimum(np.searchsorted(unique_ids, view), n_unique - 1)
+                member[k, slot[unique_ids[slot] == view]] = True
+            # Pair (k, p) — candidate k, workspace entry p — flattened
+            # candidate-major, so each (candidate, row) run is contiguous
+            # and in row order.  Significance is settled on bools; only
+            # significant pairs get an int64 variant index into probs.
+            # Spent intermediates are dropped at once: peak memory is
+            # what the entry budget bounds.
+            member = member[:, inverse]
+            label = np.array([2 if is_spam else 0 for _, is_spam in batch], dtype=_ID_DTYPE)
+            cand, entry = np.nonzero(
+                np.where(member, significant_entry[label + 1], significant_entry[label])
+            )
+            variant = member[cand, entry] * n_unique
+            del member
+            variant += (label * n_unique)[cand]
+            variant += inverse[entry]
+            key = cand
+            key *= n_rows
+            key += entry_row[entry]
+            del entry
+            counts = np.bincount(key, minlength=n_batch * n_rows)
+            key <<= 32
+            key |= ordinal[variant]
+            del variant
+            # Keys are unique, so sorting them in place is the argsort
+            # order; ``order`` maps each sorted ordinal to its variant.
+            key.sort()
+            key &= 0xFFFFFFFF
+            prob_sorted = probs[order[key]]
+            del key
+            x2, degrees = self._combine_sorted(counts, prob_sorted)
+            del prob_sorted
+            x2_parts.append(x2)
+            degree_parts.append(degrees)
+        scores = _fisher_scores(
+            np.concatenate(x2_parts, axis=1), np.concatenate(degree_parts)
+        )
+        return [scores[k * n_rows : (k + 1) * n_rows] for k in range(len(candidates))]
+
+    def _build_order(self, table_len: int) -> np.ndarray:
+        """Per-vocabulary ordinal under the (-strength, text) order.
+
+        ``ordinal[tid] < ordinal[other]`` exactly when the string
+        path would sort ``tid``'s memo tuple first: the primary key
+        compares the same ``-|prob - 0.5|`` float64 values, and text
+        rank breaks exact ties (including -0.0 vs 0.0, which IEEE
+        comparison — and hence any sort — treats as equal), just as
+        tuple comparison falls through to the token string.  Instead of
+        a two-key lexsort, IDs are pre-permuted into text order (cached:
+        the table is append-only, so length is a complete key) and a
+        single *stable* argsort on strength then resolves ties by text
+        rank for free.  Every prob must already be memoized for
+        ``[0, table_len)``.
+        """
+        text_order = self._text_order
+        if text_order is None or text_order.shape[0] != table_len:
+            # The ranks are a permutation of range(table_len), so its
+            # inverse is one scatter, not a sort.
+            ranks = np.frombuffer(self._table.text_order_ranks(), dtype=_ID_DTYPE)
+            text_order = self._text_order = np.empty(table_len, dtype=_ID_DTYPE)
+            text_order[ranks[:table_len]] = np.arange(table_len, dtype=_ID_DTYPE)
+        strength = np.abs(self._prob[:table_len] - 0.5)
+        order = text_order[
+            np.argsort(-strength[text_order], kind="stable")
+        ]
+        ordinal = np.empty(table_len, dtype=_ID_DTYPE)
+        ordinal[order] = np.arange(table_len, dtype=_ID_DTYPE)
+        return ordinal
+
+    def _score_segments(
+        self,
+        ids_cat: np.ndarray,
+        indptr: np.ndarray,
+        workspace=None,
+    ) -> list[float]:
+        """The vectorized Fisher/chi2 combiner over CSR segments.
+
+        One IEEE-identical pass for the whole batch: token-prob gather,
+        significance filter, the ``(-strength, text)`` lexsort with
+        per-row truncation, the interleaved mantissa/exponent product,
+        and the even-dof chi-square survival series.  ``workspace``
+        supplies preallocated scratch columns and the cached text-rank
+        gather; it changes where intermediates live, never their bits.
+        """
+        n_msgs = indptr.shape[0] - 1
+        if n_msgs == 0:
+            return []
+        if ids_cat.shape[0] == 0:
+            return [0.5] * n_msgs
+        opts = self.options
+        known, prob_col = self._known, self._prob
+        # Backfill the prob memo for every not-yet-known vocabulary ID
+        # in one vectorized sweep.  Scanning the whole known[] column is
+        # O(vocab) with a trivial constant — far cheaper than hashing
+        # the batch's token stream for its unique IDs — and computing a
+        # prob for an ID the batch never references is harmless: the
+        # formula is elementwise, so every entry is the same float the
+        # scalar path would produce on demand.
+        table_len = len(self._table)
+        missing = np.flatnonzero(~known[:table_len])
+        if missing.size == table_len:
+            # Nothing memoized (the steady state after a count change):
+            # refresh straight off the contiguous count columns instead
+            # of gathering through an arange-equivalent index — same
+            # elementwise floats, no fancy-index copies.
+            prob_col[:table_len] = self._probs_of(
+                self._spam[:table_len], self._ham[:table_len], self._nspam, self._nham
+            )
+            known[:table_len] = True
+        elif missing.size:
+            prob_col[missing] = self._probs_for(missing)
+            known[missing] = True
+        if workspace is not None:
+            token_prob = np.take(
+                prob_col, ids_cat, out=workspace.buffer("token_prob", ids_cat.shape[0], np.float64)
+            )
+            strength = np.subtract(
+                token_prob, 0.5, out=workspace.buffer("strength", ids_cat.shape[0], np.float64)
+            )
+            np.abs(strength, out=strength)
+        else:
+            token_prob = prob_col[ids_cat]
+            strength = np.abs(token_prob - 0.5)
+        sig_idx = np.flatnonzero(strength >= opts.minimum_prob_strength)
+        if sig_idx.shape[0] == 0:
+            return [0.5] * n_msgs
+        # Row of each significant entry, straight from the CSR indptr:
+        # entry position p lives in the row r with indptr[r] <= p <
+        # indptr[r+1] (empty rows collapse their indptr span, so they
+        # can never be selected).
+        row_of = np.searchsorted(indptr, sig_idx, side="right") - 1
+        sig_prob = token_prob[sig_idx]
+        sig_ids = ids_cat[sig_idx]
+        # Row-major, then strength descending, then token text — the
+        # exact tuple order the string path's scored.sort() produces
+        # (tokens are unique per message, so this is a total order and
+        # sort stability never decides anything).  Both strength and
+        # text are functions of the token alone, so the two trailing
+        # keys collapse into a per-vocabulary ordinal; with it, the
+        # whole order is one unique int64 key per entry and a plain
+        # argsort replaces a 3-key lexsort.  The ordinal costs a
+        # vocabulary-sized sort to (re)build, so small batches (RONI
+        # probes) skip it and lexsort their few entries directly.
+        order_col = self._order
+        if order_col is not None and order_col.shape[0] < table_len:
+            order_col = self._order = None
+        if order_col is None and sig_ids.shape[0] >= table_len // 2:
+            order_col = self._order = self._build_order(table_len)
+        if order_col is not None:
+            order = np.argsort((row_of << 32) | order_col[sig_ids])
+        elif workspace is not None:
+            # The workspace holds the whole-batch gather of its local
+            # text ranks, which order each row's tokens exactly as the
+            # table-wide ranks would — so the tie-break key is a subset
+            # view, and no vocabulary-wide rank rebuild is needed.
+            order = np.lexsort(
+                (workspace.ranks_cat(self._table)[sig_idx], -strength[sig_idx], row_of)
+            )
+        else:
+            ranks = np.frombuffer(self._table.text_order_ranks(), dtype=_ID_DTYPE)
+            order = np.lexsort((ranks[sig_ids], -strength[sig_idx], row_of))
+        counts = np.bincount(row_of, minlength=n_msgs)
+        return _fisher_scores(*self._combine_sorted(counts, sig_prob[order], workspace))
+
+    def _combine_sorted(
+        self,
+        counts: np.ndarray,
+        prob_sorted: np.ndarray,
+        workspace=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The shared Fisher products: sorted significant probs → ``x2``.
+
+        ``prob_sorted`` holds every significant entry of ``len(counts)``
+        messages, row by row (``counts[r]`` entries for row ``r``), each
+        row in the ``(-strength, text)`` order.  Per-row truncation to
+        ``max_discriminators`` and the interleaved mantissa/exponent
+        product run here — the one copy every vectorized scoring path
+        feeds (:meth:`_score_segments` and
+        :meth:`score_under_candidates`).  Returns ``(x2, degrees)``:
+        ``x2[0]`` and ``x2[1]`` are each row's spam- and ham-side
+        Fisher statistics, ``degrees`` its kept count; the caller
+        hands them, alone or gathered over chunks, to one
+        :func:`_fisher_scores`.  ``workspace`` only supplies scratch
+        columns.
+        """
+        opts = self.options
+        n_msgs = counts.shape[0]
+        if workspace is not None:
+            row_starts = workspace.buffer("row_starts", n_msgs + 1, np.int64)
+            kept_starts = workspace.buffer("kept_starts", n_msgs + 1, np.int64)
+            row_starts[0] = 0
+            kept_starts[0] = 0
+        else:
+            row_starts = np.zeros(n_msgs + 1, dtype=np.int64)
+            kept_starts = np.zeros(n_msgs + 1, dtype=np.int64)
+        np.cumsum(counts, out=row_starts[1:])
+        degrees = np.minimum(counts, opts.max_discriminators)
+        np.cumsum(degrees, out=kept_starts[1:])
+        # Each message keeps the first ``degrees[r]`` of its contiguous
+        # sorted run: gather those positions directly instead of
+        # ranking every entry and boolean-filtering the batch.
+        kept_idx = np.repeat(row_starts[:-1] - kept_starts[:-1], degrees) + np.arange(
+            int(kept_starts[-1]), dtype=np.int64
+        )
+        kept_probs = prob_sorted[kept_idx]
+        # The scalar combiner (chi2.ln_product) raises on p <= 0 or
+        # 1-p <= 0 at the first offending element in (message,
+        # discriminator-rank) order — which is exactly the kept order
+        # here.
+        out_of_range = (kept_probs <= 0.0) | (kept_probs >= 1.0)
+        if out_of_range.any():
+            value = float(kept_probs[int(np.argmax(out_of_range))])
+            offender = value if value <= 0.0 else 1.0 - value
+            raise ValueError(f"ln_product requires positive values, got {offender}")
+        # Row-major kept segments: kept entries are already ordered by
+        # (message, discriminator rank), so each message's factors are
+        # one contiguous slice and its mantissa product is a single
+        # sequential ``multiply.reduceat`` — NumPy reduces multiply
+        # strictly left-to-right, so every intermediate float is the
+        # scalar loop's.  Every factor lies in (0, 1): the running
+        # product decreases monotonically, the final value is its own
+        # minimum, and a final product at or above the renormalization
+        # threshold proves the scalar loop would never have
+        # renormalized.  Only rows landing below the threshold re-run
+        # the scalar mantissa/exponent loop.
+        q_kept = 1.0 - kept_probs
+        # Row 0 holds the spam side's mantissas/exponents, row 1 the ham side's.
+        if workspace is not None:
+            mants = workspace.buffer("mants", 2 * n_msgs, np.float64).reshape(2, n_msgs)
+            exps = workspace.buffer("exps", 2 * n_msgs, np.int64).reshape(2, n_msgs)
+            mants.fill(1.0)
+            exps.fill(0)
+        else:
+            mants = np.ones((2, n_msgs))
+            exps = np.zeros((2, n_msgs), dtype=np.int64)
+        nonzero = np.flatnonzero(degrees)
+        frexp = math.frexp
+        for side, factors in enumerate((kept_probs, q_kept)):
+            if nonzero.size:
+                mants[side, nonzero] = np.multiply.reduceat(factors, kept_starts[nonzero])
+            for row in np.flatnonzero(mants[side] < _RENORM_THRESHOLD).tolist():
+                mant, exp = 1.0, 0
+                for value in factors[
+                    kept_starts[row] : kept_starts[row + 1]
+                ].tolist():
+                    mant *= value
+                    if mant < _RENORM_THRESHOLD:
+                        mant, shift = frexp(mant)
+                        exp += shift
+                mants[side, row] = mant
+                exps[side, row] = exp
+        return -2.0 * (_exact(math.log, mants) + exps * _LN2), degrees
+
+    # ------------------------------------------------------------------
     # Copying / pickling
     # ------------------------------------------------------------------
 
@@ -926,8 +1494,8 @@ class Classifier:
         clone = self.__class__(self.options, table=self._table)
         clone._nspam = self._nspam
         clone._nham = self._nham
-        clone._spam = array(TOKEN_ID_TYPECODE, self._spam)
-        clone._ham = array(TOKEN_ID_TYPECODE, self._ham)
+        clone._spam = self._spam.copy()
+        clone._ham = self._ham.copy()
         clone._adopt_columns()
         clone._active = self._active
         return clone
@@ -941,32 +1509,22 @@ class Classifier:
         """
         from repro.storage.memory import MemoryCountColumns
 
-        self._columns = MemoryCountColumns(self._spam, self._ham)
-
-    def _export_column(self, column):
-        """A picklable stand-in for one count column.
-
-        In-memory columns are shipped as-is (byte-identical pickles to
-        the pre-storage-layer format); backend views are materialized
-        into plain arrays.
-        """
-        if type(column) is array:
-            return column
-        return array(TOKEN_ID_TYPECODE, column)
+        self._columns = MemoryCountColumns.adopt(self._spam, self._ham)
 
     def __getstate__(self) -> dict:
         # Memos are cheap to rebuild and snapshots are owner-bound, so
         # neither crosses a process boundary.  The table rides along:
         # within one pickle (e.g. a sweep context holding both the
         # model and encoded datasets) object identity is preserved, so
-        # shared tables stay shared on the other side.
+        # shared tables stay shared on the other side.  Columns ship as
+        # ndarrays (mmap-backed views pickle by value like any other).
         if self._snapshot is not None:
             raise TrainingError("cannot pickle a classifier while a snapshot is active")
         return {
             "options": self.options,
             "table": self._table,
-            "spam": self._export_column(self._spam),
-            "ham": self._export_column(self._ham),
+            "spam": self._spam,
+            "ham": self._ham,
             "nspam": self._nspam,
             "nham": self._nham,
             "active": self._active,
@@ -975,8 +1533,8 @@ class Classifier:
     def __setstate__(self, state: dict) -> None:
         self.options = state["options"]
         self._table = state["table"]
-        self._spam = state["spam"]
-        self._ham = state["ham"]
+        self._spam = np.ascontiguousarray(state["spam"], dtype=_ID_DTYPE)
+        self._ham = np.ascontiguousarray(state["ham"], dtype=_ID_DTYPE)
         self._adopt_columns()
         self._nspam = state["nspam"]
         self._nham = state["nham"]
@@ -986,9 +1544,63 @@ class Classifier:
         self._dirty = []
         self._generation = 0
         self._snapshot = None
+        self._reset_prob_memo()
 
     def __repr__(self) -> str:
         return (
             f"Classifier(nspam={self._nspam}, nham={self._nham}, "
             f"vocabulary={self._active})"
         )
+
+
+def _fisher_scores(x2: np.ndarray, degrees: np.ndarray) -> list[float]:
+    """Message scores from :meth:`Classifier._combine_sorted` output.
+
+    One survival pass over both sides of every row, then
+    ``(1 + S - H) / 2``.
+    """
+    evidence = _chi2_survival(x2, degrees)
+    return ((1.0 + evidence[0] - evidence[1]) / 2.0).tolist()
+
+
+def _chi2_survival(x2: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Vectorized even-dof chi-square survival, matching the scalar series.
+
+    ``x2[..., r]`` is a statistic over ``degrees[r]`` significant probs
+    (rows in any order; leading axes share their row's degree, like
+    the combiner's spam and ham sides).  The scalar series
+    (:func:`repro.spambayes.chi2.chi2q`) is ``term = exp(-half); total
+    = term; then for i in 1..d-1: term *= half/i; total += term``.
+    Here it runs column by column over the rows sorted by degree,
+    descending: step ``i`` updates only the leading rows whose degree
+    exceeds ``i``, so every row sees exactly the scalar multiply and
+    add chain and no row computes past its own degree.  The final
+    ``where`` reproduces the scalar early-outs: ``x2 <= 0`` → 1.0,
+    ``half > 708`` → 0.0, else ``min(total, 1.0)``.  A degree-0 row
+    (an empty message, whose ``x2`` is -0.0) runs the degree-1 series
+    and takes the first early-out.
+    """
+    # Clamping at 0 keeps exp(-half) finite on rows the first early-out
+    # pins anyway; for half > 708 it underflows harmlessly.
+    half = np.maximum(x2 / 2.0, 0.0)
+    order = np.argsort(-degrees)
+    d_desc = degrees[order]
+    # Rows on the first axis, so each step's slice is one contiguous run.
+    half_desc = np.ascontiguousarray(half[..., order].T)
+    term = _exact(math.exp, -half_desc)
+    total = term.copy()
+    step = np.empty_like(half_desc)
+    max_degree = int(d_desc[0]) if d_desc.size else 0
+    # above[i - 1] counts the rows whose degree exceeds i.
+    above = np.searchsorted(-d_desc, -np.arange(1, max_degree), side="left")
+    for i, n in enumerate(above.tolist(), start=1):
+        np.divide(half_desc[:n], i, out=step[:n])
+        term[:n] *= step[:n]
+        total[:n] += term[:n]
+    survival = np.empty_like(half)
+    survival[..., order] = total.T
+    return np.where(
+        x2 <= 0.0,
+        1.0,
+        np.where(half > _EXP_UNDERFLOW_LIMIT, 0.0, np.minimum(survival, 1.0)),
+    )

@@ -67,8 +67,8 @@ def build_text_ranks(tokens: Sequence[str]) -> array:
 
     ``ranks[tid]`` is the position token ``tid`` would occupy if the
     vocabulary were sorted by text; Python's ``sorted`` does the
-    ordering so the ranks reproduce exactly the string comparisons the
-    pure-Python combiner makes.  Shared by every table implementation.
+    ordering so the ranks reproduce exactly the string comparisons of
+    the δ(E) tie-break.  Shared by every table implementation.
     """
     n = len(tokens)
     ranks = array(TOKEN_ID_TYPECODE, bytes(n * array(TOKEN_ID_TYPECODE).itemsize))
@@ -174,13 +174,13 @@ class TokenTable:
         """Rank of each token's text in the table's sorted vocabulary.
 
         ``ranks[tid]`` is the position token ``tid`` would occupy if the
-        vocabulary were sorted by text.  The vectorized scoring kernel
-        uses these ranks to reproduce the pure-Python combiner's
-        ``(−strength, token text)`` tie-break without comparing strings
-        per message.  The array is cached and rebuilt only when the
-        table has grown (the table is append-only, so its length is a
-        complete cache key); Python's ``sorted`` does the ordering, so
-        the rank order is exactly the string order the pure core sees.
+        vocabulary were sorted by text.  The vectorized scoring paths
+        use these ranks to reproduce δ(E)'s ``(−strength, token text)``
+        tie-break without comparing strings per message.  The array is
+        cached and rebuilt only when the table has grown (the table is
+        append-only, so its length is a complete cache key); Python's
+        ``sorted`` does the ordering, so the rank order is exactly the
+        string order.
         """
         cached = self._rank_cache
         n = len(self._tokens)

@@ -24,11 +24,7 @@ from repro.storage.disk import (
     orphaned_stores,
     store_root,
 )
-from repro.storage.memory import (
-    MemoryBackend,
-    MemoryCountColumns,
-    NDMemoryCountColumns,
-)
+from repro.storage.memory import MemoryBackend, MemoryCountColumns
 
 __all__ = [
     "STORE_DIR_ENV",
@@ -39,7 +35,6 @@ __all__ = [
     "MemoryBackend",
     "MemoryCountColumns",
     "MmapCountColumns",
-    "NDMemoryCountColumns",
     "StorageBackend",
     "active_backend",
     "gc_stores",

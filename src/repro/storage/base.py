@@ -20,15 +20,15 @@ A :class:`StorageBackend` decides where each lives.  Two ship:
   encoded corpora and vocabulary spill to disk instead of capping at
   RAM.
 
-Selection is environmental (``REPRO_STORE=memory|disk|auto``),
-mirroring ``REPRO_KERNEL``: ``auto`` (or unset) means ``memory`` — the
-disk backend is opt-in because it trades speed for bounded RSS.  The
-**determinism contract survives the choice**: records never depend on
-the token-table layout (scoring tie-breaks compare token *text*,
-persisted dumps sort by text), so ``REPRO_STORE=memory`` and
-``REPRO_STORE=disk`` produce byte-identical scenario, replicate and
-stream records — the golden records in ``tests/golden/`` are replayed
-on both backends by ``tests/test_golden.py``.
+Selection is environmental (``REPRO_STORE=memory|disk|auto``):
+``auto`` (or unset) means ``memory`` — the disk backend is opt-in
+because it trades speed for bounded RSS.  The **determinism contract
+survives the choice**: records never depend on the token-table layout
+(scoring tie-breaks compare token *text*, persisted dumps sort by
+text), so ``REPRO_STORE=memory`` and ``REPRO_STORE=disk`` produce
+byte-identical scenario, replicate and stream records — the golden
+records in ``tests/golden/`` are replayed on both backends by
+``tests/test_golden.py``.
 
 Backends are **per process**: :func:`active_backend` keys its cache on
 ``(pid, name)``, so a forked worker lazily builds its own backend (its
@@ -108,9 +108,8 @@ class StorageBackend:
       unit a classifier owns when none is shared with it, and the
       keeper of the rows of the messages encoded against it);
     * :meth:`count_columns` — a column store whose ``grow(n)`` returns
-      the ``(spam, ham)`` count columns sized to ``n`` IDs; ``kind``
-      is ``"pure"`` (indexable buffers for the pure-Python kernel) or
-      ``"nd"`` (NumPy int64 arrays for the vectorized kernel).
+      the ``(spam, ham)`` count columns, NumPy int64 arrays sized to
+      ``n`` IDs.
     """
 
     name: str = "abstract"
@@ -118,7 +117,7 @@ class StorageBackend:
     def new_token_table(self):
         raise NotImplementedError
 
-    def count_columns(self, kind: str):
+    def count_columns(self):
         raise NotImplementedError
 
     def close(self) -> None:

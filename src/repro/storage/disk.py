@@ -368,19 +368,17 @@ class DiskTokenTable(TokenTable):
 class MmapCountColumns:
     """Spam/ham count columns in file-backed mmap regions.
 
-    ``grow(n)`` returns length-``n`` views — ``memoryview('q')`` casts
-    for the pure kernel (``kind='pure'``), writable ``numpy`` int64
-    arrays for the vectorized one (``kind='nd'``).  Capacity grows
+    ``grow(n)`` returns length-``n`` writable ``numpy`` int64 views.
+    Capacity grows
     geometrically by ``ftruncate`` + remap; ``ftruncate`` zero-fills
     the extension, which is exactly the "new IDs start at zero counts"
     contract.  Old mmaps are simply dropped: any outstanding views
     keep them alive until released, so earlier views stay valid.
     """
 
-    __slots__ = ("_kind", "_paths", "_files", "_maps", "_capacity", "_length")
+    __slots__ = ("_paths", "_files", "_maps", "_capacity", "_length")
 
-    def __init__(self, path_stem: str | Path, kind: str) -> None:
-        self._kind = kind
+    def __init__(self, path_stem: str | Path) -> None:
         stem = Path(path_stem)
         self._paths = (stem.with_name(stem.name + ".spam"), stem.with_name(stem.name + ".ham"))
         self._files = [open(path, "w+b") for path in self._paths]
@@ -398,12 +396,9 @@ class MmapCountColumns:
         self._capacity = capacity
 
     def _view(self, index: int, n: int):
-        mm = self._maps[index]
-        if self._kind == "nd":
-            import numpy as np
+        import numpy as np
 
-            return np.frombuffer(mm, dtype=np.int64, count=n)
-        return memoryview(mm)[: n * _ITEMSIZE].cast("q")
+        return np.frombuffer(self._maps[index], dtype=np.int64, count=n)
 
     def grow(self, n: int):
         if n > self._capacity:
@@ -458,8 +453,8 @@ class DiskBackend(StorageBackend):
         self._resources.append(table)
         return table
 
-    def count_columns(self, kind: str) -> MmapCountColumns:
-        columns = MmapCountColumns(self._next("cols"), kind)
+    def count_columns(self) -> MmapCountColumns:
+        columns = MmapCountColumns(self._next("cols"))
         self._resources.append(columns)
         return columns
 

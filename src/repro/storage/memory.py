@@ -1,12 +1,8 @@
 """The in-memory storage backend: the reproduction's historical state.
 
-Everything here is the pre-storage-layer behaviour *extracted*, not
-rewritten: :class:`MemoryCountColumns.grow` is the classifier's old
-``_ensure_columns`` body (``array.frombytes`` of a zero block) and
-:class:`NDMemoryCountColumns.grow` is the ND kernel's old geometric
-buffer doubling, moved verbatim so the memory path stays
-byte-identical — including pickle payloads, which still ship plain
-``array('l')`` / ``ndarray`` columns.
+:class:`MemoryCountColumns` holds the classifier's count columns as
+NumPy int64 buffers with geometric over-allocation; pickle payloads
+ship the ``ndarray`` columns themselves.
 
 Its token tables keep no message rows: a message encoded against one
 holds its own row (:meth:`~repro.spambayes.token_table.TokenTable.
@@ -15,44 +11,19 @@ keep_row`).
 
 from __future__ import annotations
 
-from array import array
-
-from repro.spambayes.token_table import TOKEN_ID_TYPECODE, TokenTable
+from repro.spambayes.token_table import TokenTable
 from repro.storage.base import StorageBackend
 
-__all__ = ["MemoryBackend", "MemoryCountColumns", "NDMemoryCountColumns"]
+__all__ = ["MemoryBackend", "MemoryCountColumns"]
 
 
 class MemoryCountColumns:
-    """Plain ``array('l')`` spam/ham columns for the pure kernel.
-
-    ``grow(n)`` extends both columns with zeros to cover ``n`` token
-    IDs and returns them; the arrays are extended in place, so views
-    handed out earlier stay valid (they are the same objects).
-    """
-
-    __slots__ = ("spam", "ham")
-
-    def __init__(self, spam: array | None = None, ham: array | None = None) -> None:
-        self.spam = spam if spam is not None else array(TOKEN_ID_TYPECODE)
-        self.ham = ham if ham is not None else array(TOKEN_ID_TYPECODE)
-
-    def grow(self, n: int) -> tuple[array, array]:
-        grow = n - len(self.spam)
-        if grow > 0:
-            zeros = bytes(grow * self.spam.itemsize)
-            self.spam.frombytes(zeros)
-            self.ham.frombytes(zeros)
-        return self.spam, self.ham
-
-
-class NDMemoryCountColumns:
     """NumPy int64 spam/ham columns with geometric over-allocation.
 
     ``grow(n)`` returns length-``n`` views over capacity buffers that
-    double when outgrown (the ND kernel's original strategy), so
-    repeated single-token growth stays amortized O(1) instead of
-    reallocating two vocab-sized arrays per new token.
+    double when outgrown, so repeated single-token growth stays
+    amortized O(1) instead of reallocating two vocab-sized arrays per
+    new token.
     """
 
     __slots__ = ("_spam_buf", "_ham_buf", "_used")
@@ -65,7 +36,7 @@ class NDMemoryCountColumns:
         self._used = 0
 
     @classmethod
-    def adopt(cls, spam, ham) -> "NDMemoryCountColumns":
+    def adopt(cls, spam, ham) -> "MemoryCountColumns":
         """Wrap existing arrays (unpickling / ``copy()``), no copy."""
         columns = cls.__new__(cls)
         columns._spam_buf = spam
@@ -97,7 +68,5 @@ class MemoryBackend(StorageBackend):
     def new_token_table(self) -> TokenTable:
         return TokenTable()
 
-    def count_columns(self, kind: str):
-        if kind == "nd":
-            return NDMemoryCountColumns()
+    def count_columns(self) -> MemoryCountColumns:
         return MemoryCountColumns()

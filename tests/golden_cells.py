@@ -1,8 +1,7 @@
 """Render golden records in one cell of the determinism matrix.
 
 The machinery behind ``tests/test_golden.py``.  A :class:`Cell` names a
-golden entry, a kernel, a store, a worker count, a hash seed and a
-fault mode; :func:`run_cell` renders the entry's record under the cell
+golden entry, a store, a worker count, a hash seed and a fault mode; :func:`run_cell` renders the entry's record under the cell
 in this process.  Run as a script, this file renders every cell that
 ``<batch-dir>/cells.json`` lists and writes ``results.json`` beside it,
 in a fresh interpreter whose hash seed the caller pinned:
@@ -33,7 +32,6 @@ class Cell(NamedTuple):
     """One point of the determinism matrix."""
 
     entry: str
-    kernel: str  # python | nd
     store: str  # memory | disk
     workers: int
     hashseed: str  # "in-process" or a PYTHONHASHSEED value
@@ -41,7 +39,7 @@ class Cell(NamedTuple):
 
     @property
     def id(self) -> str:
-        return f"{self.entry}-{self.kernel}-{self.store}-w{self.workers}-h{self.hashseed}-{self.faults}"
+        return f"{self.entry}-{self.store}-w{self.workers}-h{self.hashseed}-{self.faults}"
 
 
 def fault_setup(mode: str):
@@ -81,7 +79,7 @@ def run_cell(entry: dict[str, Any], cell: Cell) -> tuple[bytes, dict[str, int]]:
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(supervise.SuperviseStats, "bump", counting_bump))
         stack.enter_context(mock.patch.object(runner.WorkerPool, "run", counting_run))
-        stack.enter_context(mock.patch.dict(os.environ, REPRO_KERNEL=cell.kernel, REPRO_STORE=cell.store))
+        stack.enter_context(mock.patch.dict(os.environ, REPRO_STORE=cell.store))
         if cell.faults != "off":
             plan, policy = fault_setup(cell.faults)
             stack.enter_context(use_faults(plan))

@@ -3,9 +3,9 @@
 Per-token (spam, ham) message counts in two ``Counter`` objects, the
 global ``nspam``/``nham``, and the paper's three formulas written out
 once: Robinson's smoothed f(w), the δ(E) selection and Fisher's
-chi-square combining.  It shares no code with the classifier kernels;
+chi-square combining.  It shares no code with the classifier;
 it imports only the options bundle and ``chi2.fisher_combine``, which
-``tests/test_chi2.py`` checks on its own.  Tests hold both kernels to
+``tests/test_chi2.py`` checks on its own.  Tests hold the classifier to
 it with ``==``, never ``approx``.
 
 Where it departs from upstream SpamBayes ``classifier.py`` (Tim Peters
@@ -14,8 +14,8 @@ et al.), it departs as the classifier under test does:
 * no HAMBIAS/SPAMBIAS: upstream once boosted ham counts by 2.0 (Graham's
   choice); the chi-squared classifier the paper attacks counts every
   message once;
-* no [0.01, 0.99] MIN/MAX_SPAMPROB clamp: that is Graham's rule and
-  lives only in ``repro.spambayes.graham``;
+* no [0.01, 0.99] MIN/MAX_SPAMPROB clamp: that is Graham's rule, not
+  the chi-squared classifier's;
 * a token never trained scores the prior ``x`` (``unknown_word_prob``),
   and δ(E) ties break on token text, strongest first; upstream sorts
   ``(distance, prob, word)`` ascending and keeps the tail.

@@ -45,3 +45,15 @@ def test_launcher_installs_every_hook(tmp_path):
     for span in ("scenarios.prepare", "threshold.fit", "classifier.score_ids"):
         assert report["calls"].get(span, 0) >= 1, (span, report["calls"])
     assert (tmp_path / "figure5-threshold.json").exists()
+
+
+def test_kept_kernel_names_resolve():
+    # e2ebench/run.py records kernel_name() in every run's host key, and
+    # e2ebench/launch.py and serve_session.py import the alias and the
+    # factory; the one classifier answers to all three.
+    from repro.spambayes import ndkernel
+    from repro.spambayes.classifier import Classifier
+
+    assert ndkernel.kernel_name() == "nd"
+    assert ndkernel.NDClassifier is Classifier
+    assert type(ndkernel.create_classifier()) is Classifier

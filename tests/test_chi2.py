@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.spambayes import ndkernel
 from repro.spambayes.chi2 import chi2q, fisher_combine, ln_product
+from repro.spambayes.classifier import _chi2_survival
 
 
 class TestChi2Q:
@@ -141,33 +142,30 @@ _degrees = st.one_of(st.sampled_from([0, 1, 2, 150, 151]), st.integers(0, 160))
 
 
 def _series(x2: float, degree: int) -> float:
-    """The pure kernel's tail; a degree-0 row runs the degree-1 series."""
+    """The scalar tail; a degree-0 row runs the degree-1 series."""
     return chi2q(x2, 2 * max(degree, 1))
 
 
-@pytest.mark.skipif(not ndkernel.available(), reason="needs numpy")
 class TestVectorizedSurvival:
-    """``ndkernel._chi2_survival`` is the pure ``chi2q`` bit for bit."""
+    """``classifier._chi2_survival`` is the scalar ``chi2q`` bit for bit."""
 
     @given(st.lists(st.tuples(_statistics, _degrees), min_size=1, max_size=40))
     @example([(1416.0, 151), (-0.0, 0), (1e-300, 150), (3.0, 2), (700.0, 1), (2.5, 0)])
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_series(self, rows):
-        np = ndkernel.np
         x2 = np.array([value for value, _ in rows])
         degrees = np.array([degree for _, degree in rows], dtype=np.int64)
         expected = [_series(value, degree) for value, degree in rows]
-        assert ndkernel._chi2_survival(x2, degrees).tolist() == expected
+        assert _chi2_survival(x2, degrees).tolist() == expected
 
     @given(st.lists(st.tuples(_statistics, _statistics, _degrees), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_stacked_sides_share_degrees(self, rows):
         """The combiner's spam and ham rows run in one pass."""
-        np = ndkernel.np
         x2 = np.array([[spam for spam, _, _ in rows], [ham for _, ham, _ in rows]])
         degrees = np.array([degree for _, _, degree in rows], dtype=np.int64)
         expected = [
             [_series(spam, degree) for spam, _, degree in rows],
             [_series(ham, degree) for _, ham, degree in rows],
         ]
-        assert ndkernel._chi2_survival(x2, degrees).tolist() == expected
+        assert _chi2_survival(x2, degrees).tolist() == expected

@@ -71,6 +71,29 @@ class TestParser:
         for command in SCENARIO_COMMANDS:
             assert command in completed.stdout
 
+    def test_closed_stdout_exits_without_a_traceback(self):
+        """``repro ... | head``: the reader closes the pipe before the
+        report is printed, and the command ends quietly."""
+        env = os.environ.copy()
+        env["PYTHONPATH"] = SRC + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run-scenario", "stream-clean-control",
+             *FAST_SCENARIO_ARGS],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # Closed before the interpreter has even imported repro, so the
+        # first print meets a broken pipe.
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 1, stderr
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
+
     def test_run_scenario_defaults(self):
         args = build_run_scenario_parser().parse_args(["figure1-dictionary"])
         assert args.scale == "small"

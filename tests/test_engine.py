@@ -31,6 +31,7 @@ from repro.scenarios import run_scenario
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.filter import Label
 from repro.spambayes.options import DEFAULT_OPTIONS
+from spambayes_spec import SpecClassifier
 
 
 # ----------------------------------------------------------------------
@@ -263,13 +264,12 @@ class TestSweepContextRows:
         # The two fields a context can carry its inbox in must give the
         # same confusion counts: score_csr on one, score_many_ids on
         # the other.
-        pytest.importorskip("numpy")
         from repro.engine.sweep import _evaluate_indices, _SweepContext
-        from repro.spambayes.ndkernel import CsrMatrix, NDClassifier
+        from repro.spambayes.ndkernel import CsrMatrix
         from repro.spambayes.token_table import TokenTable
 
         table = TokenTable()
-        classifier = NDClassifier(table=table)
+        classifier = Classifier(table=table)
         train_grouped(classifier, sweep_inbox)
         token_ids = tuple(message.token_ids(table) for message in sweep_inbox)
         fields = dict(
@@ -460,19 +460,21 @@ def _sweep_signature(points):
     ]
 
 
-def sequential_sweep_signature(inbox, attack, fractions, folds, rng):
-    """The sweep written out as the plain loop it computes.
+def sequential_sweep_signature(inbox, attack, fractions, folds, rng, ham_only=False):
+    """The sweep written out as the plain loop it computes, on the
+    formula oracle (``tests/spambayes_spec.py``).
 
-    One classifier per fold trained from scratch, the attack batch
-    layered on through the string-payload ``learn_repeated`` path, and
-    every held-out message scored on its own.  No clean-model reuse,
-    no ID encoding of the batch, no bulk scoring, no workers.
+    One oracle per fold trained from scratch on token texts, the attack
+    batch layered on group by group, and every held-out message scored
+    on its own (only ham with ``ham_only``).  No clean-model reuse, no
+    ID encoding, no bulk scoring, no workers.
     """
     counts = [attack_message_count(len(inbox), fraction) for fraction in fractions]
     confusions = [ConfusionCounts() for _ in fractions]
     for train_set, test_set in inbox.k_folds(folds, rng):
-        classifier = Classifier()
-        train_grouped(classifier, train_set)
+        classifier = SpecClassifier()
+        for message in train_set:
+            classifier.learn(message.tokens(), message.is_spam)
         batch = attack.generate(counts[-1], random.Random(rng.getrandbits(64)))
         groups = iter(batch.groups)
         trained = 0
@@ -482,10 +484,12 @@ def sequential_sweep_signature(inbox, attack, fractions, folds, rng):
                 if group is None or used == group.count:
                     group, used = next(groups), 0
                 take = min(group.count - used, count - trained)
-                classifier.learn_repeated(group.training_tokens, batch.trained_as_spam, take)
+                classifier.learn(group.training_tokens, batch.trained_as_spam, take)
                 used += take
                 trained += take
             for message in test_set:
+                if ham_only and message.is_spam:
+                    continue
                 score = classifier.score(message.tokens())
                 if score <= DEFAULT_OPTIONS.ham_cutoff:
                     label = Label.HAM
@@ -520,24 +524,13 @@ class TestSweepEquivalence:
         assert _sweep_signature(engine) == reference
 
     def test_parallel_matches_sequential(self, sweep_corpus, sweep_inbox):
+        # A parallel sweep ships the inbox as one CsrMatrix, a
+        # sequential one scores per-message ID arrays; both agree.
         attack = OptimalDictionaryAttack.from_vocabulary(sweep_corpus.vocabulary)
         sequential = self._sweep(sweep_inbox, attack, workers=1)
-        parallel = self._sweep(sweep_inbox, attack, workers=3)
-        assert _sweep_signature(parallel) == _sweep_signature(sequential)
-
-    @pytest.mark.parametrize("kernel", ["python", "nd"])
-    def test_parallel_matches_sequential_on_each_kernel(
-        self, sweep_corpus, sweep_inbox, kernel, monkeypatch
-    ):
-        # python ships the inbox as per-message ID arrays, nd as one
-        # CsrMatrix; either way the sweep matches workers=1.
-        if kernel == "nd":
-            pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
-        attack = OptimalDictionaryAttack.from_vocabulary(sweep_corpus.vocabulary)
-        sequential = self._sweep(sweep_inbox, attack, workers=1)
-        parallel = self._sweep(sweep_inbox, attack, workers=2)
-        assert _sweep_signature(parallel) == _sweep_signature(sequential)
+        for workers in (2, 3):
+            parallel = self._sweep(sweep_inbox, attack, workers=workers)
+            assert _sweep_signature(parallel) == _sweep_signature(sequential)
 
     def test_multi_spec_sweep_results(self, sweep_corpus, sweep_inbox, monkeypatch):
         """Several variants share the planning rng layout of the

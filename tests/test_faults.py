@@ -470,7 +470,6 @@ def _record_bytes(record) -> bytes:
 
 class TestResume:
     def test_resume_skips_completed_replicas(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
         kwargs = dict(seeds=2, overrides=TINY_DICTIONARY, workers=1)
         full = replicate_scenario(
             "dictionary-vs-none", checkpoint_dir=str(tmp_path), **kwargs
@@ -489,10 +488,7 @@ class TestResume:
         )
         assert _record_bytes(resumed) == _record_bytes(full)
 
-    def test_partial_checkpoints_complete_to_identical_bytes(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
+    def test_partial_checkpoints_complete_to_identical_bytes(self, tmp_path):
         kwargs = dict(seeds=2, overrides=TINY_DICTIONARY, workers=1)
         full = replicate_scenario("dictionary-vs-none", **kwargs)
         # Pre-seed the store with replica 0 only; the resumed run must

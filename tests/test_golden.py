@@ -1,7 +1,7 @@
 """The determinism contract, pinned by golden records.
 
-Every record must be the same bytes under any kernel, store, worker
-count, ``PYTHONHASHSEED`` and fault schedule.  This module replays each
+Every record must be the same bytes under any store, worker count,
+``PYTHONHASHSEED`` and fault schedule.  This module replays each
 golden in ``tests/golden/`` (written by ``tools/regen_goldens.py``)
 across a pairwise covering array of those axes plus ``PINNED``, the
 exact cells the older differential suites checked, and compares the
@@ -32,7 +32,6 @@ import pytest
 from golden_cells import Cell, golden, run_cell
 from repro.scenarios import get_scenario, scenario_names
 from repro.serve import ServeClient, ServeConfig, serve_in_thread
-from repro.spambayes import ndkernel
 from repro.storage import STORE_DIR_ENV, STORE_ENV
 
 BATCH_TIMEOUT = 120  # seconds one hash seed's interpreter may take (it needs ~10)
@@ -40,8 +39,8 @@ BATCH_TIMEOUT = 120  # seconds one hash seed's interpreter may take (it needs ~1
 GOLDENS = {path.stem: json.loads(path.read_text()) for path in sorted(golden.GOLDEN_DIR.glob("*.json"))}
 ENTRIES = tuple(name for name in GOLDENS if name != golden.SERVE)
 INPROC = "in-process"
-KERNELS, STORES = ("python", "nd"), ("memory", "disk")
-AXES = {"entry": ENTRIES, "kernel": KERNELS, "store": STORES, "workers": (1, 2, 3),
+STORES = ("memory", "disk")
+AXES = {"entry": ENTRIES, "store": STORES, "workers": (1, 2, 3),
         "hashseed": (INPROC, "0", "1"), "faults": ("off", "crash", "hang")}
 
 
@@ -49,23 +48,22 @@ def covering_array(entries) -> list[Cell]:
     """Three cells per entry covering every pair of axis values: row
     ``j`` of entry ``e`` takes workers ``j``, hash seed ``j + e`` and
     faults ``j + 2e`` (mod 3), orthogonal Latin squares once ``e`` runs
-    through every residue; kernel and store alternate against them."""
-    K, S, W, H, F = (AXES[a] for a in ("kernel", "store", "workers", "hashseed", "faults"))
-    return [Cell(entry, K[(e + j) % 2], S[(e // 2 + j + (j == 2)) % 2], W[j], H[(j + e) % 3],
-                 F[(j + 2 * e) % 3]) for e, entry in enumerate(entries) for j in range(3)]
+    through every residue; the store alternates against them."""
+    S, W, H, F = (AXES[a] for a in ("store", "workers", "hashseed", "faults"))
+    return [Cell(entry, S[(e // 2 + j + (j == 2)) % 2], W[j], H[(j + e) % 3], F[(j + 2 * e) % 3])
+            for e, entry in enumerate(entries) for j in range(3)]
 
 
-def _pins(leg, entry, kernel=("nd",), store=("memory",), workers=(1,), hashseed=(INPROC,),
-          faults=("off",)):
+def _pins(leg, entry, store=("memory",), workers=(1,), hashseed=(INPROC,), faults=("off",)):
     return [(Cell(entry, *cell), leg)
-            for cell in itertools.product(kernel, store, workers, hashseed, faults)]
+            for cell in itertools.product(store, workers, hashseed, faults)]
 
 
 BATCH, FIG1, FIG5 = "dictionary-vs-none", "figure1-dictionary", "figure5-threshold"
 REP_BATCH, REP_STREAM = "replicate-dictionary-vs-none", "replicate-stream-dictionary-ramp"
 PINNED = [
-    *_pins("storage: batch scenario across backends", BATCH, KERNELS, STORES),
-    *_pins("storage: stream replication across backends", REP_STREAM, KERNELS, STORES),
+    *_pins("storage: batch scenario across backends", BATCH, STORES),
+    *_pins("storage: stream replication across backends", REP_STREAM, STORES),
     *_pins("storage: stream replication across workers", REP_STREAM, store=STORES, workers=(1, 2)),
     # A pooled fold map must not hand its workers the parent's live
     # SQLite table.
@@ -76,17 +74,17 @@ PINNED = [
     *_pins("determinism: replication across hash seeds", REP_BATCH, hashseed=("0", "1")),
     *_pins("determinism: stream replication across hash seeds", REP_STREAM, hashseed=("0", "1")),
     *_pins("determinism: stream replication across workers", REP_STREAM, workers=(2,), hashseed=("1",)),
-    *_pins("faults: scenario under faults", BATCH, KERNELS, workers=(2,), faults=("crash", "hang")),
-    *_pins("faults: replicate under faults", REP_BATCH, KERNELS, workers=(2,), faults=("crash",)),
-    *_pins("faults: stream replicate under faults", REP_STREAM, ("python",), workers=(2,), faults=("crash",)),
+    *_pins("faults: scenario under faults", BATCH, workers=(2,), faults=("crash", "hang")),
+    *_pins("faults: replicate under faults", REP_BATCH, workers=(2,), faults=("crash",)),
+    *_pins("faults: stream replicate under faults", REP_STREAM, workers=(2,), faults=("crash",)),
     *_pins("replication: replica pool vs sequential", REP_BATCH, workers=(1, 2, 3, 4)),
     *_pins("replication: parallel nd sweep", BATCH, store=STORES, workers=(2, 3)),
     *_pins("replication: supervised parallel nd sweep", BATCH, store=STORES, workers=(2, 3), faults=("crash",)),
-    *_pins("ndkernel: dictionary attacks across kernels", FIG1, KERNELS),
-    *_pins("ndkernel: worker counts on the nd kernel", FIG1, workers=(2,)),
-    *_pins("ndkernel: stream defenses across kernels", "stream-dictionary-ramp", KERNELS),
-    *_pins("ndkernel: stream defenses across kernels", "stream-threshold-over-time", KERNELS),
-    *_pins("ndkernel: kernels across hash seeds", FIG1, KERNELS, hashseed=("0", "1")),
+    *_pins("ndkernel: dictionary attacks", FIG1),
+    *_pins("ndkernel: dictionary attacks across worker counts", FIG1, workers=(2,)),
+    *_pins("ndkernel: stream defenses", "stream-dictionary-ramp"),
+    *_pins("ndkernel: stream defenses", "stream-threshold-over-time"),
+    *_pins("ndkernel: dictionary attacks across hash seeds", FIG1, hashseed=("0", "1")),
 ]
 """Every exact combination a retired differential leg checked, with the
 leg it stands for (CHANGES.md maps each removed test to these)."""
@@ -94,11 +92,6 @@ leg it stands for (CHANGES.md maps each removed test to these)."""
 CELLS = list(dict.fromkeys(covering_array(ENTRIES) + [cell for cell, _ in PINNED]))
 IN_PROCESS = [cell for cell in CELLS if cell.hashseed == INPROC]
 SUBPROCESS = [cell for cell in CELLS if cell.hashseed != INPROC]
-
-
-def _require(kernel: str) -> None:
-    if kernel == "nd" and not ndkernel.available():
-        pytest.skip("nd kernel needs NumPy")
 
 
 def _shm_segments() -> list[str]:
@@ -123,7 +116,6 @@ def _assert_faults_fired(cell: Cell, tally: dict) -> None:
 
 @pytest.mark.parametrize("cell", IN_PROCESS, ids=[cell.id for cell in IN_PROCESS])
 def test_cell_matches_golden(cell, tmp_path, monkeypatch):
-    _require(cell.kernel)
     monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
     segments = _shm_segments()
     artifact, tally = run_cell(GOLDENS[cell.entry], cell)
@@ -138,11 +130,8 @@ def serve_workload():
 
 
 @pytest.mark.parametrize("store", STORES)
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("mode", ("library", "unbatched", "coalesced", "pooled"))
-def test_serve_scores_match_golden(mode, kernel, store, serve_workload, tmp_path, monkeypatch):
-    _require(kernel)
-    monkeypatch.setenv(ndkernel.KERNEL_ENV, kernel)
+def test_serve_scores_match_golden(mode, store, serve_workload, tmp_path, monkeypatch):
     monkeypatch.setenv(STORE_ENV, store)
     monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
     train, score = serve_workload
@@ -254,8 +243,7 @@ def seed_batches(request, tmp_path_factory):
     for item in request.session.items:
         if getattr(item, "originalname", None) == "test_hash_seed_cell_matches_golden":
             cell = item.callspec.params["cell"]
-            if cell.kernel != "nd" or ndkernel.available():
-                batches.setdefault(cell.hashseed, []).append(cell)
+            batches.setdefault(cell.hashseed, []).append(cell)
     processes, lock, stopping = {}, threading.Lock(), threading.Event()
 
     def run_in_turn():
@@ -293,7 +281,6 @@ def seed_batches(request, tmp_path_factory):
 @pytest.mark.slow
 @pytest.mark.parametrize("cell", SUBPROCESS, ids=[cell.id for cell in SUBPROCESS])
 def test_hash_seed_cell_matches_golden(cell, seed_batches):
-    _require(cell.kernel)
     result, leftover = seed_batches(cell)
     assert (result["hashseed"], result["mismatch"]) == (cell.hashseed, None)
     _assert_faults_fired(cell, result["tally"])

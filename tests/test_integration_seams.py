@@ -1,8 +1,7 @@
 """Tests for integration seams between components.
 
-Covers combinations the per-module tests don't: alternative classifier
-inside the SpamFilter facade, RONI warm-up in a weekly stream,
-defended filters over Graham scoring, and chart rendering edge cases.
+Covers combinations the per-module tests don't: RONI warm-up in a
+weekly stream and chart rendering edge cases.
 """
 
 from __future__ import annotations
@@ -10,52 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.plots import ascii_bar_chart, ascii_line_chart, ascii_scatter
-from repro.rng import SeedSpawner
-from repro.spambayes.filter import Label, SpamFilter
-from repro.spambayes.graham import GrahamClassifier
-from repro.spambayes.message import Email
-from repro.spambayes.persistence import classifier_from_dict, classifier_to_dict
 from repro.stream import StreamRunner, StreamSpec
-
-
-class TestGrahamInsideFilterFacade:
-    @pytest.fixture()
-    def graham_filter(self) -> SpamFilter:
-        spam_filter = SpamFilter(classifier=GrahamClassifier())
-        for i in range(15):
-            spam_filter.train(
-                Email.build(body="cheap pills lottery winner", msgid=f"s{i}"), True
-            )
-            spam_filter.train(
-                Email.build(body="meeting agenda budget notes", msgid=f"h{i}"), False
-            )
-        return spam_filter
-
-    def test_classification_works(self, graham_filter):
-        assert graham_filter.classify(Email.build(body="cheap lottery")).label is Label.SPAM
-        assert graham_filter.classify(Email.build(body="meeting notes")).label is Label.HAM
-
-    def test_graham_options_flow_through(self, graham_filter):
-        assert graham_filter.options.max_discriminators == 15
-        assert graham_filter.options.unknown_word_prob == 0.4
-
-    def test_set_thresholds_on_graham(self, graham_filter):
-        graham_filter.set_thresholds(0.3, 0.7)
-        assert graham_filter.ham_cutoff == 0.3
-        # Thresholds moved without disturbing Graham scoring behaviour.
-        assert graham_filter.classifier.spam_prob("never-seen") == 0.4
-
-    def test_copy_keeps_subclass(self, graham_filter):
-        clone = graham_filter.copy()
-        assert isinstance(clone.classifier, GrahamClassifier)
-
-    def test_graham_state_persists_via_dict(self, graham_filter):
-        data = classifier_to_dict(graham_filter.classifier)
-        # Base-class restore yields the same counts; scoring semantics
-        # then depend on the class the caller rebuilds into.
-        restored = classifier_from_dict(data)
-        assert restored.nspam == graham_filter.classifier.nspam
-        assert restored.word_info("cheap") == graham_filter.classifier.word_info("cheap")
 
 
 @pytest.mark.slow

@@ -3,13 +3,14 @@
 ``learn_groups``/``unlearn_groups`` take the ``(ids, is_spam, count)``
 groups of :func:`~repro.corpus.dataset.group_token_ids`.  Their
 contract is the loop of one ``learn_ids_repeated`` /
-``unlearn_ids_repeated`` call per group: the same count columns,
-global counts, vocabulary size and scores on both kernels and both
-count-column stores, with every check made before anything moves.
-The NumPy kernel sums each label's groups with a chunked bincount, so
-Hypothesis also shrinks the chunk budget to a few entries and feeds
-rows as NumPy views (the parallel sweep's CSR rows), not only
-``array`` rows.
+``unlearn_ids_repeated`` call per group, spelled out here: the same
+count columns, global counts, vocabulary size and scores on both
+count-column stores, with every check made before anything moves —
+and the counts and scores the formula oracle gives for the same
+history.  The classifier sums each label's groups with a chunked
+bincount, so Hypothesis also shrinks the chunk budget to a few entries
+and feeds rows as NumPy views (the parallel sweep's CSR rows), not
+only ``array`` rows.
 """
 
 from __future__ import annotations
@@ -18,26 +19,21 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TrainingError
-from repro.spambayes import ndkernel
+from repro.spambayes import classifier as classifier_module
 from repro.spambayes.classifier import Classifier
-from repro.spambayes.ndkernel import NDClassifier
 from repro.spambayes.token_table import TokenTable
 from repro.storage.disk import MmapCountColumns
+from spambayes_spec import SpecClassifier
+from test_spec_oracle import assert_matches_oracle
 
 VOCAB = [f"t{i:02d}" for i in range(30)]
 
-KERNELS = [
-    Classifier,
-    pytest.param(
-        NDClassifier,
-        marks=pytest.mark.skipif(not ndkernel.available(), reason="NumPy absent"),
-    ),
-]
 STORES = ("memory", "disk")
 
 token_sets = st.frozensets(st.sampled_from(VOCAB), max_size=12)
@@ -46,28 +42,28 @@ groups_strategy = st.lists(st.tuples(token_sets, st.booleans(), counts), max_siz
 
 
 class _Pair:
-    """Two classifiers of one kernel and store over one table: ``grouped``
-    takes the grouped call, ``looped`` the per-group loop."""
+    """Two classifiers of one store over one table: ``grouped`` takes
+    the grouped call, ``looped`` the per-group loop."""
 
-    def __init__(self, kernel, store: str, directory: Path) -> None:
+    def __init__(self, store: str, directory: Path) -> None:
         self.table = TokenTable()
         self.columns = []
-        self.grouped = self._make(kernel, store, directory / "grouped")
-        self.looped = self._make(kernel, store, directory / "looped")
+        self.grouped = self._make(store, directory / "grouped")
+        self.looped = self._make(store, directory / "looped")
 
-    def _make(self, kernel, store, stem):
+    def _make(self, store, stem):
         if store == "memory":
-            return kernel(table=self.table)
-        columns = MmapCountColumns(stem, "nd" if kernel is NDClassifier else "pure")
+            return Classifier(table=self.table)
+        columns = MmapCountColumns(stem)
         self.columns.append(columns)
-        return kernel(table=self.table, columns=columns)
+        return Classifier(table=self.table, columns=columns)
 
     def encode(self, groups, as_ndarray: bool):
         encoded = []
         for tokens, is_spam, count in groups:
             ids = self.table.encode_unique(tokens)
             if as_ndarray:
-                ids = ndkernel.np.asarray(ids, dtype=ndkernel.np.int64)
+                ids = np.asarray(ids, dtype=np.int64)
             encoded.append((ids, is_spam, count))
         return encoded
 
@@ -97,23 +93,21 @@ def _outcome(call):
     return None
 
 
-def _run(kernel, store, body) -> None:
+def _run(store, body) -> None:
     with tempfile.TemporaryDirectory() as directory:
-        pair = _Pair(kernel, store, Path(directory))
+        pair = _Pair(store, Path(directory))
         try:
             body(pair)
         finally:
             pair.close()
 
 
-def _as_ndarray(kernel, flag: bool) -> bool:
-    # The pure kernel never receives NumPy rows: only the parallel
-    # sweep builds them, and only on the NumPy kernel.
-    return flag and kernel is NDClassifier
+def _small_budget(budget: int):
+    """Chunk each label's bincount every ``budget`` joined entries."""
+    return mock.patch.object(classifier_module, "_CANDIDATE_ENTRY_BUDGET", budget)
 
 
 @pytest.mark.parametrize("store", STORES)
-@pytest.mark.parametrize("kernel", KERNELS)
 @given(
     history=groups_strategy,
     groups=groups_strategy,
@@ -121,27 +115,32 @@ def _as_ndarray(kernel, flag: bool) -> bool:
     ndarray_rows=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_learn_groups_equals_the_per_group_loop(kernel, store, history, groups, budget, ndarray_rows):
+def test_learn_groups_equals_the_per_group_loop(store, history, groups, budget, ndarray_rows):
     def body(pair):
-        as_ndarray = _as_ndarray(kernel, ndarray_rows)
+        spec = SpecClassifier()
         for classifier in (pair.grouped, pair.looped):
             for ids, is_spam, count in pair.encode(history, False):
                 classifier.learn_ids_repeated(ids, is_spam, count)
-        encoded = pair.encode(groups, as_ndarray)
+        encoded = pair.encode(groups, ndarray_rows)
         queries = [pair.table.encode_unique(VOCAB[i::7]) for i in range(7)]
-        with mock.patch.object(ndkernel, "_CANDIDATE_ENTRY_BUDGET", budget):
+        with _small_budget(budget):
             pair.grouped.learn_groups(encoded)
         for ids, is_spam, count in encoded:
             pair.looped.learn_ids_repeated(ids, is_spam, count)
         assert _state(pair.grouped, pair.table, queries) == _state(
             pair.looped, pair.table, queries
         )
+        for tokens, is_spam, count in history + groups:
+            spec.learn(tokens, is_spam, count)
+        assert_matches_oracle(pair.grouped, spec)
+        assert pair.grouped.score_many_ids(queries) == [
+            spec.score(VOCAB[i::7]) for i in range(7)
+        ]
 
-    _run(kernel, store, body)
+    _run(store, body)
 
 
 @pytest.mark.parametrize("store", STORES)
-@pytest.mark.parametrize("kernel", KERNELS)
 @given(
     history=groups_strategy.filter(bool),
     picks=st.lists(st.integers(0, 99), max_size=8),
@@ -151,7 +150,7 @@ def test_learn_groups_equals_the_per_group_loop(kernel, store, history, groups, 
 )
 @settings(max_examples=60, deadline=None)
 def test_unlearn_groups_equals_the_per_group_loop_or_changes_nothing(
-    kernel, store, history, picks, stranger, budget, ndarray_rows
+    store, history, picks, stranger, budget, ndarray_rows
 ):
     """Groups drawn from the learned history (a group picked twice may
     over-remove), plus possibly one stranger: either both paths succeed
@@ -159,17 +158,16 @@ def test_unlearn_groups_equals_the_per_group_loop_or_changes_nothing(
     call leaves the state as it was."""
 
     def body(pair):
-        as_ndarray = _as_ndarray(kernel, ndarray_rows)
         for classifier in (pair.grouped, pair.looped):
             for ids, is_spam, count in pair.encode(history, False):
                 classifier.learn_ids_repeated(ids, is_spam, count)
         chosen = [history[pick % len(history)] for pick in picks]
         if stranger is not None:
             chosen.insert(len(chosen) // 2, stranger)
-        encoded = pair.encode(chosen, as_ndarray)
+        encoded = pair.encode(chosen, ndarray_rows)
         queries = [pair.table.encode_unique(VOCAB[i::5]) for i in range(5)]
         before = _state(pair.grouped, pair.table, queries)
-        with mock.patch.object(ndkernel, "_CANDIDATE_ENTRY_BUDGET", budget):
+        with _small_budget(budget):
             grouped_error = _outcome(lambda: pair.grouped.unlearn_groups(encoded))
 
         def loop():
@@ -184,12 +182,11 @@ def test_unlearn_groups_equals_the_per_group_loop_or_changes_nothing(
         else:
             assert _state(pair.grouped, pair.table, queries) == before
 
-    _run(kernel, store, body)
+    _run(store, body)
 
 
 @pytest.mark.parametrize("store", STORES)
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_empty_input_and_zero_counts_are_no_ops(kernel, store):
+def test_empty_input_and_zero_counts_are_no_ops(store):
     def body(pair):
         classifier = pair.grouped
         classifier.learn_ids_repeated(pair.table.encode_unique(["a", "b"]), True, 2)
@@ -204,13 +201,12 @@ def test_empty_input_and_zero_counts_are_no_ops(kernel, store):
         assert _state(classifier, pair.table, queries) == before
         assert classifier._generation == generation
 
-    _run(kernel, store, body)
+    _run(store, body)
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_negative_counts_are_rejected_before_any_change(kernel):
+def test_negative_counts_are_rejected_before_any_change():
     table = TokenTable()
-    classifier = kernel(table=table)
+    classifier = Classifier(table=table)
     ids = table.encode_unique(["a", "b"])
     classifier.learn_ids_repeated(ids, True, 3)
     with pytest.raises(TrainingError, match="learn_repeated needs count >= 0, got -1"):

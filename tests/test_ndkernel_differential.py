@@ -1,37 +1,34 @@
-"""Differential lockdown of the vectorized NumPy kernel.
+"""Differential lockdown of the vectorized classifier against the oracle.
 
-The NumPy kernel (``repro.spambayes.ndkernel``) must be *bit-identical*
-to the pure-Python core — exact ``==`` on every score, count and
-serialized record, never ``approx``.  The pure core is the executable
-oracle here (both kernels answer to the formula oracle in
-``tests/test_spec_oracle.py``), and this suite drives both through:
+The classifier's batched NumPy paths must be *bit-identical* to the
+paper's formulas — exact ``==`` on every score and count, never
+``approx``.  :class:`spambayes_spec.SpecClassifier` writes those
+formulas out as counts plus scalar arithmetic, and this suite drives
+the classifier and the oracle side by side through:
 
 * seeded randomized learn/unlearn/score/snapshot interleavings,
 * the attack classes no registered scenario sweeps (informed, focused
-  and ham-labeled payloads through the sweep engine),
+  and ham-labeled payloads through the sweep engine, against the sweep
+  spelled out on the oracle in ``test_engine.py``),
 * the exact floats behind the thresholded records: good-word ranks and
-  padded scores, RONI deltas, dynamic-threshold cutoffs,
-* kernel edge cases (CSR validation, table growth, memo purges).
+  padded scores, RONI deltas,
+* edge cases (CSR validation, table growth, memo purges).
 
 Whole scenario records — the dictionary variants, good-word evasion,
-the RONI and threshold defenses, streams — across kernels, worker
-counts and pinned ``PYTHONHASHSEED`` values are checked by the golden
-harness (``tests/test_golden.py``).
-
-Kernel selection is the ``REPRO_KERNEL`` environment variable, read at
-classifier-construction time — so each arm of a comparison simply sets
-the variable and runs the identical code path.
+the RONI and threshold defenses, streams — across stores, worker counts
+and pinned ``PYTHONHASHSEED`` values are checked by the golden harness
+(``tests/test_golden.py``).
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import random
-from unittest import mock
+from collections import Counter
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.attacks.goodword import OracleGoodWordAttack
 from repro.attacks.hamlabeled import HamLabeledAttack
@@ -39,23 +36,34 @@ from repro.attacks.variants import build_attack_variants
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.roni import RoniConfig, RoniDefense
-from repro.defenses.threshold import DynamicThresholdDefense
 from repro.engine.sweep import SweepSpec, run_attack_sweeps
 from repro.errors import ConfigurationError, TrainingError
 from repro.rng import SeedSpawner
 from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
-from repro.spambayes.ndkernel import NDClassifier
-from repro.spambayes.options import ClassifierOptions
+from repro.spambayes.filter import Label
+from repro.spambayes.options import DEFAULT_OPTIONS, ClassifierOptions
 from repro.spambayes.persistence import classifier_to_dict
 from repro.spambayes.token_table import TokenTable
+from repro.spambayes.tokenizer import DEFAULT_TOKENIZER
+from spambayes_spec import SpecClassifier
+from test_engine import sequential_sweep_signature
+from test_spec_oracle import assert_matches_oracle
 
 SUITE_WORKERS = int(os.environ.get("REPRO_WORKERS", "1") or "1")
 
 
-def forced_kernel(name: str):
-    """Pin ``REPRO_KERNEL`` for the duration of one comparison arm."""
-    return mock.patch.dict(os.environ, {ndkernel.KERNEL_ENV: name})
+def _texts(table: TokenTable, ids) -> list[str]:
+    """The token texts of one encoded message, for the oracle."""
+    return table.decode([int(tid) for tid in ids])
+
+
+def _label(score: float, options: ClassifierOptions = DEFAULT_OPTIONS) -> Label:
+    if score <= options.ham_cutoff:
+        return Label.HAM
+    if score <= options.spam_cutoff:
+        return Label.UNSURE
+    return Label.SPAM
 
 
 # ----------------------------------------------------------------------
@@ -84,44 +92,43 @@ def _random_text_message(rng: random.Random, table: TokenTable) -> list[str]:
     return tokens
 
 
-def _full_state(classifier: Classifier):
-    return (
-        classifier.nspam,
-        classifier.nham,
-        {
-            token: (record.spamcount, record.hamcount)
-            for token, record in (
-                (t, classifier.word_info(t)) for t in classifier.iter_vocabulary()
-            )
-        },
-    )
+def _spec_checkpoint(spec: SpecClassifier) -> tuple:
+    return Counter(spec.spamcount), Counter(spec.hamcount), spec.nspam, spec.nham
+
+
+def _spec_restore(spec: SpecClassifier, checkpoint: tuple) -> None:
+    spamcount, hamcount, spec.nspam, spec.nham = checkpoint
+    spec.spamcount, spec.hamcount = Counter(spamcount), Counter(hamcount)
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29])
 def test_randomized_interleavings_bit_identical(seed):
     """Hundreds of random learn/unlearn/score/snapshot steps, exact ==.
 
-    One shared append-only table feeds both kernels the *same* ID
-    arrays (exactly how production shares encodings across kernels),
-    and after every scoring step the floats must match to the last bit.
+    The oracle replays every training step on token texts; after every
+    scoring step the classifier's floats must match its to the last bit.
     """
     rng = random.Random(seed)
     table = TokenTable()
-    pure = Classifier(table=table)
-    vect = NDClassifier(table=table)
+    core = Classifier(table=table)
+    spec = SpecClassifier()
     messages = [_random_message(rng, table) for _ in range(60)]
-    learned: list[tuple[object, bool, int]] = []
+    texts = [_texts(table, ids) for ids in messages]
+    learned: list[tuple[int, bool, int]] = []
     snapshots = None
+
+    def oracle_scores(indices):
+        return [spec.score(texts[i]) for i in indices]
 
     for step in range(300):
         op = rng.randrange(11)
         if op <= 3:  # learn
-            ids = rng.choice(messages)
+            index = rng.randrange(len(messages))
             is_spam = rng.random() < 0.5
             count = rng.choice((1, 1, 1, 3))
-            pure.learn_ids_repeated(ids, is_spam, count)
-            vect.learn_ids_repeated(ids, is_spam, count)
-            learned.append((ids, is_spam, count))
+            core.learn_ids_repeated(messages[index], is_spam, count)
+            spec.learn(texts[index], is_spam, count)
+            learned.append((index, is_spam, count))
         elif op <= 5 and learned:  # unlearn something actually learned
             # While a snapshot is pending, only entries learned after it
             # are fair game — restore() will resurrect anything older,
@@ -129,130 +136,95 @@ def test_randomized_interleavings_bit_identical(seed):
             floor = snapshots[2] if snapshots is not None else 0
             if floor >= len(learned):
                 continue
-            index = rng.randrange(floor, len(learned))
-            ids, is_spam, count = learned.pop(index)
-            pure.unlearn_ids_repeated(ids, is_spam, count)
-            vect.unlearn_ids_repeated(ids, is_spam, count)
+            index, is_spam, count = learned.pop(rng.randrange(floor, len(learned)))
+            core.unlearn_ids_repeated(messages[index], is_spam, count)
+            spec.unlearn(texts[index], is_spam, count)
         elif op == 6:  # point score
-            ids = rng.choice(messages)
-            assert pure.score_ids(ids) == vect.score_ids(ids)
+            index = rng.randrange(len(messages))
+            assert core.score_ids(messages[index]) == spec.score(texts[index])
         elif op == 7:  # bulk score
-            batch = rng.sample(messages, rng.randint(1, 20))
-            assert pure.score_many_ids(batch) == vect.score_many_ids(batch)
+            batch = rng.sample(range(len(messages)), rng.randint(1, 20))
+            assert core.score_many_ids([messages[i] for i in batch]) == oracle_scores(batch)
         elif op == 8 and snapshots is None and learned:  # snapshot
-            snapshots = (pure.snapshot(), vect.snapshot(), len(learned))
+            snapshots = (core.snapshot(), _spec_checkpoint(spec), len(learned))
         elif op == 9 and snapshots is not None:  # restore
-            pure_snap, vect_snap, depth = snapshots
-            pure.restore(pure_snap)
-            vect.restore(vect_snap)
+            snap, checkpoint, depth = snapshots
+            core.restore(snap)
+            _spec_restore(spec, checkpoint)
             del learned[depth:]
             snapshots = None
-            batch = rng.sample(messages, 10)
-            assert pure.score_many_ids(batch) == vect.score_many_ids(batch)
+            batch = rng.sample(range(len(messages)), 10)
+            assert core.score_many_ids([messages[i] for i in batch]) == oracle_scores(batch)
         elif op == 10:  # string score: memo fill against stale entries
             batch = [_random_text_message(rng, table) for _ in range(rng.randint(1, 12))]
-            expected = [pure.score(tokens) for tokens in batch]
-            assert vect.score_many(batch) == pure.score_many(batch) == expected
+            expected = [spec.score(tokens) for tokens in batch]
+            assert core.score_many(batch) == [core.score(tokens) for tokens in batch] == expected
 
     if snapshots is not None:
-        pure.restore(snapshots[0])
-        vect.restore(snapshots[1])
+        core.restore(snapshots[0])
+        _spec_restore(spec, snapshots[1])
 
-    assert _full_state(pure) == _full_state(vect)
-    assert pure.score_many_ids(messages) == vect.score_many_ids(messages)
-    assert classifier_to_dict(pure) == classifier_to_dict(vect)
+    assert_matches_oracle(core, spec)
+    assert core.score_many_ids(messages) == oracle_scores(range(len(messages)))
+    assert classifier_to_dict(core)["words"] == {
+        token: list(counts) for token, counts in sorted(spec.counts().items())
+    }
+
+
+def _trained(seed: int, n_messages: int, n_trained: int):
+    """A classifier and the oracle trained alike on one shared table,
+    plus every message (trained ones first) and their texts."""
+    rng = random.Random(seed)
+    table = TokenTable()
+    core = Classifier(table=table)
+    spec = SpecClassifier()
+    messages = [_random_message(rng, table) for _ in range(n_messages)]
+    texts = [_texts(table, ids) for ids in messages]
+    for ids, tokens in zip(messages[:n_trained], texts[:n_trained]):
+        label = rng.random() < 0.5
+        core.learn_ids(ids, label)
+        spec.learn(tokens, label)
+    return rng, core, spec, messages, texts
 
 
 def test_csr_scoring_matches_arrays_and_oracle():
-    rng = random.Random(5)
-    table = TokenTable()
-    pure = Classifier(table=table)
-    vect = NDClassifier(table=table)
-    messages = [_random_message(rng, table) for _ in range(80)]
-    for ids in messages[:50]:
-        label = rng.random() < 0.5
-        pure.learn_ids(ids, label)
-        vect.learn_ids(ids, label)
+    _, core, spec, messages, texts = _trained(5, 80, 50)
     corpus = ndkernel.CsrMatrix.from_rows(messages)
-    oracle = pure.score_many_ids(messages)
-    assert vect.score_many_ids(messages) == oracle
-    assert vect.score_csr(corpus) == oracle
+    oracle = [spec.score(tokens) for tokens in texts]
+    assert core.score_many_ids(messages) == oracle
+    assert core.score_csr(corpus) == oracle
     subset = [3, 17, 17, 0, 79]
-    assert vect.score_csr(corpus, rows=subset) == [oracle[i] for i in subset]
+    assert core.score_csr(corpus, rows=subset) == [oracle[i] for i in subset]
 
 
 def test_pickle_round_trip_preserves_scores():
-    import pickle
-
-    rng = random.Random(13)
-    table = TokenTable()
-    vect = NDClassifier(table=table)
-    messages = [_random_message(rng, table) for _ in range(30)]
-    for ids in messages[:20]:
-        vect.learn_ids(ids, rng.random() < 0.5)
-    clone = pickle.loads(pickle.dumps(vect))
-    assert clone.score_many_ids(messages) == vect.score_many_ids(messages)
-    copied = vect.copy()
-    assert copied.score_many_ids(messages) == vect.score_many_ids(messages)
+    _, core, _, messages, _ = _trained(13, 30, 20)
+    clone = pickle.loads(pickle.dumps(core))
+    assert clone.score_many_ids(messages) == core.score_many_ids(messages)
+    copied = core.copy()
+    assert copied.score_many_ids(messages) == core.score_many_ids(messages)
 
 
-def _trained_pair(seed: int):
-    """A pure and an ND classifier trained alike on one shared table,
-    plus held-back messages and a string batch with unseen tokens."""
-    rng = random.Random(seed)
-    table = TokenTable()
-    pure = Classifier(table=table)
-    vect = NDClassifier(table=table)
-    messages = [_random_message(rng, table) for _ in range(40)]
-    for ids in messages[:30]:
-        label = rng.random() < 0.5
-        pure.learn_ids(ids, label)
-        vect.learn_ids(ids, label)
-    batch = [_random_text_message(rng, table) for _ in range(8)]
-    batch.append(table.decode(messages[0]) + ["w450"])
-    return pure, vect, messages, batch
-
-
-def test_string_batch_after_learn_makes_no_scalar_prob_calls(monkeypatch):
+def test_string_batch_after_learn_refills_the_memo_in_one_pass(monkeypatch):
     """A learn voids the significance memo; the next string batch
     refills it in one vectorized pass, not token by token."""
-    pure, vect, messages, batch = _trained_pair(17)
-    vect.score_many(batch)
-    pure.learn_ids(messages[35], True)
-    vect.learn_ids(messages[35], True)
-    calls = []
-    scalar = NDClassifier._prob_for_id
+    rng, core, spec, messages, texts = _trained(17, 40, 30)
+    batch = [_random_text_message(rng, core.table) for _ in range(8)]
+    batch.append(texts[0] + ["w450"])
+    core.score_many(batch)
+    core.learn_ids(messages[35], True)
+    spec.learn(texts[35], True)
+    sizes = []
+    probs_for = Classifier._probs_for
 
-    def spy(self, token_id):
-        calls.append(token_id)
-        return scalar(self, token_id)
+    def spy(self, need):
+        sizes.append(len(need))
+        return probs_for(self, need)
 
-    monkeypatch.setattr(NDClassifier, "_prob_for_id", spy)
-    scores = vect.score_many(batch)
-    assert calls == []
-    assert scores == pure.score_many(batch) == [pure.score(t) for t in batch]
-
-
-def _halved_prob(self, token_id):
-    """A different per-token formula: f(w) pulled halfway to 0.5."""
-    return 0.5 + (float(Classifier._prob_for_id(self, token_id)) - 0.5) / 2
-
-
-def test_prob_override_is_rejected_at_definition():
-    """The vectorized paths never call ``_prob_for_id``, so an ND
-    subclass with its own formula fails when it is defined."""
-    with pytest.raises(TypeError, match="cannot override _prob_for_id"):
-
-        class _HalvedND(NDClassifier):
-            _prob_for_id = _halved_prob
-
-    class _HalvedPure(Classifier):
-        _prob_for_id = _halved_prob
-
-    with pytest.raises(TypeError, match="cannot override _prob_for_id"):
-
-        class _MixedND(_HalvedPure, NDClassifier):
-            pass
+    monkeypatch.setattr(Classifier, "_probs_for", spy)
+    scores = core.score_many(batch)
+    assert len(sizes) == 1 and sizes[0] > 1
+    assert scores == [spec.score(tokens) for tokens in batch]
 
 
 # ----------------------------------------------------------------------
@@ -271,118 +243,123 @@ def diff_inbox(diff_corpus):
     return inbox
 
 
+FRACTIONS = (0.0, 0.15)
+
+
 def _sweep_dicts(inbox, attack, *, workers: int, seed: int = 21, ham_only=False):
-    spec = SweepSpec("diff", attack, (0.0, 0.15), ham_only=ham_only)
+    spec = SweepSpec("diff", attack, FRACTIONS, ham_only=ham_only)
     (result,) = run_attack_sweeps(
         inbox, [(spec, random.Random(seed))], folds=3, workers=workers
     )
     return result.confusion_dicts()
 
 
+def _oracle_sweep_dicts(inbox, attack, *, seed: int = 21, ham_only=False):
+    signature = sequential_sweep_signature(
+        inbox, attack, FRACTIONS, 3, random.Random(seed), ham_only=ham_only
+    )
+    return [confusion for _, _, confusion in signature]
+
+
 @pytest.mark.parametrize("variant", ["informed", "focused"])
-def test_attack_variants_bit_identical_across_kernels(diff_corpus, diff_inbox, variant):
+def test_attack_variants_match_oracle_sweep(diff_corpus, diff_inbox, variant):
     attack = build_attack_variants(
         diff_corpus, (variant,), seed=9, pool=diff_inbox
     )[variant]
-    with forced_kernel("python"):
-        oracle = _sweep_dicts(diff_inbox, attack, workers=1)
-    with forced_kernel("nd"):
-        vectorized = _sweep_dicts(diff_inbox, attack, workers=1)
-        pooled = _sweep_dicts(diff_inbox, attack, workers=max(2, SUITE_WORKERS))
-    assert vectorized == oracle
-    assert pooled == oracle
+    oracle = _oracle_sweep_dicts(diff_inbox, attack)
+    assert _sweep_dicts(diff_inbox, attack, workers=1) == oracle
+    assert _sweep_dicts(diff_inbox, attack, workers=max(2, SUITE_WORKERS)) == oracle
 
 
-def test_hamlabeled_attack_bit_identical(diff_corpus, diff_inbox):
+def test_hamlabeled_attack_matches_oracle_sweep(diff_corpus, diff_inbox):
     attack = HamLabeledAttack.from_vocabulary(diff_corpus.vocabulary)
-    with forced_kernel("python"):
-        oracle = _sweep_dicts(diff_inbox, attack, workers=1, ham_only=True)
-    with forced_kernel("nd"):
-        assert _sweep_dicts(diff_inbox, attack, workers=1, ham_only=True) == oracle
-        assert _sweep_dicts(diff_inbox, attack, workers=2, ham_only=True) == oracle
+    oracle = _oracle_sweep_dicts(diff_inbox, attack, ham_only=True)
+    assert _sweep_dicts(diff_inbox, attack, workers=1, ham_only=True) == oracle
+    assert _sweep_dicts(diff_inbox, attack, workers=2, ham_only=True) == oracle
 
 
 def test_goodword_oracle_attack_bit_identical(diff_corpus, diff_inbox):
-    """The evasion-side attack: ranked words and padded scores match."""
+    """The evasion-side attack: ranked words and padded scores match
+    the same attack run against the formula oracle."""
 
-    def ranked_and_scores(kernel: str):
-        with forced_kernel(kernel):
-            classifier = ndkernel.create_classifier()
-            for message in diff_inbox:
-                classifier.learn(message.tokens(), message.is_spam)
-            attack = OracleGoodWordAttack(
-                classifier, diff_corpus.vocabulary.ham_topic
-            )
-            spam = next(m for m in diff_inbox if m.is_spam)
-            padded = attack.pad(spam.email, 25).padded
-            from repro.spambayes.tokenizer import DEFAULT_TOKENIZER
+    def ranked_and_scores(model):
+        for message in diff_inbox:
+            model.learn(message.tokens(), message.is_spam)
+        attack = OracleGoodWordAttack(model, diff_corpus.vocabulary.ham_topic)
+        spam = next(m for m in diff_inbox if m.is_spam)
+        padded = attack.pad(spam.email, 25).padded
+        return attack.ranked_words, model.score(frozenset(DEFAULT_TOKENIZER.tokenize(padded)))
 
-            return attack.ranked_words, classifier.score(
-                frozenset(DEFAULT_TOKENIZER.tokenize(padded))
-            )
-
-    assert ranked_and_scores("nd") == ranked_and_scores("python")
+    assert ranked_and_scores(ndkernel.create_classifier()) == ranked_and_scores(SpecClassifier())
 
 
 # ----------------------------------------------------------------------
-# Both defenses
+# The RONI defense
 # ----------------------------------------------------------------------
 
 
-def test_roni_defense_bit_identical(diff_corpus, diff_inbox):
-    def measurements(kernel: str):
-        with forced_kernel(kernel):
-            defense = RoniDefense(
-                diff_inbox,
-                SeedSpawner(31).rng("roni"),
-                RoniConfig(train_size=20, validation_size=20, trials=3),
-            )
-            candidates = diff_corpus.dataset.messages[:12]
-            return [
-                (
-                    m.ham_as_ham_delta,
-                    m.ham_as_spam_delta,
-                    m.ham_as_unsure_delta,
-                    m.spam_as_spam_delta,
-                    m.trials,
-                )
-                for m in defense.measure_many(candidates)
-            ]
+def _oracle_roni(pool, rng, config: RoniConfig, candidates) -> list[tuple]:
+    """RONI's measurement spelled out on the oracle: the same trial
+    resamples, then per candidate the validation outcome counts after
+    minus before learning it, averaged over trials."""
+    needed = config.train_size + config.validation_size
+    trials = []
+    for _ in range(config.trials):
+        sample = pool.sample_inbox(needed, config.spam_fraction, rng)
+        spec = SpecClassifier()
+        for message in sample.messages[: config.train_size]:
+            spec.learn(message.tokens(), message.is_spam)
+        trials.append((spec, sample.messages[config.train_size :]))
 
-    assert measurements("nd") == measurements("python")
+    def outcomes(spec, validation) -> Counter:
+        tally = Counter()
+        for message in validation:
+            label = _label(spec.score(message.tokens()))
+            if message.is_spam:
+                tally["spam_as_spam"] += label is Label.SPAM
+            else:
+                tally[f"ham_as_{label.value}"] += 1
+        return tally
+
+    keys = ("ham_as_ham", "ham_as_spam", "ham_as_unsure", "spam_as_spam")
+    measured = []
+    for candidate in candidates:
+        totals = dict.fromkeys(keys, 0.0)
+        for spec, validation in trials:
+            before = outcomes(spec, validation)
+            spec.learn(candidate.tokens(), candidate.is_spam)
+            after = outcomes(spec, validation)
+            spec.unlearn(candidate.tokens(), candidate.is_spam)
+            for key in keys:
+                totals[key] += after[key] - before[key]
+        measured.append(tuple(totals[key] / len(trials) for key in keys) + (len(trials),))
+    return measured
 
 
-def test_threshold_defense_bit_identical(diff_inbox):
-    def fit(kernel: str):
-        with forced_kernel(kernel):
-            defense = DynamicThresholdDefense()
-            result = defense.fit(diff_inbox, random.Random(77))
-            return (
-                result.ham_cutoff,
-                result.spam_cutoff,
-                result.quantile,
-                result.validation_size,
-            )
-
-    assert fit("nd") == fit("python")
+def test_roni_defense_matches_oracle(diff_corpus, diff_inbox):
+    config = RoniConfig(train_size=20, validation_size=20, trials=3)
+    candidates = diff_corpus.dataset.messages[:12]
+    defense = RoniDefense(diff_inbox, SeedSpawner(31).rng("roni"), config)
+    measured = [
+        (
+            m.ham_as_ham_delta,
+            m.ham_as_spam_delta,
+            m.ham_as_unsure_delta,
+            m.spam_as_spam_delta,
+            m.trials,
+        )
+        for m in defense.measure_many(candidates)
+    ]
+    assert measured == _oracle_roni(diff_inbox, SeedSpawner(31).rng("roni"), config, candidates)
+    assert any(delta != 0.0 for row in measured for delta in row[:4])
 
 
 # ----------------------------------------------------------------------
-# Kernel edges: selection errors, CSR validation, growth, purge paths
+# Edges: CSR validation, growth, purge paths, errors
 # ----------------------------------------------------------------------
 
 
 class TestKernelEdges:
-    def test_kernel_name_rejects_bad_values(self, monkeypatch):
-        monkeypatch.setenv(ndkernel.KERNEL_ENV, "bogus")
-        with pytest.raises(ConfigurationError):
-            ndkernel.kernel_name()
-        monkeypatch.setenv(ndkernel.KERNEL_ENV, "nd")
-        monkeypatch.setattr(ndkernel, "np", None)
-        assert not ndkernel.available()
-        with pytest.raises(ConfigurationError):
-            ndkernel.kernel_name()
-
     def test_csr_validation_ndarray_input_and_nbytes(self):
         with pytest.raises(ConfigurationError):
             ndkernel.CsrMatrix(
@@ -394,108 +371,97 @@ class TestKernelEdges:
 
     def test_score_csr_empty_corpus_and_blank_rows(self):
         table = TokenTable()
-        pure = Classifier(table=table)
-        vect = NDClassifier(table=table)
-        ids = table.encode_unique({"x1", "x2"})
-        pure.learn_ids(ids, True)
-        vect.learn_ids(ids, True)
-        assert vect.score_csr(ndkernel.CsrMatrix.from_rows([])) == []
+        core = Classifier(table=table)
+        core.learn_ids(table.encode_unique({"x1", "x2"}), True)
+        assert core.score_csr(ndkernel.CsrMatrix.from_rows([])) == []
         blanks = ndkernel.CsrMatrix.from_rows([[], []])
-        assert vect.score_csr(blanks) == pure.score_many_ids([[], []])
+        assert core.score_csr(blanks) == core.score_many_ids([[], []]) == [0.5, 0.5]
 
     def test_untrained_classifier_scores_match(self):
         table = TokenTable()
-        pure = Classifier(table=table)
-        vect = NDClassifier(table=table)
+        core = Classifier(table=table)
         ids = table.encode_unique({"u1", "u2", "u3"})
-        assert vect.score_many_ids([ids, []]) == pure.score_many_ids([ids, []])
+        spec = SpecClassifier()
+        assert core.score_many_ids([ids, []]) == [spec.score(["u1", "u2", "u3"]), spec.score([])]
 
-    def test_word_info_matches_pure(self):
+    def test_word_info_matches_oracle(self):
         table = TokenTable()
-        pure = Classifier(table=table)
-        vect = NDClassifier(table=table)
-        ids = table.encode_unique({"known"})
-        pure.learn_ids(ids, True)
-        vect.learn_ids(ids, True)
-        pure_info = pure.word_info("known")
-        vect_info = vect.word_info("known")
-        assert (vect_info.spamcount, vect_info.hamcount) == (
-            pure_info.spamcount,
-            pure_info.hamcount,
-        )
-        assert isinstance(vect_info.spamcount, int)
-        assert vect.word_info("never-seen") is None
+        core = Classifier(table=table)
+        core.learn_ids(table.encode_unique({"known"}), True)
+        info = core.word_info("known")
+        assert (info.spamcount, info.hamcount) == (1, 0)
+        assert isinstance(info.spamcount, int)
+        assert core.word_info("never-seen") is None
 
-    def test_unlearn_edges_match_pure(self):
+    def test_unlearn_edges_match_oracle(self):
         table = TokenTable()
-        pure = Classifier(table=table)
-        vect = NDClassifier(table=table)
+        core = Classifier(table=table)
+        spec = SpecClassifier()
         ids = table.encode_unique({"a", "b"})
-        pure.learn_ids(ids, True)
-        vect.learn_ids(ids, True)
-        # Empty removals are no-ops on both kernels.
-        pure.unlearn_ids_repeated([], True, 1)
-        vect.unlearn_ids_repeated([], True, 1)
-        # Removing something never learned fails identically and must
-        # leave state untouched.
-        stranger = table.encode_unique({"stranger"})
+        core.learn_ids(ids, True)
+        spec.learn({"a", "b"}, True)
+        # An empty message unlearns like any other: only nspam moves.
+        core.learn_ids([], True)
+        spec.learn([], True)
+        core.unlearn_ids_repeated([], True, 1)
+        spec.unlearn([], True)
+        # Removing something never learned fails and must leave state
+        # untouched.
         with pytest.raises(TrainingError):
-            pure.unlearn_ids_repeated(stranger, True, 1)
-        with pytest.raises(TrainingError):
-            vect.unlearn_ids_repeated(stranger, True, 1)
-        assert _full_state(pure) == _full_state(vect)
-        assert pure.score_ids(ids) == vect.score_ids(ids)
+            core.unlearn_ids_repeated(table.encode_unique({"stranger"}), True, 1)
+        assert_matches_oracle(core, spec)
+        assert core.score_ids(ids) == spec.score({"a", "b"})
 
     def test_table_growth_after_scoring_stays_bit_identical(self):
-        """Scoring sizes the kernel's columns; later growth must resync."""
+        """Scoring sizes the columns; later growth must resync."""
         table = TokenTable()
-        pure = Classifier(table=table)
-        vect = NDClassifier(table=table)
+        core = Classifier(table=table)
+        spec = SpecClassifier()
         first = table.encode_unique({f"a{i}" for i in range(50)})
-        pure.learn_ids(first, True)
-        vect.learn_ids(first, True)
-        assert pure.score_ids(first) == vect.score_ids(first)
+        core.learn_ids(first, True)
+        spec.learn(_texts(table, first), True)
+        assert core.score_ids(first) == spec.score(_texts(table, first))
         # Grow the shared table WITHOUT training: another consumer of
         # the table encoded new tokens.  Training would retag and
         # rebuild; pure growth must extend the memo arrays in place.
         second = table.encode_unique({f"b{i}" for i in range(300)})
         corpus = ndkernel.CsrMatrix.from_rows([first, second])
-        assert vect.score_csr(corpus) == pure.score_many_ids([first, second])
-        # And after training on the new tokens both kernels re-agree.
-        pure.learn_ids(second, False)
-        vect.learn_ids(second, False)
-        assert vect.score_csr(corpus) == pure.score_many_ids([first, second])
+        texts = [_texts(table, first), _texts(table, second)]
+        assert core.score_csr(corpus) == [spec.score(tokens) for tokens in texts]
+        # And after training on the new tokens they re-agree.
+        core.learn_ids(second, False)
+        spec.learn(texts[1], False)
+        assert core.score_csr(corpus) == [spec.score(tokens) for tokens in texts]
 
     def test_bulk_mutation_purges_memo_bit_identically(self):
         """A huge learn after scoring crosses the memo-purge heuristic."""
         table = TokenTable()
-        pure = Classifier(table=table)
-        vect = NDClassifier(table=table)
+        core = Classifier(table=table)
+        spec = SpecClassifier()
         small = table.encode_unique({"s1", "s2"})
-        pure.learn_ids(small, True)
-        vect.learn_ids(small, True)
-        assert pure.score_ids(small) == vect.score_ids(small)
+        core.learn_ids(small, True)
+        spec.learn({"s1", "s2"}, True)
+        assert core.score_ids(small) == spec.score({"s1", "s2"})
         big = table.encode_unique({f"t{i}" for i in range(1200)})
-        pure.learn_ids(big, False)
-        vect.learn_ids(big, False)
-        assert pure.score_many_ids([small, big]) == vect.score_many_ids(
-            [small, big]
-        )
+        core.learn_ids(big, False)
+        spec.learn(_texts(table, big), False)
+        assert core.score_many_ids([small, big]) == [
+            spec.score({"s1", "s2"}),
+            spec.score(_texts(table, big)),
+        ]
 
-    def test_restore_misuse_raises_identically(self):
-        """Foreign / spent snapshots die the same way on both kernels."""
-        for cls in (Classifier, NDClassifier):
-            table = TokenTable()
-            owner = cls(table=table)
-            other = cls(table=table)
-            ids = table.encode_unique({"r1", "r2"})
-            owner.learn_ids(ids, True)
-            snap = owner.snapshot()
-            with pytest.raises(TrainingError):
-                other.restore(snap)
+    def test_restore_misuse_raises(self):
+        """Foreign / spent snapshots are refused."""
+        table = TokenTable()
+        owner = Classifier(table=table)
+        other = Classifier(table=table)
+        owner.learn_ids(table.encode_unique({"r1", "r2"}), True)
+        snap = owner.snapshot()
+        with pytest.raises(TrainingError):
+            other.restore(snap)
+        owner.restore(snap)
+        with pytest.raises(TrainingError):
             owner.restore(snap)
-            with pytest.raises(TrainingError):
-                owner.restore(snap)
 
     @pytest.mark.parametrize(
         "message",
@@ -503,57 +469,58 @@ class TestKernelEdges:
     )
     def test_out_of_range_probs_raise_identically(self, message):
         """With no smoothing (s = 0) a one-class token scores exactly 0
-        or 1, which the combiner rejects; every scoring path of both
-        kernels raises the same ValueError text, including for a
-        message holding both a p <= 0 and a p >= 1 entry."""
+        or 1, which the combiner rejects; every scoring path raises the
+        oracle's ValueError text, including for a message holding both
+        a p <= 0 and a p >= 1 entry."""
         options = ClassifierOptions(unknown_word_strength=0.0)
+        core = Classifier(options, table=TokenTable())
+        spec = SpecClassifier(options)
+        for tokens, is_spam in (({"s", "a_s", "z_s", "both"}, True), ({"h", "a_h", "z_h", "both"}, False)):
+            core.learn(tokens, is_spam)
+            spec.learn(tokens, is_spam)
+        ids = core.encode_tokens(message)
         errors = []
-        for cls in (Classifier, NDClassifier):
-            core = cls(options, table=TokenTable())
-            core.learn({"s", "a_s", "z_s", "both"}, True)
-            core.learn({"h", "a_h", "z_h", "both"}, False)
-            ids = core.encode_tokens(message)
-            for score in (
-                lambda: core.score(message),
-                lambda: core.score_many([message]),
-                lambda: core.score_many_ids([ids]),
-            ):
-                with pytest.raises(ValueError) as raised:
-                    score()
-                errors.append(str(raised.value))
-        assert errors == ["ln_product requires positive values, got 0.0"] * 6
+        for score in (
+            lambda: spec.score(message),
+            lambda: core.score(message),
+            lambda: core.score_many([message]),
+            lambda: core.score_many_ids([ids]),
+        ):
+            with pytest.raises(ValueError) as raised:
+                score()
+            errors.append(str(raised.value))
+        assert errors == ["ln_product requires positive values, got 0.0"] * 4
 
     def test_unlearn_count_underflow_raises_identically(self):
-        """The count-negative guard fires for both kernels, not just the
-        global nspam guard: two spam messages trained, one unlearned
-        twice."""
+        """The count-negative guard fires, not just the global nspam
+        guard: two spam messages trained, one unlearned twice."""
         table = TokenTable()
-        pure = Classifier(table=table)
-        vect = NDClassifier(table=table)
+        core = Classifier(table=table)
+        spec = SpecClassifier()
         shared = table.encode_unique({"c1", "c2"})
         rare = table.encode_unique({"c1", "c2", "c3"})
-        for core in (pure, vect):
-            core.learn_ids(shared, True)
-            core.learn_ids(rare, True)
+        core.learn_ids(shared, True)
+        core.learn_ids(rare, True)
+        core.unlearn_ids(rare, True)
+        spec.learn({"c1", "c2"}, True)
+        with pytest.raises(TrainingError, match="'c3' negative"):
             core.unlearn_ids(rare, True)
-            with pytest.raises(TrainingError):
-                core.unlearn_ids(rare, True)
-        assert _full_state(pure) == _full_state(vect)
-        assert pure.score_ids(shared) == vect.score_ids(shared)
+        assert_matches_oracle(core, spec)
+        assert core.score_ids(shared) == spec.score({"c1", "c2"})
 
     def test_long_extreme_messages_renormalize_identically(self):
         """150+ near-certain discriminators underflow the chi2 mantissa
         product; the vectorized renormalization must land on the same
-        bits as the pure combiner's."""
+        bits as the scalar combiner's."""
         table = TokenTable()
-        pure = Classifier(table=table)
-        vect = NDClassifier(table=table)
+        core = Classifier(table=table)
+        spec = SpecClassifier()
         spam_ids = table.encode_unique({f"sp{i}" for i in range(160)})
         ham_ids = table.encode_unique({f"hm{i}" for i in range(160)})
-        pure.learn_ids_repeated(spam_ids, True, 40)
-        vect.learn_ids_repeated(spam_ids, True, 40)
-        pure.learn_ids_repeated(ham_ids, False, 40)
-        vect.learn_ids_repeated(ham_ids, False, 40)
+        core.learn_ids_repeated(spam_ids, True, 40)
+        core.learn_ids_repeated(ham_ids, False, 40)
+        spec.learn(_texts(table, spam_ids), True, 40)
+        spec.learn(_texts(table, ham_ids), False, 40)
         mixed = np.concatenate([spam_ids, ham_ids])
         batch = [spam_ids, ham_ids, mixed]
-        assert pure.score_many_ids(batch) == vect.score_many_ids(batch)
+        assert core.score_many_ids(batch) == [spec.score(_texts(table, ids)) for ids in batch]

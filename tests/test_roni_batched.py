@@ -1,11 +1,11 @@
 """Differential lockdown of the batched RONI gate.
 
 :meth:`Classifier.score_under_candidates` is the gate's only scoring
-primitive.  Its base implementation is the learn / score / unlearn
-loop; the NumPy kernel overrides it with one vectorized pass per
-candidate chunk that never touches a count.  These tests hold both
-kernels to the plain per-candidate loop with exact ``==`` on floats,
-over seeded batches that reach every branch of the vectorized path:
+primitive: one vectorized pass per candidate chunk that never touches a
+count.  These tests hold it, with exact ``==`` on floats, to the
+learn / ``score_workspace`` / unlearn loop per candidate it stands for
+(spelled out here) and to the formula oracle, over seeded batches that
+reach every branch of the vectorized path:
 both labels, empty and duplicated candidates, candidates disjoint from
 the validation rows or interned after the workspace was built, and a
 dictionary-attack candidate that pushes rows past
@@ -19,11 +19,9 @@ replaced: same decision, same token-table layout.
 from __future__ import annotations
 
 import math
-import os
 import random
 import tracemalloc
 from array import array
-from contextlib import contextmanager
 
 import pytest
 
@@ -34,13 +32,12 @@ from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.roni import RoniConfig, RoniDefense
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.rng import SeedSpawner
-from repro.spambayes import ndkernel
-from repro.spambayes.ndkernel import ScoringWorkspace, create_classifier
+from repro.spambayes.classifier import _CANDIDATE_ENTRY_BUDGET, Classifier
+from repro.spambayes.ndkernel import ScoringWorkspace
 from repro.spambayes.token_table import TokenTable
 from repro.stream.defenses import GateDecision, RoniTickDefense
 from repro.stream.spec import StreamSpec
-
-KERNELS = ["nd", "python"] if ndkernel.available() else ["python"]
+from spambayes_spec import SpecClassifier
 
 HAM_WORDS = [f"ham{i:03d}" for i in range(240)]
 SPAM_WORDS = [f"spam{i:03d}" for i in range(240)]
@@ -51,19 +48,6 @@ RARE_WORDS = [f"rare{i:03d}" for i in range(200)]
 TRAIN_ONLY_WORDS = [f"train{i:02d}" for i in range(40)]
 
 
-@contextmanager
-def forced_kernel(name: str):
-    previous = os.environ.get(ndkernel.KERNEL_ENV)
-    os.environ[ndkernel.KERNEL_ENV] = name
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(ndkernel.KERNEL_ENV, None)
-        else:
-            os.environ[ndkernel.KERNEL_ENV] = previous
-
-
 def _tokens(rng: random.Random, main: list[str], n_main: int, n_rare: int = 0) -> set[str]:
     tokens = set(rng.sample(main, n_main)) | set(rng.sample(SHARED_WORDS, 8))
     if n_rare:
@@ -71,7 +55,7 @@ def _tokens(rng: random.Random, main: list[str], n_main: int, n_rare: int = 0) -
     return tokens
 
 
-def _trial(kernel: str, seed: int):
+def _trial(seed: int):
     """A trained trial filter, its validation workspace and a batch.
 
     Mirrors a RONI trial: one classifier trained on a small set, a
@@ -79,9 +63,8 @@ def _trial(kernel: str, seed: int):
     encoded against the same shared table.
     """
     rng = random.Random(seed)
-    with forced_kernel(kernel):
-        table = TokenTable()
-        classifier = create_classifier(table=table)
+    table = TokenTable()
+    classifier = Classifier(table=table)
     for _ in range(12):
         ham = _tokens(rng, HAM_WORDS, 170) | set(rng.sample(TRAIN_ONLY_WORDS, 5))
         classifier.learn_ids(table.encode_unique(ham), False)
@@ -125,12 +108,32 @@ def _trial(kernel: str, seed: int):
 
 
 def _reference(classifier, workspace, candidates) -> list[list[float]]:
-    """The per-candidate learn / score / unlearn loop, spelled out."""
+    """The per-candidate learn / score / unlearn loop, spelled out
+    (learning and unlearning are exact inverses on integer counts)."""
     scores = []
     for ids, is_spam in candidates:
         classifier.learn_ids(ids, is_spam)
-        scores.append(classifier.score_many_ids(workspace.rows))
+        scores.append(classifier.score_workspace(workspace))
         classifier.unlearn_ids(ids, is_spam)
+    return scores
+
+
+def _oracle(classifier, workspace, candidates) -> list[list[float]]:
+    """The same loop on the formula oracle, trained to the classifier's
+    counts and fed decoded token texts."""
+    decode = classifier.table.decode
+    spec = SpecClassifier(classifier.options)
+    for token in classifier.iter_vocabulary():
+        info = classifier.word_info(token)
+        spec.spamcount[token], spec.hamcount[token] = info.spamcount, info.hamcount
+    spec.nspam, spec.nham = classifier.nspam, classifier.nham
+    rows = [decode(list(row)) for row in workspace.rows]
+    scores = []
+    for ids, is_spam in candidates:
+        tokens = decode(list(ids))
+        spec.learn(tokens, is_spam)
+        scores.append([spec.score(row) for row in rows])
+        spec.unlearn(tokens, is_spam)
     return scores
 
 
@@ -142,10 +145,9 @@ def _state(classifier) -> tuple:
     return classifier.nspam, classifier.nham, classifier.vocabulary_size, counts
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_batched_scores_equal_reference_loop(kernel, seed):
-    classifier, workspace, candidates = _trial(kernel, seed)
+def test_batched_scores_equal_reference_loop(seed):
+    classifier, workspace, candidates = _trial(seed)
     before = _state(classifier)
     baseline = classifier.score_many_ids(workspace.rows)
 
@@ -157,13 +159,12 @@ def test_batched_scores_equal_reference_loop(kernel, seed):
     assert _state(classifier) == before
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_batch_reaches_every_branch(kernel):
+def test_batch_reaches_every_branch():
     """The fixture exercises what the differential test claims."""
-    classifier, workspace, candidates = _trial(kernel, 0)
+    classifier, workspace, candidates = _trial(0)
     options = classifier.options
     nnz = sum(len(row) for row in workspace.rows)
-    assert len(candidates) > ndkernel._CANDIDATE_ENTRY_BUDGET // nnz
+    assert len(candidates) > _CANDIDATE_ENTRY_BUDGET // nnz
     assert any(len(ids) == 0 for ids, _ in candidates)
 
     def significant_probs(row):
@@ -184,7 +185,6 @@ def test_batch_reaches_every_branch(kernel):
     assert before <= options.max_discriminators < after
 
 
-@pytest.mark.skipif("nd" not in KERNELS, reason="needs numpy")
 def test_chunked_peak_memory_is_bounded_by_the_budget():
     """One call's traced peak stays at one chunk's worth of pairs.
 
@@ -192,9 +192,9 @@ def test_chunked_peak_memory_is_bounded_by_the_budget():
     the returned score lists grow with the batch.  The per-pair figure
     is the one the ``_CANDIDATE_ENTRY_BUDGET`` comment states.
     """
-    classifier, workspace, candidates = _trial("nd", 0)
+    classifier, workspace, candidates = _trial(0)
     nnz = sum(len(row) for row in workspace.rows)
-    chunk = max(1, ndkernel._CANDIDATE_ENTRY_BUDGET // nnz)
+    chunk = max(1, _CANDIDATE_ENTRY_BUDGET // nnz)
     classifier.score_under_candidates(workspace, candidates)  # warm the caches
 
     def peak(n_chunks: int) -> int:
@@ -211,17 +211,14 @@ def test_chunked_peak_memory_is_bounded_by_the_budget():
     assert two / (chunk * nnz) < 100
 
 
-@pytest.mark.skipif("nd" not in KERNELS, reason="needs numpy")
-def test_kernels_agree():
-    nd = _trial("nd", 3)
-    pure = _trial("python", 3)
-    assert nd[0].score_under_candidates(nd[1], nd[2]) == pure[0].score_under_candidates(
-        pure[1], pure[2]
-    )
+def test_batched_scores_equal_oracle():
+    classifier, workspace, candidates = _trial(3)
+    batched = classifier.score_under_candidates(workspace, candidates)
+    assert batched == _oracle(classifier, workspace, candidates)
 
 
 def test_empty_workspace_and_batch():
-    classifier, _, candidates = _trial(KERNELS[0], 5)
+    classifier, _, candidates = _trial(5)
     assert classifier.score_under_candidates(ScoringWorkspace([]), candidates[:3]) == [[], [], []]
     empty_rows = ScoringWorkspace([array("l"), array("l")])
     assert classifier.score_under_candidates(empty_rows, candidates[:2]) == [[0.5, 0.5]] * 2
@@ -276,22 +273,20 @@ def _decision_fields(decision: GateDecision) -> tuple:
     )
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_stream_gate_matches_per_message_judge(kernel):
+def test_stream_gate_matches_per_message_judge():
     spec = StreamSpec(
         defense="roni",
         roni=RoniConfig(train_size=20, validation_size=30, trials=3),
         roni_calibration_size=80,
     )
-    with forced_kernel(kernel):
-        history, arrivals, attack_arrivals, table = _gate_world()
-        legacy = _legacy_gate(
-            spec, table, 4, arrivals, attack_arrivals, history, SeedSpawner(3).rng("tick")
-        )
-        history_b, arrivals_b, attack_b, table_b = _gate_world()
-        batched = RoniTickDefense(spec, table_b).gate(
-            4, arrivals_b, attack_b, history_b, SeedSpawner(3).rng("tick")
-        )
+    history, arrivals, attack_arrivals, table = _gate_world()
+    legacy = _legacy_gate(
+        spec, table, 4, arrivals, attack_arrivals, history, SeedSpawner(3).rng("tick")
+    )
+    history_b, arrivals_b, attack_b, table_b = _gate_world()
+    batched = RoniTickDefense(spec, table_b).gate(
+        4, arrivals_b, attack_b, history_b, SeedSpawner(3).rng("tick")
+    )
     assert _decision_fields(batched) == _decision_fields(legacy)
     assert legacy.attack_rejected > 0
     assert list(table_b) == list(table)

@@ -18,11 +18,8 @@ from repro.defenses.roni import RoniConfig, RoniDefense
 from repro.errors import DefenseError
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.rng import SeedSpawner
-from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.token_table import TokenTable
-
-KERNELS = ["nd", "python"] if ndkernel.available() else ["python"]
 
 
 @pytest.fixture(scope="module")
@@ -173,9 +170,7 @@ class TestRepeatedCandidates:
         # 4 copies + 1 equal set + 1 ham label + 4 ordinary messages.
         return fresh[:2] + copies[:2] + [equal, as_ham] + copies[2:] + fresh[2:]
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_measure_many_measures_each_group_once(self, kernel, monkeypatch, small_corpus, pool):
-        monkeypatch.setenv(ndkernel.KERNEL_ENV, kernel)
+    def test_measure_many_measures_each_group_once(self, monkeypatch, small_corpus, pool):
         batch = self._batch(small_corpus, pool)
         batched = RoniDefense(pool, SeedSpawner(52).rng("roni"))
         looped = RoniDefense(pool, SeedSpawner(52).rng("roni"))

@@ -9,8 +9,7 @@ random interleavings** of every mutating training call (``learn`` /
 never-seen tokens that grow the columns past the copy) mixed with
 scoring calls (``score_ids`` / ``score`` / ``spam_prob`` — which build
 and partially evict the significance memos a restore must void) between
-``snapshot()`` and ``restore()``, on both kernels and both count-column
-stores, then assert the classifier is **bit-exactly** the classifier
+``snapshot()`` and ``restore()``, on both count-column stores, then assert the classifier is **bit-exactly** the classifier
 that never took the excursion:
 
 * the serialized dump (token → counts mapping, table-layout
@@ -40,26 +39,17 @@ from repro.storage import STORE_DIR_ENV, DiskBackend
 VOCABULARY = [f"tok{i:02d}" for i in range(40)]
 
 
-@pytest.fixture(params=["python-memory", "python-disk", "nd-memory", "nd-disk"])
+@pytest.fixture(params=["memory", "disk"])
 def make_classifier(request, tmp_path, monkeypatch):
-    """A factory for empty classifiers on one kernel × store cell."""
-    kernel, store = request.param.split("-")
-    if kernel == "nd":
-        ndkernel = pytest.importorskip("repro.spambayes.ndkernel")
-        if not ndkernel.available():
-            pytest.skip("numpy not importable")
-        cls = ndkernel.NDClassifier
-    else:
-        cls = Classifier
-    if store == "memory":
-        yield cls
+    """A factory for empty classifiers on one count-column store."""
+    if request.param == "memory":
+        yield Classifier
         return
     monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
     backend = DiskBackend.create()
-    kind = "nd" if kernel == "nd" else "pure"
     try:
-        yield lambda: cls(
-            table=backend.new_token_table(), columns=backend.count_columns(kind)
+        yield lambda: Classifier(
+            table=backend.new_token_table(), columns=backend.count_columns()
         )
     finally:
         backend.destroy()

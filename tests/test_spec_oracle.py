@@ -1,40 +1,28 @@
-"""Both classifier kernels against the formula oracle, bit for bit.
+"""The classifier against the formula oracle, bit for bit.
 
 :class:`spambayes_spec.SpecClassifier` is the paper's learner written
 out as counts plus formulas.  Hypothesis draws the options, a training
 history and a query batch; every per-token probability and every
-message score of :class:`~repro.spambayes.classifier.Classifier` and
-:class:`~repro.spambayes.ndkernel.NDClassifier` must equal the
-oracle's with ``==``, through the string path (``score_many``,
-``spam_prob``) and the ID path (``score_many_ids``).  Options the
-combiner cannot take (``s = 0`` leaves one-class tokens at exactly 0
-or 1) must raise ``ValueError`` everywhere; the exact message is
-pinned by ``test_ndkernel_differential.py``.
+message score of :class:`~repro.spambayes.classifier.Classifier` must
+equal the oracle's with ``==``, through the string path
+(``score_many``, ``spam_prob``) and the ID path (``score_many_ids``).
+Options the combiner cannot take (``s = 0`` leaves one-class tokens at
+exactly 0 or 1) must raise ``ValueError`` everywhere; the exact message
+is pinned by ``test_ndkernel_differential.py``.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
-from repro.spambayes.ndkernel import NDClassifier
 from repro.spambayes.options import ClassifierOptions
 from repro.spambayes.token_table import TokenTable
 from spambayes_spec import SpecClassifier
 
 VOCAB = [f"t{i:02d}" for i in range(40)]
 UNSEEN = [f"u{i}" for i in range(6)]
-
-KERNELS = [
-    Classifier,
-    pytest.param(
-        NDClassifier,
-        marks=pytest.mark.skipif(not ndkernel.available(), reason="NumPy absent"),
-    ),
-]
 
 options_strategy = st.builds(
     ClassifierOptions,
@@ -56,11 +44,10 @@ def _outcome(score, *args):
         return ValueError
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @given(options=options_strategy, history=training, batch=queries)
 @settings(max_examples=300, deadline=None)
-def test_probabilities_and_scores_match_oracle(kernel, options, history, batch):
-    core = kernel(options, table=TokenTable())
+def test_probabilities_and_scores_match_oracle(options, history, batch):
+    core = Classifier(options, table=TokenTable())
     spec = SpecClassifier(options)
     for tokens, is_spam in history:
         core.learn(tokens, is_spam)
@@ -84,14 +71,13 @@ ops = st.lists(
 )
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @given(steps=ops, batch=queries)
 @settings(max_examples=100, deadline=None)
-def test_learn_unlearn_interleavings_match_oracle_counts(kernel, steps, batch):
+def test_learn_unlearn_interleavings_match_oracle_counts(steps, batch):
     """Random learn/unlearn interleavings, string and ID paths mixed:
     the kernel's counts equal the oracle's counters after every step,
     and so do its scores (each step evicts part of the memo)."""
-    core = kernel(table=TokenTable())
+    core = Classifier(table=TokenTable())
     spec = SpecClassifier()
     learned: list[tuple[frozenset, bool, int]] = []
     encoded = [core.encode_tokens(q) for q in batch]
@@ -120,16 +106,15 @@ def assert_matches_oracle(core: Classifier, spec: SpecClassifier) -> None:
     } == counts
 
 
-@pytest.mark.skipif(not ndkernel.available(), reason="NumPy absent")
 def test_zero_count_ids_at_zero_strength_score_without_dividing():
     """At ``unknown_word_strength`` 0, f(w) of a zero-count token is
-    0/0 by the formula; the nd kernel must give it the prior without
+    0/0 by the formula; the classifier must give it the prior without
     computing that quotient (no ``RuntimeWarning``) and match the
     oracle."""
     import warnings
 
     options = ClassifierOptions(unknown_word_strength=0.0, unknown_word_prob=0.3)
-    core = NDClassifier(options, table=TokenTable())
+    core = Classifier(options, table=TokenTable())
     spec = SpecClassifier(options)
     # Both tokens seen in both classes, so no f(w) is exactly 0 or 1
     # and the combiner accepts s = 0.

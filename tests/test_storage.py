@@ -39,7 +39,6 @@ from repro.storage import (
     MemoryBackend,
     MemoryCountColumns,
     MmapCountColumns,
-    NDMemoryCountColumns,
     active_backend,
     gc_stores,
     orphaned_stores,
@@ -114,8 +113,7 @@ class TestStoreSelection:
     def test_memory_backend_protocol(self):
         backend = MemoryBackend()
         assert isinstance(backend.new_token_table(), TokenTable)
-        assert isinstance(backend.count_columns("pure"), MemoryCountColumns)
-        assert isinstance(backend.count_columns("nd"), NDMemoryCountColumns)
+        assert isinstance(backend.count_columns(), MemoryCountColumns)
         # In-memory tables keep no rows: the row is its own key.
         table = backend.new_token_table()
         ids = table.encode_unique({"a", "b"})
@@ -312,8 +310,8 @@ class TestDiskTokenTable:
 
 
 class TestMmapCountColumns:
-    def test_pure_kind_preserves_counts_across_growth(self, tmp_path):
-        columns = MmapCountColumns(tmp_path / "cols", "pure")
+    def test_counts_survive_growth(self, tmp_path):
+        columns = MmapCountColumns(tmp_path / "cols")
         spam, ham = columns.grow(3)
         spam[0], spam[2], ham[1] = 7, 9, 4
         # Past the initial capacity: the file is extended and remapped,
@@ -327,8 +325,8 @@ class TestMmapCountColumns:
         columns.close()
         columns.close()  # idempotent
 
-    def test_nd_kind_returns_writable_int64_arrays(self, tmp_path):
-        columns = MmapCountColumns(tmp_path / "cols", "nd")
+    def test_views_are_writable_int64_arrays(self, tmp_path):
+        columns = MmapCountColumns(tmp_path / "cols")
         spam, ham = columns.grow(5)
         assert spam.dtype == np.int64 and ham.dtype == np.int64
         spam[:] = np.arange(5)
@@ -337,21 +335,13 @@ class TestMmapCountColumns:
         assert int(spam2[5:].sum()) == 0
         columns.close()
 
-    def test_memory_columns_grow_in_place(self):
+    def test_memory_columns_preserve_and_adopt(self):
         columns = MemoryCountColumns()
-        spam, ham = columns.grow(4)
-        spam[1] = 3
-        spam2, ham2 = columns.grow(10)
-        assert spam2 is spam and ham2 is ham  # extended, not replaced
-        assert spam2[1] == 3 and len(spam2) == 10
-
-    def test_nd_memory_columns_preserve_and_adopt(self):
-        columns = NDMemoryCountColumns()
         spam, _ = columns.grow(4)
         spam[1] = 3
         spam2, _ = columns.grow(1000)
         assert spam2[1] == 3 and spam2.shape == (1000,)
-        adopted = NDMemoryCountColumns.adopt(spam2.copy(), np.zeros(1000, np.int64))
+        adopted = MemoryCountColumns.adopt(spam2.copy(), np.zeros(1000, np.int64))
         spam3, _ = adopted.grow(1000)
         assert spam3[1] == 3
 
@@ -416,7 +406,7 @@ class TestDiskRows:
 class TestDiskBackendLifecycle:
     def test_resources_live_under_one_directory(self, disk_backend):
         table = disk_backend.new_token_table()
-        columns = disk_backend.count_columns("pure")
+        columns = disk_backend.count_columns()
         files = list(disk_backend.path.iterdir())
         assert files, "backend directory should hold store files"
         assert disk_backend.path.name.startswith(STORE_PREFIX)
@@ -550,7 +540,7 @@ class TestPersistenceThroughBackends:
     def test_disk_backed_classifier_round_trips(self, disk_backend, tmp_path):
         trained = self._trained(
             table=disk_backend.new_token_table(),
-            columns=disk_backend.count_columns("pure"),
+            columns=disk_backend.count_columns(),
         )
         reference = self._trained()
         assert classifier_to_dict(trained) == classifier_to_dict(reference)
@@ -568,7 +558,7 @@ class TestPersistenceThroughBackends:
         save_classifier(
             self._trained(
                 table=disk_backend.new_token_table(),
-                columns=disk_backend.count_columns("pure"),
+                columns=disk_backend.count_columns(),
             ),
             disk_target,
         )

@@ -11,8 +11,8 @@ enforced differential contract, not an argument:
 
 * the **scenario differential**: every registered stream scenario,
   scaled down so that it trains attack mail, plus a long-horizon
-  focused-attack spec, run twin-vs-unlearn under both kernels —
-  records compared as serialized bytes;
+  focused-attack spec, run twin-vs-unlearn — records compared as
+  serialized bytes;
 * the **twin cost counts**: on the long-horizon spec, each tick's
   twin work is that tick's accepted legitimate mail plus one bulk
   scoring pass, however much attack mail the stream has trained, and
@@ -21,7 +21,8 @@ enforced differential contract, not an argument:
   shipped to a :class:`WorkerPool` worker process;
 * the **property test**: randomized attack schedules at the classifier
   level — interleaved learn-only twin construction vs
-  snapshot/unlearn/restore, full state and scores compared exactly;
+  snapshot/unlearn/restore and vs the formula oracle fed only the
+  legitimate mail, full state and scores compared exactly;
 * the **hash-seed leg**: the twin/unlearn equality holds under
   explicit ``PYTHONHASHSEED`` values in subprocesses, so it does not
   lean on any incidental set-iteration order.
@@ -36,7 +37,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -45,23 +45,16 @@ from repro.defenses.roni import RoniConfig
 from repro.engine.runner import WorkerPool
 from repro.engine.sweep import evaluate_dataset
 from repro.scenarios import get_scenario, scenario_names
-from repro.spambayes import ndkernel
-from repro.spambayes.ndkernel import create_classifier
+from repro.spambayes.classifier import Classifier
 from repro.spambayes.token_table import TokenTable
 from repro.stream.runner import StreamRunner, _run_stream_task
 from repro.stream.spec import StreamSpec
+from spambayes_spec import SpecClassifier
 
 TESTS = Path(__file__).resolve().parent
 SRC = str(TESTS.parent / "src")
 
-KERNELS = ("nd", "python")
-
 HASH_SEEDS = ("0", "1", "2")
-
-
-def forced_kernel(name: str):
-    """Pin ``REPRO_KERNEL`` for the duration of one comparison arm."""
-    return mock.patch.dict(os.environ, {ndkernel.KERNEL_ENV: name})
 
 
 def _run_under_hash_seed(script: str, hash_seed: str) -> str:
@@ -102,7 +95,7 @@ class UnlearnRunner(StreamRunner):
 
 
 # Scaled-down overrides per registered stream scenario: small enough
-# to keep 6 scenarios x 2 kernels x 2 runners fast, large enough that
+# to keep 6 scenarios x 2 runners fast, large enough that
 # every scenario trains attack mail (so the twin path actually
 # diverges from the copy-the-confusion shortcut) — except the clean
 # control, which pins the no-attack degenerate case.
@@ -205,28 +198,15 @@ def _record_bytes(result) -> bytes:
 
 class TestScenarioDifferential:
     @pytest.mark.parametrize("name", STREAM_SCENARIOS + (LONG_HORIZON,))
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_twin_record_equals_unlearn_record(self, name, kernel):
+    def test_twin_record_equals_unlearn_record(self, name):
         spec = _scaled_spec(name)
-        with forced_kernel(kernel):
-            twin = StreamRunner(spec).run()
-            unlearn = UnlearnRunner(spec).run()
+        twin = StreamRunner(spec).run()
+        unlearn = UnlearnRunner(spec).run()
         assert _record_bytes(twin) == _record_bytes(unlearn)
         # Only attack mail that was trained makes the twin diverge from
         # the main line; without it the comparison is vacuous.
         trained = twin.to_record().as_dict()["extras"]["attack_trained"]
         assert (sum(trained) > 0) == (name != CLEAN_CONTROL), trained
-
-    def test_kernels_agree_with_each_other(self):
-        # One scenario cross-kernel: the twin path on nd must match
-        # the unlearn path on python (and vice versa by transitivity
-        # with the per-kernel differentials above).
-        spec = _scaled_spec("stream-dictionary-ramp")
-        with forced_kernel("nd"):
-            nd_twin = StreamRunner(spec).run()
-        with forced_kernel("python"):
-            py_unlearn = UnlearnRunner(spec).run()
-        assert _record_bytes(nd_twin) == _record_bytes(py_unlearn)
 
     def test_pooled_stream_matches_sequential_both_modes(self):
         # Workers leg: the whole-stream task run in a worker process
@@ -261,9 +241,8 @@ class CountingRunner(StreamRunner):
     and unlearn reaches one of them) — and its ``score_workspace``;
     each later call records the messages the twin learned and
     unlearned since the previous tick and the bulk scoring passes it
-    made this tick.  A primitive called inside another counted one
-    (the pure kernel's grouped calls end in per-message ones) is not
-    counted twice.  Tick 1's training precedes the wrapping, so its
+    made this tick.  A primitive called inside another counted one is
+    not counted twice.  Tick 1's training precedes the wrapping, so its
     entries are 0.
     """
 
@@ -369,47 +348,49 @@ def _full_state(classifier):
 
 
 @pytest.mark.parametrize("seed", [5, 17, 41])
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_interleaved_twin_matches_snapshot_unlearn_restore(seed, kernel):
-    """Randomized attack schedules: twin == unlearn, byte for byte.
+def test_interleaved_twin_matches_snapshot_unlearn_restore(seed):
+    """Randomized attack schedules: twin == unlearn == oracle.
 
     One shared table; a "stream" of randomly interleaved legitimate
     and attack trainings.  After every simulated tick, the learn-only
     twin's full state and its scores on a fixed test batch must equal
     the main classifier's after unlearning the attack history inside a
-    snapshot (restored afterward — the main line must be untouched).
+    snapshot (restored afterward — the main line must be untouched),
+    and the formula oracle's trained on the legitimate mail alone.
     """
     rng = random.Random(seed)
-    with forced_kernel(kernel):
-        table = TokenTable()
-        main = create_classifier(table=table)
-        twin = create_classifier(table=table)
-        test_batch = [_random_message(rng, table) for _ in range(12)]
-        attack_history: list = []
-        for tick in range(8):
-            # A random per-tick mix: legit ham, legit spam, attack spam.
-            for _ in range(rng.randint(1, 6)):
-                ids = _random_message(rng, table)
-                is_spam = rng.random() < 0.5
-                main.learn_ids(ids, is_spam)
-                twin.learn_ids(ids, is_spam)
-            for _ in range(rng.randint(0, 4)):
-                ids = _random_message(rng, table)
-                main.learn_ids(ids, True)
-                attack_history.append(ids)
+    table = TokenTable()
+    main = Classifier(table=table)
+    twin = Classifier(table=table)
+    oracle = SpecClassifier()
+    test_batch = [_random_message(rng, table) for _ in range(12)]
+    attack_history: list = []
+    for tick in range(8):
+        # A random per-tick mix: legit ham, legit spam, attack spam.
+        for _ in range(rng.randint(1, 6)):
+            ids = _random_message(rng, table)
+            is_spam = rng.random() < 0.5
+            main.learn_ids(ids, is_spam)
+            twin.learn_ids(ids, is_spam)
+            oracle.learn(table.decode(list(ids)), is_spam)
+        for _ in range(rng.randint(0, 4)):
+            ids = _random_message(rng, table)
+            main.learn_ids(ids, True)
+            attack_history.append(ids)
 
-            before = _full_state(main)
-            snap = main.snapshot()
-            try:
-                for ids in attack_history:
-                    main.unlearn_ids(ids, True)
-                assert _full_state(main) == _full_state(twin)
-                unlearn_scores = [main.score_ids(ids) for ids in test_batch]
-            finally:
-                main.restore(snap)
-            assert _full_state(main) == before
-            twin_scores = [twin.score_ids(ids) for ids in test_batch]
-            assert twin_scores == unlearn_scores
+        before = _full_state(main)
+        snap = main.snapshot()
+        try:
+            for ids in attack_history:
+                main.unlearn_ids(ids, True)
+            assert _full_state(main) == _full_state(twin)
+            unlearn_scores = [main.score_ids(ids) for ids in test_batch]
+        finally:
+            main.restore(snap)
+        assert _full_state(main) == before
+        twin_scores = [twin.score_ids(ids) for ids in test_batch]
+        assert twin_scores == unlearn_scores
+        assert twin_scores == [oracle.score(table.decode(list(ids))) for ids in test_batch]
 
 
 # ----------------------------------------------------------------------

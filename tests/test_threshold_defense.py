@@ -20,14 +20,11 @@ from repro.defenses.threshold import (
 from repro.errors import DefenseError
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.rng import SeedSpawner
-from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.filter import Label
-from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.options import ClassifierOptions
 from repro.spambayes.token_table import TokenTable
-
-KERNELS = ["nd", "python"] if ndkernel.available() else ["python"]
+from spambayes_spec import SpecClassifier
 
 
 class TestConfig:
@@ -175,11 +172,10 @@ def _training(corpus: TrecStyleCorpus, attack_count: int) -> Dataset:
 
 
 def _reference_fit(defense: DynamicThresholdDefense, training: Dataset, rng) -> ThresholdFit:
-    """The fit spelled out: a fresh string-keyed classifier trained
-    message by message, and one ``score(tokens)`` per validation
-    message."""
+    """The fit spelled out on the formula oracle: trained message by
+    message, and one ``score(tokens)`` per validation message."""
     half_f, half_v = training.split(defense.config.split_fraction, rng)
-    classifier = Classifier(defense.options)
+    classifier = SpecClassifier(defense.options)
     for message in half_f:
         classifier.learn(message.tokens(), message.is_spam)
     return defense.fit_from_scores(
@@ -192,24 +188,18 @@ class TestSharedTableFit:
     """The fit scores on encoded IDs over the caller's table; the
     fitted thresholds are exactly the string path's."""
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("attack_count", [0, 300], ids=["clean", "poisoned"])
     @pytest.mark.parametrize(
         "options",
         [
             ClassifierOptions(),
             ClassifierOptions(minimum_prob_strength=0.0),
-            # Graham's unknown-word prior.  (Not GRAHAM_OPTIONS whole:
-            # its zero smoothing strength is for GrahamClassifier's
-            # clamped formula, and Robinson's unclamped f(w) reaches 0.)
+            # Graham's unknown-word prior.
             ClassifierOptions(unknown_word_prob=0.4, minimum_prob_strength=0.0),
         ],
         ids=["default-prior", "prior-0.5-significant", "prior-0.4-significant"],
     )
-    def test_shared_private_and_reference_fits_agree(
-        self, monkeypatch, fit_corpus, kernel, attack_count, options
-    ):
-        monkeypatch.setenv(ndkernel.KERNEL_ENV, kernel)
+    def test_shared_private_and_reference_fits_agree(self, fit_corpus, attack_count, options):
         training = _training(fit_corpus, attack_count)
         attack = training.messages[len(fit_corpus.dataset) :]
         # Poisoned means grouped: hundreds of attack messages, one
@@ -226,11 +216,9 @@ class TestSharedTableFit:
         assert shared == private
         assert shared == reference
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_batched_scoring_matches_one_pass(self, monkeypatch, fit_corpus, kernel):
+    def test_batched_scoring_matches_one_pass(self, monkeypatch, fit_corpus):
         """Scoring the distinct rows in many small kernel calls gives
         the fit a one-call pass gives."""
-        monkeypatch.setenv(ndkernel.KERNEL_ENV, kernel)
         training = _training(fit_corpus, 300)
         table = TokenTable()
         training.encode(table)
@@ -238,14 +226,13 @@ class TestSharedTableFit:
         one_pass = defense.fit(training, random.Random(9), table=table)
 
         batch_sizes = []
-        classifier_type = type(create_classifier(defense.options))
-        score_many_ids = classifier_type.score_many_ids
+        score_many_ids = Classifier.score_many_ids
 
         def counted(self, rows):
             batch_sizes.append(len(rows))
             return score_many_ids(self, rows)
 
-        monkeypatch.setattr(classifier_type, "score_many_ids", counted)
+        monkeypatch.setattr(Classifier, "score_many_ids", counted)
         monkeypatch.setattr(threshold, "_SCORE_ENTRY_BUDGET", 50)
         batched = defense.fit(training, random.Random(9), table=table)
         assert len(batch_sizes) > 10

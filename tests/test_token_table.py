@@ -26,19 +26,14 @@ from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.roni import RoniConfig, RoniDefense
 from repro.engine.sweep import SweepSpec, run_attack_sweeps
 from repro.errors import TrainingError
-from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
-from repro.spambayes.graham import GrahamClassifier
 from repro.spambayes.message import Email
-from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.options import ClassifierOptions
 from repro.spambayes.persistence import classifier_from_dict, classifier_to_dict
 from repro.spambayes.token_table import TokenTable
 from spambayes_spec import SpecClassifier
 from test_engine import sequential_sweep_signature
 from test_spec_oracle import assert_matches_oracle
-
-KERNELS = ["nd", "python"] if ndkernel.available() else ["python"]
 
 
 # ----------------------------------------------------------------------
@@ -261,7 +256,6 @@ class TestDifferentialScoring:
         assert [(ts.token, ts.spam_prob) for ts in evidence] == expected
         assert len(id_core.table) == table_size  # nothing interned
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize(
         "options",
         [
@@ -276,17 +270,20 @@ class TestDifferentialScoring:
         ],
         ids=["default-prior", "prior-0.5-significant", "prior-0.4-significant"],
     )
-    def test_unseen_tokens_score_like_zero_count_ids(self, monkeypatch, kernel, options):
-        """``score_many`` over unseen tokens is per-message ``score``
-        on both kernels, whether or not the prior is significant — and
-        once interned, those tokens are zero-count IDs that the ID
-        kernel scores to the same floats.  The threshold fit scores
-        validation mail through that ID path."""
-        monkeypatch.setenv(ndkernel.KERNEL_ENV, kernel)
-        classifier = create_classifier(options, table=TokenTable())
-        classifier.learn({"cash", "wire", "offer"}, True)
-        classifier.learn({"cash", "prize"}, True)
-        classifier.learn({"meeting", "agenda", "offer"}, False)
+    def test_unseen_tokens_score_like_zero_count_ids(self, options):
+        """``score_many`` over unseen tokens is the oracle's score,
+        whether or not the prior is significant — and once interned,
+        those tokens are zero-count IDs that the ID path scores to the
+        same floats.  The threshold fit scores validation mail through
+        that ID path."""
+        classifier, spec = _paired(options)
+        for tokens, is_spam in (
+            ({"cash", "wire", "offer"}, True),
+            ({"cash", "prize"}, True),
+            ({"meeting", "agenda", "offer"}, False),
+        ):
+            classifier.learn(tokens, is_spam)
+            spec.learn(tokens, is_spam)
         queries = [
             {"cash", "unseen-b", "unseen-a"},
             {"meeting", "unseen-c"},
@@ -295,7 +292,8 @@ class TestDifferentialScoring:
             set(),
         ]
         table_size = len(classifier.table)
-        expected = [classifier.score(query) for query in queries]
+        expected = _oracle_scores(spec, queries)
+        assert [classifier.score(query) for query in queries] == expected
         assert classifier.score_many(queries) == expected
         assert len(classifier.table) == table_size  # nothing interned
         encoded = [classifier.table.encode_unique(query) for query in queries]
@@ -312,18 +310,6 @@ class TestDifferentialScoring:
             id_core.unlearn({"zzz-never-seen"}, True)
         # Failed unlearns leave the state untouched.
         assert_matches_oracle(id_core, spec)
-
-    def test_graham_subclass_uses_same_columns(self):
-        rng = random.Random(3)
-        vocab = [f"g{i}" for i in range(150)]
-        graham = GrahamClassifier()
-        messages = _random_messages(rng, vocab, 120)
-        for tokens, is_spam in messages:
-            graham.learn(tokens, is_spam)
-        queries = [frozenset(rng.sample(vocab, 20)) for _ in range(40)]
-        assert graham.score_many(queries) == [graham.score(q) for q in queries]
-        encoded = [graham.encode_tokens(q) for q in queries]
-        assert graham.score_many_ids(encoded) == [graham.score(q) for q in queries]
 
 
 class TestDifferentialPersistence:

@@ -151,7 +151,6 @@ def known_env_vars() -> set[str]:
     """
     from repro.engine.faults import FAULTS_ENV
     from repro.engine.supervise import DEGRADE_ENV, RETRIES_ENV, TIMEOUT_ENV
-    from repro.spambayes.ndkernel import KERNEL_ENV
     from repro.storage import STORE_DIR_ENV, STORE_ENV
 
     return {
@@ -159,7 +158,6 @@ def known_env_vars() -> set[str]:
         TIMEOUT_ENV,
         RETRIES_ENV,
         DEGRADE_ENV,
-        KERNEL_ENV,
         STORE_ENV,
         STORE_DIR_ENV,
         # Read inline via os.environ rather than a named constant:

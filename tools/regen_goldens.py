@@ -10,11 +10,13 @@ parsed back and ``sha256`` pins its bytes.
     PYTHONPATH=src python tools/regen_goldens.py          # rewrite (make goldens)
     PYTHONPATH=src python tools/regen_goldens.py --check  # compare, write nothing
 
-Both run at one fixed cell: the nd kernel when NumPy is installed,
-the memory store, one worker, ``PYTHONHASHSEED=0``.  ``--check`` names
-each mismatching entry and the first JSON path where it differs.
+Both run at one fixed cell: the memory store, one worker,
+``PYTHONHASHSEED=0``, whatever ``REPRO_STORE`` or ``REPRO_WORKERS`` the
+calling shell sets.  ``--check`` names each mismatching entry and the
+first JSON path where it differs; it is not store or worker coverage.
 ``tests/test_golden.py`` replays the goldens across the determinism
-matrix through :func:`render` and :func:`compare`.
+matrix (stores, workers, hash seeds, faults) through :func:`render` and
+:func:`compare`.
 """
 
 from __future__ import annotations
@@ -177,12 +179,14 @@ def compare_scores(golden: dict[str, Any], scores: list[float]) -> str | None:
     return where and f"{golden['entry']}: {where}"
 
 
-def build_golden(name: str) -> dict[str, Any]:
-    """One golden, rendered at the fixed cell's kernel, store and worker
-    count under this process's hash seed (:func:`main` pins that)."""
-    from repro.spambayes.ndkernel import available
+FIXED_CELL = "memory store, one worker"
+"""The cell :func:`build_golden` renders in, as ``--check`` reports it."""
 
-    with mock.patch.dict(os.environ, REPRO_KERNEL="nd" if available() else "python", REPRO_STORE="memory"):
+
+def build_golden(name: str) -> dict[str, Any]:
+    """One golden, rendered at the fixed cell's store and worker count
+    under this process's hash seed (:func:`main` pins that)."""
+    with mock.patch.dict(os.environ, REPRO_STORE="memory"):
         if name == SERVE:
             return {"entry": name, **SERVE_WORKLOAD, "scores": library_scores(*serve_workload())}
         golden = golden_spec(name)
@@ -219,7 +223,9 @@ def check(names: list[str], golden_dir: Path = GOLDEN_DIR) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Write or check tests/golden/.")
-    parser.add_argument("--check", action="store_true", help="compare; write nothing")
+    parser.add_argument(
+        "--check", action="store_true",
+        help=f"compare at the fixed cell ({FIXED_CELL}); write nothing")
     parser.add_argument("entries", nargs="*", help="entries to regenerate (default all)")
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != FIXED_HASH_SEED:
@@ -234,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown entries: {sorted(unknown)}")
     if args.check:
         problems = check(names)
-        print("\n".join(problems + [f"{len(names) - len(problems)}/{len(names)} goldens match"]))
+        summary = f"{len(names) - len(problems)}/{len(names)} goldens match ({FIXED_CELL})"
+        print("\n".join(problems + [summary]))
         return 1 if problems else 0
     for name in names:
         golden_path(name).write_text(golden_text(build_golden(name)), encoding="utf-8")
