@@ -12,7 +12,10 @@ the classifier and the oracle side by side through:
   spelled out on the oracle in ``test_engine.py``),
 * the exact floats behind the thresholded records: good-word ranks and
   padded scores, RONI deltas,
-* edge cases (CSR validation, table growth, memo purges).
+* edge cases (CSR validation, table growth, memo purges),
+
+with the classifier's counts in memory and on memory-mapped files
+(which remap as the table grows).
 
 Whole scenario records — the dictionary variants, good-word evasion,
 the RONI and threshold defenses, streams — across stores, worker counts
@@ -46,6 +49,7 @@ from repro.spambayes.options import DEFAULT_OPTIONS, ClassifierOptions
 from repro.spambayes.persistence import classifier_to_dict
 from repro.spambayes.token_table import TokenTable
 from repro.spambayes.tokenizer import DEFAULT_TOKENIZER
+from repro.storage.disk import MmapCountColumns
 from spambayes_spec import SpecClassifier
 from test_engine import sequential_sweep_signature
 from test_spec_oracle import assert_matches_oracle
@@ -56,6 +60,24 @@ SUITE_WORKERS = int(os.environ.get("REPRO_WORKERS", "1") or "1")
 def _texts(table: TokenTable, ids) -> list[str]:
     """The token texts of one encoded message, for the oracle."""
     return table.decode([int(tid) for tid in ids])
+
+
+@pytest.fixture(params=["memory", "disk"])
+def new_core(request, tmp_path):
+    """A factory for classifiers on one count-column store."""
+    opened = []
+
+    def make(options: ClassifierOptions = DEFAULT_OPTIONS, table: TokenTable | None = None):
+        table = TokenTable() if table is None else table
+        if request.param == "memory":
+            return Classifier(options, table=table)
+        columns = MmapCountColumns(tmp_path / f"columns{len(opened)}")
+        opened.append(columns)
+        return Classifier(options, table=table, columns=columns)
+
+    yield make
+    for columns in opened:
+        columns.close()
 
 
 def _label(score: float, options: ClassifierOptions = DEFAULT_OPTIONS) -> Label:
@@ -101,8 +123,21 @@ def _spec_restore(spec: SpecClassifier, checkpoint: tuple) -> None:
     spec.spamcount, spec.hamcount = Counter(spamcount), Counter(hamcount)
 
 
+INTERLEAVING_OPTIONS = [
+    DEFAULT_OPTIONS,
+    # Every token significant and a cap the 40-token messages exceed:
+    # the δ(E) cut and its text tie-break decide every score.
+    ClassifierOptions(minimum_prob_strength=0.0, max_discriminators=20),
+    # A hammy prior with weak smoothing: unseen and rare tokens move.
+    ClassifierOptions(unknown_word_prob=0.4, unknown_word_strength=0.2),
+]
+
+
+@pytest.mark.parametrize(
+    "options", INTERLEAVING_OPTIONS, ids=["default", "capped-significant", "prior-0.4-weak"]
+)
 @pytest.mark.parametrize("seed", [3, 11, 29])
-def test_randomized_interleavings_bit_identical(seed):
+def test_randomized_interleavings_bit_identical(seed, options, new_core):
     """Hundreds of random learn/unlearn/score/snapshot steps, exact ==.
 
     The oracle replays every training step on token texts; after every
@@ -110,8 +145,8 @@ def test_randomized_interleavings_bit_identical(seed):
     """
     rng = random.Random(seed)
     table = TokenTable()
-    core = Classifier(table=table)
-    spec = SpecClassifier()
+    core = new_core(options, table)
+    spec = SpecClassifier(options)
     messages = [_random_message(rng, table) for _ in range(60)]
     texts = [_texts(table, ids) for ids in messages]
     learned: list[tuple[int, bool, int]] = []
@@ -171,12 +206,12 @@ def test_randomized_interleavings_bit_identical(seed):
     }
 
 
-def _trained(seed: int, n_messages: int, n_trained: int):
+def _trained(new_core, seed: int, n_messages: int, n_trained: int):
     """A classifier and the oracle trained alike on one shared table,
     plus every message (trained ones first) and their texts."""
     rng = random.Random(seed)
     table = TokenTable()
-    core = Classifier(table=table)
+    core = new_core(table=table)
     spec = SpecClassifier()
     messages = [_random_message(rng, table) for _ in range(n_messages)]
     texts = [_texts(table, ids) for ids in messages]
@@ -187,8 +222,8 @@ def _trained(seed: int, n_messages: int, n_trained: int):
     return rng, core, spec, messages, texts
 
 
-def test_csr_scoring_matches_arrays_and_oracle():
-    _, core, spec, messages, texts = _trained(5, 80, 50)
+def test_csr_scoring_matches_arrays_and_oracle(new_core):
+    _, core, spec, messages, texts = _trained(new_core, 5, 80, 50)
     corpus = ndkernel.CsrMatrix.from_rows(messages)
     oracle = [spec.score(tokens) for tokens in texts]
     assert core.score_many_ids(messages) == oracle
@@ -197,18 +232,18 @@ def test_csr_scoring_matches_arrays_and_oracle():
     assert core.score_csr(corpus, rows=subset) == [oracle[i] for i in subset]
 
 
-def test_pickle_round_trip_preserves_scores():
-    _, core, _, messages, _ = _trained(13, 30, 20)
+def test_pickle_round_trip_preserves_scores(new_core):
+    _, core, _, messages, _ = _trained(new_core, 13, 30, 20)
     clone = pickle.loads(pickle.dumps(core))
     assert clone.score_many_ids(messages) == core.score_many_ids(messages)
     copied = core.copy()
     assert copied.score_many_ids(messages) == core.score_many_ids(messages)
 
 
-def test_string_batch_after_learn_refills_the_memo_in_one_pass(monkeypatch):
+def test_string_batch_after_learn_refills_the_memo_in_one_pass(monkeypatch, new_core):
     """A learn voids the significance memo; the next string batch
     refills it in one vectorized pass, not token by token."""
-    rng, core, spec, messages, texts = _trained(17, 40, 30)
+    rng, core, spec, messages, texts = _trained(new_core, 17, 40, 30)
     batch = [_random_text_message(rng, core.table) for _ in range(8)]
     batch.append(texts[0] + ["w450"])
     core.score_many(batch)
@@ -369,33 +404,33 @@ class TestKernelEdges:
         assert csr.nbytes() == csr.indices.nbytes + csr.indptr.nbytes
         assert csr.row(0).tolist() == [4, 7]
 
-    def test_score_csr_empty_corpus_and_blank_rows(self):
+    def test_score_csr_empty_corpus_and_blank_rows(self, new_core):
         table = TokenTable()
-        core = Classifier(table=table)
+        core = new_core(table=table)
         core.learn_ids(table.encode_unique({"x1", "x2"}), True)
         assert core.score_csr(ndkernel.CsrMatrix.from_rows([])) == []
         blanks = ndkernel.CsrMatrix.from_rows([[], []])
         assert core.score_csr(blanks) == core.score_many_ids([[], []]) == [0.5, 0.5]
 
-    def test_untrained_classifier_scores_match(self):
+    def test_untrained_classifier_scores_match(self, new_core):
         table = TokenTable()
-        core = Classifier(table=table)
+        core = new_core(table=table)
         ids = table.encode_unique({"u1", "u2", "u3"})
         spec = SpecClassifier()
         assert core.score_many_ids([ids, []]) == [spec.score(["u1", "u2", "u3"]), spec.score([])]
 
-    def test_word_info_matches_oracle(self):
+    def test_word_info_matches_oracle(self, new_core):
         table = TokenTable()
-        core = Classifier(table=table)
+        core = new_core(table=table)
         core.learn_ids(table.encode_unique({"known"}), True)
         info = core.word_info("known")
         assert (info.spamcount, info.hamcount) == (1, 0)
         assert isinstance(info.spamcount, int)
         assert core.word_info("never-seen") is None
 
-    def test_unlearn_edges_match_oracle(self):
+    def test_unlearn_edges_match_oracle(self, new_core):
         table = TokenTable()
-        core = Classifier(table=table)
+        core = new_core(table=table)
         spec = SpecClassifier()
         ids = table.encode_unique({"a", "b"})
         core.learn_ids(ids, True)
@@ -412,10 +447,10 @@ class TestKernelEdges:
         assert_matches_oracle(core, spec)
         assert core.score_ids(ids) == spec.score({"a", "b"})
 
-    def test_table_growth_after_scoring_stays_bit_identical(self):
+    def test_table_growth_after_scoring_stays_bit_identical(self, new_core):
         """Scoring sizes the columns; later growth must resync."""
         table = TokenTable()
-        core = Classifier(table=table)
+        core = new_core(table=table)
         spec = SpecClassifier()
         first = table.encode_unique({f"a{i}" for i in range(50)})
         core.learn_ids(first, True)
@@ -433,10 +468,10 @@ class TestKernelEdges:
         spec.learn(texts[1], False)
         assert core.score_csr(corpus) == [spec.score(tokens) for tokens in texts]
 
-    def test_bulk_mutation_purges_memo_bit_identically(self):
+    def test_bulk_mutation_purges_memo_bit_identically(self, new_core):
         """A huge learn after scoring crosses the memo-purge heuristic."""
         table = TokenTable()
-        core = Classifier(table=table)
+        core = new_core(table=table)
         spec = SpecClassifier()
         small = table.encode_unique({"s1", "s2"})
         core.learn_ids(small, True)
@@ -450,11 +485,11 @@ class TestKernelEdges:
             spec.score(_texts(table, big)),
         ]
 
-    def test_restore_misuse_raises(self):
+    def test_restore_misuse_raises(self, new_core):
         """Foreign / spent snapshots are refused."""
         table = TokenTable()
-        owner = Classifier(table=table)
-        other = Classifier(table=table)
+        owner = new_core(table=table)
+        other = new_core(table=table)
         owner.learn_ids(table.encode_unique({"r1", "r2"}), True)
         snap = owner.snapshot()
         with pytest.raises(TrainingError):
@@ -467,13 +502,13 @@ class TestKernelEdges:
         "message",
         [{"s"}, {"h"}, {"s", "h"}, {"a_s", "z_h"}, {"a_h", "z_s"}, {"s", "h", "both"}],
     )
-    def test_out_of_range_probs_raise_identically(self, message):
+    def test_out_of_range_probs_raise_identically(self, message, new_core):
         """With no smoothing (s = 0) a one-class token scores exactly 0
         or 1, which the combiner rejects; every scoring path raises the
         oracle's ValueError text, including for a message holding both
         a p <= 0 and a p >= 1 entry."""
         options = ClassifierOptions(unknown_word_strength=0.0)
-        core = Classifier(options, table=TokenTable())
+        core = new_core(options)
         spec = SpecClassifier(options)
         for tokens, is_spam in (({"s", "a_s", "z_s", "both"}, True), ({"h", "a_h", "z_h", "both"}, False)):
             core.learn(tokens, is_spam)
@@ -491,11 +526,11 @@ class TestKernelEdges:
             errors.append(str(raised.value))
         assert errors == ["ln_product requires positive values, got 0.0"] * 4
 
-    def test_unlearn_count_underflow_raises_identically(self):
+    def test_unlearn_count_underflow_raises_identically(self, new_core):
         """The count-negative guard fires, not just the global nspam
         guard: two spam messages trained, one unlearned twice."""
         table = TokenTable()
-        core = Classifier(table=table)
+        core = new_core(table=table)
         spec = SpecClassifier()
         shared = table.encode_unique({"c1", "c2"})
         rare = table.encode_unique({"c1", "c2", "c3"})
@@ -508,12 +543,12 @@ class TestKernelEdges:
         assert_matches_oracle(core, spec)
         assert core.score_ids(shared) == spec.score({"c1", "c2"})
 
-    def test_long_extreme_messages_renormalize_identically(self):
+    def test_long_extreme_messages_renormalize_identically(self, new_core):
         """150+ near-certain discriminators underflow the chi2 mantissa
         product; the vectorized renormalization must land on the same
         bits as the scalar combiner's."""
         table = TokenTable()
-        core = Classifier(table=table)
+        core = new_core(table=table)
         spec = SpecClassifier()
         spam_ids = table.encode_unique({f"sp{i}" for i in range(160)})
         ham_ids = table.encode_unique({f"hm{i}" for i in range(160)})

@@ -4,8 +4,8 @@
 primitive: one vectorized pass per candidate chunk that never touches a
 count.  These tests hold it, with exact ``==`` on floats, to the
 learn / ``score_workspace`` / unlearn loop per candidate it stands for
-(spelled out here) and to the formula oracle, over seeded batches that
-reach every branch of the vectorized path:
+(spelled out here) and to the formula oracle, under three option sets
+and over seeded batches that reach every branch of the vectorized path:
 both labels, empty and duplicated candidates, candidates disjoint from
 the validation rows or interned after the workspace was built, and a
 dictionary-attack candidate that pushes rows past
@@ -33,6 +33,7 @@ from repro.defenses.roni import RoniConfig, RoniDefense
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import _CANDIDATE_ENTRY_BUDGET, Classifier
+from repro.spambayes.options import DEFAULT_OPTIONS, ClassifierOptions
 from repro.spambayes.ndkernel import ScoringWorkspace
 from repro.spambayes.token_table import TokenTable
 from repro.stream.defenses import GateDecision, RoniTickDefense
@@ -55,7 +56,7 @@ def _tokens(rng: random.Random, main: list[str], n_main: int, n_rare: int = 0) -
     return tokens
 
 
-def _trial(seed: int):
+def _trial(seed: int, options: ClassifierOptions = DEFAULT_OPTIONS):
     """A trained trial filter, its validation workspace and a batch.
 
     Mirrors a RONI trial: one classifier trained on a small set, a
@@ -64,7 +65,7 @@ def _trial(seed: int):
     """
     rng = random.Random(seed)
     table = TokenTable()
-    classifier = Classifier(table=table)
+    classifier = Classifier(options, table=table)
     for _ in range(12):
         ham = _tokens(rng, HAM_WORDS, 170) | set(rng.sample(TRAIN_ONLY_WORDS, 5))
         classifier.learn_ids(table.encode_unique(ham), False)
@@ -145,9 +146,21 @@ def _state(classifier) -> tuple:
     return classifier.nspam, classifier.nham, classifier.vocabulary_size, counts
 
 
+# Beyond the defaults: every token significant under a tight cap (the
+# δ(E) cut decides each row), and a hammy prior with weak smoothing
+# (rare and candidate-only tokens swing furthest).
+GATE_OPTIONS = [
+    DEFAULT_OPTIONS,
+    ClassifierOptions(minimum_prob_strength=0.0, max_discriminators=40),
+    ClassifierOptions(unknown_word_prob=0.4, unknown_word_strength=0.2),
+]
+GATE_OPTION_IDS = ["default", "capped-significant", "prior-0.4-weak"]
+
+
+@pytest.mark.parametrize("options", GATE_OPTIONS, ids=GATE_OPTION_IDS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_batched_scores_equal_reference_loop(seed):
-    classifier, workspace, candidates = _trial(seed)
+def test_batched_scores_equal_reference_loop(seed, options):
+    classifier, workspace, candidates = _trial(seed, options)
     before = _state(classifier)
     baseline = classifier.score_many_ids(workspace.rows)
 
@@ -211,8 +224,9 @@ def test_chunked_peak_memory_is_bounded_by_the_budget():
     assert two / (chunk * nnz) < 100
 
 
-def test_batched_scores_equal_oracle():
-    classifier, workspace, candidates = _trial(3)
+@pytest.mark.parametrize("options", GATE_OPTIONS, ids=GATE_OPTION_IDS)
+def test_batched_scores_equal_oracle(options):
+    classifier, workspace, candidates = _trial(3, options)
     batched = classifier.score_under_candidates(workspace, candidates)
     assert batched == _oracle(classifier, workspace, candidates)
 

@@ -9,8 +9,10 @@ random interleavings** of every mutating training call (``learn`` /
 never-seen tokens that grow the columns past the copy) mixed with
 scoring calls (``score_ids`` / ``score`` / ``spam_prob`` — which build
 and partially evict the significance memos a restore must void) between
-``snapshot()`` and ``restore()``, on both count-column stores, then assert the classifier is **bit-exactly** the classifier
-that never took the excursion:
+``snapshot()`` and ``restore()``, on both count-column stores and on
+classifiers rebuilt by ``copy()``, pickling and ``classifier_from_dict``
+(whose columns are re-adopted in memory), then assert the classifier is
+**bit-exactly** the classifier that never took the excursion:
 
 * the serialized dump (token → counts mapping, table-layout
   independent) matches a freshly trained twin that replayed only the
@@ -27,30 +29,60 @@ seed list — fully deterministic, no external fuzzing dependency.
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
 from repro.errors import TrainingError
 from repro.spambayes.classifier import Classifier
-from repro.spambayes.persistence import classifier_to_dict
+from repro.spambayes.persistence import classifier_from_dict, classifier_to_dict
 from repro.storage import STORE_DIR_ENV, DiskBackend
 
 VOCABULARY = [f"tok{i:02d}" for i in range(40)]
 
 
-@pytest.fixture(params=["memory", "disk"])
+def _rebuilt(how: str, source: Classifier) -> Classifier:
+    """``source`` as ``copy()``, a pickle round trip or a dump reload
+    give it back: same counts, columns re-adopted in memory."""
+    if how == "copy":
+        return source.copy()
+    if how == "pickle":
+        return pickle.loads(pickle.dumps(source))
+    return classifier_from_dict(classifier_to_dict(source))
+
+
+@pytest.fixture(params=["memory", "disk", "disk-copy", "pickle", "from-dict"])
 def make_classifier(request, tmp_path, monkeypatch):
-    """A factory for empty classifiers on one count-column store."""
+    """A factory for empty classifiers on one count-column store, or
+    rebuilt from an empty one whose table already interned the
+    vocabulary (so the rebuilt columns start shorter than the table)."""
     if request.param == "memory":
         yield Classifier
         return
+    if request.param in ("pickle", "from-dict"):
+
+        def rebuilt() -> Classifier:
+            source = Classifier()
+            source.encode_tokens(VOCABULARY)
+            return _rebuilt(request.param, source)
+
+        yield rebuilt
+        return
     monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
     backend = DiskBackend.create()
-    try:
-        yield lambda: Classifier(
+
+    def on_disk() -> Classifier:
+        classifier = Classifier(
             table=backend.new_token_table(), columns=backend.count_columns()
         )
+        if request.param == "disk-copy":
+            classifier.encode_tokens(VOCABULARY)
+            classifier = _rebuilt("copy", classifier)
+        return classifier
+
+    try:
+        yield on_disk
     finally:
         backend.destroy()
 

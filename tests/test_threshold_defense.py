@@ -196,8 +196,15 @@ class TestSharedTableFit:
             ClassifierOptions(minimum_prob_strength=0.0),
             # Graham's unknown-word prior.
             ClassifierOptions(unknown_word_prob=0.4, minimum_prob_strength=0.0),
+            # A tight δ(E) cap, and weak smoothing that lets the
+            # poisoned counts swing one-class tokens toward 0 and 1.
+            ClassifierOptions(max_discriminators=15),
+            ClassifierOptions(unknown_word_strength=0.2),
         ],
-        ids=["default-prior", "prior-0.5-significant", "prior-0.4-significant"],
+        ids=[
+            "default-prior", "prior-0.5-significant", "prior-0.4-significant",
+            "capped-15", "weak-smoothing",
+        ],
     )
     def test_shared_private_and_reference_fits_agree(self, fit_corpus, attack_count, options):
         training = _training(fit_corpus, attack_count)
