@@ -130,10 +130,12 @@ class OracleGoodWordAttack:
         candidates = set(candidate_words)
         if not candidates:
             raise AttackError("oracle good-word attack needs candidate words")
-        # Rank by spam score ascending: the best good word is the one
-        # the filter considers most hammy. Unknown words score 0.5 and
-        # are useless (δ(E) drops them), so they sort to the middle.
-        self._ranked = sorted(candidates, key=lambda w: (classifier.spam_prob(w), w))
+        # Rank by (spam score, word) ascending: the best good word is
+        # the one the filter considers most hammy. Unknown words score
+        # the prior and are useless (δ(E) drops them), so they sort to
+        # the middle.  One vectorized f(w) scores every candidate.
+        words = list(candidates)
+        self._ranked = [word for _, word in sorted(zip(classifier.spam_probs(words), words))]
 
     @property
     def taxonomy(self) -> AttackTaxonomy:

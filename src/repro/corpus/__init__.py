@@ -16,7 +16,7 @@ Layers, bottom to top:
   synthetic Aspell dictionary and a frequency-ranked Usenet list;
 * :mod:`repro.corpus.language_model` — Zipfian unigram mixtures for
   ham and spam text;
-* :mod:`repro.corpus.generator` — full :class:`Email` synthesis with
+* :mod:`repro.corpus.generator` — full :class:`~repro.spambayes.message.Email` synthesis with
   headers;
 * :mod:`repro.corpus.dataset` — message handles, labeled datasets,
   folds, inbox sampling, ID encoding;

@@ -420,30 +420,6 @@ class Dataset:
             message.token_ids(table, tokenizer)
         return table
 
-    def encode_csr(
-        self,
-        table: TokenTable | None = None,
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-    ):
-        """Encode the dataset as one contiguous CSR message matrix.
-
-        Like :meth:`encode`, but additionally packs every message's ID
-        array into a single :class:`~repro.spambayes.ndkernel.CsrMatrix`
-        (indptr/indices over the whole dataset) — the layout
-        :meth:`~repro.spambayes.classifier.Classifier.score_csr` scores
-        without touching Python objects.
-        Returns ``(table, matrix)``; ``matrix.row(i)`` is
-        message ``i``'s sorted ID array, identical in content to
-        :meth:`LabeledMessage.token_ids`.
-        """
-        from repro.spambayes import ndkernel
-
-        table = self.encode(table, tokenizer)
-        matrix = ndkernel.CsrMatrix.from_rows(
-            [message.token_ids(table, tokenizer) for message in self._messages]
-        )
-        return table, matrix
-
     def vocabulary(self, tokenizer: Tokenizer = DEFAULT_TOKENIZER) -> set[str]:
         """Union of all token sets in the dataset (decoded from each
         encoded message's table)."""

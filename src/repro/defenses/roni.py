@@ -28,10 +28,10 @@ Implementation notes:
 * **Trials.** The ``trials`` baseline filters are trained once and
   share one interning :class:`TokenTable` (pass the pool's table to
   share encodings across defenses).  Each trial holds its validation
-  set as a :class:`~repro.spambayes.ndkernel.ScoringWorkspace`: the
-  rows' CSR encoding, unique token IDs, inverse index and
-  workspace-local text ranks are built once and never go stale (the
-  rows are fixed and the table is append-only).
+  set as a :class:`~repro.spambayes.classifier.ScoringWorkspace`: the
+  rows' CSR encoding, distinct token IDs, inverse index and text
+  order are built once and never go stale (the rows are fixed and
+  the table is append-only).
 * **One measurement per distinct candidate.**
   :meth:`RoniDefense.measure_many` groups a batch by ``(is_spam, ID
   row)`` (:func:`~repro.corpus.dataset.group_token_ids`; a dictionary
@@ -60,12 +60,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.corpus.dataset import Dataset, LabeledMessage, group_token_ids
 from repro.defenses.base_types import DefenseVerdict
 from repro.errors import DefenseError
-from repro.spambayes.classifier import Classifier
-from repro.spambayes.ndkernel import ScoringWorkspace, create_classifier
-from repro.spambayes.filter import Label
+from repro.spambayes.classifier import Classifier, ScoringWorkspace
+from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.token_table import TokenTable
 from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
@@ -131,13 +132,10 @@ class RoniVerdict:
         return DefenseVerdict.REJECT if self.rejected else DefenseVerdict.ACCEPT
 
 
-_COUNT_KEYS = ("ham_as_ham", "ham_as_spam", "ham_as_unsure", "spam_as_spam")
-
-
 class _Trial:
     """One (T, V) resample: baseline filter + validation workspace."""
 
-    __slots__ = ("classifier", "workspace", "validation_labels", "baseline_counts")
+    __slots__ = ("classifier", "workspace", "is_spam", "baseline_counts")
 
     def __init__(
         self,
@@ -147,33 +145,34 @@ class _Trial:
     ) -> None:
         self.classifier = classifier
         self.workspace = ScoringWorkspace(validation_ids)
-        self.validation_labels = validation_labels
-        self.baseline_counts = self.counts(classifier.score_workspace(self.workspace))
+        self.is_spam = np.array(validation_labels, dtype=bool)
+        self.baseline_counts = self.counts([classifier.score_workspace(self.workspace)])[0]
 
-    def counts(self, scores: Sequence[float]) -> dict[str, int]:
-        """Tally validation outcomes from the validation set's scores."""
+    def counts(self, score_rows: Sequence[Sequence[float]]) -> np.ndarray:
+        """Validation outcome tallies, one row per row of scores.
+
+        Columns are ham-as-ham, ham-as-spam, ham-as-unsure and
+        spam-as-spam counts, each score labelled as
+        :meth:`~repro.spambayes.filter.SpamFilter.classify` would label
+        it: ham at or below θ0, else unsure at or below θ1, else spam.
+        """
         options = self.classifier.options
-        ham_cutoff = options.ham_cutoff
-        spam_cutoff = options.spam_cutoff
-        counts = dict.fromkeys(_COUNT_KEYS, 0)
-        for is_spam, score in zip(self.validation_labels, scores):
-            if score <= ham_cutoff:
-                label = Label.HAM
-            elif score <= spam_cutoff:
-                label = Label.UNSURE
-            else:
-                label = Label.SPAM
-            if is_spam:
-                if label is Label.SPAM:
-                    counts["spam_as_spam"] += 1
-            else:
-                if label is Label.HAM:
-                    counts["ham_as_ham"] += 1
-                elif label is Label.SPAM:
-                    counts["ham_as_spam"] += 1
-                else:
-                    counts["ham_as_unsure"] += 1
-        return counts
+        scores = np.array(score_rows, dtype=np.float64).reshape(
+            len(score_rows), self.is_spam.shape[0]
+        )
+        ham = scores <= options.ham_cutoff
+        spam = ~ham & (scores > options.spam_cutoff)
+        unsure = ~(ham | spam)
+        is_ham = ~self.is_spam
+        return np.stack(
+            [
+                (ham & is_ham).sum(axis=1),
+                (spam & is_ham).sum(axis=1),
+                (unsure & is_ham).sum(axis=1),
+                (spam & self.is_spam).sum(axis=1),
+            ],
+            axis=1,
+        )
 
 
 class RoniDefense:
@@ -237,24 +236,13 @@ class RoniDefense:
         per-trial deltas then accumulate trial-major, exactly as
         per-candidate :meth:`measure_tokens` would sum them.
         """
-        totals = [dict.fromkeys(_COUNT_KEYS, 0.0) for _ in encoded]
+        totals = np.zeros((len(encoded), 4))
         for trial in self._trials:
-            baseline = trial.baseline_counts
             per_candidate = trial.classifier.score_under_candidates(trial.workspace, encoded)
-            for candidate_totals, scores in zip(totals, per_candidate):
-                after = trial.counts(scores)
-                for key in _COUNT_KEYS:
-                    candidate_totals[key] += after[key] - baseline[key]
+            totals += trial.counts(per_candidate) - trial.baseline_counts
         n = len(self._trials)
         return [
-            RoniMeasurement(
-                ham_as_ham_delta=candidate_totals["ham_as_ham"] / n,
-                ham_as_spam_delta=candidate_totals["ham_as_spam"] / n,
-                ham_as_unsure_delta=candidate_totals["ham_as_unsure"] / n,
-                spam_as_spam_delta=candidate_totals["spam_as_spam"] / n,
-                trials=n,
-            )
-            for candidate_totals in totals
+            RoniMeasurement(*deltas, trials=n) for deltas in (totals / n).tolist()
         ]
 
     def measure_tokens(self, tokens: Iterable[str], is_spam: bool = True) -> RoniMeasurement:

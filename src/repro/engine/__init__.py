@@ -5,10 +5,11 @@ units of work — folds of a cross-validated sweep, repetitions of a
 RONI calibration, targets of a focused attack.  This package runs
 those units across worker processes without changing a single result:
 
-* :mod:`repro.engine.runner` — :class:`ParallelRunner`, the one
-  concurrency primitive: map a worker function over tasks with a
-  shared read-only context, results in task order, sequential when
-  ``workers <= 1``, otherwise through the one :class:`WorkerPool`,
+* :mod:`repro.engine.runner` —
+  :class:`~repro.engine.runner.ParallelRunner`, the one concurrency
+  primitive: map a worker function over tasks with a shared read-only
+  context, results in task order, sequential when ``workers <= 1``,
+  otherwise through the one :class:`~repro.engine.runner.WorkerPool`,
   which supervises every map: per-wave chunk deadlines, crash
   detection with pool respawn, bounded retry, and graceful
   degradation to in-process execution — all preserving the engine's
@@ -19,7 +20,8 @@ those units across worker processes without changing a single result:
 * :mod:`repro.engine.sweep` — the K-fold attack-sweep engine behind
   Figures 1 and 5: fold models derived from one shared full-inbox
   classifier by snapshot/unlearn/restore, deterministic fold fan-out,
-  bulk scoring via :meth:`Classifier.score_many`;
+  each held-out stripe scored through one cached workspace
+  (:meth:`~repro.spambayes.classifier.Classifier.score_workspace`);
 * :mod:`repro.engine.replicate` — multi-seed replication: the same
   scenario at N root seeds, one whole replica per worker process,
   pooled into a

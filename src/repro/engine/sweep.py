@@ -30,12 +30,14 @@ sets — and train/score through the classifier's ``*_ids`` methods, so
 the inner loops never hash a string.  Attack payloads are ID-native
 too: each fold's batch is interned once through
 :meth:`~repro.attacks.base.AttackBatch.encode` and layered as ID
-arrays (:class:`IncrementalAttackTrainer`).  Held-out folds are scored
-through :meth:`Classifier.score_many_ids`, which shares per-token
-significance work across the fold's messages.  A parallel sweep
-ships the inbox as one
-:class:`~repro.spambayes.ndkernel.CsrMatrix` inside the context, by
-value like the rest of it, and workers score stripes straight off it.
+arrays (:class:`IncrementalAttackTrainer`).  Each fold scores its
+held-out stripe through one
+:class:`~repro.spambayes.classifier.ScoringWorkspace`, built once per
+fold, so the stripe's CSR encoding, distinct IDs and text order are
+not rebuilt after every contamination step.  A parallel sweep ships
+the inbox as one :class:`~repro.spambayes.ndkernel.CsrMatrix` inside
+the context, by value like the rest of it, and workers build their
+stripes' workspaces from its row views.
 
 The shared primitives the experiment drivers use (dataset evaluation,
 the incremental attack trainer, and grouped training, which lives in
@@ -57,7 +59,7 @@ from repro.engine.seeding import drawn_seeds
 from repro.errors import EngineError, ExperimentError
 from repro.experiments.metrics import ConfusionCounts
 from repro.spambayes import ndkernel
-from repro.spambayes.classifier import Classifier
+from repro.spambayes.classifier import Classifier, ScoringWorkspace
 from repro.spambayes.filter import Label
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.token_table import TokenTable
@@ -92,20 +94,21 @@ def evaluation_workspace(
     messages: Iterable[LabeledMessage],
     tokenizer: Tokenizer = DEFAULT_TOKENIZER,
     ham_only: bool = False,
-) -> "ndkernel.ScoringWorkspace":
+) -> ScoringWorkspace:
     """A scoring workspace over exactly the rows
     :func:`evaluate_dataset` would score for the same arguments.
 
     Built once per repeatedly-evaluated set (the stream runner's
     held-out test set) and passed back via ``evaluate_dataset(...,
     workspace=...)``; the workspace caches the batch-shape scoring
-    state (CSR encoding, text ranks, scratch buffers) across calls.
+    state (CSR encoding, distinct IDs, text order, scratch buffers)
+    across calls.
     The workspace is classifier-independent beyond the interning
     table, so one workspace may serve several classifiers sharing a
     table.
     """
     table = classifier.table
-    return ndkernel.ScoringWorkspace(
+    return ScoringWorkspace(
         m.token_ids(table, tokenizer)
         for m in messages
         if not (ham_only and m.is_spam)
@@ -118,7 +121,7 @@ def evaluate_dataset(
     tokenizer: Tokenizer = DEFAULT_TOKENIZER,
     ham_only: bool = False,
     cutoffs: tuple[float, float] | None = None,
-    workspace: "ndkernel.ScoringWorkspace | None" = None,
+    workspace: ScoringWorkspace | None = None,
 ) -> ConfusionCounts:
     """Classify ``messages`` and tally a confusion matrix.
 
@@ -296,8 +299,8 @@ class _SweepContext:
     When ``csr`` is set (parallel runs), the
     encoded inbox travels as one :class:`~repro.spambayes.ndkernel.
     CsrMatrix` instead of the ``token_ids`` tuple, carried by value
-    like every other field, so fold stripes score straight off its two
-    buffers through ``score_csr``.
+    like every other field; :meth:`rows` gives its row views either
+    way.
     """
 
     token_ids: tuple[array, ...] | None
@@ -353,23 +356,25 @@ def _fold_classifier(context: _SweepContext, task: _FoldTask):
     return classifier, snap
 
 
-def _evaluate_indices(
-    classifier: Classifier,
-    context: _SweepContext,
-    indices: tuple[int, ...],
-    ham_only: bool,
-) -> dict[str, int]:
-    kept = [i for i in indices if not (ham_only and context.labels[i])]
-    if context.csr is not None:
-        # Fold stripes are scored cold after every contamination step,
-        # so the CSR bulk path (no per-row Python assembly) wins here.
-        scores = classifier.score_csr(context.csr, rows=kept)
-    else:
+class _Stripe:
+    """A fold's held-out stripe: its labels plus one scoring workspace,
+    rescored after every contamination step."""
+
+    __slots__ = ("labels", "workspace")
+
+    def __init__(self, context: _SweepContext, indices: tuple[int, ...], ham_only: bool) -> None:
+        kept = [i for i in indices if not (ham_only and context.labels[i])]
         rows = context.rows()
-        scores = classifier.score_many_ids([rows[i] for i in kept])
-    options = classifier.options
-    labels = [context.labels[i] for i in kept]
-    return tally_scores(labels, scores, (options.ham_cutoff, options.spam_cutoff)).as_dict()
+        self.labels = [context.labels[i] for i in kept]
+        self.workspace = ScoringWorkspace(rows[i] for i in kept)
+
+    def evaluate(self, classifier: Classifier) -> dict[str, int]:
+        """The stripe's confusion counts under ``classifier``'s cutoffs."""
+        options = classifier.options
+        scores = classifier.score_workspace(self.workspace)
+        return tally_scores(
+            self.labels, scores, (options.ham_cutoff, options.spam_cutoff)
+        ).as_dict()
 
 
 def _run_fold_task(context: _SweepContext, task: _FoldTask) -> list[dict[str, int]]:
@@ -379,12 +384,11 @@ def _run_fold_task(context: _SweepContext, task: _FoldTask) -> list[dict[str, in
     try:
         batch = spec.attack.generate(spec.counts[-1], random.Random(task.attack_seed))
         trainer = IncrementalAttackTrainer(classifier, batch)
+        stripe = _Stripe(context, task.test_indices, spec.ham_only)
         confusions = []
         for count in spec.counts:
             trainer.advance_to(count)
-            confusions.append(
-                _evaluate_indices(classifier, context, task.test_indices, spec.ham_only)
-            )
+            confusions.append(stripe.evaluate(classifier))
         return confusions
     finally:
         classifier.restore(snap)

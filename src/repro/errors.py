@@ -40,7 +40,7 @@ class CorpusError(ReproError):
 
 
 class MessageParseError(ReproError):
-    """Raw email text could not be parsed into an :class:`Email`."""
+    """Raw email text could not be parsed into an :class:`~repro.spambayes.message.Email`."""
 
 
 class TrainingError(ReproError):

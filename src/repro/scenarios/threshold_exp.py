@@ -47,7 +47,7 @@ from repro.experiments.metrics import ConfusionCounts
 from repro.experiments.reporting import format_table
 from repro.experiments.results import CurvePoint, ExperimentRecord, Series
 from repro.scenarios.protocols import prepare_inbox
-from repro.spambayes.classifier import Classifier
+from repro.spambayes.classifier import Classifier, ScoringWorkspace
 from repro.spambayes.ndkernel import create_classifier
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.tokenizer import DEFAULT_TOKENIZER, Tokenizer
@@ -162,7 +162,9 @@ def _run_threshold_fold(
         batch = context.attack.generate(context.counts[-1], random.Random(next(seeds)))
         trainer = IncrementalAttackTrainer(classifier, batch)
         attack_messages = attack_messages_as_dataset(batch)
-        test_rows = [m.token_ids(classifier.table, context.tokenizer) for m in test_set]
+        test_workspace = ScoringWorkspace(
+            m.token_ids(classifier.table, context.tokenizer) for m in test_set
+        )
         test_labels = [m.is_spam for m in test_set]
         static_cutoffs = (classifier.options.ham_cutoff, classifier.options.spam_cutoff)
         static_arm: list[ConfusionCounts] = []
@@ -171,7 +173,7 @@ def _run_threshold_fold(
             trainer.advance_to(count)
             # One scoring pass per contamination level: the static and
             # every fitted (θ0, θ1) pair share this trained state.
-            scores = classifier.score_many_ids(test_rows)
+            scores = classifier.score_workspace(test_workspace)
             static_arm.append(tally_scores(test_labels, scores, static_cutoffs))
             poisoned = Dataset(
                 train_messages + attack_messages[:count],

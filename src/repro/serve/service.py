@@ -273,8 +273,10 @@ class FilterService:
                 writer.write(protocol.encode_frame(payload))
 
         def deliver(future: asyncio.Future, request_id) -> None:
-            # Runs as a done-callback: no per-request reply task, so a
-            # coalesced batch's responses flush as one buffered burst.
+            # Runs as a done-callback: no per-request reply task.  Each
+            # reply is its own writer.write, and on an idle transport
+            # each write goes out as its own send(); a batch's replies
+            # are not joined into one write.
             pending.discard(future)
             try:
                 payload = future.result()

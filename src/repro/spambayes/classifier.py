@@ -66,14 +66,16 @@ Scoring
     other change rebuilds the memo.
 
     The ID paths (:meth:`Classifier.score_many_ids`,
-    :meth:`Classifier.score_csr`, :meth:`Classifier.score_workspace`)
-    keep their own memo, a pair of arrays — ``prob[id]`` plus
-    ``known[id]`` — that any count change marks stale and the next
-    call refills in one vectorized pass, and score a whole CSR batch
-    as gather → lexsort → log-prob accumulate → chi2 survival, with no
-    per-message Python loop.  :meth:`Classifier.score_under_candidates`
-    is the RONI gate's batched form: the validation scores under every
-    candidate of a batch, without mutating a count.
+    :meth:`Classifier.score_workspace`) keep no memo.  Each call
+    scores one :class:`ScoringWorkspace` — transient for
+    ``score_many_ids``, kept by callers that rescore fixed rows — as
+    f(w) over the batch's distinct IDs → one ``(-strength, text)``
+    order over those IDs → in-place sort of fused ``(row << 32) |
+    ordinal`` keys → log-prob accumulate → chi2 survival, with no
+    per-message Python loop and no vocabulary-sized pass.
+    :meth:`Classifier.score_under_candidates` is the RONI gate's
+    batched form: the validation scores under every candidate of a
+    batch, without mutating a count, ordered by the same primitive.
 
 Bit-exactness is a hard requirement (the oracle tests assert ``==`` on
 floats), and every vectorized expression is chosen so each message
@@ -93,11 +95,11 @@ executes:
   ``np.log``/``np.exp`` may differ from libm in the last ulp, and only
   O(messages) calls are needed, so the exact scalar routines cost
   nothing;
-* the ``(-strength, token text)`` tie-break is reproduced with text
-  ranks computed by Python's own ``sorted`` — table-wide
-  (:meth:`TokenTable.text_order_ranks`) or local to a
-  :class:`~repro.spambayes.ndkernel.ScoringWorkspace` — under one
-  ``np.lexsort`` or a fused ``(row << 32) | ordinal`` key.
+* the ``(-strength, token text)`` tie-break is reproduced with the
+  table-wide text ranks Python's own ``sorted`` computes
+  (:meth:`TokenTable.text_order_ranks`), gathered at the batch's
+  distinct IDs and cached on the workspace: a stable argsort on
+  strength over the IDs in text order breaks ties by text.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.token_table import TOKEN_ID_TYPECODE, TokenTable
 from repro.spambayes.wordinfo import WordInfo
 
-__all__ = ["Classifier", "ClassifierSnapshot", "TokenScore"]
+__all__ = ["Classifier", "ClassifierSnapshot", "ScoringWorkspace", "TokenScore"]
 
 # Memo sentinel for "never computed" (None means "computed, not
 # significant", so the string path can drop insignificant entries with
@@ -219,17 +221,13 @@ def _concat_rows(rows: list) -> np.ndarray:
     return np.concatenate([_as_id_index(ids) for ids in rows])
 
 
-def _csr_arrays(rows: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+def _csr_arrays(rows: list) -> tuple[np.ndarray, np.ndarray]:
     """Encoded messages as one ``(indices, indptr)`` CSR pair."""
-    views = [_as_id_index(ids) for ids in rows]
-    lengths = np.fromiter((view.shape[0] for view in views), dtype=_ID_DTYPE, count=len(views))
-    indptr = np.zeros(len(views) + 1, dtype=_ID_DTYPE)
-    np.cumsum(lengths, out=indptr[1:])
-    if views:
-        indices = np.concatenate(views)
-    else:
-        indices = np.zeros(0, dtype=_ID_DTYPE)
-    return indices, indptr
+    indptr = np.zeros(len(rows) + 1, dtype=_ID_DTYPE)
+    np.cumsum(np.fromiter(map(len, rows), dtype=_ID_DTYPE, count=len(rows)), out=indptr[1:])
+    if rows:
+        return _concat_rows(rows), indptr
+    return np.zeros(0, dtype=_ID_DTYPE), indptr
 
 
 def _label_delta(groups: list, is_spam: bool, n: int) -> tuple[np.ndarray | None, int]:
@@ -274,6 +272,139 @@ def _add_bincount(delta: np.ndarray | None, rows: list, n: int) -> np.ndarray:
         return counts
     delta += counts
     return delta
+
+
+def _rank_significant(
+    strength: np.ndarray, significant: np.ndarray, text_order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The significant slots in ``(-strength, text)`` order, and each
+    one's rank in it.
+
+    ``text_order`` lists every slot in token-text order.  One *stable*
+    argsort on ``-strength`` over the significant slots taken in that
+    order breaks exact strength ties (including -0.0 vs 0.0, which IEEE
+    comparison treats as equal) by text, just as the string path's
+    tuple comparison falls through to the token.  ``ranked[r]`` is the
+    slot of rank ``r``; ``ordinal`` is its inverse over the
+    significant slots (zero elsewhere, never read).
+    """
+    ranked = text_order[significant[text_order]]
+    ranked = ranked[np.argsort(-strength[ranked], kind="stable")]
+    ordinal = np.zeros(strength.shape[0], dtype=_ID_DTYPE)
+    ordinal[ranked] = np.arange(ranked.shape[0], dtype=_ID_DTYPE)
+    return ranked, ordinal
+
+
+def _sorted_probs(
+    row_key: np.ndarray, ordinals: np.ndarray, ranked: np.ndarray, probs: np.ndarray
+) -> np.ndarray:
+    """``probs`` of significant entries, row by row, strongest first.
+
+    Entry ``e`` belongs to row ``row_key[e]`` and holds the slot of
+    rank ``ordinals[e]`` (see :func:`_rank_significant`).  Tokens are
+    unique per row, so the fused ``(row << 32) | ordinal`` keys are
+    unique and sorting them in place is the argsort order; the low
+    half of each sorted key maps back through ``ranked`` to its slot.
+    ``row_key`` is consumed.
+    """
+    key = row_key
+    key <<= 32
+    key |= ordinals
+    key.sort()
+    key &= 0xFFFFFFFF
+    return probs[ranked[key]]
+
+
+class ScoringWorkspace:
+    """Reusable batch-shape state of one evaluation batch.
+
+    Every ID-scoring call scores through a workspace.
+    :meth:`Classifier.score_many_ids` builds a transient one; callers
+    that score the *same* rows again and again — a fold's held-out
+    stripe after every contamination step, a stream's test set every
+    tick, a RONI trial's validation rows under every candidate — keep
+    one and pass it to :meth:`Classifier.score_workspace` or
+    :meth:`Classifier.score_under_candidates`, so the batch-shape work
+    runs once instead of per call:
+
+    * the CSR encoding of the rows (rows are immutable encoded ID
+      arrays, so it never goes stale);
+    * the rows' sorted distinct token IDs and the inverse index
+      mapping each CSR entry to its distinct slot;
+    * the distinct slots in token-text order: the table-wide
+      :meth:`TokenTable.text_order_ranks` gathered at the distinct IDs.
+      The table is append-only, so later growth cannot reorder tokens
+      already in it and the order never goes stale;
+    * named scratch buffers, reallocated only when the requested shape
+      changes.
+
+    The cached state is a pure function of ``(rows, table)``, never of
+    any classifier's counts — so one workspace is safely shared by
+    several classifiers over the same table (the stream runner points
+    the main classifier and its clean twin at a single workspace).
+    Everything is built lazily, on the first scoring call that needs it.
+    """
+
+    __slots__ = ("rows", "_csr", "_unique", "_text_order", "_buffers")
+
+    def __init__(self, rows: Iterable[Sequence[int]]) -> None:
+        self.rows = list(rows)
+        self._csr: tuple | None = None
+        self._unique: tuple | None = None
+        self._text_order: np.ndarray | None = None
+        self._buffers: dict = {}
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows as one ``(ids_cat, indptr)`` CSR pair, cached."""
+        if self._csr is None:
+            self._csr = _csr_arrays(self.rows)
+        return self._csr
+
+    def unique(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(unique_ids, inverse)``: sorted distinct IDs, and each CSR
+        entry's slot in them (``unique_ids[inverse] == ids_cat``)."""
+        if self._unique is None:
+            # IDs are dense table indices, so marking them in an
+            # ID-indexed mask finds the distinct ones without sorting
+            # the batch's entries.
+            ids_cat, _ = self.csr()
+            size = int(ids_cat.max()) + 1 if ids_cat.shape[0] else 0
+            present = np.zeros(size, dtype=bool)
+            present[ids_cat] = True
+            unique_ids = np.flatnonzero(present)
+            slot = np.empty(size, dtype=_ID_DTYPE)
+            slot[unique_ids] = np.arange(unique_ids.shape[0], dtype=_ID_DTYPE)
+            self._unique = (unique_ids, slot[ids_cat])
+        return self._unique
+
+    def text_order(self, table: TokenTable) -> np.ndarray:
+        """The distinct slots sorted by token text, cached.
+
+        Python's ``sorted`` built the table's ranks, so this order is
+        exactly the string comparisons the string path's sort makes
+        between any two tokens of one row.
+        """
+        if self._text_order is None:
+            unique_ids, _ = self.unique()
+            ranks = np.frombuffer(table.text_order_ranks(), dtype=_ID_DTYPE)
+            self._text_order = np.argsort(ranks[unique_ids])
+        return self._text_order
+
+    def buffer(self, name: str, size: int, dtype) -> np.ndarray:
+        """A named scratch array of exactly ``size``, reused per shape.
+
+        Contents are undefined on return — callers overwrite every
+        element they read (the kernel fills or assigns before use), so
+        reuse can never leak one call's values into the next.
+        """
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[0] != size:
+            buf = np.empty(size, dtype=dtype)
+            self._buffers[name] = buf
+        return buf
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"ScoringWorkspace(rows={len(self.rows)})"
 
 
 class Classifier:
@@ -330,28 +461,7 @@ class Classifier:
         self._memo: list | None = None
         self._memo_tag: tuple[int, int] | None = None
         self._dirty: list[int] = []
-        # Bumped by every count change (training calls and restore):
-        # caches that do not track touched IDs compare it to the value
-        # they were built at and rebuild on any difference.
-        self._generation = 0
         self._snapshot: ClassifierSnapshot | None = None
-        self._reset_prob_memo()
-
-    def _reset_prob_memo(self) -> None:
-        # The ID paths' memo: prob[id] is valid iff known[id], and the
-        # whole memo only while _prob_tag equals _generation (any count
-        # change marks it stale).
-        self._prob: np.ndarray | None = None
-        self._known: np.ndarray | None = None
-        self._prob_tag: int | None = None
-        # Cached per-vocabulary significance ordinal: the rank of each
-        # token under the combiner's (-strength, text) sort order.
-        # Valid only while no memoized prob has changed.
-        self._order: np.ndarray | None = None
-        # Vocabulary IDs in text order (the inverse of the table's rank
-        # permutation) — a pure function of the append-only table, so its
-        # length is a complete cache key and training never dirties it.
-        self._text_order: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Training state
@@ -455,7 +565,6 @@ class Classifier:
         targeted eviction (see :meth:`_memo_list`), unless the dirty
         backlog grows past the point where a rebuild is cheaper.
         """
-        self._generation += 1
         if self._memo is None:
             return
         dirty = self._dirty
@@ -463,31 +572,6 @@ class Classifier:
         if len(dirty) > 1024 and len(dirty) * 4 > len(self._memo):
             self._memo = None
             dirty.clear()
-
-    def _sync_probs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ID paths' memo arrays, sized to the table and current.
-
-        A memo built before the latest count change is stale as a
-        whole: every entry is marked unknown in place (keeping the
-        allocation), and the next scoring call refills it in one
-        vectorized pass.  Columns must already be ensured.
-        """
-        n = len(self._table)
-        known = self._known
-        if known is None or known.shape[0] < n:
-            capacity = max(n, 256) if known is None else max(n, 2 * known.shape[0])
-            grown_known = np.zeros(capacity, dtype=bool)
-            grown_prob = np.zeros(capacity, dtype=np.float64)
-            if known is not None:
-                grown_known[: known.shape[0]] = known
-                grown_prob[: known.shape[0]] = self._prob
-            self._known = known = grown_known
-            self._prob = grown_prob
-        if self._prob_tag != self._generation:
-            known.fill(False)
-            self._prob_tag = self._generation
-            self._order = None
-        return known, self._prob
 
     # ------------------------------------------------------------------
     # Learning
@@ -846,7 +930,6 @@ class Classifier:
         snap.active = False
         self._snapshot = None
         self._memo = None
-        self._generation += 1
 
     # ------------------------------------------------------------------
     # Token probabilities
@@ -885,12 +968,11 @@ class Classifier:
         arithmetic: int64→float64 conversions are exact (counts are
         tiny against 2**53) and each ``+ - * /`` is the identical
         correctly-rounded IEEE operation.  The formula is elementwise,
-        so feeding it contiguous column *slices* (the every-entry-
-        missing refresh after a count change) computes the same floats
-        as gathering the IDs one by one.  The global message counts
-        are parameters, so a caller can evaluate the probabilities a
-        state it has not trained into would have (the RONI gate's
-        "candidate learned" columns) without touching ``_nspam``/``_nham``.
+        so any batch of IDs gets the floats each ID would get alone.
+        The global message counts are parameters, so a caller can
+        evaluate the probabilities a state it has not trained into
+        would have (the RONI gate's "candidate learned" columns)
+        without touching ``_nspam``/``_nham``.
         """
         opts = self.options
         unknown = opts.unknown_word_prob
@@ -927,24 +1009,24 @@ class Classifier:
         the prior without growing the (possibly shared) table, columns
         or memos — only training extends the vocabulary.
         """
-        tid = self._table.id_of(token)
-        if tid is None:
-            return self.options.unknown_word_prob
-        self._ensure_columns()
-        memo = self._memo_list()
-        entry = memo[tid]
-        if type(entry) is tuple:
-            return entry[2]
-        # A plain float, so memo entries and evidence records carry
-        # native floats (float() of a float64 keeps the bits).
-        prob = float(self._probs_for(np.array([tid], dtype=_ID_DTYPE))[0])
-        if entry is _MISSING:
-            strength = abs(prob - 0.5)
-            if strength >= self.options.minimum_prob_strength:
-                memo[tid] = (-strength, token, prob)
-            else:
-                memo[tid] = None
-        return prob
+        return self.spam_probs((token,))[0]
+
+    def spam_probs(self, tokens: Sequence[str]) -> list[float]:
+        """:meth:`spam_prob` for every token, from one vectorized f(w).
+
+        The interned tokens' probabilities come from a single
+        :meth:`_probs_for` call, as native floats; unseen tokens score
+        the prior.  Like :meth:`spam_prob`, nothing is interned.
+        """
+        probs = [self.options.unknown_word_prob] * len(tokens)
+        ids = self._table.lookup(tokens)
+        seen = [i for i, tid in enumerate(ids) if tid is not None]
+        if seen:
+            self._ensure_columns()
+            need = np.fromiter((ids[i] for i in seen), dtype=_ID_DTYPE, count=len(seen))
+            for i, prob in zip(seen, self._probs_for(need).tolist()):
+                probs[i] = prob
+        return probs
 
     # ------------------------------------------------------------------
     # Scoring token streams
@@ -1110,57 +1192,24 @@ class Classifier:
         """I(E) for a batch of pre-encoded messages.
 
         Each element of ``id_arrays`` is a duplicate-free ID sequence
-        from this classifier's :attr:`table`.  The batch is scored as
-        one CSR matrix by :meth:`_score_segments`; scores are
+        from this classifier's :attr:`table`.  The batch is scored
+        through a transient :class:`ScoringWorkspace`; scores are
         bit-identical to per-message :meth:`score`.
         """
-        self._ensure_columns()
-        self._sync_probs()
-        return self._score_segments(*_csr_arrays(id_arrays))
+        return self._score_segments(ScoringWorkspace(id_arrays))
 
-    def score_csr(self, corpus, rows: Sequence[int] | None = None) -> list[float]:
-        """Bulk-score messages straight off a CSR corpus.
-
-        ``corpus`` is a :class:`~repro.spambayes.ndkernel.CsrMatrix`;
-        ``rows`` selects a message subset (fold stripes), ``None``
-        scores the whole corpus.  Scores are exactly what per-message
-        :meth:`score_ids` returns for the same rows.
-        """
-        self._ensure_columns()
-        self._sync_probs()
-        indices = corpus.indices
-        indptr = corpus.indptr
-        if rows is not None:
-            row_index = np.asarray(rows, dtype=_ID_DTYPE)
-            starts = indptr[row_index]
-            lengths = indptr[row_index + 1] - starts
-            sub_indptr = np.zeros(row_index.shape[0] + 1, dtype=_ID_DTYPE)
-            np.cumsum(lengths, out=sub_indptr[1:])
-            total = int(sub_indptr[-1])
-            gather = np.repeat(starts - sub_indptr[:-1], lengths) + np.arange(
-                total, dtype=_ID_DTYPE
-            )
-            indices = indices[gather]
-            indptr = sub_indptr
-        return self._score_segments(indices, indptr)
-
-    def score_workspace(self, workspace) -> list[float]:
+    def score_workspace(self, workspace: ScoringWorkspace) -> list[float]:
         """Bulk-score a workspace's fixed rows, reusing its cached state.
 
-        ``workspace`` is a
-        :class:`~repro.spambayes.ndkernel.ScoringWorkspace`.  Same
-        floats as ``score_many_ids(workspace.rows)`` — the CSR
-        encoding, rank gather and scratch buffers come from the
-        workspace instead of being rebuilt, but every arithmetic
-        operation on them is identical.
+        Same floats as ``score_many_ids(workspace.rows)`` — the CSR
+        encoding, distinct IDs, text order and scratch buffers come
+        from the workspace instead of being rebuilt, but every
+        arithmetic operation on them is identical.
         """
-        self._ensure_columns()
-        self._sync_probs()
-        ids_cat, indptr = workspace.csr()
-        return self._score_segments(ids_cat, indptr, workspace=workspace)
+        return self._score_segments(workspace)
 
     def score_under_candidates(
-        self, workspace, candidates: Sequence[tuple[Sequence[int], bool]]
+        self, workspace: ScoringWorkspace, candidates: Sequence[tuple[Sequence[int], bool]]
     ) -> list[list[float]]:
         """Score a workspace's rows once per hypothetical training message.
 
@@ -1177,10 +1226,11 @@ class Classifier:
         the workspace's unique tokens — base and +1 counts, under
         ``nspam + 1`` and under ``nham + 1`` — hold every probability
         any candidate can produce, computed by the same elementwise
-        formula the memo refresh uses.  Each (candidate, entry) pair
+        f(w) every ID-scoring call uses.  Each (candidate, entry) pair
         picks its column through a candidate-membership mask; one
         ``(-strength, text)`` ordinal over the 4 × |unique| variants
-        orders every row with a single int64 key; the shared Fisher
+        (:func:`_rank_significant`, over the workspace's cached text
+        order) orders every row with a single int64 key; the shared Fisher
         products give each row's statistics.  Candidates go through in
         chunks of at most :data:`_CANDIDATE_ENTRY_BUDGET` (candidate,
         entry) pairs, so memory stays bounded whatever the batch size;
@@ -1210,10 +1260,14 @@ class Classifier:
         strength = np.abs(probs - 0.5)
         significant = strength >= self.options.minimum_prob_strength
         # Variants of one token never meet in one row, so ranking all
-        # 4 × |unique| of them once gives every row's order.
-        order = np.lexsort((np.tile(workspace.text_ranks(self._table), 4), -strength))
-        ordinal = np.empty(4 * n_unique, dtype=_ID_DTYPE)
-        ordinal[order] = np.arange(4 * n_unique, dtype=_ID_DTYPE)
+        # 4 × |unique| of them once gives every row's order; in text
+        # order, each token's four variants sit side by side.
+        text_order = workspace.text_order(self._table)
+        ranked, ordinal = _rank_significant(
+            strength,
+            significant,
+            (text_order[:, None] + np.arange(4, dtype=_ID_DTYPE) * n_unique).ravel(),
+        )
         significant_entry = significant.reshape(4, n_unique)[:, inverse]
         entry_row = np.repeat(np.arange(n_rows, dtype=_ID_DTYPE), np.diff(indptr))
         chunk = max(1, _CANDIDATE_ENTRY_BUDGET // nnz)
@@ -1248,15 +1302,8 @@ class Classifier:
             key += entry_row[entry]
             del entry
             counts = np.bincount(key, minlength=n_batch * n_rows)
-            key <<= 32
-            key |= ordinal[variant]
-            del variant
-            # Keys are unique, so sorting them in place is the argsort
-            # order; ``order`` maps each sorted ordinal to its variant.
-            key.sort()
-            key &= 0xFFFFFFFF
-            prob_sorted = probs[order[key]]
-            del key
+            prob_sorted = _sorted_probs(key, ordinal[variant], ranked, probs)
+            del key, variant
             x2, degrees = self._combine_sorted(counts, prob_sorted)
             del prob_sorted
             x2_parts.append(x2)
@@ -1266,130 +1313,41 @@ class Classifier:
         )
         return [scores[k * n_rows : (k + 1) * n_rows] for k in range(len(candidates))]
 
-    def _build_order(self, table_len: int) -> np.ndarray:
-        """Per-vocabulary ordinal under the (-strength, text) order.
+    def _score_segments(self, workspace: ScoringWorkspace) -> list[float]:
+        """The vectorized Fisher/chi2 combiner over a workspace's rows.
 
-        ``ordinal[tid] < ordinal[other]`` exactly when the string
-        path would sort ``tid``'s memo tuple first: the primary key
-        compares the same ``-|prob - 0.5|`` float64 values, and text
-        rank breaks exact ties (including -0.0 vs 0.0, which IEEE
-        comparison — and hence any sort — treats as equal), just as
-        tuple comparison falls through to the token string.  Instead of
-        a two-key lexsort, IDs are pre-permuted into text order (cached:
-        the table is append-only, so length is a complete key) and a
-        single *stable* argsort on strength then resolves ties by text
-        rank for free.  Every prob must already be memoized for
-        ``[0, table_len)``.
-        """
-        text_order = self._text_order
-        if text_order is None or text_order.shape[0] != table_len:
-            # The ranks are a permutation of range(table_len), so its
-            # inverse is one scatter, not a sort.
-            ranks = np.frombuffer(self._table.text_order_ranks(), dtype=_ID_DTYPE)
-            text_order = self._text_order = np.empty(table_len, dtype=_ID_DTYPE)
-            text_order[ranks[:table_len]] = np.arange(table_len, dtype=_ID_DTYPE)
-        strength = np.abs(self._prob[:table_len] - 0.5)
-        order = text_order[
-            np.argsort(-strength[text_order], kind="stable")
-        ]
-        ordinal = np.empty(table_len, dtype=_ID_DTYPE)
-        ordinal[order] = np.arange(table_len, dtype=_ID_DTYPE)
-        return ordinal
-
-    def _score_segments(
-        self,
-        ids_cat: np.ndarray,
-        indptr: np.ndarray,
-        workspace=None,
-    ) -> list[float]:
-        """The vectorized Fisher/chi2 combiner over CSR segments.
-
-        One IEEE-identical pass for the whole batch: token-prob gather,
-        significance filter, the ``(-strength, text)`` lexsort with
+        One IEEE-identical pass for the whole batch: f(w) over the
+        batch's distinct IDs only, the significance filter, the
+        ``(-strength, text)`` order (:func:`_rank_significant`) with
         per-row truncation, the interleaved mantissa/exponent product,
-        and the even-dof chi-square survival series.  ``workspace``
-        supplies preallocated scratch columns and the cached text-rank
-        gather; it changes where intermediates live, never their bits.
+        and the even-dof chi-square survival series.  The workspace
+        supplies the CSR encoding, the distinct IDs, their text order
+        and the scratch columns; it changes where intermediates live,
+        never their bits.
         """
+        ids_cat, indptr = workspace.csr()
         n_msgs = indptr.shape[0] - 1
-        if n_msgs == 0:
-            return []
         if ids_cat.shape[0] == 0:
             return [0.5] * n_msgs
-        opts = self.options
-        known, prob_col = self._known, self._prob
-        # Backfill the prob memo for every not-yet-known vocabulary ID
-        # in one vectorized sweep.  Scanning the whole known[] column is
-        # O(vocab) with a trivial constant — far cheaper than hashing
-        # the batch's token stream for its unique IDs — and computing a
-        # prob for an ID the batch never references is harmless: the
-        # formula is elementwise, so every entry is the same float the
-        # scalar path would produce on demand.
-        table_len = len(self._table)
-        missing = np.flatnonzero(~known[:table_len])
-        if missing.size == table_len:
-            # Nothing memoized (the steady state after a count change):
-            # refresh straight off the contiguous count columns instead
-            # of gathering through an arange-equivalent index — same
-            # elementwise floats, no fancy-index copies.
-            prob_col[:table_len] = self._probs_of(
-                self._spam[:table_len], self._ham[:table_len], self._nspam, self._nham
-            )
-            known[:table_len] = True
-        elif missing.size:
-            prob_col[missing] = self._probs_for(missing)
-            known[missing] = True
-        if workspace is not None:
-            token_prob = np.take(
-                prob_col, ids_cat, out=workspace.buffer("token_prob", ids_cat.shape[0], np.float64)
-            )
-            strength = np.subtract(
-                token_prob, 0.5, out=workspace.buffer("strength", ids_cat.shape[0], np.float64)
-            )
-            np.abs(strength, out=strength)
-        else:
-            token_prob = prob_col[ids_cat]
-            strength = np.abs(token_prob - 0.5)
-        sig_idx = np.flatnonzero(strength >= opts.minimum_prob_strength)
-        if sig_idx.shape[0] == 0:
+        self._ensure_columns()
+        unique_ids, inverse = workspace.unique()
+        probs = self._probs_for(unique_ids)
+        strength = np.abs(probs - 0.5)
+        significant = strength >= self.options.minimum_prob_strength
+        sig_entries = np.flatnonzero(significant[inverse])
+        if sig_entries.shape[0] == 0:
             return [0.5] * n_msgs
+        ranked, ordinal = _rank_significant(
+            strength, significant, workspace.text_order(self._table)
+        )
         # Row of each significant entry, straight from the CSR indptr:
         # entry position p lives in the row r with indptr[r] <= p <
         # indptr[r+1] (empty rows collapse their indptr span, so they
         # can never be selected).
-        row_of = np.searchsorted(indptr, sig_idx, side="right") - 1
-        sig_prob = token_prob[sig_idx]
-        sig_ids = ids_cat[sig_idx]
-        # Row-major, then strength descending, then token text — the
-        # exact tuple order the string path's scored.sort() produces
-        # (tokens are unique per message, so this is a total order and
-        # sort stability never decides anything).  Both strength and
-        # text are functions of the token alone, so the two trailing
-        # keys collapse into a per-vocabulary ordinal; with it, the
-        # whole order is one unique int64 key per entry and a plain
-        # argsort replaces a 3-key lexsort.  The ordinal costs a
-        # vocabulary-sized sort to (re)build, so small batches (RONI
-        # probes) skip it and lexsort their few entries directly.
-        order_col = self._order
-        if order_col is not None and order_col.shape[0] < table_len:
-            order_col = self._order = None
-        if order_col is None and sig_ids.shape[0] >= table_len // 2:
-            order_col = self._order = self._build_order(table_len)
-        if order_col is not None:
-            order = np.argsort((row_of << 32) | order_col[sig_ids])
-        elif workspace is not None:
-            # The workspace holds the whole-batch gather of its local
-            # text ranks, which order each row's tokens exactly as the
-            # table-wide ranks would — so the tie-break key is a subset
-            # view, and no vocabulary-wide rank rebuild is needed.
-            order = np.lexsort(
-                (workspace.ranks_cat(self._table)[sig_idx], -strength[sig_idx], row_of)
-            )
-        else:
-            ranks = np.frombuffer(self._table.text_order_ranks(), dtype=_ID_DTYPE)
-            order = np.lexsort((ranks[sig_ids], -strength[sig_idx], row_of))
+        row_of = np.searchsorted(indptr, sig_entries, side="right") - 1
         counts = np.bincount(row_of, minlength=n_msgs)
-        return _fisher_scores(*self._combine_sorted(counts, sig_prob[order], workspace))
+        prob_sorted = _sorted_probs(row_of, ordinal[inverse[sig_entries]], ranked, probs)
+        return _fisher_scores(*self._combine_sorted(counts, prob_sorted, workspace))
 
     def _combine_sorted(
         self,
@@ -1542,9 +1500,7 @@ class Classifier:
         self._memo = None
         self._memo_tag = None
         self._dirty = []
-        self._generation = 0
         self._snapshot = None
-        self._reset_prob_memo()
 
     def __repr__(self) -> str:
         return (

@@ -40,7 +40,7 @@ class StreamProfile:
 
     ``per_tick[i]`` maps each of :data:`PHASES` to tick ``i+1``'s
     seconds; ``prepare_seconds`` covers the one-off setup before the
-    loop and ``total_seconds`` the whole :meth:`StreamRunner.run` call,
+    loop and ``total_seconds`` the whole :meth:`~repro.stream.runner.StreamRunner.run` call,
     so ``accounted_fraction()`` exposes how much of the run the phase
     timers explain (loop scaffolding and record assembly are the only
     unattributed remainder).

@@ -80,7 +80,7 @@ from repro.stream.spec import StreamSpec
 
 if TYPE_CHECKING:
     from repro.attacks.base import Attack
-    from repro.spambayes.ndkernel import ScoringWorkspace
+    from repro.spambayes.classifier import ScoringWorkspace
 
 __all__ = [
     "StreamOutcome",

@@ -3,10 +3,10 @@
 Per-token (spam, ham) message counts in two ``Counter`` objects, the
 global ``nspam``/``nham``, and the paper's three formulas written out
 once: Robinson's smoothed f(w), the δ(E) selection and Fisher's
-chi-square combining.  It shares no code with the classifier;
-it imports only the options bundle and ``chi2.fisher_combine``, which
-``tests/test_chi2.py`` checks on its own.  Tests hold the classifier to
-it with ``==``, never ``approx``.
+chi-square combining (the frexp-guarded log-product and the even-dof
+survival series, as SpamBayes ships them).  It shares no code with the
+classifier; it imports only the options bundle.  Tests hold the
+classifier to it with ``==``, never ``approx``.
 
 Where it departs from upstream SpamBayes ``classifier.py`` (Tim Peters
 et al.), it departs as the classifier under test does:
@@ -23,11 +23,47 @@ et al.), it departs as the classifier under test does:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Iterable
 
-from repro.spambayes.chi2 import fisher_combine
 from repro.spambayes.options import DEFAULT_OPTIONS, ClassifierOptions
+
+
+def ln_product(values: list[float]) -> float:
+    """``sum(ln v)``, the product kept in frexp form below 1e-200."""
+    mantissa, exponent = 1.0, 0
+    for value in values:
+        if value <= 0.0:
+            raise ValueError(f"ln_product requires positive values, got {value}")
+        mantissa *= value
+        if mantissa < 1e-200:
+            mantissa, shift = math.frexp(mantissa)
+            exponent += shift
+    return math.log(mantissa) + exponent * math.log(2.0)
+
+
+def chi2_survival(x2: float, degrees: int) -> float:
+    """P[X >= x2] for X ~ chi^2(degrees), degrees even:
+    ``exp(-m) * sum_{i<degrees/2} m^i / i!`` with ``m = x2 / 2``."""
+    if x2 <= 0.0:
+        return 1.0
+    half = x2 / 2.0
+    if half > 708.0:
+        return 0.0
+    term = math.exp(-half)
+    total = term
+    for i in range(1, degrees // 2):
+        term *= half / i
+        total += term
+    return min(total, 1.0)
+
+
+def fisher_combine(probs: list[float]) -> float:
+    """Fisher's method: Q(-2 sum ln p, 2n); 1.0 carries no evidence."""
+    if not probs:
+        return 1.0
+    return chi2_survival(-2.0 * ln_product(probs), 2 * len(probs))
 
 
 class SpecClassifier:
@@ -68,6 +104,10 @@ class SpecClassifier:
         spam_ratio = spam / self.nspam if self.nspam else 0.0
         ham_ratio = ham / self.nham if self.nham else 0.0
         return (s * x + n * (spam_ratio / (spam_ratio + ham_ratio))) / (s + n)
+
+    def spam_probs(self, tokens: Iterable[str]) -> list[float]:
+        """f(w) for every token, one at a time."""
+        return [self.spam_prob(token) for token in tokens]
 
     def significant(self, tokens: Iterable[str]) -> list[tuple[str, float]]:
         """δ(E): at most ``max_discriminators`` ``(token, f(w))`` pairs

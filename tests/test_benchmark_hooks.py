@@ -74,8 +74,7 @@ _PATCHED_METHODS = [
         ("repro.spambayes.classifier", "Classifier", attr)
         for attr in (
             "__init__", "learn", "learn_ids", "learn_many", "learn_repeated",
-            "learn_ids_repeated", "score_many_ids", "score_workspace", "score_csr",
-            "score_many",
+            "learn_ids_repeated", "score_many_ids", "score_workspace", "score_many",
         )
     ),
     *(

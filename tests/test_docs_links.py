@@ -175,3 +175,37 @@ def test_checker_resolves_docstring_role_references(tmp_path):
         "src/module.py:3: unresolved reference "
         "'repro.experiments.dictionary_exp.run_dictionary_sweep'"
     ]
+
+
+def test_checker_resolves_unqualified_role_references(tmp_path, monkeypatch):
+    """Unqualified :meth:/:class:/:func: names resolve against their
+    own module: its namespace, the classes it defines, or an importable
+    top-level module; a deleted method leaves its reference orphaned."""
+    checker = _load_checker()
+    source = tmp_path / "src"
+    source.mkdir()
+    (source / "docs_probe_module.py").write_text(
+        'import math\n'
+        '\n'
+        '\n'
+        'class Probe:\n'
+        '    """:meth:`kept`, :meth:`Probe.kept`, :meth:`~Probe.kept`,\n'
+        '    :func:`helper`, :func:`math.log` and :class:`Probe` resolve;\n'
+        '    :meth:`deleted` and :meth:`Probe.deleted` do not."""\n'
+        '\n'
+        '    def kept(self):\n'
+        '        """See :func:`no_such_helper`."""\n'
+        '\n'
+        '\n'
+        'def helper():\n'
+        '    pass\n',
+        encoding="utf-8",
+    )
+    monkeypatch.syspath_prepend(str(source))
+    checker.REPO_ROOT = tmp_path
+    problems = checker.check_source_references(source)
+    assert problems == [
+        "src/docs_probe_module.py:7: unresolved reference 'deleted'",
+        "src/docs_probe_module.py:7: unresolved reference 'Probe.deleted'",
+        "src/docs_probe_module.py:10: unresolved reference 'no_such_helper'",
+    ]

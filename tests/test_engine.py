@@ -262,9 +262,9 @@ class TestSweepContextRows:
     @pytest.mark.parametrize("ham_only", [False, True], ids=["all", "ham-only"])
     def test_csr_scoring_matches_token_id_scoring(self, sweep_inbox, ham_only):
         # The two fields a context can carry its inbox in must give the
-        # same confusion counts: score_csr on one, score_many_ids on
-        # the other.
-        from repro.engine.sweep import _evaluate_indices, _SweepContext
+        # same confusion counts: a stripe over the CSR row views on
+        # one, over the ID arrays on the other.
+        from repro.engine.sweep import _Stripe, _SweepContext
         from repro.spambayes.ndkernel import CsrMatrix
         from repro.spambayes.token_table import TokenTable
 
@@ -283,8 +283,8 @@ class TestSweepContextRows:
             token_ids=None, csr=CsrMatrix.from_rows(token_ids), **fields
         )
         indices = tuple(range(0, len(sweep_inbox), 2))
-        want = _evaluate_indices(classifier, by_rows, indices, ham_only)
-        assert _evaluate_indices(classifier, by_csr, indices, ham_only) == want
+        want = _Stripe(by_rows, indices, ham_only).evaluate(classifier)
+        assert _Stripe(by_csr, indices, ham_only).evaluate(classifier) == want
         assert sum(want.values()) > 0
 
 
@@ -666,17 +666,16 @@ class TestDriverEquivalence:
         def spying_fold(context, task):
             model = context.full_model
 
-            def score_many_ids(id_arrays):
-                rows = list(id_arrays)
-                calls.append(len(rows))
-                return type(model).score_many_ids(model, rows)
+            def score_workspace(workspace):
+                calls.append(len(workspace.rows))
+                return type(model).score_workspace(model, workspace)
 
             fold_sizes.append(len(task.test_indices))
-            model.score_many_ids = score_many_ids
+            model.score_workspace = score_workspace
             try:
                 return run_fold(context, task)
             finally:
-                del model.score_many_ids
+                del model.score_workspace
 
         monkeypatch.setattr(threshold_exp, "_run_threshold_fold", spying_fold)
         config = threshold_exp.ThresholdExperimentConfig(

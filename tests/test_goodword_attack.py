@@ -100,6 +100,25 @@ class TestOracleAttack:
         assert attack.ranked_words[0] == "meeting"
         assert attack.ranked_words[-1] == "cheap"
 
+    def test_batched_ranking_matches_the_per_token_ranking(self, trained_filter):
+        """One vectorized f(w) ranks exactly as one spam_prob per word:
+        same floats, same (prob, word) order — ties between the words
+        trained together break by text, unseen words sit at the prior."""
+        classifier = trained_filter.classifier
+        candidates = [
+            "winner", "cheap", "notes", "agenda", "meeting", "unseen-b",
+            "unseen-a", "review", "lottery", "budget", "cash", "zzz",
+        ]
+        probs = classifier.spam_probs(candidates)
+        assert probs == [classifier.spam_prob(word) for word in candidates]
+        assert all(type(prob) is float for prob in probs)
+        attack = OracleGoodWordAttack(classifier, candidates)
+        assert attack.ranked_words == sorted(
+            candidates, key=lambda word: (classifier.spam_prob(word), word)
+        )
+        assert attack.ranked_words[:2] == ["agenda", "budget"]
+        assert classifier.spam_probs([]) == []
+
     def test_oracle_beats_blind_at_equal_budget(self, trained_filter, spam_email):
         """Query access buys efficiency — the Lowd & Meek point."""
         candidates = ["meeting", "agenda", "budget", "quarterly", "review",

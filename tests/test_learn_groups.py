@@ -193,13 +193,16 @@ def test_empty_input_and_zero_counts_are_no_ops(store):
         zero = pair.encode([({"a", "c"}, True, 0), ({"b"}, False, 0)], False)
         queries = [pair.table.encode_unique(["a", "b", "c"])]
         before = _state(classifier, pair.table, queries)
-        generation = classifier._generation
+        # A no-op call notes no mutation: the string path's memo (built
+        # here) survives as the same list with no IDs queued to evict.
+        classifier.score(["a", "b", "c"])
+        memo = classifier._memo
         for call in (classifier.learn_groups, classifier.unlearn_groups):
             call([])
             call(iter(()))
             call(zero)
         assert _state(classifier, pair.table, queries) == before
-        assert classifier._generation == generation
+        assert classifier._memo is memo and not classifier._dirty
 
     _run(store, body)
 

@@ -43,7 +43,7 @@ from repro.engine.sweep import SweepSpec, run_attack_sweeps
 from repro.errors import ConfigurationError, TrainingError
 from repro.rng import SeedSpawner
 from repro.spambayes import ndkernel
-from repro.spambayes.classifier import Classifier
+from repro.spambayes.classifier import Classifier, ScoringWorkspace
 from repro.spambayes.filter import Label
 from repro.spambayes.options import DEFAULT_OPTIONS, ClassifierOptions
 from repro.spambayes.persistence import classifier_to_dict
@@ -227,9 +227,10 @@ def test_csr_scoring_matches_arrays_and_oracle(new_core):
     corpus = ndkernel.CsrMatrix.from_rows(messages)
     oracle = [spec.score(tokens) for tokens in texts]
     assert core.score_many_ids(messages) == oracle
-    assert core.score_csr(corpus) == oracle
+    assert core.score_workspace(ScoringWorkspace(corpus.rows())) == oracle
     subset = [3, 17, 17, 0, 79]
-    assert core.score_csr(corpus, rows=subset) == [oracle[i] for i in subset]
+    stripe = ScoringWorkspace(corpus.row(i) for i in subset)
+    assert core.score_workspace(stripe) == [oracle[i] for i in subset]
 
 
 def test_pickle_round_trip_preserves_scores(new_core):
@@ -404,13 +405,13 @@ class TestKernelEdges:
         assert csr.nbytes() == csr.indices.nbytes + csr.indptr.nbytes
         assert csr.row(0).tolist() == [4, 7]
 
-    def test_score_csr_empty_corpus_and_blank_rows(self, new_core):
+    def test_score_workspace_empty_batch_and_blank_rows(self, new_core):
         table = TokenTable()
         core = new_core(table=table)
         core.learn_ids(table.encode_unique({"x1", "x2"}), True)
-        assert core.score_csr(ndkernel.CsrMatrix.from_rows([])) == []
-        blanks = ndkernel.CsrMatrix.from_rows([[], []])
-        assert core.score_csr(blanks) == core.score_many_ids([[], []]) == [0.5, 0.5]
+        assert core.score_workspace(ScoringWorkspace([])) == core.score_many_ids([]) == []
+        blanks = ScoringWorkspace([[], []])
+        assert core.score_workspace(blanks) == core.score_many_ids([[], []]) == [0.5, 0.5]
 
     def test_untrained_classifier_scores_match(self, new_core):
         table = TokenTable()
@@ -457,16 +458,16 @@ class TestKernelEdges:
         spec.learn(_texts(table, first), True)
         assert core.score_ids(first) == spec.score(_texts(table, first))
         # Grow the shared table WITHOUT training: another consumer of
-        # the table encoded new tokens.  Training would retag and
-        # rebuild; pure growth must extend the memo arrays in place.
+        # the table encoded new tokens, which scoring must size the
+        # columns for.
         second = table.encode_unique({f"b{i}" for i in range(300)})
-        corpus = ndkernel.CsrMatrix.from_rows([first, second])
+        workspace = ScoringWorkspace([first, second])
         texts = [_texts(table, first), _texts(table, second)]
-        assert core.score_csr(corpus) == [spec.score(tokens) for tokens in texts]
+        assert core.score_workspace(workspace) == [spec.score(tokens) for tokens in texts]
         # And after training on the new tokens they re-agree.
         core.learn_ids(second, False)
         spec.learn(texts[1], False)
-        assert core.score_csr(corpus) == [spec.score(tokens) for tokens in texts]
+        assert core.score_workspace(workspace) == [spec.score(tokens) for tokens in texts]
 
     def test_bulk_mutation_purges_memo_bit_identically(self, new_core):
         """A huge learn after scoring crosses the memo-purge heuristic."""

@@ -32,9 +32,8 @@ from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses.roni import RoniConfig, RoniDefense
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.rng import SeedSpawner
-from repro.spambayes.classifier import _CANDIDATE_ENTRY_BUDGET, Classifier
+from repro.spambayes.classifier import _CANDIDATE_ENTRY_BUDGET, Classifier, ScoringWorkspace
 from repro.spambayes.options import DEFAULT_OPTIONS, ClassifierOptions
-from repro.spambayes.ndkernel import ScoringWorkspace
 from repro.spambayes.token_table import TokenTable
 from repro.stream.defenses import GateDecision, RoniTickDefense
 from repro.stream.spec import StreamSpec

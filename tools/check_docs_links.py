@@ -28,6 +28,11 @@ Across ``src/``, every Sphinx-role reference to a ``repro.…`` path
 (``:mod:``, ``:func:``, ``:class:``, ``:meth:``, ``:data:``,
 ``:attr:``, ``:exc:``) must resolve the same way, so moving a module
 or renaming a function cannot orphan a docstring that points at it.
+Unqualified ``:func:``, ``:class:`` and ``:meth:`` references
+(``:meth:`_score_segments```, ``:class:`TokenTable```) must resolve
+against the module they sit in: a name in its namespace, an attribute
+of a class it defines, or a path under an importable top-level module
+(``:func:`math.log```).
 
 Run directly (``make docs-check``)::
 
@@ -59,6 +64,9 @@ DOTTED_SPAN = re.compile(r"^~?(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?$")
 ROLE_REFERENCE = re.compile(
     r":(?:mod|func|class|meth|data|attr|exc):`(?:[^`<]*<)?~?(repro(?:\.\w+)+)(?:\(\))?>?`"
 )
+LOCAL_REFERENCE = re.compile(
+    r":(?:func|class|meth):`(?:[^`<]*<)?~?(?!repro\.)([A-Za-z_]\w*(?:\.\w+)*)(?:\(\))?>?`"
+)
 
 
 def resolves(dotted: str) -> bool:
@@ -81,18 +89,53 @@ def resolves(dotted: str) -> bool:
     return False
 
 
+def _has_path(target, parts: list[str]) -> bool:
+    for attr in parts:
+        if not hasattr(target, attr):
+            return False
+        target = getattr(target, attr)
+    return True
+
+
+def resolves_locally(module, name: str) -> bool:
+    """Whether the unqualified ``name`` resolves in ``module``: in its
+    namespace, on a class it defines, or under a top-level module."""
+    parts = name.split(".")
+    owners = [module] + [
+        obj
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    ]
+    if any(_has_path(owner, parts) for owner in owners):
+        return True
+    return len(parts) > 1 and resolves(name)
+
+
+def _module_of(path: Path, root: Path):
+    """The imported module a source file under ``root`` defines."""
+    parts = list(path.relative_to(root).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return importlib.import_module(".".join(parts))
+
+
 def check_source_references(root: Path) -> list[str]:
-    """Sphinx-role ``repro.…`` references under ``root`` that do not resolve."""
+    """Sphinx-role references under ``root`` that do not resolve:
+    ``repro.…`` paths anywhere, unqualified names in their module."""
     problems = []
     for path in sorted(root.rglob("*.py")):
         text = path.read_text(encoding="utf-8")
-        for match in ROLE_REFERENCE.finditer(text):
-            if not resolves(match.group(1)):
-                line = text.count("\n", 0, match.start()) + 1
-                problems.append(
-                    f"{path.relative_to(REPO_ROOT)}:{line}: "
-                    f"unresolved reference {match.group(1)!r}"
-                )
+        found = [m for m in ROLE_REFERENCE.finditer(text) if not resolves(m.group(1))]
+        local = list(LOCAL_REFERENCE.finditer(text))
+        if local:
+            module = _module_of(path, root)
+            found += [m for m in local if not resolves_locally(module, m.group(1))]
+        for match in sorted(found, key=lambda m: m.start()):
+            line = text.count("\n", 0, match.start()) + 1
+            problems.append(
+                f"{path.relative_to(REPO_ROOT)}:{line}: "
+                f"unresolved reference {match.group(1)!r}"
+            )
     return problems
 
 
