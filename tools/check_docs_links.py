@@ -81,15 +81,12 @@ def resolves(dotted: str) -> bool:
             target = importlib.import_module(".".join(parts[:cut]))
         except ImportError:
             continue
-        for attr in parts[cut:]:
-            if not hasattr(target, attr):
-                return False
-            target = getattr(target, attr)
-        return True
+        return _has_path(target, parts[cut:])
     return False
 
 
 def _has_path(target, parts: list[str]) -> bool:
+    """Whether each of ``parts`` is an attribute of the one before."""
     for attr in parts:
         if not hasattr(target, attr):
             return False
