@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test goldens e2e-selftest bench docs-check check
+.PHONY: test goldens e2e-selftest docs-check check
 
 # Tier-1 gate: the full test suite, fail-fast.
 test:
@@ -24,11 +24,6 @@ goldens:
 # The same command as CI's e2ebench-selftest job.
 e2e-selftest:
 	python3 -m pytest e2ebench/selftest.py -q
-
-# The full benchmark suite: renders every figure/table artifact into
-# benchmarks/results/.  REPRO_SCALE=paper for Table 1 sizes.
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Fail if README.md / docs/ reference a file, CLI subcommand or make
 # target that does not exist.

@@ -3,8 +3,8 @@
 No plotting stack is available offline, and the figures only need to
 be *recognizable* next to the paper: monotone curves, orderings and
 saturation points.  These renderers draw into a character grid and
-return a string; benchmarks print them so a bench run's stdout is a
-self-contained reproduction artifact.
+return a string; ``repro run-scenario`` prints them, so its stdout is
+a self-contained reproduction artifact.
 """
 
 from __future__ import annotations

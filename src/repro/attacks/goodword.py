@@ -8,7 +8,7 @@ touch training, but pads spam with hammy words so it slips past the
 trained filter as a false negative.
 
 Implementing that quadrant here serves two purposes: it completes the
-taxonomy as runnable code, and it gives the defenses benchmarks an
+taxonomy as runnable code, and it gives the defense experiments an
 Integrity-attack baseline to contrast with the paper's Availability
 attacks (RONI, for instance, is a *training-time* gate and has no
 purchase on an attack that never trains).

@@ -8,14 +8,13 @@ Usage::
     python -m repro run-scenario focused-vs-roni --set pool_size=200
     python -m repro replicate dictionary-vs-none --seeds 8 --workers 4
 
-Every paper artifact is a registered scenario — ``figure1-dictionary``,
-``figure2-focused-knowledge``, ``figure3-focused-size``,
-``roni-defense`` and ``figure5-threshold`` — so ``run-scenario``
-regenerates each one: it prints the rendered artifact (data table +
-ASCII figure) and, with ``--out``, also writes the text and a
-machine-readable JSON record.  ``--scale paper`` runs the config's
-``paper_scale()`` (Table 1 sizes).  Table 1 itself is printed by
-``benchmarks/bench_table1_params.py``.
+Every paper artifact is a registered scenario — ``table1-parameters``,
+``figure1-dictionary``, ``figure2-focused-knowledge``,
+``figure3-focused-size``, ``figure4-token-shift``, ``roni-defense`` and
+``figure5-threshold`` — so ``run-scenario`` regenerates each one: it
+prints the rendered artifact (data table + ASCII figure) and, with
+``--out``, also writes the text and a machine-readable JSON record.
+``--scale paper`` runs the config's ``paper_scale()`` (Table 1 sizes).
 
 ``list-scenarios`` prints the declarative scenario registry
 (:mod:`repro.scenarios`); ``run-scenario <name>`` executes any

@@ -130,8 +130,7 @@ class TrecStyleCorpus:
         """The full-size equivalent: 39,399 ham / 52,790 spam messages.
 
         Only the messages a run encodes are generated (minutes for the
-        whole corpus); intended for ``REPRO_SCALE=paper`` benchmark
-        runs only.
+        whole corpus).
         """
         return cls.generate(
             n_ham=TREC05_HAM_COUNT,

@@ -14,9 +14,8 @@ those units across worker processes without changing a single result:
   detection with pool respawn, bounded retry, and graceful
   degradation to in-process execution — all preserving the engine's
   bit-identical determinism contract;
-* :mod:`repro.engine.seeding` — per-task seed derivation shared with
-  the benchmark harness, so parallel and sequential runs consume
-  identical random streams;
+* :mod:`repro.engine.seeding` — per-task seed derivation, so parallel
+  and sequential runs consume identical random streams;
 * :mod:`repro.engine.sweep` — the K-fold attack-sweep engine behind
   Figures 1 and 5: fold models derived from one shared full-inbox
   classifier by snapshot/unlearn/restore, deterministic fold fan-out,

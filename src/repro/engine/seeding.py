@@ -1,4 +1,4 @@
-"""Deterministic per-task seeding, shared by the engine and benchmarks.
+"""Deterministic per-task seeding for the engine.
 
 Parallel execution must not change results, which means every unit of
 parallel work (a fold, a repetition, a RONI calibration) needs a seed
@@ -17,10 +17,8 @@ runs it* or *when*.  Two mechanisms cover every case in this repo:
   pre-drawn seed.  Sequential and parallel runs then consume the parent
   stream identically, so results are bit-for-bit equal.
 
-``benchmarks/conftest.py`` resolves its root seed through
-:func:`resolve_root_seed` and the experiment configs it builds carry
-that seed into the engine, so ``--workers N`` and ``--workers 1`` runs
-of any benchmark emit identical JSON records.
+Either way a scenario's JSON record is the same at ``--workers N`` and
+``--workers 1``.
 """
 
 from __future__ import annotations

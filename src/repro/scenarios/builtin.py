@@ -1,12 +1,13 @@
 """The built-in scenario catalogue.
 
-Five paper artifacts, one beyond-the-paper evasion study, the
-time-ordered ``stream-*`` family (:mod:`repro.stream`), and the
-cross-product scenarios the declarative registry makes cheap: each
-registration is a :class:`~repro.scenarios.spec.ScenarioSpec` naming a
-protocol, a config dataclass and a handful of default overrides —
-~20 lines buys a new attack × defense combination that previously
-required a bespoke driver.
+The paper's evaluation (Table 1, Figures 1–5, Section 5.1), one
+beyond-the-paper evasion study, the time-ordered ``stream-*`` family
+(:mod:`repro.stream`), and the cross-product scenarios the declarative
+registry makes cheap: each registration is a
+:class:`~repro.scenarios.spec.ScenarioSpec` naming a protocol, a
+config dataclass and a handful of default overrides — ~20 lines buys
+a new attack × defense combination that previously required a
+bespoke driver.
 
 Registration happens when :mod:`repro.scenarios` is imported, so every
 process — parent, engine worker, CLI, CI — sees the identical
@@ -20,7 +21,9 @@ from repro.scenarios.focused_exp import FocusedExperimentConfig
 from repro.scenarios.goodword_exp import GoodWordExperimentConfig
 from repro.scenarios.registry import register_scenario
 from repro.scenarios.roni_exp import PAPER_VARIANTS, RoniExperimentConfig
+from repro.scenarios.table1_exp import Table1Config
 from repro.scenarios.threshold_exp import ThresholdExperimentConfig
+from repro.scenarios.token_shift_exp import TokenShiftExperimentConfig
 from repro.scenarios.spec import ScenarioSpec
 from repro.stream.spec import StreamSpec
 
@@ -64,6 +67,17 @@ BUILTIN_SCENARIOS: tuple[ScenarioSpec, ...] = (
         "the training set (Section 4.3).",
     ),
     ScenarioSpec(
+        name="figure4-token-shift",
+        title="Token score shift of focused-attack targets",
+        protocol="token-shift",
+        config_type=TokenShiftExperimentConfig,
+        attack_grid=("focused",),
+        metrics=("included_mean_delta", "excluded_mean_delta", "label_after"),
+        paper_artifact="Figure 4",
+        description="Every target token's f(w) before and after its focused "
+        "attack (p = 0.5); one panel per outcome (Section 4.3).",
+    ),
+    ScenarioSpec(
         name="roni-defense",
         title="RONI incremental-impact separation of dictionary attacks",
         protocol="roni-gate",
@@ -86,6 +100,15 @@ BUILTIN_SCENARIOS: tuple[ScenarioSpec, ...] = (
         paper_artifact="Figure 5",
         description="Static vs g-quantile-fitted thresholds over the same "
         "poisoned models (Section 5.2).",
+    ),
+    ScenarioSpec(
+        name="table1-parameters",
+        title="The experiments' parameters",
+        protocol="table1",
+        config_type=Table1Config,
+        paper_artifact="Table 1",
+        description="Training/test sizes, spam prevalence, attack fractions, "
+        "validation and target emails of each experiment.",
     ),
     # ------------------------------------------------------------------
     # Beyond the paper

@@ -22,7 +22,15 @@ import threading
 from typing import Any, Callable, Iterable, NamedTuple
 
 from repro.errors import ScenarioError
-from repro.scenarios import dictionary_exp, focused_exp, goodword_exp, roni_exp, threshold_exp
+from repro.scenarios import (
+    dictionary_exp,
+    focused_exp,
+    goodword_exp,
+    roni_exp,
+    table1_exp,
+    threshold_exp,
+    token_shift_exp,
+)
 from repro.scenarios.spec import ScenarioSpec
 from repro.stream.runner import render_stream_result, run_stream_experiment
 
@@ -55,11 +63,15 @@ PROTOCOLS: dict[str, Protocol] = {
     "focused-size": Protocol(
         focused_exp.run_focused_size, focused_exp.render_focused_size_result
     ),
+    "token-shift": Protocol(
+        token_shift_exp.run_token_shift, token_shift_exp.render_token_shift_result
+    ),
     "goodword-evasion": Protocol(goodword_exp.run_goodword_evasion, None),
     "roni-gate": Protocol(roni_exp.run_roni_gate, roni_exp.render_roni_result),
     "threshold-arms": Protocol(
         threshold_exp.run_threshold_arms, threshold_exp.render_threshold_result
     ),
+    "table1": Protocol(table1_exp.run_table1, table1_exp.render_table1_result),
     # A stream is one sequential task; replication runs each replica's
     # stream in its own worker process.
     "stream": Protocol(run_stream_experiment, render_stream_result),

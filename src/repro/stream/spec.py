@@ -29,7 +29,7 @@ the attacker approaches it from ``attack_start_tick``:
     compressed into one retraining period.
 
 :meth:`StreamSpec.tick_attack_counts` materializes the schedule as one
-count per tick; everything downstream (the runner, the benchmarks, the
+count per tick; everything downstream (the runner, the defenses, the
 tests) consumes that.
 """
 

@@ -4,10 +4,9 @@ Corpus generation is deterministic, so the expensive fixtures are
 session-scoped: every test that asks for ``small_corpus`` sees the
 exact same object, and mutating tests must copy what they touch.
 
-``REPRO_WORKERS`` (same knob as ``benchmarks/conftest.py``) sets the
-worker count the experiment-running tests pass to their configs, so CI
-can run the identical suite once sequentially and once through the
-process fan-out.  Results are bit-identical at any value — that is the
+``REPRO_WORKERS`` sets the worker count the experiment-running tests
+pass to their configs, so CI can run the identical suite once
+sequentially and once through the process fan-out.  Results are bit-identical at any value — that is the
 engine's contract — so the assertions never change, only which code
 path proves them.
 """

@@ -24,9 +24,11 @@ FAST_SCENARIO_ARGS = [
 
 
 PAPER_ARTIFACT_SCENARIOS = (
+    "table1-parameters",
     "figure1-dictionary",
     "figure2-focused-knowledge",
     "figure3-focused-size",
+    "figure4-token-shift",
     "roni-defense",
     "figure5-threshold",
 )

@@ -130,11 +130,11 @@ def test_checker_flags_retired_make_targets(tmp_path):
     """A backticked `make <target>` must name a Makefile target; prose
     that merely uses the word "make" is not a target reference."""
     checker = _load_checker()
-    retired = "bench-smoke"
+    retired = "bench"
     doc = tmp_path / "targets.md"
     doc.write_text(
-        "Run `make test`, `make docs-check` and `make bench` to make the\n"
-        f"checks pass, then `make {retired}` for the retired perf runs.\n",
+        "Run `make test`, `make docs-check` and `make e2e-selftest` to make the\n"
+        f"checks pass, then `make {retired}` for the retired paper artifacts.\n",
         encoding="utf-8",
     )
     problems = checker.check_file(doc, checker.cli_tables())

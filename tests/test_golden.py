@@ -103,13 +103,14 @@ def _shm_segments() -> list[str]:
 
 
 def _assert_faults_fired(cell: Cell, tally: dict) -> None:
-    """A standalone stream runs inline at any worker count; every other
-    entry fans out at two workers, and then a fault must have fired."""
+    """A standalone stream and Table 1 run inline at any worker count;
+    every other entry fans out at two workers, and then a fault must
+    have fired."""
     if cell.faults == "off":
         return
     spec = GOLDENS[cell.entry]
-    lone_stream = spec["command"] == "run-scenario" and get_scenario(spec["scenario"]).protocol == "stream"
-    pooled = cell.workers > 1 and not lone_stream
+    inline = spec["command"] == "run-scenario" and get_scenario(spec["scenario"]).protocol in ("stream", "table1")
+    pooled = cell.workers > 1 and not inline
     assert (tally.get("maps", 0) > 0) == pooled, tally
     assert not pooled or tally.get("crashes", 0) + tally.get("timeouts", 0) >= 1, tally
 

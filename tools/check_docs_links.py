@@ -59,7 +59,7 @@ CLI_CALL = re.compile(r"python -m repro\s+((?:[\w.-]+\s*)+)")
 MAKE_CALL = re.compile(r"^make\s+([\w.-]+)")
 MAKE_TARGET = re.compile(r"^([\w.-]+)\s*:(?!=)", re.MULTILINE)
 PATH_EXTENSIONS = (".py", ".md", ".ini", ".txt", ".toml", ".cfg", ".json")
-SOURCE_PREFIXES = ("src/", "docs/", "tests/", "benchmarks/", "examples/", "tools/")
+SOURCE_PREFIXES = ("src/", "docs/", "tests/", "examples/", "tools/")
 DOTTED_SPAN = re.compile(r"^~?(repro(?:\.[A-Za-z_]\w*)+)(?:\(\))?$")
 ROLE_REFERENCE = re.compile(
     r":(?:mod|func|class|meth|data|attr|exc):`(?:[^`<]*<)?~?(repro(?:\.\w+)+)(?:\(\))?>?`"
@@ -202,8 +202,6 @@ def known_env_vars() -> set[str]:
         STORE_DIR_ENV,
         # Read inline via os.environ rather than a named constant:
         "REPRO_WORKERS",
-        "REPRO_SEED",
-        "REPRO_SCALE",
         "REPRO_EXAMPLE_SCALE",
     }
 

@@ -40,8 +40,8 @@ GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 FIXED_HASH_SEED = "0"
 
 # Small enough for tier-1, large enough that every pool stays reachable
-# at workers 2 and 3: three folds, repetitions, RONI batches and caught
-# spam (of six), two replicas.
+# at workers 2 and 3: three folds, repetitions, token-shift targets, RONI
+# batches and caught spam (of six), two replicas.
 _SWEEP = {"inbox_size": 90, "folds": 3, "corpus_ham": 60, "corpus_spam": 60,
           "attack_fractions": (0.0, 0.05)}
 _FOCUSED = {"inbox_size": 60, "n_targets": 2, "repetitions": 3, "attack_count": 8,
@@ -59,8 +59,11 @@ ENTRIES: dict[str, dict[str, Any]] = {
     "figure1-dictionary": {"overrides": _SWEEP},
     "figure2-focused-knowledge": {"overrides": {**_FOCUSED, "guess_probabilities": (0.1, 0.9)}},
     "figure3-focused-size": {"overrides": {**_FOCUSED, "size_sweep_fractions": (0.0, 0.05, 0.1)}},
+    "figure4-token-shift": {"overrides": {
+        "inbox_size": 60, "n_targets": 3, "attack_count": 8, "corpus_ham": 60, "corpus_spam": 60}},
     "roni-defense": {"overrides": _RONI},
     "figure5-threshold": {"overrides": {**_SWEEP, "quantiles": (0.1,)}},
+    "table1-parameters": {"overrides": {}},
     "goodword-evasion": {"overrides": {
         "inbox_size": 80, "n_test_spam": 6, "word_budgets": (0, 10, 50),
         "oracle_candidates": 200, "corpus_ham": 60, "corpus_spam": 60}},
