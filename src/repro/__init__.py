@@ -26,56 +26,37 @@ Quickstart::
     print(filt.classify(corpus.messages[0].email))
 """
 
-from repro.errors import (
-    AttackError,
-    ConfigurationError,
-    CorpusError,
-    DefenseError,
-    ExperimentError,
-    MessageParseError,
-    PersistenceError,
-    ReproError,
-    TrainingError,
-)
-from repro.corpus import TrecStyleCorpus
-from repro.rng import DEFAULT_SEED, SeedSpawner
-from repro.spambayes import (
-    Classifier,
-    ClassifierOptions,
-    ClassifiedMessage,
-    DEFAULT_OPTIONS,
-    Email,
-    Label,
-    SpamFilter,
-    Tokenizer,
-)
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "ReproError",
-    "ConfigurationError",
-    "CorpusError",
-    "MessageParseError",
-    "TrainingError",
-    "AttackError",
-    "DefenseError",
-    "ExperimentError",
-    "PersistenceError",
-    # rng
-    "DEFAULT_SEED",
-    "SeedSpawner",
-    # spambayes
-    "Classifier",
-    "ClassifierOptions",
-    "ClassifiedMessage",
-    "DEFAULT_OPTIONS",
-    "Email",
-    "Label",
-    "SpamFilter",
-    "Tokenizer",
-    # corpus
-    "TrecStyleCorpus",
-]
+# Each name imports its module on first use, so ``import repro`` (and
+# so every ``repro`` submodule import) loads neither NumPy nor the
+# corpus generator.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.errors": (
+        "ReproError",
+        "ConfigurationError",
+        "CorpusError",
+        "MessageParseError",
+        "TrainingError",
+        "AttackError",
+        "DefenseError",
+        "ExperimentError",
+        "PersistenceError",
+    ),
+    "repro.rng": ("DEFAULT_SEED", "SeedSpawner"),
+    "repro.spambayes": (
+        "Classifier",
+        "ClassifierOptions",
+        "ClassifiedMessage",
+        "DEFAULT_OPTIONS",
+        "Email",
+        "Label",
+        "SpamFilter",
+        "Tokenizer",
+    ),
+    "repro.corpus": ("TrecStyleCorpus",),
+})
+__all__.insert(0, "__version__")
+

@@ -1,8 +1,8 @@
-"""``python -m repro`` entry point."""
+"""``python -m repro`` entry point: the light command dispatcher."""
 
 import sys
 
-from repro.cli import main
+from repro.commands import main
 
 if __name__ == "__main__":
     sys.exit(main())

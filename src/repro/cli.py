@@ -1,4 +1,4 @@
-"""Command-line interface: regenerate any paper artifact from a shell.
+"""The scenario commands: regenerate any paper artifact from a shell.
 
 Usage::
 
@@ -7,6 +7,15 @@ Usage::
     python -m repro run-scenario figure5-threshold --scale paper --out results/
     python -m repro run-scenario focused-vs-roni --set pool_size=200
     python -m repro replicate dictionary-vs-none --seeds 8 --workers 4
+
+This module implements ``list-scenarios``, ``run-scenario`` and
+``replicate``, and imports the whole scenario stack to do it.  It is
+not the entry point: :data:`repro.commands.COMMANDS` is the one
+command table, and its dispatcher — re-exported here as :func:`main`,
+so ``repro.cli.main([...])`` still runs every command — imports this
+module only when one of these three commands is chosen.  ``serve``
+lives in :mod:`repro.serve.command` and ``gc`` in :mod:`repro.commands`,
+so neither loads the scenario stack.
 
 Every paper artifact is a registered scenario — ``table1-parameters``,
 ``figure1-dictionary``, ``figure2-focused-knowledge``,
@@ -47,8 +56,7 @@ cover the slowest replica, not one fold.  ``replicate
 --resume DIR`` checkpoints each replica record into ``DIR`` as it
 completes and loads completed replicas on restart, so a killed
 replication resumes where it stopped with byte-identical pooled
-output.  ``gc`` reclaims the on-disk storage-backend directories
-(``repro_store_*``) that killed runs leave behind.
+output.
 
 Engine and experiment failures exit with a one-line ``error: ...``
 diagnostic and status 2 — never a traceback.
@@ -60,14 +68,13 @@ import argparse
 import ast
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
+from repro.commands import add_supervision_args, main, supervision_policy, workers_arg
 from repro.engine import supervise
-from repro.engine.runner import resolve_workers
-from repro.errors import EngineError, ReproError, ScenarioError
+from repro.errors import ReproError, ScenarioError
 from repro.experiments.reporting import render_replicated_record
 from repro.experiments.results import save_record
 from repro.scenarios import (
@@ -78,7 +85,7 @@ from repro.scenarios import (
     run_scenario,
 )
 
-__all__ = ["main", "SCENARIO_COMMANDS"]
+__all__ = ["main"]
 
 
 def _parse_override(assignment: str) -> tuple[str, Any]:
@@ -104,39 +111,6 @@ def _parse_override(assignment: str) -> tuple[str, Any]:
 def _parse_overrides(assignments: list[str]) -> dict[str, Any]:
     """All ``--set`` pairs of one invocation, last one per key winning."""
     return dict(_parse_override(assignment) for assignment in assignments)
-
-
-def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="deadline for each parallel dispatch wave (on replicate, a "
-        "wave of whole replicas); chunks that miss it have their workers "
-        "killed and are retried on a fresh pool",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="respawn-and-retry rounds on worker crash/timeout before the "
-        "run degrades to in-process sequential execution (results are "
-        "identical on every recovery path)",
-    )
-
-
-def _supervision_policy(args) -> Any:
-    """The ambient supervision policy (env: ``REPRO_TIMEOUT``/
-    ``REPRO_RETRIES``/``REPRO_DEGRADE``) with the invocation's
-    ``--timeout``/``--retries`` applied on top."""
-    policy = supervise.current_policy()
-    if args.timeout is not None:
-        policy = dataclasses.replace(policy, timeout=args.timeout)
-    if args.retries is not None:
-        policy = dataclasses.replace(policy, retries=args.retries)
-    return policy
 
 
 def build_run_scenario_parser() -> argparse.ArgumentParser:
@@ -166,7 +140,7 @@ def build_run_scenario_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="root random seed")
     parser.add_argument(
         "--workers",
-        type=_workers_arg,
+        type=workers_arg,
         default=1,
         help="worker processes for the experiment engine "
         "(default 1 = sequential, 0 = one per CPU)",
@@ -184,11 +158,20 @@ def build_run_scenario_parser() -> argparse.ArgumentParser:
         "scenarios only); pure observation — the scenario's record "
         "is byte-identical with or without it",
     )
-    _add_supervision_args(parser)
+    add_supervision_args(parser)
     return parser
 
 
-def _main_list_scenarios() -> int:
+def build_list_scenarios_parser() -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(
+        prog="repro list-scenarios",
+        description="Print every registered scenario with its protocol "
+        "and one-line description.",
+    )
+
+
+def _main_list_scenarios(argv: list[str]) -> int:
+    build_list_scenarios_parser().parse_args(argv)
     specs = list_scenarios()
     width = max(len(spec.name) for spec in specs)
     for spec in specs:
@@ -232,7 +215,7 @@ def _scenario_config(spec, args) -> Any:
     if not isinstance(config.seed, int):
         raise ScenarioError(f"seed must be an integer, got {config.seed!r}")
     try:
-        resolve_workers(config.workers)
+        supervise.resolve_workers(config.workers)
     except TypeError:
         raise ScenarioError(
             f"workers must be an integer >= 0, got {config.workers!r}"
@@ -255,7 +238,7 @@ def _main_run_scenario(argv: list[str]) -> int:
         spec = get_scenario(args.name)
         config = _scenario_config(spec, args)
         print(f"=== scenario {spec.name} (scale={args.scale}, seed={config.seed}) ===")
-        with supervise.use_supervision(_supervision_policy(args)):
+        with supervise.use_supervision(supervision_policy(args)):
             outcome = run_scenario(spec, config=config)
     except ReproError as exc:
         # Covers bad names/overrides and execution-time experiment
@@ -322,7 +305,7 @@ def build_replicate_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=_workers_arg,
+        type=workers_arg,
         default=1,
         help="worker processes; each runs whole replicas, one at a time "
         "(a lone replica fans its folds out instead; default 1 = "
@@ -345,7 +328,7 @@ def build_replicate_parser() -> argparse.ArgumentParser:
         "re-run — a killed replication resumes with byte-identical "
         "pooled output",
     )
-    _add_supervision_args(parser)
+    add_supervision_args(parser)
     return parser
 
 
@@ -380,7 +363,7 @@ def _main_replicate(argv: list[str]) -> int:
             f"=== replicate {spec.name} (scale={args.scale}, seeds={args.seeds}, "
             f"base_seed={args.seed}) ==="
         )
-        with supervise.use_supervision(_supervision_policy(args)):
+        with supervise.use_supervision(supervision_policy(args)):
             record = replicate_scenario(
                 spec,
                 seeds=args.seeds,
@@ -405,202 +388,3 @@ def _main_replicate(argv: list[str]) -> int:
             return 2
         print(f"wrote {args.out}")
     return 0
-
-
-def build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Run the always-on filter service: a long-lived "
-        "daemon scoring and training one live classifier over a "
-        "length-prefixed JSON protocol (verbs: score, train, feedback, "
-        "snapshot, stats, shutdown).  Concurrent score requests are "
-        "coalesced into bulk kernel calls; training serializes through "
-        "a single writer task.  The storage backend follows "
-        "REPRO_STORE, exactly as library calls do.",
-    )
-    parser.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=None,
-        help="listen on a Unix domain socket at PATH (exactly one of "
-        "--socket / --port)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        metavar="N",
-        help="listen on TCP port N (0 = let the OS pick; the bound "
-        "port is announced on stdout)",
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address for --port mode (default loopback)",
-    )
-    parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="upper bound, in milliseconds, on how long a micro-batch "
-        "waits for more score requests; a batch closes as soon as "
-        "arrivals stop and shares one bulk kernel call "
-        "(default 2.0; 0 disables batching entirely)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_workers_arg,
-        default=1,
-        metavar="N",
-        help="score batches through a supervised pool of N worker "
-        "processes (default 1 = in-process, 0 = one per CPU; scores "
-        "are identical at any value)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on messages per coalesced bulk call (default 256)",
-    )
-    _add_supervision_args(parser)
-    return parser
-
-
-def _main_serve(argv: list[str]) -> int:
-    import threading
-
-    from repro.serve.service import (
-        DEFAULT_BATCH_WINDOW_MS,
-        DEFAULT_MAX_BATCH,
-        FilterService,
-        ServeConfig,
-    )
-
-    args = build_serve_parser().parse_args(argv)
-    try:
-        config = ServeConfig(
-            socket_path=args.socket,
-            port=args.port,
-            host=args.host,
-            batch_window_ms=(
-                DEFAULT_BATCH_WINDOW_MS
-                if args.batch_window is None
-                else args.batch_window
-            ),
-            workers=args.workers,
-            max_batch=DEFAULT_MAX_BATCH if args.max_batch is None else args.max_batch,
-        )
-        service = FilterService(config)
-
-        def _announce() -> None:
-            # The bound address exists only after the loop binds it;
-            # port 0 callers (the benchmark driver) parse this line.
-            service.ready.wait()
-            if service.startup_error is None and service.address is not None:
-                address = service.address
-                if isinstance(address, tuple):
-                    print(f"serving on {address[0]}:{address[1]}", flush=True)
-                else:
-                    print(f"serving on {address}", flush=True)
-
-        threading.Thread(target=_announce, daemon=True).start()
-        with supervise.use_supervision(_supervision_policy(args)):
-            service.run()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
-        return 130
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def build_gc_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro gc",
-        description="Reclaim the on-disk storage-backend directories "
-        "(repro_store_*) that killed processes left under "
-        "REPRO_STORE_DIR or the system tempdir.  A directory is "
-        "orphaned when the pid baked into its name no longer runs.",
-    )
-    parser.add_argument(
-        "--all",
-        action="store_true",
-        help="also reclaim directories whose owner is still alive (for "
-        "wedged runs you have already decided to kill; live runs "
-        "using them will fail)",
-    )
-    return parser
-
-
-def _main_gc(argv: list[str]) -> int:
-    from repro import storage
-
-    args = build_gc_parser().parse_args(argv)
-    try:
-        stores = storage.gc_stores(include_live=args.all)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for path in stores:
-        print(f"removed {path}")
-    print(f"{len(stores)} store(s) reclaimed")
-    return 0
-
-
-def _workers_arg(value: str) -> int:
-    # Delegate to the engine's own validation so the CLI can't drift
-    # from what ParallelRunner accepts; argparse needs its error type.
-    try:
-        resolve_workers(int(value))
-    except EngineError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return int(value)
-
-
-SCENARIO_COMMANDS: dict[str, Callable[[list[str]], int]] = {
-    "list-scenarios": lambda argv: _main_list_scenarios(),
-    "run-scenario": _main_run_scenario,
-    "replicate": _main_replicate,
-    "serve": _main_serve,
-    "gc": _main_gc,
-}
-"""Every command :func:`main` dispatches on, mapped to its handler
-(which parses the rest of the arguments)."""
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce 'Exploiting Machine Learning to Subvert "
-        "Your Spam Filter' (Nelson et al., 2008).  Each paper artifact "
-        "is a registered scenario: 'repro list-scenarios' prints the "
-        "catalogue and 'repro run-scenario <name>' runs one.",
-    )
-    parser.add_argument(
-        "command",
-        choices=SCENARIO_COMMANDS,
-        help="see 'repro <command> --help' for its arguments",
-    )
-    # Only the first word is the top level's: no command, an unknown
-    # one or --help exits here with the usage line naming every command
-    # (status 2, or 0 for --help); the rest goes to the command.
-    command = parser.parse_args(argv[:1]).command
-    try:
-        status = SCENARIO_COMMANDS[command](argv[1:])
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (``repro ... | head``).  Point
-        # stdout at devnull so the interpreter's exit flush cannot fail
-        # again, and exit without a traceback (the signal module's
-        # advice on SIGPIPE).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 1
-    return status
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())

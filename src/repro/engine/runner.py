@@ -85,7 +85,12 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from repro.engine import faults
-from repro.engine.supervise import SupervisePolicy, SuperviseStats, current_policy
+from repro.engine.supervise import (
+    SupervisePolicy,
+    SuperviseStats,
+    current_policy,
+    resolve_workers,
+)
 from repro.errors import EngineError, MapTimeoutError, WorkerCrashError
 
 __all__ = [
@@ -96,15 +101,6 @@ __all__ = [
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Normalize a ``--workers`` value: ``None``/``0`` means all CPUs."""
-    if workers is None or workers == 0:
-        return os.cpu_count() or 1
-    if workers < 0:
-        raise EngineError(f"workers must be >= 0 (0 = all CPUs), got {workers}")
-    return workers
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,8 @@ from __future__ import annotations
 import random
 
 from repro.errors import EngineError
-from repro.rng import DEFAULT_SEED
 
-__all__ = ["drawn_seeds", "resolve_root_seed"]
+__all__ = ["drawn_seeds"]
 
 
 def drawn_seeds(rng: random.Random, count: int) -> list[int]:
@@ -42,25 +41,3 @@ def drawn_seeds(rng: random.Random, count: int) -> list[int]:
     if count < 0:
         raise EngineError(f"cannot draw {count} seeds")
     return [rng.getrandbits(64) for _ in range(count)]
-
-
-def resolve_root_seed(value: str | int | None, default: int = 0) -> int:
-    """Parse a root seed from CLI/environment input.
-
-    ``None`` or an empty string selects ``default``; the string
-    ``"default"`` selects :data:`repro.rng.DEFAULT_SEED`; anything else
-    must parse as an integer.
-    """
-    if value is None:
-        return default
-    if isinstance(value, int):
-        return value
-    text = value.strip()
-    if not text:
-        return default
-    if text.lower() == "default":
-        return DEFAULT_SEED
-    try:
-        return int(text, 0)
-    except ValueError as exc:
-        raise EngineError(f"root seed must be an integer, got {value!r}") from exc

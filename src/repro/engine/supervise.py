@@ -8,7 +8,10 @@ is told and what it reports:
   the endgame (inline degradation, or a structured error);
 * :class:`SuperviseStats` — the thread-safe ledger of crashes, timeouts,
   respawns, retried and degraded chunks;
-* ambient resolution — which policy a pool built without one uses.
+* ambient resolution — which policy a pool built without one uses;
+* :func:`resolve_workers` — the pool width a ``--workers`` value means
+  (here rather than in the runner, so a command line can validate the
+  value without importing the process pool).
 
 Resolution
 ----------
@@ -37,6 +40,7 @@ __all__ = [
     "SuperviseStats",
     "current_policy",
     "policy_from_env",
+    "resolve_workers",
     "use_supervision",
 ]
 
@@ -50,6 +54,15 @@ the remaining chunks inline."""
 
 DEFAULT_RETRIES = 2
 """Retry rounds when no count is configured."""
+
+
+def resolve_workers(workers: int | None) -> int:
+    """Normalize a ``--workers`` value: ``None``/``0`` means all CPUs."""
+    if workers is None or workers == 0:
+        return os.cpu_count() or 1
+    if workers < 0:
+        raise EngineError(f"workers must be >= 0 (0 = all CPUs), got {workers}")
+    return workers
 
 
 @dataclass(frozen=True)

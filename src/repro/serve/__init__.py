@@ -7,16 +7,11 @@ requests into bulk kernel calls (:mod:`~repro.serve.batcher`), with a
 blocking client (:mod:`~repro.serve.client`) for tests and tools.
 """
 
-from repro.serve.batcher import BatcherStats, MicroBatcher
-from repro.serve.client import ServeClient, connect
-from repro.serve.service import FilterService, ServeConfig, serve_in_thread
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BatcherStats",
-    "FilterService",
-    "MicroBatcher",
-    "ServeClient",
-    "ServeConfig",
-    "connect",
-    "serve_in_thread",
-]
+# Imported on first use: a client loads neither the service nor NumPy.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.serve.batcher": ("BatcherStats", "MicroBatcher"),
+    "repro.serve.client": ("ServeClient", "connect"),
+    "repro.serve.service": ("FilterService", "ServeConfig", "serve_in_thread"),
+})

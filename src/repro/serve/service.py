@@ -50,9 +50,8 @@ import signal
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.engine.runner import WorkerPool
 from repro.errors import ConfigurationError, ProtocolError, ServeError
 from repro.serve import protocol
 from repro.serve.batcher import MicroBatcher
@@ -60,6 +59,9 @@ from repro.spambayes import ndkernel
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.persistence import save_classifier
 from repro.storage import store_name
+
+if TYPE_CHECKING:
+    from repro.engine.runner import WorkerPool
 
 __all__ = ["ServeConfig", "FilterService", "serve_in_thread"]
 
@@ -171,7 +173,7 @@ class FilterService:
         announcement both key on.
         """
         if self.pool is None and self.config.workers >= 2:
-            self.pool = WorkerPool(self.config.workers)
+            self.pool = _worker_pool(self.config.workers)
             self._owns_pool = True
         try:
             asyncio.run(self._main())
@@ -489,6 +491,14 @@ class FilterService:
         return payload
 
 
+def _worker_pool(workers: int) -> WorkerPool:
+    # The process pool (and multiprocessing) loads only when a
+    # ``--workers N>=2`` daemon needs it.
+    from repro.engine.runner import WorkerPool
+
+    return WorkerPool(workers)
+
+
 @contextlib.contextmanager
 def serve_in_thread(
     config: ServeConfig, classifier: Classifier | None = None
@@ -501,7 +511,7 @@ def serve_in_thread(
     a daemon thread, waits for the socket to be bound, and guarantees
     shutdown (and pool teardown) on exit however the block ends.
     """
-    pool = WorkerPool(config.workers) if config.workers >= 2 else None
+    pool = _worker_pool(config.workers) if config.workers >= 2 else None
     service = FilterService(config, classifier=classifier, pool=pool)
 
     def _run_quietly() -> None:

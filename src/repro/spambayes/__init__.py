@@ -17,29 +17,17 @@ Whateley 2004):
 The public names most callers need are re-exported here.
 """
 
-from repro.spambayes.chi2 import chi2q, fisher_combine
-from repro.spambayes.classifier import Classifier, ClassifierSnapshot, TokenScore
-from repro.spambayes.filter import Label, SpamFilter, ClassifiedMessage
-from repro.spambayes.message import Email
-from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
-from repro.spambayes.token_table import TokenTable
-from repro.spambayes.tokenizer import Tokenizer, tokenize_text
-from repro.spambayes.wordinfo import WordInfo
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "chi2q",
-    "fisher_combine",
-    "Classifier",
-    "ClassifierSnapshot",
-    "TokenScore",
-    "TokenTable",
-    "Label",
-    "SpamFilter",
-    "ClassifiedMessage",
-    "Email",
-    "ClassifierOptions",
-    "DEFAULT_OPTIONS",
-    "Tokenizer",
-    "tokenize_text",
-    "WordInfo",
-]
+# Imported on first use: the token table and tokenizer load without
+# the classifier's NumPy.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.spambayes.chi2": ("chi2q", "fisher_combine"),
+    "repro.spambayes.classifier": ("Classifier", "ClassifierSnapshot", "TokenScore"),
+    "repro.spambayes.token_table": ("TokenTable",),
+    "repro.spambayes.filter": ("Label", "SpamFilter", "ClassifiedMessage"),
+    "repro.spambayes.message": ("Email",),
+    "repro.spambayes.options": ("ClassifierOptions", "DEFAULT_OPTIONS"),
+    "repro.spambayes.tokenizer": ("Tokenizer", "tokenize_text"),
+    "repro.spambayes.wordinfo": ("WordInfo",),
+})

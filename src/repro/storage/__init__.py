@@ -7,6 +7,7 @@ for the two implementations, and :mod:`repro.storage.io` for the
 shared save/load payload helpers.
 """
 
+from repro.lazy import lazy_exports
 from repro.storage.base import (
     STORE_DIR_ENV,
     STORE_ENV,
@@ -15,31 +16,30 @@ from repro.storage.base import (
     pid_alive,
     store_name,
 )
-from repro.storage.disk import (
-    STORE_PREFIX,
-    DiskBackend,
-    DiskTokenTable,
-    MmapCountColumns,
-    gc_stores,
-    orphaned_stores,
-    store_root,
-)
 from repro.storage.memory import MemoryBackend, MemoryCountColumns
+
+# The disk names load on first use: selecting the memory backend never
+# imports the disk backend (and sqlite3).
+__getattr__, __dir__, _disk_names = lazy_exports(__name__, {
+    "repro.storage.disk": (
+        "STORE_PREFIX",
+        "DiskBackend",
+        "DiskTokenTable",
+        "MmapCountColumns",
+        "gc_stores",
+        "orphaned_stores",
+        "store_root",
+    ),
+})
 
 __all__ = [
     "STORE_DIR_ENV",
     "STORE_ENV",
-    "STORE_PREFIX",
-    "DiskBackend",
-    "DiskTokenTable",
-    "MemoryBackend",
-    "MemoryCountColumns",
-    "MmapCountColumns",
     "StorageBackend",
     "active_backend",
-    "gc_stores",
-    "orphaned_stores",
     "pid_alive",
     "store_name",
-    "store_root",
+    "MemoryBackend",
+    "MemoryCountColumns",
+    *_disk_names,
 ]

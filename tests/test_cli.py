@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import SCENARIO_COMMANDS, build_run_scenario_parser, main
+from repro.cli import build_run_scenario_parser, main
+from repro.commands import COMMANDS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -35,8 +36,8 @@ PAPER_ARTIFACT_SCENARIOS = (
 
 
 class TestParser:
-    """The top level knows only the commands in ``SCENARIO_COMMANDS``;
-    anything else is argparse's usage error, which names them all."""
+    """The top level knows only the commands in ``COMMANDS``; anything
+    else is argparse's usage error, which names them all."""
 
     def _usage_error(self, capsys, argv: list[str]) -> str:
         with pytest.raises(SystemExit) as excinfo:
@@ -45,7 +46,7 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("usage: repro")
         assert "Traceback" not in err
-        for command in SCENARIO_COMMANDS:
+        for command in COMMANDS:
             assert command in err
         return err
 
@@ -70,7 +71,7 @@ class TestParser:
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.startswith("usage: repro")
         assert "Traceback" not in completed.stderr
-        for command in SCENARIO_COMMANDS:
+        for command in COMMANDS:
             assert command in completed.stdout
 
     def test_closed_stdout_exits_without_a_traceback(self):
@@ -95,6 +96,15 @@ class TestParser:
         assert process.wait(timeout=60) == 1, stderr
         assert "Traceback" not in stderr
         assert "BrokenPipeError" not in stderr
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_repro_cli_main_dispatches_every_command(self, capsys, command):
+        """Each table entry resolves: its module imports and its handler
+        parses the command's own arguments (``--help`` exits 0)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {command}")
 
     def test_run_scenario_defaults(self):
         args = build_run_scenario_parser().parse_args(["figure1-dictionary"])

@@ -21,7 +21,7 @@ from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.attacks.dictionary import OptimalDictionaryAttack, UsenetDictionaryAttack
 from repro.engine.runner import ParallelRunner, WorkerPool, resolve_workers
-from repro.engine.seeding import drawn_seeds, resolve_root_seed
+from repro.engine.seeding import drawn_seeds
 from repro.corpus.dataset import train_grouped, unlearn_grouped
 from repro.engine.sweep import SweepSpec, attack_message_count, run_attack_sweeps
 from repro.errors import EngineError, ExperimentError, TrainingError
@@ -350,17 +350,6 @@ class TestSeeding:
         assert spawn_seed(1, "fold[0]") == spawn_seed(1, "fold[0]")
         assert spawn_seed(1, "fold[0]") != spawn_seed(1, "fold[1]")
         assert spawn_seed(1, "fold[0]") != spawn_seed(2, "fold[0]")
-
-    def test_resolve_root_seed(self):
-        assert resolve_root_seed(None) == 0
-        assert resolve_root_seed("") == 0
-        assert resolve_root_seed("17") == 17
-        assert resolve_root_seed(23) == 23
-        from repro.rng import DEFAULT_SEED
-
-        assert resolve_root_seed("default") == DEFAULT_SEED
-        with pytest.raises(EngineError):
-            resolve_root_seed("not-a-seed")
 
 
 # ----------------------------------------------------------------------

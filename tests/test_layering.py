@@ -5,17 +5,26 @@ only from its own layer or the ones below it.  The check parses each
 source file with :mod:`ast`, so it sees imports at module level and
 inside functions alike; only imports under ``if TYPE_CHECKING:`` are
 exempt, because they never run.
+
+The entry points' import closures are pinned too: a fresh interpreter
+loads only what the chosen command needs (module sets, never timings).
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 LAYERS: tuple[tuple[str, ...], ...] = (
-    ("errors", "rng"),
+    ("errors", "rng", "lazy"),
     # storage and spambayes import each other, so they share a layer.
     ("storage", "spambayes"),
     ("corpus",),
@@ -24,7 +33,7 @@ LAYERS: tuple[tuple[str, ...], ...] = (
     ("engine",),
     ("stream",),
     ("scenarios",),
-    ("cli", "serve", "__main__", "repro"),
+    ("cli", "commands", "serve", "__main__", "repro"),
 )
 """Bottom to top; ``repro`` is the root package's ``__init__``."""
 
@@ -122,3 +131,70 @@ def test_the_check_sees_function_level_imports_and_skips_type_checking():
         for target in _targets(node, "repro.engine")
     ]
     assert sorted(targets) == ["repro.scenarios", "typing"]
+
+
+EXPERIMENT_STACK = (
+    "repro.scenarios",
+    "repro.experiments",
+    "repro.corpus",
+    "repro.attacks",
+    "repro.defenses",
+    "repro.stream",
+    "repro.analysis",
+)
+"""Packages only the scenario commands need."""
+
+
+def loaded_after(statement: str, env: dict | None = None) -> set[str]:
+    """Every module a fresh interpreter has loaded after ``statement``."""
+    probe = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=SRC,
+        env=None if env is None else {**os.environ, **env},
+    )
+    return set(json.loads(completed.stdout.splitlines()[-1]))
+
+
+def _inside(modules: set[str], packages: tuple[str, ...]) -> list[str]:
+    return sorted(
+        module
+        for module in modules
+        if any(module == pkg or module.startswith(pkg + ".") for pkg in packages)
+    )
+
+
+def test_bare_import_loads_no_numpy():
+    loaded = loaded_after("import repro")
+    assert _inside(loaded, ("numpy", "repro.corpus", "repro.spambayes")) == []
+
+
+def test_the_entry_point_and_serve_load_no_experiment_stack():
+    """``python -m repro serve`` loads ``__main__``, the dispatcher and
+    the serve command's module, and nothing of the scenario stack."""
+    loaded = loaded_after("import repro.__main__, repro.serve.command")
+    assert "repro.serve.service" in loaded  # the probe reached the daemon
+    assert _inside(loaded, EXPERIMENT_STACK) == []
+    assert "repro.cli" not in loaded
+    assert "repro.engine.runner" not in loaded  # only --workers >= 2 pools
+
+
+def test_gc_loads_no_numpy(tmp_path):
+    loaded = loaded_after(
+        "from repro.__main__ import main\nassert main(['gc']) == 0",
+        env={"REPRO_STORE_DIR": str(tmp_path)},
+    )
+    assert "repro.storage.disk" in loaded  # the probe ran the janitor
+    assert _inside(loaded, ("numpy", *EXPERIMENT_STACK)) == []
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["import repro.serve.client", "from repro.serve import ServeClient, connect"],
+)
+def test_serve_clients_load_no_numpy(statement):
+    loaded = loaded_after(statement)
+    assert _inside(loaded, ("numpy", "repro.serve.service", *EXPERIMENT_STACK)) == []

@@ -13,6 +13,7 @@ honest.
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from repro.experiments.params import (
     THRESHOLD_PARAMS,
 )
 from repro.experiments.reporting import render_table1
+from repro.experiments.results import ExperimentRecord
 from repro.scenarios import list_scenarios, run_scenario, scenario_names
 from repro.scenarios.dictionary_exp import PAPER_FRACTIONS, DictionaryExperimentConfig
 from repro.scenarios.focused_exp import FocusedExperimentConfig
@@ -128,20 +130,40 @@ def figure1(suite_workers):
     return _run("figure1-dictionary", 1, suite_workers)
 
 
+def test_figure1_clean_baseline_is_accurate(figure1):
+    for points in figure1.sweeps.values():
+        assert points[0].confusion.ham_misclassified_rate < 0.05
+
+
 def test_figure1_attack_strength_ordering(figure1):
     optimal, usenet, aspell = (
         _ham_misclassified(figure1.sweeps[variant]) for variant in ("optimal", "usenet", "aspell")
     )
     for index in range(1, len(figure1.config.attack_fractions)):
-        assert optimal[index] >= usenet[index] - 0.03, "ordering: optimal >= usenet"
-        assert usenet[index] >= aspell[index] - 0.03, "ordering: usenet >= aspell"
+        assert optimal[index] >= usenet[index] - 0.02, "ordering: optimal >= usenet"
+        assert usenet[index] >= aspell[index] - 0.02, "ordering: usenet >= aspell"
 
 
 def test_figure1_unusable_at_one_percent(figure1):
-    one_percent = next(
-        point for point in figure1.sweeps["usenet"] if abs(point.attack_fraction - 0.01) < 1e-9
-    )
-    assert one_percent.confusion.ham_misclassified_rate > 0.30
+    for variant, points in figure1.sweeps.items():
+        one_percent = next(
+            point for point in points if abs(point.attack_fraction - 0.01) < 1e-9
+        )
+        assert one_percent.confusion.ham_misclassified_rate > 0.30, variant
+
+
+def test_figure1_monotone_in_contamination(figure1):
+    for points in figure1.sweeps.values():
+        rates = _ham_misclassified(points)
+        for earlier, later in zip(rates, rates[1:]):
+            assert later >= earlier - 0.02
+
+
+def test_figure1_record_round_trips(figure1):
+    record = figure1.to_record()
+    assert record.experiment == "figure1-dictionary"
+    assert [series.name for series in record.series] == ["optimal", "usenet", "aspell"]
+    assert ExperimentRecord.from_dict(json.loads(json.dumps(record.as_dict()))) == record
 
 
 TABLE1_CELLS = {
@@ -192,6 +214,20 @@ def test_figure2_guessing_30_percent_changes_many_targets(figure2):
 
 def test_figure2_near_exact_knowledge_is_highly_effective(figure2):
     assert _success(figure2)[-1] > 0.7
+
+
+def test_figure2_low_knowledge_is_weak(figure2):
+    assert _success(figure2)[0] < 0.7
+
+
+def test_figure2_targets_start_as_ham(figure2):
+    assert figure2.pre_attack_ham / figure2.total_targets > 0.8
+
+
+def test_figure2_label_counts_complete(figure2):
+    expected = figure2.config.n_targets * figure2.config.repetitions
+    for probability in figure2.config.guess_probabilities:
+        assert sum(figure2.label_counts[probability].values()) == expected
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +297,12 @@ def test_roni_flags_no_nonattack_spam(roni):
     assert roni.false_positive_rate(roni.config.roni.ham_as_ham_threshold) == 0.0
 
 
+def test_roni_every_variant_measured(roni):
+    assert set(roni.attack_impacts) == set(roni.config.variants)
+    for impacts in roni.attack_impacts.values():
+        assert len(impacts) == roni.config.repetitions_per_variant
+
+
 # ----------------------------------------------------------------------
 # Figure 5: the dynamic threshold
 # ----------------------------------------------------------------------
@@ -285,13 +327,19 @@ def test_figure5_defense_beats_no_defense(figure5):
     for arm in DEFENDED_ARMS:
         for u_point, d_point in zip(undefended, figure5.series[arm]):
             if u_point.x >= 0.01:
-                assert d_point.ham_misclassified_rate <= u_point.ham_misclassified_rate + 0.02
+                assert d_point.ham_misclassified_rate < u_point.ham_misclassified_rate
 
 
 def test_figure5_spam_floods_unsure(figure5):
     for arm in DEFENDED_ARMS:
         attacked = [point for point in figure5.series[arm] if point.x >= 0.01]
         assert max(point.spam_as_unsure_rate for point in attacked) > 0.3
+
+
+def test_figure5_fitted_thresholds_rise_with_attack(figure5):
+    for triples in figure5.fitted_thresholds.values():
+        theta0 = [theta0 for _, theta0, _ in triples]
+        assert theta0[-1] > theta0[0]
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,13 @@ Checked, across ``README.md`` and every ``docs/*.md``:
   path (contains ``/`` and a known extension, or starts with a
   top-level source directory) must exist on disk;
 * **CLI invocations** — every ``python -m repro <command> …`` mention
-  must name one of :data:`repro.cli.SCENARIO_COMMANDS`; anything else
+  must name one of :data:`repro.commands.COMMANDS`; anything else
   (a scenario name without ``run-scenario``, or a retired artifact
   word such as ``figure1``) is an unknown command, exactly as the real
-  CLI rejects it.  Each command is its own grammar: after
-  ``run-scenario`` and ``replicate`` the next word must be a
-  registered scenario name, and every command's flags are checked
-  against its own parser;
+  CLI rejects it.  Each command is its own grammar, read from its own
+  parser: a command whose parser takes a scenario ``name`` (such as
+  ``run-scenario`` and ``replicate``) must be followed by a
+  registered scenario name, and every command's flags are checked;
 * **make targets** — a code span that starts ``make <target>`` must
   name a target defined in the repo's ``Makefile``, so a doc cannot
   keep pointing at a retired target;
@@ -257,31 +257,30 @@ def _flags_of(parser) -> set[str]:
     }
 
 
+def _grammar(parser, scenario_names: set[str]) -> tuple[set[str], set[str]]:
+    """One command's (positional words, flags), read from its parser:
+    a positional ``name`` is a registered scenario name."""
+    takes_name = any(
+        action.dest == "name" and not action.option_strings
+        for action in parser._actions
+    )
+    return (scenario_names if takes_name else set()), _flags_of(parser)
+
+
 def cli_tables() -> dict:
     """The live CLI grammar :func:`check_file` validates against.
 
     One construction point, shared with ``tests/test_docs_links.py``:
-    ``commands`` maps each command to its (positional words, flags),
-    read from the live parsers.  Scenario names are valid only directly
-    after ``run-scenario`` and ``replicate``, and they come from the
+    ``commands`` maps each command of the dispatcher's table
+    (:data:`repro.commands.COMMANDS`) to its (positional words, flags),
+    read from the command's live parser.  Scenario names come from the
     live registry — docs cannot name an unregistered scenario.
     """
-    from repro.cli import (
-        build_gc_parser,
-        build_replicate_parser,
-        build_run_scenario_parser,
-        build_serve_parser,
-    )
+    from repro.commands import COMMANDS, build_parser
     from repro.scenarios import scenario_names
 
     names = set(scenario_names())
-    commands = {
-        "list-scenarios": (set(), {"-h", "--help"}),
-        "run-scenario": (names, _flags_of(build_run_scenario_parser())),
-        "replicate": (names, _flags_of(build_replicate_parser())),
-        "serve": (set(), _flags_of(build_serve_parser())),
-        "gc": (set(), _flags_of(build_gc_parser())),
-    }
+    commands = {command: _grammar(build_parser(command), names) for command in COMMANDS}
     return {
         "commands": commands,
         "scenario_names": names,
