@@ -11,8 +11,8 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Rewrite the golden records in tests/golden/ at the fixed cell (nd
-# kernel, memory store, one worker, PYTHONHASHSEED=0).  A golden may
+# Rewrite the golden records in tests/golden/ at the fixed cell (the
+# memory store, one worker, PYTHONHASHSEED=0).  A golden may
 # change only in a change that names the moved record and why
 # (tests/golden/README.md); `tools/regen_goldens.py --check` compares
 # without writing.

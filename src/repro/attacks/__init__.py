@@ -2,8 +2,6 @@
 
 Implements the attacks of Section 3 of the paper:
 
-* :mod:`repro.attacks.taxonomy` — the Influence × Security-violation ×
-  Specificity attack taxonomy of Section 3.1,
 * :mod:`repro.attacks.dictionary` — Indiscriminate dictionary attacks:
   optimal (every token), Aspell and Usenet variants (Section 3.2),
 * :mod:`repro.attacks.focused` — the Targeted focused attack with
@@ -11,8 +9,8 @@ Implements the attacks of Section 3 of the paper:
 * :mod:`repro.attacks.knowledge` — the common optimal-attack framework
   of Section 3.4, where the attacker's knowledge is a distribution over
   the victim's next email,
-* :mod:`repro.attacks.payload` — rendering attack token payloads into
-  actual emails under the contamination assumption's header rules.
+* :mod:`repro.attacks.goodword` — the Exploratory good-word attacks
+  the paper's related work contrasts with its own.
 
 All attacks emit :class:`~repro.attacks.base.AttackBatch` objects,
 which group identical payloads so the experiment harness can train
@@ -25,7 +23,6 @@ from repro.attacks.goodword import (
     GoodWordResult,
     OracleGoodWordAttack,
 )
-from repro.attacks.hamlabeled import HamLabeledAttack, HamLabeledBatch
 from repro.attacks.dictionary import (
     AspellDictionaryAttack,
     DictionaryAttack,
@@ -38,8 +35,6 @@ from repro.attacks.knowledge import (
     TokenDistribution,
     optimal_attack_tokens,
 )
-from repro.attacks.payload import HeaderPolicy, render_attack_email
-from repro.attacks.taxonomy import AttackTaxonomy, Influence, SecurityViolation, Specificity
 
 __all__ = [
     "Attack",
@@ -54,15 +49,7 @@ __all__ = [
     "CommonWordGoodWordAttack",
     "OracleGoodWordAttack",
     "GoodWordResult",
-    "HamLabeledAttack",
-    "HamLabeledBatch",
     "TokenDistribution",
     "EmpiricalHamDistribution",
     "optimal_attack_tokens",
-    "HeaderPolicy",
-    "render_attack_email",
-    "AttackTaxonomy",
-    "Influence",
-    "SecurityViolation",
-    "Specificity",
 ]

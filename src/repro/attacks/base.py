@@ -6,9 +6,6 @@ messages of ~90,000 tokens each, and materializing megabyte bodies for
 them would dominate every run.  :class:`AttackBatch` therefore groups
 identical payloads — ``(tokens, count)`` pairs — which both
 ``Classifier.learn_repeated`` and the defenses consume directly.
-Rendered :class:`Email` objects remain available through
-:meth:`AttackBatch.iter_emails` for demos, mbox export and the RONI
-experiments, which need real messages.
 
 Payloads are **ID-native** on the hot paths: :meth:`AttackBatch.encode`
 interns every group's training token set into a shared
@@ -29,12 +26,9 @@ import abc
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TYPE_CHECKING
+from typing import Sequence, TYPE_CHECKING
 
-from repro.attacks.payload import HeaderPolicy, render_attack_email
-from repro.attacks.taxonomy import AttackTaxonomy
 from repro.errors import AttackError
-from repro.spambayes.message import Email
 
 if TYPE_CHECKING:  # imported for annotations only — keeps this module light
     from repro.spambayes.token_table import TokenTable
@@ -54,7 +48,6 @@ class AttackMessageGroup:
     tokens: frozenset[str]
     count: int
     header_tokens: frozenset[str] = frozenset()
-    header_source: Email | None = None
 
     def __post_init__(self) -> None:
         if self.count < 1:
@@ -85,11 +78,6 @@ class AttackBatch:
     email carries a different stolen spam header).
     """
 
-    trained_as_spam: bool = True
-    """Label the batch trains under (Section 2.2's contamination
-    assumption); :class:`~repro.attacks.hamlabeled.HamLabeledBatch`
-    flips it."""
-
     def __init__(self, attack_name: str, groups: Sequence[AttackMessageGroup]) -> None:
         self.attack_name = attack_name
         self.groups = list(groups)
@@ -109,11 +97,6 @@ class AttackBatch:
         for group in self.groups:
             tokens |= group.tokens
         return frozenset(tokens)
-
-    def token_occurrences(self) -> int:
-        """Total trained token occurrences (the paper's "6.4x as many
-        tokens as the original dataset" accounting in Section 4.2)."""
-        return sum(len(group.training_tokens) * group.count for group in self.groups)
 
     def encode(self, table: "TokenTable") -> tuple[tuple[array, int], ...]:
         """The batch as ``(sorted token-ID array, count)`` pairs.
@@ -139,17 +122,16 @@ class AttackBatch:
 
         ``classifier`` is anything with ``learn_repeated(tokens,
         is_spam, count)`` — the contamination assumption trains attack
-        email as spam, never ham (Section 2.2; ham-labeled batches
-        override :attr:`trained_as_spam`).  This is the string-payload
-        path; hot loops use :meth:`train_into_ids`.
+        email as spam, never ham (Section 2.2).  This is the
+        string-payload path; hot loops use :meth:`train_into_ids`.
         """
         for group in self.groups:
-            classifier.learn_repeated(group.training_tokens, self.trained_as_spam, group.count)
+            classifier.learn_repeated(group.training_tokens, True, group.count)
 
     def untrain_from(self, classifier) -> None:
         """Reverse :meth:`train_into` on the same classifier."""
         for group in self.groups:
-            classifier.unlearn_repeated(group.training_tokens, self.trained_as_spam, group.count)
+            classifier.unlearn_repeated(group.training_tokens, True, group.count)
 
     def train_into_ids(self, classifier) -> None:
         """:meth:`train_into` through the interned-ID fast path.
@@ -159,27 +141,8 @@ class AttackBatch:
         :meth:`train_into`, with no per-token string hashing after the
         first encode.
         """
-        is_spam = self.trained_as_spam
         for ids, count in self.encode(classifier.table):
-            classifier.learn_ids_repeated(ids, is_spam, count)
-
-    def untrain_from_ids(self, classifier) -> None:
-        """Reverse :meth:`train_into_ids` on the same classifier."""
-        is_spam = self.trained_as_spam
-        for ids, count in self.encode(classifier.table):
-            classifier.unlearn_ids_repeated(ids, is_spam, count)
-
-    def iter_emails(self, start_index: int = 0) -> Iterator[Email]:
-        """Render every message in the batch as a real :class:`Email`."""
-        index = start_index
-        for group in self.groups:
-            for _ in range(group.count):
-                yield render_attack_email(
-                    sorted(group.tokens),
-                    msgid=f"attack-{self.attack_name}-{index:06d}",
-                    header_source=group.header_source,
-                )
-                index += 1
+            classifier.learn_ids_repeated(ids, True, count)
 
     def __len__(self) -> int:
         return self.message_count
@@ -204,21 +167,10 @@ class Attack(abc.ABC):
     """Interface all attacks implement.
 
     An attack is a *message factory*: given a count and an RNG it emits
-    the spam-labeled messages the adversary would send.  Attacks carry
-    their Section 3.1 taxonomy coordinates for reporting.
+    the spam-labeled messages the adversary would send.
     """
 
     name: str = "attack"
-
-    @property
-    @abc.abstractmethod
-    def taxonomy(self) -> AttackTaxonomy:
-        """Where this attack sits in the Section 3.1 taxonomy."""
-
-    @property
-    @abc.abstractmethod
-    def header_policy(self) -> HeaderPolicy:
-        """How attack emails obtain headers (Section 4.1 restriction)."""
 
     @abc.abstractmethod
     def generate(self, count: int, rng: random.Random) -> AttackBatch:

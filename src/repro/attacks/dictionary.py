@@ -26,8 +26,6 @@ import random
 from typing import Iterable
 
 from repro.attacks.base import Attack, AttackBatch, AttackMessageGroup
-from repro.attacks.payload import HeaderPolicy
-from repro.attacks.taxonomy import AttackTaxonomy
 from repro.corpus.vocabulary import Vocabulary
 from repro.corpus.wordlists import AttackWordlist, build_aspell_dictionary, build_usenet_wordlist
 from repro.errors import AttackError
@@ -48,18 +46,6 @@ class DictionaryAttack(Attack):
         if not self.tokens:
             raise AttackError(f"dictionary attack {name!r} has no words")
         self.name = name
-
-    @property
-    def taxonomy(self) -> AttackTaxonomy:
-        return AttackTaxonomy.dictionary()
-
-    @property
-    def header_policy(self) -> HeaderPolicy:
-        return HeaderPolicy.EMPTY
-
-    @property
-    def dictionary_size(self) -> int:
-        return len(self.tokens)
 
     def generate(self, count: int, rng: random.Random) -> AttackBatch:
         """``count`` identical attack messages as one group.

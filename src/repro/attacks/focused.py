@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.attacks.base import Attack, AttackBatch, AttackMessageGroup
-from repro.attacks.payload import HeaderPolicy, choose_header_source
-from repro.attacks.taxonomy import AttackTaxonomy
 from repro.errors import AttackError
 from repro.spambayes.message import Email
 from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
@@ -41,13 +39,6 @@ class TargetKnowledge:
     target_tokens: frozenset[str]
     guessed_tokens: frozenset[str]
     guess_probability: float
-
-    @property
-    def guessed_fraction(self) -> float:
-        """Fraction of target tokens actually guessed (≈ p in the mean)."""
-        if not self.target_tokens:
-            return 0.0
-        return len(self.guessed_tokens) / len(self.target_tokens)
 
 
 class FocusedAttack(Attack):
@@ -91,14 +82,6 @@ class FocusedAttack(Attack):
             raise AttackError("focused attack target has no body tokens")
 
     @property
-    def taxonomy(self) -> AttackTaxonomy:
-        return AttackTaxonomy.focused()
-
-    @property
-    def header_policy(self) -> HeaderPolicy:
-        return HeaderPolicy.RANDOM_SPAM if self.header_pool else HeaderPolicy.EMPTY
-
-    @property
     def target_tokens(self) -> frozenset[str]:
         """The target's body token set (what the attacker tries to guess)."""
         return self._target_body_tokens
@@ -140,14 +123,9 @@ class FocusedAttack(Attack):
             return AttackBatch(self.name, groups)
         groups = []
         for _ in range(count):
-            source = choose_header_source(self.header_pool, rng)
+            source = rng.choice(self.header_pool)
             header_tokens = frozenset(self.tokenizer.tokenize_headers(source))
             groups.append(
-                AttackMessageGroup(
-                    tokens=payload,
-                    count=1,
-                    header_tokens=header_tokens,
-                    header_source=source,
-                )
+                AttackMessageGroup(tokens=payload, count=1, header_tokens=header_tokens)
             )
         return AttackBatch(self.name, groups)

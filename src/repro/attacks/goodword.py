@@ -7,8 +7,7 @@ and Wittel & Wu's common-word padding — where the adversary does NOT
 touch training, but pads spam with hammy words so it slips past the
 trained filter as a false negative.
 
-Implementing that quadrant here serves two purposes: it completes the
-taxonomy as runnable code, and it gives the defense experiments an
+Implementing that quadrant here gives the defense experiments an
 Integrity-attack baseline to contrast with the paper's Availability
 attacks (RONI, for instance, is a *training-time* gate and has no
 purchase on an attack that never trains).
@@ -30,24 +29,15 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.attacks.taxonomy import AttackTaxonomy, Influence, SecurityViolation, Specificity
 from repro.errors import AttackError
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.message import Email
-from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
 
 __all__ = [
     "GoodWordResult",
     "CommonWordGoodWordAttack",
     "OracleGoodWordAttack",
-    "GOODWORD_TAXONOMY",
 ]
-
-GOODWORD_TAXONOMY = AttackTaxonomy(
-    Influence.EXPLORATORY, SecurityViolation.INTEGRITY, Specificity.TARGETED
-)
-"""Good-word attacks probe a fixed filter to sneak specific spam in."""
-
 
 @dataclass(frozen=True)
 class GoodWordResult:
@@ -56,11 +46,6 @@ class GoodWordResult:
     original: Email
     padded: Email
     added_words: tuple[str, ...]
-
-    @property
-    def word_cost(self) -> int:
-        """How many words the attacker had to add."""
-        return len(self.added_words)
 
 
 def _pad_email(original: Email, words: Sequence[str]) -> Email:
@@ -85,10 +70,6 @@ class CommonWordGoodWordAttack:
         self.words = tuple(word_source)
         if not self.words:
             raise AttackError("good-word attack needs a non-empty word source")
-
-    @property
-    def taxonomy(self) -> AttackTaxonomy:
-        return GOODWORD_TAXONOMY
 
     def pad(self, spam: Email, word_count: int, rng: random.Random | None = None) -> GoodWordResult:
         """Pad ``spam`` with ``word_count`` words from the source head.
@@ -119,14 +100,7 @@ class OracleGoodWordAttack:
 
     name = "goodword-oracle"
 
-    def __init__(
-        self,
-        classifier: Classifier,
-        candidate_words: Iterable[str],
-        tokenizer: Tokenizer = DEFAULT_TOKENIZER,
-    ) -> None:
-        self.classifier = classifier
-        self.tokenizer = tokenizer
+    def __init__(self, classifier: Classifier, candidate_words: Iterable[str]) -> None:
         candidates = set(candidate_words)
         if not candidates:
             raise AttackError("oracle good-word attack needs candidate words")
@@ -138,10 +112,6 @@ class OracleGoodWordAttack:
         self._ranked = [word for _, word in sorted(zip(classifier.spam_probs(words), words))]
 
     @property
-    def taxonomy(self) -> AttackTaxonomy:
-        return GOODWORD_TAXONOMY
-
-    @property
     def ranked_words(self) -> list[str]:
         return list(self._ranked)
 
@@ -151,18 +121,3 @@ class OracleGoodWordAttack:
             raise AttackError(f"word_count must be >= 0, got {word_count}")
         chosen = tuple(self._ranked[:word_count])
         return GoodWordResult(spam, _pad_email(spam, chosen), chosen)
-
-    def words_to_evade(self, spam: Email, max_words: int = 1_000, step: int = 10) -> GoodWordResult | None:
-        """Smallest padding (within ``max_words``) that flips the filter
-        away from a spam verdict; None when the budget is insufficient.
-
-        This is the Lowd-&-Meek cost metric: "how many good words does
-        this spam need?".
-        """
-        spam_cutoff = self.classifier.options.spam_cutoff
-        for count in range(0, max_words + 1, step):
-            result = self.pad(spam, count)
-            score = self.classifier.score(self.tokenizer.tokenize(result.padded))
-            if score <= spam_cutoff:
-                return result
-        return None

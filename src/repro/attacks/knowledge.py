@@ -26,15 +26,13 @@ The extremes recover the paper's attacks:
 estimates ``p_w`` from a sample of ham the attacker has seen (the
 "distribution of words in English text" refinement the paper leaves to
 future work), and :func:`optimal_attack_tokens` turns any distribution
-plus a budget into a concrete attack payload.  Benchmark E-A1 uses it
-to show the knowledge/size trade-off.
+plus a budget into a concrete attack payload.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Protocol
 
 from repro.attacks.dictionary import DictionaryAttack
 from repro.corpus.dataset import Dataset
@@ -44,9 +42,7 @@ from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
 
 __all__ = [
     "TokenDistribution",
-    "ExplicitTokenDistribution",
     "EmpiricalHamDistribution",
-    "TargetIndicatorDistribution",
     "optimal_attack_tokens",
     "budgeted_attack",
 ]
@@ -62,19 +58,6 @@ class TokenDistribution(Protocol):
     def ranked_words(self) -> list[tuple[str, float]]:
         """All known words, highest probability first."""
         ...
-
-
-@dataclass(frozen=True)
-class ExplicitTokenDistribution:
-    """A distribution given directly as a mapping."""
-
-    probabilities: Mapping[str, float]
-
-    def probability(self, word: str) -> float:
-        return self.probabilities.get(word, 0.0)
-
-    def ranked_words(self) -> list[tuple[str, float]]:
-        return sorted(self.probabilities.items(), key=lambda item: (-item[1], item[0]))
 
 
 class EmpiricalHamDistribution:
@@ -108,25 +91,6 @@ class EmpiricalHamDistribution:
 
     def __len__(self) -> int:
         return len(self._probabilities)
-
-
-@dataclass(frozen=True)
-class TargetIndicatorDistribution:
-    """The focused-attack extreme: ``p_w = 1`` iff ``w`` is in the target."""
-
-    target_tokens: frozenset[str]
-
-    @classmethod
-    def from_email(
-        cls, target: Email, tokenizer: Tokenizer = DEFAULT_TOKENIZER
-    ) -> "TargetIndicatorDistribution":
-        return cls(frozenset(tokenizer.tokenize_body(target.body)))
-
-    def probability(self, word: str) -> float:
-        return 1.0 if word in self.target_tokens else 0.0
-
-    def ranked_words(self) -> list[tuple[str, float]]:
-        return [(word, 1.0) for word in sorted(self.target_tokens)]
 
 
 def optimal_attack_tokens(distribution: TokenDistribution, budget: int | None = None) -> frozenset[str]:

@@ -21,9 +21,7 @@ Layers, bottom to top:
 * :mod:`repro.corpus.dataset` — message handles, labeled datasets,
   folds, inbox sampling, ID encoding;
 * :mod:`repro.corpus.trec` — the TREC-2005-style bundle used by the
-  experiments (plus a loader for the real corpus when available);
-* :mod:`repro.corpus.mbox` — mbox-style persistence;
-* :mod:`repro.corpus.stats` — corpus statistics and coverage reports.
+  experiments, plus a loader for the real corpus when available.
 """
 
 from repro.corpus.dataset import Dataset, LabeledMessage

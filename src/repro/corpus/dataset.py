@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
 
 from repro.errors import CorpusError
 from repro.spambayes.message import Email
@@ -301,14 +301,6 @@ class Dataset:
             name=name or f"{self.name}/subset",
         )
 
-    def filtered(self, predicate: Callable[[LabeledMessage], bool]) -> "Dataset":
-        return Dataset([m for m in self._messages if predicate(m)], name=f"{self.name}/filtered")
-
-    def shuffled(self, rng: random.Random) -> "Dataset":
-        order = list(range(len(self._messages)))
-        rng.shuffle(order)
-        return self.subset(order, name=f"{self.name}/shuffled")
-
     def sample_inbox(
         self,
         size: int,
@@ -356,14 +348,16 @@ class Dataset:
     ) -> list[tuple[list[int], list[int]]]:
         """The ``k`` (train, test) partitions as index lists.
 
-        This is what :meth:`k_folds` materializes; the sweep engine
-        ships the index lists to worker processes instead of pickling
-        one dataset view per fold.  Draws from ``rng`` exactly once
+        The shuffle happens once; fold ``i`` holds out the ``i``-th
+        stripe as the test set, so every message serves as test data
+        exactly once (Section 4.1).  The sweep engine ships the index
+        lists to worker processes instead of pickling one dataset view
+        per fold.  Draws from ``rng`` exactly once
         (the shuffle), so seeding downstream of this call is identical
         whether folds are consumed lazily or planned up front.
         """
         if k < 2:
-            raise CorpusError(f"k_folds needs k >= 2, got {k}")
+            raise CorpusError(f"k-fold split needs k >= 2, got {k}")
         if k > len(self._messages):
             raise CorpusError(f"k={k} folds but only {len(self._messages)} messages")
         order = list(range(len(self._messages)))
@@ -375,21 +369,6 @@ class Dataset:
             train_indices = [idx for j, fold in enumerate(folds) if j != i for idx in fold]
             pairs.append((train_indices, test_indices))
         return pairs
-
-    def k_folds(
-        self, k: int, rng: random.Random
-    ) -> Iterator[tuple["Dataset", "Dataset"]]:
-        """Yield ``k`` (train, test) cross-validation pairs.
-
-        The shuffle happens once; fold ``i`` holds out the ``i``-th
-        stripe as the test set, so every message serves as test data
-        exactly once (Section 4.1).
-        """
-        for i, (train_indices, test_indices) in enumerate(self.k_fold_indices(k, rng)):
-            yield (
-                self.subset(train_indices, name=f"{self.name}/fold{i}-train"),
-                self.subset(test_indices, name=f"{self.name}/fold{i}-test"),
-            )
 
     # ------------------------------------------------------------------
     # Token plumbing

@@ -94,8 +94,6 @@ class MixtureModel:
             cumulative.append(running)
         # Normalize the tail to exactly 1.0 to protect bisect edge cases.
         self._cum_weights = [value / running for value in cumulative]
-        # Built on first use: sampling never reads it.
-        self._unigram: dict[str, float] | None = None
 
     def _weighted_words(self) -> Iterator[tuple[str, float]]:
         """Every component word with its mixture weight, in table order."""
@@ -105,36 +103,10 @@ class MixtureModel:
             for rank, word in enumerate(sampler.words):
                 yield word, share * (1.0 / (rank + 1.0) ** sampler.exponent) / sampler._total
 
-    def _unigram_table(self) -> dict[str, float]:
-        if self._unigram is None:
-            unigram: dict[str, float] = {}
-            running = 0.0
-            for word, word_weight in self._weighted_words():
-                running += word_weight
-                unigram[word] = unigram.get(word, 0.0) + word_weight
-            scale = 1.0 / running
-            self._unigram = {word: p * scale for word, p in unigram.items()}
-        return self._unigram
-
     def sample(self, rng: random.Random, count: int) -> list[str]:
         if count <= 0:
             return []
         return rng.choices(self._population, cum_weights=self._cum_weights, k=count)
-
-    def unigram_probability(self, word: str) -> float:
-        """Marginal probability of drawing ``word`` per token."""
-        return self._unigram_table().get(word, 0.0)
-
-    def inclusion_probability(self, word: str, length: int) -> float:
-        """P[``word`` appears at least once in a ``length``-token email]."""
-        p = self.unigram_probability(word)
-        if p <= 0.0:
-            return 0.0
-        return 1.0 - (1.0 - p) ** length
-
-    @property
-    def vocabulary(self) -> set[str]:
-        return set(self._unigram_table())
 
 
 class _LengthModel:

@@ -28,7 +28,6 @@ from repro.corpus.generator import EmailGenerator, GeneratorConfig
 from repro.corpus.vocabulary import (
     Vocabulary,
     VocabularyProfile,
-    PAPER_PROFILE,
     SMALL_PROFILE,
 )
 from repro.spambayes.message import Email
@@ -124,20 +123,6 @@ class TrecStyleCorpus:
         SeedSpawner(seed).rng("trec-shuffle").shuffle(messages)
         dataset = Dataset(messages, name=f"trec-style(seed={seed})")
         return cls(dataset=dataset, vocabulary=vocabulary, generator=generator, seed=seed)
-
-    @classmethod
-    def generate_paper_scale(cls, seed: int = 0) -> "TrecStyleCorpus":
-        """The full-size equivalent: 39,399 ham / 52,790 spam messages.
-
-        Only the messages a run encodes are generated (minutes for the
-        whole corpus).
-        """
-        return cls.generate(
-            n_ham=TREC05_HAM_COUNT,
-            n_spam=TREC05_SPAM_COUNT,
-            profile=PAPER_PROFILE,
-            seed=seed,
-        )
 
 
 def _read_trec_message(index_parent: Path, relative: str) -> Email:

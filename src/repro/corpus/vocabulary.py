@@ -98,23 +98,6 @@ class VocabularyProfile:
             + self.entity_size
         )
 
-    @property
-    def aspell_size(self) -> int:
-        """Size of the synthetic Aspell dictionary under this profile."""
-        return self.core_size + self.formal_size + self.ham_topic_size + self.spam_shared_size
-
-    @property
-    def usenet_pool_size(self) -> int:
-        """Words eligible for the Usenet frequency-ranked list."""
-        # The slangy half of the unlisted spam words shows up on Usenet.
-        return (
-            self.core_size
-            + self.colloquial_size
-            + self.ham_topic_size
-            + self.spam_shared_size
-            + self.spam_unlisted_size // 2
-        )
-
 
 # Calibrated to the paper: |Aspell| = 98,568; |Usenet list| = 90,000
 # (taken from a 91,160-word eligible pool); overlap ≈ 61,000.
@@ -370,16 +353,6 @@ class Vocabulary:
         """Every word the synthetic Aspell dictionary contains."""
         return list(self.core) + list(self.formal) + list(self.ham_topic) + list(self.spam_shared)
 
-    def usenet_pool(self) -> list[str]:
-        """Words that can appear on Usenet, in no particular order."""
-        return (
-            list(self.core)
-            + list(self.colloquial)
-            + list(self.ham_topic)
-            + list(self.spam_shared)
-            + list(self.spam_unlisted_slangy)
-        )
-
     def all_words(self) -> Iterator[str]:
         """Every word in the universe (dictionary members or not)."""
         for slice_words in (
@@ -392,21 +365,6 @@ class Vocabulary:
             self.entity,
         ):
             yield from slice_words
-
-    def slice_of(self, word: str) -> str | None:
-        """Return the slice name containing ``word`` (None if foreign)."""
-        for name in (
-            "core",
-            "formal",
-            "colloquial",
-            "ham_topic",
-            "spam_shared",
-            "spam_unlisted",
-            "entity",
-        ):
-            if word in set(getattr(self, name)):
-                return name
-        return None
 
     def __len__(self) -> int:
         return self.profile.total_size

@@ -67,9 +67,6 @@ class AttackWordlist:
     def __iter__(self):
         return iter(self.words)
 
-    def as_set(self) -> frozenset[str]:
-        return frozenset(self.words)
-
     def truncated(self, top_k: int) -> "AttackWordlist":
         """The ``top_k`` most useful words as a new list."""
         if top_k < 1:
@@ -79,10 +76,6 @@ class AttackWordlist:
             source=self.source,
             words=self.words[:top_k],
         )
-
-    def overlap(self, other: "AttackWordlist") -> int:
-        """Number of words shared with ``other`` (paper reports ~61k)."""
-        return len(self.as_set() & other.as_set())
 
 
 def build_aspell_dictionary(vocabulary: Vocabulary) -> AttackWordlist:

@@ -5,9 +5,7 @@
   set and refuse to train on messages with large negative impact.
 * :mod:`repro.defenses.threshold` — the dynamic threshold defense:
   re-derive θ0/θ1 from held-out scores instead of the static 0.15/0.9,
-  exploiting the rank-invariance of score-shifting attacks;
-  :meth:`DynamicThresholdDefense.build_filter` trains a defended
-  filter end to end.
+  exploiting the rank-invariance of score-shifting attacks.
 """
 
 from repro.defenses.roni import RoniConfig, RoniDefense, RoniMeasurement, RoniVerdict

@@ -273,8 +273,7 @@ class RoniDefense:
         identical numbers to per-group :meth:`measure_tokens` over
         ``training_tokens``.
         """
-        is_spam = batch.trained_as_spam
-        encoded = [(ids, is_spam) for ids, _ in batch.encode(self._table)]
+        encoded = [(ids, True) for ids, _ in batch.encode(self._table)]
         return self._measure_encoded(encoded)
 
     def measure(self, message: LabeledMessage) -> RoniMeasurement:
@@ -302,27 +301,3 @@ class RoniDefense:
     def _verdict(self, measurement: RoniMeasurement) -> RoniVerdict:
         rejected = measurement.ham_as_ham_decrease >= self.config.ham_as_ham_threshold
         return RoniVerdict(measurement=measurement, rejected=rejected)
-
-    def judge_tokens(self, tokens: Iterable[str], is_spam: bool = True) -> RoniVerdict:
-        return self._verdict(self.measure_tokens(tokens, is_spam))
-
-    def judge(self, message: LabeledMessage) -> RoniVerdict:
-        return self._verdict(self.measure(message))
-
-    def filter_messages(
-        self, candidates: Iterable[LabeledMessage]
-    ) -> tuple[list[LabeledMessage], list[LabeledMessage]]:
-        """Split ``candidates`` into (accepted, rejected) lists.
-
-        Routed through :meth:`measure_many`: each distinct candidate is
-        encoded and measured once.
-        """
-        candidates = list(candidates)
-        accepted: list[LabeledMessage] = []
-        rejected: list[LabeledMessage] = []
-        for message, measurement in zip(candidates, self.measure_many(candidates)):
-            if self._verdict(measurement).rejected:
-                rejected.append(message)
-            else:
-                accepted.append(message)
-        return accepted, rejected

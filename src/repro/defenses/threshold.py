@@ -33,7 +33,6 @@ from repro.corpus.dataset import Dataset, LabeledMessage, group_token_ids, train
 from repro.errors import DefenseError
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.ndkernel import create_classifier
-from repro.spambayes.filter import SpamFilter
 from repro.spambayes.options import ClassifierOptions, DEFAULT_OPTIONS
 from repro.spambayes.token_table import TokenTable
 from repro.spambayes.tokenizer import Tokenizer, DEFAULT_TOKENIZER
@@ -174,14 +173,6 @@ class DynamicThresholdDefense:
     # ------------------------------------------------------------------
     # Deployment
     # ------------------------------------------------------------------
-
-    def build_filter(self, training: Dataset, rng: random.Random) -> tuple[SpamFilter, ThresholdFit]:
-        """Train on the full set and install the fitted thresholds."""
-        fit = self.fit(training, rng)
-        spam_filter = SpamFilter(options=self.options, tokenizer=self.tokenizer)
-        train_grouped(spam_filter.classifier, training, self.tokenizer)
-        spam_filter.set_thresholds(fit.ham_cutoff, fit.spam_cutoff)
-        return spam_filter, fit
 
 
 def _score_distinct(

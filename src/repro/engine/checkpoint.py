@@ -89,17 +89,3 @@ class ReplicaStore:
             return ExperimentRecord.from_dict(data["record"])
         except (KeyError, TypeError, ValueError):
             return None
-
-    def completed_seeds(self) -> list[int]:
-        """Seeds with a loadable checkpoint, sorted."""
-        seeds = []
-        prefix = f"{self.scenario}.seed"
-        for entry in self.root.glob(f"{prefix}*.json"):
-            raw = entry.name[len(prefix) : -len(".json")]
-            try:
-                seed = int(raw)
-            except ValueError:
-                continue
-            if self.load(seed) is not None:
-                seeds.append(seed)
-        return sorted(seeds)

@@ -19,9 +19,9 @@ Two equivalent routes:
   once per distinct value, inherited by forked workers, which is what
   lets a *worker-side* site fire in a process the parent never talks
   to directly;
-* programmatically, :func:`use_faults` installs a plan for the
-  duration of a ``with`` block (module-global, so a pool forked inside
-  the block inherits it).
+* programmatically, by patching the module-global ``_installed_plan``
+  for the duration of a block (how the tests install a plan; a pool
+  forked inside the block inherits it).
 
 Determinism
 -----------
@@ -60,9 +60,8 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import ConfigurationError
 
@@ -73,7 +72,6 @@ __all__ = [
     "active_plan",
     "inject",
     "parse_faults",
-    "use_faults",
 ]
 
 FAULTS_ENV = "REPRO_FAULTS"
@@ -205,7 +203,7 @@ def parse_faults(text: str | None) -> FaultPlan | None:
 # The active plan
 # ----------------------------------------------------------------------
 
-# Programmatic override (use_faults).  Module-global rather than
+# Programmatic override.  Module-global rather than
 # thread-local on purpose: worker processes fork the whole module
 # state, so a plan installed before a pool starts is live inside its
 # workers too.  _UNSET means "no override, consult the environment";
@@ -230,23 +228,6 @@ def active_plan() -> FaultPlan | None:
     return _env_cache[1]
 
 
-@contextmanager
-def use_faults(plan: FaultPlan | None) -> Iterator[FaultPlan | None]:
-    """Install ``plan`` for the duration of the block (module-global).
-
-    ``use_faults(None)`` explicitly *disables* injection within the
-    block even when ``REPRO_FAULTS`` is exported — the clean-reference
-    escape hatch.
-    """
-    global _installed_plan
-    previous = _installed_plan
-    _installed_plan = plan
-    try:
-        yield plan
-    finally:
-        _installed_plan = previous
-
-
 # True only in pool worker processes (set by the pool initializer
 # after the fork).  crash/hang sites are worker-only: inline execution
 # — sequential runs, and the supervisor's degraded fallback — must
@@ -259,10 +240,6 @@ def mark_worker_process() -> None:
     """Declare this process a pool worker (called by the pool initializer)."""
     global _is_worker
     _is_worker = True
-
-
-def in_worker_process() -> bool:
-    return _is_worker
 
 
 def inject(site: str, key: str) -> None:

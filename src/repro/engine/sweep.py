@@ -195,7 +195,6 @@ class IncrementalAttackTrainer:
 
     def __init__(self, classifier: Classifier, batch: AttackBatch) -> None:
         self._classifier = classifier
-        self._label = batch.trained_as_spam
         self._payloads = batch.encode(classifier.table)
         self._group_index = 0
         self._used_in_group = 0
@@ -222,7 +221,7 @@ class IncrementalAttackTrainer:
             ids, group_count = self._payloads[self._group_index]
             available = group_count - self._used_in_group
             take = min(available, target - self.trained)
-            self._classifier.learn_ids_repeated(ids, self._label, take)
+            self._classifier.learn_ids_repeated(ids, True, take)
             self._used_in_group += take
             self.trained += take
             if self._used_in_group == group_count:
@@ -258,10 +257,6 @@ class SweepResult:
 
     key: str
     points: list[AttackSweepPoint] = field(default_factory=list)
-
-    def confusion_dicts(self) -> list[dict[str, int]]:
-        """Raw counts per fraction — handy for equality assertions."""
-        return [point.confusion.as_dict() for point in self.points]
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,7 @@
 * :mod:`repro.experiments.attack_data` — attack batches as training
   messages,
 * :mod:`repro.experiments.reporting` — the shared ASCII table layout,
-  Table 1 and pooled multi-seed records,
-* :mod:`repro.experiments.paper_targets` — the paper's reported values
-  for shape comparison.
+  Table 1 and pooled multi-seed records.
 
 The experiments themselves — each one's config, result, workers,
 protocol and renderer — are one module each in :mod:`repro.scenarios`

@@ -99,21 +99,12 @@ class ConfusionCounts:
         return (self.ham_as_spam + self.ham_as_unsure) / self.ham_total
 
     @property
-    def ham_as_unsure_rate(self) -> float:
-        return self.ham_as_unsure / self.ham_total if self.ham_total else 0.0
-
-    @property
     def spam_as_spam_rate(self) -> float:
         return self.spam_as_spam / self.spam_total if self.spam_total else 0.0
 
     @property
     def spam_as_unsure_rate(self) -> float:
         return self.spam_as_unsure / self.spam_total if self.spam_total else 0.0
-
-    @property
-    def spam_as_ham_rate(self) -> float:
-        """False negatives (Integrity violations — not this paper's goal)."""
-        return self.spam_as_ham / self.spam_total if self.spam_total else 0.0
 
     @property
     def errors(self) -> int:

@@ -1,6 +1,6 @@
 """Table 1 of the paper: the experimental parameters, as data.
 
-Keeping the table as structured constants means (a) the benchmark that
+Keeping the table as structured constants means (a) the scenario that
 regenerates Table 1 can simply print it, (b) tests can assert that the
 paper-scale experiment configurations really use these values, and
 (c) the scaled-down defaults elsewhere are visibly *derived* from the

@@ -42,8 +42,6 @@ __all__ = [
     "ReplicatedRecord",
     "RATE_FIELDS",
     "save_record",
-    "load_record",
-    "load_replicated_record",
 ]
 
 RATE_FIELDS: tuple[str, ...] = (
@@ -320,9 +318,6 @@ class SeriesStats:
     def xs(self) -> list[float]:
         return [point.x for point in self.points]
 
-    def means(self, rate: str) -> list[float]:
-        return [point.rate(rate).mean for point in self.points]
-
     def as_dict(self) -> dict[str, Any]:
         return {"name": self.name, "points": [point.as_dict() for point in self.points]}
 
@@ -357,12 +352,6 @@ class ReplicatedRecord:
     @property
     def n_replicas(self) -> int:
         return len(self.replicas)
-
-    def stats_named(self, name: str) -> SeriesStats:
-        for stats in self.stats:
-            if stats.name == name:
-                return stats
-        raise ExperimentError(f"no pooled series named {name!r} in {self.experiment}")
 
     @classmethod
     def pool(
@@ -426,15 +415,3 @@ def save_record(record: "ExperimentRecord | ReplicatedRecord", path: str | Path)
     that produce equal records produce byte-identical files.
     """
     Path(path).write_text(json.dumps(record.as_dict(), indent=2), encoding="utf-8")
-
-
-def load_record(path: str | Path) -> ExperimentRecord:
-    """Read a record written by :func:`save_record`."""
-    return ExperimentRecord.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def load_replicated_record(path: str | Path) -> ReplicatedRecord:
-    """Read a :class:`ReplicatedRecord` written by :func:`save_record`."""
-    return ReplicatedRecord.from_dict(
-        json.loads(Path(path).read_text(encoding="utf-8"))
-    )

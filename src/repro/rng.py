@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
-__all__ = ["spawn_seed", "spawn_rng", "shuffle_exact", "SeedSpawner", "DEFAULT_SEED"]
+__all__ = ["spawn_seed", "shuffle_exact", "SeedSpawner", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20080415
 """Default root seed (the LEET'08 workshop date) used across examples."""
@@ -37,11 +36,6 @@ def spawn_seed(parent_seed: int, label: str) -> int:
     """
     digest = hashlib.sha256(f"{parent_seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def spawn_rng(parent_seed: int, label: str) -> random.Random:
-    """Return a fresh ``random.Random`` seeded from ``(parent_seed, label)``."""
-    return random.Random(spawn_seed(parent_seed, label))
 
 
 def shuffle_exact(rng: random.Random, items: list) -> None:
@@ -86,15 +80,6 @@ class SeedSpawner:
     def spawn(self, label: str) -> "SeedSpawner":
         """Return a sub-spawner rooted at the child seed for ``label``."""
         return SeedSpawner(self.child_seed(label))
-
-    def indexed(self, label: str, count: int) -> Iterator[random.Random]:
-        """Yield ``count`` decorrelated RNGs labelled ``label[0..count)``.
-
-        Useful for per-fold or per-repetition streams where each index
-        must be independent of how many siblings exist.
-        """
-        for index in range(count):
-            yield self.rng(f"{label}[{index}]")
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"SeedSpawner(seed={self.seed})"

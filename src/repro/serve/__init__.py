@@ -13,5 +13,5 @@ from repro.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.serve.batcher": ("BatcherStats", "MicroBatcher"),
     "repro.serve.client": ("ServeClient", "connect"),
-    "repro.serve.service": ("FilterService", "ServeConfig", "serve_in_thread"),
+    "repro.serve.service": ("FilterService", "ServeConfig"),
 })

@@ -90,13 +90,6 @@ class ServeClient:
             self._pending[response.get("id")] = response
         return self._pending.pop(request_id)
 
-    def recv_any(self) -> dict:
-        """Collect whichever response arrives next (pipelined callers)."""
-        if self._pending:
-            _, response = self._pending.popitem()
-            return response
-        return protocol.recv_frame(self.sock)
-
     def request(self, verb: str, **fields: Any) -> dict:
         """One round trip; raises :class:`ServeError` on an envelope."""
         response = self.recv(self.send(verb, **fields))
@@ -111,10 +104,6 @@ class ServeClient:
 
     def score(self, tokens: Sequence[str]) -> float:
         return self.request("score", tokens=list(tokens))["score"]
-
-    def score_response(self, tokens: Sequence[str]) -> dict:
-        """The full score envelope (``score``/``batch``/``model_seq``)."""
-        return self.request("score", tokens=list(tokens))
 
     def train(self, tokens: Sequence[str], is_spam: bool) -> dict:
         return self.request("train", tokens=list(tokens), is_spam=is_spam)

@@ -50,7 +50,7 @@ import signal
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import ConfigurationError, ProtocolError, ServeError
 from repro.serve import protocol
@@ -63,7 +63,7 @@ from repro.storage import store_name
 if TYPE_CHECKING:
     from repro.engine.runner import WorkerPool
 
-__all__ = ["ServeConfig", "FilterService", "serve_in_thread"]
+__all__ = ["ServeConfig", "FilterService"]
 
 DEFAULT_BATCH_WINDOW_MS = 2.0
 DEFAULT_MAX_BATCH = 256
@@ -169,8 +169,8 @@ class FilterService:
 
         Blocking; owns its own event loop.  Sets :attr:`ready` once
         the listening socket is bound and :attr:`stopped` on the way
-        out — the handshake ``serve_in_thread`` and the CLI's address
-        announcement both key on.
+        out — the handshake the CLI's address announcement and the
+        tests' in-thread harness both key on.
         """
         if self.pool is None and self.config.workers >= 2:
             self.pool = _worker_pool(self.config.workers)
@@ -497,44 +497,3 @@ def _worker_pool(workers: int) -> WorkerPool:
     from repro.engine.runner import WorkerPool
 
     return WorkerPool(workers)
-
-
-@contextlib.contextmanager
-def serve_in_thread(
-    config: ServeConfig, classifier: Classifier | None = None
-) -> Iterator[FilterService]:
-    """Run a service on a daemon thread for the duration of a block.
-
-    The test-suite harness: builds the (optional) supervised pool in
-    the *calling* thread — before the serve thread exists, keeping the
-    fork away from live threads — starts :meth:`FilterService.run` on
-    a daemon thread, waits for the socket to be bound, and guarantees
-    shutdown (and pool teardown) on exit however the block ends.
-    """
-    pool = _worker_pool(config.workers) if config.workers >= 2 else None
-    service = FilterService(config, classifier=classifier, pool=pool)
-
-    def _run_quietly() -> None:
-        # run() records any failure in service.startup_error; the
-        # thread excepthook would only add traceback noise on top.
-        with contextlib.suppress(BaseException):
-            service.run()
-
-    thread = threading.Thread(
-        target=_run_quietly, name="repro-serve", daemon=True
-    )
-    thread.start()
-    service.ready.wait(timeout=30.0)
-    try:
-        if service.startup_error is not None:
-            raise ServeError(
-                f"filter service failed to start: "
-                f"{protocol.one_line(service.startup_error)}"
-            ) from service.startup_error
-        yield service
-    finally:
-        service.stop()
-        service.stopped.wait(timeout=30.0)
-        thread.join(timeout=30.0)
-        if pool is not None:
-            pool.close()

@@ -28,6 +28,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "repro.spambayes.filter": ("Label", "SpamFilter", "ClassifiedMessage"),
     "repro.spambayes.message": ("Email",),
     "repro.spambayes.options": ("ClassifierOptions", "DEFAULT_OPTIONS"),
-    "repro.spambayes.tokenizer": ("Tokenizer", "tokenize_text"),
+    "repro.spambayes.tokenizer": ("Tokenizer",),
     "repro.spambayes.wordinfo": ("WordInfo",),
 })

@@ -37,7 +37,7 @@ Storage: the interned token-ID core
     (``tests/spambayes_spec.py``), which ``tests/test_spec_oracle.py``
     holds the classifier to over random options and histories.
 
-Both :meth:`Classifier.learn` and :meth:`Classifier.unlearn` are
+Both :meth:`Classifier.learn` and :meth:`Classifier.unlearn_repeated` are
 incremental, which the experiment harness leans on heavily: a fold's
 clean model is trained once and attack batches are layered on top, and
 the RONI defense scores candidate messages as if trained.
@@ -508,11 +508,6 @@ class Classifier:
         live = np.flatnonzero(self._spam | self._ham)
         yield from self._table.decode(live.tolist())
 
-    def encode_tokens(self, tokens: Iterable[str]) -> array:
-        """Intern ``tokens`` into this classifier's table as a sorted,
-        duplicate-free ID array, ready for the ``*_ids`` methods."""
-        return self._table.encode_unique(tokens)
-
     # ------------------------------------------------------------------
     # Column and memo plumbing
     # ------------------------------------------------------------------
@@ -597,7 +592,7 @@ class Classifier:
         """:meth:`learn` for a pre-encoded message.
 
         ``ids`` must be duplicate-free token IDs from this classifier's
-        :attr:`table` — exactly what :meth:`encode_tokens` or
+        :attr:`table` — exactly what ``table.encode_unique`` or
         ``LabeledMessage.token_ids`` produce.
         """
         if is_spam:
@@ -605,32 +600,6 @@ class Classifier:
         else:
             self._nham += 1
         self._apply_delta(ids, is_spam, 1)
-
-    def unlearn(self, tokens: Iterable[str], is_spam: bool) -> None:
-        """Remove a previously learned message.
-
-        Raises :class:`TrainingError` if the message cannot have been
-        learned with these tokens/label (a count would go negative) —
-        silently clamping would corrupt every future score.  The check
-        is performed *before* any count is touched, so a failed unlearn
-        leaves the classifier unchanged.
-        """
-        self.unlearn_ids(self._table.encode_unique(tokens), is_spam)
-
-    def unlearn_ids(self, ids: Sequence[int], is_spam: bool) -> None:
-        """:meth:`unlearn` for a pre-encoded message (see :meth:`learn_ids`)."""
-        if is_spam:
-            if self._nspam < 1:
-                raise TrainingError("unlearn(spam) with no spam trained")
-        else:
-            if self._nham < 1:
-                raise TrainingError("unlearn(ham) with no ham trained")
-        self._check_removal(ids, is_spam, 1)
-        if is_spam:
-            self._nspam -= 1
-        else:
-            self._nham -= 1
-        self._apply_removal(ids, is_spam, 1)
 
     def learn_many(self, token_sets: Iterable[Iterable[str]], is_spam: bool) -> int:
         """Learn a batch of messages with a single label; returns count."""
@@ -666,7 +635,11 @@ class Classifier:
     def unlearn_repeated(self, tokens: Iterable[str], is_spam: bool, count: int) -> None:
         """Reverse :meth:`learn_repeated` with the same arguments.
 
-        Validates before mutating, like :meth:`unlearn`.
+        Raises :class:`TrainingError` if these copies cannot have been
+        learned with these tokens/label (a count would go negative) —
+        silently clamping would corrupt every future score.  The check
+        is performed *before* any count is touched, so a failed unlearn
+        leaves the classifier unchanged.
         """
         self.unlearn_ids_repeated(self._table.encode_unique(tokens), is_spam, count)
 
@@ -890,11 +863,6 @@ class Classifier:
     # Snapshot / restore
     # ------------------------------------------------------------------
 
-    @property
-    def snapshot_active(self) -> bool:
-        """True while a snapshot is armed and not yet restored."""
-        return self._snapshot is not None
-
     def snapshot(self) -> ClassifierSnapshot:
         """Checkpoint the current training state.
 
@@ -934,26 +902,6 @@ class Classifier:
     # ------------------------------------------------------------------
     # Token probabilities
     # ------------------------------------------------------------------
-
-    def raw_spam_score(self, token: str) -> float:
-        """PS(w) of Equation 1; the prior ``x`` for unseen tokens."""
-        tid = self._table.id_of(token)
-        if tid is None or tid >= self._spam.shape[0]:
-            return self.options.unknown_word_prob
-        spamcount = self._spam[tid]
-        hamcount = self._ham[tid]
-        if spamcount + hamcount == 0:
-            return self.options.unknown_word_prob
-        nspam = self._nspam
-        nham = self._nham
-        if nspam == 0 and nham == 0:
-            return self.options.unknown_word_prob
-        spam_ratio = spamcount / nspam if nspam else 0.0
-        ham_ratio = hamcount / nham if nham else 0.0
-        denominator = spam_ratio + ham_ratio
-        if denominator == 0.0:
-            return self.options.unknown_word_prob
-        return float(spam_ratio / denominator)
 
     def _probs_for(self, need: np.ndarray) -> np.ndarray:
         """f(w) of Equation 2 for a batch of token IDs, bit-exact."""

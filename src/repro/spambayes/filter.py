@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.spambayes.classifier import Classifier, TokenScore
 from repro.spambayes.message import Email
@@ -46,15 +45,6 @@ class ClassifiedMessage:
     label: Label
     score: float
     evidence: tuple[TokenScore, ...] = ()
-
-    @property
-    def is_filtered(self) -> bool:
-        """True when the message would leave the victim's inbox path.
-
-        Interprets the common client policy from Section 2.1: spam and
-        unsure are both diverted from the inbox the user actually reads.
-        """
-        return self.label is not Label.HAM
 
 
 class SpamFilter:
@@ -85,16 +75,6 @@ class SpamFilter:
     def spam_cutoff(self) -> float:
         return self.classifier.options.spam_cutoff
 
-    def set_thresholds(self, ham_cutoff: float, spam_cutoff: float) -> None:
-        """Replace θ0/θ1 without touching learned state.
-
-        This is the mechanism of the dynamic threshold defense
-        (Section 5.2): learning stays intact, only decisions move.
-        """
-        self.classifier.options = self.classifier.options.with_cutoffs(
-            ham_cutoff, spam_cutoff
-        )
-
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
@@ -102,18 +82,6 @@ class SpamFilter:
     def train(self, email: Email, is_spam: bool) -> None:
         """Tokenize and learn one message."""
         self.classifier.learn(self.tokenizer.tokenize(email), is_spam)
-
-    def train_many(self, emails: Iterable[Email], is_spam: bool) -> int:
-        """Train a batch of same-label messages; returns how many."""
-        count = 0
-        for email in emails:
-            self.train(email, is_spam)
-            count += 1
-        return count
-
-    def untrain(self, email: Email, is_spam: bool) -> None:
-        """Reverse a previous :meth:`train` of the same message/label."""
-        self.classifier.unlearn(self.tokenizer.tokenize(email), is_spam)
 
     # ------------------------------------------------------------------
     # Classification
@@ -129,11 +97,6 @@ class SpamFilter:
         if with_evidence:
             score, evidence = self.classifier.score_with_evidence(tokens)
             return ClassifiedMessage(self.label_for_score(score), score, tuple(evidence))
-        score = self.classifier.score(tokens)
-        return ClassifiedMessage(self.label_for_score(score), score)
-
-    def classify_tokens(self, tokens: Iterable[str]) -> ClassifiedMessage:
-        """Classify a pre-tokenized message (hot path for experiments)."""
         score = self.classifier.score(tokens)
         return ClassifiedMessage(self.label_for_score(score), score)
 

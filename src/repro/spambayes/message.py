@@ -15,7 +15,7 @@ whitespace), a blank separator line, then the body verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.errors import MessageParseError
 
@@ -114,11 +114,6 @@ class Email:
                 return value
         return default
 
-    def get_all_headers(self, name: str) -> list[str]:
-        """Return every value for ``name`` in order (case-insensitive)."""
-        wanted = name.lower()
-        return [value for header_name, value in self.headers if header_name.lower() == wanted]
-
     @property
     def subject(self) -> str:
         return self.get_header("Subject", "") or ""
@@ -129,14 +124,6 @@ class Email:
 
     def iter_headers(self) -> Iterator[tuple[str, str]]:
         return iter(self.headers)
-
-    def with_headers(self, headers: Sequence[tuple[str, str]]) -> "Email":
-        """Return a copy of this email with ``headers`` replacing its own.
-
-        The focused attack uses this to graft the header block of a real
-        spam message onto an attack body (Section 4.1 of the paper).
-        """
-        return Email(body=self.body, headers=list(headers), msgid=self.msgid)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -34,7 +34,7 @@ from typing import Iterator
 
 from repro.spambayes.message import Email
 
-__all__ = ["TokenizerOptions", "Tokenizer", "tokenize_text", "DEFAULT_TOKENIZER"]
+__all__ = ["TokenizerOptions", "Tokenizer", "DEFAULT_TOKENIZER"]
 
 _URL_RE = re.compile(r"(?:(https?|ftp)://|www\.)([^\s<>\"']+)", re.IGNORECASE)
 _EMAIL_RE = re.compile(r"([\w.+-]+)@([\w-]+(?:\.[\w-]+)+)")
@@ -245,13 +245,3 @@ DEFAULT_TOKENIZER = Tokenizer()
 """Shared default tokenizer instance.  Safe to share across threads and
 callers: its chunk memo is bounded, thread-safe, and never changes a
 result, only how fast it comes back."""
-
-
-def tokenize_text(text: str, tokenizer: Tokenizer | None = None) -> list[str]:
-    """Tokenize raw wire-format text (or a bare body) into tokens.
-
-    Convenience wrapper: parses ``text`` as an :class:`Email` first so
-    header tokens are produced when the text has headers.
-    """
-    email = Email.from_text(text)
-    return (tokenizer or DEFAULT_TOKENIZER).tokenize(email)

@@ -31,10 +31,6 @@ class WordInfo:
         """N(w): number of training messages containing the token."""
         return self.spamcount + self.hamcount
 
-    def is_empty(self) -> bool:
-        """True when no training message references the token any more."""
-        return self.spamcount == 0 and self.hamcount == 0
-
     def copy(self) -> "WordInfo":
         return WordInfo(self.spamcount, self.hamcount)
 

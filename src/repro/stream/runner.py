@@ -129,29 +129,6 @@ class StreamResult:
                 return outcome
         raise ExperimentError(f"no tick {tick} in result")
 
-    def final_ham_misclassification(self) -> float:
-        return self.ticks[-1].confusion.ham_misclassified_rate
-
-    def messages_processed(self) -> int:
-        """Ingested arrivals plus held-out scoring work, stream-wide.
-
-        A throughput numerator: every arrival the
-        gate saw (trained or rejected) plus every held-out evaluation
-        actually performed.  A clean-counterfactual re-score only
-        counts from the first tick with attack mail trained — before
-        that the runner copies the actual confusion instead of
-        scoring (see :meth:`StreamRunner._clean_counterfactual`).
-        """
-        ingested = self.spec.total_arrivals()
-        evaluations = 0
-        attack_so_far = 0
-        for outcome in self.ticks:
-            evaluations += 1
-            attack_so_far += outcome.attack_trained
-            if outcome.clean_confusion is not None and attack_so_far > 0:
-                evaluations += 1
-        return ingested + evaluations * self.test_messages
-
     def to_record(self) -> ExperimentRecord:
         """Serialize through the shared results layer.
 
@@ -422,8 +399,8 @@ class StreamRunner:
         if not trained_attack:
             # Nothing poisoned yet: the counterfactual IS the
             # measurement (the twin would score identically — its
-            # counts equal the main classifier's — so copying keeps
-            # messages_processed()'s re-score accounting meaningful).
+            # counts equal the main classifier's — so copying saves
+            # the re-score).
             return ConfusionCounts.from_dict(confusion.as_dict())
         return evaluate_dataset(twin, test, cutoffs=cutoffs, workspace=workspace)
 

@@ -154,13 +154,3 @@ class StreamSpec:
     def tick_attack_counts(self) -> tuple[int, ...]:
         """The materialized schedule: one attack count per tick, 1-based."""
         return tuple(self.attack_count_at(tick) for tick in range(1, self.ticks + 1))
-
-    def total_attack_messages(self) -> int:
-        return sum(self.tick_attack_counts())
-
-    def total_arrivals(self) -> int:
-        """Every message the stream ingests (ham + spam + attack)."""
-        return (
-            self.ticks * (self.ham_per_tick + self.spam_per_tick)
-            + self.total_attack_messages()
-        )

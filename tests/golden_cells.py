@@ -25,7 +25,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import regen_goldens as golden  # noqa: E402 (tools/ is not a package)
 
 from repro.engine import runner, supervise  # noqa: E402 (regen_goldens puts src/ on the path)
-from repro.engine.faults import FaultPlan, FaultSpec, use_faults  # noqa: E402
+from repro.engine.faults import FaultPlan, FaultSpec  # noqa: E402
+from harness import use_faults  # noqa: E402
 
 
 class Cell(NamedTuple):

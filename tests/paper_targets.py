@@ -3,9 +3,9 @@
 Our substrate is a synthetic corpus, so absolute rates will not match
 the paper digit-for-digit; what must hold is the *shape*: orderings,
 saturation points, and the qualitative claims the paper states in
-prose.  This module collects those claims as checkable data; the
-benchmark harness prints measured values alongside them and the test
-suite asserts the shape predicates.
+prose.  This module collects those claims as checkable data;
+``tests/test_paper_claims.py`` asserts each one's shape predicate or
+lists it as not asserted.
 """
 
 from __future__ import annotations

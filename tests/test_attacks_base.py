@@ -1,66 +1,14 @@
-"""Tests for attack taxonomy, payload rendering and AttackBatch."""
+"""Tests for AttackMessageGroup, AttackBatch and the attack contract."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.attacks.base import AttackBatch, AttackMessageGroup
-from repro.attacks.payload import HeaderPolicy, choose_header_source, render_attack_email
-from repro.attacks.taxonomy import (
-    AttackTaxonomy,
-    Influence,
-    SecurityViolation,
-    Specificity,
-)
 from repro.errors import AttackError
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.message import Email
-
-
-class TestTaxonomy:
-    def test_dictionary_coordinates(self):
-        taxonomy = AttackTaxonomy.dictionary()
-        assert taxonomy.influence is Influence.CAUSATIVE
-        assert taxonomy.violation is SecurityViolation.AVAILABILITY
-        assert taxonomy.specificity is Specificity.INDISCRIMINATE
-
-    def test_focused_coordinates(self):
-        taxonomy = AttackTaxonomy.focused()
-        assert taxonomy.specificity is Specificity.TARGETED
-
-    def test_describe(self):
-        text = AttackTaxonomy.dictionary().describe()
-        assert "Causative" in text
-        assert "Availability" in text
-        assert "Indiscriminate" in text
-
-
-class TestPayloadRendering:
-    def test_empty_header_policy(self):
-        email = render_attack_email(["alpha", "beta"], msgid="a-1")
-        assert email.headers == []
-        assert email.msgid == "a-1"
-        assert "alpha" in email.body and "beta" in email.body
-
-    def test_header_source_copied_verbatim(self):
-        source = Email(body="ignored", headers=[("From", "x@y.z"), ("Subject", "s")])
-        email = render_attack_email(["word"], msgid="a-2", header_source=source)
-        assert email.headers == source.headers
-        assert email.body == "word"
-
-    def test_body_wrapped(self):
-        email = render_attack_email([f"word{i:04d}" for i in range(200)], msgid="a-3")
-        assert all(len(line) <= 80 for line in email.body.split("\n"))
-
-    def test_choose_header_source_empty_pool_rejected(self):
-        with pytest.raises(AttackError):
-            choose_header_source([], SeedSpawner(1).rng("x"))
-
-    def test_choose_header_source_picks_from_pool(self):
-        pool = [Email(body="", msgid=f"s{i}") for i in range(5)]
-        picked = choose_header_source(pool, SeedSpawner(1).rng("x"))
-        assert picked in pool
 
 
 class TestAttackMessageGroup:
@@ -103,10 +51,6 @@ class TestAttackBatch:
     def test_distinct_tokens_union_of_payloads(self):
         assert self._batch().distinct_tokens == {"a", "b", "c"}
 
-    def test_token_occurrences(self):
-        # 3 messages x 2 tokens + 2 messages x 3 tokens (payload+header)
-        assert self._batch().token_occurrences() == 3 * 2 + 2 * 3
-
     def test_train_untrain_roundtrip(self):
         classifier = Classifier()
         classifier.learn({"base"}, False)
@@ -118,20 +62,6 @@ class TestAttackBatch:
         batch.untrain_from(classifier)
         assert classifier.nspam == 0
         assert classifier.word_info("a") is None
-
-    def test_iter_emails_counts_and_ids(self):
-        emails = list(self._batch().iter_emails())
-        assert len(emails) == 5
-        assert emails[0].msgid == "attack-test-000000"
-        assert emails[4].msgid == "attack-test-000004"
-
-    def test_iter_emails_header_source(self):
-        source = Email(body="", headers=[("From", "spam@x.biz")])
-        batch = AttackBatch(
-            "h", [AttackMessageGroup(tokens=frozenset({"a"}), count=1, header_source=source)]
-        )
-        email = next(batch.iter_emails())
-        assert email.get_header("From") == "spam@x.biz"
 
 
 class TestZeroCountGeneration:
@@ -146,13 +76,11 @@ class TestZeroCountGeneration:
     def _attacks(self):
         from repro.attacks.dictionary import DictionaryAttack
         from repro.attacks.focused import FocusedAttack
-        from repro.attacks.hamlabeled import HamLabeledAttack
 
         target = Email(body="quarterly review agenda", msgid="target-1")
         header_source = Email(body="", headers=[("From", "spam@x.biz")])
         return [
             DictionaryAttack({"a", "b"}, name="dict"),
-            HamLabeledAttack({"a", "b"}),
             FocusedAttack(target, guess_probability=0.5),
             FocusedAttack(target, guess_probability=0.5, header_pool=[header_source]),
         ]
@@ -163,7 +91,6 @@ class TestZeroCountGeneration:
             batch = attack.generate(0, rng)
             assert batch.message_count == 0
             assert batch.groups == []
-            assert list(batch.iter_emails()) == []
             # Training an empty batch is a no-op, both payload paths.
             classifier = Classifier()
             classifier.learn({"base"}, False)

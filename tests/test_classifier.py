@@ -18,17 +18,23 @@ def train_basic(classifier: Classifier) -> None:
         classifier.learn({"meeting", "shared"}, is_spam=False)
 
 
+def unsmoothed() -> Classifier:
+    """A classifier with s = 0, so f(w) of Equation 2 is PS(w) of
+    Equation 1."""
+    return Classifier(ClassifierOptions(unknown_word_strength=0.0))
+
+
 class TestEquations:
-    def test_raw_score_equation_1(self, empty_classifier):
+    def test_raw_score_equation_1(self):
         # NS=3, NH=2; token in 2 spam, 1 ham:
         # PS = NH*NS(w) / (NH*NS(w) + NS*NH(w)) = 2*2 / (2*2 + 3*1) = 4/7
-        c = empty_classifier
+        c = unsmoothed()
         c.learn({"w"}, True)
         c.learn({"w"}, True)
         c.learn({"x"}, True)
         c.learn({"w"}, False)
         c.learn({"y"}, False)
-        assert c.raw_spam_score("w") == pytest.approx(4 / 7)
+        assert c.spam_prob("w") == pytest.approx(4 / 7)
 
     def test_smoothed_score_equation_2(self, empty_classifier):
         # One spam message containing w: PS(w)=1, N(w)=1, s=0.45, x=0.5
@@ -46,14 +52,14 @@ class TestEquations:
         train_basic(empty_classifier)
         assert empty_classifier.spam_prob("shared") == pytest.approx(0.5, abs=0.01)
 
-    def test_class_size_normalization(self, empty_classifier):
+    def test_class_size_normalization(self):
         # Token in 1 of 1 spam and 2 of 10 ham: spam ratio 1.0 vs ham
         # ratio 0.2 -> PS = 1/(1+0.2) ~ 0.833 despite more ham copies.
-        c = empty_classifier
+        c = unsmoothed()
         c.learn({"w"}, True)
         for i in range(10):
             c.learn({"w"} if i < 2 else {"z"}, False)
-        assert c.raw_spam_score("w") == pytest.approx(1.0 / 1.2)
+        assert c.spam_prob("w") == pytest.approx(1.0 / 1.2)
 
     def test_empty_message_scores_half(self, empty_classifier):
         train_basic(empty_classifier)
@@ -121,7 +127,7 @@ class TestLearnUnlearn:
                         for t in c.iter_vocabulary()}
         before = (c.nspam, c.nham, before_vocab)
         c.learn({"cash", "new-token"}, True)
-        c.unlearn({"cash", "new-token"}, True)
+        c.unlearn_repeated({"cash", "new-token"}, True, 1)
         after_vocab = {t: (c.word_info(t).spamcount, c.word_info(t).hamcount)
                        for t in c.iter_vocabulary()}
         assert (c.nspam, c.nham, after_vocab) == before
@@ -129,29 +135,29 @@ class TestLearnUnlearn:
     def test_unlearn_unknown_message_rejected(self, empty_classifier):
         empty_classifier.learn({"a"}, True)
         with pytest.raises(TrainingError):
-            empty_classifier.unlearn({"b"}, True)
+            empty_classifier.unlearn_repeated({"b"}, True, 1)
 
     def test_unlearn_wrong_label_rejected(self, empty_classifier):
         empty_classifier.learn({"a"}, True)
         with pytest.raises(TrainingError):
-            empty_classifier.unlearn({"a"}, False)
+            empty_classifier.unlearn_repeated({"a"}, False, 1)
 
     def test_failed_unlearn_leaves_state_untouched(self, empty_classifier):
         c = empty_classifier
         c.learn({"a", "b"}, True)
         with pytest.raises(TrainingError):
-            c.unlearn({"a", "zzz"}, True)
+            c.unlearn_repeated({"a", "zzz"}, True, 1)
         assert c.nspam == 1
         assert c.word_info("a").spamcount == 1
 
     def test_unlearn_with_no_messages_rejected(self, empty_classifier):
         with pytest.raises(TrainingError):
-            empty_classifier.unlearn({"a"}, True)
+            empty_classifier.unlearn_repeated({"a"}, True, 1)
 
     def test_pruning_empty_records(self, empty_classifier):
         c = empty_classifier
         c.learn({"a"}, True)
-        c.unlearn({"a"}, True)
+        c.unlearn_repeated({"a"}, True, 1)
         assert c.word_info("a") is None
         assert c.vocabulary_size == 0
 
@@ -249,7 +255,7 @@ def test_learn_unlearn_roundtrip_property(base, extra):
     for tokens, is_spam in extra:
         classifier.learn(tokens, is_spam)
     for tokens, is_spam in reversed(extra):
-        classifier.unlearn(tokens, is_spam)
+        classifier.unlearn_repeated(tokens, is_spam, 1)
     assert (classifier.nspam, classifier.nham) == counts
     restored = {
         token: (classifier.word_info(token).spamcount, classifier.word_info(token).hamcount)

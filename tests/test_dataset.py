@@ -46,11 +46,6 @@ class TestBasics:
         assert view[0] is dataset[0]
         assert view[1] is dataset[2]
 
-    def test_filtered(self):
-        dataset = make_dataset(4, 4)
-        only_spam = dataset.filtered(lambda m: m.is_spam)
-        assert only_spam.counts() == (0, 4)
-
 
 class TestInboxSampling:
     def test_prevalence_respected(self):
@@ -97,28 +92,23 @@ class TestSplitAndFolds:
         with pytest.raises(CorpusError):
             make_dataset(4, 4).split(0.0, SeedSpawner(1).rng("s"))
 
-    def test_k_folds_cover_everything_once(self):
+    def test_k_fold_indices_cover_everything_once(self):
         dataset = make_dataset(13, 12)
         seen_test_ids: list[str] = []
-        for train, test in dataset.k_folds(5, SeedSpawner(1).rng("f")):
-            train_ids = {m.msgid for m in train}
-            test_ids = {m.msgid for m in test}
+        for train, test in dataset.k_fold_indices(5, SeedSpawner(1).rng("f")):
+            train_ids = {dataset[i].msgid for i in train}
+            test_ids = {dataset[i].msgid for i in test}
             assert not (train_ids & test_ids)
             assert len(train_ids) + len(test_ids) == 25
             seen_test_ids.extend(test_ids)
         assert len(seen_test_ids) == 25
         assert len(set(seen_test_ids)) == 25
 
-    def test_k_folds_validation(self):
+    def test_k_fold_indices_validation(self):
         with pytest.raises(CorpusError):
-            list(make_dataset(3, 3).k_folds(1, SeedSpawner(1).rng("f")))
+            make_dataset(3, 3).k_fold_indices(1, SeedSpawner(1).rng("f"))
         with pytest.raises(CorpusError):
-            list(make_dataset(2, 1).k_folds(10, SeedSpawner(1).rng("f")))
-
-    def test_shuffled_preserves_membership(self):
-        dataset = make_dataset(5, 5)
-        shuffled = dataset.shuffled(SeedSpawner(3).rng("sh"))
-        assert {m.msgid for m in shuffled} == {m.msgid for m in dataset}
+            make_dataset(2, 1).k_fold_indices(10, SeedSpawner(1).rng("f"))
 
 
 class TestMessageHandles:

@@ -59,7 +59,7 @@ second = table.encode_unique({"mango", "cherry", "apple", "date"})
 classifier = Classifier()
 classifier.learn({"zeta", "alpha", "mu", "kappa"}, True)
 classifier.learn_repeated({"mu", "omega", "beta"}, False, 3)
-classifier.unlearn({"mu", "omega", "beta"}, False)
+classifier.unlearn_repeated({"mu", "omega", "beta"}, False, 1)
 
 print(json.dumps({
     "table": list(table),

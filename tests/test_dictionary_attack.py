@@ -10,7 +10,6 @@ from repro.attacks.dictionary import (
     OptimalDictionaryAttack,
     UsenetDictionaryAttack,
 )
-from repro.attacks.payload import HeaderPolicy
 from repro.corpus.wordlists import AttackWordlist, build_aspell_dictionary, build_usenet_wordlist
 from repro.errors import AttackError
 from repro.rng import SeedSpawner
@@ -36,12 +35,6 @@ class TestDictionaryAttack:
         with pytest.raises(AttackError):
             DictionaryAttack(["a"]).generate(-1, SeedSpawner(1).rng("x"))
 
-    def test_header_policy_empty(self):
-        assert DictionaryAttack(["a"]).header_policy is HeaderPolicy.EMPTY
-
-    def test_taxonomy_indiscriminate(self):
-        assert DictionaryAttack(["a"]).taxonomy.specificity.value == "indiscriminate"
-
     def test_rng_independent(self):
         attack = DictionaryAttack(["a", "b"])
         a = attack.generate(3, SeedSpawner(1).rng("x"))
@@ -57,7 +50,13 @@ class TestVariants:
 
     def test_aspell_from_vocabulary(self, tiny_vocabulary):
         attack = AspellDictionaryAttack.from_vocabulary(tiny_vocabulary)
-        assert attack.dictionary_size == tiny_vocabulary.profile.aspell_size
+        profile = tiny_vocabulary.profile
+        assert len(attack.tokens) == (
+            profile.core_size
+            + profile.formal_size
+            + profile.ham_topic_size
+            + profile.spam_shared_size
+        )
         assert attack.name == "aspell"
 
     def test_aspell_rejects_wrong_wordlist(self, tiny_vocabulary):
@@ -72,7 +71,7 @@ class TestVariants:
 
     def test_usenet_top_k(self, tiny_vocabulary):
         attack = UsenetDictionaryAttack.from_vocabulary(tiny_vocabulary, top_k=50)
-        assert attack.dictionary_size == 50
+        assert len(attack.tokens) == 50
         assert attack.name == "usenet-top50"
 
     def test_usenet_full(self, tiny_vocabulary):

@@ -17,6 +17,7 @@ from repro.corpus.dataset import Dataset, train_grouped
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.engine.sweep import attack_message_count, evaluate_dataset
 from repro.rng import SeedSpawner
+from repro.spambayes.classifier import Classifier
 from repro.spambayes.filter import Label
 
 
@@ -54,7 +55,7 @@ def test_act2_dictionary_attack_disables_filter(world, small_corpus):
 def test_act3_focused_attack_buries_the_bid(world):
     spawner, inbox, held_out, spam_filter = world
     target = next(m for m in held_out if not m.is_spam)
-    assert spam_filter.classify_tokens(target.tokens()).label is Label.HAM
+    assert spam_filter.label_for_score(spam_filter.classifier.score(target.tokens())) is Label.HAM
     attack = FocusedAttack(
         target.email,
         guess_probability=0.9,
@@ -76,11 +77,11 @@ def test_act4_roni_stops_the_dictionary_attack(world, small_corpus):
     defense = RoniDefense(inbox, spawner.rng("roni"))
     attack = UsenetDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
     batch = attack.generate(3, spawner.rng("roni-attack"))
-    for group in batch.groups:
-        assert defense.judge_tokens(group.training_tokens, is_spam=True).rejected
+    for measurement in defense.measure_batch(batch):
+        assert defense._verdict(measurement).rejected
     # And does not reject ordinary traffic.
-    for message in held_out[:6]:
-        assert not defense.judge(message).rejected
+    for measurement in defense.measure_many(held_out[:6]):
+        assert not defense._verdict(measurement).rejected
 
 
 def test_act5_dynamic_threshold_rescues_ham_at_a_price(world, small_corpus):
@@ -91,11 +92,13 @@ def test_act5_dynamic_threshold_rescues_ham_at_a_price(world, small_corpus):
     poisoned_training = Dataset(
         inbox.messages + attack_messages_as_dataset(batch), name="poisoned"
     )
-    defended, fit = DynamicThresholdDefense().build_filter(
-        poisoned_training, spawner.rng("thr-fit")
-    )
+    fit = DynamicThresholdDefense().fit(poisoned_training, spawner.rng("thr-fit"))
     assert fit.ham_cutoff > spam_filter.classifier.options.ham_cutoff
-    counts = evaluate_dataset(defended.classifier, held_out[:300])
+    defended = Classifier()
+    train_grouped(defended, poisoned_training)
+    counts = evaluate_dataset(
+        defended, held_out[:300], cutoffs=(fit.ham_cutoff, fit.spam_cutoff)
+    )
     # Ham rescued from the spam folder...
     assert counts.ham_as_spam_rate < 0.1
     # ...but spam piles up in unsure (the paper's closing caveat).

@@ -363,11 +363,13 @@ class TestSnapshotRestore:
         before = _classifier_state(classifier)
         snap = classifier.snapshot()
         classifier.learn_repeated(frozenset(f"attack{i}" for i in range(200)), True, 50)
-        classifier.unlearn(sweep_corpus.dataset[0].tokens(), sweep_corpus.dataset[0].is_spam)
+        classifier.unlearn_repeated(
+            sweep_corpus.dataset[0].tokens(), sweep_corpus.dataset[0].is_spam, 1
+        )
         assert _classifier_state(classifier) != before
         classifier.restore(snap)
         assert _classifier_state(classifier) == before
-        assert not classifier.snapshot_active
+        assert classifier._snapshot is None
 
     def test_restored_scores_are_bit_identical(self, sweep_corpus):
         classifier = _trained_classifier(sweep_corpus)
@@ -449,20 +451,20 @@ def _sweep_signature(points):
     ]
 
 
-def sequential_sweep_signature(inbox, attack, fractions, folds, rng, ham_only=False):
+def sequential_sweep_signature(inbox, attack, fractions, folds, rng):
     """The sweep written out as the plain loop it computes, on the
     formula oracle (``tests/spambayes_spec.py``).
 
     One oracle per fold trained from scratch on token texts, the attack
     batch layered on group by group, and every held-out message scored
-    on its own (only ham with ``ham_only``).  No clean-model reuse, no
-    ID encoding, no bulk scoring, no workers.
+    on its own.  No clean-model reuse, no ID encoding, no bulk scoring,
+    no workers.
     """
     counts = [attack_message_count(len(inbox), fraction) for fraction in fractions]
     confusions = [ConfusionCounts() for _ in fractions]
-    for train_set, test_set in inbox.k_folds(folds, rng):
+    for train_indices, test_indices in inbox.k_fold_indices(folds, rng):
         classifier = SpecClassifier()
-        for message in train_set:
+        for message in inbox.subset(train_indices):
             classifier.learn(message.tokens(), message.is_spam)
         batch = attack.generate(counts[-1], random.Random(rng.getrandbits(64)))
         groups = iter(batch.groups)
@@ -473,12 +475,10 @@ def sequential_sweep_signature(inbox, attack, fractions, folds, rng, ham_only=Fa
                 if group is None or used == group.count:
                     group, used = next(groups), 0
                 take = min(group.count - used, count - trained)
-                classifier.learn(group.training_tokens, batch.trained_as_spam, take)
+                classifier.learn(group.training_tokens, True, take)
                 used += take
                 trained += take
-            for message in test_set:
-                if ham_only and message.is_spam:
-                    continue
+            for message in inbox.subset(test_indices):
                 score = classifier.score(message.tokens())
                 if score <= DEFAULT_OPTIONS.ham_cutoff:
                     label = Label.HAM
@@ -570,7 +570,7 @@ class TestSweepEquivalence:
         assert checked == [0, 1, 2] * 2
         parallel = run_attack_sweeps(sweep_inbox, build_specs(), 3, workers=2)
         signatures = [
-            [(result.key, result.confusion_dicts()) for result in run]
+            [(result.key, [point.confusion.as_dict() for point in result.points]) for result in run]
             for run in (sequential, parallel)
         ]
         assert signatures[0] == signatures[1]

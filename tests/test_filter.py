@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.spambayes.filter import ClassifiedMessage, Label, SpamFilter
+from repro.spambayes.filter import Label, SpamFilter
 from repro.spambayes.message import Email
 from repro.spambayes.options import ClassifierOptions
 
@@ -34,14 +32,6 @@ class TestThresholds:
         assert spam_filter.ham_cutoff == 0.15
         assert spam_filter.spam_cutoff == 0.90
 
-    def test_set_thresholds_preserves_learning(self):
-        spam_filter = SpamFilter()
-        train_toy(spam_filter)
-        score_before = spam_filter.score(Email.build(body="cheap pills"))
-        spam_filter.set_thresholds(0.4, 0.6)
-        assert spam_filter.ham_cutoff == 0.4
-        assert spam_filter.score(Email.build(body="cheap pills")) == score_before
-
     def test_custom_options(self):
         options = ClassifierOptions(ham_cutoff=0.2, spam_cutoff=0.8)
         spam_filter = SpamFilter(options=options)
@@ -70,38 +60,8 @@ class TestClassification:
         train_toy(spam_filter)
         assert spam_filter.classify(Email.build(body="cheap")).evidence == ()
 
-    def test_is_filtered_property(self):
-        assert not ClassifiedMessage(Label.HAM, 0.01).is_filtered
-        assert ClassifiedMessage(Label.UNSURE, 0.5).is_filtered
-        assert ClassifiedMessage(Label.SPAM, 0.99).is_filtered
-
-    def test_classify_tokens_matches_classify(self):
-        spam_filter = SpamFilter()
-        train_toy(spam_filter)
-        email = Email.build(body="cheap meeting pills", subject="hello")
-        direct = spam_filter.classify(email)
-        via_tokens = spam_filter.classify_tokens(spam_filter.tokenizer.tokenize(email))
-        assert direct.score == via_tokens.score
-        assert direct.label is via_tokens.label
-
 
 class TestTrainUntrain:
-    def test_untrain_reverses_train(self):
-        spam_filter = SpamFilter()
-        train_toy(spam_filter)
-        email = Email.build(body="brand new words here", msgid="x")
-        probe = Email.build(body="brand new words")
-        score_before = spam_filter.score(probe)
-        spam_filter.train(email, True)
-        assert spam_filter.score(probe) != score_before
-        spam_filter.untrain(email, True)
-        assert spam_filter.score(probe) == score_before
-
-    def test_train_many_counts(self):
-        spam_filter = SpamFilter()
-        emails = [Email.build(body=f"word{i} filler text", msgid=str(i)) for i in range(5)]
-        assert spam_filter.train_many(emails, True) == 5
-        assert spam_filter.classifier.nspam == 5
 
     def test_copy_independent(self):
         spam_filter = SpamFilter()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks.focused import FocusedAttack
-from repro.attacks.payload import HeaderPolicy
 from repro.errors import AttackError
 from repro.rng import SeedSpawner
 from repro.spambayes.message import Email
@@ -36,17 +35,6 @@ class TestConstruction:
         with pytest.raises(AttackError):
             FocusedAttack(Email.build(body=""), guess_probability=0.5)
 
-    def test_taxonomy_targeted(self):
-        attack = FocusedAttack(make_target())
-        assert attack.taxonomy.specificity.value == "targeted"
-
-    def test_header_policy_depends_on_pool(self):
-        assert FocusedAttack(make_target()).header_policy is HeaderPolicy.EMPTY
-        assert (
-            FocusedAttack(make_target(), header_pool=spam_pool()).header_policy
-            is HeaderPolicy.RANDOM_SPAM
-        )
-
     def test_target_tokens_are_body_only(self):
         attack = FocusedAttack(make_target())
         assert all(not token.startswith("subject:") for token in attack.target_tokens)
@@ -57,7 +45,6 @@ class TestKnowledge:
         attack = FocusedAttack(make_target(), guess_probability=1.0)
         knowledge = attack.draw_knowledge(SeedSpawner(1).rng("k"))
         assert knowledge.guessed_tokens == knowledge.target_tokens
-        assert knowledge.guessed_fraction == 1.0
 
     def test_zero_knowledge_guesses_nothing(self):
         attack = FocusedAttack(make_target(), guess_probability=0.0)
@@ -67,7 +54,8 @@ class TestKnowledge:
     def test_partial_knowledge_near_p(self):
         attack = FocusedAttack(make_target(200), guess_probability=0.5)
         knowledge = attack.draw_knowledge(SeedSpawner(1).rng("k"))
-        assert 0.35 < knowledge.guessed_fraction < 0.65
+        fraction = len(knowledge.guessed_tokens) / len(knowledge.target_tokens)
+        assert 0.35 < fraction < 0.65
 
     def test_guessed_subset_of_target(self):
         attack = FocusedAttack(make_target(), guess_probability=0.3)
@@ -89,7 +77,6 @@ class TestGenerate:
         assert len(batch.groups) == 5
         for group in batch.groups:
             assert group.header_tokens
-            assert group.header_source is not None
 
     def test_shared_guess_across_emails(self):
         attack = FocusedAttack(make_target(), guess_probability=0.5, header_pool=spam_pool())

@@ -31,7 +31,8 @@ import pytest
 
 from golden_cells import Cell, golden, run_cell
 from repro.scenarios import get_scenario, scenario_names
-from repro.serve import ServeClient, ServeConfig, serve_in_thread
+from repro.serve import ServeClient, ServeConfig
+from harness import serve_in_thread
 from repro.storage import STORE_DIR_ENV, STORE_ENV
 
 BATCH_TIMEOUT = 120  # seconds one hash seed's interpreter may take (it needs ~10)

@@ -1,4 +1,4 @@
-"""Tests for the Exploratory good-word attacks (taxonomy extension)."""
+"""Tests for the Exploratory good-word attacks."""
 
 from __future__ import annotations
 
@@ -6,14 +6,12 @@ import pytest
 
 from repro.attacks.goodword import (
     CommonWordGoodWordAttack,
-    GOODWORD_TAXONOMY,
     OracleGoodWordAttack,
 )
-from repro.attacks.taxonomy import Influence, SecurityViolation
 from repro.errors import AttackError
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier
-from repro.spambayes.filter import Label, SpamFilter
+from repro.spambayes.filter import SpamFilter
 from repro.spambayes.message import Email
 
 
@@ -36,18 +34,6 @@ def spam_email() -> Email:
     return Email.build(body="cheap pills lottery winner", msgid="victim-spam")
 
 
-class TestTaxonomyPosition:
-    def test_exploratory_integrity(self):
-        assert GOODWORD_TAXONOMY.influence is Influence.EXPLORATORY
-        assert GOODWORD_TAXONOMY.violation is SecurityViolation.INTEGRITY
-
-    def test_attacks_report_it(self, trained_filter):
-        common = CommonWordGoodWordAttack(["meeting"])
-        oracle = OracleGoodWordAttack(trained_filter.classifier, ["meeting"])
-        assert common.taxonomy is GOODWORD_TAXONOMY
-        assert oracle.taxonomy is GOODWORD_TAXONOMY
-
-
 class TestCommonWordAttack:
     def test_empty_source_rejected(self):
         with pytest.raises(AttackError):
@@ -57,7 +43,7 @@ class TestCommonWordAttack:
         attack = CommonWordGoodWordAttack(["meeting", "agenda"])
         result = attack.pad(spam_email, 0)
         assert result.padded is spam_email
-        assert result.word_cost == 0
+        assert result.added_words == ()
 
     def test_negative_padding_rejected(self, spam_email):
         attack = CommonWordGoodWordAttack(["meeting"])
@@ -134,17 +120,3 @@ class TestOracleAttack:
             tokenizer.tokenize(blind.pad(spam_email, budget).padded)
         )
         assert oracle_score <= blind_score
-
-    def test_words_to_evade_finds_minimum(self, trained_filter, spam_email):
-        attack = OracleGoodWordAttack(
-            trained_filter.classifier,
-            ["meeting", "agenda", "budget", "quarterly", "review", "notes"],
-        )
-        result = attack.words_to_evade(spam_email, max_words=6, step=1)
-        assert result is not None
-        padded_label = trained_filter.classify(result.padded).label
-        assert padded_label is not Label.SPAM
-
-    def test_words_to_evade_budget_exhausted(self, trained_filter, spam_email):
-        attack = OracleGoodWordAttack(trained_filter.classifier, ["cheap"])
-        assert attack.words_to_evade(spam_email, max_words=1, step=1) is None

@@ -133,7 +133,7 @@ def _tied_setup(new_core):
     core, spec = new_core(table), SpecClassifier()
     counts = {token: (a, b) for token in spammy} | {token: (b, a) for token in hammy}
     last_spam = _train_counts((core, spec, table), counts)
-    core.unlearn_ids(last_spam, True)
+    core.unlearn_ids_repeated(last_spam, True, 1)
     spec.unlearn(table.decode(last_spam.tolist()), True)
     rows = [
         _row(table, spammy + hammy),  # 200 tied tokens: truncation decides
@@ -176,7 +176,7 @@ def test_ties_case_depends_on_the_text_key(new_core, monkeypatch):
     )
     assert core.score_workspace(ScoringWorkspace(rows)) != oracle
     assert core.score_many_ids(rows) != oracle
-    core.unlearn_ids(candidates[0][0], True)
+    core.unlearn_ids_repeated(candidates[0][0], True, 1)
     assert core.score_under_candidates(ScoringWorkspace(rows), candidates[:1]) != under
 
 

@@ -6,13 +6,26 @@ import pytest
 
 from repro.attacks.knowledge import (
     EmpiricalHamDistribution,
-    ExplicitTokenDistribution,
-    TargetIndicatorDistribution,
     budgeted_attack,
     optimal_attack_tokens,
 )
 from repro.errors import AttackError
 from repro.spambayes.message import Email
+from repro.spambayes.tokenizer import DEFAULT_TOKENIZER
+
+
+class ExplicitTokenDistribution:
+    """A :class:`~repro.attacks.knowledge.TokenDistribution` given
+    directly as a mapping."""
+
+    def __init__(self, probabilities: dict[str, float]) -> None:
+        self.probabilities = probabilities
+
+    def probability(self, word: str) -> float:
+        return self.probabilities.get(word, 0.0)
+
+    def ranked_words(self) -> list[tuple[str, float]]:
+        return sorted(self.probabilities.items(), key=lambda item: (-item[1], item[0]))
 
 
 def ham_samples() -> list[Email]:
@@ -55,17 +68,6 @@ class TestEmpiricalDistribution:
             EmpiricalHamDistribution([])
 
 
-class TestTargetIndicator:
-    def test_indicator_values(self):
-        dist = TargetIndicatorDistribution.from_email(Email.build(body="alpha beta"))
-        assert dist.probability("alpha") == 1.0
-        assert dist.probability("gamma") == 0.0
-
-    def test_ranked_words_sorted(self):
-        dist = TargetIndicatorDistribution.from_email(Email.build(body="zeta alpha"))
-        assert [w for w, _ in dist.ranked_words()] == ["alpha", "zeta"]
-
-
 class TestOptimalAttackTokens:
     def test_unbudgeted_takes_all_positive(self):
         dist = ExplicitTokenDistribution({"a": 0.9, "b": 0.1, "c": 0.0})
@@ -95,7 +97,8 @@ class TestOptimalAttackTokens:
         assert dictionary_like == set(universe)
 
         target = Email.build(body="alpha beta gamma")
-        focused_like = optimal_attack_tokens(TargetIndicatorDistribution.from_email(target))
+        indicator = {word: 1.0 for word in DEFAULT_TOKENIZER.tokenize_body(target.body)}
+        focused_like = optimal_attack_tokens(ExplicitTokenDistribution(indicator))
         assert focused_like == {"alpha", "beta", "gamma"}
 
 

@@ -6,6 +6,12 @@ source file with :mod:`ast`, so it sees imports at module level and
 inside functions alike; only imports under ``if TYPE_CHECKING:`` are
 exempt, because they never run.
 
+The same walk checks reachability: every ``src/repro`` module is
+imported, and every public function, class and method is named, by
+code that a command, a protocol, the serve client, the benchmark, the
+tools or the quickstart example runs.  Code that only tests reach is
+code nobody uses.
+
 The entry points' import closures are pinned too: a fresh interpreter
 loads only what the chosen command needs (module sets, never timings).
 """
@@ -17,11 +23,13 @@ import json
 import os
 import subprocess
 import sys
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 
 LAYERS: tuple[tuple[str, ...], ...] = (
     ("errors", "rng", "lazy"),
@@ -66,22 +74,29 @@ def _runtime_imports(tree: ast.AST):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _targets(node: ast.Import | ast.ImportFrom, package: str) -> list[str]:
-    """The dotted modules one import statement in ``package`` loads."""
-    if isinstance(node, ast.Import):
-        return [alias.name for alias in node.names]
+def _source_module(node: ast.ImportFrom, package: str) -> str:
+    """The dotted module a ``from ... import`` statement in ``package``
+    imports from."""
     base = node.module or ""
     if node.level:  # relative: resolve against the importing package
         anchor = package.rsplit(".", node.level - 1)[0]
         base = f"{anchor}.{base}" if base else anchor
+    return base
+
+
+def _targets(node: ast.Import | ast.ImportFrom, package: str) -> list[str]:
+    """The dotted modules one import statement in ``package`` loads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = _source_module(node, package)
     if base == "repro":  # ``from repro import storage`` names a subpackage
         return [f"repro.{alias.name}" for alias in node.names]
     return [base]
 
 
-def _package_name(path: Path) -> str:
+def _package_name(path: Path, src: Path = SRC) -> str:
     """The dotted package a source file's relative imports resolve in."""
-    return ".".join(path.relative_to(SRC).parent.parts)
+    return ".".join(path.relative_to(src).parent.parts)
 
 
 def layering_violations() -> list[str]:
@@ -131,6 +146,285 @@ def test_the_check_sees_function_level_imports_and_skips_type_checking():
         for target in _targets(node, "repro.engine")
     ]
     assert sorted(targets) == ["repro.scenarios", "typing"]
+
+
+# -- Reachability ---------------------------------------------------------
+
+REACHABILITY_EXEMPT = {
+    "repro.corpus.trec.load_trec_corpus": (
+        "the path the paper's own TREC 2005 data (Table 1) would take; the "
+        "corpus is not redistributable, so no scenario can run it"
+    ),
+}
+"""Unreached names kept on purpose, each with its reason."""
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+
+
+def reachability_roots() -> tuple[list[str], list[Path]]:
+    """The modules and the files outside ``src/`` the check starts from:
+    every command's module, every protocol's module, the builtin
+    catalogue ``repro.scenarios`` registers on import, the serve client
+    (the documented scripting interface), the benchmark (every name
+    ``launch.py`` patches), the tools and the quickstart example."""
+    from repro.commands import COMMANDS
+    from repro.scenarios.registry import PROTOCOLS
+
+    modules = {"repro.__main__", "repro.scenarios.builtin", "repro.serve.client"}
+    modules |= {command.module for command in COMMANDS.values()}
+    modules |= {
+        function.__module__
+        for protocol in PROTOCOLS.values()
+        for function in protocol
+        if function is not None
+    }
+    files = [
+        *sorted((REPO / "e2ebench").glob("*.py")),
+        *sorted((REPO / "tools").glob("*.py")),
+        REPO / "examples" / "quickstart.py",
+    ]
+    return sorted(modules), files
+
+
+def _is_lazy_table(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "lazy_exports"
+    )
+
+
+def _annotation(node: ast.AST) -> ast.expr | None:
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return node.annotation
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.returns
+    return None
+
+
+def _names_used(tree: ast.Module, is_package: bool) -> set[str]:
+    """Every identifier a file names: names, attributes, imported names,
+    quoted annotations and dotted-identifier strings (``launch.py``
+    patches by string).
+    Docstrings and ``__all__`` lists name nothing; nor, in a package
+    ``__init__``, do its re-export imports and ``lazy_exports`` tables,
+    so a re-export that nothing reads keeps nothing alive."""
+    names: set[str] = set()
+    stack: list[ast.AST] = []
+    for statement in tree.body:
+        if any(isinstance(sub, ast.Name) and sub.id == "__all__" for sub in ast.walk(statement)):
+            names.update("lazy_exports" for sub in ast.walk(statement) if _is_lazy_table(sub))
+        else:
+            stack.append(statement)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            continue  # a docstring
+        annotation = _annotation(node)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            stack.append(ast.parse(annotation.value, mode="eval"))
+        if _is_lazy_table(node):
+            names.add("lazy_exports")
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if not is_package:
+                names.update(
+                    part for alias in node.names for part in alias.name.split(".")
+                )
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and _DOTTED.fullmatch(node.value)
+        ):
+            names.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+class _Tree:
+    """One source tree, parsed: where each module lives, what each file
+    imports and names, and what each package ``__init__`` re-exports."""
+
+    def __init__(self, src: Path, extra_files: list[Path]):
+        self.src = src
+        self.paths: dict[str, Path] = {}
+        for path in sorted((src / "repro").rglob("*.py")):
+            parts = path.relative_to(src).with_suffix("").parts
+            self.paths[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+        self.trees = {
+            path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in [*self.paths.values(), *extra_files]
+        }
+        self.exports: dict[str, dict[str, tuple[str, str]]] = {
+            module: dict(self._bindings(path))
+            for module, path in self.paths.items()
+            if path.name == "__init__.py"
+        }
+
+    def _bindings(self, path: Path):
+        """``(name, (module, its name there))`` for each name a package
+        ``__init__`` binds by import or declares in a ``lazy_exports``
+        table."""
+        package = _package_name(path, self.src)
+        for node in ast.walk(self.trees[path]):
+            if isinstance(node, ast.ImportFrom):
+                base = _source_module(node, package)
+                for alias in node.names:
+                    yield alias.asname or alias.name, (base, alias.name)
+            elif _is_lazy_table(node):
+                table = node.args[1]
+                for key, value in zip(table.keys, table.values):
+                    for name in value.elts:
+                        yield name.value, (key.value, name.value)
+
+    def resolve(self, module: str, name: str) -> str:
+        """The module that defines what ``from module import name`` binds."""
+        while f"{module}.{name}" not in self.paths:
+            if name not in self.exports.get(module, {}):
+                return module
+            module, name = self.exports[module][name]
+        return f"{module}.{name}"
+
+    def _imported(self, path: Path, names: set[str]):
+        """Every module a file's runtime imports reach, each package
+        import followed through the attributes the file reads on it."""
+        package = _package_name(path, self.src) if self.src in path.parents else ""
+        for node in _runtime_imports(self.trees[path]):
+            if isinstance(node, ast.Import):
+                bound = [alias.name for alias in node.names]
+            else:
+                base = _source_module(node, package)
+                bound = [self.resolve(base, alias.name) for alias in node.names]
+            for module in bound:
+                yield module
+                for name in names & self.exports.get(module, {}).keys():
+                    yield self.resolve(module, name)
+
+    def reach(self, modules: list[str], files: list[Path]) -> tuple[set[str], set[str]]:
+        """The modules reached from the roots, and every name the
+        reached files use."""
+        reached: set[str] = set()
+        used: set[str] = set()
+        pending = [*files, *modules]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                if item not in self.paths or item in reached:
+                    continue
+                reached.add(item)
+                parent = item.rpartition(".")[0]
+                pending.append(parent)
+                path = self.paths[item]
+                if path.name == "__init__.py":
+                    # A package's own code reaches only the names it runs.
+                    names = _names_used(self.trees[path], is_package=True)
+                    used |= names
+                    pending.extend(
+                        self.resolve(item, name)
+                        for name in names & self.exports[item].keys()
+                    )
+                    continue
+            else:
+                path = item
+            names = _names_used(self.trees[path], is_package=False)
+            used |= names
+            pending.extend(self._imported(path, names))
+        return reached, used
+
+
+def _public_definitions(tree: ast.Module):
+    """``(qualified name, name)`` for each public top-level function and
+    class and each public method of a top-level class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(
+                    member, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name
+
+
+def unreached_code(
+    src: Path = SRC,
+    roots: tuple[list[str], list[Path]] | None = None,
+    exempt: dict[str, str] = REACHABILITY_EXEMPT,
+) -> list[str]:
+    """Every module no root reaches, and every public name in a reached
+    module that no reached file names, minus ``exempt``."""
+    modules, files = reachability_roots() if roots is None else roots
+    tree = _Tree(src, files)
+    reached, used = tree.reach(modules, files)
+    found = []
+    for module, path in sorted(tree.paths.items()):
+        if module not in reached:
+            found.append(f"{module}: never imported")
+            continue
+        for qualified, name in _public_definitions(tree.trees[path]):
+            if name not in used and f"{module}.{qualified}" not in exempt:
+                found.append(f"{module}.{qualified}: never named")
+    return found
+
+
+def test_every_module_and_public_name_is_reached():
+    assert unreached_code() == []
+
+
+def test_the_exemptions_are_still_needed():
+    """An exempt name that something now reaches, or that is gone,
+    should leave the table."""
+    assert unreached_code(exempt={}) == [
+        f"{name}: never named" for name in sorted(REACHABILITY_EXEMPT)
+    ]
+
+
+def test_the_reachability_check_flags_dead_modules_and_methods(tmp_path):
+    sources = {
+        "repro/__init__.py": (
+            "from repro.lazy import lazy_exports\n"
+            "__getattr__, __dir__, __all__ = lazy_exports(__name__, "
+            "{'repro.dead': ('Ghost',)})\n"
+        ),
+        "repro/lazy.py": "def lazy_exports(package, table):\n    return None, None, []\n",
+        "repro/pkg/__init__.py": (
+            '"""Re-exports; ``Thing.spare`` in a docstring names nothing."""\n'
+            "from repro.pkg.live import Thing, helper\n"
+            "from repro.pkg.unread import Unread\n"
+            "__all__ = ['Thing', 'helper', 'Unread', 'spare']\n"
+        ),
+        "repro/pkg/live.py": (
+            "class Thing:\n"
+            "    def used(self):\n        return helper()\n"
+            "    def patched(self):\n        pass\n"
+            "    def spare(self):\n        pass\n"
+            "class Typed:\n    pass\n"
+            "def helper(source: 'Typed | None' = None):\n    return 1\n"
+        ),
+        "repro/pkg/unread.py": "class Unread:\n    pass\n",
+        "repro/dead.py": "class Ghost:\n    pass\n",
+    }
+    for name, text in sources.items():
+        (tmp_path / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "src" / name).write_text(text)
+    root = tmp_path / "root.py"
+    root.write_text(
+        "import repro\nfrom repro.pkg import Thing\n"
+        "Thing().used()\nPATCHED = ('patched',)\n"
+    )
+    found = unreached_code(tmp_path / "src", ([], [root]), exempt={})
+    assert found == [
+        "repro.dead: never imported",
+        "repro.pkg.live.Thing.spare: never named",
+        "repro.pkg.unread: never imported",
+    ]
 
 
 EXPERIMENT_STACK = (

@@ -50,18 +50,6 @@ class TestHeaders:
     def test_get_header_default(self):
         assert Email(body="").get_header("missing", "dflt") == "dflt"
 
-    def test_get_all_headers_preserves_order(self):
-        email = Email(body="", headers=[("Received", "a"), ("X", "1"), ("Received", "b")])
-        assert email.get_all_headers("received") == ["a", "b"]
-
-    def test_with_headers_replaces_block(self):
-        original = Email(body="b", headers=[("A", "1")], msgid="m")
-        swapped = original.with_headers([("B", "2")])
-        assert swapped.headers == [("B", "2")]
-        assert swapped.body == "b"
-        assert swapped.msgid == "m"
-        assert original.headers == [("A", "1")]  # untouched
-
 
 class TestBuildAndRoundTrip:
     def test_build_sets_standard_headers(self):

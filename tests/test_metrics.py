@@ -54,10 +54,8 @@ class TestRates:
         )
         assert counts.ham_as_spam_rate == pytest.approx(0.10)
         assert counts.ham_misclassified_rate == pytest.approx(0.40)
-        assert counts.ham_as_unsure_rate == pytest.approx(0.30)
         assert counts.spam_as_spam_rate == pytest.approx(0.80)
         assert counts.spam_as_unsure_rate == pytest.approx(0.15)
-        assert counts.spam_as_ham_rate == pytest.approx(0.05)
         assert counts.errors == 200 - 60 - 80
 
     def test_empty_rates_are_zero(self):
@@ -84,7 +82,6 @@ def test_conservation_and_bounds(cells):
         counts.ham_misclassified_rate,
         counts.spam_as_spam_rate,
         counts.spam_as_unsure_rate,
-        counts.spam_as_ham_rate,
     ):
         assert 0.0 <= rate <= 1.0
     assert counts.ham_as_spam_rate <= counts.ham_misclassified_rate

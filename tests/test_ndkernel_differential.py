@@ -7,8 +7,8 @@ formulas out as counts plus scalar arithmetic, and this suite drives
 the classifier and the oracle side by side through:
 
 * seeded randomized learn/unlearn/score/snapshot interleavings,
-* the attack classes no registered scenario sweeps (informed, focused
-  and ham-labeled payloads through the sweep engine, against the sweep
+* the attack classes no registered scenario sweeps (informed and
+  focused payloads through the sweep engine, against the sweep
   spelled out on the oracle in ``test_engine.py``),
 * the exact floats behind the thresholded records: good-word ranks and
   padded scores, RONI deltas,
@@ -34,7 +34,6 @@ import numpy as np
 import pytest
 
 from repro.attacks.goodword import OracleGoodWordAttack
-from repro.attacks.hamlabeled import HamLabeledAttack
 from repro.attacks.variants import build_attack_variants
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
@@ -282,17 +281,17 @@ def diff_inbox(diff_corpus):
 FRACTIONS = (0.0, 0.15)
 
 
-def _sweep_dicts(inbox, attack, *, workers: int, seed: int = 21, ham_only=False):
-    spec = SweepSpec("diff", attack, FRACTIONS, ham_only=ham_only)
+def _sweep_dicts(inbox, attack, *, workers: int, seed: int = 21):
+    spec = SweepSpec("diff", attack, FRACTIONS)
     (result,) = run_attack_sweeps(
         inbox, [(spec, random.Random(seed))], folds=3, workers=workers
     )
-    return result.confusion_dicts()
+    return [point.confusion.as_dict() for point in result.points]
 
 
-def _oracle_sweep_dicts(inbox, attack, *, seed: int = 21, ham_only=False):
+def _oracle_sweep_dicts(inbox, attack, *, seed: int = 21):
     signature = sequential_sweep_signature(
-        inbox, attack, FRACTIONS, 3, random.Random(seed), ham_only=ham_only
+        inbox, attack, FRACTIONS, 3, random.Random(seed)
     )
     return [confusion for _, _, confusion in signature]
 
@@ -305,13 +304,6 @@ def test_attack_variants_match_oracle_sweep(diff_corpus, diff_inbox, variant):
     oracle = _oracle_sweep_dicts(diff_inbox, attack)
     assert _sweep_dicts(diff_inbox, attack, workers=1) == oracle
     assert _sweep_dicts(diff_inbox, attack, workers=max(2, SUITE_WORKERS)) == oracle
-
-
-def test_hamlabeled_attack_matches_oracle_sweep(diff_corpus, diff_inbox):
-    attack = HamLabeledAttack.from_vocabulary(diff_corpus.vocabulary)
-    oracle = _oracle_sweep_dicts(diff_inbox, attack, ham_only=True)
-    assert _sweep_dicts(diff_inbox, attack, workers=1, ham_only=True) == oracle
-    assert _sweep_dicts(diff_inbox, attack, workers=2, ham_only=True) == oracle
 
 
 def test_goodword_oracle_attack_bit_identical(diff_corpus, diff_inbox):
@@ -514,7 +506,7 @@ class TestKernelEdges:
         for tokens, is_spam in (({"s", "a_s", "z_s", "both"}, True), ({"h", "a_h", "z_h", "both"}, False)):
             core.learn(tokens, is_spam)
             spec.learn(tokens, is_spam)
-        ids = core.encode_tokens(message)
+        ids = core.table.encode_unique(message)
         errors = []
         for score in (
             lambda: spec.score(message),
@@ -537,10 +529,10 @@ class TestKernelEdges:
         rare = table.encode_unique({"c1", "c2", "c3"})
         core.learn_ids(shared, True)
         core.learn_ids(rare, True)
-        core.unlearn_ids(rare, True)
+        core.unlearn_ids_repeated(rare, True, 1)
         spec.learn({"c1", "c2"}, True)
         with pytest.raises(TrainingError, match="'c3' negative"):
-            core.unlearn_ids(rare, True)
+            core.unlearn_ids_repeated(rare, True, 1)
         assert_matches_oracle(core, spec)
         assert core.score_ids(shared) == spec.score({"c1", "c2"})
 

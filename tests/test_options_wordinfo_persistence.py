@@ -56,10 +56,6 @@ class TestWordInfo:
     def test_total(self):
         assert WordInfo(3, 4).total == 7
 
-    def test_is_empty(self):
-        assert WordInfo().is_empty()
-        assert not WordInfo(1, 0).is_empty()
-
     def test_copy_and_equality(self):
         record = WordInfo(2, 5)
         clone = record.copy()
@@ -129,7 +125,7 @@ class TestPersistence:
         for classifier in (original, restored):
             classifier.score(probe)  # warm the memos before mutating
             classifier.learn({"cash", "fresh", "prize"}, True)
-            classifier.unlearn({"meeting", "notes"}, False)
+            classifier.unlearn_repeated({"meeting", "notes"}, False, 1)
             snap = classifier.snapshot()
             classifier.learn_repeated({"prize", "offer"}, True, 5)
             classifier.restore(snap)

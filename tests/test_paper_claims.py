@@ -2,13 +2,12 @@
 
 Each test runs a paper artifact's scenario through :func:`run_scenario`
 at small scale and a fixed seed, and asserts one shape the paper
-states (:mod:`repro.experiments.paper_targets`), with the bound the
+states (``tests/paper_targets.py``), with the bound the
 artifact has always been held to.  The corpus is synthetic, so these
 are shapes — orderings, floors, monotone curves — not the paper's
 digits.  ``CLAIM_TESTS`` maps every asserted claim to its test and
-``PRINTED_ONLY`` lists the claims that are printed beside their figure
-but not asserted; ``test_every_paper_claim_is_placed`` keeps the two
-honest.
+``UNASSERTED`` lists the claims no test asserts;
+``test_every_paper_claim_is_placed`` keeps the two honest.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ import re
 from pathlib import Path
 
 import pytest
+from paper_targets import ALL_CLAIMS
 
 from repro.defenses.roni import RoniConfig
-from repro.experiments.paper_targets import ALL_CLAIMS
 from repro.experiments.params import (
     DICTIONARY_PARAMS,
     FOCUSED_PARAMS,
@@ -65,7 +64,7 @@ CLAIM_TESTS = {
 }
 """Claim text -> the test in this module that asserts it."""
 
-PRINTED_ONLY = (
+UNASSERTED = (
     # True by definition here: spam-or-unsure counts every spam verdict.
     "solid (spam-or-unsure) lines dominate dashed (spam-only) lines",
     "optimal attack saturates: all ham misclassified within a few percent control",
@@ -73,7 +72,7 @@ PRINTED_ONLY = (
     "a ~2% attack already misclassifies roughly a third of targets",
     "threshold-.05 has a wider unsure band than threshold-.10",
 )
-"""Claims rendered beside their artifact but asserted by no test."""
+"""Claims the paper states that no test asserts, each with its reason."""
 
 
 def _run(name: str, seed: int, workers: int, **overrides):
@@ -399,11 +398,11 @@ def test_retraining_filter_healthy_before_the_attack(retraining):
 
 
 def test_retraining_undefended_filter_collapses(retraining):
-    assert retraining["none"].final_ham_misclassification() > 0.8
+    assert retraining["none"].ticks[-1].confusion.ham_misclassified_rate > 0.8
 
 
 def test_retraining_gated_filter_stays_healthy(retraining):
-    assert retraining["roni"].final_ham_misclassification() < 0.1
+    assert retraining["roni"].ticks[-1].confusion.ham_misclassified_rate < 0.1
 
 
 def test_retraining_gate_rejects_every_attack_email(retraining):
@@ -420,9 +419,9 @@ def test_retraining_gate_rejects_every_attack_email(retraining):
 def test_every_paper_claim_is_placed():
     claims = [claim.claim for claim in ALL_CLAIMS]
     assert len(claims) == len(set(claims))
-    unplaced = [claim for claim in claims if claim not in CLAIM_TESTS and claim not in PRINTED_ONLY]
+    unplaced = [claim for claim in claims if claim not in CLAIM_TESTS and claim not in UNASSERTED]
     assert unplaced == []
-    placed = [*CLAIM_TESTS, *PRINTED_ONLY]
+    placed = [*CLAIM_TESTS, *UNASSERTED]
     assert sorted(placed) == sorted(claims), "a claim is placed twice or names no PaperClaim"
     missing = [name for name in CLAIM_TESTS.values() if not callable(globals().get(name))]
     assert missing == []

@@ -4,7 +4,7 @@ These hypothesis tests exercise the couplings the experiments rely on:
 batched vs sequential training equivalence, attack train/untrain
 round-trips, prefix-training consistency, and persistence fidelity
 under arbitrary training histories.  The last section fuzzes the input
-layer (parse, tokenize, mbox ingest) with hostile text, seeded with
+layer (parse, tokenize, TREC file ingest) with hostile text, seeded with
 visual-spoofing mail: homoglyphs, zero-width characters, byte-order
 marks, right-to-left overrides and mixed scripts.
 """
@@ -20,12 +20,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.base import AttackBatch, AttackMessageGroup
-from repro.corpus.mbox import load_mbox
-from repro.corpus.trec import TrecStyleCorpus
+from repro.corpus.trec import TrecStyleCorpus, load_trec_corpus
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.errors import ReproError
 from repro.engine.sweep import IncrementalAttackTrainer
-from repro.serve import ServeClient, ServeConfig, serve_in_thread
+from repro.serve import ServeClient, ServeConfig
+from harness import serve_in_thread
 from repro.spambayes.classifier import Classifier
 from repro.spambayes.message import Email
 from repro.spambayes.ndkernel import create_classifier
@@ -207,20 +207,22 @@ def test_hostile_text_parses_tokenizes_and_scores(text):
 @_spoofed_examples
 @given(text=hostile_text)
 @settings(max_examples=60, deadline=None)
-def test_hostile_mbox_loads_or_raises_repro_error(text):
-    # The raw text as a mailbox, and as the body of a well-formed entry.
-    framed = ("From x@localhost Sat Jan  1 00:00:00 2005\nX-Repro-Label: spam\nX-Repro-Msgid: m1\n"
-              f"X-Repro-Body-Lines: {text.count(chr(10)) + 1}\n\n{text}\n")
+def test_hostile_trec_files_load_or_raise_repro_error(text):
+    # The raw text as a message file under a well-formed index, and as
+    # the index itself.
     with tempfile.TemporaryDirectory() as tmp:
-        for index, mailbox in enumerate((text, framed)):
-            path = Path(tmp) / f"{index}.mbox"
-            path.write_text(mailbox, encoding="utf-8")
+        root = Path(tmp)
+        (root / "full").mkdir()
+        (root / "data").mkdir()
+        (root / "data" / "inmail.1").write_text(text, encoding="utf-8")
+        for index in ("spam ../data/inmail.1\n", text):
+            (root / "full" / "index").write_text(index, encoding="utf-8")
             try:
-                dataset = load_mbox(path)
+                emails = [message.email for message in load_trec_corpus(root)]
             except ReproError:
                 continue
-            for message in dataset:
-                _assert_tokenizes_stably(message.email)
+            for email in emails:
+                _assert_tokenizes_stably(email)
 
 
 def test_served_scores_equal_library_on_spoofed_mail(tmp_path):

@@ -224,7 +224,7 @@ class TestReplicateScenario:
         record = replicate_scenario(
             "dictionary-vs-none", seeds=3, overrides=TINY_DICTIONARY
         )
-        stats = record.stats_named("usenet")
+        (stats,) = [stats for stats in record.stats if stats.name == "usenet"]
         for index, point in enumerate(stats.points):
             samples = [
                 replica.series_named("usenet").points[index].ham_misclassified_rate

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ExperimentError
@@ -16,10 +19,21 @@ from repro.experiments.params import (
 from repro.experiments.results import (
     CurvePoint,
     ExperimentRecord,
+    ReplicatedRecord,
     Series,
-    load_record,
+    SeriesStats,
     save_record,
 )
+
+
+def load_json(path: Path) -> dict:
+    """A record file as written by :func:`save_record`."""
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def stats_named(record: ReplicatedRecord, name: str) -> SeriesStats:
+    (stats,) = [stats for stats in record.stats if stats.name == name]
+    return stats
 
 
 class TestTable1:
@@ -97,7 +111,7 @@ class TestExperimentRecord:
         record = self._record()
         path = tmp_path / "record.json"
         save_record(record, path)
-        loaded = load_record(path)
+        loaded = ExperimentRecord.from_dict(load_json(path))
         assert loaded.experiment == record.experiment
         assert loaded.config == record.config
         assert loaded.extras == record.extras
@@ -127,8 +141,6 @@ class TestForwardCompatibility:
         assert loaded.points == [CurvePoint(0.0, 0.1, 0.2)]
 
     def test_record_file_with_extra_fields_loads(self, tmp_path):
-        import json
-
         record = ExperimentRecord(
             experiment="unit-test",
             config={"size": 10},
@@ -140,7 +152,7 @@ class TestForwardCompatibility:
         data["series"][0]["points"][0]["ci95"] = 0.05
         path = tmp_path / "future.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        loaded = load_record(path)
+        loaded = ExperimentRecord.from_dict(load_json(path))
         assert loaded.series_named("a").points == record.series_named("a").points
 
 
@@ -163,10 +175,8 @@ class TestPooledStatistics:
         return [record([0.1, 0.2]), record([0.2, 0.4]), record([0.3, 0.6])]
 
     def test_series_stats_mean_std_ci(self):
-        from repro.experiments.results import ReplicatedRecord
-
         pooled = ReplicatedRecord.pool(self._replicas(), config={"n_seeds": 3})
-        stats = pooled.stats_named("a")
+        stats = stats_named(pooled, "a")
         assert stats.xs() == [0.0, 1.0]
         point = stats.points[0]
         assert point.n == 3
@@ -179,17 +189,13 @@ class TestPooledStatistics:
         assert point.rate("ham_misclassified_rate").mean == pytest.approx(0.4)
 
     def test_single_replica_has_zero_spread(self):
-        from repro.experiments.results import ReplicatedRecord
-
         pooled = ReplicatedRecord.pool(self._replicas()[:1])
-        rate = pooled.stats_named("a").points[0].rate("ham_as_spam_rate")
+        rate = stats_named(pooled, "a").points[0].rate("ham_as_spam_rate")
         assert rate.mean == pytest.approx(0.1)
         assert rate.std == 0.0
         assert rate.ci95 == 0.0
 
     def test_mismatched_replicas_rejected(self):
-        from repro.experiments.results import ReplicatedRecord, SeriesStats
-
         replicas = self._replicas()
         replicas[1].series[0].name = "b"
         with pytest.raises(ExperimentError):
@@ -200,14 +206,12 @@ class TestPooledStatistics:
             SeriesStats.pool([record.series[0] for record in short])
 
     def test_replicated_record_json_roundtrip(self, tmp_path):
-        from repro.experiments.results import ReplicatedRecord, load_replicated_record
-
         pooled = ReplicatedRecord.pool(
             self._replicas(), config={"scenario": "unit", "n_seeds": 3}
         )
         path = tmp_path / "pooled.json"
         save_record(pooled, path)
-        loaded = load_replicated_record(path)
+        loaded = ReplicatedRecord.from_dict(load_json(path))
         assert loaded.as_dict() == pooled.as_dict()
         # Serialization is deterministic: saving the loaded record
         # reproduces the file byte for byte.

@@ -99,7 +99,7 @@ class TestRoniDefendedDynamics:
             assert outcome.attack_trained == 0
 
     def test_filter_stays_healthy(self, result):
-        assert result.final_ham_misclassification() < 0.1
+        assert result.ticks[-1].confusion.ham_misclassified_rate < 0.1
 
     def test_no_legitimate_mail_rejected(self, result):
         assert sum(w.legitimate_rejected for w in result.ticks) == 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.rng import DEFAULT_SEED, SeedSpawner, spawn_rng, spawn_seed
+from repro.rng import DEFAULT_SEED, SeedSpawner, spawn_seed
 
 
 class TestSpawnSeed:
@@ -21,18 +21,6 @@ class TestSpawnSeed:
         assert spawn_seed(DEFAULT_SEED, "smoke") == spawn_seed(20080415, "smoke")
 
 
-class TestSpawnRng:
-    def test_same_label_same_stream(self):
-        a = spawn_rng(5, "x")
-        b = spawn_rng(5, "x")
-        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
-
-    def test_different_labels_decorrelated(self):
-        a = spawn_rng(5, "x")
-        b = spawn_rng(5, "y")
-        assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
-
-
 class TestSeedSpawner:
     def test_rng_restarts_stream(self):
         spawner = SeedSpawner(9)
@@ -45,12 +33,6 @@ class TestSeedSpawner:
         child = spawner.spawn("sub")
         assert child.seed != spawner.seed
         assert child.rng("x").random() != spawner.rng("x").random()
-
-    def test_indexed_streams_independent_of_count(self):
-        spawner = SeedSpawner(3)
-        three = [rng.random() for rng in spawner.indexed("rep", 3)]
-        five = [rng.random() for rng in spawner.indexed("rep", 5)]
-        assert three == five[:3]
 
     def test_child_seed_matches_rng_seed(self):
         spawner = SeedSpawner(4)

@@ -12,7 +12,7 @@ dictionary-attack candidate that pushes rows past
 ``max_discriminators``.  The validation rows are built so the
 baseline already needs the combiner's frexp renormalization.
 
-The stream gate is then held to the per-message ``judge`` loop it
+The stream gate is then held to the per-message measurement loop it
 replaced: same decision, same token-table layout.
 """
 
@@ -114,7 +114,7 @@ def _reference(classifier, workspace, candidates) -> list[list[float]]:
     for ids, is_spam in candidates:
         classifier.learn_ids(ids, is_spam)
         scores.append(classifier.score_workspace(workspace))
-        classifier.unlearn_ids(ids, is_spam)
+        classifier.unlearn_ids_repeated(ids, is_spam, 1)
     return scores
 
 
@@ -193,7 +193,7 @@ def test_batch_reaches_every_branch():
     before = max(len(significant_probs(row)) for row in workspace.rows[1::3])
     classifier.learn_ids(*dictionary)
     after = max(len(significant_probs(row)) for row in workspace.rows[1::3])
-    classifier.unlearn_ids(*dictionary)
+    classifier.unlearn_ids_repeated(*dictionary, 1)
     assert before <= options.max_discriminators < after
 
 
@@ -244,19 +244,19 @@ def test_empty_workspace_and_batch():
 
 
 def _legacy_gate(spec, table, tick, arrivals, attack_arrivals, history, rng) -> GateDecision:
-    """``RoniTickDefense.gate`` as it was: one ``judge`` per message."""
+    """``RoniTickDefense.gate`` as it was: one measurement per message."""
     calibration_pool = Dataset(list(history), name=f"accepted-through-tick{tick - 1}")
     sample_size = min(spec.roni_calibration_size, len(calibration_pool))
     pool = calibration_pool.subset(rng.sample(range(len(calibration_pool)), sample_size))
     defense = RoniDefense(pool, rng, config=spec.roni, options=spec.options, table=table)
     decision = GateDecision()
     for message in arrivals:
-        if defense.judge(message).rejected:
+        if defense._verdict(defense.measure(message)).rejected:
             decision.legitimate_rejected += 1
         else:
             decision.accepted_legitimate.append(message)
     for message in attack_arrivals:
-        if defense.judge(message).rejected:
+        if defense._verdict(defense.measure(message)).rejected:
             decision.attack_rejected += 1
         else:
             decision.trained_attack.append(message)

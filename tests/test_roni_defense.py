@@ -22,6 +22,15 @@ from repro.spambayes.classifier import Classifier
 from repro.spambayes.token_table import TokenTable
 
 
+def split(defense, candidates):
+    """``(accepted, rejected)`` as the stream's RONI gate decides them:
+    one :meth:`RoniDefense.measure_many` sweep, then the threshold."""
+    accepted, rejected = [], []
+    for message, measurement in zip(candidates, defense.measure_many(candidates)):
+        (rejected if defense._verdict(measurement).rejected else accepted).append(message)
+    return accepted, rejected
+
+
 @pytest.fixture(scope="module")
 def pool(small_corpus):
     return small_corpus.dataset.sample_inbox(200, 0.5, SeedSpawner(21).rng("roni-pool"))
@@ -88,23 +97,23 @@ class TestVerdicts:
     def test_attack_rejected(self, defense, small_corpus):
         attack = AspellDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
         tokens = attack.generate(1, SeedSpawner(3).rng("a")).groups[0].training_tokens
-        verdict = defense.judge_tokens(tokens, is_spam=True)
+        verdict = defense._verdict(defense.measure_tokens(tokens, is_spam=True))
         assert verdict.rejected
         assert verdict.verdict is DefenseVerdict.REJECT
 
     def test_ordinary_messages_accepted(self, defense, small_corpus):
         for message in small_corpus.dataset.spam[6:10]:
-            assert not defense.judge(message).rejected
+            assert not defense._verdict(defense.measure(message)).rejected
         for message in small_corpus.dataset.ham[6:10]:
-            assert not defense.judge(message).rejected
+            assert not defense._verdict(defense.measure(message)).rejected
 
-    def test_filter_messages_split(self, defense, small_corpus):
+    def test_batch_split_rejects_only_the_attack(self, defense, small_corpus):
         attack = AspellDictionaryAttack.from_vocabulary(small_corpus.vocabulary)
         attack_message = LabeledMessage(
             AttackPayload(attack.generate(1, SeedSpawner(4).rng("a")), 0), True, "att"
         )
         candidates = [attack_message] + small_corpus.dataset.spam[11:14]
-        accepted, rejected = defense.filter_messages(candidates)
+        accepted, rejected = split(defense, candidates)
         assert [m.msgid for m in rejected] == ["att"]
         assert len(accepted) == 3
 
@@ -125,7 +134,7 @@ class TestGatedTraining:
         )
         pool_ids = {m.msgid for m in pool}
         incoming_normal = [m for m in small_corpus.dataset if m.msgid not in pool_ids][:10]
-        accepted, rejected = defense.filter_messages(attack_messages + incoming_normal)
+        accepted, rejected = split(defense, attack_messages + incoming_normal)
         rejected_ids = {m.msgid for m in rejected}
         assert rejected_ids == {m.msgid for m in attack_messages}
         assert [m.msgid for m in accepted] == [m.msgid for m in incoming_normal]
@@ -134,16 +143,9 @@ class TestGatedTraining:
         train_grouped(classifier, Dataset(pool.messages + accepted))
         assert classifier.nspam + classifier.nham == len(pool) + len(incoming_normal)
 
-    def test_judge_agrees_with_the_batch_split(self, small_corpus, gate):
-        pool, defense = gate
-        pool_ids = {m.msgid for m in pool}
-        incoming = [m for m in small_corpus.dataset if m.msgid not in pool_ids][:5]
-        _, rejected = defense.filter_messages(incoming)
-        assert [m for m in incoming if defense.judge(m).rejected] == rejected
-
     def test_empty_incoming(self, gate):
         _, defense = gate
-        assert defense.filter_messages([]) == ([], [])
+        assert split(defense, []) == ([], [])
 
 
 class TestRepeatedCandidates:
@@ -194,11 +196,11 @@ class TestRepeatedCandidates:
         # the copies by its row; the ham label is its own group.
         groups, _ = group_token_ids(batch, batched.table)
         assert len(groups) == len({(m.is_spam, m.tokens()) for m in batch}) == 6
-        verdicts = [looped.judge(message) for message in batch]
+        verdicts = [looped._verdict(looped.measure(message)) for message in batch]
         assert measurements == [verdict.measurement for verdict in verdicts]
         assert verdicts[2].rejected
 
-        # The per-message judge loop grew its table to the same layout.
+        # The per-message loop grew its table to the same layout.
         assert len(batched.table) == len(looped.table)
         everything = range(len(looped.table))
         assert batched.table.decode(everything) == looped.table.decode(everything)

@@ -31,7 +31,8 @@ from collections import deque
 import pytest
 
 from repro.rng import SeedSpawner
-from repro.serve import MicroBatcher, ServeClient, ServeConfig, serve_in_thread
+from repro.serve import MicroBatcher, ServeClient, ServeConfig
+from harness import serve_in_thread
 from repro.spambayes import ndkernel
 from repro.storage import STORE_DIR_ENV
 
@@ -63,7 +64,7 @@ class TestSequentialReplay:
                     log.append(("mutate", reply["seq"], tokens, is_spam))
                     last_seq = reply["seq"]
                 else:
-                    reply = client.score_response(tokens)
+                    reply = client.request("score", tokens=list(tokens))
                     # A client's own prior mutations are visible to its
                     # later scores (it awaited their replies first).
                     assert reply["model_seq"] >= last_seq

@@ -18,7 +18,8 @@ from unittest import mock
 import pytest
 
 from repro.rng import SeedSpawner
-from repro.serve import ServeClient, ServeConfig, serve_in_thread
+from repro.serve import ServeClient, ServeConfig
+from harness import serve_in_thread
 from repro.spambayes import ndkernel
 from repro.storage import STORE_DIR_ENV, STORE_ENV
 
@@ -91,5 +92,5 @@ class TestMutationSequenceMatchesLibrary:
             with ServeClient(service.address) as client:
                 for count, (tokens, is_spam) in enumerate(train[:5], start=1):
                     client.train(tokens, is_spam)
-                    reply = client.score_response(score[0])
+                    reply = client.request("score", tokens=list(score[0]))
                     assert reply["model_seq"] == count

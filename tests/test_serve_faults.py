@@ -16,7 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.rng import SeedSpawner
-from repro.serve import ServeClient, ServeConfig, serve_in_thread
+from repro.serve import ServeClient, ServeConfig
+from harness import serve_in_thread
 from repro.spambayes import ndkernel
 from repro.storage import STORE_DIR_ENV
 

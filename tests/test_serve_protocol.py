@@ -23,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError, ServeError
-from repro.serve import ServeClient, ServeConfig, connect, serve_in_thread
+from repro.serve import ServeClient, ServeConfig, connect
+from harness import serve_in_thread
 from repro.serve import protocol
 from repro.storage import STORE_DIR_ENV, STORE_ENV, orphaned_stores
 
@@ -299,14 +300,6 @@ class TestClientEdges:
             ServeClient(str(tmp_path / "nobody-home.sock"))
         with pytest.raises(ServeError, match="cannot connect"):
             ServeClient(("127.0.0.1", 1))  # reserved port, nothing listens
-
-    def test_recv_any_drains_buffered_responses(self, service):
-        """Pipelined callers take replies in whatever order they land."""
-        with ServeClient(service.address) as client:
-            first = client.send("ping")
-            second = client.send("ping")
-            got = {client.recv_any()["id"] for _ in range(2)}
-            assert got == {first, second}
 
     def test_peer_disappearing_mid_read_is_a_serve_error(self, service):
         """The daemon closing (here: shutdown) surfaces as ServeError,

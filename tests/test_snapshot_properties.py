@@ -64,7 +64,7 @@ def make_classifier(request, tmp_path, monkeypatch):
 
         def rebuilt() -> Classifier:
             source = Classifier()
-            source.encode_tokens(VOCABULARY)
+            source.table.encode_unique(VOCABULARY)
             return _rebuilt(request.param, source)
 
         yield rebuilt
@@ -77,7 +77,7 @@ def make_classifier(request, tmp_path, monkeypatch):
             table=backend.new_token_table(), columns=backend.count_columns()
         )
         if request.param == "disk-copy":
-            classifier.encode_tokens(VOCABULARY)
+            classifier.table.encode_unique(VOCABULARY)
             classifier = _rebuilt("copy", classifier)
         return classifier
 
@@ -149,7 +149,7 @@ class OpDriver:
 
     def _op_unlearn(self) -> None:
         tokens, is_spam, count = self._pop_live()
-        self.classifier.unlearn(tokens, is_spam)
+        self.classifier.unlearn_repeated(tokens, is_spam, 1)
         if count > 1:
             self.live.append((tokens, is_spam, count - 1))
         self.log.append(("unlearn", tokens, is_spam, 1))
@@ -165,7 +165,7 @@ class OpDriver:
         self.classifier.score(random_message(self.rng))
 
     def _op_score_ids(self) -> None:
-        ids = self.classifier.encode_tokens(random_message(self.rng))
+        ids = self.classifier.table.encode_unique(random_message(self.rng))
         self.classifier.score_ids(ids)
 
     def _op_prob(self) -> None:
@@ -194,7 +194,7 @@ def assert_bit_identical(driver: OpDriver, twin: Classifier, rng: random.Random)
         if driver.novel:
             probe |= frozenset(rng.sample(driver.novel, min(5, len(driver.novel))))
         assert classifier.score(probe) == twin.score(probe)
-        ids = classifier.encode_tokens(probe)
+        ids = classifier.table.encode_unique(probe)
         assert classifier.score_many_ids([ids]) == [twin.score(probe)]
 
 
@@ -212,12 +212,12 @@ class TestSnapshotRoundTripProperties:
             committed_log = list(driver.log)
             committed_live = list(driver.live)
             snap = driver.classifier.snapshot()
-            assert driver.classifier.snapshot_active
+            assert driver.classifier._snapshot is not None
             # The excursion: a random interleaving of every op kind.
             for _ in range(rng.randint(5, 20)):
                 driver.apply_random_op()
             driver.classifier.restore(snap)
-            assert not driver.classifier.snapshot_active
+            assert driver.classifier._snapshot is None
             # Discard the excursion from the driver's book-keeping too.
             driver.log = committed_log
             driver.live = committed_live
@@ -288,11 +288,11 @@ class TestSnapshotContract:
         classifier.score(probe)
         snap = classifier.snapshot()
         classifier.learn({"a", "a2"}, True)
-        classifier.unlearn({"b", "c"}, True)
+        classifier.unlearn_repeated({"b", "c"}, True, 1)
         classifier.score(probe)
         classifier.restore(snap)
         assert classifier.score(probe) == twin.score(probe)
-        ids = classifier.encode_tokens(probe)
+        ids = classifier.table.encode_unique(probe)
         assert classifier.score_many_ids([ids]) == [twin.score(probe)]
 
     def test_no_pickling_while_armed(self, make_classifier):

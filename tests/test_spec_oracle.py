@@ -60,7 +60,7 @@ def test_probabilities_and_scores_match_oracle(options, history, batch):
     assert _outcome(core.score_many, batch) == expected
     # Encoding interns the unseen tokens as zero-count IDs, which score
     # the prior just as unseen texts do.
-    encoded = [core.encode_tokens(q) for q in batch]
+    encoded = [core.table.encode_unique(q) for q in batch]
     assert _outcome(core.score_many_ids, encoded) == expected
 
 
@@ -80,11 +80,11 @@ def test_learn_unlearn_interleavings_match_oracle_counts(steps, batch):
     core = Classifier(table=TokenTable())
     spec = SpecClassifier()
     learned: list[tuple[frozenset, bool, int]] = []
-    encoded = [core.encode_tokens(q) for q in batch]
+    encoded = [core.table.encode_unique(q) for q in batch]
     for tokens, is_spam, count, undo, pick in steps:
         if undo and learned:
             tokens, is_spam, count = learned.pop(pick % len(learned))
-            core.unlearn_ids_repeated(core.encode_tokens(tokens), is_spam, count)
+            core.unlearn_ids_repeated(core.table.encode_unique(tokens), is_spam, count)
             spec.unlearn(tokens, is_spam, count)
         else:
             learned.append((tokens, is_spam, count))
@@ -122,7 +122,7 @@ def test_zero_count_ids_at_zero_strength_score_without_dividing():
         core.learn(tokens, is_spam)
         spec.learn(tokens, is_spam)
     batch = [frozenset({"t00", "u0"}), frozenset({"u1"})]
-    encoded = [core.encode_tokens(q) for q in batch]
+    encoded = [core.table.encode_unique(q) for q in batch]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scores = core.score_many_ids(encoded)

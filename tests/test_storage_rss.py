@@ -60,7 +60,10 @@ spec = StreamSpec(
 tracemalloc.start()
 result = StreamRunner(spec).run()
 peak = tracemalloc.get_traced_memory()[1]
-print(f"OK messages={result.messages_processed()} heap_peak={peak}")
+# No attack mail and no clean twin: each tick ingests its arrivals and
+# scores the held-out set once.
+per_tick = spec.ham_per_tick + spec.spam_per_tick + spec.test_size
+print(f"OK messages={len(result.ticks) * per_tick} heap_peak={peak}")
 """
 
 _REPORT = re.compile(r"OK messages=(\d+) heap_peak=(\d+)")

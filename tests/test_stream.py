@@ -86,16 +86,11 @@ class TestSchedules:
         assert spec.tick_attack_counts() == (0, 15, 0, 0)
         # Same total mail as the constant campaign over ramp_ticks ticks.
         constant = tiny_spec(ticks=4, attack_start_tick=2, attack_per_tick=5)
-        assert spec.total_attack_messages() == constant.total_attack_messages()
+        assert sum(spec.tick_attack_counts()) == sum(constant.tick_attack_counts())
 
     def test_zero_peak_is_a_clean_stream(self):
         spec = tiny_spec(attack_per_tick=0)
         assert spec.tick_attack_counts() == (0, 0, 0)
-        assert spec.total_arrivals() == 3 * 40
-
-    def test_total_arrivals_counts_attack_mail(self):
-        spec = tiny_spec()
-        assert spec.total_arrivals() == 3 * 40 + 2 * 5
 
 
 class TestAttackArrivals:
@@ -139,7 +134,7 @@ class TestUndefendedStream:
 
     def test_dictionary_stream_degrades_the_filter(self, result):
         before = result.outcome(1).confusion.ham_misclassified_rate
-        after = result.final_ham_misclassification()
+        after = result.ticks[-1].confusion.ham_misclassified_rate
         assert after > before + 0.3
 
     def test_outcome_lookup_raises_on_unknown_tick(self, result):
@@ -150,11 +145,6 @@ class TestUndefendedStream:
         for outcome in result.ticks:
             assert outcome.ham_cutoff is None
             assert outcome.clean_confusion is None
-
-    def test_messages_processed_accounting(self, result):
-        # 120 legit + 10 attack arrivals, 3 evaluations of the
-        # 40-message held-out set (no clean counterfactual).
-        assert result.messages_processed() == 130 + 3 * 40
 
 
 class TestCleanCounterfactual:
@@ -195,13 +185,6 @@ class TestCleanCounterfactual:
         record = measured.to_record()
         assert [series.name for series in record.series] == ["stream", "stream-clean"]
 
-    def test_messages_processed_counts_only_real_rescores(self, results):
-        # Tick 1 has no trained attack mail, so its "clean" value is a
-        # copy, not a re-score: 1 + 2 + 2 evaluations of the
-        # 40-message test set on top of the 130 ingested arrivals.
-        _, measured = results
-        assert measured.messages_processed() == 130 + 5 * 40
-
 
 @pytest.mark.slow
 class TestRoniStream:
@@ -229,7 +212,7 @@ class TestRoniStream:
             assert outcome.attack_trained == 0
 
     def test_filter_stays_healthy(self, result):
-        assert result.final_ham_misclassification() < 0.1
+        assert result.ticks[-1].confusion.ham_misclassified_rate < 0.1
 
     def test_record_config_carries_the_gate_parameters(self, result):
         config = result.to_record().config

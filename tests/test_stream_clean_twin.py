@@ -382,7 +382,7 @@ def test_interleaved_twin_matches_snapshot_unlearn_restore(seed):
         snap = main.snapshot()
         try:
             for ids in attack_history:
-                main.unlearn_ids(ids, True)
+                main.unlearn_ids_repeated(ids, True, 1)
             assert _full_state(main) == _full_state(twin)
             unlearn_scores = [main.score_ids(ids) for ids in test_batch]
         finally:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.attacks.dictionary import UsenetDictionaryAttack
-from repro.corpus.dataset import Dataset
+from repro.corpus.dataset import Dataset, train_grouped
 from repro.corpus.trec import TrecStyleCorpus
 from repro.corpus.vocabulary import TINY_PROFILE
 from repro.defenses import threshold
@@ -17,11 +17,11 @@ from repro.defenses.threshold import (
     ThresholdFit,
     _utility_curve,
 )
+from repro.engine.sweep import evaluate_dataset
 from repro.errors import DefenseError
 from repro.experiments.attack_data import attack_messages_as_dataset
 from repro.rng import SeedSpawner
 from repro.spambayes.classifier import Classifier
-from repro.spambayes.filter import Label
 from repro.spambayes.options import ClassifierOptions
 from repro.spambayes.token_table import TokenTable
 from spambayes_spec import SpecClassifier
@@ -109,14 +109,6 @@ class TestFitFromScores:
 
 
 class TestFitOnDataset:
-    def test_fit_and_build_filter(self, small_corpus):
-        training = small_corpus.dataset.sample_inbox(300, 0.5, SeedSpawner(31).rng("t"))
-        defense = DynamicThresholdDefense()
-        spam_filter, fit = defense.build_filter(training, SeedSpawner(31).rng("f"))
-        assert spam_filter.ham_cutoff == fit.ham_cutoff
-        assert spam_filter.spam_cutoff == fit.spam_cutoff
-        # The deployed filter is trained on the full set.
-        assert spam_filter.classifier.nspam + spam_filter.classifier.nham == 300
 
     def test_clean_data_gives_sane_thresholds(self, small_corpus):
         training = small_corpus.dataset.sample_inbox(300, 0.5, SeedSpawner(32).rng("t"))
@@ -136,24 +128,21 @@ class TestFitOnDataset:
         assert poisoned_fit.ham_cutoff > clean_fit.ham_cutoff
 
     def test_missing_class_rejected(self, small_corpus):
-        ham_only = small_corpus.dataset.filtered(lambda m: not m.is_spam).subset(range(50))
+        ham_only = Dataset(small_corpus.dataset.ham[:50])
         with pytest.raises(DefenseError):
             DynamicThresholdDefense().fit(ham_only, SeedSpawner(33).rng("f"))
 
     def test_defended_filter_still_classifies_clean_data(self, small_corpus):
         training = small_corpus.dataset.sample_inbox(300, 0.5, SeedSpawner(34).rng("t"))
-        spam_filter, _ = DynamicThresholdDefense().build_filter(
-            training, SeedSpawner(34).rng("f")
-        )
+        fit = DynamicThresholdDefense().fit(training, SeedSpawner(34).rng("f"))
+        classifier = Classifier()
+        train_grouped(classifier, training)
         inbox_ids = {m.msgid for m in training}
         held_out = [m for m in small_corpus.dataset if m.msgid not in inbox_ids][:100]
-        correct = sum(
-            1
-            for m in held_out
-            if spam_filter.classify_tokens(m.tokens()).label
-            is (Label.SPAM if m.is_spam else Label.HAM)
+        counts = evaluate_dataset(
+            classifier, held_out, cutoffs=(fit.ham_cutoff, fit.spam_cutoff)
         )
-        assert correct > 60
+        assert counts.ham_as_ham + counts.spam_as_spam > 60
 
 
 @pytest.fixture(scope="module")

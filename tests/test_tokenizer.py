@@ -17,7 +17,6 @@ from repro.spambayes.tokenizer import (
     DEFAULT_TOKENIZER,
     Tokenizer,
     TokenizerOptions,
-    tokenize_text,
 )
 
 
@@ -133,7 +132,8 @@ class TestHeaderTokens:
 
 class TestTokenizeText:
     def test_wire_format_gets_header_tokens(self):
-        tokens = set(tokenize_text("Subject: offer\n\nbuy cheap pills"))
+        email = Email.from_text("Subject: offer\n\nbuy cheap pills")
+        tokens = set(DEFAULT_TOKENIZER.tokenize(email))
         assert "subject:offer" in tokens
         assert "cheap" in tokens
 

@@ -11,6 +11,7 @@ from repro.corpus.wordlists import (
     build_aspell_dictionary,
     build_usenet_wordlist,
 )
+from test_vocabulary import aspell_size, usenet_pool_size
 
 
 @pytest.fixture(scope="module")
@@ -21,14 +22,14 @@ def small_vocab() -> Vocabulary:
 class TestAspell:
     def test_size_matches_profile(self, small_vocab):
         aspell = build_aspell_dictionary(small_vocab)
-        assert len(aspell) == SMALL_PROFILE.aspell_size
+        assert len(aspell) == aspell_size(SMALL_PROFILE)
 
     def test_alphabetical(self, small_vocab):
         aspell = build_aspell_dictionary(small_vocab)
         assert list(aspell.words) == sorted(aspell.words)
 
     def test_no_slang_no_entities(self, small_vocab):
-        aspell = build_aspell_dictionary(small_vocab).as_set()
+        aspell = set(build_aspell_dictionary(small_vocab))
         assert not (aspell & set(small_vocab.colloquial))
         assert not (aspell & set(small_vocab.entity))
         assert not (aspell & set(small_vocab.spam_unlisted))
@@ -37,7 +38,7 @@ class TestAspell:
 class TestUsenet:
     def test_default_size_is_top_slice_of_pool(self, small_vocab):
         usenet = build_usenet_wordlist(small_vocab)
-        pool_size = SMALL_PROFILE.usenet_pool_size
+        pool_size = usenet_pool_size(SMALL_PROFILE)
         assert len(usenet) < pool_size
         assert len(usenet) > 0.95 * pool_size
 
@@ -46,16 +47,16 @@ class TestUsenet:
         i.e. ~62% of Aspell; same proportion must hold at small scale."""
         aspell = build_aspell_dictionary(small_vocab)
         usenet = build_usenet_wordlist(small_vocab)
-        overlap = aspell.overlap(usenet)
+        overlap = len(set(aspell) & set(usenet))
         assert 0.55 * len(aspell) < overlap < 0.70 * len(aspell)
 
     def test_contains_colloquialisms(self, small_vocab):
-        usenet = build_usenet_wordlist(small_vocab).as_set()
+        usenet = set(build_usenet_wordlist(small_vocab))
         colloquial_covered = len(usenet & set(small_vocab.colloquial))
         assert colloquial_covered > 0.8 * len(small_vocab.colloquial)
 
     def test_excludes_formal_tail(self, small_vocab):
-        usenet = build_usenet_wordlist(small_vocab).as_set()
+        usenet = set(build_usenet_wordlist(small_vocab))
         assert not (usenet & set(small_vocab.formal))
 
     def test_frequency_ranked_core_first(self, small_vocab):
@@ -96,11 +97,6 @@ class TestAttackWordlist:
         with pytest.raises(ConfigurationError):
             AttackWordlist("x", "test", ())
 
-    def test_overlap_symmetric(self):
-        a = AttackWordlist("a", "t", ("x", "y", "z"))
-        b = AttackWordlist("b", "t", ("y", "z", "w"))
-        assert a.overlap(b) == b.overlap(a) == 2
-
     def test_iteration_and_len(self):
         wordlist = AttackWordlist("a", "t", ("x", "y"))
         assert list(wordlist) == ["x", "y"]
@@ -123,4 +119,4 @@ class TestPaperScaleCalibration:
     def test_overlap_near_61000(self, paper_vocab):
         aspell = build_aspell_dictionary(paper_vocab)
         usenet = build_usenet_wordlist(paper_vocab)
-        assert 57_000 < aspell.overlap(usenet) < 63_000
+        assert 57_000 < len(set(aspell) & set(usenet)) < 63_000
