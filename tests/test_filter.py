@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.spambayes.filter import Label, SpamFilter
 from repro.spambayes.message import Email
 from repro.spambayes.options import ClassifierOptions
@@ -61,7 +63,39 @@ class TestClassification:
         assert spam_filter.classify(Email.build(body="cheap")).evidence == ()
 
 
+    def test_label_is_the_thresholded_score(self):
+        spam_filter = SpamFilter()
+        train_toy(spam_filter)
+        for body in ("cheap pills", "meeting notes", "cheap meeting", ""):
+            result = spam_filter.classify(Email.build(body=body))
+            assert result.score == spam_filter.score(Email.build(body=body))
+            assert result.label is spam_filter.label_for_score(result.score)
+
+    def test_cutoffs_move_labels_not_scores(self):
+        """θ0/θ1 change only the decision; the learner scores the same."""
+        default = SpamFilter()
+        narrow = SpamFilter(options=ClassifierOptions().with_cutoffs(0.05, 0.06))
+        train_toy(default)
+        train_toy(narrow)
+        probe = Email.build(body="cheap meeting budget")
+        assert narrow.score(probe) == default.score(probe)
+        assert narrow.ham_cutoff == 0.05 and narrow.spam_cutoff == 0.06
+        assert narrow.options is narrow.classifier.options
+
+    def test_classified_message_is_immutable(self):
+        result = SpamFilter().classify(Email.build(body="anything"))
+        with pytest.raises(AttributeError):
+            result.score = 0.0
+
+
 class TestTrainUntrain:
+    def test_train_counts_each_message_once(self):
+        spam_filter = SpamFilter()
+        for i in range(5):
+            spam_filter.train(Email.build(body=f"word{i} filler text", msgid=str(i)), True)
+        spam_filter.train(Email.build(body="filler", msgid="h"), False)
+        assert (spam_filter.classifier.nspam, spam_filter.classifier.nham) == (5, 1)
+        assert spam_filter.classifier.word_info("filler").spamcount == 5
 
     def test_copy_independent(self):
         spam_filter = SpamFilter()

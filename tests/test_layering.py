@@ -411,20 +411,175 @@ def test_the_reachability_check_flags_dead_modules_and_methods(tmp_path):
         "repro/pkg/unread.py": "class Unread:\n    pass\n",
         "repro/dead.py": "class Ghost:\n    pass\n",
     }
-    for name, text in sources.items():
-        (tmp_path / "src" / name).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / "src" / name).write_text(text)
-    root = tmp_path / "root.py"
-    root.write_text(
+    found = _unreached_in(
+        tmp_path,
+        sources,
         "import repro\nfrom repro.pkg import Thing\n"
-        "Thing().used()\nPATCHED = ('patched',)\n"
+        "Thing().used()\nPATCHED = ('patched',)\n",
     )
-    found = unreached_code(tmp_path / "src", ([], [root]), exempt={})
     assert found == [
         "repro.dead: never imported",
         "repro.pkg.live.Thing.spare: never named",
         "repro.pkg.unread: never imported",
     ]
+
+
+def _unreached_in(
+    tmp_path: Path,
+    sources: dict[str, str],
+    root_text: str,
+    modules: list[str] = [],
+    exempt: dict[str, str] = {},
+) -> list[str]:
+    """:func:`unreached_code` on a synthetic ``src/`` tree whose one
+    root file holds ``root_text``; ``repro/__init__.py`` is empty unless
+    ``sources`` says otherwise."""
+    for name, text in {"repro/__init__.py": "", **sources}.items():
+        (tmp_path / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "src" / name).write_text(text)
+    root = tmp_path / "root.py"
+    root.write_text(root_text)
+    return unreached_code(tmp_path / "src", (modules, [root]), exempt=exempt)
+
+
+def test_a_module_only_dead_code_imports_is_dead(tmp_path):
+    found = _unreached_in(
+        tmp_path,
+        {
+            "repro/live.py": "def run():\n    return 1\n",
+            "repro/dead.py": "from repro.deeper import helper\ndef ghost():\n    return helper()\n",
+            "repro/deeper.py": "def helper():\n    return 2\n",
+        },
+        "from repro.live import run\nrun()\n",
+    )
+    assert found == ["repro.dead: never imported", "repro.deeper: never imported"]
+
+
+def test_type_checking_imports_reach_nothing(tmp_path):
+    found = _unreached_in(
+        tmp_path,
+        {"repro/typed.py": "class Spec:\n    pass\n"},
+        "import repro\nfrom typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from repro.typed import Spec\n"
+        "def f(spec: 'Spec') -> None:\n    pass\n",
+    )
+    assert found == ["repro.typed: never imported"]
+
+
+def test_function_level_and_relative_imports_reach(tmp_path):
+    found = _unreached_in(
+        tmp_path,
+        {
+            "repro/pkg/__init__.py": "",
+            "repro/pkg/front.py": "def go():\n    from .back import work\n    return work()\n",
+            "repro/pkg/back.py": "def work():\n    return 3\n",
+        },
+        "def main():\n    from repro.pkg.front import go\n    return go()\n",
+    )
+    assert found == []
+
+
+def test_a_module_root_reaches_its_parent_packages(tmp_path):
+    found = _unreached_in(
+        tmp_path,
+        {
+            "repro/pkg/__init__.py": "from repro.pkg.setup import configure\nconfigure()\n",
+            "repro/pkg/setup.py": "def configure():\n    pass\n",
+            "repro/pkg/leaf.py": "def leaf():\n    pass\n",
+        },
+        "",
+        modules=["repro.pkg.leaf"],
+    )
+    assert found == ["repro.pkg.leaf.leaf: never named"]
+
+
+def test_names_in_docstrings_and_all_keep_nothing_alive(tmp_path):
+    found = _unreached_in(
+        tmp_path,
+        {
+            "repro/mod.py": (
+                '"""Call :func:`described` to ..."""\n'
+                "__all__ = ['listed', 'described', 'called']\n"
+                "def listed():\n    pass\n"
+                "def described():\n    pass\n"
+                "def called():\n    pass\n"
+            ),
+        },
+        "from repro.mod import called\ncalled()\n",
+    )
+    assert found == [
+        "repro.mod.listed: never named",
+        "repro.mod.described: never named",
+    ]
+
+
+def test_a_dotted_string_keeps_a_patched_name_alive(tmp_path):
+    """``launch.py`` patches by dotted string; that is a use."""
+    found = _unreached_in(
+        tmp_path,
+        {"repro/mod.py": "def patched():\n    pass\ndef run():\n    pass\n"},
+        "import repro.mod\nTARGET = 'repro.mod.patched'\nrepro.mod.run()\n",
+    )
+    assert found == []
+
+
+def test_a_lazy_export_read_on_the_package_reaches_its_module(tmp_path):
+    sources = {
+        "repro/__init__.py": (
+            "from repro.lazy import lazy_exports\n"
+            "__getattr__, __dir__, __all__ = lazy_exports(__name__, "
+            "{'repro.owner': ('Owned',), 'repro.other': ('Spare',)})\n"
+        ),
+        "repro/lazy.py": "def lazy_exports(package, table):\n    return None, None, []\n",
+        "repro/owner.py": "class Owned:\n    pass\n",
+        "repro/other.py": "class Spare:\n    pass\n",
+    }
+    found = _unreached_in(tmp_path, sources, "import repro\nrepro.Owned()\n")
+    assert found == ["repro.other: never imported"]
+
+
+def test_private_names_and_nested_definitions_are_not_listed(tmp_path):
+    found = _unreached_in(
+        tmp_path,
+        {
+            "repro/mod.py": (
+                "def _private():\n    pass\n"
+                "class Public:\n"
+                "    def _hidden(self):\n        pass\n"
+                "    def __len__(self):\n        return 0\n"
+                "    class Inner:\n        def deep(self):\n            pass\n"
+                "def run():\n    def local():\n        pass\n    return Public()\n"
+            ),
+        },
+        "from repro.mod import run\nrun()\n",
+    )
+    assert found == []
+
+
+def test_an_exempt_name_is_not_listed(tmp_path):
+    sources = {"repro/mod.py": "def kept():\n    pass\ndef run():\n    pass\n"}
+    root = "from repro.mod import run\nrun()\n"
+    assert _unreached_in(tmp_path, sources, root) == ["repro.mod.kept: never named"]
+    assert _unreached_in(
+        tmp_path, sources, root, exempt={"repro.mod.kept": "a reason"}
+    ) == []
+
+
+def test_the_roots_hold_every_command_and_protocol_module():
+    from repro.commands import COMMANDS
+    from repro.scenarios.registry import PROTOCOLS
+
+    modules, files = reachability_roots()
+    assert {command.module for command in COMMANDS.values()} <= set(modules)
+    assert {
+        function.__module__
+        for protocol in PROTOCOLS.values()
+        for function in protocol
+        if function is not None
+    } <= set(modules)
+    assert {"repro.scenarios.builtin", "repro.serve.client"} <= set(modules)
+    assert REPO / "examples" / "quickstart.py" in files
+    assert REPO / "e2ebench" / "launch.py" in files
 
 
 EXPERIMENT_STACK = (

@@ -50,6 +50,16 @@ class TestHeaders:
     def test_get_header_default(self):
         assert Email(body="").get_header("missing", "dflt") == "dflt"
 
+    def test_duplicate_headers_keep_their_order(self):
+        email = Email(body="", headers=[("Received", "a"), ("X", "1"), ("Received", "b")])
+        assert email.get_header("received") == "a"
+        assert list(email.iter_headers()) == email.headers
+
+    def test_subject_and_sender_default_to_empty(self):
+        assert (Email(body="").subject, Email(body="").sender) == ("", "")
+        email = Email.build(body="", subject="hi", sender="a@b")
+        assert (email.subject, email.sender) == ("hi", "a@b")
+
 
 class TestBuildAndRoundTrip:
     def test_build_sets_standard_headers(self):

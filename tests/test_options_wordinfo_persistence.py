@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
@@ -51,6 +52,16 @@ class TestOptions:
         assert derived.unknown_word_strength == DEFAULT_OPTIONS.unknown_word_strength
         assert DEFAULT_OPTIONS.ham_cutoff == 0.15  # original untouched
 
+    def test_with_cutoffs_is_validated(self):
+        with pytest.raises(ConfigurationError):
+            DEFAULT_OPTIONS.with_cutoffs(0.8, 0.2)
+
+    def test_options_are_frozen_hashable_values(self):
+        with pytest.raises(AttributeError):
+            DEFAULT_OPTIONS.ham_cutoff = 0.5
+        assert ClassifierOptions() == DEFAULT_OPTIONS
+        assert hash(ClassifierOptions()) == hash(DEFAULT_OPTIONS)
+
 
 class TestWordInfo:
     def test_total(self):
@@ -65,6 +76,12 @@ class TestWordInfo:
 
     def test_equality_with_other_types(self):
         assert WordInfo(1, 1) != "not a wordinfo"
+
+    def test_pickles_as_a_bare_count_pair(self):
+        record = WordInfo(2, 5)
+        assert record.__getstate__() == (2, 5)
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record and clone is not record
 
 
 class TestPersistence:

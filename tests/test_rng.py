@@ -22,6 +22,20 @@ class TestSpawnSeed:
 
 
 class TestSeedSpawner:
+    def test_same_label_same_stream(self):
+        a = SeedSpawner(5).rng("x")
+        b = SeedSpawner(5).rng("x")
+        assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
+
+    def test_different_labels_decorrelated(self):
+        a = SeedSpawner(5).rng("x")
+        b = SeedSpawner(5).rng("y")
+        assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
+
+    def test_spawn_is_deterministic(self):
+        assert SeedSpawner(5).spawn("sub").seed == SeedSpawner(5).spawn("sub").seed
+        assert SeedSpawner(5).spawn("sub").seed == spawn_seed(5, "sub")
+
     def test_rng_restarts_stream(self):
         spawner = SeedSpawner(9)
         first = spawner.rng("ham").random()

@@ -301,6 +301,14 @@ class TestClientEdges:
         with pytest.raises(ServeError, match="cannot connect"):
             ServeClient(("127.0.0.1", 1))  # reserved port, nothing listens
 
+    def test_recv_buffers_replies_for_other_requests(self, service):
+        """Pipelined callers may collect replies in any order."""
+        with ServeClient(service.address) as client:
+            first = client.send("ping")
+            second = client.send("ping")
+            assert client.recv(second)["id"] == second
+            assert client.recv(first)["id"] == first
+
     def test_peer_disappearing_mid_read_is_a_serve_error(self, service):
         """The daemon closing (here: shutdown) surfaces as ServeError,
         not a raw socket exception, on the next blocking read."""

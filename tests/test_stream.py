@@ -92,6 +92,11 @@ class TestSchedules:
         spec = tiny_spec(attack_per_tick=0)
         assert spec.tick_attack_counts() == (0, 0, 0)
 
+    def test_constant_campaign_sends_from_its_start_tick(self):
+        spec = tiny_spec()
+        assert spec.tick_attack_counts() == (0, 5, 5)
+        assert [spec.attack_count_at(tick) for tick in (1, 2, 3)] == [0, 5, 5]
+
 
 class TestAttackArrivals:
     def test_helper_materializes_batches(self, tiny_corpus):
@@ -136,6 +141,14 @@ class TestUndefendedStream:
         before = result.outcome(1).confusion.ham_misclassified_rate
         after = result.ticks[-1].confusion.ham_misclassified_rate
         assert after > before + 0.3
+
+    def test_every_arrival_is_accounted_for(self, result):
+        # 3 ticks of 40 legitimate messages plus the campaign's 10, all
+        # trained; each tick scores the same 40-message held-out set.
+        spec = tiny_spec()
+        assert sum(o.attack_sent for o in result.ticks) == sum(spec.tick_attack_counts())
+        assert result.ticks[-1].trained_messages == 3 * 40 + 10
+        assert result.test_messages == 40
 
     def test_outcome_lookup_raises_on_unknown_tick(self, result):
         with pytest.raises(ExperimentError):
